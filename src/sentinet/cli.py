@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from datetime import date
 from pathlib import Path
@@ -12,22 +11,15 @@ from pathlib import Path
 from . import community as community_mod
 from . import domains as domains_mod
 from . import graph as graph_mod
-from . import lsa as lsa_mod
 from . import similarity as similarity_mod
-from . import stats as stats_mod
 from . import topics as topics_mod
 from .config import load_config
+from .domains import read_scores_csv
 from .errors import SentinetError, StageError
-from .ingest import (
-    load_wordlist,
-    normalize_text,
-    parse_timestamp,
-    read_corpus,
-    write_corpus,
-    data_path,
-)
-from .pipeline import run_pipeline, stratified_coding_sample
-from .sentinel import ascii_language_filter, read_roster, select_sentinels, write_roster
+from .fileio import atomic_open, write_json
+from .ingest import data_path, parse_timestamp, read_corpus, write_corpus
+from .pipeline import STAGES, run_pipeline, stratified_coding_sample
+from .sentinel import read_roster, write_roster
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("graph", help="build the retweet graph edge list")
-    p.add_argument("--records", required=True, type=Path)
+    p.add_argument("--records", dest="corpus", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.set_defaults(handler=cmd_graph)
 
@@ -80,41 +72,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, type=Path)
     p.add_argument("--partition", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--k", type=int, default=15)
+    p.add_argument("--k", dest="sentinel_k", type=int, default=15)
     p.add_argument("--top-m", type=int, default=50)
-    p.add_argument("--records", type=Path, help="corpus for the language filter")
+    p.add_argument(
+        "--records", dest="corpus", type=Path, help="corpus for the language filter"
+    )
     p.add_argument("--language-filter", choices=["ascii", "none"], default="none")
     p.add_argument("--english-threshold", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=13)
     p.set_defaults(handler=cmd_sentinels)
 
     p = sub.add_parser("domains", help="community x domain link-fraction matrix")
-    p.add_argument("--records", required=True, type=Path)
+    p.add_argument("--records", dest="corpus", required=True, type=Path)
     p.add_argument("--roster", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--split", type=parse_timestamp, help="keep tweets before this time")
-    p.add_argument("--min-count", type=int, default=10)
-    p.add_argument("--shorteners", type=Path)
+    p.add_argument("--min-count", dest="domain_min_count", type=int, default=10)
+    p.add_argument("--shorteners", type=Path, default=data_path("shorteners.txt"))
     p.set_defaults(handler=cmd_domains)
 
     p = sub.add_parser("cluster", help="PCA scores and score clusters")
     p.add_argument("--matrix", required=True, type=Path)
     p.add_argument("--scores-output", required=True, type=Path)
     p.add_argument("--loadings-output", type=Path)
-    p.add_argument("--clusters", type=int, default=3)
+    p.add_argument("--clusters", dest="score_clusters", type=int, default=3)
     p.add_argument("--linkage", choices=["centroid", "average"], default="centroid")
     p.add_argument("--anchor-domain")
     p.set_defaults(handler=cmd_cluster)
 
     p = sub.add_parser("topics", help="per-community topical tweet counts")
-    p.add_argument("--records", required=True, type=Path)
+    p.add_argument("--records", dest="corpus", required=True, type=Path)
     p.add_argument("--roster", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--lexicon-dir", type=Path)
     p.set_defaults(handler=cmd_topics)
 
     p = sub.add_parser("rates", help="per-capita and scaled topical tweet rates")
-    p.add_argument("--records", required=True, type=Path)
+    p.add_argument("--records", dest="corpus", required=True, type=Path)
     p.add_argument("--roster", required=True, type=Path)
     p.add_argument("--scores", required=True, type=Path)
     p.add_argument("--window-start", required=True, type=date.fromisoformat)
@@ -125,15 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rates)
 
     p = sub.add_parser("similarity", help="daily inter-cluster similarity series")
-    p.add_argument("--records", required=True, type=Path)
+    p.add_argument("--records", dest="corpus", required=True, type=Path)
     p.add_argument("--roster", required=True, type=Path)
     p.add_argument("--scores", required=True, type=Path)
     p.add_argument("--window-start", required=True, type=date.fromisoformat)
     p.add_argument("--window-end", required=True, type=date.fromisoformat)
     p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--threshold", type=float, default=2.0)
+    p.add_argument("--threshold", dest="burst_threshold", type=float, default=2.0)
     p.add_argument("--min-history", type=int, default=7)
-    p.add_argument("--stopwords", type=Path)
+    p.add_argument("--stopwords", type=Path, default=data_path("stopwords.txt"))
     p.add_argument("--lexicon-dir", type=Path)
     p.set_defaults(handler=cmd_similarity)
 
@@ -144,16 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_flag)
 
     p = sub.add_parser("lsa", help="topical tweets and driver confirmation for flagged days")
-    p.add_argument("--records", required=True, type=Path)
+    p.add_argument("--records", dest="corpus", required=True, type=Path)
     p.add_argument("--roster", required=True, type=Path)
     p.add_argument("--scores", required=True, type=Path)
     p.add_argument("--series", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--threshold", type=float, default=2.0)
+    p.add_argument("--k", dest="lsa_k", type=int, default=5)
+    p.add_argument("--threshold", dest="burst_threshold", type=float, default=2.0)
     p.add_argument("--min-history", type=int, default=7)
     p.add_argument("--match-threshold", type=float, default=0.5)
-    p.add_argument("--stopwords", type=Path)
+    p.add_argument("--stopwords", type=Path, default=data_path("stopwords.txt"))
     p.add_argument("--lexicon-dir", type=Path)
     p.set_defaults(handler=cmd_lsa)
 
@@ -167,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("sample", help="seeded stratified sample for human coding")
-    p.add_argument("--records", required=True, type=Path)
+    p.add_argument("--records", dest="corpus", required=True, type=Path)
     p.add_argument("--roster", required=True, type=Path)
     p.add_argument("--scores", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
@@ -184,37 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ---- helpers -----------------------------------------------------------
-
-
-def _load_roster(path: Path):
-    return read_roster(path)
-
-
-def _account_community(roster) -> dict[str, str]:
-    return {acct: label for label, entries in roster.items() for acct, _ in entries}
-
-
-def _load_clusters(path: Path) -> dict[str, int]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        return {row["community"]: int(row["cluster"]) for row in csv.DictReader(handle)}
-
-
-def _sentinel_records_by_community(records, roster):
-    account_community = _account_community(roster)
-    grouped: dict[str, list] = {label: [] for label in roster}
-    for record in records:
-        community = account_community.get(record.author_id)
-        if community is not None:
-            grouped[community].append(record)
-    return grouped
-
-
-def _stopwords(path: Path | None):
-    return load_wordlist(path or data_path("stopwords.txt"))
-
-
 # ---- handlers ----------------------------------------------------------
+# Stage subcommands call the pipeline's stage builds; their parsers name
+# each option after the PipelineConfig field it sets, so ``args`` is the
+# build's params.
+
+
+def _sentinel_topics(args, ingest):
+    """Roster, cluster assignment and topic matches of the sentinels' records."""
+    roster = read_roster(args.roster)
+    return roster, read_scores_csv(args.scores), STAGES["topics"].build(args, roster, ingest)
 
 
 def cmd_ingest(args) -> int:
@@ -225,8 +198,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    records = read_corpus(args.records).records
-    built = graph_mod.build_retweet_graph(records)
+    built = graph_mod.build_retweet_graph(read_corpus(args.corpus).records)
     graph_mod.write_edges(built, args.output)
     print(f"graph: {built.n} nodes, {len(built.arcs)} arcs, total weight {built.w}")
     return 0
@@ -235,10 +207,7 @@ def cmd_graph(args) -> int:
 def cmd_communities(args) -> int:
     built = graph_mod.read_edges(args.edges)
     target = built if args.full_graph else graph_mod.largest_component(built)
-    detected = community_mod.louvain(target, seed=args.seed)
-    partition = community_mod.Partition.from_assignment(
-        {node: str(label) for node, label in detected.assignment.items()}
-    )
+    partition = STAGES["communities"].build(args, target)
     community_mod.write_partition(partition, args.output)
     quality = community_mod.modularity(target, partition)
     print(
@@ -267,21 +236,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sentinels(args) -> int:
-    component = graph_mod.read_edges(args.edges)
-    partition = community_mod.read_partition(args.partition)
-    predicate = None
+    ingest = None
     if args.language_filter == "ascii":
-        if args.records is None:
+        if args.corpus is None:
             print("error: --language-filter ascii needs --records", file=sys.stderr)
             return 1
-        by_author: dict[str, list] = {}
-        for record in read_corpus(args.records).records:
-            by_author.setdefault(record.author_id, []).append(record)
-        predicate = ascii_language_filter(
-            by_author, english_threshold=args.english_threshold, seed=args.seed
-        )
-    sentinels = select_sentinels(
-        component, partition, k=args.k, top_m=args.top_m, language_filter=predicate
+        ingest = read_corpus(args.corpus)
+    sentinels = STAGES["sentinels"].build(
+        args,
+        graph_mod.read_edges(args.edges),
+        community_mod.read_partition(args.partition),
+        ingest,
     )
     write_roster(sentinels, args.output)
     for label in sentinels.considered:
@@ -293,14 +258,8 @@ def cmd_sentinels(args) -> int:
 
 
 def cmd_domains(args) -> int:
-    records = read_corpus(args.records).records
-    if args.split is not None:
-        records = [r for r in records if r.created_at < args.split]
-    roster = _load_roster(args.roster)
-    grouped = _sentinel_records_by_community(records, roster)
-    shorteners = load_wordlist(args.shorteners or data_path("shorteners.txt"))
-    matrix = domains_mod.domain_frequency_matrix(
-        grouped, shorteners, min_count=args.min_count
+    matrix = STAGES["domains"].build(
+        args, read_roster(args.roster), read_corpus(args.corpus)
     )
     domains_mod.write_matrix_csv(matrix, args.output)
     print(
@@ -311,13 +270,7 @@ def cmd_domains(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    matrix = domains_mod.read_matrix_csv(args.matrix)
-    scores = domains_mod.first_principal_component(
-        matrix, anchor_domain=args.anchor_domain
-    )
-    clusters = domains_mod.cluster_scores(
-        scores, k=args.clusters, method=args.linkage
-    )
+    scores, clusters = STAGES["cluster"].build(args, domains_mod.read_matrix_csv(args.matrix))
     domains_mod.write_scores_csv(scores, clusters, args.scores_output)
     if args.loadings_output is not None:
         domains_mod.write_loadings_csv(scores, args.loadings_output)
@@ -328,66 +281,16 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_topics(args) -> int:
-    records = read_corpus(args.records).records
-    roster = _load_roster(args.roster)
-    lexicons = topics_mod.load_lexicons(args.lexicon_dir)
-    grouped = _sentinel_records_by_community(records, roster)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write("topic,community,count\n")
-        for community in sorted(grouped, key=str):
-            matched = topics_mod.filter_topic_tree(grouped[community], lexicons)
-            for topic in sorted(lexicons):
-                handle.write(f"{topic},{community},{len(matched[topic])}\n")
-    print(f"wrote topical counts for {len(grouped)} communities")
+    matched = STAGES["topics"].build(args, read_roster(args.roster), read_corpus(args.corpus))
+    topics_mod.write_counts_csv(matched, args.output)
+    print(f"wrote topical counts for {len(matched)} communities")
     return 0
 
 
 def cmd_rates(args) -> int:
-    from .sentinel import activity
-
-    records = read_corpus(args.records).records
-    records = [r for r in records if args.window_start <= r.day <= args.window_end]
-    roster = _load_roster(args.roster)
-    cluster_of = _load_clusters(args.scores)
-    lexicons = topics_mod.load_lexicons(args.lexicon_dir)
-    grouped = _sentinel_records_by_community(records, roster)
-    matched = {
-        community: topics_mod.filter_topic_tree(recs, lexicons)
-        for community, recs in grouped.items()
-    }
-    records_by_account: dict[str, list] = {}
-    for recs in grouped.values():
-        for record in recs:
-            records_by_account.setdefault(record.author_id, []).append(record)
-    for label, entries in roster.items():
-        for account, _ in entries:
-            records_by_account.setdefault(account, [])
-    ledger = activity(records_by_account, (args.window_start, args.window_end))
-    community_accounts = {
-        label: [account for account, _ in entries] for label, entries in roster.items()
-    }
-    cluster_accounts: dict[str, list[str]] = {}
-    for label, accounts in community_accounts.items():
-        cluster_accounts.setdefault(str(cluster_of[label]), []).extend(accounts)
-    counts = {
-        topic: {c: len(matched[c][topic]) for c in sorted(matched, key=str)}
-        for topic in sorted(lexicons)
-    }
-    daily_counts: dict[str, dict[str, dict[date, int]]] = {}
-    for topic in sorted(lexicons):
-        per_cluster: dict[str, dict[date, int]] = {}
-        for community in sorted(matched, key=str):
-            bucket = per_cluster.setdefault(str(cluster_of[community]), {})
-            for record in matched[community][topic]:
-                bucket[record.day] = bucket.get(record.day, 0) + 1
-        daily_counts[topic] = per_cluster
-    table = topics_mod.rate_table(
-        counts,
-        ledger,
-        community_accounts,
-        daily_counts=daily_counts,
-        cluster_accounts=cluster_accounts,
-    )
+    ingest = STAGES["ingest"].build(args)
+    roster, cluster, matched = _sentinel_topics(args, ingest)
+    table = STAGES["rates"].build(args, roster, cluster, matched, ingest)
     topics_mod.write_rates_csv(table, args.output)
     if args.daily_output is not None:
         topics_mod.write_daily_csv(table, args.daily_output)
@@ -395,49 +298,14 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _series_from_artifacts(records, roster, cluster_of, window, stopwords, lexicons):
-    grouped = _sentinel_records_by_community(records, roster)
-    covid = {
-        community: topics_mod.filter_topic(recs, lexicons["covid"])
-        for community, recs in grouped.items()
-    }
-    day_docs = similarity_mod.build_community_day_docs(covid, stopwords)
-    from .pipeline import _cluster_pairs, _window_days
-
-    members: dict[str, list[str]] = {}
-    for community, cluster in cluster_of.items():
-        members.setdefault(str(cluster), []).append(community)
-    days = _window_days(*window)
-    series_list = []
-    for left, right in _cluster_pairs(sorted(members)):
-        series_list.append(
-            similarity_mod.similarity_series(
-                day_docs, sorted(members[left]), sorted(members[right]), days,
-                pair=(left, right),
-            )
-        )
-    return series_list, covid
-
-
 def cmd_similarity(args) -> int:
-    records = read_corpus(args.records).records
-    records = [r for r in records if args.window_start <= r.day <= args.window_end]
-    roster = _load_roster(args.roster)
-    cluster_of = _load_clusters(args.scores)
-    lexicons = topics_mod.load_lexicons(args.lexicon_dir)
-    series_list, _ = _series_from_artifacts(
-        records,
-        roster,
-        cluster_of,
-        (args.window_start, args.window_end),
-        _stopwords(args.stopwords),
-        lexicons,
-    )
+    _, cluster, matched = _sentinel_topics(args, STAGES["ingest"].build(args))
+    series_list = STAGES["similarity"].build(args, matched, cluster)
     similarity_mod.write_series_csv(
-        series_list, args.output, threshold=args.threshold, min_history=args.min_history
+        series_list, args.output, threshold=args.burst_threshold, min_history=args.min_history
     )
     for series in series_list:
-        flagged = similarity_mod.flag_days(series, args.threshold, args.min_history)
+        flagged = similarity_mod.flag_days(series, args.burst_threshold, args.min_history)
         print(
             f"pair {series.pair[0]}-{series.pair[1]}: "
             f"{sum(v is not None for v in series.values)} valid days, "
@@ -455,88 +323,27 @@ def cmd_flag(args) -> int:
 
 
 def cmd_lsa(args) -> int:
-    records = read_corpus(args.records).records
-    roster = _load_roster(args.roster)
-    cluster_of = _load_clusters(args.scores)
-    lexicons = topics_mod.load_lexicons(args.lexicon_dir)
-    stopwords = _stopwords(args.stopwords)
+    _, cluster, matched = _sentinel_topics(args, read_corpus(args.corpus))
     series_list = similarity_mod.read_series_csv(args.series)
-    grouped = _sentinel_records_by_community(records, roster)
-    covid = {
-        community: topics_mod.filter_topic(recs, lexicons["covid"])
-        for community, recs in grouped.items()
-    }
-    members: dict[str, list[str]] = {}
-    for community, cluster in cluster_of.items():
-        members.setdefault(str(cluster), []).append(community)
-    token_cache: dict[str, dict] = {}
-    for community, recs in covid.items():
-        per_day: dict = {}
-        for record in recs:
-            per_day.setdefault(record.day, []).append(
-                (record.tweet_id, normalize_text(record.text, stopwords))
-            )
-        token_cache[community] = per_day
-    events = []
-    for series in series_list:
-        for day in sorted(
-            similarity_mod.flag_days(series, args.threshold, args.min_history)
-        ):
-            tweets_a = {
-                c: token_cache.get(c, {}).get(day, []) for c in sorted(members[series.pair[0]])
-            }
-            tweets_b = {
-                c: token_cache.get(c, {}).get(day, []) for c in sorted(members[series.pair[1]])
-            }
-            ex_a = lsa_mod.lsa_topical_tweets(
-                [t for c in sorted(tweets_a) for t in tweets_a[c]], k=args.k,
-                day=day, cluster=series.pair[0],
-            )
-            ex_b = lsa_mod.lsa_topical_tweets(
-                [t for c in sorted(tweets_b) for t in tweets_b[c]], k=args.k,
-                day=day, cluster=series.pair[1],
-            )
-            confirmation = lsa_mod.confirm_drivers(
-                series, day, tweets_a, tweets_b, ex_a, ex_b,
-                match_threshold=args.match_threshold,
-                flag_threshold=args.threshold,
-                min_history=args.min_history,
-            )
-            events.append(
-                {
-                    "day": day.isoformat(),
-                    "pair": f"{series.pair[0]}-{series.pair[1]}",
-                    "topical": {
-                        series.pair[0]: sorted(ex_a.topical_ids),
-                        series.pair[1]: sorted(ex_b.topical_ids),
-                    },
-                    "recomputed_burst_score": confirmation.recomputed_h,
-                    "is_driver": confirmation.is_driver,
-                }
-            )
-    args.output.write_text(
-        json.dumps({"events": events}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"examined {len(events)} flagged events")
+    report = STAGES["lsa"].build(args, series_list, matched, cluster)
+    write_json(report, args.output)
+    print(f"examined {len(report['events'])} flagged events")
     return 0
 
 
 def cmd_stats(args) -> int:
-    if args.contingency is None and args.coding is None:
+    payload = STAGES["stats"].build(args)
+    if payload is None:
         print("error: provide --contingency and/or --coding", file=sys.stderr)
         return 1
-    if args.contingency is not None:
-        table = stats_mod.ContingencyTable.read_csv(args.contingency)
-        result = stats_mod.chi_square(table)
+    if "chi_square" in payload:
+        result = payload["chi_square"]
         print(
-            f"chi-square: statistic={result.statistic:.4f} df={result.df} "
-            f"p={result.p_value:.3e}"
+            f"chi-square: statistic={result['statistic']:.4f} df={result['df']} "
+            f"p={result['p_value']:.3e}"
         )
-    if args.coding is not None:
-        matrix = stats_mod.CodingMatrix.read_csv(args.coding)
-        alpha = stats_mod.krippendorff_alpha(matrix)
-        print(f"krippendorff alpha: {alpha:.4f}")
+    if "krippendorff_alpha" in payload:
+        print(f"krippendorff alpha: {payload['krippendorff_alpha']:.4f}")
     return 0
 
 
@@ -550,24 +357,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    records = read_corpus(args.records).records
-    roster = _load_roster(args.roster)
-    cluster_of = _load_clusters(args.scores)
-    lexicons = topics_mod.load_lexicons(args.lexicon_dir)
-    grouped = _sentinel_records_by_community(records, roster)
+    for topic in args.topics:
+        if topic not in topics_mod.DEFAULT_TOPIC_TREE:
+            print(f"error: unknown topic {topic!r}", file=sys.stderr)
+            return 1
+    _, (_, cluster_of), matched = _sentinel_topics(args, read_corpus(args.corpus))
     strata: dict[tuple[str, str], list] = {}
-    for community, recs in grouped.items():
-        matched = topics_mod.filter_topic_tree(recs, lexicons)
+    for community, per_topic in matched.items():
         cluster = str(cluster_of[community])
         for topic in args.topics:
-            if topic not in lexicons:
-                print(f"error: unknown topic {topic!r}", file=sys.stderr)
-                return 1
             strata.setdefault((cluster, topic), []).extend(
-                (community, record) for record in matched[topic]
+                (community, record) for record in per_topic[topic]
             )
     rows = stratified_coding_sample(strata, per_stratum=args.per_stratum, seed=args.seed)
-    with open(args.output, "w", newline="", encoding="utf-8") as handle:
+    with atomic_open(args.output) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["cluster", "topic", "community", "tweet_id", "created_at", "text"])
         for cluster, topic, community, record in rows:

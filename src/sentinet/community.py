@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Hashable, Mapping
+from typing import Hashable, Mapping
 
 from .errors import (
     CoverageError,
@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     UndefinedScoreError,
 )
+from .fileio import atomic_open
 from .graph import RetweetGraph
 
 Label = Hashable
@@ -276,25 +277,16 @@ def z_rand(p1: Partition, p2: Partition) -> float:
     return float(Fraction(same_both) - mean) / math.sqrt(float(variance))
 
 
-def write_partition(partition: Partition, target: str | Path | IO[str]) -> None:
+def write_partition(partition: Partition, path: str | Path) -> None:
     """Write 'node_id community_label' lines, sorted by node id."""
-    lines = [
-        f"{node} {partition.assignment[node]}\n" for node in sorted(partition.nodes)
-    ]
-    if hasattr(target, "write"):
-        target.writelines(lines)
-    else:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+    with atomic_open(path) as handle:
+        for node in sorted(partition.nodes):
+            handle.write(f"{node} {partition.assignment[node]}\n")
 
 
-def read_partition(source: str | Path | IO[str]) -> Partition:
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+def read_partition(path: str | Path) -> Partition:
     assignment: dict[str, Label] = {}
-    for line in lines:
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue

@@ -9,7 +9,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError
-from .ingest import data_path, format_timestamp, parse_timestamp
+from .fileio import atomic_open
+from .ingest import format_timestamp, parse_timestamp
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,6 @@ class PipelineConfig:
     lexicon_dir: Path | None = None
     coding: Path | None = None
     contingency: Path | None = None
-
-    def stopwords_path(self) -> Path:
-        return self.stopwords or data_path("stopwords.txt")
-
-    def shorteners_path(self) -> Path:
-        return self.shorteners or data_path("shorteners.txt")
 
 
 _PATH_FIELDS = {"corpus", "output_dir", "stopwords", "shorteners", "lexicon_dir", "coding", "contingency"}
@@ -159,4 +154,5 @@ def serialize_config(config: PipelineConfig) -> str:
 
 
 def write_config(config: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize_config(config), encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write(serialize_config(config))

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping, Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
@@ -23,6 +23,7 @@ from .errors import (
     UrlParseError,
     ZeroVarianceError,
 )
+from .fileio import atomic_open
 from .ingest import TweetRecord, extract_domain
 
 
@@ -54,12 +55,24 @@ class LinkedDomainScore:
 
 
 @dataclass(frozen=True)
-class ClusterAssignment:
-    """Community -> cluster labels 0..k-1, ordered by ascending centroid."""
+class ClusterAssignment(Mapping):
+    """Community -> cluster labels 0..k-1, ordered by ascending centroid.
+
+    As a mapping it reads like the cluster half of :func:`read_scores_csv`.
+    """
 
     assignment: Mapping[Label, int]
     centroids: tuple[float, ...]
     k: int
+
+    def __getitem__(self, label: Label) -> int:
+        return self.assignment[label]
+
+    def __iter__(self):
+        return iter(self.assignment)
+
+    def __len__(self) -> int:
+        return len(self.assignment)
 
     def members(self, cluster: int) -> frozenset[Label]:
         return frozenset(
@@ -219,9 +232,8 @@ def _cut_to_k(merge_rows: np.ndarray, n: int, k: int) -> list[list[int]]:
     return [sorted(group) for group in clusters.values()]
 
 
-def write_matrix_csv(matrix: DomainMatrix, target: str | Path | IO[str]) -> None:
-    close, handle = _open_for_write(target)
-    try:
+def write_matrix_csv(matrix: DomainMatrix, path: str | Path) -> None:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["community", "retained_links"] + list(matrix.domains))
         for i, label in enumerate(matrix.communities):
@@ -229,9 +241,6 @@ def write_matrix_csv(matrix: DomainMatrix, target: str | Path | IO[str]) -> None
                 [label, matrix.retained_totals[i]]
                 + [repr(float(v)) for v in matrix.values[i]]
             )
-    finally:
-        if close:
-            handle.close()
 
 
 def read_matrix_csv(source: str | Path) -> DomainMatrix:
@@ -258,37 +267,30 @@ def read_matrix_csv(source: str | Path) -> DomainMatrix:
 
 
 def write_scores_csv(
-    scores: LinkedDomainScore,
-    clusters: ClusterAssignment,
-    target: str | Path | IO[str],
+    scores: LinkedDomainScore, clusters: ClusterAssignment, path: str | Path
 ) -> None:
-    close, handle = _open_for_write(target)
-    try:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["community", "score", "cluster"])
         for label in sorted(scores.scores, key=str):
             writer.writerow(
                 [label, repr(scores.scores[label]), clusters.assignment[label]]
             )
-    finally:
-        if close:
-            handle.close()
 
 
-def write_loadings_csv(scores: LinkedDomainScore, target: str | Path | IO[str]) -> None:
-    close, handle = _open_for_write(target)
-    try:
+def read_scores_csv(path: str | Path) -> tuple[dict[str, float], dict[str, int]]:
+    """Community -> score and community -> cluster, from :func:`write_scores_csv`."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    scores = {row["community"]: float(row["score"]) for row in rows}
+    clusters = {row["community"]: int(row["cluster"]) for row in rows}
+    return scores, clusters
+
+
+def write_loadings_csv(scores: LinkedDomainScore, path: str | Path) -> None:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["domain", "loading"])
         order = np.argsort(-scores.loadings, kind="stable")
         for j in order:
             writer.writerow([scores.domains[int(j)], repr(float(scores.loadings[int(j)]))])
-    finally:
-        if close:
-            handle.close()
-
-
-def _open_for_write(target: str | Path | IO[str]) -> tuple[bool, IO[str]]:
-    if hasattr(target, "write"):
-        return False, target
-    return True, open(target, "w", newline="", encoding="utf-8")

@@ -5,9 +5,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import EmptyGraphError
+from .fileio import atomic_open
 from .ingest import TweetRecord
 
 Arc = tuple[str, str]
@@ -103,26 +104,16 @@ def largest_component(graph: RetweetGraph) -> RetweetGraph:
     return RetweetGraph.from_arcs(arcs)
 
 
-def write_edges(graph: RetweetGraph, target: str | Path | IO[str]) -> None:
+def write_edges(graph: RetweetGraph, path: str | Path) -> None:
     """Write the arc list as 'source retweeter weight' lines, sorted."""
-    lines = [
-        f"{source} {retweeter} {weight}\n"
-        for (source, retweeter), weight in sorted(graph.arcs.items())
-    ]
-    if hasattr(target, "write"):
-        target.writelines(lines)
-    else:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+    with atomic_open(path) as handle:
+        for (source, retweeter), weight in sorted(graph.arcs.items()):
+            handle.write(f"{source} {retweeter} {weight}\n")
 
 
-def read_edges(source: str | Path | IO[str]) -> RetweetGraph:
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+def read_edges(path: str | Path) -> RetweetGraph:
     arcs: dict[Arc, int] = {}
-    for line in lines:
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue

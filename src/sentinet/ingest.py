@@ -17,6 +17,7 @@ from typing import IO, Iterable, Mapping
 from urllib.parse import urlsplit
 
 from .errors import EmptyCorpusError, UrlParseError
+from .fileio import atomic_open
 
 Trigram = tuple[str, str, str]
 
@@ -150,7 +151,7 @@ def read_corpus(path: str | Path) -> ParseResult:
 
 
 def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         for record in records:
             handle.write(json.dumps(record_to_json(record), ensure_ascii=False, sort_keys=True))
             handle.write("\n")

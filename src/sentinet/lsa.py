@@ -25,6 +25,7 @@ from .similarity import (
     SimilaritySeries,
     SD_FLOOR,
     _history_stats,
+    burst_score,
     doc_from_tweets,
     intercluster_similarity,
 )
@@ -182,7 +183,7 @@ def confirm_drivers(
             if trigram_jaccard(docs_of_a[tid_a], docs_of_b[tid_b]) >= match_threshold:
                 common_a.add(tid_a)
                 common_b.add(tid_b)
-    original_h = _score_at(series, index, min_history)
+    original_h = burst_score(series, index, min_history)
     if not common_a or not common_b:
         return DriverConfirmation(
             is_driver=False,
@@ -207,16 +208,6 @@ def confirm_drivers(
         common_a=frozenset(common_a),
         common_b=frozenset(common_b),
     )
-
-
-def _score_at(series: SimilaritySeries, index: int, min_history: int) -> float | None:
-    value = series.values[index]
-    if value is None:
-        return None
-    count, mean, sd = _history_stats(series.values, index)
-    if count < min_history or sd <= SD_FLOOR:
-        return None
-    return (value - mean) / sd
 
 
 def _reduced_docs(

@@ -1,20 +1,37 @@
-"""End-to-end staged pipeline with resumable on-disk artifacts.
+"""End-to-end staged pipeline with fingerprinted, resumable on-disk artifacts.
 
-Stage order: ingest, graph, component, communities, sentinels, domains,
-cluster, topics, rates, similarity, adf, lsa, stats. Every stage persists
-its artifact; existing artifacts are loaded instead of recomputed, so
-deleting a downstream file and rerunning rebuilds exactly that part.
-Given a fixed seed the whole artifact tree is byte-stable.
+The pipeline is the table :data:`STAGES`, in run order: ingest, graph,
+component, communities, sentinels, domains, cluster, topics, rates,
+similarity, adf, lsa, stats, meta. Each stage declares the config fields it
+reads, the upstream stages whose values it takes, a pure ``build``, the
+``write`` that persists its artifacts and, where the artifacts can be read
+back, a ``load``. The stage subcommands of the CLI call the same builds.
+
+A stage's fingerprint is a sha256 of its name, the values of the config
+fields it reads (external input files by content, never by path) and its
+upstream fingerprints. ``manifest.json`` in the output directory records the
+fingerprint of every stage whose artifacts were written. A rerun rebuilds a
+stage when its fingerprint differs from the recorded one or an artifact is
+missing, and leaves it untouched otherwise; an up-to-date stage is loaded
+only when a rebuilt stage needs its value. Artifacts are written atomically,
+and a stage's manifest entry is dropped before its artifacts are replaced,
+so a crash never leaves partial output that counts as done. Given a fixed
+seed the whole artifact tree is byte-stable.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import SimpleNamespace
+from typing import Any
 
 from . import community as community_mod
 from . import domains as domains_mod
@@ -24,26 +41,59 @@ from . import similarity as similarity_mod
 from . import stats as stats_mod
 from . import topics as topics_mod
 from .config import PipelineConfig
-from .errors import SentinetError, StageError
-from .ingest import TweetRecord, load_wordlist, normalize_text, read_corpus, write_corpus
-from .sentinel import activity, ascii_language_filter, read_roster, select_sentinels, write_roster
+from .errors import EmptyCorpusError, SentinetError, StageError
+from .fileio import atomic_open, write_json
+from .ingest import (
+    ParseResult,
+    TweetRecord,
+    data_path,
+    load_wordlist,
+    normalize_text,
+    read_corpus,
+    write_corpus,
+)
+from .sentinel import (
+    SentinelSet,
+    activity,
+    ascii_language_filter,
+    read_roster,
+    select_sentinels,
+    write_roster,
+)
 
-ARTIFACTS = {
-    "ingest": ("records.jsonl", "ingest_meta.json"),
-    "graph": ("graph.edges",),
-    "component": ("component.edges",),
-    "communities": ("partition.txt",),
-    "sentinels": ("sentinels.txt",),
-    "domains": ("domain_matrix.csv",),
-    "cluster": ("domain_scores.csv", "domain_loadings.csv"),
-    "topics": ("topic_counts.csv",),
-    "rates": ("rates.csv", "rates_daily.csv"),
-    "similarity": ("similarity.csv",),
-    "adf": ("adf.txt",),
-    "lsa": ("lsa_drivers.json",),
-    "stats": ("stats.json",),
-    "meta": ("run_meta.json",),
+MANIFEST = "manifest.json"
+
+# config fields naming external input files; they are fingerprinted by content
+_INPUT_FIELDS = frozenset(
+    {"corpus", "stopwords", "shorteners", "lexicon_dir", "coding", "contingency"}
+)
+# packaged files used when an input field is unset
+_PACKAGED = {
+    "stopwords": data_path("stopwords.txt"),
+    "shorteners": data_path("shorteners.txt"),
+    "lexicon_dir": data_path("lexicons"),
 }
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.
+
+    ``build(params, *upstream_values)`` computes the stage's value from
+    ``params`` (a namespace holding exactly the config fields in ``reads``)
+    and the values of the ``upstream`` stages, and does no artifact I/O.
+    ``write(value, paths, params)`` persists the value to ``files``;
+    ``load(paths)``, where set, reads the value back. A build returning None
+    marks an optional stage with nothing to do.
+    """
+
+    name: str
+    files: tuple[str, ...]
+    reads: tuple[str, ...]
+    upstream: tuple[str, ...]
+    build: Callable[..., Any]
+    write: Callable[[Any, list[Path], SimpleNamespace], None]
+    load: Callable[[list[Path]], Any] | None = None
 
 
 @dataclass
@@ -53,479 +103,532 @@ class PipelineResult:
     summary: dict
 
 
+# ---- builds -------------------------------------------------------------
+
+
+def _build_ingest(params) -> ParseResult:
+    parsed = read_corpus(params.corpus)
+    records = [
+        r for r in parsed.records if params.window_start <= r.day <= params.window_end
+    ]
+    if not records:
+        raise EmptyCorpusError("no records inside the observation window")
+    return ParseResult(records=records, skipped=parsed.skipped)
+
+
+def _build_communities(params, component) -> community_mod.Partition:
+    detected = community_mod.louvain(component, seed=params.seed)
+    # string labels keep fresh and resumed runs byte-identical
+    return community_mod.Partition.from_assignment(
+        {node: str(label) for node, label in detected.assignment.items()}
+    )
+
+
+def _build_sentinels(params, component, partition, ingest) -> SentinelSet:
+    predicate = None
+    if params.language_filter == "ascii":
+        by_author: dict[str, list[TweetRecord]] = {}
+        for record in ingest.records:
+            by_author.setdefault(record.author_id, []).append(record)
+        predicate = ascii_language_filter(
+            by_author, english_threshold=params.english_threshold, seed=params.seed
+        )
+    return select_sentinels(
+        component,
+        partition,
+        k=params.sentinel_k,
+        top_m=params.top_m,
+        language_filter=predicate,
+    )
+
+
+def _build_domains(params, sentinels, ingest) -> domains_mod.DomainMatrix:
+    # the CLI may leave the split unset and use every record
+    baseline = (
+        r for r in ingest.records if params.split is None or r.created_at < params.split
+    )
+    return domains_mod.domain_frequency_matrix(
+        _records_by_community(sentinels, baseline),
+        load_wordlist(params.shorteners),
+        min_count=params.domain_min_count,
+    )
+
+
+def _build_cluster(params, matrix):
+    scores = domains_mod.first_principal_component(
+        matrix, anchor_domain=params.anchor_domain
+    )
+    clusters = domains_mod.cluster_scores(
+        scores, k=params.score_clusters, method=params.linkage
+    )
+    return scores, clusters
+
+
+def _build_topics(params, sentinels, ingest) -> dict:
+    """Community -> topic -> matching records of the community's sentinels."""
+    lexicons = topics_mod.load_lexicons(params.lexicon_dir)
+    return {
+        community: topics_mod.filter_topic_tree(records, lexicons)
+        for community, records in _records_by_community(sentinels, ingest.records).items()
+    }
+
+
+def _build_rates(params, sentinels, cluster, topics, ingest) -> topics_mod.RateTable:
+    _, cluster_of = cluster
+    records_by_account: dict[str, list[TweetRecord]] = {
+        account: [] for account in _account_community(sentinels)
+    }
+    for record in ingest.records:
+        if record.author_id in records_by_account:
+            records_by_account[record.author_id].append(record)
+    ledger = activity(records_by_account, (params.window_start, params.window_end))
+    community_accounts = {
+        label: [account for account, _ in entries] for label, entries in sentinels.items()
+    }
+    cluster_accounts: dict[str, list[str]] = {}
+    for label, accounts in community_accounts.items():
+        cluster_accounts.setdefault(str(cluster_of[label]), []).extend(accounts)
+    communities = sorted(topics, key=str)
+    topic_names = sorted({topic for per_topic in topics.values() for topic in per_topic})
+    counts = {
+        topic: {community: len(topics[community][topic]) for community in communities}
+        for topic in topic_names
+    }
+    daily_counts: dict[str, dict[str, dict[date, int]]] = {}
+    for topic in topic_names:
+        per_cluster: dict[str, dict[date, int]] = {}
+        for community in communities:
+            bucket = per_cluster.setdefault(str(cluster_of[community]), {})
+            for record in topics[community][topic]:
+                bucket[record.day] = bucket.get(record.day, 0) + 1
+        daily_counts[topic] = per_cluster
+    return topics_mod.rate_table(
+        counts,
+        ledger,
+        community_accounts,
+        daily_counts=daily_counts,
+        cluster_accounts=cluster_accounts,
+    )
+
+
+def _build_similarity(params, topics, cluster) -> list[similarity_mod.SimilaritySeries]:
+    _, cluster_of = cluster
+    covid = {community: per_topic["covid"] for community, per_topic in topics.items()}
+    day_docs = similarity_mod.build_community_day_docs(
+        covid, load_wordlist(params.stopwords)
+    )
+    days = _window_days(params.window_start, params.window_end)
+    members = _cluster_members(cluster_of)
+    return [
+        similarity_mod.similarity_series(
+            day_docs, members[left], members[right], days, pair=(left, right)
+        )
+        for left, right in _cluster_pairs(sorted(members))
+    ]
+
+
+def _build_adf(params, series_list) -> list[str]:
+    lines = []
+    for series in series_list:
+        valid = [v for v in series.values if v is not None]
+        pair_name = f"{series.pair[0]}-{series.pair[1]}"
+        try:
+            result = similarity_mod.adf_test(valid, params.adf_alpha)
+            lines.append(
+                f"pair {pair_name}: statistic={result.statistic:.4f} "
+                f"critical={result.critical_value:.2f} "
+                f"alpha={result.alpha:g} nobs={result.nobs} -> {result.verdict}"
+            )
+        except SentinetError as exc:
+            lines.append(f"pair {pair_name}: not testable ({exc})")
+    return lines
+
+
+def _build_lsa(params, series_list, topics, cluster) -> dict:
+    _, cluster_of = cluster
+    stopwords = load_wordlist(params.stopwords)
+    members = _cluster_members(cluster_of)
+    token_cache: dict[str, dict[date, list[tuple[str, object]]]] = {}
+    for community, per_topic in topics.items():
+        per_day: dict[date, list] = {}
+        for record in per_topic["covid"]:
+            per_day.setdefault(record.day, []).append(
+                (record.tweet_id, normalize_text(record.text, stopwords))
+            )
+        token_cache[community] = per_day
+    events = []
+    for series in series_list:
+        flagged = similarity_mod.flag_days(
+            series, threshold=params.burst_threshold, min_history=params.min_history
+        )
+        for day in sorted(flagged):
+            tweets = [
+                {community: token_cache[community].get(day, []) for community in members[side]}
+                for side in series.pair
+            ]
+            extractions = [
+                lsa_mod.lsa_topical_tweets(
+                    [t for c in sorted(by_community) for t in by_community[c]],
+                    k=params.lsa_k,
+                    day=day,
+                    cluster=side,
+                )
+                for side, by_community in zip(series.pair, tweets)
+            ]
+            confirmation = lsa_mod.confirm_drivers(
+                series,
+                day,
+                *tweets,
+                *extractions,
+                match_threshold=params.match_threshold,
+                flag_threshold=params.burst_threshold,
+                min_history=params.min_history,
+            )
+            left, right = series.pair
+            events.append(
+                {
+                    "day": day.isoformat(),
+                    "pair": f"{left}-{right}",
+                    "burst_score": similarity_mod.burst_score(
+                        series, day, params.min_history
+                    ),
+                    "topical": {
+                        side: sorted(extraction.topical_ids)
+                        for side, extraction in zip(series.pair, extractions)
+                    },
+                    "singular_values": {
+                        side: list(extraction.singular_values)
+                        for side, extraction in zip(series.pair, extractions)
+                    },
+                    "common": {
+                        left: sorted(confirmation.common_a),
+                        right: sorted(confirmation.common_b),
+                    },
+                    "recomputed_similarity": confirmation.recomputed_s,
+                    "recomputed_burst_score": confirmation.recomputed_h,
+                    "is_driver": confirmation.is_driver,
+                }
+            )
+    return {
+        "flag_threshold": params.burst_threshold,
+        "min_history": params.min_history,
+        "match_threshold": params.match_threshold,
+        "events": events,
+    }
+
+
+def _build_stats(params) -> dict | None:
+    if params.contingency is None and params.coding is None:
+        return None
+    payload: dict = {}
+    if params.contingency is not None:
+        result = stats_mod.chi_square(stats_mod.ContingencyTable.read_csv(params.contingency))
+        payload["chi_square"] = {
+            "statistic": result.statistic,
+            "df": result.df,
+            "p_value": result.p_value,
+        }
+    if params.coding is not None:
+        matrix = stats_mod.CodingMatrix.read_csv(params.coding)
+        payload["krippendorff_alpha"] = stats_mod.krippendorff_alpha(matrix)
+    return payload
+
+
+def _build_meta(params, ingest, component, partition, sentinels, cluster, drivers) -> dict:
+    _, cluster_of = cluster
+    return {
+        "seed": params.seed,
+        "sd_convention": similarity_mod.SD_CONVENTION,
+        "burst_threshold": params.burst_threshold,
+        "min_history": params.min_history,
+        "summary": {
+            "records": len(ingest.records),
+            "skipped_lines": ingest.skipped,
+            "nodes": component.n,
+            "total_retweets": component.w,
+            "communities": len(partition.communities),
+            "sentinel_communities": len(sentinels),
+            "sentinel_accounts": sum(len(v) for v in sentinels.values()),
+            "clusters": len(set(cluster_of.values())),
+            "flagged_events": len(drivers["events"]),
+            "confirmed_drivers": sum(1 for event in drivers["events"] if event["is_driver"]),
+        },
+    }
+
+
+# ---- writes and loads ---------------------------------------------------
+
+
+def _write_ingest(parsed, paths, params) -> None:
+    write_corpus(parsed.records, paths[0])
+    write_json({"skipped_lines": parsed.skipped, "records": len(parsed.records)}, paths[1])
+
+
+def _load_ingest(paths) -> ParseResult:
+    meta = json.loads(paths[1].read_text(encoding="utf-8"))
+    return ParseResult(records=read_corpus(paths[0]).records, skipped=meta["skipped_lines"])
+
+
+def _write_cluster(cluster, paths, params) -> None:
+    scores, clusters = cluster
+    domains_mod.write_scores_csv(scores, clusters, paths[0])
+    domains_mod.write_loadings_csv(scores, paths[1])
+
+
+def _write_rates(table, paths, params) -> None:
+    topics_mod.write_rates_csv(table, paths[0])
+    topics_mod.write_daily_csv(table, paths[1])
+
+
+def _write_lines(lines, paths, params) -> None:
+    with atomic_open(paths[0]) as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _write_json(payload, paths, params) -> None:
+    write_json(payload, paths[0])
+
+
+def _load_json(paths):
+    return json.loads(paths[0].read_text(encoding="utf-8"))
+
+
+# Stage(name, files, reads, upstream, build, write, load), in run order.
+# Lambdas look the module functions up at call time, so tools that patch
+# them (profilers, tracers) see every call the pipeline makes.
+_STAGE_ROWS = (
+    Stage(
+        "ingest", ("records.jsonl", "ingest_meta.json"),
+        ("corpus", "window_start", "window_end"), (),
+        _build_ingest, _write_ingest, _load_ingest,
+    ),
+    Stage(
+        "graph", ("graph.edges",), (), ("ingest",),
+        lambda params, ingest: graph_mod.build_retweet_graph(ingest.records),
+        lambda graph, paths, params: graph_mod.write_edges(graph, paths[0]),
+        lambda paths: graph_mod.read_edges(paths[0]),
+    ),
+    Stage(
+        "component", ("component.edges",), (), ("graph",),
+        lambda params, graph: graph_mod.largest_component(graph),
+        lambda graph, paths, params: graph_mod.write_edges(graph, paths[0]),
+        lambda paths: graph_mod.read_edges(paths[0]),
+    ),
+    Stage(
+        "communities", ("partition.txt",), ("seed",), ("component",),
+        _build_communities,
+        lambda partition, paths, params: community_mod.write_partition(partition, paths[0]),
+        lambda paths: community_mod.read_partition(paths[0]),
+    ),
+    Stage(
+        "sentinels", ("sentinels.txt",),
+        ("sentinel_k", "top_m", "language_filter", "english_threshold", "seed"),
+        ("component", "communities", "ingest"),
+        _build_sentinels,
+        lambda sentinels, paths, params: write_roster(sentinels, paths[0]),
+        lambda paths: read_roster(paths[0]),
+    ),
+    Stage(
+        "domains", ("domain_matrix.csv",),
+        ("split", "domain_min_count", "shorteners"), ("sentinels", "ingest"),
+        _build_domains,
+        lambda matrix, paths, params: domains_mod.write_matrix_csv(matrix, paths[0]),
+        lambda paths: domains_mod.read_matrix_csv(paths[0]),
+    ),
+    Stage(
+        "cluster", ("domain_scores.csv", "domain_loadings.csv"),
+        ("anchor_domain", "score_clusters", "linkage"), ("domains",),
+        _build_cluster, _write_cluster,
+        lambda paths: domains_mod.read_scores_csv(paths[0]),
+    ),
+    Stage(
+        "topics", ("topic_counts.csv",), ("lexicon_dir",), ("sentinels", "ingest"),
+        _build_topics,
+        lambda topics, paths, params: topics_mod.write_counts_csv(topics, paths[0]),
+    ),
+    Stage(
+        "rates", ("rates.csv", "rates_daily.csv"),
+        ("window_start", "window_end"), ("sentinels", "cluster", "topics", "ingest"),
+        _build_rates,
+        _write_rates,
+    ),
+    Stage(
+        "similarity", ("similarity.csv",),
+        ("window_start", "window_end", "stopwords", "burst_threshold", "min_history"),
+        ("topics", "cluster"),
+        _build_similarity,
+        lambda series_list, paths, params: similarity_mod.write_series_csv(
+            series_list,
+            paths[0],
+            threshold=params.burst_threshold,
+            min_history=params.min_history,
+        ),
+        lambda paths: similarity_mod.read_series_csv(paths[0]),
+    ),
+    Stage(
+        "adf", ("adf.txt",), ("adf_alpha",), ("similarity",), _build_adf, _write_lines,
+    ),
+    Stage(
+        "lsa", ("lsa_drivers.json",),
+        ("lsa_k", "burst_threshold", "min_history", "match_threshold", "stopwords"),
+        ("similarity", "topics", "cluster"),
+        _build_lsa, _write_json, _load_json,
+    ),
+    Stage(
+        "stats", ("stats.json",), ("contingency", "coding"), (),
+        _build_stats, _write_json, _load_json,
+    ),
+    Stage(
+        "meta", ("run_meta.json",), ("seed", "burst_threshold", "min_history"),
+        ("ingest", "component", "communities", "sentinels", "cluster", "lsa"),
+        _build_meta, _write_json, _load_json,
+    ),
+)
+STAGES: dict[str, Stage] = {stage.name: stage for stage in _STAGE_ROWS}
+ARTIFACTS = {name: stage.files for name, stage in STAGES.items()}
+
+
+# ---- runner -------------------------------------------------------------
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    runner = _Runner(config)
-    return runner.run()
+    """Bring every stage's artifacts in ``config.output_dir`` up to date."""
+    return _Runner(config).run()
 
 
 class _Runner:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out = Path(config.output_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.stopwords = load_wordlist(config.stopwords_path())
-        self.shorteners = load_wordlist(config.shorteners_path())
-        self.lexicons = topics_mod.load_lexicons(config.lexicon_dir)
-        self.summary: dict = {}
+        self.values: dict[str, Any] = {}
 
-    def path(self, name: str) -> Path:
-        return self.out / name
+    def paths(self, stage: Stage) -> list[Path]:
+        return [self.out / name for name in stage.files]
 
-    def _have(self, stage: str) -> bool:
-        return all(self.path(name).exists() for name in ARTIFACTS[stage])
+    def build(self, stage: Stage, params: SimpleNamespace):
+        return stage.build(params, *map(self.value, stage.upstream))
 
-    def _wrap(self, stage: str, func):
-        try:
-            return func()
-        except SentinetError as exc:
-            if isinstance(exc, StageError):
-                raise
-            raise StageError(stage, str(self.path(ARTIFACTS[stage][0])), exc) from exc
-        except Exception as exc:
-            raise StageError(stage, str(self.path(ARTIFACTS[stage][0])), exc) from exc
-
-    # ---- stages -------------------------------------------------------
-
-    def stage_ingest(self) -> list[TweetRecord]:
-        def compute():
-            if self._have("ingest"):
-                result = read_corpus(self.path("records.jsonl"))
-                meta = json.loads(self.path("ingest_meta.json").read_text())
-                self.summary["records"] = len(result.records)
-                self.summary["skipped_lines"] = meta["skipped_lines"]
-                return result.records
-            result = read_corpus(self.config.corpus)
-            records = [r for r in result.records if self._in_window(r)]
-            if not records:
-                from .errors import EmptyCorpusError
-
-                raise EmptyCorpusError("no records inside the observation window")
-            write_corpus(records, self.path("records.jsonl"))
-            self._write_json(
-                "ingest_meta.json",
-                {"skipped_lines": result.skipped, "records": len(records)},
-            )
-            self.summary["records"] = len(records)
-            self.summary["skipped_lines"] = result.skipped
-            return records
-
-        return self._wrap("ingest", compute)
-
-    def _in_window(self, record: TweetRecord) -> bool:
-        return self.config.window_start <= record.day <= self.config.window_end
-
-    def stage_graph(self, records) -> graph_mod.RetweetGraph:
-        def compute():
-            if self._have("graph"):
-                return graph_mod.read_edges(self.path("graph.edges"))
-            built = graph_mod.build_retweet_graph(records)
-            graph_mod.write_edges(built, self.path("graph.edges"))
-            return built
-
-        return self._wrap("graph", compute)
-
-    def stage_component(self, built) -> graph_mod.RetweetGraph:
-        def compute():
-            if self._have("component"):
-                return graph_mod.read_edges(self.path("component.edges"))
-            component = graph_mod.largest_component(built)
-            graph_mod.write_edges(component, self.path("component.edges"))
-            return component
-
-        return self._wrap("component", compute)
-
-    def stage_communities(self, component) -> community_mod.Partition:
-        def compute():
-            if self._have("communities"):
-                return community_mod.read_partition(self.path("partition.txt"))
-            detected = community_mod.louvain(component, seed=self.config.seed)
-            # string labels keep fresh and resumed runs byte-identical
-            partition = community_mod.Partition.from_assignment(
-                {node: str(label) for node, label in detected.assignment.items()}
-            )
-            community_mod.write_partition(partition, self.path("partition.txt"))
-            return partition
-
-        return self._wrap("communities", compute)
-
-    def stage_sentinels(self, component, partition, records):
-        def compute():
-            if self._have("sentinels"):
-                return read_roster(self.path("sentinels.txt"))
-            if self.config.language_filter == "ascii":
-                by_author: dict[str, list[TweetRecord]] = {}
-                for record in records:
-                    by_author.setdefault(record.author_id, []).append(record)
-                predicate = ascii_language_filter(
-                    by_author,
-                    english_threshold=self.config.english_threshold,
-                    seed=self.config.seed,
-                )
-            else:
-                predicate = None
-            sentinels = select_sentinels(
-                component,
-                partition,
-                k=self.config.sentinel_k,
-                top_m=self.config.top_m,
-                language_filter=predicate,
-            )
-            write_roster(sentinels, self.path("sentinels.txt"))
-            return {
-                label: sentinels.members[label] for label in sentinels.considered
-            }
-
-        return self._wrap("sentinels", compute)
-
-    def stage_domains(self, roster, records) -> domains_mod.DomainMatrix:
-        def compute():
-            if self._have("domains"):
-                return domains_mod.read_matrix_csv(self.path("domain_matrix.csv"))
-            account_community = _account_community(roster)
-            baseline: dict[str, list[TweetRecord]] = {
-                label: [] for label in roster
-            }
-            for record in records:
-                community = account_community.get(record.author_id)
-                if community is None:
-                    continue
-                if record.created_at < self.config.split:
-                    baseline[community].append(record)
-            matrix = domains_mod.domain_frequency_matrix(
-                baseline, self.shorteners, min_count=self.config.domain_min_count
-            )
-            domains_mod.write_matrix_csv(matrix, self.path("domain_matrix.csv"))
-            return matrix
-
-        return self._wrap("domains", compute)
-
-    def stage_cluster(self, matrix):
-        def compute():
-            if self._have("cluster"):
-                return _read_scores_csv(self.path("domain_scores.csv"))
-            scores = domains_mod.first_principal_component(
-                matrix, anchor_domain=self.config.anchor_domain
-            )
-            clusters = domains_mod.cluster_scores(
-                scores, k=self.config.score_clusters, method=self.config.linkage
-            )
-            domains_mod.write_scores_csv(scores, clusters, self.path("domain_scores.csv"))
-            domains_mod.write_loadings_csv(scores, self.path("domain_loadings.csv"))
-            return (
-                {label: scores.scores[label] for label in scores.scores},
-                {label: clusters.assignment[label] for label in clusters.assignment},
-            )
-
-        return self._wrap("cluster", compute)
-
-    def stage_topics(self, roster, records):
-        def compute():
-            account_community = _account_community(roster)
-            by_community: dict[str, list[TweetRecord]] = {label: [] for label in roster}
-            for record in records:
-                community = account_community.get(record.author_id)
-                if community is not None:
-                    by_community[community].append(record)
-            matched = {
-                community: topics_mod.filter_topic_tree(recs, self.lexicons)
-                for community, recs in by_community.items()
-            }
-            if not self._have("topics"):
-                with open(self.path("topic_counts.csv"), "w", encoding="utf-8") as handle:
-                    handle.write("topic,community,count\n")
-                    for topic in sorted(self.lexicons):
-                        for community in sorted(matched, key=str):
-                            handle.write(
-                                f"{topic},{community},{len(matched[community][topic])}\n"
-                            )
-            return by_community, matched
-
-        return self._wrap("topics", compute)
-
-    def stage_rates(self, roster, by_community, matched, cluster_of):
-        def compute():
-            if self._have("rates"):
-                return None
-            window = (self.config.window_start, self.config.window_end)
-            records_by_account: dict[str, list[TweetRecord]] = {}
-            for community, recs in by_community.items():
-                for record in recs:
-                    records_by_account.setdefault(record.author_id, []).append(record)
-            for label, entries in roster.items():
-                for account, _ in entries:
-                    records_by_account.setdefault(account, [])
-            ledger = activity(records_by_account, window)
-            community_accounts = {
-                label: [account for account, _ in entries]
-                for label, entries in roster.items()
-            }
-            cluster_accounts: dict[str, list[str]] = {}
-            for label, accounts in community_accounts.items():
-                cluster = str(cluster_of[label])
-                cluster_accounts.setdefault(cluster, []).extend(accounts)
-            counts = {
-                topic: {
-                    community: len(matched[community][topic])
-                    for community in sorted(matched, key=str)
-                }
-                for topic in sorted(self.lexicons)
-            }
-            daily_counts: dict[str, dict[str, dict[date, int]]] = {}
-            for topic in sorted(self.lexicons):
-                per_cluster: dict[str, dict[date, int]] = {}
-                for community in sorted(matched, key=str):
-                    cluster = str(cluster_of[community])
-                    bucket = per_cluster.setdefault(cluster, {})
-                    for record in matched[community][topic]:
-                        bucket[record.day] = bucket.get(record.day, 0) + 1
-                daily_counts[topic] = per_cluster
-            table = topics_mod.rate_table(
-                counts,
-                ledger,
-                community_accounts,
-                daily_counts=daily_counts,
-                cluster_accounts=cluster_accounts,
-            )
-            topics_mod.write_rates_csv(table, self.path("rates.csv"))
-            topics_mod.write_daily_csv(table, self.path("rates_daily.csv"))
-            return table
-
-        return self._wrap("rates", compute)
-
-    def stage_similarity(self, matched, cluster_of):
-        def compute():
-            if self._have("similarity"):
-                return similarity_mod.read_series_csv(self.path("similarity.csv"))
-            covid_by_community = {
-                community: topic_records["covid"]
-                for community, topic_records in matched.items()
-            }
-            day_docs = similarity_mod.build_community_day_docs(
-                covid_by_community, self.stopwords
-            )
-            days = _window_days(self.config.window_start, self.config.window_end)
-            members: dict[str, list[str]] = {}
-            for community, cluster in cluster_of.items():
-                members.setdefault(str(cluster), []).append(community)
-            series_list = []
-            for left, right in _cluster_pairs(sorted(members)):
-                series_list.append(
-                    similarity_mod.similarity_series(
-                        day_docs,
-                        sorted(members[left]),
-                        sorted(members[right]),
-                        days,
-                        pair=(left, right),
-                    )
-                )
-            similarity_mod.write_series_csv(
-                series_list,
-                self.path("similarity.csv"),
-                threshold=self.config.burst_threshold,
-                min_history=self.config.min_history,
-            )
-            return series_list
-
-        return self._wrap("similarity", compute)
-
-    def stage_adf(self, series_list):
-        def compute():
-            if self._have("adf"):
-                return None
-            lines = []
-            for series in series_list:
-                valid = [v for v in series.values if v is not None]
-                pair_name = f"{series.pair[0]}-{series.pair[1]}"
-                try:
-                    result = similarity_mod.adf_test(valid, self.config.adf_alpha)
-                    lines.append(
-                        f"pair {pair_name}: statistic={result.statistic:.4f} "
-                        f"critical={result.critical_value:.2f} "
-                        f"alpha={result.alpha:g} nobs={result.nobs} -> {result.verdict}"
-                    )
-                except SentinetError as exc:
-                    lines.append(f"pair {pair_name}: not testable ({exc})")
-            self.path("adf.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            return None
-
-        return self._wrap("adf", compute)
-
-    def stage_lsa(self, series_list, matched, cluster_of):
-        def compute():
-            if self._have("lsa"):
-                return json.loads(self.path("lsa_drivers.json").read_text())
-            members: dict[str, list[str]] = {}
-            for community, cluster in cluster_of.items():
-                members.setdefault(str(cluster), []).append(community)
-            token_cache: dict[str, dict[date, list[tuple[str, object]]]] = {}
-            for community, topic_records in matched.items():
-                per_day: dict[date, list] = {}
-                for record in topic_records["covid"]:
-                    per_day.setdefault(record.day, []).append(
-                        (record.tweet_id, normalize_text(record.text, self.stopwords))
-                    )
-                token_cache[community] = per_day
-            events = []
-            flag_count = 0
-            for series in series_list:
-                flagged = sorted(
-                    similarity_mod.flag_days(
-                        series,
-                        threshold=self.config.burst_threshold,
-                        min_history=self.config.min_history,
-                    )
-                )
-                for day in flagged:
-                    flag_count += 1
-                    tweets_a = {
-                        community: token_cache[community].get(day, [])
-                        for community in sorted(members[series.pair[0]])
-                    }
-                    tweets_b = {
-                        community: token_cache[community].get(day, [])
-                        for community in sorted(members[series.pair[1]])
-                    }
-                    extraction_a = lsa_mod.lsa_topical_tweets(
-                        [t for c in sorted(tweets_a) for t in tweets_a[c]],
-                        k=self.config.lsa_k,
-                        day=day,
-                        cluster=series.pair[0],
-                    )
-                    extraction_b = lsa_mod.lsa_topical_tweets(
-                        [t for c in sorted(tweets_b) for t in tweets_b[c]],
-                        k=self.config.lsa_k,
-                        day=day,
-                        cluster=series.pair[1],
-                    )
-                    confirmation = lsa_mod.confirm_drivers(
-                        series,
-                        day,
-                        tweets_a,
-                        tweets_b,
-                        extraction_a,
-                        extraction_b,
-                        match_threshold=self.config.match_threshold,
-                        flag_threshold=self.config.burst_threshold,
-                        min_history=self.config.min_history,
-                    )
-                    events.append(
-                        {
-                            "day": day.isoformat(),
-                            "pair": f"{series.pair[0]}-{series.pair[1]}",
-                            "burst_score": similarity_mod.burst_score(
-                                series, day, self.config.min_history
-                            ),
-                            "topical": {
-                                series.pair[0]: sorted(extraction_a.topical_ids),
-                                series.pair[1]: sorted(extraction_b.topical_ids),
-                            },
-                            "singular_values": {
-                                series.pair[0]: list(extraction_a.singular_values),
-                                series.pair[1]: list(extraction_b.singular_values),
-                            },
-                            "common": {
-                                series.pair[0]: sorted(confirmation.common_a),
-                                series.pair[1]: sorted(confirmation.common_b),
-                            },
-                            "recomputed_similarity": confirmation.recomputed_s,
-                            "recomputed_burst_score": confirmation.recomputed_h,
-                            "is_driver": confirmation.is_driver,
-                        }
-                    )
-            report = {
-                "flag_threshold": self.config.burst_threshold,
-                "min_history": self.config.min_history,
-                "match_threshold": self.config.match_threshold,
-                "events": events,
-            }
-            self._write_json("lsa_drivers.json", report)
-            self.summary["flagged_events"] = flag_count
-            return report
-
-        return self._wrap("lsa", compute)
-
-    def stage_stats(self):
-        def compute():
-            if self.config.contingency is None and self.config.coding is None:
-                return None
-            if self._have("stats"):
-                return json.loads(self.path("stats.json").read_text())
-            payload: dict = {}
-            if self.config.contingency is not None:
-                table = stats_mod.ContingencyTable.read_csv(self.config.contingency)
-                result = stats_mod.chi_square(table)
-                payload["chi_square"] = {
-                    "statistic": result.statistic,
-                    "df": result.df,
-                    "p_value": result.p_value,
-                }
-            if self.config.coding is not None:
-                matrix = stats_mod.CodingMatrix.read_csv(self.config.coding)
-                payload["krippendorff_alpha"] = stats_mod.krippendorff_alpha(matrix)
-            self._write_json("stats.json", payload)
-            return payload
-
-        return self._wrap("stats", compute)
-
-    # ---- assembly -----------------------------------------------------
+    def value(self, name: str):
+        """An up-to-date stage's value: loaded, or built again without writing."""
+        if name not in self.values:
+            stage = STAGES[name]
+            with _stage_errors(stage, self.out):
+                if stage.load is not None:
+                    self.values[name] = stage.load(self.paths(stage))
+                else:
+                    self.values[name] = self.build(stage, _params(self.config, stage.reads))
+        return self.values[name]
 
     def run(self) -> PipelineResult:
-        records = self.stage_ingest()
-        built = self.stage_graph(records)
-        component = self.stage_component(built)
-        partition = self.stage_communities(component)
-        roster = self.stage_sentinels(component, partition, records)
-        matrix = self.stage_domains(roster, records)
-        _, cluster_of = self.stage_cluster(matrix)
-        by_community, matched = self.stage_topics(roster, records)
-        self.stage_rates(roster, by_community, matched, cluster_of)
-        series_list = self.stage_similarity(matched, cluster_of)
-        self.stage_adf(series_list)
-        drivers = self.stage_lsa(series_list, matched, cluster_of)
-        stats_payload = self.stage_stats()
-
-        self.summary.update(
-            {
-                "nodes": component.n,
-                "total_retweets": component.w,
-                "communities": len(partition.communities),
-                "sentinel_communities": len(roster),
-                "sentinel_accounts": sum(len(v) for v in roster.values()),
-                "clusters": len(set(cluster_of.values())),
-                "flagged_events": len(drivers["events"]),
-                "confirmed_drivers": sum(
-                    1 for event in drivers["events"] if event["is_driver"]
-                ),
-            }
+        self.out.mkdir(parents=True, exist_ok=True)
+        manifest_path = self.out / MANIFEST
+        manifest = (
+            json.loads(manifest_path.read_text(encoding="utf-8"))
+            if manifest_path.exists()
+            else {}
         )
-        meta = {
-            "seed": self.config.seed,
-            "sd_convention": similarity_mod.SD_CONVENTION,
-            "burst_threshold": self.config.burst_threshold,
-            "min_history": self.config.min_history,
-            "summary": self.summary,
-        }
-        self._write_json("run_meta.json", meta)
-        artifacts = {
-            name: self.path(files[0]) for name, files in ARTIFACTS.items()
-        }
-        if stats_payload is None:
-            artifacts.pop("stats", None)
+        fingerprints: dict[str, str] = {}
+        for stage in STAGES.values():
+            params = _params(self.config, stage.reads)
+            fingerprint = fingerprints[stage.name] = _fingerprint(
+                stage, params, [fingerprints[name] for name in stage.upstream]
+            )
+            paths = self.paths(stage)
+            if manifest.get(stage.name) == fingerprint and all(p.exists() for p in paths):
+                continue
+            if manifest.pop(stage.name, None) is not None:
+                write_json(manifest, manifest_path)  # the old artifacts stop counting as done
+            with _stage_errors(stage, self.out):
+                result = self.values[stage.name] = self.build(stage, params)
+                if result is None:
+                    for path in paths:
+                        path.unlink(missing_ok=True)
+                    continue
+                stage.write(result, paths, params)
+            manifest[stage.name] = fingerprint
+            write_json(manifest, manifest_path)
+
+        artifacts = {name: self.out / files[0] for name, files in ARTIFACTS.items()}
+        if self.config.contingency is None and self.config.coding is None:
+            artifacts.pop("stats")
         return PipelineResult(
-            output_dir=self.out, artifacts=artifacts, summary=self.summary
+            output_dir=self.out, artifacts=artifacts, summary=self.value("meta")["summary"]
         )
 
-    def _write_json(self, name: str, payload) -> None:
-        self.path(name).write_text(
-            json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
+
+@contextmanager
+def _stage_errors(stage: Stage, out: Path):
+    """Re-raise a failure inside ``stage`` as a StageError naming its artifact."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage.name, str(out / stage.files[0]), exc) from exc
+
+
+def _params(config: PipelineConfig, names: Iterable[str]) -> SimpleNamespace:
+    values = {name: getattr(config, name) for name in names}
+    return SimpleNamespace(
+        **{name: _PACKAGED.get(name) if v is None else v for name, v in values.items()}
+    )
+
+
+def _fingerprint(stage: Stage, params: SimpleNamespace, upstream: Sequence[str]) -> str:
+    digest = hashlib.sha256(stage.name.encode())
+    for name in stage.reads:
+        v = getattr(params, name)
+        rendered = _content_hash(Path(v)) if name in _INPUT_FIELDS and v is not None else repr(v)
+        digest.update(f"\n{name}={rendered}".encode())
+    for fingerprint in upstream:
+        digest.update(f"\n{fingerprint}".encode())
+    return digest.hexdigest()
+
+
+def _content_hash(path: Path) -> str:
+    """sha256 of a file's bytes; for a directory, of its files' names and hashes."""
+    if path.is_dir():
+        listing = "".join(
+            f"{child.name}:{_content_hash(child)}\n"
+            for child in sorted(path.iterdir())
+            if child.is_file()
         )
+        return hashlib.sha256(listing.encode()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(partial(handle.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+# ---- helpers ------------------------------------------------------------
 
 
 def _account_community(roster: Mapping[str, Sequence[tuple[str, int]]]) -> dict[str, str]:
     return {
         account: label for label, entries in roster.items() for account, _ in entries
     }
+
+
+def _records_by_community(
+    roster: Mapping[str, Sequence[tuple[str, int]]], records: Iterable[TweetRecord]
+) -> dict[str, list[TweetRecord]]:
+    """Records of each community's sentinels, in record order."""
+    community_of = _account_community(roster)
+    grouped: dict[str, list[TweetRecord]] = {label: [] for label in roster}
+    for record in records:
+        community = community_of.get(record.author_id)
+        if community is not None:
+            grouped[community].append(record)
+    return grouped
+
+
+def _cluster_members(cluster_of: Mapping[str, int]) -> dict[str, list[str]]:
+    """Cluster name -> its communities, sorted."""
+    members: dict[str, list[str]] = {}
+    for community, cluster in cluster_of.items():
+        members.setdefault(str(cluster), []).append(community)
+    return {cluster: sorted(communities) for cluster, communities in members.items()}
 
 
 def _window_days(start: date, end: date) -> list[date]:
@@ -538,16 +641,6 @@ def _cluster_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
         for i in range(len(names))
         for j in range(i + 1, len(names))
     ]
-
-
-def _read_scores_csv(path: Path):
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    scores = {row["community"]: float(row["score"]) for row in rows}
-    clusters = {row["community"]: int(row["cluster"]) for row in rows}
-    return scores, clusters
 
 
 def stratified_coding_sample(

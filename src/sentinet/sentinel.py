@@ -9,12 +9,14 @@ if any tweet from it is observed on or after that day.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from pathlib import Path
 
 from .community import Label, Partition
 from .errors import ParameterError
+from .fileio import atomic_open
 from .graph import RetweetGraph
 from .ingest import TweetRecord
 
@@ -22,26 +24,32 @@ LanguageFilter = Callable[[Label, frozenset[str]], bool]
 
 
 @dataclass(frozen=True)
-class SentinelSet:
-    """Per-community sentinel rosters ordered by weighted in-degree."""
+class SentinelSet(Mapping):
+    """Per-community sentinel rosters ordered by weighted in-degree.
+
+    As a mapping it reads like :func:`read_roster`'s result: considered
+    community label -> (account, in-degree) entries.
+    """
 
     k: int
     members: Mapping[Label, tuple[tuple[str, int], ...]]
     coverage: Mapping[Label, float]
     considered: tuple[Label, ...]
 
+    def __getitem__(self, label: Label) -> tuple[tuple[str, int], ...]:
+        return self.members[label]
+
+    def __iter__(self):
+        return iter(self.considered)
+
+    def __len__(self) -> int:
+        return len(self.considered)
+
     @property
     def accounts(self) -> frozenset[str]:
         return frozenset(
             account for roster in self.members.values() for account, _ in roster
         )
-
-    def community_of(self) -> dict[str, Label]:
-        return {
-            account: label
-            for label, roster in self.members.items()
-            for account, _ in roster
-        }
 
 
 def select_sentinels(
@@ -171,28 +179,17 @@ def activity(
     )
 
 
-def write_roster(sentinels: SentinelSet, target) -> None:
+def write_roster(sentinels: SentinelSet, path: str | Path) -> None:
     """Write 'community_label account_id in_degree' lines."""
-    lines = []
-    for label in sentinels.considered:
-        for account, in_degree in sentinels.members[label]:
-            lines.append(f"{label} {account} {in_degree}\n")
-    if hasattr(target, "write"):
-        target.writelines(lines)
-    else:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+    with atomic_open(path) as handle:
+        for label in sentinels.considered:
+            for account, in_degree in sentinels.members[label]:
+                handle.write(f"{label} {account} {in_degree}\n")
 
 
-def read_roster(source) -> dict[Label, tuple[tuple[str, int], ...]]:
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        from pathlib import Path
-
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+def read_roster(path: str | Path) -> dict[Label, tuple[tuple[str, int], ...]]:
     rosters: dict[Label, list[tuple[str, int]]] = {}
-    for line in lines:
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue

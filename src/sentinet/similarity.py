@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
     UndefinedStatisticError,
 )
+from .fileio import atomic_open
 from .ingest import TokenDoc, Trigram, TweetRecord, data_path, normalize_text
 
 SD_FLOOR = 1e-12
@@ -305,13 +306,12 @@ def adf_test(series: Sequence[float], alpha: float | str = 0.05) -> AdfResult:
 
 def write_series_csv(
     series_list: Sequence[SimilaritySeries],
-    target: str | Path | IO[str],
+    path: str | Path,
     threshold: float = 2.0,
     min_history: int = 7,
 ) -> None:
     """Export day,pair,s,valid,H,flagged rows for a set of cluster pairs."""
-    close, handle = _open_for_write(target)
-    try:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["day", "pair", "s", "valid", "H", "flagged"])
         for series in series_list:
@@ -329,9 +329,6 @@ def write_series_csv(
                         flagged,
                     ]
                 )
-    finally:
-        if close:
-            handle.close()
 
 
 def read_series_csv(source: str | Path) -> list[SimilaritySeries]:
@@ -356,8 +353,3 @@ def read_series_csv(source: str | Path) -> list[SimilaritySeries]:
         )
     return series_list
 
-
-def _open_for_write(target: str | Path | IO[str]) -> tuple[bool, IO[str]]:
-    if hasattr(target, "write"):
-        return False, target
-    return True, open(target, "w", newline="", encoding="utf-8")

@@ -12,10 +12,11 @@ import csv
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .community import Label
 from .errors import ParameterError
+from .fileio import atomic_open
 from .ingest import TweetRecord, data_path
 from .sentinel import ActivityLedger
 
@@ -208,9 +209,20 @@ def rate_table(
     return RateTable(rows=tuple(rows), daily=daily, excluded=tuple(excluded))
 
 
-def write_rates_csv(table: RateTable, target: str | Path | IO[str]) -> None:
-    close, handle = _open_for_write(target)
-    try:
+def write_counts_csv(
+    matched: Mapping[Label, Mapping[str, Sequence[TweetRecord]]], path: str | Path
+) -> None:
+    """Write topic,community,count rows, topic-major, from per-community matches."""
+    topics = sorted({topic for per_topic in matched.values() for topic in per_topic})
+    with atomic_open(path) as handle:
+        handle.write("topic,community,count\n")
+        for topic in topics:
+            for community in sorted(matched, key=str):
+                handle.write(f"{topic},{community},{len(matched[community][topic])}\n")
+
+
+def write_rates_csv(table: RateTable, path: str | Path) -> None:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             [
@@ -235,14 +247,10 @@ def write_rates_csv(table: RateTable, target: str | Path | IO[str]) -> None:
                     "" if row.max_scaled is None else repr(row.max_scaled),
                 ]
             )
-    finally:
-        if close:
-            handle.close()
 
 
-def write_daily_csv(table: RateTable, target: str | Path | IO[str]) -> None:
-    close, handle = _open_for_write(target)
-    try:
+def write_daily_csv(table: RateTable, path: str | Path) -> None:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["topic", "cluster", "day", "tweets_per_15_active"])
         for (topic, cluster), series in sorted(
@@ -257,12 +265,3 @@ def write_daily_csv(table: RateTable, target: str | Path | IO[str]) -> None:
                         "" if rate is None else repr(rate),
                     ]
                 )
-    finally:
-        if close:
-            handle.close()
-
-
-def _open_for_write(target: str | Path | IO[str]) -> tuple[bool, IO[str]]:
-    if hasattr(target, "write"):
-        return False, target
-    return True, open(target, "w", newline="", encoding="utf-8")

@@ -6,7 +6,25 @@ import pytest
 from sentinet.cli import main
 from sentinet.config import serialize_config, PipelineConfig
 from sentinet.ingest import write_corpus
+from sentinet.pipeline import run_pipeline
 from sentinet.synthetic import SyntheticSpec, generate_corpus
+
+
+# every pipeline artifact that a stage subcommand also writes
+CLI_ARTIFACTS = (
+    "records.jsonl",
+    "graph.edges",
+    "partition.txt",
+    "sentinels.txt",
+    "domain_matrix.csv",
+    "domain_scores.csv",
+    "domain_loadings.csv",
+    "topic_counts.csv",
+    "rates.csv",
+    "rates_daily.csv",
+    "similarity.csv",
+    "lsa_drivers.json",
+)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +212,95 @@ class TestStageCommands:
         code = main(["ingest", "--input", str(empty), "--output", str(tmp_path / "o")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestCliMatchesPipeline:
+    def test_stage_chain_reproduces_pipeline_artifacts(self, workspace, tmp_path):
+        _, corpus, truth = workspace
+        config = PipelineConfig(
+            corpus=corpus,
+            output_dir=tmp_path / "pipeline",
+            window_start=truth.window[0],
+            window_end=truth.window[1],
+            split=truth.split,
+        )
+        run_pipeline(config)
+        out = tmp_path / "cli"
+        out.mkdir()
+        path = {name: str(out / name) for name in CLI_ARTIFACTS}
+        window = [
+            "--window-start", config.window_start.isoformat(),
+            "--window-end", config.window_end.isoformat(),
+        ]
+        sentinel_inputs = [
+            "--records", path["records.jsonl"],
+            "--roster", path["sentinels.txt"],
+        ]
+        scored_inputs = sentinel_inputs + ["--scores", path["domain_scores.csv"]]
+        burst = [
+            "--threshold", str(config.burst_threshold),
+            "--min-history", str(config.min_history),
+        ]
+        chain = [
+            ["ingest", "--input", str(corpus), "--output", path["records.jsonl"]],
+            ["graph", "--records", path["records.jsonl"], "--output", path["graph.edges"]],
+            [
+                "communities",
+                "--edges", path["graph.edges"],
+                "--output", path["partition.txt"],
+                "--seed", str(config.seed),
+            ],
+            [
+                "sentinels",
+                "--edges", path["graph.edges"],
+                "--partition", path["partition.txt"],
+                "--output", path["sentinels.txt"],
+                "--records", path["records.jsonl"],
+                "--k", str(config.sentinel_k),
+                "--top-m", str(config.top_m),
+                "--language-filter", config.language_filter,
+                "--english-threshold", str(config.english_threshold),
+                "--seed", str(config.seed),
+            ],
+            [
+                "domains",
+                *sentinel_inputs,
+                "--output", path["domain_matrix.csv"],
+                "--split", config.split.isoformat(),
+                "--min-count", str(config.domain_min_count),
+            ],
+            [
+                "cluster",
+                "--matrix", path["domain_matrix.csv"],
+                "--scores-output", path["domain_scores.csv"],
+                "--loadings-output", path["domain_loadings.csv"],
+                "--clusters", str(config.score_clusters),
+                "--linkage", config.linkage,
+            ],
+            ["topics", *sentinel_inputs, "--output", path["topic_counts.csv"]],
+            [
+                "rates",
+                *scored_inputs,
+                *window,
+                "--output", path["rates.csv"],
+                "--daily-output", path["rates_daily.csv"],
+            ],
+            ["similarity", *scored_inputs, *window, *burst, "--output", path["similarity.csv"]],
+            [
+                "lsa",
+                *scored_inputs,
+                *burst,
+                "--series", path["similarity.csv"],
+                "--output", path["lsa_drivers.json"],
+                "--k", str(config.lsa_k),
+                "--match-threshold", str(config.match_threshold),
+            ],
+        ]
+        for argv in chain:
+            assert main(argv) == 0, argv
+        for name in CLI_ARTIFACTS:
+            expected = (config.output_dir / name).read_bytes()
+            assert (out / name).read_bytes() == expected, name
 
 
 class TestRunCommand:

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 
@@ -123,15 +121,15 @@ class TestDegreeIdentities:
 
 
 class TestEdgeListIO:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         graph = RetweetGraph.from_arcs({("a", "b"): 2, ("b", "c"): 1, ("c", "a"): 3})
-        buffer = io.StringIO()
-        write_edges(graph, buffer)
-        parsed = read_edges(io.StringIO(buffer.getvalue()))
+        path = tmp_path / "graph.edges"
+        write_edges(graph, path)
+        parsed = read_edges(path)
         assert parsed.arcs == graph.arcs
         assert parsed.w == graph.w
 
-    def test_format(self):
-        buffer = io.StringIO()
-        write_edges(RetweetGraph.from_arcs({("src", "rt"): 5}), buffer)
-        assert buffer.getvalue() == "src rt 5\n"
+    def test_format(self, tmp_path):
+        path = tmp_path / "graph.edges"
+        write_edges(RetweetGraph.from_arcs({("src", "rt"): 5}), path)
+        assert path.read_text() == "src rt 5\n"

@@ -1,5 +1,8 @@
+import csv
 import json
+import os
 import shutil
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -126,6 +129,67 @@ class TestRunPipeline:
         )
         run_pipeline(resumed)
         assert artifact_bytes(workdir) == before
+
+    def test_config_change_rebuilds_stale_stages(self, synthetic, tmp_path):
+        config, _, _ = synthetic
+        workdir = tmp_path / "threshold"
+        shutil.copytree(config.output_dir, workdir)
+        run_pipeline(replace(config, output_dir=workdir, burst_threshold=50.0))
+        report = json.loads((workdir / "lsa_drivers.json").read_text())
+        assert report["flag_threshold"] == 50.0
+        with open(workdir / "similarity.csv", newline="") as handle:
+            flagged = {
+                (row["pair"], row["day"])
+                for row in csv.DictReader(handle)
+                if row["flagged"] == "1"
+            }
+        assert {(event["pair"], event["day"]) for event in report["events"]} == flagged
+        meta = json.loads((workdir / "run_meta.json").read_text())
+        assert meta["burst_threshold"] == 50.0
+        assert meta["summary"]["flagged_events"] == len(flagged)
+
+    def test_unchanged_rerun_rewrites_nothing(self, synthetic, tmp_path):
+        config, _, _ = synthetic
+        workdir = tmp_path / "unchanged"
+        shutil.copytree(config.output_dir, workdir)
+        past = 1_000_000_000_000_000_000
+        for path in workdir.iterdir():
+            os.utime(path, ns=(past, past))
+        before = {path.name: path.stat() for path in workdir.iterdir()}
+        # input files are fingerprinted by content, so a moved copy changes nothing
+        moved_corpus = tmp_path / "moved.jsonl"
+        shutil.copyfile(config.corpus, moved_corpus)
+        result = run_pipeline(replace(config, output_dir=workdir, corpus=moved_corpus))
+        after = {path.name: path.stat() for path in workdir.iterdir()}
+        assert after.keys() == before.keys()
+        for name, stat in after.items():
+            assert (stat.st_ino, stat.st_mtime_ns) == (
+                before[name].st_ino,
+                before[name].st_mtime_ns,
+            ), name
+        assert result.summary == json.loads((workdir / "run_meta.json").read_text())["summary"]
+
+    def test_failed_rebuild_does_not_count_as_done(self, synthetic, tmp_path, monkeypatch):
+        import sentinet.lsa
+
+        config, _, _ = synthetic
+        workdir = tmp_path / "crash"
+        shutil.copytree(config.output_dir, workdir)
+        changed = replace(config, output_dir=workdir, lsa_k=3)
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(sentinet.lsa, "lsa_topical_tweets", crash)
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(changed)
+        assert excinfo.value.stage == "lsa"
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        assert "lsa" not in manifest
+        monkeypatch.undo()
+        run_pipeline(changed)
+        manifest = json.loads((workdir / "manifest.json").read_text())
+        assert {"lsa", "meta"} <= manifest.keys()
 
     def test_empty_corpus_fails_at_ingest(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
