@@ -64,7 +64,10 @@ def truncated_svd(
     if min(rows, cols) <= _DENSE_CUTOFF or k >= min(rows, cols) - 1:
         u, s, vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
         return u[:, :k], s[:k], vt[:k]
-    u, s, vt = svds(matrix.asfptype(), k=k)
+    # ARPACK draws a random start vector unless given one; a fixed one makes
+    # the sparse path reproducible across calls and processes
+    v0 = np.random.default_rng(0).standard_normal(min(rows, cols))
+    u, s, vt = svds(matrix.asfptype(), k=k, v0=v0)
     order = np.argsort(-s, kind="stable")
     return u[:, order], s[order], vt[order]
 
@@ -121,11 +124,16 @@ def lsa_topical_tweets(
         )
     vocabulary = sorted({tri for doc in docs for tri in doc.trigram_counts})
     column_of = {tri: j for j, tri in enumerate(vocabulary)}
-    matrix = sp.lil_matrix((len(docs), len(vocabulary)), dtype=float)
-    for i, doc in enumerate(docs):
-        for tri, count in doc.trigram_counts.items():
-            matrix[i, column_of[tri]] = count
-    u, s, _ = truncated_svd(matrix.tocsr(), k)
+    columns = [column_of[tri] for doc in docs for tri in doc.trigram_counts]
+    counts = [count for doc in docs for count in doc.trigram_counts.values()]
+    indptr = np.cumsum([0] + [len(doc.trigram_counts) for doc in docs])
+    matrix = sp.csr_matrix(
+        (np.asarray(counts, dtype=float), columns, indptr),
+        shape=(len(docs), len(vocabulary)),
+    )
+    # column order within rows fixes the summation order of the sparse SVD's products
+    matrix.sort_indices()
+    u, s, _ = truncated_svd(matrix, k)
     per_vector: list[frozenset[str]] = []
     for j in range(s.size):
         magnitudes = np.abs(u[:, j])

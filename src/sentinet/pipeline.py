@@ -248,20 +248,28 @@ def _build_lsa(params, series_list, topics, cluster) -> dict:
     _, cluster_of = cluster
     stopwords = load_wordlist(params.stopwords)
     members = _cluster_members(cluster_of)
+    flagged = [
+        sorted(
+            similarity_mod.flag_days(
+                series, threshold=params.burst_threshold, min_history=params.min_history
+            )
+        )
+        for series in series_list
+    ]
+    # only the tweets of flagged days are read, so only they are tokenized
+    flagged_days = {day for days in flagged for day in days}
     token_cache: dict[str, dict[date, list[tuple[str, object]]]] = {}
     for community, per_topic in topics.items():
         per_day: dict[date, list] = {}
         for record in per_topic["covid"]:
-            per_day.setdefault(record.day, []).append(
-                (record.tweet_id, normalize_text(record.text, stopwords))
-            )
+            if record.day in flagged_days:
+                per_day.setdefault(record.day, []).append(
+                    (record.tweet_id, normalize_text(record.text, stopwords))
+                )
         token_cache[community] = per_day
     events = []
-    for series in series_list:
-        flagged = similarity_mod.flag_days(
-            series, threshold=params.burst_threshold, min_history=params.min_history
-        )
-        for day in sorted(flagged):
+    for series, days in zip(series_list, flagged):
+        for day in days:
             tweets = [
                 {community: token_cache[community].get(day, []) for community in members[side]}
                 for side in series.pair

@@ -1,9 +1,15 @@
 """Daily inter-cluster trigram similarity, burst scoring, and stationarity.
 
 Each community-day document sums the word-trigram counts of that
-community's topical tweets for the day. Similarity between two clusters on
-a day is the mean cosine similarity over cross-cluster community pairs. The
-burst score standardizes a day's similarity against the running mean and
+community's topical tweets for the day; every tweet is tokenized once.
+Similarity between two clusters on a day is the mean cosine similarity over
+cross-cluster community pairs. :func:`similarity_series` stacks a pair's
+community-day documents into one sparse count matrix and gets each day's
+cosines from a single sparse product, with the squared row norms computed
+once. Counts stay integer-valued, so dots and norms are exact and every
+cosine, and the left-to-right mean over them, equals what the per-pair
+reference :func:`intercluster_similarity` returns bit for bit. The burst
+score standardizes a day's similarity against the running mean and
 standard deviation of all earlier valid days; days at or above the flag
 threshold are marked as potential content-spread events.
 """
@@ -12,12 +18,14 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .community import Label
 from .errors import (
@@ -47,7 +55,7 @@ class CommunityDayDoc:
 
 
 def doc_from_tweets(
-    community: Label, day: date, tweets: Sequence[tuple[str, TokenDoc]]
+    community: Label, day: date, tweets: Iterable[tuple[str, TokenDoc]]
 ) -> CommunityDayDoc:
     counts: dict[Trigram, int] = {}
     ids = []
@@ -67,18 +75,20 @@ def build_community_day_docs(
     """Group records by (community, day) and sum their trigram counts.
 
     Trigrams never cross tweet boundaries: each tweet is normalized on its
-    own and the per-tweet counts are added.
+    own, once, and its counts are added as soon as it is tokenized, so the
+    per-tweet token streams are never all held at the same time.
     """
-    grouped: dict[tuple[Label, date], list[tuple[str, TokenDoc]]] = {}
+    grouped: dict[tuple[Label, date], list[TweetRecord]] = {}
     for community in sorted(records_by_community, key=str):
         for record in records_by_community[community]:
-            key = (community, record.day)
-            grouped.setdefault(key, []).append(
-                (record.tweet_id, normalize_text(record.text, stopwords))
-            )
+            grouped.setdefault((community, record.day), []).append(record)
     return {
-        (community, day): doc_from_tweets(community, day, tweets)
-        for (community, day), tweets in grouped.items()
+        (community, day): doc_from_tweets(
+            community,
+            day,
+            ((r.tweet_id, normalize_text(r.text, stopwords)) for r in records),
+        )
+        for (community, day), records in grouped.items()
     }
 
 
@@ -107,7 +117,8 @@ def intercluster_similarity(
     """Mean cosine similarity over cross-cluster community pairs.
 
     Pairs involving an empty document are skipped; None when no valid pair
-    remains.
+    remains. This per-pair loop is the reference :func:`similarity_series`
+    matches exactly; attribution uses it for its one-day recompute.
     """
     values = []
     for doc_a in docs_a:
@@ -147,13 +158,47 @@ def similarity_series(
     """Assemble the daily similarity series for one cluster pair.
 
     Communities with no document on a day contribute nothing to that day's
-    mean, matching the empty-document skip rule.
+    mean, matching the empty-document skip rule. Each value equals
+    ``intercluster_similarity`` over the same documents exactly: the counts
+    are integer-valued floats, so dots and squared norms carry no rounding,
+    and the mean sums the cosines in the same order (cluster-a community
+    outer, cluster-b community inner).
     """
+    row_of: dict[tuple[Label, date], int] = {}
+    # a trigram's column is its first-seen order: missing keys get len(column_of)
+    column_of: defaultdict[Trigram, int] = defaultdict()
+    column_of.default_factory = column_of.__len__
+    columns: list[int] = []
+    counts: list[int] = []
+    indptr = [0]
+    for day in days:
+        for community in (*communities_a, *communities_b):
+            key = (community, day)
+            doc = day_docs.get(key)
+            if doc is None or doc.is_empty or key in row_of:
+                continue
+            row_of[key] = len(row_of)
+            columns.extend(map(column_of.__getitem__, doc.trigram_counts))
+            counts.extend(doc.trigram_counts.values())
+            indptr.append(len(columns))
+    matrix = sp.csr_matrix(
+        (np.asarray(counts, dtype=float), np.asarray(columns, dtype=np.int64), indptr),
+        shape=(len(row_of), len(column_of)),
+    )
+    norms_sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
     values: list[float | None] = []
     for day in days:
-        docs_a = [day_docs[(c, day)] for c in communities_a if (c, day) in day_docs]
-        docs_b = [day_docs[(c, day)] for c in communities_b if (c, day) in day_docs]
-        values.append(intercluster_similarity(docs_a, docs_b))
+        rows_a = [row_of[(c, day)] for c in communities_a if (c, day) in row_of]
+        rows_b = [row_of[(c, day)] for c in communities_b if (c, day) in row_of]
+        if not rows_a or not rows_b:
+            values.append(None)
+            continue
+        norms_a, norms_b = norms_sq[rows_a], norms_sq[rows_b]
+        if not (norms_a.all() and norms_b.all()):
+            raise InvalidDocumentError("cosine similarity undefined for zero vectors")
+        dots = (matrix[rows_a] @ matrix[rows_b].T).toarray()
+        cosines = np.minimum(1.0, dots / np.sqrt(np.outer(norms_a, norms_b)))
+        values.append(sum(cosines.ravel().tolist()) / cosines.size)
     return SimilaritySeries(pair=pair, days=tuple(days), values=tuple(values))
 
 

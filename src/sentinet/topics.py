@@ -81,9 +81,12 @@ def _check_acyclic(lexicons: Mapping[str, TopicLexicon]) -> None:
             cursor = lexicons[cursor].parent if cursor in lexicons else None
 
 
-def matches_topic(text: str, lexicon: TopicLexicon) -> bool:
-    lowered = text.lower()
+def _contains_any(lowered: str, lexicon: TopicLexicon) -> bool:
     return any(needle in lowered for needle in lexicon.substrings)
+
+
+def matches_topic(text: str, lexicon: TopicLexicon) -> bool:
+    return _contains_any(text.lower(), lexicon)
 
 
 def filter_topic(
@@ -99,28 +102,31 @@ def filter_topic_tree(
     """Apply every lexicon in parent-before-child order.
 
     Each subtopic filters its parent's matches, which keeps the subset
-    relationship between topic and subtopic counts by construction.
+    relationship between topic and subtopic counts by construction. Each
+    text is lowercased once, not once per lexicon; the result equals the
+    chain of :func:`filter_topic` calls.
     """
-    matched: dict[str, list[TweetRecord]] = {}
+    matched: dict[str, list[tuple[TweetRecord, str]]] = {}
+    lowered = [(record, record.text.lower()) for record in records]
     remaining = dict(lexicons)
     while remaining:
         progressed = False
         for name in sorted(remaining):
             lexicon = remaining[name]
             if lexicon.parent is None:
-                pool: Sequence[TweetRecord] = records
+                pool = lowered
             elif lexicon.parent in matched:
                 pool = matched[lexicon.parent]
             else:
                 continue
-            matched[name] = filter_topic(pool, lexicon)
+            matched[name] = [(r, text) for r, text in pool if _contains_any(text, lexicon)]
             del remaining[name]
             progressed = True
         if not progressed:
             raise ParameterError(
                 f"unresolvable lexicon parents: {sorted(remaining)}"
             )
-    return matched
+    return {name: [record for record, _ in pairs] for name, pairs in matched.items()}
 
 
 @dataclass(frozen=True)

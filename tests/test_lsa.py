@@ -63,6 +63,15 @@ class TestTruncatedSvd:
         _, s_sparse, _ = truncated_svd(matrix, k=3)
         np.testing.assert_allclose(s_sparse, s_dense[:3], rtol=1e-8)
 
+    def test_sparse_path_is_reproducible(self):
+        rng = np.random.default_rng(6)
+        matrix = sp.csr_matrix(rng.poisson(0.02, size=(600, 900)).astype(float))
+        u_first, s_first, _ = truncated_svd(matrix, k=5)
+        for _ in range(3):
+            u_again, s_again, _ = truncated_svd(matrix, k=5)
+            assert np.array_equal(s_again, s_first)
+            assert np.array_equal(np.abs(u_again), np.abs(u_first))
+
 
 class TestLsaTopicalTweets:
     def test_repeated_block_dominates_first_vector(self):

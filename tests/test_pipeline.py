@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
 from sentinet.errors import StageError
-from sentinet.ingest import write_corpus
+from sentinet.ingest import normalize_text, read_corpus, write_corpus
 from sentinet.pipeline import ARTIFACTS, run_pipeline, stratified_coding_sample
+from sentinet.sentinel import read_roster
 from sentinet.synthetic import SyntheticSpec, generate_corpus
+from sentinet.topics import load_lexicons, matches_topic
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,40 @@ class TestRunPipeline:
         assert meta["burst_threshold"] == 50.0
         assert meta["summary"]["flagged_events"] == len(flagged)
 
+    def test_lsa_tokenizes_only_flagged_days(self, synthetic, tmp_path, monkeypatch):
+        config, _, _ = synthetic
+        workdir = tmp_path / "tokenize"
+        shutil.copytree(config.output_dir, workdir)
+        calls = []
+
+        def counting(text, stopwords=frozenset()):
+            calls.append(text)
+            return normalize_text(text, stopwords)
+
+        # the lsa build is the only caller of pipeline.normalize_text
+        monkeypatch.setattr(pipeline_mod, "normalize_text", counting)
+        run_pipeline(replace(config, output_dir=workdir, burst_threshold=50.0))
+        assert json.loads((workdir / "lsa_drivers.json").read_text())["events"] == []
+        assert calls == []
+
+        run_pipeline(replace(config, output_dir=workdir))
+        report = json.loads((workdir / "lsa_drivers.json").read_text())
+        flagged_days = {event["day"] for event in report["events"]}
+        assert flagged_days
+        sentinels = {
+            account for entries in read_roster(workdir / "sentinels.txt").values()
+            for account, _ in entries
+        }
+        covid = load_lexicons()["covid"]
+        covid_on_flagged_days = sum(
+            1
+            for record in read_corpus(workdir / "records.jsonl").records
+            if record.author_id in sentinels
+            and record.day.isoformat() in flagged_days
+            and matches_topic(record.text, covid)
+        )
+        assert 0 < len(calls) <= covid_on_flagged_days
+
     def test_unchanged_rerun_rewrites_nothing(self, synthetic, tmp_path):
         config, _, _ = synthetic
         workdir = tmp_path / "unchanged"
@@ -210,7 +247,8 @@ class TestRunPipeline:
         config, _, _ = synthetic
         import csv
 
-        rows = list(csv.DictReader(open(config.output_dir / "similarity.csv")))
+        with open(config.output_dir / "similarity.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
         assert rows
         assert all(row["valid"] == "1" for row in rows)
 

@@ -3,7 +3,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from sentinet.errors import (
@@ -25,6 +25,7 @@ from sentinet.similarity import (
     flag_days,
     intercluster_similarity,
     read_series_csv,
+    similarity_series,
     write_series_csv,
 )
 
@@ -99,6 +100,91 @@ class TestIntercluster:
         assert intercluster_similarity(docs_a, docs_b) == pytest.approx(
             intercluster_similarity(docs_b, docs_a)
         )
+
+
+VOCAB = [(word, "x", "y") for word in "abcde"]
+DAYS = [DAY + timedelta(days=i) for i in range(4)]
+
+
+@st.composite
+def cluster_day_docs(draw):
+    """Docs of two clusters over a few days; some absent, some empty."""
+    communities_a = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
+    communities_b = [f"b{i}" for i in range(draw(st.integers(1, 4)))]
+    days = DAYS[: draw(st.integers(1, len(DAYS)))]
+    kinds = st.sampled_from(["absent", "empty", "counts", "counts", "counts"])
+    counts = st.dictionaries(
+        st.sampled_from(VOCAB), st.integers(1, 50), min_size=1, max_size=len(VOCAB)
+    )
+    day_docs = {}
+    for community in communities_a + communities_b:
+        for day in days:
+            kind = draw(kinds)
+            if kind != "absent":
+                drawn = {} if kind == "empty" else draw(counts)
+                day_docs[(community, day)] = doc(community, drawn, day=day)
+    return day_docs, communities_a, communities_b, days
+
+
+class TestSimilaritySeries:
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_day_docs())
+    @example(
+        (
+            {
+                ("a0", DAYS[0]): doc("a0", {VOCAB[0]: 3, VOCAB[1]: 7}),
+                ("b0", DAYS[0]): doc("b0", {VOCAB[0]: 3, VOCAB[1]: 7}),
+                ("a0", DAYS[1]): doc("a0", {}, day=DAYS[1]),
+                ("b0", DAYS[1]): doc("b0", {VOCAB[2]: 1}, day=DAYS[1]),
+            },
+            ["a0"],
+            ["b0"],
+            DAYS[:3],
+        )
+    )
+    # summing the cosines in another order, or with np.mean, changes the last bit here
+    @example(
+        (
+            {
+                ("a0", DAY): doc(
+                    "a0", {VOCAB[2]: 41, VOCAB[3]: 12, VOCAB[4]: 36, VOCAB[0]: 38, VOCAB[1]: 12}
+                ),
+                ("a1", DAY): doc("a1", {VOCAB[4]: 17}),
+                ("a2", DAY): doc("a2", {VOCAB[0]: 6}),
+                ("b0", DAY): doc("b0", {VOCAB[3]: 1}),
+                ("b1", DAY): doc("b1", {VOCAB[1]: 40, VOCAB[2]: 12, VOCAB[0]: 23}),
+                ("b2", DAY): doc("b2", {VOCAB[0]: 17, VOCAB[1]: 34, VOCAB[4]: 11}),
+            },
+            ["a0", "a1", "a2"],
+            ["b0", "b1", "b2"],
+            DAYS[:1],
+        )
+    )
+    def test_equals_per_day_reference_exactly(self, case):
+        day_docs, communities_a, communities_b, days = case
+        series = similarity_series(
+            day_docs, communities_a, communities_b, days, pair=("A", "B")
+        )
+        expected = tuple(
+            intercluster_similarity(
+                [day_docs[(c, day)] for c in communities_a if (c, day) in day_docs],
+                [day_docs[(c, day)] for c in communities_b if (c, day) in day_docs],
+            )
+            for day in days
+        )
+        assert series.values == expected
+
+    def test_identical_docs_exactly_one_and_invalid_days_none(self):
+        counts = {VOCAB[0]: 3, VOCAB[1]: 7, VOCAB[2]: 11}
+        day_docs = {
+            ("a0", DAYS[0]): doc("a0", counts),
+            ("b0", DAYS[0]): doc("b0", dict(counts)),
+            ("b1", DAYS[0]): doc("b1", dict(counts)),
+            ("a0", DAYS[1]): doc("a0", {}, day=DAYS[1]),
+            ("b0", DAYS[1]): doc("b0", counts, day=DAYS[1]),
+        }
+        series = similarity_series(day_docs, ["a0"], ["b0", "b1"], DAYS[:3], ("A", "B"))
+        assert series.values == (1.0, None, None)
 
 
 class TestDayDocs:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentinet.errors import ParameterError
 from sentinet.sentinel import activity
+from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import (
     TopicLexicon,
     filter_topic,
@@ -84,6 +85,17 @@ class TestFilterTopicTree:
             if matches_topic(r.text, parent) and matches_topic(r.text, child)
         ]
         assert via_tree["masks"] == direct
+
+    def test_equals_filter_topic_chain_on_synthetic_corpus(self):
+        records, _ = generate_corpus(SyntheticSpec())
+        lexicons = load_lexicons()
+        chained = {}
+        # the default tree lists every parent before its children
+        for name, lexicon in lexicons.items():
+            pool = records if lexicon.parent is None else chained[lexicon.parent]
+            chained[name] = filter_topic(pool, lexicon)
+        assert chained["covid"]
+        assert filter_topic_tree(records, lexicons) == chained
 
     def test_cycle_detected(self, record_factory):
         loop_a = TopicLexicon("a", ("x",), parent="b")
