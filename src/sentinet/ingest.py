@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import EmptyCorpusError, UrlParseError
@@ -48,10 +49,13 @@ class TweetRecord:
 
 @dataclass(frozen=True)
 class TokenDoc:
-    """Cleaned token stream of one tweet plus its word-trigram counts."""
+    """Cleaned token stream of one tweet; its trigram counts are derived on demand."""
 
     tokens: tuple[str, ...]
-    trigram_counts: Mapping[Trigram, int] = field(default_factory=dict)
+
+    @cached_property
+    def trigram_counts(self) -> Mapping[Trigram, int]:
+        return Counter(trigrams(self.tokens))
 
 
 @dataclass
@@ -202,22 +206,21 @@ def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | 
 
 
 def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> TokenDoc:
-    """Clean tweet text into tokens and word-trigram counts.
+    """Clean tweet text into its token stream.
 
     URLs and @-mentions are removed first; the remainder is lowercased and
     split on runs of non-alphanumeric characters, and stopwords are dropped.
-    Trigrams are contiguous triples of the surviving token sequence, so a
-    document with fewer than three tokens has no trigrams.
     """
     cleaned = _URL_RE.sub(" ", text)
     cleaned = _MENTION_RE.sub(" ", cleaned)
-    tokens = tuple(
-        tok for tok in _TOKEN_RE.findall(cleaned.lower()) if tok not in stopwords
+    return TokenDoc(
+        tuple(tok for tok in _TOKEN_RE.findall(cleaned.lower()) if tok not in stopwords)
     )
-    trigrams = Counter(
-        (tokens[i], tokens[i + 1], tokens[i + 2]) for i in range(len(tokens) - 2)
-    )
-    return TokenDoc(tokens=tokens, trigram_counts=dict(trigrams))
+
+
+def trigrams(tokens: Sequence[str]) -> Iterator[Trigram]:
+    """Contiguous word triples of a token stream, in order; none below three tokens."""
+    return zip(tokens, tokens[1:], tokens[2:])
 
 
 def default_stopwords() -> frozenset[str]:

@@ -50,7 +50,6 @@ from .ingest import (
     load_wordlist,
     normalize_text,
     read_corpus,
-    write_corpus,
 )
 from .sentinel import (
     SentinelSet,
@@ -367,16 +366,6 @@ def _build_meta(params, ingest, component, partition, sentinels, cluster, driver
 # ---- writes and loads ---------------------------------------------------
 
 
-def _write_ingest(parsed, paths, params) -> None:
-    write_corpus(parsed.records, paths[0])
-    write_json({"skipped_lines": parsed.skipped, "records": len(parsed.records)}, paths[1])
-
-
-def _load_ingest(paths) -> ParseResult:
-    meta = json.loads(paths[1].read_text(encoding="utf-8"))
-    return ParseResult(records=read_corpus(paths[0]).records, skipped=meta["skipped_lines"])
-
-
 def _write_cluster(cluster, paths, params) -> None:
     scores, clusters = cluster
     domains_mod.write_scores_csv(scores, clusters, paths[0])
@@ -405,10 +394,14 @@ def _load_json(paths):
 # Lambdas look the module functions up at call time, so tools that patch
 # them (profilers, tracers) see every call the pipeline makes.
 _STAGE_ROWS = (
+    # no load: the corpus is fingerprinted by content, so an up-to-date ingest
+    # is parsed from it again rather than from a re-serialized copy
     Stage(
-        "ingest", ("records.jsonl", "ingest_meta.json"),
-        ("corpus", "window_start", "window_end"), (),
-        _build_ingest, _write_ingest, _load_ingest,
+        "ingest", ("ingest_meta.json",), ("corpus", "window_start", "window_end"), (),
+        _build_ingest,
+        lambda parsed, paths, params: write_json(
+            {"skipped_lines": parsed.skipped, "records": len(parsed.records)}, paths[0]
+        ),
     ),
     Stage(
         "graph", ("graph.edges",), (), ("ingest",),

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +35,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import atomic_open
-from .ingest import TokenDoc, Trigram, TweetRecord, data_path, normalize_text
+from .ingest import TokenDoc, Trigram, TweetRecord, data_path, normalize_text, trigrams
 
 SD_FLOOR = 1e-12
 SD_CONVENTION = "population"  # divide-by-N standard deviation
@@ -57,14 +58,14 @@ class CommunityDayDoc:
 def doc_from_tweets(
     community: Label, day: date, tweets: Iterable[tuple[str, TokenDoc]]
 ) -> CommunityDayDoc:
-    counts: dict[Trigram, int] = {}
-    ids = []
-    for tweet_id, doc in tweets:
-        ids.append(tweet_id)
-        for trigram, count in doc.trigram_counts.items():
-            counts[trigram] = counts.get(trigram, 0) + count
+    """Sum the tweets' trigram counts in one count; no trigram spans two tweets."""
+    tweets = list(tweets)
+    counts = Counter(chain.from_iterable(trigrams(doc.tokens) for _, doc in tweets))
     return CommunityDayDoc(
-        community=community, day=day, trigram_counts=counts, tweet_ids=tuple(ids)
+        community=community,
+        day=day,
+        trigram_counts=counts,
+        tweet_ids=tuple(tweet_id for tweet_id, _ in tweets),
     )
 
 
@@ -75,8 +76,9 @@ def build_community_day_docs(
     """Group records by (community, day) and sum their trigram counts.
 
     Trigrams never cross tweet boundaries: each tweet is normalized on its
-    own, once, and its counts are added as soon as it is tokenized, so the
-    per-tweet token streams are never all held at the same time.
+    own, once, and each day's trigrams are counted in one pass over its
+    tweets' token streams, so no per-tweet counter is built and only one
+    day's token streams are held at a time.
     """
     grouped: dict[tuple[Label, date], list[TweetRecord]] = {}
     for community in sorted(records_by_community, key=str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -81,12 +82,9 @@ def _check_acyclic(lexicons: Mapping[str, TopicLexicon]) -> None:
             cursor = lexicons[cursor].parent if cursor in lexicons else None
 
 
-def _contains_any(lowered: str, lexicon: TopicLexicon) -> bool:
-    return any(needle in lowered for needle in lexicon.substrings)
-
-
 def matches_topic(text: str, lexicon: TopicLexicon) -> bool:
-    return _contains_any(text.lower(), lexicon)
+    lowered = text.lower()
+    return any(needle in lowered for needle in lexicon.substrings)
 
 
 def filter_topic(
@@ -103,30 +101,36 @@ def filter_topic_tree(
 
     Each subtopic filters its parent's matches, which keeps the subset
     relationship between topic and subtopic counts by construction. Each
-    text is lowercased once, not once per lexicon; the result equals the
-    chain of :func:`filter_topic` calls.
+    text is lowercased once, not once per lexicon, and each needle is
+    tested across the whole pool in one pass; the result equals the chain
+    of :func:`filter_topic` calls.
     """
-    matched: dict[str, list[tuple[TweetRecord, str]]] = {}
-    lowered = [(record, record.text.lower()) for record in records]
+    # topic -> (matching records, their lowercased texts), in record order
+    matched: dict[str, tuple[list[TweetRecord], list[str]]] = {}
+    everything = (list(records), [record.text.lower() for record in records])
     remaining = dict(lexicons)
     while remaining:
         progressed = False
         for name in sorted(remaining):
             lexicon = remaining[name]
             if lexicon.parent is None:
-                pool = lowered
+                pool = everything
             elif lexicon.parent in matched:
                 pool = matched[lexicon.parent]
             else:
                 continue
-            matched[name] = [(r, text) for r, text in pool if _contains_any(text, lexicon)]
+            pool_records, texts = pool
+            hits = [False] * len(texts)
+            for needle in lexicon.substrings:
+                hits = [hit or needle in text for hit, text in zip(hits, texts)]
+            matched[name] = (list(compress(pool_records, hits)), list(compress(texts, hits)))
             del remaining[name]
             progressed = True
         if not progressed:
             raise ParameterError(
                 f"unresolvable lexicon parents: {sorted(remaining)}"
             )
-    return {name: [record for record, _ in pairs] for name, pairs in matched.items()}
+    return {name: topic_records for name, (topic_records, _) in matched.items()}
 
 
 @dataclass(frozen=True)

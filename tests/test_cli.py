@@ -1,18 +1,18 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from sentinet.cli import main
 from sentinet.config import serialize_config, PipelineConfig
 from sentinet.ingest import write_corpus
-from sentinet.pipeline import run_pipeline
+from sentinet.pipeline import STAGES, run_pipeline
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 
 
 # every pipeline artifact that a stage subcommand also writes
 CLI_ARTIFACTS = (
-    "records.jsonl",
     "graph.edges",
     "partition.txt",
     "sentinels.txt",
@@ -227,7 +227,7 @@ class TestCliMatchesPipeline:
         run_pipeline(config)
         out = tmp_path / "cli"
         out.mkdir()
-        path = {name: str(out / name) for name in CLI_ARTIFACTS}
+        path = {name: str(out / name) for name in ("records.jsonl", *CLI_ARTIFACTS)}
         window = [
             "--window-start", config.window_start.isoformat(),
             "--window-end", config.window_end.isoformat(),
@@ -301,6 +301,14 @@ class TestCliMatchesPipeline:
         for name in CLI_ARTIFACTS:
             expected = (config.output_dir / name).read_bytes()
             assert (out / name).read_bytes() == expected, name
+        # the pipeline keeps its ingest in memory; the CLI writes the same records
+        ingest = STAGES["ingest"].build(
+            SimpleNamespace(
+                corpus=corpus, window_start=config.window_start, window_end=config.window_end
+            )
+        )
+        write_corpus(ingest.records, tmp_path / "ingest.jsonl")
+        assert (out / "records.jsonl").read_bytes() == (tmp_path / "ingest.jsonl").read_bytes()
 
 
 class TestRunCommand:

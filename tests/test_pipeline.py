@@ -12,7 +12,7 @@ from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
 from sentinet.errors import StageError
 from sentinet.ingest import normalize_text, read_corpus, write_corpus
-from sentinet.pipeline import ARTIFACTS, run_pipeline, stratified_coding_sample
+from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline, stratified_coding_sample
 from sentinet.sentinel import read_roster
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import load_lexicons, matches_topic
@@ -178,7 +178,7 @@ class TestRunPipeline:
         covid = load_lexicons()["covid"]
         covid_on_flagged_days = sum(
             1
-            for record in read_corpus(workdir / "records.jsonl").records
+            for record in read_corpus(config.corpus).records
             if record.author_id in sentinels
             and record.day.isoformat() in flagged_days
             and matches_topic(record.text, covid)
@@ -205,6 +205,33 @@ class TestRunPipeline:
                 before[name].st_mtime_ns,
             ), name
         assert result.summary == json.loads((workdir / "run_meta.json").read_text())["summary"]
+
+    def test_resume_rederives_ingest_from_the_corpus(self, synthetic, tmp_path, monkeypatch):
+        config, _, _ = synthetic
+        assert not (config.output_dir / "records.jsonl").exists()
+        workdir = tmp_path / "lsa_k"
+        shutil.copytree(config.output_dir, workdir)
+        past = 1_000_000_000_000_000_000
+        for path in workdir.iterdir():
+            os.utime(path, ns=(past, past))
+        before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        parsed = []
+
+        def recording(path):
+            parsed.append(Path(path))
+            return read_corpus(path)
+
+        monkeypatch.setattr(pipeline_mod, "read_corpus", recording)
+        run_pipeline(replace(config, output_dir=workdir, lsa_k=3))
+        # run_meta needs the up-to-date ingest, which is parsed again from the corpus
+        assert parsed == [Path(config.corpus)]
+        assert sorted(path.name for path in workdir.iterdir()) == sorted(before)
+        rebuilt = {"lsa_drivers.json", "run_meta.json", MANIFEST}
+        for name in rebuilt:
+            assert (workdir / name).stat().st_mtime_ns != past, name
+        for name in before.keys() - rebuilt:
+            path = workdir / name
+            assert (path.read_bytes(), path.stat().st_mtime_ns) == (before[name], past), name
 
     def test_failed_rebuild_does_not_count_as_done(self, synthetic, tmp_path, monkeypatch):
         import sentinet.lsa

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from conftest import make_record
 from sentinet.errors import (
     InvalidDocumentError,
     ParameterError,
     UndefinedStatisticError,
 )
-from sentinet.ingest import normalize_text
+from sentinet.ingest import TokenDoc, default_stopwords, normalize_text
 from sentinet.similarity import (
     CommunityDayDoc,
     SimilaritySeries,
@@ -212,6 +214,96 @@ class TestDayDocs:
         }
         built = build_community_day_docs(records, frozenset())[("c", DAY)]
         assert dict(built.trigram_counts) == expected
+
+
+def indexed_trigram_counts(tokens):
+    """A tweet's trigram counts, built by index as normalize_text once did."""
+    return dict(
+        Counter((tokens[i], tokens[i + 1], tokens[i + 2]) for i in range(len(tokens) - 2))
+    )
+
+
+def per_tweet_reference(records_by_community, stopwords):
+    """Day documents summing one indexed counter per tweet, in record order."""
+    grouped = {}
+    for community in sorted(records_by_community, key=str):
+        for record in records_by_community[community]:
+            counts, ids = grouped.setdefault((community, record.day), ({}, []))
+            tokens = normalize_text(record.text, stopwords).tokens
+            for trigram, count in indexed_trigram_counts(tokens).items():
+                counts[trigram] = counts.get(trigram, 0) + count
+            ids.append(record.tweet_id)
+    return {
+        (community, day): doc(community, counts, day=day, ids=ids)
+        for (community, day), (counts, ids) in grouped.items()
+    }
+
+
+# words, stopwords, URLs, mentions and non-ASCII letters
+TEXT_PIECES = st.sampled_from(
+    ["covid", "cases", "rise", "Mask", "the", "of", "RT", "@cdc", "@who_int",
+     "http://t.co/x1", "https://example.org/a?b=1", "www.news.com/p",
+     "café", "Straße", "ÉCOLE", "вакцина", "日本", "-", "!!", "#covid"]
+)
+# one to four pieces, possibly repeated, so a tweet can repeat a trigram
+TWEET_TEXTS = st.tuples(st.lists(TEXT_PIECES, max_size=4), st.integers(1, 3)).map(
+    lambda drawn: " ".join(drawn[0] * drawn[1])
+)
+
+
+class TestDayDocsEqualPerTweetReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        communities=st.lists(
+            st.lists(st.tuples(TWEET_TEXTS, st.integers(0, 2)), max_size=6),
+            min_size=1,
+            max_size=3,
+        ),
+        stopwords=st.sampled_from([frozenset(), frozenset({"the", "of", "rt"})]),
+    )
+    # the day's tweets end and start with words that would form trigrams if joined
+    @example(communities=[[("alpha beta", 0), ("gamma delta", 0)]], stopwords=frozenset())
+    def test_equals_summed_indexed_counters(self, communities, stopwords):
+        records = {
+            f"c{i}": [
+                make_record(f"{i}-{j}", "u", text=text, day_offset=offset)
+                for j, (text, offset) in enumerate(tweets)
+            ]
+            for i, tweets in enumerate(communities)
+        }
+        built = build_community_day_docs(records, stopwords)
+        expected = per_tweet_reference(records, stopwords)
+        assert built == expected
+        for key, day_doc in built.items():
+            # first-seen trigram order, which fixes the similarity matrix's columns
+            assert list(day_doc.trigram_counts) == list(expected[key].trigram_counts)
+
+
+NORMALIZE_EXAMPLES = [
+    ("The CDC quietly updated", frozenset({"the"})),
+    ("@user http://a.b c", frozenset()),
+    (" ".join(f"word{i}" for i in range(50)), frozenset()),
+    ("", frozenset()),
+    ("#covid spreading", frozenset()),
+    ("RT @x: the lockdown ends", default_stopwords()),
+    ("see www.example.org/x?y=1 and http only", frozenset()),
+    ("covid cases rise covid cases rise", frozenset()),
+]
+
+
+class TestTokenDoc:
+    @pytest.mark.parametrize("text,stopwords", NORMALIZE_EXAMPLES)
+    def test_equality_and_trigram_counts_unchanged(self, text, stopwords):
+        token_doc = normalize_text(text, stopwords)
+        fresh = TokenDoc(token_doc.tokens)
+        assert token_doc == fresh and hash(token_doc) == hash(fresh)
+        expected = indexed_trigram_counts(token_doc.tokens)
+        assert token_doc.trigram_counts == expected
+        assert list(token_doc.trigram_counts) == list(expected)
+        # the derived counts are cached and take no part in equality
+        assert token_doc.trigram_counts is token_doc.trigram_counts
+        assert token_doc == fresh
+        assert token_doc != TokenDoc(token_doc.tokens + ("extra",))
 
 
 class TestBurstScore:

@@ -3,6 +3,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_record
 from sentinet.errors import ParameterError
 from sentinet.sentinel import activity
 from sentinet.synthetic import SyntheticSpec, generate_corpus
@@ -20,6 +21,43 @@ WINDOW = (date(2020, 7, 1), date(2020, 7, 30))
 
 HCQ = TopicLexicon("hydroxychloroquine", ("hcq", "hydrox", "chloroq"), parent="covid")
 MASKS = TopicLexicon("facemasks", ("mask",), parent="covid")
+
+
+def filter_topic_chain(records, lexicons):
+    """The reference: each lexicon's filter_topic over its parent's chained matches."""
+    chained = {}
+
+    def matches(name):
+        if name not in chained:
+            parent = lexicons[name].parent
+            pool = records if parent is None else matches(parent)
+            chained[name] = filter_topic(pool, lexicons[name])
+        return chained[name]
+
+    for name in lexicons:
+        matches(name)
+    return chained
+
+
+# short needles over a small alphabet overlap and contain one another
+NEEDLES = st.text(alphabet="abc-", min_size=1, max_size=3)
+MIXED_CASE_TEXT = st.text(alphabet="abcABC- xİ", max_size=14)
+
+
+@st.composite
+def lexicon_trees(draw):
+    """Up to five lexicons, each parent drawn before its children, listed in random order."""
+    names = draw(st.lists(st.sampled_from("pqrstu"), min_size=1, max_size=5, unique=True))
+    lexicons = {}
+    for i, name in enumerate(names):
+        needles = draw(st.lists(NEEDLES, max_size=4))
+        if needles and draw(st.booleans()):
+            # a needle that is a substring of another needle of the same lexicon
+            needles.append(needles[0] + draw(NEEDLES))
+        parent = draw(st.sampled_from([None, *names[:i]]))
+        lexicons[name] = TopicLexicon(name, tuple(needles), parent=parent)
+    order = draw(st.permutations(names))
+    return {name: lexicons[name] for name in order}
 
 
 class TestFilterTopic:
@@ -89,13 +127,15 @@ class TestFilterTopicTree:
     def test_equals_filter_topic_chain_on_synthetic_corpus(self):
         records, _ = generate_corpus(SyntheticSpec())
         lexicons = load_lexicons()
-        chained = {}
-        # the default tree lists every parent before its children
-        for name, lexicon in lexicons.items():
-            pool = records if lexicon.parent is None else chained[lexicon.parent]
-            chained[name] = filter_topic(pool, lexicon)
+        chained = filter_topic_chain(records, lexicons)
         assert chained["covid"]
         assert filter_topic_tree(records, lexicons) == chained
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=lexicon_trees(), texts=st.lists(MIXED_CASE_TEXT, max_size=12))
+    def test_equals_filter_topic_chain_on_random_trees(self, tree, texts):
+        records = [make_record(str(i), "a", text=text) for i, text in enumerate(texts)]
+        assert filter_topic_tree(records, tree) == filter_topic_chain(records, tree)
 
     def test_cycle_detected(self, record_factory):
         loop_a = TopicLexicon("a", ("x",), parent="b")
