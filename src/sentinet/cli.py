@@ -56,11 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
     p.add_argument("--seed", type=int, default=13)
-    p.add_argument(
-        "--full-graph",
-        action="store_true",
-        help="run on the whole graph instead of the largest weak component",
-    )
     p.set_defaults(handler=cmd_communities)
 
     p = sub.add_parser("compare-partitions", help="Rand index and z-Rand of two partitions")
@@ -96,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-output", required=True, type=Path)
     p.add_argument("--loadings-output", type=Path)
     p.add_argument("--clusters", dest="score_clusters", type=int, default=3)
-    p.add_argument("--linkage", choices=["centroid", "average"], default="centroid")
     p.add_argument("--anchor-domain")
     p.set_defaults(handler=cmd_cluster)
 
@@ -205,8 +199,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_communities(args) -> int:
-    built = graph_mod.read_edges(args.edges)
-    target = built if args.full_graph else graph_mod.largest_component(built)
+    target = graph_mod.largest_component(graph_mod.read_edges(args.edges))
     partition = STAGES["communities"].build(args, target)
     community_mod.write_partition(partition, args.output)
     quality = community_mod.modularity(target, partition)

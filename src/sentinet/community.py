@@ -72,9 +72,10 @@ def one_community_partition(graph: RetweetGraph) -> Partition:
 def modularity(graph: RetweetGraph, partition: Partition) -> float:
     """Directed weighted modularity of a partition.
 
-    Computed per community as (internal weight - expected internal weight)
-    summed and divided by total weight. Always 0 for the one-community
-    partition and bounded by [-1, 1].
+    Computed per community as (internal weight - expected internal weight),
+    summed with one rounding (``math.fsum``, so the value does not depend on
+    community order) and divided by total weight. Always 0 for the
+    one-community partition and bounded by [-1, 1].
     """
     if graph.w <= 0:
         raise EmptyGraphError("modularity undefined for zero-weight graph")
@@ -87,12 +88,12 @@ def modularity(graph: RetweetGraph, partition: Partition) -> float:
         label = assignment[source]
         if label == assignment[retweeter]:
             internal[label] += weight
-    total = 0.0
+    terms = []
     for label, members in partition.communities.items():
         sum_in = sum(graph.w_in.get(node, 0) for node in members)
         sum_out = sum(graph.w_out.get(node, 0) for node in members)
-        total += internal.get(label, 0.0) - (sum_in * sum_out) / graph.w
-    return total / graph.w
+        terms.append(internal.get(label, 0.0) - (sum_in * sum_out) / graph.w)
+    return math.fsum(terms) / graph.w
 
 
 def louvain(graph: RetweetGraph, seed: int = 0) -> Partition:

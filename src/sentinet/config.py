@@ -29,7 +29,6 @@ class PipelineConfig:
     min_history: int = 7
     lsa_k: int = 5
     match_threshold: float = 0.5
-    linkage: str = "centroid"
     anchor_domain: str | None = None
     adf_alpha: float = 0.05
     language_filter: str = "ascii"
@@ -123,8 +122,6 @@ def validate_config(config: PipelineConfig) -> None:
     for name in _INT_FIELDS - {"seed"}:
         if getattr(config, name) <= 0:
             raise ConfigError(f"{name} must be positive")
-    if config.linkage not in ("centroid", "average"):
-        raise ConfigError("linkage must be centroid or average")
     if config.language_filter not in ("ascii", "none"):
         raise ConfigError("language_filter must be ascii or none")
     if config.adf_alpha not in (0.01, 0.05, 0.10):

@@ -2,19 +2,19 @@
 
 Each community gets a row of link fractions over qualifying domains, a
 scalar score from the first principal component of that matrix, and a
-cluster assignment from 1-D hierarchical clustering of the scores.
+cluster assignment from merging adjacent groups of the sorted scores.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
 
 from .community import Label
 from .errors import (
@@ -178,58 +178,37 @@ def first_principal_component(
 
 
 def cluster_scores(
-    scores: LinkedDomainScore | Mapping[Label, float],
-    k: int = 3,
-    method: str = "centroid",
+    scores: LinkedDomainScore | Mapping[Label, float], k: int = 3
 ) -> ClusterAssignment:
-    """Agglomerate 1-D scores and cut the dendrogram at exactly k clusters.
+    """Cut the 1-D scores into k contiguous clusters by greedy merging.
 
-    ``method`` is "centroid" or "average". Cluster labels are renumbered by
-    ascending centroid so cluster 0 always holds the most negative scores.
+    Starting from one group per score in ascending order, the two adjacent
+    groups whose means are closest merge until k groups remain; on equal
+    gaps the leftmost pair merges first. In one dimension clusters stay
+    intervals and both centroid and average linkage reduce to this gap, so
+    this is their agglomeration. Cluster 0 holds the most negative scores.
     """
     mapping = scores.scores if isinstance(scores, LinkedDomainScore) else scores
     if k < 1:
         raise ParameterError("cluster count must be positive")
-    labels = sorted(mapping, key=str)
-    n = len(labels)
-    if n < k:
-        raise ParameterError(f"cannot form {k} clusters from {n} communities")
-    values = np.array([mapping[label] for label in labels], dtype=float)
-    if len(set(values.tolist())) < k:
+    if len(mapping) < k:
+        raise ParameterError(f"cannot form {k} clusters from {len(mapping)} communities")
+    if len(set(mapping.values())) < k:
         raise DegenerateClusteringError(
             f"need at least {k} distinct scores to form {k} clusters"
         )
-    if k == n:
-        groups = [[i] for i in range(n)]
-    elif k == 1:
-        groups = [list(range(n))]
-    else:
-        if method not in ("centroid", "average"):
-            raise ParameterError(f"unknown linkage method {method!r}")
-        merge_rows = linkage(values.reshape(-1, 1), method=method)
-        groups = _cut_to_k(merge_rows, n, k)
-    centroids = [float(np.mean(values[group])) for group in groups]
-    order = np.argsort(centroids, kind="stable")
-    assignment: dict[Label, int] = {}
-    for new_label, group_index in enumerate(order):
-        for i in groups[group_index]:
-            assignment[labels[i]] = new_label
+    groups = [[label] for label in sorted(mapping, key=mapping.__getitem__)]
+    means = [float(mapping[group[0]]) for group in groups]
+    while len(groups) > k:
+        gaps = [right - left for left, right in zip(means, means[1:])]
+        i = gaps.index(min(gaps))
+        groups[i : i + 2] = [groups[i] + groups[i + 1]]
+        means[i : i + 2] = [math.fsum(mapping[label] for label in groups[i]) / len(groups[i])]
     return ClusterAssignment(
-        assignment=assignment,
-        centroids=tuple(sorted(centroids)),
+        assignment={label: c for c, group in enumerate(groups) for label in group},
+        centroids=tuple(means),
         k=k,
     )
-
-
-def _cut_to_k(merge_rows: np.ndarray, n: int, k: int) -> list[list[int]]:
-    """Apply the first n-k agglomerative merges; robust to linkage inversions."""
-    clusters: dict[int, list[int]] = {i: [i] for i in range(n)}
-    next_id = n
-    for row in merge_rows[: n - k]:
-        left, right = int(row[0]), int(row[1])
-        clusters[next_id] = clusters.pop(left) + clusters.pop(right)
-        next_id += 1
-    return [sorted(group) for group in clusters.values()]
 
 
 def write_matrix_csv(matrix: DomainMatrix, path: str | Path) -> None:

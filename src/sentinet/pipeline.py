@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
@@ -157,9 +158,7 @@ def _build_cluster(params, matrix):
     scores = domains_mod.first_principal_component(
         matrix, anchor_domain=params.anchor_domain
     )
-    clusters = domains_mod.cluster_scores(
-        scores, k=params.score_clusters, method=params.linkage
-    )
+    clusters = domains_mod.cluster_scores(scores, k=params.score_clusters)
     return scores, clusters
 
 
@@ -222,7 +221,7 @@ def _build_similarity(params, topics, cluster) -> list[similarity_mod.Similarity
         similarity_mod.similarity_series(
             day_docs, members[left], members[right], days, pair=(left, right)
         )
-        for left, right in _cluster_pairs(sorted(members))
+        for left, right in combinations(sorted(members), 2)
     ]
 
 
@@ -438,7 +437,7 @@ _STAGE_ROWS = (
     ),
     Stage(
         "cluster", ("domain_scores.csv", "domain_loadings.csv"),
-        ("anchor_domain", "score_clusters", "linkage"), ("domains",),
+        ("anchor_domain", "score_clusters"), ("domains",),
         _build_cluster, _write_cluster,
         lambda paths: domains_mod.read_scores_csv(paths[0]),
     ),
@@ -634,14 +633,6 @@ def _cluster_members(cluster_of: Mapping[str, int]) -> dict[str, list[str]]:
 
 def _window_days(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i) for i in range((end - start).days + 1)]
-
-
-def _cluster_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
-    return [
-        (names[i], names[j])
-        for i in range(len(names))
-        for j in range(i + 1, len(names))
-    ]
 
 
 def stratified_coding_sample(

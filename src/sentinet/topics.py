@@ -67,19 +67,7 @@ def load_lexicons(directory: str | Path | None = None) -> dict[str, TopicLexicon
     lexicons = {}
     for name, (filename, parent) in DEFAULT_TOPIC_TREE.items():
         lexicons[name] = load_lexicon(base / filename, name, parent)
-    _check_acyclic(lexicons)
     return lexicons
-
-
-def _check_acyclic(lexicons: Mapping[str, TopicLexicon]) -> None:
-    for name in lexicons:
-        seen = set()
-        cursor: str | None = name
-        while cursor is not None:
-            if cursor in seen:
-                raise ParameterError(f"lexicon parent cycle at {cursor!r}")
-            seen.add(cursor)
-            cursor = lexicons[cursor].parent if cursor in lexicons else None
 
 
 def matches_topic(text: str, lexicon: TopicLexicon) -> bool:

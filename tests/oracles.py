@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
 
 
 def modularity_direct(graph, partition) -> float:
@@ -168,6 +169,44 @@ def best_contiguous_three_split(scores: list[float]) -> list[list[float]]:
                 best_cost = cost
                 best = groups
     return best
+
+
+def linkage_cut(scores: dict, k: int, method: str) -> dict:
+    """scipy ``linkage`` of 1-D scores, cut after its first n-k merges.
+
+    The merges are replayed in order rather than cut by height, because
+    centroid linkage can produce inversions. Groups are labelled by
+    ascending mean.
+    """
+    labels = sorted(scores, key=str)
+    values = np.array([scores[label] for label in labels], dtype=float)
+    n = len(labels)
+    clusters = {i: [i] for i in range(n)}
+    if n > 1:
+        merges = linkage(values.reshape(-1, 1), method=method)[: n - k]
+        for next_id, row in enumerate(merges, start=n):
+            clusters[next_id] = clusters.pop(int(row[0])) + clusters.pop(int(row[1]))
+    groups = sorted(clusters.values(), key=lambda group: float(np.mean(values[group])))
+    return {labels[i]: c for c, group in enumerate(groups) for i in group}
+
+
+def adjacent_merge_has_tie(values: list[Fraction], k: int) -> bool:
+    """Whether merging closest adjacent means down to k groups ever ties.
+
+    Replayed in exact rational arithmetic, where centroid and average
+    linkage agree; on a tie, rounding decides which pair a float
+    implementation merges.
+    """
+    groups = [[v] for v in sorted(values)]
+    while len(groups) > k:
+        means = [sum(group) / len(group) for group in groups]
+        gaps = [right - left for left, right in zip(means, means[1:])]
+        smallest = min(gaps)
+        if gaps.count(smallest) > 1:
+            return True
+        i = gaps.index(smallest)
+        groups[i : i + 2] = [groups[i] + groups[i + 1]]
+    return False
 
 
 def mean_and_population_sd(values: list[float]) -> tuple[float, float]:

@@ -275,7 +275,6 @@ class TestCliMatchesPipeline:
                 "--scores-output", path["domain_scores.csv"],
                 "--loadings-output", path["domain_loadings.csv"],
                 "--clusters", str(config.score_clusters),
-                "--linkage", config.linkage,
             ],
             ["topics", *sentinel_inputs, "--output", path["topic_counts.csv"]],
             [

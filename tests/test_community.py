@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,23 @@ class TestModularity:
         partition = Partition.from_assignment({"a": 0})
         with pytest.raises(CoverageError):
             modularity(TWO_CYCLES, partition)
+
+    def test_independent_of_community_order(self):
+        # 17 communities whose order in Partition.communities follows the
+        # order of the assignment; a plain float sum over them moves in the
+        # last bit when that order is reversed
+        rng = random.Random(0)
+        nodes = [f"u{i}" for i in range(120)]
+        arcs = {}
+        for _ in range(600):
+            source, retweeter = rng.sample(nodes, 2)
+            arcs[(source, retweeter)] = arcs.get((source, retweeter), 0) + rng.randint(1, 5)
+        graph = RetweetGraph.from_arcs(arcs)
+        assignment = {node: rng.randrange(17) for node in sorted(graph.nodes)}
+        forward = Partition.from_assignment(assignment)
+        backward = Partition.from_assignment(dict(reversed(list(assignment.items()))))
+        assert list(forward.communities) != list(backward.communities)
+        assert modularity(graph, forward) == modularity(graph, backward)
 
     @given(retweet_graphs())
     @settings(max_examples=60)

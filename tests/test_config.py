@@ -103,5 +103,5 @@ class TestParseConfig:
     def test_serialize_contains_all_fields(self, tmp_path, corpus_file):
         config = parse_config(minimal_text(corpus_file, tmp_path / "out"), env={})
         text = serialize_config(config)
-        for name in ("corpus", "seed", "burst_threshold", "linkage", "adf_alpha"):
+        for name in ("corpus", "seed", "burst_threshold", "adf_alpha"):
             assert f"{name}=" in text

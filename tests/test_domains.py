@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+import sentinet
 from sentinet.domains import (
     DomainMatrix,
     cluster_scores,
@@ -213,22 +220,68 @@ class TestClusterScores:
         for (_, high), (low, _) in zip(spans, spans[1:]):
             assert high < low
 
+    @pytest.mark.parametrize("method", ["centroid", "average"])
     @given(
         st.lists(
-            st.integers(min_value=-5_000, max_value=5_000).map(lambda v: v / 100),
-            min_size=5,
-            max_size=10,
+            st.integers(min_value=-5_000, max_value=5_000),
+            min_size=1,
+            max_size=12,
             unique=True,
-        )
+        ),
+        st.integers(min_value=1, max_value=4),
     )
-    @settings(max_examples=60)
-    def test_centroid_and_average_linkage_agree_in_1d(self, values):
-        # for disjoint 1-D intervals both linkages reduce to the same
-        # centroid distances, so the k=3 assignments should coincide
+    @settings(max_examples=100)
+    def test_equals_scipy_linkage_on_grids(self, method, cents, k):
+        # a tie between two-decimal gaps is decided by rounding, so ties are
+        # looked for among the decimals, not among their binary doubles
+        exact = [Fraction(v, 100) for v in cents]
+        self.check_against_linkage([v / 100 for v in cents], exact, k, method)
+
+    @pytest.mark.parametrize("method", ["centroid", "average"])
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+        st.floats(min_value=0.05, max_value=2.0),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=100)
+    def test_equals_scipy_linkage_on_gaussian_blobs(
+        self, method, seed, sizes, spread, k
+    ):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-5.0, 5.0, len(sizes))
+        values = [
+            float(v) for center, size in zip(centers, sizes)
+            for v in rng.normal(center, spread, size)
+        ]
+        self.check_against_linkage(values, [Fraction(v) for v in values], k, method)
+
+    @staticmethod
+    def check_against_linkage(values, exact, k, method):
+        assume(len(set(values)) >= k)
+        assume(not oracles.adjacent_merge_has_tie(exact, k))
         scores = {f"c{i}": v for i, v in enumerate(values)}
-        centroid = cluster_scores(scores, k=3, method="centroid")
-        average = cluster_scores(scores, k=3, method="average")
-        assert centroid.assignment == average.assignment
+        expected = oracles.linkage_cut(scores, k, method)
+        assert cluster_scores(scores, k=k).assignment == expected
+
+    def test_equal_gaps_merge_leftmost_pair(self):
+        result = cluster_scores({"a": 0.0, "b": 2.0, "c": 4.0}, k=2)
+        assert result.assignment == {"a": 0, "b": 0, "c": 1}
+        assert result.centroids == (1.0, 4.0)
+
+    def test_cli_and_pipeline_do_not_load_scipy_cluster(self):
+        code = (
+            "import sys, sentinet.cli, sentinet.pipeline; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.cluster', 'scipy.spatial'))))"
+        )
+        src = str(Path(sentinet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_scaling_preserves_assignment(self):
         scores = {"a": -4.0, "b": -3.5, "c": 0.5, "d": 1.0, "e": 6.0, "f": 7.0}
