@@ -30,9 +30,10 @@ def main() -> None:
     corpus = args.dest / "corpus.jsonl"
     write_corpus(records, corpus)
 
+    # relative to demo.cfg, against whose directory load_config resolves them
     config = PipelineConfig(
-        corpus=corpus,
-        output_dir=args.dest / "out",
+        corpus=Path(corpus.name),
+        output_dir=Path("out"),
         window_start=truth.window[0],
         window_end=truth.window[1],
         split=truth.split,

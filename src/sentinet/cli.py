@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from datetime import date
+from dataclasses import MISSING
 from pathlib import Path
 
 from . import community as community_mod
@@ -13,11 +13,11 @@ from . import domains as domains_mod
 from . import graph as graph_mod
 from . import similarity as similarity_mod
 from . import topics as topics_mod
-from .config import load_config
+from .config import FIELDS, load_config, value_parser
 from .domains import read_scores_csv
 from .errors import SentinetError, StageError
 from .fileio import atomic_open, write_json
-from .ingest import data_path, parse_timestamp, read_corpus, write_corpus
+from .ingest import PACKAGED, read_corpus, write_corpus
 from .pipeline import STAGES, run_pipeline, stratified_coding_sample
 from .sentinel import read_roster, write_roster
 
@@ -42,134 +42,126 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse a JSONL corpus into canonical form")
+    def command(name, handler, help, parents=()):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(handler=handler)
+        return p
+
+    # option groups shared by several subcommands
+    output, seed, stopwords, inputs, window, burst = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    output.add_argument("--output", required=True, type=Path)
+    _config_option(seed, "--seed", "seed")
+    _config_option(stopwords, "--stopwords", "stopwords")
+    _config_option(inputs, "--records", "corpus", required=True)
+    inputs.add_argument("--roster", required=True, type=Path)
+    inputs.add_argument("--scores", required=True, type=Path)
+    _config_option(inputs, "--lexicon-dir", "lexicon_dir")
+    _config_option(window, "--window-start", "window_start", required=True)
+    _config_option(window, "--window-end", "window_end", required=True)
+    _config_option(burst, "--threshold", "burst_threshold")
+    _config_option(burst, "--min-history", "min_history")
+
+    p = command("ingest", cmd_ingest, "parse a JSONL corpus into canonical form", [output])
     p.add_argument("--input", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
-    p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("graph", help="build the retweet graph edge list")
-    p.add_argument("--records", dest="corpus", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
-    p.set_defaults(handler=cmd_graph)
+    p = command("graph", cmd_graph, "build the retweet graph edge list", [output])
+    _config_option(p, "--records", "corpus", required=True)
 
-    p = sub.add_parser("communities", help="Louvain communities of the largest component")
+    p = command(
+        "communities", cmd_communities, "Louvain communities of the largest component",
+        [output, seed],
+    )
     p.add_argument("--edges", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=13)
-    p.set_defaults(handler=cmd_communities)
 
-    p = sub.add_parser("compare-partitions", help="Rand index and z-Rand of two partitions")
+    p = command("compare-partitions", cmd_compare, "Rand index and z-Rand of two partitions")
     p.add_argument("--left", required=True, type=Path)
     p.add_argument("--right", required=True, type=Path)
-    p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("sentinels", help="select most-retweeted accounts per community")
+    p = command(
+        "sentinels", cmd_sentinels, "select most-retweeted accounts per community",
+        [output, seed],
+    )
     p.add_argument("--edges", required=True, type=Path)
     p.add_argument("--partition", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--k", dest="sentinel_k", type=int, default=15)
-    p.add_argument("--top-m", type=int, default=50)
-    p.add_argument(
-        "--records", dest="corpus", type=Path, help="corpus for the language filter"
-    )
+    _config_option(p, "--k", "sentinel_k")
+    _config_option(p, "--top-m", "top_m")
+    _config_option(p, "--records", "corpus", help="corpus for the language filter")
+    # not the config's ascii: that filter needs --records, which is optional here
     p.add_argument("--language-filter", choices=["ascii", "none"], default="none")
-    p.add_argument("--english-threshold", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=13)
-    p.set_defaults(handler=cmd_sentinels)
+    _config_option(p, "--english-threshold", "english_threshold")
 
-    p = sub.add_parser("domains", help="community x domain link-fraction matrix")
-    p.add_argument("--records", dest="corpus", required=True, type=Path)
+    p = command("domains", cmd_domains, "community x domain link-fraction matrix", [output])
+    _config_option(p, "--records", "corpus", required=True)
     p.add_argument("--roster", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--split", type=parse_timestamp, help="keep tweets before this time")
-    p.add_argument("--min-count", dest="domain_min_count", type=int, default=10)
-    p.add_argument("--shorteners", type=Path, default=data_path("shorteners.txt"))
-    p.set_defaults(handler=cmd_domains)
+    _config_option(p, "--split", "split", help="keep tweets before this time")
+    _config_option(p, "--min-count", "domain_min_count")
+    _config_option(p, "--shorteners", "shorteners")
 
-    p = sub.add_parser("cluster", help="PCA scores and score clusters")
+    p = command("cluster", cmd_cluster, "PCA scores and score clusters")
     p.add_argument("--matrix", required=True, type=Path)
     p.add_argument("--scores-output", required=True, type=Path)
     p.add_argument("--loadings-output", type=Path)
-    p.add_argument("--clusters", dest="score_clusters", type=int, default=3)
-    p.add_argument("--anchor-domain")
-    p.set_defaults(handler=cmd_cluster)
+    _config_option(p, "--clusters", "score_clusters")
+    _config_option(p, "--anchor-domain", "anchor_domain")
 
-    p = sub.add_parser("topics", help="per-community topical tweet counts")
-    p.add_argument("--records", dest="corpus", required=True, type=Path)
+    p = command("topics", cmd_topics, "per-community topical tweet counts", [output])
+    _config_option(p, "--records", "corpus", required=True)
     p.add_argument("--roster", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--lexicon-dir", type=Path)
-    p.set_defaults(handler=cmd_topics)
+    _config_option(p, "--lexicon-dir", "lexicon_dir")
 
-    p = sub.add_parser("rates", help="per-capita and scaled topical tweet rates")
-    p.add_argument("--records", dest="corpus", required=True, type=Path)
-    p.add_argument("--roster", required=True, type=Path)
-    p.add_argument("--scores", required=True, type=Path)
-    p.add_argument("--window-start", required=True, type=date.fromisoformat)
-    p.add_argument("--window-end", required=True, type=date.fromisoformat)
-    p.add_argument("--output", required=True, type=Path)
+    p = command(
+        "rates", cmd_rates, "per-capita and scaled topical tweet rates",
+        [inputs, window, output],
+    )
     p.add_argument("--daily-output", type=Path)
-    p.add_argument("--lexicon-dir", type=Path)
-    p.set_defaults(handler=cmd_rates)
 
-    p = sub.add_parser("similarity", help="daily inter-cluster similarity series")
-    p.add_argument("--records", dest="corpus", required=True, type=Path)
-    p.add_argument("--roster", required=True, type=Path)
-    p.add_argument("--scores", required=True, type=Path)
-    p.add_argument("--window-start", required=True, type=date.fromisoformat)
-    p.add_argument("--window-end", required=True, type=date.fromisoformat)
-    p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--threshold", dest="burst_threshold", type=float, default=2.0)
-    p.add_argument("--min-history", type=int, default=7)
-    p.add_argument("--stopwords", type=Path, default=data_path("stopwords.txt"))
-    p.add_argument("--lexicon-dir", type=Path)
-    p.set_defaults(handler=cmd_similarity)
+    command(
+        "similarity", cmd_similarity, "daily inter-cluster similarity series",
+        [inputs, window, output, burst, stopwords],
+    )
 
-    p = sub.add_parser("flag", help="flag burst days from a similarity series")
+    p = command("flag", cmd_flag, "flag burst days from a similarity series", [burst])
     p.add_argument("--series", required=True, type=Path)
-    p.add_argument("--threshold", type=float, default=2.0)
-    p.add_argument("--min-history", type=int, default=7)
-    p.set_defaults(handler=cmd_flag)
 
-    p = sub.add_parser("lsa", help="topical tweets and driver confirmation for flagged days")
-    p.add_argument("--records", dest="corpus", required=True, type=Path)
-    p.add_argument("--roster", required=True, type=Path)
-    p.add_argument("--scores", required=True, type=Path)
+    p = command(
+        "lsa", cmd_lsa, "topical tweets and driver confirmation for flagged days",
+        [inputs, output, burst, stopwords],
+    )
     p.add_argument("--series", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
-    p.add_argument("--k", dest="lsa_k", type=int, default=5)
-    p.add_argument("--threshold", dest="burst_threshold", type=float, default=2.0)
-    p.add_argument("--min-history", type=int, default=7)
-    p.add_argument("--match-threshold", type=float, default=0.5)
-    p.add_argument("--stopwords", type=Path, default=data_path("stopwords.txt"))
-    p.add_argument("--lexicon-dir", type=Path)
-    p.set_defaults(handler=cmd_lsa)
+    _config_option(p, "--k", "lsa_k")
+    _config_option(p, "--match-threshold", "match_threshold")
 
-    p = sub.add_parser("stats", help="chi-square and Krippendorff alpha reports")
-    p.add_argument("--contingency", type=Path)
-    p.add_argument("--coding", type=Path)
-    p.set_defaults(handler=cmd_stats)
+    p = command("stats", cmd_stats, "chi-square and Krippendorff alpha reports")
+    _config_option(p, "--contingency", "contingency")
+    _config_option(p, "--coding", "coding")
 
-    p = sub.add_parser("run", help="run the full pipeline from a config file")
+    p = command("run", cmd_run, "run the full pipeline from a config file")
     p.add_argument("--config", required=True, type=Path)
-    p.set_defaults(handler=cmd_run)
 
-    p = sub.add_parser("sample", help="seeded stratified sample for human coding")
-    p.add_argument("--records", dest="corpus", required=True, type=Path)
-    p.add_argument("--roster", required=True, type=Path)
-    p.add_argument("--scores", required=True, type=Path)
-    p.add_argument("--output", required=True, type=Path)
+    p = command(
+        "sample", cmd_sample, "seeded stratified sample for human coding",
+        [inputs, output, seed],
+    )
     p.add_argument("--per-stratum", type=int, default=100)
-    p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--lexicon-dir", type=Path)
     p.add_argument(
         "--topics",
         nargs="*",
         default=["mortality", "facemasks", "hydroxychloroquine", "plandemic"],
     )
-    p.set_defaults(handler=cmd_sample)
 
     return parser
+
+
+def _config_option(parser: argparse.ArgumentParser, flag: str, name: str, **kwargs) -> None:
+    """Add ``flag`` setting config field ``name``, parsed and defaulted as in the config.
+
+    An unset path defaults to the packaged file the pipeline uses in its place.
+    """
+    default = FIELDS[name].default
+    default = PACKAGED.get(name, None if default is MISSING else default)
+    parser.add_argument(flag, dest=name, type=value_parser(name), default=default, **kwargs)
 
 
 # ---- handlers ----------------------------------------------------------
@@ -309,7 +301,7 @@ def cmd_similarity(args) -> int:
 
 def cmd_flag(args) -> int:
     for series in similarity_mod.read_series_csv(args.series):
-        flagged = similarity_mod.flag_days(series, args.threshold, args.min_history)
+        flagged = similarity_mod.flag_days(series, args.burst_threshold, args.min_history)
         days = " ".join(day.isoformat() for day in sorted(flagged))
         print(f"pair {series.pair[0]}-{series.pair[1]}: {days or '(none)'}")
     return 0

@@ -61,14 +61,6 @@ class Partition:
         )
 
 
-def singleton_partition(graph: RetweetGraph) -> Partition:
-    return Partition.from_assignment({node: node for node in graph.nodes})
-
-
-def one_community_partition(graph: RetweetGraph) -> Partition:
-    return Partition.from_assignment({node: 0 for node in graph.nodes})
-
-
 def modularity(graph: RetweetGraph, partition: Partition) -> float:
     """Directed weighted modularity of a partition.
 

@@ -1,12 +1,19 @@
-"""Pipeline configuration: flat key=value files with SENTINEL_* env overrides."""
+"""Pipeline configuration: flat key=value files with SENTINEL_* env overrides.
+
+:class:`PipelineConfig` is the only declaration of the run parameters. Each
+field's annotation gives its value type (``X | None`` when it may be left
+empty), a field without a default is required, and the config parser, the
+validation, the stage fingerprints and the CLI defaults all read them from
+there.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import date, datetime
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping, get_args, get_type_hints
 
 from .errors import ConfigError
 from .fileio import atomic_open
@@ -40,28 +47,43 @@ class PipelineConfig:
     contingency: Path | None = None
 
 
-_PATH_FIELDS = {"corpus", "output_dir", "stopwords", "shorteners", "lexicon_dir", "coding", "contingency"}
-_OPTIONAL_FIELDS = {"anchor_domain", "stopwords", "shorteners", "lexicon_dir", "coding", "contingency"}
-_INT_FIELDS = {"seed", "sentinel_k", "top_m", "domain_min_count", "score_clusters", "min_history", "lsa_k"}
-_FLOAT_FIELDS = {"burst_threshold", "match_threshold", "adf_alpha", "english_threshold"}
-_REQUIRED = ("corpus", "output_dir", "window_start", "window_end", "split")
+FIELDS = {f.name: f for f in fields(PipelineConfig)}
+_HINTS = get_type_hints(PipelineConfig)
+_OPTIONAL = {name for name, hint in _HINTS.items() if type(None) in get_args(hint)}
+# field -> value type, with any ``| None`` removed
+_TYPES: dict[str, type] = {
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in _HINTS.items()
+}
+# external input files, fingerprinted by content and checked to exist
+INPUT_FIELDS = tuple(
+    name for name, kind in _TYPES.items() if kind is Path and name != "output_dir"
+)
+_PARSERS: dict[type, Callable[[str], Any]] = {
+    int: int,
+    float: float,
+    str: str,
+    Path: Path,
+    date: date.fromisoformat,
+    datetime: parse_timestamp,
+}
+_FORMATTERS: dict[type, Callable[[Any], str]] = {
+    date: date.isoformat,
+    datetime: format_timestamp,
+}
+_ENV_PREFIX = "SENTINEL_"
+
+
+def value_parser(name: str) -> Callable[[str], Any]:
+    """The function that parses a text value of field ``name``."""
+    return _PARSERS[_TYPES[name]]
 
 
 def _convert(name: str, raw: str):
     value = raw.strip()
-    if value == "" and name in _OPTIONAL_FIELDS:
+    if value == "" and name in _OPTIONAL:
         return None
-    if name in _INT_FIELDS:
-        return int(value)
-    if name in _FLOAT_FIELDS:
-        return float(value)
-    if name in _PATH_FIELDS:
-        return Path(value)
-    if name in ("window_start", "window_end"):
-        return date.fromisoformat(value)
-    if name == "split":
-        return parse_timestamp(value)
-    return value
+    return value_parser(name)(value)
 
 
 def parse_config(
@@ -72,7 +94,6 @@ def parse_config(
     Relative paths resolve against ``base_dir`` when given (the config
     file's directory, normally).
     """
-    known = {f.name for f in fields(PipelineConfig)}
     raw: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -82,15 +103,19 @@ def parse_config(
             raise ConfigError(f"line {line_no}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in FIELDS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         raw[key] = value
     env = os.environ if env is None else env
-    for name in known:
-        override = env.get(f"SENTINEL_{name.upper()}")
-        if override is not None:
-            raw[name] = override
-    missing = [name for name in _REQUIRED if name not in raw]
+    by_variable = {f"{_ENV_PREFIX}{name.upper()}": name for name in FIELDS}
+    for variable, override in env.items():
+        if variable.startswith(_ENV_PREFIX):
+            if variable not in by_variable:
+                raise ConfigError(f"unknown environment variable {variable!r}")
+            raw[by_variable[variable]] = override
+    missing = [
+        name for name, f in FIELDS.items() if f.default is MISSING and name not in raw
+    ]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
     values = {}
@@ -100,8 +125,8 @@ def parse_config(
         except ValueError as exc:
             raise ConfigError(f"bad value for {name!r}: {exc}") from exc
     if base_dir is not None:
-        for name in _PATH_FIELDS:
-            if values.get(name) is not None and not Path(values[name]).is_absolute():
+        for name, kind in _TYPES.items():
+            if kind is Path and values.get(name) is not None and not values[name].is_absolute():
                 values[name] = base_dir / values[name]
     config = PipelineConfig(**values)
     validate_config(config)
@@ -114,21 +139,21 @@ def load_config(path: str | Path, env: Mapping[str, str] | None = None) -> Pipel
 
 
 def validate_config(config: PipelineConfig) -> None:
+    if config.split.utcoffset() is None:
+        raise ConfigError("split must carry a timezone")
     if config.window_start > config.window_end:
         raise ConfigError("window_start is after window_end")
     split_day = config.split.date()
     if not (config.window_start <= split_day <= config.window_end):
         raise ConfigError("split timestamp falls outside the observation window")
-    for name in _INT_FIELDS - {"seed"}:
-        if getattr(config, name) <= 0:
+    for name, kind in _TYPES.items():
+        if kind is int and name != "seed" and getattr(config, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     if config.language_filter not in ("ascii", "none"):
         raise ConfigError("language_filter must be ascii or none")
     if config.adf_alpha not in (0.01, 0.05, 0.10):
         raise ConfigError("adf_alpha must be 0.01, 0.05 or 0.10")
-    if not Path(config.corpus).exists():
-        raise ConfigError(f"corpus file not found: {config.corpus}")
-    for name in ("stopwords", "shorteners", "lexicon_dir", "coding", "contingency"):
+    for name in INPUT_FIELDS:
         value = getattr(config, name)
         if value is not None and not Path(value).exists():
             raise ConfigError(f"{name} path not found: {value}")
@@ -136,17 +161,10 @@ def validate_config(config: PipelineConfig) -> None:
 
 def serialize_config(config: PipelineConfig) -> str:
     lines = []
-    for field_info in fields(PipelineConfig):
-        value = getattr(config, field_info.name)
-        if value is None:
-            rendered = ""
-        elif field_info.name == "split":
-            rendered = format_timestamp(value)
-        elif isinstance(value, date):
-            rendered = value.isoformat()
-        else:
-            rendered = str(value)
-        lines.append(f"{field_info.name}={rendered}")
+    for name, kind in _TYPES.items():
+        value = getattr(config, name)
+        rendered = "" if value is None else _FORMATTERS.get(kind, str)(value)
+        lines.append(f"{name}={rendered}")
     return "\n".join(lines) + "\n"
 
 

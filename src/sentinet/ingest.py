@@ -39,10 +39,6 @@ class TweetRecord:
     urls: tuple[str, ...] = ()
 
     @property
-    def is_retweet(self) -> bool:
-        return self.retweeted_author_id is not None
-
-    @property
     def day(self):
         return self.created_at.date()
 
@@ -223,14 +219,14 @@ def trigrams(tokens: Sequence[str]) -> Iterator[Trigram]:
     return zip(tokens, tokens[1:], tokens[2:])
 
 
-def default_stopwords() -> frozenset[str]:
-    return load_wordlist(data_path("stopwords.txt"))
-
-
-def default_shorteners() -> frozenset[str]:
-    return load_wordlist(data_path("shorteners.txt"))
-
-
 def data_path(*relative: str) -> Path:
     """Path to a packaged data file."""
     return Path(__file__).parent / "data" / Path(*relative)
+
+
+# config path field -> the packaged file used when the field is unset
+PACKAGED = {
+    "stopwords": data_path("stopwords.txt"),
+    "shorteners": data_path("shorteners.txt"),
+    "lexicon_dir": data_path("lexicons"),
+}

@@ -41,13 +41,13 @@ from . import lsa as lsa_mod
 from . import similarity as similarity_mod
 from . import stats as stats_mod
 from . import topics as topics_mod
-from .config import PipelineConfig
+from .config import INPUT_FIELDS, PipelineConfig, validate_config
 from .errors import EmptyCorpusError, SentinetError, StageError
 from .fileio import atomic_open, write_json
 from .ingest import (
+    PACKAGED,
     ParseResult,
     TweetRecord,
-    data_path,
     load_wordlist,
     normalize_text,
     read_corpus,
@@ -62,17 +62,6 @@ from .sentinel import (
 )
 
 MANIFEST = "manifest.json"
-
-# config fields naming external input files; they are fingerprinted by content
-_INPUT_FIELDS = frozenset(
-    {"corpus", "stopwords", "shorteners", "lexicon_dir", "coding", "contingency"}
-)
-# packaged files used when an input field is unset
-_PACKAGED = {
-    "stopwords": data_path("stopwords.txt"),
-    "shorteners": data_path("shorteners.txt"),
-    "lexicon_dir": data_path("lexicons"),
-}
 
 
 @dataclass(frozen=True)
@@ -492,7 +481,11 @@ ARTIFACTS = {name: stage.files for name, stage in STAGES.items()}
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Bring every stage's artifacts in ``config.output_dir`` up to date."""
+    """Bring every stage's artifacts in ``config.output_dir`` up to date.
+
+    Raises :class:`ConfigError` for an invalid config before any stage runs.
+    """
+    validate_config(config)
     return _Runner(config).run()
 
 
@@ -570,7 +563,7 @@ def _stage_errors(stage: Stage, out: Path):
 def _params(config: PipelineConfig, names: Iterable[str]) -> SimpleNamespace:
     values = {name: getattr(config, name) for name in names}
     return SimpleNamespace(
-        **{name: _PACKAGED.get(name) if v is None else v for name, v in values.items()}
+        **{name: PACKAGED.get(name) if v is None else v for name, v in values.items()}
     )
 
 
@@ -578,7 +571,7 @@ def _fingerprint(stage: Stage, params: SimpleNamespace, upstream: Sequence[str])
     digest = hashlib.sha256(stage.name.encode())
     for name in stage.reads:
         v = getattr(params, name)
-        rendered = _content_hash(Path(v)) if name in _INPUT_FIELDS and v is not None else repr(v)
+        rendered = _content_hash(Path(v)) if name in INPUT_FIELDS and v is not None else repr(v)
         digest.update(f"\n{name}={rendered}".encode())
     for fingerprint in upstream:
         digest.update(f"\n{fingerprint}".encode())

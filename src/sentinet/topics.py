@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .community import Label
 from .errors import ParameterError
 from .fileio import atomic_open
-from .ingest import TweetRecord, data_path
+from .ingest import PACKAGED, TweetRecord
 from .sentinel import ActivityLedger
 
 
@@ -63,7 +63,7 @@ def load_lexicons(directory: str | Path | None = None) -> dict[str, TopicLexicon
     A directory override must contain the same file names as the packaged
     tree; parent relationships are fixed by :data:`DEFAULT_TOPIC_TREE`.
     """
-    base = Path(directory) if directory is not None else data_path("lexicons")
+    base = Path(PACKAGED["lexicon_dir"] if directory is None else directory)
     lexicons = {}
     for name, (filename, parent) in DEFAULT_TOPIC_TREE.items():
         lexicons[name] = load_lexicon(base / filename, name, parent)

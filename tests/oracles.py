@@ -12,6 +12,18 @@ from fractions import Fraction
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
+from sentinet.community import Partition
+
+
+def singleton_partition(graph) -> Partition:
+    """Every node in a community of its own."""
+    return Partition.from_assignment({node: node for node in graph.nodes})
+
+
+def one_community_partition(graph) -> Partition:
+    """Every node in one community."""
+    return Partition.from_assignment({node: 0 for node in graph.nodes})
+
 
 def modularity_direct(graph, partition) -> float:
     """Directed modularity as an explicit double sum over node pairs."""

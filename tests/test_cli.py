@@ -1,12 +1,14 @@
+import argparse
 import csv
 import json
+from dataclasses import MISSING, fields
 from types import SimpleNamespace
 
 import pytest
 
-from sentinet.cli import main
+from sentinet.cli import build_parser, main
 from sentinet.config import serialize_config, PipelineConfig
-from sentinet.ingest import write_corpus
+from sentinet.ingest import PACKAGED, write_corpus
 from sentinet.pipeline import STAGES, run_pipeline
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 
@@ -212,6 +214,32 @@ class TestStageCommands:
         code = main(["ingest", "--input", str(empty), "--output", str(tmp_path / "o")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestStageDefaults:
+    def test_config_options_default_as_in_the_config(self):
+        defaults = {
+            field.name: None if field.default is MISSING else field.default
+            for field in fields(PipelineConfig)
+        }
+        defaults.update(PACKAGED)
+        (commands,) = (
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        seen = set()
+        for command, parser in commands.items():
+            for action in parser._actions:
+                if action.dest not in defaults:
+                    continue
+                seen.add(action.dest)
+                expected = defaults[action.dest]
+                if (command, action.dest) == ("sentinels", "language_filter"):
+                    expected = "none"  # the ascii filter needs the optional --records
+                assert parser.get_default(action.dest) == expected, (command, action.dest)
+        assert "burst_threshold" in {action.dest for action in commands["flag"]._actions}
+        assert seen == defaults.keys() - {"output_dir", "adf_alpha"}
 
 
 class TestCliMatchesPipeline:

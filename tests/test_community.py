@@ -11,11 +11,9 @@ from sentinet.community import (
     louvain,
     louvain_phase_partitions,
     modularity,
-    one_community_partition,
     rand_index,
     read_partition,
     restrict_to_common,
-    singleton_partition,
     write_partition,
     z_rand,
 )
@@ -42,7 +40,7 @@ class TestModularity:
     @given(retweet_graphs())
     @settings(max_examples=100)
     def test_one_community_is_exactly_zero(self, graph):
-        assert modularity(graph, one_community_partition(graph)) == pytest.approx(
+        assert modularity(graph, oracles.one_community_partition(graph)) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -52,7 +50,7 @@ class TestModularity:
         expected = -sum(
             graph.w_in[node] * graph.w_out[node] for node in graph.nodes
         ) / graph.w**2
-        assert modularity(graph, singleton_partition(graph)) == pytest.approx(
+        assert modularity(graph, oracles.singleton_partition(graph)) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -143,7 +141,7 @@ class TestLouvain:
     @settings(max_examples=40, deadline=None)
     def test_never_below_singletons_and_never_above_exhaustive(self, graph):
         found = modularity(graph, louvain(graph, seed=5))
-        assert found >= modularity(graph, singleton_partition(graph)) - 1e-12
+        assert found >= modularity(graph, oracles.singleton_partition(graph)) - 1e-12
         assert found <= oracles.exhaustive_best_modularity(graph) + 1e-12
 
     @given(retweet_graphs())

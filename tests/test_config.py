@@ -1,9 +1,12 @@
-from datetime import date, datetime, timezone
+from dataclasses import MISSING, fields
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
 from sentinet.config import (
+    PipelineConfig,
     load_config,
     parse_config,
     serialize_config,
@@ -55,6 +58,21 @@ class TestParseConfig:
         config = parse_config(text, env={"SENTINEL_SEED": "99"})
         assert config.seed == 99
 
+    @pytest.mark.parametrize(
+        "variable", ["SENTINEL_BURST_TRESHOLD", "SENTINEL_LINKAGE", "SENTINEL_seed"]
+    )
+    def test_unknown_env_variable_rejected(self, tmp_path, corpus_file, variable):
+        text = minimal_text(corpus_file, tmp_path / "out")
+        with pytest.raises(ConfigError, match=variable):
+            parse_config(text, env={variable: "9"})
+
+    def test_only_optional_keys_may_be_empty(self, tmp_path, corpus_file):
+        text = minimal_text(corpus_file, tmp_path / "out")
+        config = parse_config(text + "anchor_domain=\nstopwords= \n", env={})
+        assert config.anchor_domain is None and config.stopwords is None
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(text + "seed=\n", env={})
+
     def test_split_outside_window(self, tmp_path, corpus_file):
         text = minimal_text(corpus_file, tmp_path / "out").replace(
             "split=2020-07-21T00:00:00Z", "split=2020-09-01T00:00:00Z"
@@ -105,3 +123,45 @@ class TestParseConfig:
         text = serialize_config(config)
         for name in ("corpus", "seed", "burst_threshold", "adf_alpha"):
             assert f"{name}=" in text
+
+    @pytest.mark.parametrize("paths_set", [True, False], ids=["paths-set", "paths-unset"])
+    def test_every_field_roundtrips_as_its_annotated_type(self, tmp_path, corpus_file, paths_set):
+        paths = {}
+        if paths_set:
+            for name in ("stopwords", "shorteners", "coding", "contingency"):
+                paths[name] = tmp_path / f"{name}.txt"
+                paths[name].write_text("x\n")
+            paths["lexicon_dir"] = tmp_path / "lexicons"
+            paths["lexicon_dir"].mkdir()
+        config = PipelineConfig(
+            corpus=corpus_file,
+            output_dir=tmp_path / "out",
+            window_start=date(2020, 6, 2),
+            window_end=date(2020, 8, 30),
+            split=datetime(2020, 7, 21, 22, 30, 5, tzinfo=timezone(timedelta(hours=-4))),
+            seed=7,
+            sentinel_k=4,
+            top_m=9,
+            domain_min_count=3,
+            score_clusters=2,
+            burst_threshold=2.5,
+            min_history=5,
+            lsa_k=3,
+            match_threshold=0.25,
+            anchor_domain="foxnews.com",
+            adf_alpha=0.01,
+            language_filter="none",
+            english_threshold=0.75,
+            **paths,
+        )
+        unset = {"stopwords", "shorteners", "lexicon_dir", "coding", "contingency"} - paths.keys()
+        for field in fields(PipelineConfig):
+            if field.default is not MISSING and field.name not in unset:
+                assert getattr(config, field.name) != field.default, field.name
+        parsed = parse_config(serialize_config(config), env={})
+        assert parsed == config
+        hints = get_type_hints(PipelineConfig)
+        for field in fields(PipelineConfig):
+            value = getattr(parsed, field.name)
+            assert isinstance(value, get_args(hints[field.name]) or hints[field.name]), field.name
+            assert (value is None) == (field.name in unset), field.name

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from sentinet.errors import EmptyCorpusError, UrlParseError
 from sentinet.ingest import (
-    default_shorteners,
-    default_stopwords,
+    PACKAGED,
     extract_domain,
+    load_wordlist,
     normalize_text,
     parse_tweet_stream,
     write_corpus,
@@ -114,7 +114,7 @@ class TestExtractDomain:
         assert extract_domain("http://bit.ly/abc", frozenset({"bit.ly"})) is None
 
     def test_default_shortener_list(self):
-        shorteners = default_shorteners()
+        shorteners = load_wordlist(PACKAGED["shorteners"])
         assert extract_domain("https://t.co/xyz", shorteners) is None
         assert extract_domain("https://example.com/a", shorteners) == "example.com"
 
@@ -161,7 +161,7 @@ class TestNormalizeText:
         assert doc.tokens == ("covid", "spreading")
 
     def test_default_stopwords_drop_rt(self):
-        doc = normalize_text("RT @x: the lockdown ends", default_stopwords())
+        doc = normalize_text("RT @x: the lockdown ends", load_wordlist(PACKAGED["stopwords"]))
         assert doc.tokens == ("lockdown", "ends")
 
     @given(st.text(max_size=200))

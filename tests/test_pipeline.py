@@ -10,7 +10,7 @@ import pytest
 
 from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
-from sentinet.errors import StageError
+from sentinet.errors import ConfigError, StageError
 from sentinet.ingest import normalize_text, read_corpus, write_corpus
 from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline, stratified_coding_sample
 from sentinet.sentinel import read_roster
@@ -254,6 +254,18 @@ class TestRunPipeline:
         run_pipeline(changed)
         manifest = json.loads((workdir / "manifest.json").read_text())
         assert {"lsa", "meta"} <= manifest.keys()
+
+    @pytest.mark.parametrize("invalid", ["naive-split", "zero-sentinel-k"])
+    def test_invalid_config_fails_before_any_stage(self, synthetic, tmp_path, invalid):
+        config, _, _ = synthetic
+        change = {
+            "naive-split": {"split": config.split.replace(tzinfo=None)},
+            "zero-sentinel-k": {"sentinel_k": 0},
+        }[invalid]
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError):
+            run_pipeline(replace(config, output_dir=out, **change))
+        assert not (out / MANIFEST).exists()
 
     def test_empty_corpus_fails_at_ingest(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"

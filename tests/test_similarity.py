@@ -13,7 +13,7 @@ from sentinet.errors import (
     ParameterError,
     UndefinedStatisticError,
 )
-from sentinet.ingest import TokenDoc, default_stopwords, normalize_text
+from sentinet.ingest import PACKAGED, TokenDoc, load_wordlist, normalize_text
 from sentinet.similarity import (
     CommunityDayDoc,
     SimilaritySeries,
@@ -285,7 +285,7 @@ NORMALIZE_EXAMPLES = [
     (" ".join(f"word{i}" for i in range(50)), frozenset()),
     ("", frozenset()),
     ("#covid spreading", frozenset()),
-    ("RT @x: the lockdown ends", default_stopwords()),
+    ("RT @x: the lockdown ends", load_wordlist(PACKAGED["stopwords"])),
     ("see www.example.org/x?y=1 and http only", frozenset()),
     ("covid cases rise covid cases rise", frozenset()),
 ]
