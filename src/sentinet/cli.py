@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import MISSING
 from pathlib import Path
@@ -16,7 +15,7 @@ from . import topics as topics_mod
 from .config import FIELDS, load_config, value_parser
 from .domains import read_scores_csv
 from .errors import SentinetError, StageError
-from .fileio import atomic_open, write_json
+from .fileio import write_csv, write_json
 from .ingest import PACKAGED, read_corpus, write_corpus
 from .pipeline import STAGES, run_pipeline, stratified_coding_sample
 from .sentinel import read_roster, write_roster
@@ -355,20 +354,14 @@ def cmd_sample(args) -> int:
                 (community, record) for record in per_topic[topic]
             )
     rows = stratified_coding_sample(strata, per_stratum=args.per_stratum, seed=args.seed)
-    with atomic_open(args.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["cluster", "topic", "community", "tweet_id", "created_at", "text"])
-        for cluster, topic, community, record in rows:
-            writer.writerow(
-                [
-                    cluster,
-                    topic,
-                    community,
-                    record.tweet_id,
-                    record.created_at.isoformat(),
-                    record.text,
-                ]
-            )
+    write_csv(
+        args.output,
+        ["cluster", "topic", "community", "tweet_id", "created_at", "text"],
+        (
+            [cluster, topic, community, r.tweet_id, r.created_at.isoformat(), r.text]
+            for cluster, topic, community, r in rows
+        ),
+    )
     print(f"sampled {len(rows)} tweets across {len(strata)} strata")
     return 0
 

@@ -124,13 +124,14 @@ def louvain_phase_partitions(graph: RetweetGraph, seed: int = 0) -> list[Partiti
         count = len(groups)
         w_in = [0.0] * count
         w_out = [0.0] * count
-        out_adj: list[dict[int, float]] = [dict() for _ in range(count)]
-        in_adj: list[dict[int, float]] = [dict() for _ in range(count)]
+        # arc weight between two supernodes, both directions summed; no self-loops
+        neighbours: list[defaultdict[int, float]] = [defaultdict(float) for _ in range(count)]
         for (source, retweeter), weight in arcs.items():
             w_in[source] += weight
             w_out[retweeter] += weight
-            out_adj[source][retweeter] = out_adj[source].get(retweeter, 0.0) + weight
-            in_adj[retweeter][source] = in_adj[retweeter].get(source, 0.0) + weight
+            if source != retweeter:
+                neighbours[source][retweeter] += weight
+                neighbours[retweeter][source] += weight
 
         labels = list(range(count))
         sum_in = w_in[:]
@@ -142,35 +143,26 @@ def louvain_phase_partitions(graph: RetweetGraph, seed: int = 0) -> list[Partiti
             rng.shuffle(order)
             for node in order:
                 home = labels[node]
-                link: dict[int, float] = defaultdict(float)
-                for other, weight in out_adj[node].items():
-                    if other != node:
-                        link[labels[other]] += weight
-                for other, weight in in_adj[node].items():
-                    if other != node:
-                        link[labels[other]] += weight
-                sum_in[home] -= w_in[node]
-                sum_out[home] -= w_out[node]
-
-                def gain(community: int) -> float:
-                    null = (
-                        w_in[node] * sum_out[community]
-                        + w_out[node] * sum_in[community]
-                    ) / total_weight
-                    return link.get(community, 0.0) - null
-
+                link: defaultdict[int, float] = defaultdict(float)
+                for other, weight in neighbours[node].items():
+                    link[labels[other]] += weight
+                node_in, node_out = w_in[node], w_out[node]
+                sum_in[home] -= node_in
+                sum_out[home] -= node_out
+                # home first, so a move needs a strictly larger gain
                 best_label = home
-                best_gain = gain(home)
-                for candidate in sorted(link):
-                    if candidate == home:
-                        continue
-                    candidate_gain = gain(candidate)
-                    if candidate_gain > best_gain:
-                        best_gain = candidate_gain
+                best_gain = -math.inf
+                for candidate in (home, *sorted(link)):
+                    null = (
+                        node_in * sum_out[candidate] + node_out * sum_in[candidate]
+                    ) / total_weight
+                    gain = link.get(candidate, 0.0) - null
+                    if gain > best_gain:
+                        best_gain = gain
                         best_label = candidate
                 labels[node] = best_label
-                sum_in[best_label] += w_in[node]
-                sum_out[best_label] += w_out[node]
+                sum_in[best_label] += node_in
+                sum_out[best_label] += node_out
                 if best_label != home:
                     moved = True
                     moved_in_phase = True

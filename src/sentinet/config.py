@@ -9,6 +9,7 @@ there.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import MISSING, dataclass, fields
 from datetime import date, datetime
@@ -147,8 +148,17 @@ def validate_config(config: PipelineConfig) -> None:
     if not (config.window_start <= split_day <= config.window_end):
         raise ConfigError("split timestamp falls outside the observation window")
     for name, kind in _TYPES.items():
-        if kind is int and name != "seed" and getattr(config, name) <= 0:
+        value = getattr(config, name)
+        if kind is int and name != "seed" and value <= 0:
             raise ConfigError(f"{name} must be positive")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite")
+    if config.burst_threshold <= 0:
+        raise ConfigError("burst_threshold must be positive")
+    if not 0 < config.match_threshold <= 1:
+        raise ConfigError("match_threshold must be in (0, 1]")
+    if not 0 <= config.english_threshold <= 1:
+        raise ConfigError("english_threshold must be in [0, 1]")
     if config.language_filter not in ("ascii", "none"):
         raise ConfigError("language_filter must be ascii or none")
     if config.adf_alpha not in (0.01, 0.05, 0.10):

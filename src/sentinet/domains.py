@@ -7,7 +7,6 @@ cluster assignment from merging adjacent groups of the sorted scores.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -23,7 +22,7 @@ from .errors import (
     UrlParseError,
     ZeroVarianceError,
 )
-from .fileio import atomic_open
+from .fileio import read_csv, write_csv
 from .ingest import TweetRecord, extract_domain
 
 
@@ -51,7 +50,6 @@ class LinkedDomainScore:
     domains: tuple[str, ...]
     loadings: np.ndarray
     scores: Mapping[Label, float]
-    sign_anchor: str | None
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,6 @@ def first_principal_component(
         domains=matrix.domains,
         loadings=loadings,
         scores=scores,
-        sign_anchor=anchor_domain,
     )
 
 
@@ -212,32 +209,29 @@ def cluster_scores(
 
 
 def write_matrix_csv(matrix: DomainMatrix, path: str | Path) -> None:
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["community", "retained_links"] + list(matrix.domains))
-        for i, label in enumerate(matrix.communities):
-            writer.writerow(
-                [label, matrix.retained_totals[i]]
-                + [repr(float(v)) for v in matrix.values[i]]
+    write_csv(
+        path,
+        ["community", "retained_links", *matrix.domains],
+        (
+            [label, total, *row]
+            for label, total, row in zip(
+                matrix.communities, matrix.retained_totals, matrix.values.tolist()
             )
+        ),
+    )
 
 
 def read_matrix_csv(source: str | Path) -> DomainMatrix:
-    with open(source, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    domains = tuple(rows[0][2:])
-    communities = []
-    totals = []
-    values = []
-    for row in rows[1:]:
-        communities.append(row[0])
-        totals.append(int(row[1]))
-        values.append([float(v) for v in row[2:]])
+    header, *rows = read_csv(source)
+    domains = tuple(header[2:])
+    communities = tuple(row[0] for row in rows)
+    totals = tuple(int(row[1]) for row in rows)
+    values = [[float(v) for v in row[2:]] for row in rows]
     return DomainMatrix(
-        communities=tuple(communities),
+        communities=communities,
         domains=domains,
         values=np.array(values) if values else np.zeros((0, len(domains))),
-        retained_totals=tuple(totals),
+        retained_totals=totals,
         zero_link_communities=tuple(
             label for label, total in zip(communities, totals) if total == 0
         ),
@@ -248,28 +242,25 @@ def read_matrix_csv(source: str | Path) -> DomainMatrix:
 def write_scores_csv(
     scores: LinkedDomainScore, clusters: ClusterAssignment, path: str | Path
 ) -> None:
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["community", "score", "cluster"])
-        for label in sorted(scores.scores, key=str):
-            writer.writerow(
-                [label, repr(scores.scores[label]), clusters.assignment[label]]
-            )
+    write_csv(
+        path,
+        ["community", "score", "cluster"],
+        (
+            [label, scores.scores[label], clusters.assignment[label]]
+            for label in sorted(scores.scores, key=str)
+        ),
+    )
 
 
 def read_scores_csv(path: str | Path) -> tuple[dict[str, float], dict[str, int]]:
     """Community -> score and community -> cluster, from :func:`write_scores_csv`."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    scores = {row["community"]: float(row["score"]) for row in rows}
-    clusters = {row["community"]: int(row["cluster"]) for row in rows}
+    _, *rows = read_csv(path)
+    scores = {community: float(score) for community, score, _ in rows}
+    clusters = {community: int(cluster) for community, _, cluster in rows}
     return scores, clusters
 
 
 def write_loadings_csv(scores: LinkedDomainScore, path: str | Path) -> None:
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["domain", "loading"])
-        order = np.argsort(-scores.loadings, kind="stable")
-        for j in order:
-            writer.writerow([scores.domains[int(j)], repr(float(scores.loadings[int(j)]))])
+    loadings = scores.loadings.tolist()
+    order = np.argsort(-scores.loadings, kind="stable").tolist()
+    write_csv(path, ["domain", "loading"], ([scores.domains[j], loadings[j]] for j in order))

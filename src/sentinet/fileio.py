@@ -1,18 +1,23 @@
-"""Atomic artifact writes.
+"""Artifact I/O: atomic writes, CSV tables and ``#``-comment lists.
 
 Every artifact is streamed into a temporary file in its target's directory
 and renamed over the target only when the whole body has been written, so a
 crash or an exception mid-write leaves the previous artifact (or none) in
 place, never a truncated one.
+
+Tables are comma-separated with ``\n`` line ends. An empty field is a
+missing value (None), and a float is written in its shortest round-trip
+form, so reading it back with ``float`` gives the same bits.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 
 @contextmanager
@@ -38,3 +43,24 @@ def write_json(payload, path: str | Path) -> None:
     with atomic_open(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, ensure_ascii=False)
         handle.write("\n")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row; None is written as an empty field."""
+    with atomic_open(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path: str | Path) -> list[list[str]]:
+    """Every row of a CSV file, the header included, as lists of text cells."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The stripped lines of a UTF-8 list file that are neither blank nor '#' comments."""
+    with open(path, encoding="utf-8") as handle:
+        stripped = (line.strip() for line in handle)
+        return [line for line in stripped if line and not line.startswith("#")]

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import EmptyCorpusError, UrlParseError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_lines
 
 Trigram = tuple[str, str, str]
 
@@ -159,13 +159,7 @@ def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Load a one-entry-per-line UTF-8 word list; '#' starts a comment line."""
-    entries = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                entries.append(line.lower())
-    return frozenset(entries)
+    return frozenset(line.lower() for line in read_lines(path))
 
 
 def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | None:

@@ -11,7 +11,7 @@ score recomputed to confirm they drove the day.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Mapping, Sequence
 
@@ -23,8 +23,6 @@ from .community import Label
 from .ingest import TokenDoc
 from .similarity import (
     SimilaritySeries,
-    SD_FLOOR,
-    _history_stats,
     burst_score,
     doc_from_tweets,
     intercluster_similarity,
@@ -39,8 +37,6 @@ _DENSE_CUTOFF = 400
 class TopicalExtraction:
     """Tweets selected per document singular vector, and their union."""
 
-    day: date | None
-    cluster: Label | None
     singular_values: tuple[float, ...]
     per_vector: tuple[frozenset[str], ...]
     topical_ids: frozenset[str]
@@ -101,10 +97,7 @@ def _gap_select(magnitudes: np.ndarray) -> int:
 
 
 def lsa_topical_tweets(
-    tweet_docs: Sequence[tuple[str, TokenDoc]],
-    k: int = 5,
-    day: date | None = None,
-    cluster: Label | None = None,
+    tweet_docs: Sequence[tuple[str, TokenDoc]], k: int = 5
 ) -> TopicalExtraction:
     """Select topical tweets from the top-k document singular vectors.
 
@@ -115,13 +108,7 @@ def lsa_topical_tweets(
     ids = [tweet_id for tweet_id, doc in tweet_docs if doc.trigram_counts]
     docs = [doc for _, doc in tweet_docs if doc.trigram_counts]
     if not docs:
-        return TopicalExtraction(
-            day=day,
-            cluster=cluster,
-            singular_values=(),
-            per_vector=(),
-            topical_ids=frozenset(),
-        )
+        return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
     vocabulary = sorted({tri for doc in docs for tri in doc.trigram_counts})
     column_of = {tri: j for j, tri in enumerate(vocabulary)}
     columns = [column_of[tri] for doc in docs for tri in doc.trigram_counts]
@@ -142,8 +129,6 @@ def lsa_topical_tweets(
         per_vector.append(frozenset(ids[int(i)] for i in order[:keep]))
     topical = frozenset().union(*per_vector) if per_vector else frozenset()
     return TopicalExtraction(
-        day=day,
-        cluster=cluster,
         singular_values=tuple(float(x) for x in s),
         per_vector=tuple(per_vector),
         topical_ids=topical,
@@ -203,11 +188,8 @@ def confirm_drivers(
     reduced_a = _reduced_docs(tweets_a, common_a, day)
     reduced_b = _reduced_docs(tweets_b, common_b, day)
     new_s = intercluster_similarity(reduced_a, reduced_b)
-    count, mean, sd = _history_stats(series.values, index)
-    if new_s is None or count < min_history or sd <= SD_FLOOR:
-        new_h = None
-    else:
-        new_h = (new_s - mean) / sd
+    values = series.values[:index] + (new_s,) + series.values[index + 1 :]
+    new_h = burst_score(replace(series, values=values), index, min_history)
     is_driver = new_h is None or new_h < flag_threshold
     return DriverConfirmation(
         is_driver=is_driver,

@@ -7,16 +7,18 @@ reads, the upstream stages whose values it takes, a pure ``build``, the
 ``write`` that persists its artifacts and, where the artifacts can be read
 back, a ``load``. The stage subcommands of the CLI call the same builds.
 
-A stage's fingerprint is a sha256 of its name, the values of the config
-fields it reads (external input files by content, never by path) and its
-upstream fingerprints. ``manifest.json`` in the output directory records the
-fingerprint of every stage whose artifacts were written. A rerun rebuilds a
-stage when its fingerprint differs from the recorded one or an artifact is
-missing, and leaves it untouched otherwise; an up-to-date stage is loaded
-only when a rebuilt stage needs its value. Artifacts are written atomically,
-and a stage's manifest entry is dropped before its artifacts are replaced,
-so a crash never leaves partial output that counts as done. Given a fixed
-seed the whole artifact tree is byte-stable.
+A stage's fingerprint is a sha256 of its name, a digest of the package's
+own modules and data files (so a code change rebuilds every stage), the
+values of the config fields it reads (external input files by content,
+never by path) and its upstream fingerprints. ``manifest.json`` in the
+output directory records the fingerprint of every stage whose artifacts
+were written. A rerun rebuilds a stage when its fingerprint differs from
+the recorded one or an artifact is missing, and leaves it untouched
+otherwise; an up-to-date stage is loaded only when a rebuilt stage needs
+its value. Artifacts are written atomically, and a stage's manifest entry
+is dropped before its artifacts are replaced, so a crash never leaves
+partial output that counts as done. Given a fixed seed the whole artifact
+tree is byte-stable.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, timedelta
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -265,10 +267,8 @@ def _build_lsa(params, series_list, topics, cluster) -> dict:
                 lsa_mod.lsa_topical_tweets(
                     [t for c in sorted(by_community) for t in by_community[c]],
                     k=params.lsa_k,
-                    day=day,
-                    cluster=side,
                 )
-                for side, by_community in zip(series.pair, tweets)
+                for by_community in tweets
             ]
             confirmation = lsa_mod.confirm_drivers(
                 series,
@@ -569,6 +569,7 @@ def _params(config: PipelineConfig, names: Iterable[str]) -> SimpleNamespace:
 
 def _fingerprint(stage: Stage, params: SimpleNamespace, upstream: Sequence[str]) -> str:
     digest = hashlib.sha256(stage.name.encode())
+    digest.update(f"\ncode={_code_digest()}".encode())
     for name in stage.reads:
         v = getattr(params, name)
         rendered = _content_hash(Path(v)) if name in INPUT_FIELDS and v is not None else repr(v)
@@ -576,6 +577,19 @@ def _fingerprint(stage: Stage, params: SimpleNamespace, upstream: Sequence[str])
     for fingerprint in upstream:
         digest.update(f"\n{fingerprint}".encode())
     return digest.hexdigest()
+
+
+@cache
+def _code_digest() -> str:
+    """sha256 of the package's modules and packaged data, by name and content."""
+    package = Path(__file__).parent
+    files = [*package.glob("*.py"), *(package / "data").rglob("*")]
+    listing = "".join(
+        f"{name.as_posix()}:{_content_hash(package / name)}\n"
+        for name in sorted(path.relative_to(package) for path in files if path.is_file())
+        if "__pycache__" not in name.parts
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 def _content_hash(path: Path) -> str:

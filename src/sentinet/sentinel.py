@@ -21,6 +21,8 @@ from .graph import RetweetGraph
 from .ingest import TweetRecord
 
 LanguageFilter = Callable[[Label, frozenset[str]], bool]
+# tweets per community that the ascii language filter inspects
+LANGUAGE_SAMPLE_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class SentinelSet(Mapping):
     community label -> (account, in-degree) entries.
     """
 
-    k: int
     members: Mapping[Label, tuple[tuple[str, int], ...]]
     coverage: Mapping[Label, float]
     considered: tuple[Label, ...]
@@ -44,12 +45,6 @@ class SentinelSet(Mapping):
 
     def __len__(self) -> int:
         return len(self.considered)
-
-    @property
-    def accounts(self) -> frozenset[str]:
-        return frozenset(
-            account for roster in self.members.values() for account, _ in roster
-        )
 
 
 def select_sentinels(
@@ -86,22 +81,20 @@ def select_sentinels(
         members[label] = tuple(selected)
         # A community whose members were never retweeted has nothing to cover.
         coverage[label] = selected_total / community_total if community_total else 1.0
-    return SentinelSet(
-        k=k, members=members, coverage=coverage, considered=tuple(considered)
-    )
+    return SentinelSet(members=members, coverage=coverage, considered=tuple(considered))
 
 
 def ascii_language_filter(
     records_by_author: Mapping[str, Sequence[TweetRecord]],
     english_threshold: float = 0.8,
-    sample_size: int = 100,
     seed: int = 0,
 ) -> LanguageFilter:
     """Crude stand-in for a language-detection service.
 
-    Samples up to ``sample_size`` tweets from the community and passes it
-    when at least ``english_threshold`` of them are mostly ASCII text. Meant
-    to be replaced by a real classifier through the same predicate interface.
+    Samples up to :data:`LANGUAGE_SAMPLE_SIZE` tweets from the community and
+    passes it when at least ``english_threshold`` of them are mostly ASCII
+    text. Meant to be replaced by a real classifier through the same
+    predicate interface.
     """
 
     def tweet_is_asciiish(text: str) -> bool:
@@ -121,8 +114,8 @@ def ascii_language_filter(
             return False
         # str seeding hashes with sha512, so sampling is stable across processes
         rng = random.Random(f"{seed}:{label}")
-        if len(texts) > sample_size:
-            texts = rng.sample(texts, sample_size)
+        if len(texts) > LANGUAGE_SAMPLE_SIZE:
+            texts = rng.sample(texts, LANGUAGE_SAMPLE_SIZE)
         passing = sum(1 for text in texts if tweet_is_asciiish(text))
         return passing / len(texts) >= english_threshold
 

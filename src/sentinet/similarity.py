@@ -16,11 +16,11 @@ threshold are marked as potential content-spread events.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     UndefinedStatisticError,
 )
-from .fileio import atomic_open
+from .fileio import read_csv, read_lines, write_csv
 from .ingest import TokenDoc, Trigram, TweetRecord, data_path, normalize_text, trigrams
 
 SD_FLOOR = 1e-12
@@ -204,17 +204,6 @@ def similarity_series(
     return SimilaritySeries(pair=pair, days=tuple(days), values=tuple(values))
 
 
-def _history_stats(
-    values: Sequence[float | None], index: int
-) -> tuple[int, float, float]:
-    prior = [v for v in values[:index] if v is not None]
-    if not prior:
-        return 0, 0.0, 0.0
-    mean = sum(prior) / len(prior)
-    variance = sum((v - mean) ** 2 for v in prior) / len(prior)
-    return len(prior), mean, math.sqrt(variance)
-
-
 def burst_score(
     series: SimilaritySeries, t: date | int, min_history: int = 7
 ) -> float | None:
@@ -227,10 +216,12 @@ def burst_score(
     """
     index = t if isinstance(t, int) else series.index_of(t)
     value = series.values[index]
-    if value is None:
+    prior = [v for v in series.values[:index] if v is not None]
+    if value is None or not prior or len(prior) < min_history:
         return None
-    count, mean, sd = _history_stats(series.values, index)
-    if count < min_history or sd <= SD_FLOOR:
+    mean = sum(prior) / len(prior)
+    sd = math.sqrt(sum((v - mean) ** 2 for v in prior) / len(prior))
+    if sd <= SD_FLOOR:
         return None
     return (value - mean) / sd
 
@@ -269,26 +260,13 @@ class AdfResult:
 
 
 _ADF_LEVELS = {0.01: 1, 0.05: 2, 0.10: 3, "1%": 1, "5%": 2, "10%": 3}
-_adf_table_cache: list[tuple[float, float, float, float]] | None = None
 
 
-def _adf_table() -> list[tuple[float, float, float, float]]:
-    global _adf_table_cache
-    if _adf_table_cache is None:
-        rows = []
-        with open(data_path("adf_critical_values.csv"), encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                size, cv1, cv5, cv10 = line.split(",")
-                rows.append(
-                    (float("inf") if size == "inf" else float(size),
-                     float(cv1), float(cv5), float(cv10))
-                )
-        rows.sort(key=lambda r: r[0])
-        _adf_table_cache = rows
-    return _adf_table_cache
+@cache
+def _adf_table() -> list[tuple[float, ...]]:
+    """(sample size, 1%, 5%, 10% critical values) rows by ascending size."""
+    rows = read_lines(data_path("adf_critical_values.csv"))
+    return sorted(tuple(map(float, line.split(","))) for line in rows)
 
 
 def adf_critical_value(nobs: int, alpha: float | str = 0.05) -> float:
@@ -358,34 +336,32 @@ def write_series_csv(
     min_history: int = 7,
 ) -> None:
     """Export day,pair,s,valid,H,flagged rows for a set of cluster pairs."""
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["day", "pair", "s", "valid", "H", "flagged"])
-        for series in series_list:
-            scores = burst_scores(series, min_history)
-            pair_name = f"{series.pair[0]}-{series.pair[1]}"
-            for day, value, score in zip(series.days, series.values, scores):
-                flagged = int(score is not None and score >= threshold)
-                writer.writerow(
-                    [
-                        day.isoformat(),
-                        pair_name,
-                        "" if value is None else repr(value),
-                        int(value is not None),
-                        "" if score is None else repr(score),
-                        flagged,
-                    ]
-                )
+    write_csv(
+        path,
+        ["day", "pair", "s", "valid", "H", "flagged"],
+        (
+            [
+                day.isoformat(),
+                f"{series.pair[0]}-{series.pair[1]}",
+                value,
+                int(value is not None),
+                score,
+                int(score is not None and score >= threshold),
+            ]
+            for series in series_list
+            for day, value, score in zip(
+                series.days, series.values, burst_scores(series, min_history)
+            )
+        ),
+    )
 
 
 def read_series_csv(source: str | Path) -> list[SimilaritySeries]:
-    with open(source, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
+    _, *rows = read_csv(source)
     by_pair: dict[str, list[tuple[date, float | None]]] = {}
-    for row in rows:
-        value = float(row["s"]) if row["s"] else None
-        by_pair.setdefault(row["pair"], []).append(
-            (date.fromisoformat(row["day"]), value)
+    for day, pair_name, value, *_ in rows:
+        by_pair.setdefault(pair_name, []).append(
+            (date.fromisoformat(day), float(value) if value else None)
         )
     series_list = []
     for pair_name in sorted(by_pair):
@@ -399,4 +375,3 @@ def read_series_csv(source: str | Path) -> list[SimilaritySeries]:
             )
         )
     return series_list
-

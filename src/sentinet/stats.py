@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,6 +12,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .errors import DegenerateTableError, UndefinedScoreError
+from .fileio import read_csv
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,10 @@ class ContingencyTable:
 
     @classmethod
     def read_csv(cls, source: str | Path) -> "ContingencyTable":
-        with open(source, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-        col_labels = tuple(rows[0][1:])
-        row_labels = tuple(row[0] for row in rows[1:])
-        counts = [[int(v) for v in row[1:]] for row in rows[1:]]
-        return cls.from_rows(row_labels, col_labels, counts)
+        header, *rows = read_csv(source)
+        return cls.from_rows(
+            [row[0] for row in rows], header[1:], [[int(v) for v in row[1:]] for row in rows]
+        )
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,6 @@ class CodingMatrix:
             raise ValueError("coder rows must have equal length")
 
     @property
-    def n_coders(self) -> int:
-        return len(self.values)
-
-    @property
     def n_items(self) -> int:
         return len(self.values[0])
 
@@ -99,11 +93,9 @@ class CodingMatrix:
 
     @classmethod
     def read_csv(cls, source: str | Path) -> "CodingMatrix":
-        with open(source, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
         values = tuple(
             tuple(cell.strip() if cell.strip() else None for cell in row)
-            for row in rows
+            for row in read_csv(source)
             if row
         )
         return cls(values=values)

@@ -8,8 +8,7 @@ so a subtopic count can never exceed its parent's.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from datetime import date
 from itertools import compress
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .community import Label
 from .errors import ParameterError
-from .fileio import atomic_open
+from .fileio import read_lines, write_csv
 from .ingest import PACKAGED, TweetRecord
 from .sentinel import ActivityLedger
 
@@ -46,17 +45,6 @@ DEFAULT_TOPIC_TREE: dict[str, tuple[str, str | None]] = {
 }
 
 
-def load_lexicon(path: str | Path, name: str, parent: str | None = None) -> TopicLexicon:
-    """Read a lexicon file: one substring per line, '#' comments allowed."""
-    substrings = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                substrings.append(line.lower())
-    return TopicLexicon(name=name, substrings=tuple(substrings), parent=parent)
-
-
 def load_lexicons(directory: str | Path | None = None) -> dict[str, TopicLexicon]:
     """Load the default topic tree, from a directory or the packaged data.
 
@@ -64,10 +52,12 @@ def load_lexicons(directory: str | Path | None = None) -> dict[str, TopicLexicon
     tree; parent relationships are fixed by :data:`DEFAULT_TOPIC_TREE`.
     """
     base = Path(PACKAGED["lexicon_dir"] if directory is None else directory)
-    lexicons = {}
-    for name, (filename, parent) in DEFAULT_TOPIC_TREE.items():
-        lexicons[name] = load_lexicon(base / filename, name, parent)
-    return lexicons
+    return {
+        name: TopicLexicon(
+            name, tuple(line.lower() for line in read_lines(base / filename)), parent
+        )
+        for name, (filename, parent) in DEFAULT_TOPIC_TREE.items()
+    }
 
 
 def matches_topic(text: str, lexicon: TopicLexicon) -> bool:
@@ -123,6 +113,8 @@ def filter_topic_tree(
 
 @dataclass(frozen=True)
 class RateRow:
+    """One line of ``rates.csv``; the field names are its header."""
+
     topic: str
     community: Label
     count: int
@@ -212,54 +204,30 @@ def write_counts_csv(
 ) -> None:
     """Write topic,community,count rows, topic-major, from per-community matches."""
     topics = sorted({topic for per_topic in matched.values() for topic in per_topic})
-    with atomic_open(path) as handle:
-        handle.write("topic,community,count\n")
-        for topic in topics:
-            for community in sorted(matched, key=str):
-                handle.write(f"{topic},{community},{len(matched[community][topic])}\n")
+    write_csv(
+        path,
+        ["topic", "community", "count"],
+        (
+            [topic, community, len(matched[community][topic])]
+            for topic in topics
+            for community in sorted(matched, key=str)
+        ),
+    )
 
 
 def write_rates_csv(table: RateTable, path: str | Path) -> None:
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "topic",
-                "community",
-                "count",
-                "active_account_days",
-                "per_capita",
-                "sum_scaled",
-                "max_scaled",
-            ]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.topic,
-                    row.community,
-                    row.count,
-                    row.active_account_days,
-                    repr(row.per_capita),
-                    "" if row.sum_scaled is None else repr(row.sum_scaled),
-                    "" if row.max_scaled is None else repr(row.max_scaled),
-                ]
-            )
+    write_csv(path, [f.name for f in fields(RateRow)], map(astuple, table.rows))
 
 
 def write_daily_csv(table: RateTable, path: str | Path) -> None:
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["topic", "cluster", "day", "tweets_per_15_active"])
-        for (topic, cluster), series in sorted(
-            table.daily.items(), key=lambda item: (item[0][0], str(item[0][1]))
-        ):
-            for day, rate in series:
-                writer.writerow(
-                    [
-                        topic,
-                        cluster,
-                        day.isoformat(),
-                        "" if rate is None else repr(rate),
-                    ]
-                )
+    write_csv(
+        path,
+        ["topic", "cluster", "day", "tweets_per_15_active"],
+        (
+            [topic, cluster, day.isoformat(), rate]
+            for (topic, cluster), series in sorted(
+                table.daily.items(), key=lambda item: (item[0][0], str(item[0][1]))
+            )
+            for day, rate in series
+        ),
+    )

@@ -85,6 +85,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text, env={})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("burst_threshold", "-1"),
+            ("burst_threshold", "0"),
+            ("burst_threshold", "inf"),
+            ("match_threshold", "5"),
+            ("match_threshold", "0"),
+            ("match_threshold", "nan"),
+            ("english_threshold", "7"),
+            ("english_threshold", "-0.5"),
+        ],
+    )
+    def test_out_of_range_float_rejected(self, tmp_path, corpus_file, name, value):
+        path = tmp_path / "run.cfg"
+        write_config(parse_config(minimal_text(corpus_file, tmp_path / "out"), env={}), path)
+        load_config(path, env={})
+        with pytest.raises(ConfigError, match=name):
+            load_config(path, env={f"SENTINEL_{name.upper()}": value})
+
+    def test_float_range_bounds_accepted(self, tmp_path, corpus_file):
+        text = minimal_text(corpus_file, tmp_path / "out")
+        for env in (
+            {"SENTINEL_MATCH_THRESHOLD": "1", "SENTINEL_ENGLISH_THRESHOLD": "0"},
+            {"SENTINEL_BURST_THRESHOLD": "0.01", "SENTINEL_ENGLISH_THRESHOLD": "1"},
+        ):
+            parse_config(text, env=env)
+
     def test_missing_corpus_rejected(self, tmp_path):
         text = minimal_text(tmp_path / "ghost.jsonl", tmp_path / "out")
         with pytest.raises(ConfigError):

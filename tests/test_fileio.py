@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from sentinet.fileio import read_csv, write_csv
 from sentinet.ingest import write_corpus
 
 
@@ -17,3 +19,23 @@ class TestAtomicWrites:
             write_corpus(records(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+class TestCsv:
+    def test_cells_are_written_in_the_table_convention(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [
+            [None, 0.1 + 0.2, np.float64(0.1) + np.float64(0.2), 1e-05, 7],
+            ["a,b", 'say "hi"', "two\nlines", np.float64(1e-05), -3],
+        ]
+        write_csv(path, ["missing", "sum", "np_sum", "small", "count"], rows)
+        assert path.read_bytes().decode() == (
+            "missing,sum,np_sum,small,count\n"
+            f",{0.1 + 0.2!r},{0.1 + 0.2!r},{1e-05!r},7\n"
+            '"a,b","say ""hi""","two\nlines",1e-05,-3\n'
+        )
+        assert read_csv(path) == [
+            ["missing", "sum", "np_sum", "small", "count"],
+            ["", "0.30000000000000004", "0.30000000000000004", "1e-05", "7"],
+            ["a,b", 'say "hi"', "two\nlines", "1e-05", "-3"],
+        ]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -13,6 +14,7 @@ from sentinet.lsa import (
 )
 from sentinet.similarity import (
     SimilaritySeries,
+    burst_score,
     doc_from_tweets,
     intercluster_similarity,
 )
@@ -153,13 +155,25 @@ def _burst_fixture():
     series = SimilaritySeries(
         pair=("A", "B"), days=days + (DAY,), values=tuple(history) + (spike,)
     )
-    extraction_a = lsa_topical_tweets(
-        [t for c in sorted(tweets_a) for t in tweets_a[c]], k=5, day=DAY, cluster="A"
-    )
-    extraction_b = lsa_topical_tweets(
-        [t for c in sorted(tweets_b) for t in tweets_b[c]], k=5, day=DAY, cluster="B"
-    )
+    extraction_a = lsa_topical_tweets([t for c in sorted(tweets_a) for t in tweets_a[c]], k=5)
+    extraction_b = lsa_topical_tweets([t for c in sorted(tweets_b) for t in tweets_b[c]], k=5)
     return series, tweets_a, tweets_b, extraction_a, extraction_b
+
+
+def _invalidated_fixture():
+    """One shared tweet per side: removing it leaves the day with no valid pair."""
+    viral = toks("one single shared viral message in both places")
+    tweets_a = {"a1": [("va", viral)]}
+    tweets_b = {"b1": [("vb", viral)]}
+    days = tuple(DAY - timedelta(days=8 - i) for i in range(8))
+    series = SimilaritySeries(
+        pair=("A", "B"),
+        days=days + (DAY,),
+        values=(0.01, 0.02, 0.01, 0.03, 0.02, 0.01, 0.02, 0.01, 1.0),
+    )
+    ex_a = lsa_topical_tweets(tweets_a["a1"], k=5)
+    ex_b = lsa_topical_tweets(tweets_b["b1"], k=5)
+    return series, tweets_a, tweets_b, ex_a, ex_b
 
 
 class TestConfirmDrivers:
@@ -173,24 +187,14 @@ class TestConfirmDrivers:
 
     def test_disjoint_topical_sets_unchanged(self):
         series, tweets_a, tweets_b, ex_a, _ = _burst_fixture()
-        empty = lsa_topical_tweets([], k=5, day=DAY, cluster="B")
+        empty = lsa_topical_tweets([], k=5)
         result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, empty)
         assert not result.is_driver
         assert result.recomputed_s == series.values[-1]
         assert result.common_a == frozenset()
 
     def test_removing_all_shared_trigrams_invalidates_day(self):
-        viral = toks("one single shared viral message in both places")
-        tweets_a = {"a1": [("va", viral)]}
-        tweets_b = {"b1": [("vb", viral)]}
-        days = tuple(DAY - timedelta(days=8 - i) for i in range(8))
-        series = SimilaritySeries(
-            pair=("A", "B"),
-            days=days + (DAY,),
-            values=(0.01, 0.02, 0.01, 0.03, 0.02, 0.01, 0.02, 0.01, 1.0),
-        )
-        ex_a = lsa_topical_tweets(tweets_a["a1"], k=5)
-        ex_b = lsa_topical_tweets(tweets_b["b1"], k=5)
+        series, tweets_a, tweets_b, ex_a, ex_b = _invalidated_fixture()
         result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, ex_b)
         # the only tweet is removed from both sides: the day has no valid pairs
         assert result.recomputed_s is None
@@ -201,3 +205,19 @@ class TestConfirmDrivers:
         result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, ex_b)
         if result.recomputed_s is not None:
             assert result.recomputed_s <= series.values[-1] + 1e-12
+
+    @pytest.mark.parametrize(
+        "fixture, day_stays_valid",
+        [(_burst_fixture, True), (_invalidated_fixture, False)],
+        ids=["confirmed", "invalidated"],
+    )
+    def test_recomputed_score_is_the_burst_score_of_the_reduced_day(
+        self, fixture, day_stays_valid
+    ):
+        series, tweets_a, tweets_b, ex_a, ex_b = fixture()
+        result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, ex_b)
+        assert result.common_a and result.common_b
+        reduced = replace(series, values=series.values[:-1] + (result.recomputed_s,))
+        expected = burst_score(reduced, DAY)
+        assert result.recomputed_h == expected
+        assert (expected is not None) == day_stays_valid

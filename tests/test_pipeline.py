@@ -206,6 +206,27 @@ class TestRunPipeline:
             ), name
         assert result.summary == json.loads((workdir / "run_meta.json").read_text())["summary"]
 
+    def test_code_change_rebuilds_every_stage(self, synthetic, tmp_path, monkeypatch):
+        config, _, _ = synthetic
+        workdir = tmp_path / "code"
+        shutil.copytree(config.output_dir, workdir)
+        past = 1_000_000_000_000_000_000
+        for path in workdir.iterdir():
+            os.utime(path, ns=(past, past))
+        before = artifact_bytes(workdir)
+        old_manifest = json.loads((workdir / MANIFEST).read_text())
+        monkeypatch.setattr(pipeline_mod, "_code_digest", lambda: "0" * 64)
+        run_pipeline(replace(config, output_dir=workdir))
+        new_manifest = json.loads((workdir / MANIFEST).read_text())
+        assert new_manifest.keys() == old_manifest.keys()
+        for stage, fingerprint in old_manifest.items():
+            assert new_manifest[stage] != fingerprint, stage
+        for path in workdir.iterdir():
+            assert path.stat().st_mtime_ns != past, path.name
+        after = artifact_bytes(workdir)
+        del before[MANIFEST], after[MANIFEST]
+        assert after == before
+
     def test_resume_rederives_ingest_from_the_corpus(self, synthetic, tmp_path, monkeypatch):
         config, _, _ = synthetic
         assert not (config.output_dir / "records.jsonl").exists()

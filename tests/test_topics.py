@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_record
 from sentinet.errors import ParameterError
+from sentinet.ingest import PACKAGED
 from sentinet.sentinel import activity
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import (
+    DEFAULT_TOPIC_TREE,
     TopicLexicon,
     filter_topic,
     filter_topic_tree,
@@ -89,6 +91,15 @@ class TestFilterTopicTree:
         assert lexicons["downplay"].parent == "severity"
         assert lexicons["severity"].parent == "covid"
         assert "vaccinat" in lexicons["vaccines"].substrings
+
+    def test_packaged_lexicons_keep_file_order(self):
+        lexicons = load_lexicons()
+        assert lexicons.keys() == DEFAULT_TOPIC_TREE.keys()
+        for name, (filename, _) in DEFAULT_TOPIC_TREE.items():
+            text = (PACKAGED["lexicon_dir"] / filename).read_text(encoding="utf-8")
+            lines = [line.strip() for line in text.splitlines()]
+            expected = tuple(line.lower() for line in lines if line and line[0] != "#")
+            assert lexicons[name].substrings == expected, name
 
     def test_subtopics_are_subsets(self, record_factory):
         lexicons = load_lexicons()
