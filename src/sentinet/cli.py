@@ -12,9 +12,9 @@ from . import domains as domains_mod
 from . import graph as graph_mod
 from . import similarity as similarity_mod
 from . import topics as topics_mod
-from .config import FIELDS, load_config, value_parser
+from .config import FIELDS, check_value, load_config, value_parser
 from .domains import read_scores_csv
-from .errors import SentinetError, StageError
+from .errors import ConfigError, SentinetError, StageError
 from .fileio import write_csv, write_json
 from .ingest import PACKAGED, read_corpus, write_corpus
 from .pipeline import STAGES, run_pipeline, stratified_coding_sample
@@ -154,13 +154,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_option(parser: argparse.ArgumentParser, flag: str, name: str, **kwargs) -> None:
-    """Add ``flag`` setting config field ``name``, parsed and defaulted as in the config.
+    """Add ``flag`` setting config field ``name``, parsed, checked and defaulted as in the config.
 
-    An unset path defaults to the packaged file the pipeline uses in its place.
+    An out-of-range value is a usage error. An unset path defaults to the
+    packaged file the pipeline uses in its place.
     """
+    parse = value_parser(name)
+
+    def parse_checked(text: str):
+        try:
+            value = parse(text)
+            check_value(name, value)
+        except (ValueError, ConfigError) as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from exc
+        return value
+
     default = FIELDS[name].default
     default = PACKAGED.get(name, None if default is MISSING else default)
-    parser.add_argument(flag, dest=name, type=value_parser(name), default=default, **kwargs)
+    parser.add_argument(flag, dest=name, type=parse_checked, default=default, **kwargs)
 
 
 # ---- handlers ----------------------------------------------------------

@@ -139,6 +139,36 @@ def load_config(path: str | Path, env: Mapping[str, str] | None = None) -> Pipel
     return parse_config(path.read_text(encoding="utf-8"), env=env, base_dir=path.parent)
 
 
+# field -> the condition its value must meet beyond its type, and how it reads
+_RANGES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "burst_threshold": (lambda v: v > 0, "positive"),
+    "match_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "english_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "language_filter": (lambda v: v in ("ascii", "none"), "ascii or none"),
+    "adf_alpha": (lambda v: v in (0.01, 0.05, 0.10), "0.01, 0.05 or 0.10"),
+}
+
+
+def check_value(name: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is valid for field ``name``.
+
+    Ints but the seed must be positive, floats finite, the fields in
+    ``_RANGES`` inside their range, and input files must exist. An optional
+    field may be None.
+    """
+    kind = _TYPES[name]
+    if value is None and name in _OPTIONAL:
+        return
+    if kind is int and name != "seed" and value <= 0:
+        raise ConfigError(f"{name} must be positive")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    if name in _RANGES and not _RANGES[name][0](value):
+        raise ConfigError(f"{name} must be {_RANGES[name][1]}")
+    if name in INPUT_FIELDS and not Path(value).exists():
+        raise ConfigError(f"{name} path not found: {value}")
+
+
 def validate_config(config: PipelineConfig) -> None:
     if config.split.utcoffset() is None:
         raise ConfigError("split must carry a timezone")
@@ -147,26 +177,8 @@ def validate_config(config: PipelineConfig) -> None:
     split_day = config.split.date()
     if not (config.window_start <= split_day <= config.window_end):
         raise ConfigError("split timestamp falls outside the observation window")
-    for name, kind in _TYPES.items():
-        value = getattr(config, name)
-        if kind is int and name != "seed" and value <= 0:
-            raise ConfigError(f"{name} must be positive")
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite")
-    if config.burst_threshold <= 0:
-        raise ConfigError("burst_threshold must be positive")
-    if not 0 < config.match_threshold <= 1:
-        raise ConfigError("match_threshold must be in (0, 1]")
-    if not 0 <= config.english_threshold <= 1:
-        raise ConfigError("english_threshold must be in [0, 1]")
-    if config.language_filter not in ("ascii", "none"):
-        raise ConfigError("language_filter must be ascii or none")
-    if config.adf_alpha not in (0.01, 0.05, 0.10):
-        raise ConfigError("adf_alpha must be 0.01, 0.05 or 0.10")
-    for name in INPUT_FIELDS:
-        value = getattr(config, name)
-        if value is not None and not Path(value).exists():
-            raise ConfigError(f"{name} path not found: {value}")
+    for name in FIELDS:
+        check_value(name, getattr(config, name))
 
 
 def serialize_config(config: PipelineConfig) -> str:

@@ -45,6 +45,10 @@ class InvalidDocumentError(SentinetError):
     """Cosine similarity is undefined for zero trigram vectors."""
 
 
+class VocabularyOverflowError(SentinetError):
+    """More distinct tokens than a trigram code's token ids can number."""
+
+
 class UndefinedStatisticError(SentinetError):
     """A regression statistic is undefined (degenerate regressors)."""
 

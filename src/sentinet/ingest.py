@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 from urllib.parse import urlsplit
 
-from .errors import EmptyCorpusError, UrlParseError
+import numpy as np
+
+from .errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
 from .fileio import atomic_open, read_lines
 
 Trigram = tuple[str, str, str]
@@ -25,6 +27,11 @@ Trigram = tuple[str, str, str]
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# on ASCII text, _TOKEN_RE's runs are the runs of letters and digits: this
+# byte table maps every other ASCII character to a space
+_ASCII_SEPARATORS = bytes(c if chr(c).isalnum() else 0x20 for c in range(256))
+# bits of one token id in a trigram code; three ids fill 63 bits of an int64
+TOKEN_ID_BITS = 21
 
 
 @dataclass(frozen=True)
@@ -45,13 +52,9 @@ class TweetRecord:
 
 @dataclass(frozen=True)
 class TokenDoc:
-    """Cleaned token stream of one tweet; its trigram counts are derived on demand."""
+    """Cleaned token stream of one tweet."""
 
     tokens: tuple[str, ...]
-
-    @cached_property
-    def trigram_counts(self) -> Mapping[Trigram, int]:
-        return Counter(trigrams(self.tokens))
 
 
 @dataclass
@@ -200,17 +203,88 @@ def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> TokenD
 
     URLs and @-mentions are removed first; the remainder is lowercased and
     split on runs of non-alphanumeric characters, and stopwords are dropped.
+    Each regex runs only when its literal marker is present, and ASCII text
+    is split with a byte translate table instead of a regex scan.
     """
-    cleaned = _URL_RE.sub(" ", text)
-    cleaned = _MENTION_RE.sub(" ", cleaned)
-    return TokenDoc(
-        tuple(tok for tok in _TOKEN_RE.findall(cleaned.lower()) if tok not in stopwords)
-    )
+    if "://" in text or "www." in text.lower():
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    lowered = text.lower()
+    if lowered.isascii():
+        tokens = lowered.encode().translate(_ASCII_SEPARATORS).decode().split()
+    else:
+        tokens = _TOKEN_RE.findall(lowered)
+    return TokenDoc(tuple([tok for tok in tokens if tok not in stopwords]))
 
 
-def trigrams(tokens: Sequence[str]) -> Iterator[Trigram]:
-    """Contiguous word triples of a token stream, in order; none below three tokens."""
-    return zip(tokens, tokens[1:], tokens[2:])
+class TrigramEncoder:
+    """Packs each word trigram into one int64 code.
+
+    Token ids are assigned in first-seen order, so two codes compare only
+    when one encoder made both. The trigram (a, b, c) has the code
+    ``id(a) << 42 | id(b) << 21 | id(c)`` (TOKEN_ID_BITS = 21). An encoder
+    holds at most ``2**TOKEN_ID_BITS`` tokens and raises
+    :class:`VocabularyOverflowError` beyond that, so codes never collide.
+    """
+
+    def __init__(self) -> None:
+        # a missing token gets the next id: defaultdict calls len() before inserting
+        self._ids: defaultdict[str, int] = defaultdict()
+        self._ids.default_factory = self._ids.__len__
+
+    def count(
+        self, docs: Iterable[TokenDoc], group_sizes: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Summed trigram counts of consecutive groups of token streams.
+
+        Group g is the next ``group_sizes[g]`` docs. Returns ``indptr``,
+        ``codes`` and ``counts`` in CSR layout: group g's distinct codes,
+        ascending, are ``codes[indptr[g]:indptr[g + 1]]``. No trigram spans
+        two docs. ``docs`` is read once, so it may be a generator.
+        """
+        codes, doc_of = self._encode(docs)
+        vocabulary = np.unique(codes)
+        width = max(vocabulary.size, 1)
+        # (group, column) pairs as one int64 key each; columns index the vocabulary
+        keys = np.repeat(np.arange(len(group_sizes)), group_sizes)[doc_of]
+        keys *= width
+        keys += np.searchsorted(vocabulary, codes)
+        keys, counts = np.unique(keys, return_counts=True)
+        indptr = np.searchsorted(keys // width, np.arange(len(group_sizes) + 1))
+        return indptr, vocabulary[keys % width], counts
+
+    def _encode(self, docs: Iterable[TokenDoc]) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of the docs' trigrams in stream order, and the doc each is from."""
+        ids = array("q")  # int64, read by numpy without a copy
+        lengths: list[int] = []
+        for doc in docs:
+            ids.extend(map(self._ids.__getitem__, doc.tokens))
+            lengths.append(len(doc.tokens))
+        if len(self._ids) > 1 << TOKEN_ID_BITS:
+            raise VocabularyOverflowError(
+                f"more than 2**{TOKEN_ID_BITS} distinct tokens; trigram codes would collide"
+            )
+        token_ids = np.frombuffer(ids, dtype=np.int64)
+        doc_of = np.repeat(np.arange(len(lengths)), lengths)
+        codes = token_ids[:-2] << 2 * TOKEN_ID_BITS
+        codes |= token_ids[1:-1] << TOKEN_ID_BITS
+        codes |= token_ids[2:]
+        inside = doc_of[:-2] == doc_of[2:]
+        return codes[inside], doc_of[:-2][inside]
+
+    def decode(self, codes: Iterable[int]) -> list[Trigram]:
+        """The trigrams of codes this encoder made."""
+        tokens = list(self._ids)
+        mask = (1 << TOKEN_ID_BITS) - 1
+        return [
+            (
+                tokens[code >> 2 * TOKEN_ID_BITS],
+                tokens[code >> TOKEN_ID_BITS & mask],
+                tokens[code & mask],
+            )
+            for code in map(int, codes)
+        ]
 
 
 def data_path(*relative: str) -> Path:

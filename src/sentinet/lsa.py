@@ -20,11 +20,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from .community import Label
-from .ingest import TokenDoc
+from .ingest import TokenDoc, TrigramEncoder
 from .similarity import (
     SimilaritySeries,
     burst_score,
-    doc_from_tweets,
+    docs_from_tweets,
     intercluster_similarity,
 )
 
@@ -105,18 +105,21 @@ def lsa_topical_tweets(
     are sorted descending and the tweets above the largest consecutive-ratio
     gap are selected; the topical set is the union over vectors.
     """
-    ids = [tweet_id for tweet_id, doc in tweet_docs if doc.trigram_counts]
-    docs = [doc for _, doc in tweet_docs if doc.trigram_counts]
-    if not docs:
+    # a tweet has trigrams iff it has three tokens
+    kept = [(tweet_id, doc) for tweet_id, doc in tweet_docs if len(doc.tokens) > 2]
+    if not kept:
         return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
-    vocabulary = sorted({tri for doc in docs for tri in doc.trigram_counts})
-    column_of = {tri: j for j, tri in enumerate(vocabulary)}
-    columns = [column_of[tri] for doc in docs for tri in doc.trigram_counts]
-    counts = [count for doc in docs for count in doc.trigram_counts.values()]
-    indptr = np.cumsum([0] + [len(doc.trigram_counts) for doc in docs])
+    ids = [tweet_id for tweet_id, _ in kept]
+    encoder = TrigramEncoder()
+    indptr, codes, counts = encoder.count((doc for _, doc in kept), [1] * len(kept))
+    # columns in the lexicographic order of the decoded trigrams, whatever ids
+    # the tokens got; argsort of that order is each trigram's column
+    vocabulary, inverse = np.unique(codes, return_inverse=True)
+    trigram_of = encoder.decode(vocabulary)
+    column_of = np.argsort(sorted(range(vocabulary.size), key=trigram_of.__getitem__))
     matrix = sp.csr_matrix(
-        (np.asarray(counts, dtype=float), columns, indptr),
-        shape=(len(docs), len(vocabulary)),
+        (counts.astype(float), column_of[inverse], indptr),
+        shape=(len(kept), vocabulary.size),
     )
     # column order within rows fixes the summation order of the sparse SVD's products
     matrix.sort_indices()
@@ -135,13 +138,21 @@ def lsa_topical_tweets(
     )
 
 
+def _trigram_sets(docs: Sequence[TokenDoc]) -> list[set[int]]:
+    """Each doc's set of trigram codes, all from one encoder."""
+    indptr, codes, _ = TrigramEncoder().count(docs, [1] * len(docs))
+    codes, bounds = codes.tolist(), indptr.tolist()
+    return [set(codes[start:end]) for start, end in zip(bounds, bounds[1:])]
+
+
+def _jaccard(set_a: set[int], set_b: set[int]) -> float:
+    union = len(set_a | set_b)
+    return len(set_a & set_b) / union if union else 0.0
+
+
 def trigram_jaccard(doc_a: TokenDoc, doc_b: TokenDoc) -> float:
-    """Jaccard similarity of the two tweets' trigram key sets."""
-    set_a = set(doc_a.trigram_counts)
-    set_b = set(doc_b.trigram_counts)
-    if not set_a and not set_b:
-        return 0.0
-    return len(set_a & set_b) / len(set_a | set_b)
+    """Jaccard similarity of the two tweets' trigram sets."""
+    return _jaccard(*_trigram_sets([doc_a, doc_b]))
 
 
 def confirm_drivers(
@@ -169,11 +180,14 @@ def confirm_drivers(
     docs_of_b = {tid: doc for tweets in tweets_b.values() for tid, doc in tweets}
     topical_a = [tid for tid in sorted(extraction_a.topical_ids) if tid in docs_of_a]
     topical_b = [tid for tid in sorted(extraction_b.topical_ids) if tid in docs_of_b]
+    sets = _trigram_sets(
+        [docs_of_a[tid] for tid in topical_a] + [docs_of_b[tid] for tid in topical_b]
+    )
     common_a: set[str] = set()
     common_b: set[str] = set()
-    for tid_a in topical_a:
-        for tid_b in topical_b:
-            if trigram_jaccard(docs_of_a[tid_a], docs_of_b[tid_b]) >= match_threshold:
+    for tid_a, set_a in zip(topical_a, sets):
+        for tid_b, set_b in zip(topical_b, sets[len(topical_a) :]):
+            if _jaccard(set_a, set_b) >= match_threshold:
                 common_a.add(tid_a)
                 common_b.add(tid_b)
     original_h = burst_score(series, index, min_history)
@@ -185,9 +199,17 @@ def confirm_drivers(
             common_a=frozenset(),
             common_b=frozenset(),
         )
-    reduced_a = _reduced_docs(tweets_a, common_a, day)
-    reduced_b = _reduced_docs(tweets_b, common_b, day)
-    new_s = intercluster_similarity(reduced_a, reduced_b)
+    # both sides' reduced documents share one encoder, so their codes compare
+    kept = [
+        (community, [(tid, doc) for tid, doc in tweets[community] if tid not in removed])
+        for tweets, removed in ((tweets_a, common_a), (tweets_b, common_b))
+        for community in sorted(tweets, key=str)
+    ]
+    reduced = docs_from_tweets(
+        [(community, day, [tid for tid, _ in pairs]) for community, pairs in kept],
+        (doc for _, pairs in kept for _, doc in pairs),
+    )
+    new_s = intercluster_similarity(reduced[: len(tweets_a)], reduced[len(tweets_a) :])
     values = series.values[:index] + (new_s,) + series.values[index + 1 :]
     new_h = burst_score(replace(series, values=values), index, min_history)
     is_driver = new_h is None or new_h < flag_threshold
@@ -198,19 +220,3 @@ def confirm_drivers(
         common_a=frozenset(common_a),
         common_b=frozenset(common_b),
     )
-
-
-def _reduced_docs(
-    tweets_by_community: Mapping[Label, Sequence[tuple[str, TokenDoc]]],
-    removed: set[str],
-    day: date,
-):
-    docs = []
-    for community in sorted(tweets_by_community, key=str):
-        kept = [
-            (tid, doc)
-            for tid, doc in tweets_by_community[community]
-            if tid not in removed
-        ]
-        docs.append(doc_from_tweets(community, day, kept))
-    return docs

@@ -1,7 +1,8 @@
 """Daily inter-cluster trigram similarity, burst scoring, and stationarity.
 
 Each community-day document sums the word-trigram counts of that
-community's topical tweets for the day; every tweet is tokenized once.
+community's topical tweets for the day, keyed by the trigrams' int64 codes
+(:class:`~sentinet.ingest.TrigramEncoder`); every tweet is tokenized once.
 Similarity between two clusters on a day is the mean cosine similarity over
 cross-cluster community pairs. :func:`similarity_series` stacks a pair's
 community-day documents into one sparse count matrix and gets each day's
@@ -17,7 +18,6 @@ threshold are marked as potential content-spread events.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from functools import cache
@@ -35,7 +35,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import read_csv, read_lines, write_csv
-from .ingest import TokenDoc, Trigram, TweetRecord, data_path, normalize_text, trigrams
+from .ingest import TokenDoc, TrigramEncoder, TweetRecord, data_path, normalize_text
 
 SD_FLOOR = 1e-12
 SD_CONVENTION = "population"  # divide-by-N standard deviation
@@ -43,11 +43,11 @@ SD_CONVENTION = "population"  # divide-by-N standard deviation
 
 @dataclass(frozen=True)
 class CommunityDayDoc:
-    """Summed trigram counts of one community's tweets on one day."""
+    """Summed trigram counts of one community's tweets on one day, keyed by code."""
 
     community: Label
     day: date
-    trigram_counts: Mapping[Trigram, int]
+    trigram_counts: Mapping[int, int]
     tweet_ids: tuple[str, ...]
 
     @property
@@ -55,18 +55,30 @@ class CommunityDayDoc:
         return not self.trigram_counts
 
 
-def doc_from_tweets(
-    community: Label, day: date, tweets: Iterable[tuple[str, TokenDoc]]
-) -> CommunityDayDoc:
-    """Sum the tweets' trigram counts in one count; no trigram spans two tweets."""
-    tweets = list(tweets)
-    counts = Counter(chain.from_iterable(trigrams(doc.tokens) for _, doc in tweets))
-    return CommunityDayDoc(
-        community=community,
-        day=day,
-        trigram_counts=counts,
-        tweet_ids=tuple(tweet_id for tweet_id, _ in tweets),
+def docs_from_tweets(
+    groups: Sequence[tuple[Label, date, Sequence[str]]], docs: Iterable[TokenDoc]
+) -> list[CommunityDayDoc]:
+    """One document per (community, day, tweet ids) group.
+
+    ``docs`` yields the token streams of every group's tweets, group after
+    group. One encoder counts them all, so every document's codes compare
+    with every other's, and no trigram spans two tweets.
+    """
+    indptr, codes, counts = TrigramEncoder().count(
+        docs, [len(tweet_ids) for _, _, tweet_ids in groups]
     )
+    bounds = indptr.tolist()
+    return [
+        CommunityDayDoc(
+            community=community,
+            day=day,
+            trigram_counts=dict(
+                zip(codes[start:end].tolist(), counts[start:end].tolist())
+            ),
+            tweet_ids=tuple(tweet_ids),
+        )
+        for (community, day, tweet_ids), start, end in zip(groups, bounds, bounds[1:])
+    ]
 
 
 def build_community_day_docs(
@@ -75,28 +87,30 @@ def build_community_day_docs(
 ) -> dict[tuple[Label, date], CommunityDayDoc]:
     """Group records by (community, day) and sum their trigram counts.
 
-    Trigrams never cross tweet boundaries: each tweet is normalized on its
-    own, once, and each day's trigrams are counted in one pass over its
-    tweets' token streams, so no per-tweet counter is built and only one
-    day's token streams are held at a time.
+    Trigrams never cross tweet boundaries. Each tweet is normalized on its
+    own, once, and its tokens are turned into ids as soon as it is, so no
+    more than one tweet's token stream is held at a time; every day is then
+    counted in one vectorized pass.
     """
     grouped: dict[tuple[Label, date], list[TweetRecord]] = {}
     for community in sorted(records_by_community, key=str):
         for record in records_by_community[community]:
             grouped.setdefault((community, record.day), []).append(record)
-    return {
-        (community, day): doc_from_tweets(
-            community,
-            day,
-            ((r.tweet_id, normalize_text(r.text, stopwords)) for r in records),
-        )
-        for (community, day), records in grouped.items()
-    }
+    docs = docs_from_tweets(
+        [
+            (community, day, [record.tweet_id for record in records])
+            for (community, day), records in grouped.items()
+        ],
+        (
+            normalize_text(record.text, stopwords)
+            for records in grouped.values()
+            for record in records
+        ),
+    )
+    return {(doc.community, doc.day): doc for doc in docs}
 
 
-def cosine_similarity(
-    u: Mapping[Trigram, float], v: Mapping[Trigram, float]
-) -> float:
+def cosine_similarity(u: Mapping, v: Mapping) -> float:
     """Cosine of two nonnegative sparse trigram vectors, in [0, 1].
 
     Zero vectors are invalid input rather than similarity 0; callers mark
@@ -167,25 +181,26 @@ def similarity_series(
     outer, cluster-b community inner).
     """
     row_of: dict[tuple[Label, date], int] = {}
-    # a trigram's column is its first-seen order: missing keys get len(column_of)
-    column_of: defaultdict[Trigram, int] = defaultdict()
-    column_of.default_factory = column_of.__len__
-    columns: list[int] = []
-    counts: list[int] = []
-    indptr = [0]
+    rows: list[Mapping[int, int]] = []
     for day in days:
         for community in (*communities_a, *communities_b):
             key = (community, day)
             doc = day_docs.get(key)
             if doc is None or doc.is_empty or key in row_of:
                 continue
-            row_of[key] = len(row_of)
-            columns.extend(map(column_of.__getitem__, doc.trigram_counts))
-            counts.extend(doc.trigram_counts.values())
-            indptr.append(len(columns))
+            row_of[key] = len(rows)
+            rows.append(doc.trigram_counts)
+    lengths = [len(counts) for counts in rows]
+    codes = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
+    vocabulary, columns = np.unique(codes, return_inverse=True)
+    counts = np.fromiter(
+        chain.from_iterable(counts.values() for counts in rows),
+        dtype=float,
+        count=codes.size,
+    )
     matrix = sp.csr_matrix(
-        (np.asarray(counts, dtype=float), np.asarray(columns, dtype=np.int64), indptr),
-        shape=(len(row_of), len(column_of)),
+        (counts, columns, np.cumsum([0] + lengths)),
+        shape=(len(rows), vocabulary.size),
     )
     norms_sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
     values: list[float | None] = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sentinet.graph import RetweetGraph
-from sentinet.ingest import TweetRecord
+from sentinet.ingest import TrigramEncoder, TweetRecord
 
 BASE_TIME = datetime(2020, 7, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -27,6 +27,20 @@ def make_record(
         retweeted_author_id=retweeted,
         urls=urls,
     )
+
+
+def decoded_counts(token_docs, coded_counts=None):
+    """Trigram counts keyed by (token, token, token), decoded from codes.
+
+    The decoder is a fresh encoder fed ``token_docs`` in order, which assigns
+    the same first-seen ids as the build that fed it the same streams.
+    Without ``coded_counts``, the streams' own summed counts are decoded.
+    """
+    encoder = TrigramEncoder()
+    _, codes, counts = encoder.count(token_docs, [len(token_docs)])
+    if coded_counts is None:
+        coded_counts = dict(zip(codes.tolist(), counts.tolist()))
+    return dict(zip(encoder.decode(coded_counts), coded_counts.values()))
 
 
 @pytest.fixture

@@ -7,12 +7,19 @@ independent of the code paths under test.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
 from sentinet.community import Partition
+from sentinet.ingest import TokenDoc
+
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_MENTION_RE = re.compile(r"@\w+")
+_TOKEN_RE = re.compile(r"[^\W_]+")
 
 
 def singleton_partition(graph) -> Partition:
@@ -224,3 +231,19 @@ def adjacent_merge_has_tie(values: list[Fraction], k: int) -> bool:
 def mean_and_population_sd(values: list[float]) -> tuple[float, float]:
     array = np.asarray(values, dtype=float)
     return float(array.mean()), float(array.std(ddof=0))
+
+
+def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> TokenDoc:
+    """The three-regex tokenizer: strip URLs, then mentions, then split the lowered rest."""
+    cleaned = _URL_RE.sub(" ", text)
+    cleaned = _MENTION_RE.sub(" ", cleaned)
+    return TokenDoc(
+        tuple(tok for tok in _TOKEN_RE.findall(cleaned.lower()) if tok not in stopwords)
+    )
+
+
+def indexed_trigram_counts(tokens) -> dict[tuple[str, str, str], int]:
+    """A token stream's trigram counts, built by index, in first-seen order."""
+    return dict(
+        Counter((tokens[i], tokens[i + 1], tokens[i + 2]) for i in range(len(tokens) - 2))
+    )

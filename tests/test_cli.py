@@ -241,6 +241,36 @@ class TestStageDefaults:
         assert "burst_threshold" in {action.dest for action in commands["flag"]._actions}
         assert seen == defaults.keys() - {"output_dir", "adf_alpha"}
 
+    @pytest.mark.parametrize(
+        "command,flag,value,field",
+        [
+            ("flag", "--threshold", "-1", "burst_threshold"),
+            ("flag", "--threshold", "nan", "burst_threshold"),
+            ("flag", "--threshold", "inf", "burst_threshold"),
+            ("flag", "--min-history", "0", "min_history"),
+            ("lsa", "--match-threshold", "5", "match_threshold"),
+            ("sentinels", "--english-threshold", "7", "english_threshold"),
+        ],
+    )
+    def test_out_of_range_option_is_a_usage_error(
+        self, tmp_path, capsys, command, flag, value, field
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.touch()
+        required = {
+            "flag": ["--series", "s.csv"],
+            "lsa": ["--records", str(corpus), "--roster", "r", "--scores", "s",
+                    "--series", "s.csv", "--output", "o"],
+            "sentinels": ["--edges", "e", "--partition", "p", "--output", "o"],
+        }[command]
+        parser = build_parser()
+        args = parser.parse_args([command, *required])
+        assert getattr(args, field) == PipelineConfig.__dataclass_fields__[field].default
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args([command, *required, flag, value])
+        assert exited.value.code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
 
 class TestCliMatchesPipeline:
     def test_stage_chain_reproduces_pipeline_artifacts(self, workspace, tmp_path):

@@ -3,11 +3,16 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sentinet.errors import EmptyCorpusError, UrlParseError
+import oracles
+from conftest import decoded_counts
+from sentinet import ingest
+from sentinet.errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
 from sentinet.ingest import (
     PACKAGED,
+    TokenDoc,
+    TrigramEncoder,
     extract_domain,
     load_wordlist,
     normalize_text,
@@ -139,22 +144,22 @@ class TestNormalizeText:
     def test_basic(self):
         doc = normalize_text("The CDC quietly updated", frozenset({"the"}))
         assert doc.tokens == ("cdc", "quietly", "updated")
-        assert doc.trigram_counts == {("cdc", "quietly", "updated"): 1}
+        assert decoded_counts([doc]) == {("cdc", "quietly", "updated"): 1}
 
     def test_mention_and_url_removed(self):
         doc = normalize_text("@user http://a.b c", frozenset())
         assert doc.tokens == ("c",)
-        assert doc.trigram_counts == {}
+        assert decoded_counts([doc]) == {}
 
     def test_fifty_token_sentence(self):
         text = " ".join(f"word{i}" for i in range(50))
         doc = normalize_text(text, frozenset())
-        assert sum(doc.trigram_counts.values()) == 48
+        assert sum(decoded_counts([doc]).values()) == 48
 
     def test_empty_text(self):
         doc = normalize_text("", frozenset())
         assert doc.tokens == ()
-        assert doc.trigram_counts == {}
+        assert decoded_counts([doc]) == {}
 
     def test_hashtag_keeps_stem(self):
         doc = normalize_text("#covid spreading", frozenset())
@@ -181,4 +186,84 @@ class TestNormalizeText:
     @given(st.lists(st.sampled_from(["covid", "cases", "rise", "cdc", "mask"]), max_size=12))
     def test_trigram_total_identity(self, words):
         doc = normalize_text(" ".join(words), frozenset())
-        assert sum(doc.trigram_counts.values()) == max(0, len(doc.tokens) - 2)
+        assert sum(decoded_counts([doc]).values()) == max(0, len(doc.tokens) - 2)
+
+
+# URL and mention markers in every case, scheme-less "://", underscores and
+# digits, and letters whose lowercase is longer (İ), changes script (K, the
+# Kelvin sign, lowers to ASCII k) or is fullwidth
+TOKENIZER_PIECES = st.sampled_from(
+    ["www.", "WWW.", "wWw.", "http://", "HTTPS://", "https", "a://b", "://", "@",
+     "@www.foo.com", "@user", "_", "__init__", "0", "42", "x1_y2", "İ", "ß", "\u212a",
+     "ＷＷＷ．", "ｗｗｗ.", "café", "naïve", "Straße", "covid", "The", " ", "  ", ".",
+     "/", ":", "#", "-", "\t", "\n"]
+)
+TOKENIZER_STOPWORDS = st.sampled_from(
+    [frozenset(), frozenset({"the", "www", "i̇", "k", "ß", "42"}), load_wordlist(PACKAGED["stopwords"])]
+)
+
+
+class TestTokenizerEquivalence:
+    @settings(max_examples=500)
+    @given(text=st.text(), stopwords=TOKENIZER_STOPWORDS)
+    @example(text="@www.foo.com bar", stopwords=frozenset())
+    def test_any_text(self, text, stopwords):
+        assert normalize_text(text, stopwords) == oracles.normalize_text(text, stopwords)
+
+    @settings(max_examples=500)
+    @given(
+        pieces=st.lists(TOKENIZER_PIECES | st.text(max_size=4), max_size=12),
+        stopwords=TOKENIZER_STOPWORDS,
+    )
+    def test_mixed_pieces(self, pieces, stopwords):
+        text = "".join(pieces)
+        assert normalize_text(text, stopwords) == oracles.normalize_text(text, stopwords)
+
+
+class TestTrigramEncoder:
+    def test_codes_pack_first_seen_ids(self):
+        encoder = TrigramEncoder()
+        indptr, codes, counts = encoder.count(
+            [TokenDoc(("b", "a", "c", "b", "a", "c")), TokenDoc(("a", "b"))], [2]
+        )
+        # ids: b 0, a 1, c 2
+        assert codes.tolist() == [0 << 42 | 1 << 21 | 2, 1 << 42 | 2 << 21 | 0, 2 << 42 | 0 << 21 | 1]
+        assert counts.tolist() == [2, 1, 1] and indptr.tolist() == [0, 3]
+        assert encoder.decode(codes) == [("b", "a", "c"), ("a", "c", "b"), ("c", "b", "a")]
+
+    def test_no_trigram_spans_two_docs(self):
+        docs = [TokenDoc(("alpha", "beta")), TokenDoc(("gamma", "delta", "epsilon"))]
+        indptr, codes, _ = TrigramEncoder().count(docs, [1, 1])
+        assert indptr.tolist() == [0, 0, 1]
+        assert decoded_counts(docs) == {("gamma", "delta", "epsilon"): 1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.lists(st.sampled_from("abcde"), max_size=7), max_size=4),
+            max_size=5,
+        )
+    )
+    def test_groups_sum_their_docs_indexed_counts(self, groups):
+        docs = [TokenDoc(tuple(tokens)) for group in groups for tokens in group]
+        encoder = TrigramEncoder()
+        indptr, codes, counts = encoder.count(iter(docs), [len(group) for group in groups])
+        decoded = encoder.decode(codes)
+        for g, group in enumerate(groups):
+            expected = {}
+            for tokens in group:
+                for trigram, count in oracles.indexed_trigram_counts(tokens).items():
+                    expected[trigram] = expected.get(trigram, 0) + count
+            start, end = indptr[g], indptr[g + 1]
+            assert dict(zip(decoded[start:end], counts[start:end].tolist())) == expected
+            assert codes[start:end].tolist() == sorted(set(codes[start:end].tolist()))
+
+    def test_vocabulary_guard(self, monkeypatch):
+        monkeypatch.setattr(ingest, "TOKEN_ID_BITS", 2)
+        # four tokens fill two-bit ids; their codes still decode
+        full = [TokenDoc(("a", "b", "c", "d", "a"))]
+        encoder = TrigramEncoder()
+        _, codes, _ = encoder.count(full, [1])
+        assert encoder.decode(codes) == [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "a")]
+        with pytest.raises(VocabularyOverflowError):
+            TrigramEncoder().count(full + [TokenDoc(("e",))], [2])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
+from sentinet import lsa
 from sentinet.ingest import normalize_text
 from sentinet.lsa import (
     confirm_drivers,
@@ -15,7 +17,7 @@ from sentinet.lsa import (
 from sentinet.similarity import (
     SimilaritySeries,
     burst_score,
-    doc_from_tweets,
+    docs_from_tweets,
     intercluster_similarity,
 )
 
@@ -117,6 +119,27 @@ class TestLsaTopicalTweets:
         backward = lsa_topical_tweets(list(reversed(docs)), k=3)
         assert forward.topical_ids == backward.topical_ids
 
+    def test_matrix_columns_in_lexicographic_trigram_order(self, monkeypatch):
+        texts = ["zeta alpha beta gamma", "", "beta gamma zeta alpha beta gamma", "mu nu xi"]
+        docs = [(f"t{i}", toks(text)) for i, text in enumerate(texts)]
+        captured = []
+
+        def capture(matrix, k):
+            captured.append(matrix.copy())
+            return truncated_svd(matrix, k)
+
+        monkeypatch.setattr(lsa, "truncated_svd", capture)
+        lsa_topical_tweets(docs, k=2)
+        # rows: tweets with a trigram, in order; columns: sorted (token, token, token)
+        rows = [oracles.indexed_trigram_counts(doc.tokens) for _, doc in docs if len(doc.tokens) > 2]
+        vocabulary = sorted({trigram for row in rows for trigram in row})
+        expected = np.array(
+            [[row.get(trigram, 0) for trigram in vocabulary] for row in rows], dtype=float
+        )
+        (matrix,) = captured
+        assert matrix.has_sorted_indices
+        assert np.array_equal(matrix.toarray(), expected)
+
     def test_no_gap_selects_nothing(self):
         # ten identical tweets and nothing else: a flat plateau has no drop
         docs = [(f"x{i}", toks("flat plateau of identical documents")) for i in range(10)]
@@ -147,9 +170,12 @@ def _burst_fixture():
         tweets_a[community].append((f"{community}-viral", toks(viral)))
     for community in tweets_b:
         tweets_b[community].append((f"{community}-viral", toks(viral)))
-    docs_a = [doc_from_tweets(c, DAY, tweets_a[c]) for c in sorted(tweets_a)]
-    docs_b = [doc_from_tweets(c, DAY, tweets_b[c]) for c in sorted(tweets_b)]
-    spike = intercluster_similarity(docs_a, docs_b)
+    by_community = [(c, tweets[c]) for tweets in (tweets_a, tweets_b) for c in sorted(tweets)]
+    docs = docs_from_tweets(
+        [(c, DAY, [tid for tid, _ in pairs]) for c, pairs in by_community],
+        (doc for _, pairs in by_community for _, doc in pairs),
+    )
+    spike = intercluster_similarity(docs[: len(tweets_a)], docs[len(tweets_a) :])
     history = [0.010, 0.013, 0.009, 0.012, 0.011, 0.014, 0.010, 0.012]
     days = tuple(DAY - timedelta(days=len(history) - i) for i in range(len(history)))
     series = SimilaritySeries(

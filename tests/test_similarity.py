@@ -1,5 +1,5 @@
 import math
-from collections import Counter
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import make_record
+from conftest import decoded_counts, make_record
 from sentinet.errors import (
     InvalidDocumentError,
     ParameterError,
@@ -23,7 +23,7 @@ from sentinet.similarity import (
     burst_score,
     burst_scores,
     cosine_similarity,
-    doc_from_tweets,
+    docs_from_tweets,
     flag_days,
     intercluster_similarity,
     read_series_csv,
@@ -104,7 +104,8 @@ class TestIntercluster:
         )
 
 
-VOCAB = [(word, "x", "y") for word in "abcde"]
+# codes of five trigrams that share their last two tokens
+VOCAB = [i << 42 | 5 << 21 | 6 for i in range(5)]
 DAYS = [DAY + timedelta(days=i) for i in range(4)]
 
 
@@ -191,36 +192,27 @@ class TestSimilaritySeries:
 
 class TestDayDocs:
     def test_trigrams_do_not_cross_tweets(self, record_factory):
-        records = {
-            "c": [
-                record_factory("1", "u", text="alpha beta gamma"),
-                record_factory("2", "u", text="delta epsilon zeta"),
-            ]
-        }
+        texts = ["alpha beta gamma", "delta epsilon zeta"]
+        records = {"c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]}
         docs = build_community_day_docs(records, frozenset())
-        built = docs[("c", DAY)]
-        assert sum(built.trigram_counts.values()) == 2
-        assert ("gamma", "delta", "epsilon") not in built.trigram_counts
+        built = decoded_counts(
+            [normalize_text(t) for t in texts], docs[("c", DAY)].trigram_counts
+        )
+        assert sum(built.values()) == 2
+        assert ("gamma", "delta", "epsilon") not in built
 
     def test_concatenation_matches_per_tweet_sum(self, record_factory):
         texts = ["one two three four", "five six seven", "eight nine ten eleven"]
         per_tweet = [normalize_text(t, frozenset()) for t in texts]
         expected = {}
         for token_doc in per_tweet:
-            for trigram, count in token_doc.trigram_counts.items():
+            for trigram, count in oracles.indexed_trigram_counts(token_doc.tokens).items():
                 expected[trigram] = expected.get(trigram, 0) + count
         records = {
             "c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]
         }
         built = build_community_day_docs(records, frozenset())[("c", DAY)]
-        assert dict(built.trigram_counts) == expected
-
-
-def indexed_trigram_counts(tokens):
-    """A tweet's trigram counts, built by index as normalize_text once did."""
-    return dict(
-        Counter((tokens[i], tokens[i + 1], tokens[i + 2]) for i in range(len(tokens) - 2))
-    )
+        assert decoded_counts(per_tweet, built.trigram_counts) == expected
 
 
 def per_tweet_reference(records_by_community, stopwords):
@@ -230,7 +222,7 @@ def per_tweet_reference(records_by_community, stopwords):
         for record in records_by_community[community]:
             counts, ids = grouped.setdefault((community, record.day), ({}, []))
             tokens = normalize_text(record.text, stopwords).tokens
-            for trigram, count in indexed_trigram_counts(tokens).items():
+            for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                 counts[trigram] = counts.get(trigram, 0) + count
             ids.append(record.tweet_id)
     return {
@@ -273,10 +265,20 @@ class TestDayDocsEqualPerTweetReference:
         }
         built = build_community_day_docs(records, stopwords)
         expected = per_tweet_reference(records, stopwords)
-        assert built == expected
+        # the build tokenizes the tweets of one day document after another
+        text_of = {r.tweet_id: r.text for tweets in records.values() for r in tweets}
+        streams = [
+            normalize_text(text_of[tweet_id], stopwords)
+            for day_doc in built.values()
+            for tweet_id in day_doc.tweet_ids
+        ]
+        assert built.keys() == expected.keys()
         for key, day_doc in built.items():
-            # first-seen trigram order, which fixes the similarity matrix's columns
-            assert list(day_doc.trigram_counts) == list(expected[key].trigram_counts)
+            # one decoder for every document: codes compare across the build
+            decoded = decoded_counts(streams, day_doc.trigram_counts)
+            assert replace(day_doc, trigram_counts=decoded) == expected[key]
+            # keys ascend by code: a document's key order follows from its counts alone
+            assert list(day_doc.trigram_counts) == sorted(day_doc.trigram_counts)
 
 
 NORMALIZE_EXAMPLES = [
@@ -297,11 +299,10 @@ class TestTokenDoc:
         token_doc = normalize_text(text, stopwords)
         fresh = TokenDoc(token_doc.tokens)
         assert token_doc == fresh and hash(token_doc) == hash(fresh)
-        expected = indexed_trigram_counts(token_doc.tokens)
-        assert token_doc.trigram_counts == expected
-        assert list(token_doc.trigram_counts) == list(expected)
-        # the derived counts are cached and take no part in equality
-        assert token_doc.trigram_counts is token_doc.trigram_counts
+        expected = oracles.indexed_trigram_counts(token_doc.tokens)
+        counts = decoded_counts([token_doc])
+        assert counts == expected
+        # counting leaves the doc as it was
         assert token_doc == fresh
         assert token_doc != TokenDoc(token_doc.tokens + ("extra",))
 
@@ -375,12 +376,15 @@ class TestFlagDays:
         noise_a = "local cases rise in the north region today"
         noise_b = "hospital capacity steady across southern towns"
         stop = frozenset()
-        tweets_a = [("a1", normalize_text(noise_a, stop)), ("va", normalize_text(viral, stop))]
-        tweets_b = [("b1", normalize_text(noise_b, stop)), ("vb", normalize_text(viral, stop))]
-        full_a = doc_from_tweets("ca", DAY, tweets_a)
-        full_b = doc_from_tweets("cb", DAY, tweets_b)
-        reduced_a = doc_from_tweets("ca", DAY, tweets_a[:1])
-        reduced_b = doc_from_tweets("cb", DAY, tweets_b[:1])
+        texts_a, texts_b = [noise_a, viral], [noise_b, viral]
+        full_a, full_b = docs_from_tweets(
+            [("ca", DAY, ["a1", "va"]), ("cb", DAY, ["b1", "vb"])],
+            (normalize_text(text, stop) for text in texts_a + texts_b),
+        )
+        reduced_a, reduced_b = docs_from_tweets(
+            [("ca", DAY, ["a1"]), ("cb", DAY, ["b1"])],
+            (normalize_text(text, stop) for text in (noise_a, noise_b)),
+        )
         with_driver = intercluster_similarity([full_a], [full_b])
         without = intercluster_similarity([reduced_a], [reduced_b])
         assert with_driver > without
