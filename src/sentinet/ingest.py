@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -24,12 +24,23 @@ from .fileio import atomic_open, read_lines
 
 Trigram = tuple[str, str, str]
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+# the token between two texts of a batch; the encoder gives it id 0
+BOUNDARY = "\x00"
+# no step of the tokenizer matches or case-folds across a newline
+_BATCH_JOIN = "\n" + BOUNDARY + "\n"
+_URL = r"(?:https?://|www\.)\S+"
+_URL_RE = re.compile(_URL, re.IGNORECASE)
+# on lowercased ASCII text the two URL patterns match alike; the
+# case-sensitive one skips ahead to each "h" or "w" instead of trying a
+# match at every character
+_LOWER_URL_RE = re.compile(_URL)
 _MENTION_RE = re.compile(r"@\w+")
-_TOKEN_RE = re.compile(r"[^\W_]+")
+_TOKEN_RE = re.compile(r"[^\W_]+|" + BOUNDARY)
 # on ASCII text, _TOKEN_RE's runs are the runs of letters and digits: this
-# byte table maps every other ASCII character to a space
-_ASCII_SEPARATORS = bytes(c if chr(c).isalnum() else 0x20 for c in range(256))
+# byte table maps every other ASCII character but the boundary to a space
+_ASCII_SEPARATORS = bytes(
+    c if chr(c).isalnum() or chr(c) == BOUNDARY else 0x20 for c in range(256)
+)
 # bits of one token id in a trigram code; three ids fill 63 bits of an int64
 TOKEN_ID_BITS = 21
 
@@ -88,6 +99,9 @@ def record_from_json(obj: dict) -> TweetRecord:
     retweeted = obj.get("retweeted_author_id")
     if retweeted is not None and (not isinstance(retweeted, str) or not retweeted):
         raise ValueError("retweeted_author_id must be null or a non-empty string")
+    created_at = obj["created_at"]
+    if not isinstance(created_at, str):
+        raise ValueError("created_at must be a string")
     text = obj.get("text", "")
     if not isinstance(text, str):
         raise ValueError("text must be a string")
@@ -97,7 +111,7 @@ def record_from_json(obj: dict) -> TweetRecord:
     return TweetRecord(
         tweet_id=tweet_id,
         author_id=author_id,
-        created_at=parse_timestamp(obj["created_at"]),
+        created_at=parse_timestamp(created_at),
         text=text,
         retweeted_author_id=retweeted,
         urls=tuple(urls),
@@ -198,33 +212,72 @@ def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | 
     return host
 
 
-def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> TokenDoc:
-    """Clean tweet text into its token stream.
+def tokenize(texts: Sequence[str], stopwords: frozenset[str] = frozenset()) -> list[str]:
+    """Clean a batch of tweet texts into one token stream, BOUNDARY between texts.
 
     URLs and @-mentions are removed first; the remainder is lowercased and
     split on runs of non-alphanumeric characters, and stopwords are dropped.
-    Each regex runs only when its literal marker is present, and ASCII text
-    is split with a byte translate table instead of a regex scan.
+    The batch is cleaned as one string: its texts are joined with
+    ``"\\n\\x00\\n"``, and neither regex nor the final-sigma rule of
+    ``str.lower`` reaches across a newline, so each text gets the tokens it
+    would get alone. A NUL inside a text becomes ``"\\x01"``, which separates
+    tokens alike. Each regex runs only when its literal marker is present.
+
+    The choice of path is made once for the whole batch: an all-ASCII batch
+    is lowercased first and split with a byte translate table, any other
+    batch goes through the regexes. One non-ASCII text therefore sends its
+    batch's ASCII texts down the slower path too; a caller with many texts
+    tokenizes its ASCII texts as a batch of their own.
     """
-    if "://" in text or "www." in text.lower():
-        text = _URL_RE.sub(" ", text)
-    if "@" in text:
-        text = _MENTION_RE.sub(" ", text)
-    lowered = text.lower()
-    if lowered.isascii():
+    joined = _BATCH_JOIN.join(texts)
+    if joined.count(BOUNDARY) != len(texts) - 1:
+        joined = _BATCH_JOIN.join([text.replace(BOUNDARY, "\x01") for text in texts])
+    if joined.isascii():
+        # lowercasing ASCII text first changes no match of either regex
+        lowered = joined.lower()
+        if "://" in lowered or "www." in lowered:
+            lowered = _LOWER_URL_RE.sub(" ", lowered)
+        if "@" in lowered:
+            lowered = _MENTION_RE.sub(" ", lowered)
         tokens = lowered.encode().translate(_ASCII_SEPARATORS).decode().split()
     else:
-        tokens = _TOKEN_RE.findall(lowered)
-    return TokenDoc(tuple([tok for tok in tokens if tok not in stopwords]))
+        if "://" in joined or "www." in joined.lower():
+            joined = _URL_RE.sub(" ", joined)
+        if "@" in joined:
+            joined = _MENTION_RE.sub(" ", joined)
+        tokens = _TOKEN_RE.findall(joined.lower())
+    if BOUNDARY in stopwords:
+        stopwords = stopwords - {BOUNDARY}
+    return [tok for tok in tokens if tok not in stopwords]
+
+
+def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> TokenDoc:
+    """Clean one tweet's text into its token stream: :func:`tokenize` on it alone."""
+    return TokenDoc(tuple(tokenize([text], stopwords)))
+
+
+class TrigramCounts(NamedTuple):
+    """Summed trigram counts of groups of token streams, in CSR layout.
+
+    Group g's columns, ascending, are ``columns[indptr[g]:indptr[g + 1]]``,
+    with their counts at the same positions. Column j is the trigram whose
+    code is ``vocabulary[j]``; the vocabulary ascends.
+    """
+
+    indptr: np.ndarray
+    columns: np.ndarray
+    counts: np.ndarray
+    vocabulary: np.ndarray
 
 
 class TrigramEncoder:
     """Packs each word trigram into one int64 code.
 
     Token ids are assigned in first-seen order, so two codes compare only
-    when one encoder made both. The trigram (a, b, c) has the code
-    ``id(a) << 42 | id(b) << 21 | id(c)`` (TOKEN_ID_BITS = 21). An encoder
-    holds at most ``2**TOKEN_ID_BITS`` tokens and raises
+    when one encoder made both. Id 0 is reserved for :data:`BOUNDARY`. The
+    trigram (a, b, c) has the code ``id(a) << 42 | id(b) << 21 | id(c)``
+    (TOKEN_ID_BITS = 21). An encoder holds at most ``2**TOKEN_ID_BITS``
+    tokens, the boundary included, and raises
     :class:`VocabularyOverflowError` beyond that, so codes never collide.
     """
 
@@ -232,46 +285,51 @@ class TrigramEncoder:
         # a missing token gets the next id: defaultdict calls len() before inserting
         self._ids: defaultdict[str, int] = defaultdict()
         self._ids.default_factory = self._ids.__len__
+        self._ids[BOUNDARY] = 0
 
     def count(
-        self, docs: Iterable[TokenDoc], group_sizes: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, streams: Iterable[Sequence[str]], group_sizes: Sequence[int]
+    ) -> TrigramCounts:
         """Summed trigram counts of consecutive groups of token streams.
 
-        Group g is the next ``group_sizes[g]`` docs. Returns ``indptr``,
-        ``codes`` and ``counts`` in CSR layout: group g's distinct codes,
-        ascending, are ``codes[indptr[g]:indptr[g + 1]]``. No trigram spans
-        two docs. ``docs`` is read once, so it may be a generator.
+        Group g is the next ``group_sizes[g]`` streams. A boundary follows
+        each stream, and no trigram holding a boundary is counted, so none
+        spans two streams, or two texts of one :func:`tokenize` batch.
+        ``streams`` is read once, so it may be a generator.
         """
-        codes, doc_of = self._encode(docs)
-        vocabulary = np.unique(codes)
-        width = max(vocabulary.size, 1)
-        # (group, column) pairs as one int64 key each; columns index the vocabulary
-        keys = np.repeat(np.arange(len(group_sizes)), group_sizes)[doc_of]
-        keys *= width
-        keys += np.searchsorted(vocabulary, codes)
-        keys, counts = np.unique(keys, return_counts=True)
-        indptr = np.searchsorted(keys // width, np.arange(len(group_sizes) + 1))
-        return indptr, vocabulary[keys % width], counts
-
-    def _encode(self, docs: Iterable[TokenDoc]) -> tuple[np.ndarray, np.ndarray]:
-        """Codes of the docs' trigrams in stream order, and the doc each is from."""
         ids = array("q")  # int64, read by numpy without a copy
-        lengths: list[int] = []
-        for doc in docs:
-            ids.extend(map(self._ids.__getitem__, doc.tokens))
-            lengths.append(len(doc.tokens))
+        ends = array("q", [0])  # ends[i]: where the first i streams' ids end
+        for tokens in streams:
+            ids.extend(map(self._ids.__getitem__, tokens))
+            ids.append(0)
+            ends.append(len(ids))
         if len(self._ids) > 1 << TOKEN_ID_BITS:
             raise VocabularyOverflowError(
                 f"more than 2**{TOKEN_ID_BITS} distinct tokens; trigram codes would collide"
             )
+        # each temporary is as long as the whole input: free each one early
         token_ids = np.frombuffer(ids, dtype=np.int64)
-        doc_of = np.repeat(np.arange(len(lengths)), lengths)
         codes = token_ids[:-2] << 2 * TOKEN_ID_BITS
         codes |= token_ids[1:-1] << TOKEN_ID_BITS
         codes |= token_ids[2:]
-        inside = doc_of[:-2] == doc_of[2:]
-        return codes[inside], doc_of[:-2][inside]
+        is_token = token_ids != 0
+        del token_ids, ids
+        starts = np.flatnonzero(is_token[:-2] & is_token[1:-1] & is_token[2:])
+        del is_token
+        codes = codes[starts]
+        stream_ends = np.frombuffer(ends, dtype=np.int64)
+        group_ends = stream_ends[np.cumsum(group_sizes, dtype=np.int64)]
+        # (group, column) pairs as one int64 key each; columns index the vocabulary
+        keys = np.searchsorted(group_ends, starts, side="right")
+        del starts
+        vocabulary = np.unique(codes)
+        width = max(vocabulary.size, 1)
+        keys *= width
+        keys += np.searchsorted(vocabulary, codes)
+        del codes
+        keys, counts = np.unique(keys, return_counts=True)
+        indptr = np.searchsorted(keys // width, np.arange(len(group_sizes) + 1))
+        return TrigramCounts(indptr, keys % width, counts, vocabulary)
 
     def decode(self, codes: Iterable[int]) -> list[Trigram]:
         """The trigrams of codes this encoder made."""

@@ -111,15 +111,14 @@ def lsa_topical_tweets(
         return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
     ids = [tweet_id for tweet_id, _ in kept]
     encoder = TrigramEncoder()
-    indptr, codes, counts = encoder.count((doc for _, doc in kept), [1] * len(kept))
+    counted = encoder.count((doc.tokens for _, doc in kept), [1] * len(kept))
     # columns in the lexicographic order of the decoded trigrams, whatever ids
     # the tokens got; argsort of that order is each trigram's column
-    vocabulary, inverse = np.unique(codes, return_inverse=True)
-    trigram_of = encoder.decode(vocabulary)
-    column_of = np.argsort(sorted(range(vocabulary.size), key=trigram_of.__getitem__))
+    trigram_of = encoder.decode(counted.vocabulary)
+    column_of = np.argsort(sorted(range(len(trigram_of)), key=trigram_of.__getitem__))
     matrix = sp.csr_matrix(
-        (counts.astype(float), column_of[inverse], indptr),
-        shape=(len(kept), vocabulary.size),
+        (counted.counts.astype(float), column_of[counted.columns], counted.indptr),
+        shape=(len(kept), len(trigram_of)),
     )
     # column order within rows fixes the summation order of the sparse SVD's products
     matrix.sort_indices()
@@ -139,10 +138,10 @@ def lsa_topical_tweets(
 
 
 def _trigram_sets(docs: Sequence[TokenDoc]) -> list[set[int]]:
-    """Each doc's set of trigram codes, all from one encoder."""
-    indptr, codes, _ = TrigramEncoder().count(docs, [1] * len(docs))
-    codes, bounds = codes.tolist(), indptr.tolist()
-    return [set(codes[start:end]) for start, end in zip(bounds, bounds[1:])]
+    """Each doc's set of trigram columns, all from one count."""
+    counted = TrigramEncoder().count((doc.tokens for doc in docs), [1] * len(docs))
+    columns, bounds = counted.columns.tolist(), counted.indptr.tolist()
+    return [set(columns[start:end]) for start, end in zip(bounds, bounds[1:])]
 
 
 def _jaccard(set_a: set[int], set_b: set[int]) -> float:

@@ -101,8 +101,8 @@ def ascii_language_filter(
         compact = "".join(text.split())
         if not compact:
             return False
-        ascii_count = sum(1 for ch in compact if ord(ch) < 128)
-        return ascii_count / len(compact) >= 0.9
+        # encoding drops every non-ASCII character, lone surrogates included
+        return len(compact.encode("ascii", "ignore")) / len(compact) >= 0.9
 
     def predicate(label: Label, community: frozenset[str]) -> bool:
         texts = [

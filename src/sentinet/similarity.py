@@ -1,18 +1,20 @@
 """Daily inter-cluster trigram similarity, burst scoring, and stationarity.
 
 Each community-day document sums the word-trigram counts of that
-community's topical tweets for the day, keyed by the trigrams' int64 codes
-(:class:`~sentinet.ingest.TrigramEncoder`); every tweet is tokenized once.
-Similarity between two clusters on a day is the mean cosine similarity over
-cross-cluster community pairs. :func:`similarity_series` stacks a pair's
-community-day documents into one sparse count matrix and gets each day's
-cosines from a single sparse product, with the squared row norms computed
-once. Counts stay integer-valued, so dots and norms are exact and every
-cosine, and the left-to-right mean over them, equals what the per-pair
-reference :func:`intercluster_similarity` returns bit for bit. The burst
-score standardizes a day's similarity against the running mean and
-standard deviation of all earlier valid days; days at or above the flag
-threshold are marked as potential content-spread events.
+community's topical tweets for the day. :func:`build_community_day_docs`
+tokenizes each community-day's tweets in two batches, its ASCII texts
+and the rest, and counts every community-day of the build with one
+:class:`~sentinet.ingest.TrigramEncoder` into the rows of one sparse count
+matrix, with each row's squared norm computed once. Similarity between two
+clusters on a day is the mean cosine similarity over cross-cluster
+community pairs; :func:`similarity_series` gets each day's cosines from a
+single sparse product of that matrix's rows.
+Counts stay integer-valued, so dots and norms are exact and every cosine,
+and the left-to-right mean over them, equals what the per-pair reference
+:func:`intercluster_similarity` returns bit for bit. The burst score
+standardizes a day's similarity against the running mean and standard
+deviation of all earlier valid days; days at or above the flag threshold
+are marked as potential content-spread events.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from functools import cache
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +36,10 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import read_csv, read_lines, write_csv
-from .ingest import TokenDoc, TrigramEncoder, TweetRecord, data_path, normalize_text
+from .ingest import TokenDoc, TrigramEncoder, TweetRecord, data_path, tokenize
+# imported by name so that perfbench's tracer, which wraps it at every
+# import site, finds it here too
+from .ingest import normalize_text  # noqa: F401
 
 SD_FLOOR = 1e-12
 SD_CONVENTION = "population"  # divide-by-N standard deviation
@@ -64,50 +68,68 @@ def docs_from_tweets(
     group. One encoder counts them all, so every document's codes compare
     with every other's, and no trigram spans two tweets.
     """
-    indptr, codes, counts = TrigramEncoder().count(
-        docs, [len(tweet_ids) for _, _, tweet_ids in groups]
+    counted = TrigramEncoder().count(
+        (doc.tokens for doc in docs), [len(tweet_ids) for _, _, tweet_ids in groups]
     )
-    bounds = indptr.tolist()
+    codes = counted.vocabulary[counted.columns].tolist()
+    counts, bounds = counted.counts.tolist(), counted.indptr.tolist()
     return [
         CommunityDayDoc(
             community=community,
             day=day,
-            trigram_counts=dict(
-                zip(codes[start:end].tolist(), counts[start:end].tolist())
-            ),
+            trigram_counts=dict(zip(codes[start:end], counts[start:end])),
             tweet_ids=tuple(tweet_ids),
         )
         for (community, day, tweet_ids), start, end in zip(groups, bounds, bounds[1:])
     ]
 
 
+class DayDocs(NamedTuple):
+    """Every community-day document of a build, as the rows of one CSR matrix.
+
+    Row ``row_of[(community, day)]`` of ``matrix`` holds that community-day's
+    trigram counts as integer-valued floats; column j is the trigram whose
+    code is ``codes[j]``. ``norms_sq`` holds the rows' squared norms, 0 for
+    a community-day whose tweets have no trigram.
+    """
+
+    row_of: Mapping[tuple[Label, date], int]
+    matrix: sp.csr_matrix
+    norms_sq: np.ndarray
+    codes: np.ndarray
+
+
 def build_community_day_docs(
     records_by_community: Mapping[Label, Sequence[TweetRecord]],
     stopwords: frozenset[str],
-) -> dict[tuple[Label, date], CommunityDayDoc]:
+    encoder: TrigramEncoder | None = None,
+) -> DayDocs:
     """Group records by (community, day) and sum their trigram counts.
 
-    Trigrams never cross tweet boundaries. Each tweet is normalized on its
-    own, once, and its tokens are turned into ids as soon as it is, so no
-    more than one tweet's token stream is held at a time; every day is then
-    counted in one vectorized pass.
+    Trigrams never cross tweet boundaries. Each community-day's tweets are
+    tokenized as two batches, its ASCII texts and the rest, so that one
+    non-ASCII tweet does not send the day's ASCII tweets down the regex
+    path; each batch's tokens are turned into ids as soon as they are made,
+    so no more than one batch's token stream is held at a time. Every
+    community-day is then counted in one vectorized pass. The codes are
+    made by ``encoder``, a fresh one unless given; pass one to decode them.
     """
-    grouped: dict[tuple[Label, date], list[TweetRecord]] = {}
+    texts_of: dict[tuple[Label, date], tuple[list[str], list[str]]] = {}
     for community in sorted(records_by_community, key=str):
         for record in records_by_community[community]:
-            grouped.setdefault((community, record.day), []).append(record)
-    docs = docs_from_tweets(
-        [
-            (community, day, [record.tweet_id for record in records])
-            for (community, day), records in grouped.items()
-        ],
-        (
-            normalize_text(record.text, stopwords)
-            for records in grouped.values()
-            for record in records
-        ),
+            ascii_texts, other_texts = texts_of.setdefault((community, record.day), ([], []))
+            (ascii_texts if record.text.isascii() else other_texts).append(record.text)
+    counted = (encoder or TrigramEncoder()).count(
+        (tokenize(texts, stopwords) for batches in texts_of.values() for texts in batches),
+        [2] * len(texts_of),
     )
-    return {(doc.community, doc.day): doc for doc in docs}
+    matrix = sp.csr_matrix(
+        (counted.counts.astype(float), counted.columns, counted.indptr),
+        shape=(len(texts_of), counted.vocabulary.size),
+    )
+    norms_sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+    row_of = {key: row for row, key in enumerate(texts_of)}
+    return DayDocs(row_of, matrix, norms_sq, counted.vocabulary)
 
 
 def cosine_similarity(u: Mapping, v: Mapping) -> float:
@@ -165,7 +187,7 @@ class SimilaritySeries:
 
 
 def similarity_series(
-    day_docs: Mapping[tuple[Label, date], CommunityDayDoc],
+    day_docs: DayDocs,
     communities_a: Sequence[Label],
     communities_b: Sequence[Label],
     days: Sequence[date],
@@ -173,48 +195,30 @@ def similarity_series(
 ) -> SimilaritySeries:
     """Assemble the daily similarity series for one cluster pair.
 
-    Communities with no document on a day contribute nothing to that day's
-    mean, matching the empty-document skip rule. Each value equals
-    ``intercluster_similarity`` over the same documents exactly: the counts
-    are integer-valued floats, so dots and squared norms carry no rounding,
-    and the mean sums the cosines in the same order (cluster-a community
-    outer, cluster-b community inner).
+    Communities with no document on a day, or a document with no trigram,
+    contribute nothing to that day's mean, matching the empty-document skip
+    rule. Each value equals ``intercluster_similarity`` over the same
+    documents exactly: the counts are integer-valued floats, so dots and
+    squared norms carry no rounding, and the mean sums the cosines in the
+    same order (cluster-a community outer, cluster-b community inner).
     """
-    row_of: dict[tuple[Label, date], int] = {}
-    rows: list[Mapping[int, int]] = []
-    for day in days:
-        for community in (*communities_a, *communities_b):
-            key = (community, day)
-            doc = day_docs.get(key)
-            if doc is None or doc.is_empty or key in row_of:
-                continue
-            row_of[key] = len(rows)
-            rows.append(doc.trigram_counts)
-    lengths = [len(counts) for counts in rows]
-    codes = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
-    vocabulary, columns = np.unique(codes, return_inverse=True)
-    counts = np.fromiter(
-        chain.from_iterable(counts.values() for counts in rows),
-        dtype=float,
-        count=codes.size,
-    )
-    matrix = sp.csr_matrix(
-        (counts, columns, np.cumsum([0] + lengths)),
-        shape=(len(rows), vocabulary.size),
-    )
-    norms_sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+    matrix, norms_sq = day_docs.matrix, day_docs.norms_sq
+    has_trigrams = (norms_sq > 0).tolist()
+
+    def rows(communities: Sequence[Label], day: date) -> list[int]:
+        found = (day_docs.row_of.get((community, day)) for community in communities)
+        return [row for row in found if row is not None and has_trigrams[row]]
+
     values: list[float | None] = []
     for day in days:
-        rows_a = [row_of[(c, day)] for c in communities_a if (c, day) in row_of]
-        rows_b = [row_of[(c, day)] for c in communities_b if (c, day) in row_of]
+        rows_a, rows_b = rows(communities_a, day), rows(communities_b, day)
         if not rows_a or not rows_b:
             values.append(None)
             continue
-        norms_a, norms_b = norms_sq[rows_a], norms_sq[rows_b]
-        if not (norms_a.all() and norms_b.all()):
-            raise InvalidDocumentError("cosine similarity undefined for zero vectors")
         dots = (matrix[rows_a] @ matrix[rows_b].T).toarray()
-        cosines = np.minimum(1.0, dots / np.sqrt(np.outer(norms_a, norms_b)))
+        cosines = np.minimum(
+            1.0, dots / np.sqrt(np.outer(norms_sq[rows_a], norms_sq[rows_b]))
+        )
         values.append(sum(cosines.ravel().tolist()) / cosines.size)
     return SimilaritySeries(pair=pair, days=tuple(days), values=tuple(values))
 

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from sentinet.graph import RetweetGraph
 from sentinet.ingest import TrigramEncoder, TweetRecord
+from sentinet.similarity import DayDocs
 
 BASE_TIME = datetime(2020, 7, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -29,18 +32,46 @@ def make_record(
     )
 
 
-def decoded_counts(token_docs, coded_counts=None):
-    """Trigram counts keyed by (token, token, token), decoded from codes.
-
-    The decoder is a fresh encoder fed ``token_docs`` in order, which assigns
-    the same first-seen ids as the build that fed it the same streams.
-    Without ``coded_counts``, the streams' own summed counts are decoded.
-    """
+def decoded_counts(token_docs):
+    """The docs' summed trigram counts, keyed by (token, token, token)."""
     encoder = TrigramEncoder()
-    _, codes, counts = encoder.count(token_docs, [len(token_docs)])
-    if coded_counts is None:
-        coded_counts = dict(zip(codes.tolist(), counts.tolist()))
-    return dict(zip(encoder.decode(coded_counts), coded_counts.values()))
+    counted = encoder.count((doc.tokens for doc in token_docs), [len(token_docs)])
+    codes = counted.vocabulary[counted.columns]
+    return dict(zip(encoder.decode(codes), counted.counts.tolist()))
+
+
+def decoded_rows(day_docs: DayDocs, encoder: TrigramEncoder):
+    """Each community-day's row of the matrix, keyed by (token, token, token).
+
+    ``encoder`` is the one the day documents were built with. Counts stay
+    the matrix's floats, so a non-integer count fails an equality with
+    integer counts.
+    """
+    matrix = day_docs.matrix
+    rows = {}
+    for key, row in day_docs.row_of.items():
+        start, end = matrix.indptr[row], matrix.indptr[row + 1]
+        trigrams = encoder.decode(day_docs.codes[matrix.indices[start:end]])
+        rows[key] = dict(zip(trigrams, matrix.data[start:end].tolist()))
+    return rows
+
+
+def day_docs_of(docs) -> DayDocs:
+    """One matrix row per code-keyed :class:`CommunityDayDoc`, in mapping order."""
+    codes = np.unique(
+        np.array([code for doc in docs.values() for code in doc.trigram_counts], dtype=np.int64)
+    )
+    rows = [sorted(doc.trigram_counts.items()) for doc in docs.values()]
+    matrix = sp.csr_matrix(
+        (
+            np.array([count for row in rows for _, count in row], dtype=float),
+            np.searchsorted(codes, [code for row in rows for code, _ in row]),
+            np.cumsum([0] + [len(row) for row in rows]),
+        ),
+        shape=(len(rows), codes.size),
+    )
+    norms_sq = np.array([float(sum(count * count for _, count in row)) for row in rows])
+    return DayDocs(dict(zip(docs, range(len(rows)))), matrix, norms_sq, codes)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from conftest import decoded_counts
 from sentinet import ingest
 from sentinet.errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
 from sentinet.ingest import (
+    BOUNDARY,
     PACKAGED,
     TokenDoc,
     TrigramEncoder,
@@ -19,6 +20,7 @@ from sentinet.ingest import (
     parse_tweet_stream,
     write_corpus,
     read_corpus,
+    tokenize,
 )
 
 GOOD_LINE = json.dumps(
@@ -70,6 +72,13 @@ class TestParseTweetStream:
         result = parse_tweet_stream(io.StringIO("\n".join(bad + [make_line(1)])))
         assert len(result.records) == 1
         assert result.skipped == 5
+
+    @pytest.mark.parametrize("created_at", [5, None, True, ["2020-07-01T12:00:00Z"]])
+    def test_non_string_timestamp_skipped(self, created_at):
+        lines = [make_line(0), make_line(1, created_at=created_at), make_line(2)]
+        result = parse_tweet_stream(io.StringIO("\n".join(lines)))
+        assert [r.tweet_id for r in result.records] == ["0", "2"]
+        assert result.skipped == 1
 
     def test_duplicate_ids_skipped(self):
         result = parse_tweet_stream(io.StringIO("\n".join([make_line(7), make_line(7)])))
@@ -198,8 +207,9 @@ TOKENIZER_PIECES = st.sampled_from(
      "ＷＷＷ．", "ｗｗｗ.", "café", "naïve", "Straße", "covid", "The", " ", "  ", ".",
      "/", ":", "#", "-", "\t", "\n"]
 )
+SMALL_STOPWORDS = frozenset({"the", "www", "i̇", "k", "ß", "42"})
 TOKENIZER_STOPWORDS = st.sampled_from(
-    [frozenset(), frozenset({"the", "www", "i̇", "k", "ß", "42"}), load_wordlist(PACKAGED["stopwords"])]
+    [frozenset(), SMALL_STOPWORDS, load_wordlist(PACKAGED["stopwords"])]
 )
 
 
@@ -220,22 +230,72 @@ class TestTokenizerEquivalence:
         assert normalize_text(text, stopwords) == oracles.normalize_text(text, stopwords)
 
 
+def batch_texts(tokens):
+    """A batch's token stream cut at its boundaries, one token tuple per text."""
+    texts = [[]]
+    for token in tokens:
+        if token == BOUNDARY:
+            texts.append([])
+        else:
+            texts[-1].append(token)
+    return [tuple(text) for text in texts]
+
+
+class TestTokenizerBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(
+            st.text() | st.lists(TOKENIZER_PIECES, max_size=8).map("".join),
+            min_size=1,
+            max_size=6,
+        ),
+        stopwords=TOKENIZER_STOPWORDS,
+    )
+    # a NUL or newline inside a text
+    @example(texts=["a\x00b c", "d\ne f", "g"], stopwords=frozenset())
+    # a final sigma, then a text that starts with a letter
+    @example(texts=["ΑΣ", "Ab ΣΑΣ", "ΟΔΟΣ"], stopwords=frozenset())
+    # a URL or mention as the last or first word of a text
+    @example(texts=["see http://a.b/c", "@bob says", "news www.x.org", "@ann"], stopwords=frozenset())
+    # an ASCII batch, lowercased before its URLs and mentions are removed
+    @example(
+        texts=["See HTTPS://X.ORG/A now", "WwW.Example.COM/p @Bob_2 hi", "@ANN"],
+        stopwords=frozenset(),
+    )
+    # one non-ASCII text in an ASCII batch, and empty texts
+    @example(texts=["", "plain words here", "café crème brûlée", "more plain words", ""], stopwords=frozenset())
+    # every token of a text is a stopword
+    @example(texts=["covid now", "The 42 www", "cases rise"], stopwords=SMALL_STOPWORDS)
+    # a stopword list that names the boundary token itself
+    @example(texts=["a b", "c\x00d"], stopwords=frozenset({BOUNDARY, "the"}))
+    def test_each_text_as_if_alone(self, texts, stopwords):
+        assert batch_texts(tokenize(texts, stopwords)) == [
+            oracles.normalize_text(text, stopwords).tokens for text in texts
+        ]
+
+
 class TestTrigramEncoder:
     def test_codes_pack_first_seen_ids(self):
         encoder = TrigramEncoder()
-        indptr, codes, counts = encoder.count(
-            [TokenDoc(("b", "a", "c", "b", "a", "c")), TokenDoc(("a", "b"))], [2]
-        )
-        # ids: b 0, a 1, c 2
-        assert codes.tolist() == [0 << 42 | 1 << 21 | 2, 1 << 42 | 2 << 21 | 0, 2 << 42 | 0 << 21 | 1]
-        assert counts.tolist() == [2, 1, 1] and indptr.tolist() == [0, 3]
+        counted = encoder.count([("b", "a", "c", "b", "a", "c"), ("a", "b")], [2])
+        codes = counted.vocabulary[counted.columns]
+        # ids: the boundary 0, b 1, a 2, c 3
+        assert codes.tolist() == [1 << 42 | 2 << 21 | 3, 2 << 42 | 3 << 21 | 1, 3 << 42 | 1 << 21 | 2]
+        assert counted.counts.tolist() == [2, 1, 1] and counted.indptr.tolist() == [0, 3]
         assert encoder.decode(codes) == [("b", "a", "c"), ("a", "c", "b"), ("c", "b", "a")]
 
     def test_no_trigram_spans_two_docs(self):
         docs = [TokenDoc(("alpha", "beta")), TokenDoc(("gamma", "delta", "epsilon"))]
-        indptr, codes, _ = TrigramEncoder().count(docs, [1, 1])
-        assert indptr.tolist() == [0, 0, 1]
+        counted = TrigramEncoder().count((doc.tokens for doc in docs), [1, 1])
+        assert counted.indptr.tolist() == [0, 0, 1]
         assert decoded_counts(docs) == {("gamma", "delta", "epsilon"): 1}
+
+    def test_boundary_inside_a_stream_splits_it(self):
+        joined = TrigramEncoder().count([("a", "b", "c", BOUNDARY, "b", "c", "d")], [1])
+        apart = TrigramEncoder().count([("a", "b", "c"), ("b", "c", "d")], [2])
+        for field in ("indptr", "columns", "counts", "vocabulary"):
+            assert getattr(joined, field).tolist() == getattr(apart, field).tolist()
+        assert joined.counts.tolist() == [1, 1]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -245,25 +305,27 @@ class TestTrigramEncoder:
         )
     )
     def test_groups_sum_their_docs_indexed_counts(self, groups):
-        docs = [TokenDoc(tuple(tokens)) for group in groups for tokens in group]
+        streams = [tuple(tokens) for group in groups for tokens in group]
         encoder = TrigramEncoder()
-        indptr, codes, counts = encoder.count(iter(docs), [len(group) for group in groups])
-        decoded = encoder.decode(codes)
+        counted = encoder.count(iter(streams), [len(group) for group in groups])
+        decoded = encoder.decode(counted.vocabulary[counted.columns])
+        assert counted.vocabulary.tolist() == sorted(set(counted.vocabulary.tolist()))
         for g, group in enumerate(groups):
             expected = {}
             for tokens in group:
                 for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                     expected[trigram] = expected.get(trigram, 0) + count
-            start, end = indptr[g], indptr[g + 1]
-            assert dict(zip(decoded[start:end], counts[start:end].tolist())) == expected
-            assert codes[start:end].tolist() == sorted(set(codes[start:end].tolist()))
+            start, end = counted.indptr[g], counted.indptr[g + 1]
+            assert dict(zip(decoded[start:end], counted.counts[start:end].tolist())) == expected
+            columns = counted.columns[start:end].tolist()
+            assert columns == sorted(set(columns))
 
     def test_vocabulary_guard(self, monkeypatch):
         monkeypatch.setattr(ingest, "TOKEN_ID_BITS", 2)
-        # four tokens fill two-bit ids; their codes still decode
-        full = [TokenDoc(("a", "b", "c", "d", "a"))]
+        # the boundary and three tokens fill two-bit ids; their codes still decode
+        full = [("a", "b", "c", "a")]
         encoder = TrigramEncoder()
-        _, codes, _ = encoder.count(full, [1])
-        assert encoder.decode(codes) == [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "a")]
+        counted = encoder.count(full, [1])
+        assert encoder.decode(counted.vocabulary) == [("a", "b", "c"), ("b", "c", "a")]
         with pytest.raises(VocabularyOverflowError):
-            TrigramEncoder().count(full + [TokenDoc(("e",))], [2])
+            TrigramEncoder().count(full + [("d",)], [2])

@@ -1,8 +1,9 @@
 from datetime import date
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import make_record
 from sentinet.community import Partition
 from sentinet.errors import ParameterError
 from sentinet.graph import RetweetGraph
@@ -117,6 +118,17 @@ class TestAsciiLanguageFilter:
         }
         predicate = ascii_language_filter(records)
         assert not predicate(0, frozenset({"a"}))
+
+    @settings(max_examples=300)
+    @given(st.text())
+    @example("abcdefghi\u00e9")  # 9 of 10 ASCII: exactly at the threshold
+    @example("abcdefgh\u00e9\ud800")  # a lone surrogate counts as non-ASCII
+    def test_one_tweet_passes_iff_nine_tenths_ascii(self, text):
+        compact = "".join(text.split())
+        ascii_count = sum(1 for ch in compact if ord(ch) < 128)
+        expected = bool(compact) and ascii_count / len(compact) >= 0.9
+        predicate = ascii_language_filter({"a": [make_record("t", "a", text=text)]}, 1.0)
+        assert predicate(0, frozenset({"a"})) == expected
 
     def test_no_tweets_fails(self):
         predicate = ascii_language_filter({})

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import decoded_counts, make_record
+from conftest import day_docs_of, decoded_counts, decoded_rows, make_record
 from sentinet.errors import (
     InvalidDocumentError,
     ParameterError,
     UndefinedStatisticError,
 )
-from sentinet.ingest import PACKAGED, TokenDoc, load_wordlist, normalize_text
+from sentinet.ingest import PACKAGED, TokenDoc, TrigramEncoder, load_wordlist, normalize_text
 from sentinet.similarity import (
     CommunityDayDoc,
     SimilaritySeries,
@@ -166,7 +165,7 @@ class TestSimilaritySeries:
     def test_equals_per_day_reference_exactly(self, case):
         day_docs, communities_a, communities_b, days = case
         series = similarity_series(
-            day_docs, communities_a, communities_b, days, pair=("A", "B")
+            day_docs_of(day_docs), communities_a, communities_b, days, pair=("A", "B")
         )
         expected = tuple(
             intercluster_similarity(
@@ -186,7 +185,9 @@ class TestSimilaritySeries:
             ("a0", DAYS[1]): doc("a0", {}, day=DAYS[1]),
             ("b0", DAYS[1]): doc("b0", counts, day=DAYS[1]),
         }
-        series = similarity_series(day_docs, ["a0"], ["b0", "b1"], DAYS[:3], ("A", "B"))
+        series = similarity_series(
+            day_docs_of(day_docs), ["a0"], ["b0", "b1"], DAYS[:3], ("A", "B")
+        )
         assert series.values == (1.0, None, None)
 
 
@@ -194,10 +195,9 @@ class TestDayDocs:
     def test_trigrams_do_not_cross_tweets(self, record_factory):
         texts = ["alpha beta gamma", "delta epsilon zeta"]
         records = {"c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]}
-        docs = build_community_day_docs(records, frozenset())
-        built = decoded_counts(
-            [normalize_text(t) for t in texts], docs[("c", DAY)].trigram_counts
-        )
+        encoder = TrigramEncoder()
+        built = build_community_day_docs(records, frozenset(), encoder)
+        built = decoded_rows(built, encoder)[("c", DAY)]
         assert sum(built.values()) == 2
         assert ("gamma", "delta", "epsilon") not in built
 
@@ -211,24 +211,22 @@ class TestDayDocs:
         records = {
             "c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]
         }
-        built = build_community_day_docs(records, frozenset())[("c", DAY)]
-        assert decoded_counts(per_tweet, built.trigram_counts) == expected
+        encoder = TrigramEncoder()
+        built = build_community_day_docs(records, frozenset(), encoder)
+        assert decoded_rows(built, encoder) == {("c", DAY): expected}
 
 
 def per_tweet_reference(records_by_community, stopwords):
-    """Day documents summing one indexed counter per tweet, in record order."""
+    """Day trigram counts summing one indexed counter per tweet, each tweet
+    tokenized alone by the reference tokenizer."""
     grouped = {}
     for community in sorted(records_by_community, key=str):
         for record in records_by_community[community]:
-            counts, ids = grouped.setdefault((community, record.day), ({}, []))
-            tokens = normalize_text(record.text, stopwords).tokens
+            counts = grouped.setdefault((community, record.day), {})
+            tokens = oracles.normalize_text(record.text, stopwords).tokens
             for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                 counts[trigram] = counts.get(trigram, 0) + count
-            ids.append(record.tweet_id)
-    return {
-        (community, day): doc(community, counts, day=day, ids=ids)
-        for (community, day), (counts, ids) in grouped.items()
-    }
+    return grouped
 
 
 # words, stopwords, URLs, mentions and non-ASCII letters
@@ -255,6 +253,13 @@ class TestDayDocsEqualPerTweetReference:
     )
     # the day's tweets end and start with words that would form trigrams if joined
     @example(communities=[[("alpha beta", 0), ("gamma delta", 0)]], stopwords=frozenset())
+    # ASCII and non-ASCII tweets on one day: the day is tokenized as two batches
+    @example(
+        communities=[
+            [("alpha beta", 0), ("café gamma", 0), ("delta epsilon", 0), ("ÉCOLE x y", 0)]
+        ],
+        stopwords=frozenset(),
+    )
     def test_equals_summed_indexed_counters(self, communities, stopwords):
         records = {
             f"c{i}": [
@@ -263,22 +268,19 @@ class TestDayDocsEqualPerTweetReference:
             ]
             for i, tweets in enumerate(communities)
         }
-        built = build_community_day_docs(records, stopwords)
+        encoder = TrigramEncoder()
+        built = build_community_day_docs(records, stopwords, encoder)
         expected = per_tweet_reference(records, stopwords)
-        # the build tokenizes the tweets of one day document after another
-        text_of = {r.tweet_id: r.text for tweets in records.values() for r in tweets}
-        streams = [
-            normalize_text(text_of[tweet_id], stopwords)
-            for day_doc in built.values()
-            for tweet_id in day_doc.tweet_ids
-        ]
-        assert built.keys() == expected.keys()
-        for key, day_doc in built.items():
-            # one decoder for every document: codes compare across the build
-            decoded = decoded_counts(streams, day_doc.trigram_counts)
-            assert replace(day_doc, trigram_counts=decoded) == expected[key]
-            # keys ascend by code: a document's key order follows from its counts alone
-            assert list(day_doc.trigram_counts) == sorted(day_doc.trigram_counts)
+        # one row per community-day, and one encoder decodes every row
+        assert built.row_of.keys() == expected.keys()
+        assert sorted(built.row_of.values()) == list(range(built.matrix.shape[0]))
+        rows = decoded_rows(built, encoder)
+        for key, row in built.row_of.items():
+            assert rows[key] == expected[key]
+            assert built.norms_sq[row] == sum(c * c for c in expected[key].values())
+        # codes ascend with the column, and columns ascend within each row
+        assert np.all(np.diff(built.codes) > 0)
+        assert built.matrix.has_sorted_indices and built.matrix.dtype == float
 
 
 NORMALIZE_EXAMPLES = [
