@@ -11,8 +11,8 @@ import json
 import re
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
@@ -55,10 +55,12 @@ class TweetRecord:
     text: str
     retweeted_author_id: str | None = None
     urls: tuple[str, ...] = ()
+    # the UTC day, read by many stages; a field set once costs less memory
+    # than a cached_property, which gives every record its own __dict__
+    day: date = field(init=False, repr=False, compare=False)
 
-    @property
-    def day(self):
-        return self.created_at.date()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "day", self.created_at.date())
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,18 @@
 
 A flagged day's tweets form a tweet x trigram count matrix. The document
 singular vectors with the largest singular values concentrate on tweet
-groups that share phrasing (retweet storms, near-duplicates). Tweets sit
+groups that share phrasing (retweet storms, near-duplicates). The tweets
 above the sharpest magnitude drop of a document vector are selected as
 topical; tweets common to both flagged clusters are removed and the burst
 score recomputed to confirm they drove the day.
+
+Only the top-k singular values and document (left) vectors are computed.
+A matrix with at most ``_DENSE_CUTOFF`` rows gets them from its row Gram
+matrix ``A Aᵀ``, whose entries are exact because the counts are integers;
+a taller one from a dense SVD when it has at most that many columns or k
+is at least its smaller side minus one, else from ARPACK. Every path
+leaves rounding-level components where a vector is exactly 0, so the gap
+rule counts such components as 0.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import svds
 
 from .community import Label
@@ -51,21 +60,25 @@ class DriverConfirmation:
     common_b: frozenset[str]
 
 
-def truncated_svd(
-    matrix: sp.spmatrix, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-k singular triplets, singular values non-increasing."""
+def truncated_svd(matrix: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k singular values, non-increasing, and their left singular vectors."""
     rows, cols = matrix.shape
     k = min(k, rows, cols)
-    if min(rows, cols) <= _DENSE_CUTOFF or k >= min(rows, cols) - 1:
-        u, s, vt = np.linalg.svd(matrix.toarray(), full_matrices=False)
-        return u[:, :k], s[:k], vt[:k]
+    if rows <= _DENSE_CUTOFF:
+        # the squared singular values are the Gram matrix's eigenvalues; a
+        # rounding-level negative one is clamped before the root
+        gram = (matrix @ matrix.T).toarray()
+        values, vectors = eigh(gram, subset_by_index=[rows - k, rows - 1])
+        return vectors[:, ::-1], np.sqrt(np.maximum(values[::-1], 0.0))
+    if cols <= _DENSE_CUTOFF or k >= min(rows, cols) - 1:
+        u, s, _ = np.linalg.svd(matrix.toarray(), full_matrices=False)
+        return u[:, :k], s[:k]
     # ARPACK draws a random start vector unless given one; a fixed one makes
     # the sparse path reproducible across calls and processes
     v0 = np.random.default_rng(0).standard_normal(min(rows, cols))
-    u, s, vt = svds(matrix.asfptype(), k=k, v0=v0)
+    u, s, _ = svds(matrix.asfptype(), k=k, v0=v0)
     order = np.argsort(-s, kind="stable")
-    return u[:, order], s[order], vt[order]
+    return u[:, order], s[order]
 
 
 def _gap_select(magnitudes: np.ndarray) -> int:
@@ -74,20 +87,24 @@ def _gap_select(magnitudes: np.ndarray) -> int:
     ``magnitudes`` must be sorted descending. A single entry counts as its
     own plateau and is always selected. The drop is the largest ratio
     between consecutive magnitudes within the leading window; it must reach
-    MIN_GAP_RATIO for anything to be selected.
+    MIN_GAP_RATIO for anything to be selected. An entry at or below
+    ``first * len(magnitudes) * eps`` is a rounding-level remnant of an
+    exact zero and counts as 0: a drop to that level is a drop to zero, and
+    a drop from it is no drop.
     """
     window = magnitudes[: min(GAP_WINDOW, magnitudes.size)]
     if window.size == 0 or window[0] <= 0:
         return 0
     if window.size == 1:
         return 1
+    rounding = float(window[0]) * magnitudes.size * np.finfo(float).eps
     best_ratio = 0.0
     best_index = -1
     for i in range(window.size - 1):
         upper, lower = float(window[i]), float(window[i + 1])
-        if upper <= 0:
+        if upper <= rounding:
             break
-        ratio = math.inf if lower == 0.0 else upper / lower
+        ratio = math.inf if lower <= rounding else upper / lower
         if ratio > best_ratio:
             best_ratio = ratio
             best_index = i
@@ -120,9 +137,9 @@ def lsa_topical_tweets(
         (counted.counts.astype(float), column_of[counted.columns], counted.indptr),
         shape=(len(kept), len(trigram_of)),
     )
-    # column order within rows fixes the summation order of the sparse SVD's products
+    # column order within rows fixes the summation order of the sparse products
     matrix.sort_indices()
-    u, s, _ = truncated_svd(matrix, k)
+    u, s = truncated_svd(matrix, k)
     per_vector: list[frozenset[str]] = []
     for j in range(s.size):
         magnitudes = np.abs(u[:, j])

@@ -17,8 +17,11 @@ the recorded one or an artifact is missing, and leaves it untouched
 otherwise; an up-to-date stage is loaded only when a rebuilt stage needs
 its value. Artifacts are written atomically, and a stage's manifest entry
 is dropped before its artifacts are replaced, so a crash never leaves
-partial output that counts as done. Given a fixed seed the whole artifact
-tree is byte-stable.
+partial output that counts as done. Given a fixed seed and a fixed BLAS
+thread count, the whole artifact tree is byte-stable. Floats computed by
+BLAS and LAPACK, such as the LSA singular values in ``lsa_drivers.json``,
+may change in their last bits with the thread count, because the summation
+order can follow it.
 """
 
 from __future__ import annotations

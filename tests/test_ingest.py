@@ -1,6 +1,8 @@
 import io
 import json
 import re
+from dataclasses import replace
+from datetime import date, datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -84,6 +86,19 @@ class TestParseTweetStream:
         result = parse_tweet_stream(io.StringIO("\n".join([make_line(7), make_line(7)])))
         assert len(result.records) == 1
         assert result.skipped == 1
+
+    def test_day_is_the_utc_date_outside_equality_and_hash(self):
+        lines = [make_line(0), make_line(1, created_at="2020-07-01T23:30:00-02:00")]
+        records = parse_tweet_stream(io.StringIO("\n".join(lines))).records
+        assert [r.day for r in records] == [r.created_at.date() for r in records]
+        assert [r.day for r in records] == [date(2020, 7, 1), date(2020, 7, 2)]
+        (again,) = parse_tweet_stream(io.StringIO(make_line(0))).records
+        assert again == records[0] and hash(again) == hash(records[0])
+        identity = ("tweet_id", "author_id", "created_at", "text", "retweeted_author_id", "urls")
+        assert hash(again) == hash(tuple(getattr(again, name) for name in identity))
+        assert "day=" not in repr(again)
+        moved = replace(again, created_at=datetime(2020, 8, 9, 1, 0, tzinfo=timezone.utc))
+        assert moved.day == date(2020, 8, 9) and moved != again
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):

@@ -4,6 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sentinet import lsa
@@ -48,31 +49,55 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(2)
         dense = rng.random((8, 12))
         matrix = sp.csr_matrix(dense)
-        _, s, _ = truncated_svd(matrix, k=8)
+        _, s = truncated_svd(matrix, k=8)
         assert np.sum(s**2) == pytest.approx(np.sum(dense**2), rel=1e-8)
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(3)
         matrix = sp.csr_matrix(rng.random((10, 6)))
-        u, s, vt = truncated_svd(matrix, k=4)
+        u, s = truncated_svd(matrix, k=4)
         np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-8)
-        np.testing.assert_allclose(vt @ vt.T, np.eye(4), atol=1e-8)
         assert np.all(np.diff(s) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "rows, cols, rank, k",
+        [(40, 120, None, 5), (150, 40, None, 5), (12, 40, None, 12), (60, 90, 4, 7)],
+        ids=["wide", "rows-above-cols", "k-equals-rows", "rank-deficient"],
+    )
+    def test_gram_path_matches_dense_svd(self, rows, cols, rank, k):
+        # integer counts, as lsa_topical_tweets builds them; the rank-deficient
+        # matrix repeats `rank` distinct rows
+        rng = np.random.default_rng(rows * cols)
+        counts = rng.poisson(0.4, size=(rank or rows, cols))
+        if rank is not None:
+            counts = counts[np.concatenate([np.arange(rank), rng.integers(0, rank, rows - rank)])]
+        dense = counts.astype(float)
+        u, s = truncated_svd(sp.csr_matrix(dense), k)
+        u_svd, s_svd, _ = np.linalg.svd(dense, full_matrices=False)
+        nonzero = min(k, rank or k)
+        np.testing.assert_allclose(s[:nonzero], s_svd[:nonzero], rtol=1e-12)
+        # the squares of exact zeros come back as rounding-level eigenvalues
+        assert np.all(s[nonzero:] <= np.sqrt(rows * np.finfo(float).eps) * s[0])
+        squared = s_svd**2
+        for j in range(nonzero):
+            others = np.delete(squared, j)
+            if np.min(np.abs(others - squared[j])) >= 1e-6 * squared[0]:
+                np.testing.assert_allclose(np.abs(u[:, j]), np.abs(u_svd[:, j]), atol=1e-8)
 
     def test_sparse_path_matches_dense(self):
         rng = np.random.default_rng(4)
         dense = rng.random((500, 430))
         matrix = sp.csr_matrix(dense)
         u_dense, s_dense, _ = np.linalg.svd(dense, full_matrices=False)
-        _, s_sparse, _ = truncated_svd(matrix, k=3)
+        _, s_sparse = truncated_svd(matrix, k=3)
         np.testing.assert_allclose(s_sparse, s_dense[:3], rtol=1e-8)
 
     def test_sparse_path_is_reproducible(self):
         rng = np.random.default_rng(6)
         matrix = sp.csr_matrix(rng.poisson(0.02, size=(600, 900)).astype(float))
-        u_first, s_first, _ = truncated_svd(matrix, k=5)
+        u_first, s_first = truncated_svd(matrix, k=5)
         for _ in range(3):
-            u_again, s_again, _ = truncated_svd(matrix, k=5)
+            u_again, s_again = truncated_svd(matrix, k=5)
             assert np.array_equal(s_again, s_first)
             assert np.array_equal(np.abs(u_again), np.abs(u_first))
 
@@ -100,6 +125,29 @@ class TestLsaTopicalTweets:
         assert {frozenset(f"a{i}" for i in range(6)), frozenset(f"b{i}" for i in range(4))} == {
             frozenset(group) for group in first_two
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True),
+        data=st.data(),
+    )
+    def test_orthogonal_blocks_in_any_row_order(self, sizes, data):
+        # every text has three trigrams and shares none with another block, so
+        # block sizes set the singular values and each vector is one block
+        texts = [
+            "alpha bravo charlie delta echo",
+            "foxtrot golf hotel india juliet",
+            "kilo lima mike november oscar",
+        ]
+        blocks = [
+            [(f"b{b}-{i}", toks(texts[b])) for i in range(size)] for b, size in enumerate(sizes)
+        ]
+        docs = data.draw(st.permutations([doc for block in blocks for doc in block]))
+        extraction = lsa_topical_tweets(docs, k=len(sizes))
+        expected = sorted(
+            (frozenset(tweet_id for tweet_id, _ in block) for block in blocks), key=len, reverse=True
+        )
+        assert extraction.per_vector == tuple(expected)
 
     def test_all_empty_documents(self):
         extraction = lsa_topical_tweets([("e1", toks("a b")), ("e2", toks(""))])
