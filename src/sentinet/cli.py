@@ -17,7 +17,7 @@ from .domains import read_scores_csv
 from .errors import ConfigError, SentinetError, StageError
 from .fileio import write_csv, write_json
 from .ingest import PACKAGED, read_corpus, write_corpus
-from .pipeline import STAGES, run_pipeline, stratified_coding_sample
+from .pipeline import STAGES, run_pipeline
 from .sentinel import read_roster, write_roster
 
 
@@ -364,7 +364,7 @@ def cmd_sample(args) -> int:
             strata.setdefault((cluster, topic), []).extend(
                 (community, record) for record in per_topic[topic]
             )
-    rows = stratified_coding_sample(strata, per_stratum=args.per_stratum, seed=args.seed)
+    rows = topics_mod.stratified_coding_sample(strata, args.per_stratum, args.seed)
     write_csv(
         args.output,
         ["cluster", "topic", "community", "tweet_id", "created_at", "text"],

@@ -14,10 +14,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
 from .fileio import atomic_open, read_lines
@@ -43,6 +44,9 @@ _ASCII_SEPARATORS = bytes(
 )
 # bits of one token id in a trigram code; three ids fill 63 bits of an int64
 TOKEN_ID_BITS = 21
+# one shared date per distinct day, which TweetRecord.day refers to: a
+# corpus spans few days, and a date per record would cost 32 bytes each
+_DAYS: dict[date, date] = {}
 
 
 @dataclass(frozen=True)
@@ -60,14 +64,8 @@ class TweetRecord:
     day: date = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "day", self.created_at.date())
-
-
-@dataclass(frozen=True)
-class TokenDoc:
-    """Cleaned token stream of one tweet."""
-
-    tokens: tuple[str, ...]
+        day = self.created_at.date()
+        object.__setattr__(self, "day", _DAYS.setdefault(day, day))
 
 
 @dataclass
@@ -253,23 +251,9 @@ def tokenize(texts: Sequence[str], stopwords: frozenset[str] = frozenset()) -> l
     return [tok for tok in tokens if tok not in stopwords]
 
 
-def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> TokenDoc:
+def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:
     """Clean one tweet's text into its token stream: :func:`tokenize` on it alone."""
-    return TokenDoc(tuple(tokenize([text], stopwords)))
-
-
-class TrigramCounts(NamedTuple):
-    """Summed trigram counts of groups of token streams, in CSR layout.
-
-    Group g's columns, ascending, are ``columns[indptr[g]:indptr[g + 1]]``,
-    with their counts at the same positions. Column j is the trigram whose
-    code is ``vocabulary[j]``; the vocabulary ascends.
-    """
-
-    indptr: np.ndarray
-    columns: np.ndarray
-    counts: np.ndarray
-    vocabulary: np.ndarray
+    return tuple(tokenize([text], stopwords))
 
 
 class TrigramEncoder:
@@ -291,13 +275,17 @@ class TrigramEncoder:
 
     def count(
         self, streams: Iterable[Sequence[str]], group_sizes: Sequence[int]
-    ) -> TrigramCounts:
+    ) -> tuple[sp.csr_matrix, np.ndarray]:
         """Summed trigram counts of consecutive groups of token streams.
 
         Group g is the next ``group_sizes[g]`` streams. A boundary follows
         each stream, and no trigram holding a boundary is counted, so none
         spans two streams, or two texts of one :func:`tokenize` batch.
         ``streams`` is read once, so it may be a generator.
+
+        Returns a group x trigram CSR matrix of integer-valued float64 counts,
+        its column indices ascending within each row, and the ascending codes:
+        column j is the trigram whose code is ``codes[j]``.
         """
         ids = array("q")  # int64, read by numpy without a copy
         ends = array("q", [0])  # ends[i]: where the first i streams' ids end
@@ -331,7 +319,11 @@ class TrigramEncoder:
         del codes
         keys, counts = np.unique(keys, return_counts=True)
         indptr = np.searchsorted(keys // width, np.arange(len(group_sizes) + 1))
-        return TrigramCounts(indptr, keys % width, counts, vocabulary)
+        matrix = sp.csr_matrix(
+            (counts.astype(float), keys % width, indptr),
+            shape=(len(group_sizes), vocabulary.size),
+        )
+        return matrix, vocabulary
 
     def decode(self, codes: Iterable[int]) -> list[Trigram]:
         """The trigrams of codes this encoder made."""

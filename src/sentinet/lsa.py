@@ -4,8 +4,11 @@ A flagged day's tweets form a tweet x trigram count matrix. The document
 singular vectors with the largest singular values concentrate on tweet
 groups that share phrasing (retweet storms, near-duplicates). The tweets
 above the sharpest magnitude drop of a document vector are selected as
-topical; tweets common to both flagged clusters are removed and the burst
-score recomputed to confirm they drove the day.
+topical; a vector whose singular value is a rounding-level zero selects
+none. Tweets common to both flagged clusters are then removed and the
+burst score recomputed to confirm they drove the day; that step counts
+the day's tweets once, as rows of one count matrix, and matches and
+recomputes on those rows.
 
 Only the top-k singular values and document (left) vectors are computed.
 A matrix with at most ``_DENSE_CUTOFF`` rows gets them from its row Gram
@@ -29,13 +32,11 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import svds
 
 from .community import Label
-from .ingest import TokenDoc, TrigramEncoder
-from .similarity import (
-    SimilaritySeries,
-    burst_score,
-    docs_from_tweets,
-    intercluster_similarity,
-)
+from .ingest import TrigramEncoder
+from .similarity import DayDocs, SimilaritySeries, burst_score, similarity_series
+# imported by name so that perfbench's tracer, which wraps it at every
+# import site, finds it here too
+from .similarity import intercluster_similarity  # noqa: F401
 
 GAP_WINDOW = 50
 MIN_GAP_RATIO = 2.0
@@ -114,37 +115,38 @@ def _gap_select(magnitudes: np.ndarray) -> int:
 
 
 def lsa_topical_tweets(
-    tweet_docs: Sequence[tuple[str, TokenDoc]], k: int = 5
+    tweet_docs: Sequence[tuple[str, Sequence[str]]], k: int = 5
 ) -> TopicalExtraction:
     """Select topical tweets from the top-k document singular vectors.
 
-    Tweets with no trigrams are ignored. Per vector, component magnitudes
-    are sorted descending and the tweets above the largest consecutive-ratio
-    gap are selected; the topical set is the union over vectors.
+    ``tweet_docs`` pairs each tweet id with its tokens. Tweets with no
+    trigrams are ignored. Per vector, component magnitudes are sorted
+    descending and the tweets above the largest consecutive-ratio gap are
+    selected; the topical set is the union over vectors. A vector whose
+    singular value is at most ``sqrt(rows * eps)`` times the largest spans
+    part of the null space, an arbitrary basis of it, and selects nothing.
     """
     # a tweet has trigrams iff it has three tokens
-    kept = [(tweet_id, doc) for tweet_id, doc in tweet_docs if len(doc.tokens) > 2]
+    kept = [(tweet_id, tokens) for tweet_id, tokens in tweet_docs if len(tokens) > 2]
     if not kept:
         return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
     ids = [tweet_id for tweet_id, _ in kept]
     encoder = TrigramEncoder()
-    counted = encoder.count((doc.tokens for _, doc in kept), [1] * len(kept))
+    matrix, codes = encoder.count((tokens for _, tokens in kept), [1] * len(kept))
     # columns in the lexicographic order of the decoded trigrams, whatever ids
-    # the tokens got; argsort of that order is each trigram's column
-    trigram_of = encoder.decode(counted.vocabulary)
-    column_of = np.argsort(sorted(range(len(trigram_of)), key=trigram_of.__getitem__))
-    matrix = sp.csr_matrix(
-        (counted.counts.astype(float), column_of[counted.columns], counted.indptr),
-        shape=(len(kept), len(trigram_of)),
-    )
+    # the tokens got
+    trigram_of = encoder.decode(codes)
+    matrix = matrix[:, sorted(range(len(trigram_of)), key=trigram_of.__getitem__)]
     # column order within rows fixes the summation order of the sparse products
     matrix.sort_indices()
     u, s = truncated_svd(matrix, k)
+    # the Gram path's rounding level for an exact zero singular value
+    null_level = s[0] * math.sqrt(len(kept) * np.finfo(float).eps)
     per_vector: list[frozenset[str]] = []
     for j in range(s.size):
         magnitudes = np.abs(u[:, j])
         order = np.argsort(-magnitudes, kind="stable")
-        keep = _gap_select(magnitudes[order])
+        keep = _gap_select(magnitudes[order]) if s[j] > null_level else 0
         per_vector.append(frozenset(ids[int(i)] for i in order[:keep]))
     topical = frozenset().union(*per_vector) if per_vector else frozenset()
     return TopicalExtraction(
@@ -154,28 +156,11 @@ def lsa_topical_tweets(
     )
 
 
-def _trigram_sets(docs: Sequence[TokenDoc]) -> list[set[int]]:
-    """Each doc's set of trigram columns, all from one count."""
-    counted = TrigramEncoder().count((doc.tokens for doc in docs), [1] * len(docs))
-    columns, bounds = counted.columns.tolist(), counted.indptr.tolist()
-    return [set(columns[start:end]) for start, end in zip(bounds, bounds[1:])]
-
-
-def _jaccard(set_a: set[int], set_b: set[int]) -> float:
-    union = len(set_a | set_b)
-    return len(set_a & set_b) / union if union else 0.0
-
-
-def trigram_jaccard(doc_a: TokenDoc, doc_b: TokenDoc) -> float:
-    """Jaccard similarity of the two tweets' trigram sets."""
-    return _jaccard(*_trigram_sets([doc_a, doc_b]))
-
-
 def confirm_drivers(
     series: SimilaritySeries,
     day: date,
-    tweets_a: Mapping[Label, Sequence[tuple[str, TokenDoc]]],
-    tweets_b: Mapping[Label, Sequence[tuple[str, TokenDoc]]],
+    tweets_a: Mapping[Label, Sequence[tuple[str, Sequence[str]]]],
+    tweets_b: Mapping[Label, Sequence[tuple[str, Sequence[str]]]],
     extraction_a: TopicalExtraction,
     extraction_b: TopicalExtraction,
     match_threshold: float = 0.5,
@@ -190,42 +175,56 @@ def confirm_drivers(
     burst score are recomputed against the unchanged history; the tweets
     are confirmed drivers when the recomputed score falls below the flag
     threshold (or the day loses all valid similarity).
+
+    Every tweet of the day is counted once, both sides with one encoder, as
+    a row of one count matrix. The Jaccard similarities of all topical
+    pairs come from one product of the 0/1 rows, and each community's
+    reduced document is the sum of its remaining rows; both are integer
+    sums, so exact. :func:`similarity_series` recomputes the day from them.
     """
     index = series.index_of(day)
-    docs_of_a = {tid: doc for tweets in tweets_a.values() for tid, doc in tweets}
-    docs_of_b = {tid: doc for tweets in tweets_b.values() for tid, doc in tweets}
-    topical_a = [tid for tid in sorted(extraction_a.topical_ids) if tid in docs_of_a]
-    topical_b = [tid for tid in sorted(extraction_b.topical_ids) if tid in docs_of_b]
-    sets = _trigram_sets(
-        [docs_of_a[tid] for tid in topical_a] + [docs_of_b[tid] for tid in topical_b]
-    )
-    common_a: set[str] = set()
-    common_b: set[str] = set()
-    for tid_a, set_a in zip(topical_a, sets):
-        for tid_b, set_b in zip(topical_b, sets[len(topical_a) :]):
-            if _jaccard(set_a, set_b) >= match_threshold:
-                common_a.add(tid_a)
-                common_b.add(tid_b)
-    original_h = burst_score(series, index, min_history)
-    if not common_a or not common_b:
+    # side a's communities, then side b's, each side in label order
+    groups = [tweets[c] for tweets in (tweets_a, tweets_b) for c in sorted(tweets, key=str)]
+    ids = [tweet_id for group in groups for tweet_id, _ in group]
+    first_b = sum(len(group) for group in groups[: len(tweets_a)])
+    rows_a = [row for row in range(first_b) if ids[row] in extraction_a.topical_ids]
+    rows_b = [row for row in range(first_b, len(ids)) if ids[row] in extraction_b.topical_ids]
+    if rows_a and rows_b:
+        matrix, codes = TrigramEncoder().count(
+            (tokens for group in groups for _, tokens in group), [1] * len(ids)
+        )
+        present = matrix.sign()
+        sizes = np.diff(present.indptr)  # each tweet's distinct trigrams
+        shared = (present[rows_a] @ present[rows_b].T).toarray()
+        union = np.add.outer(sizes[rows_a], sizes[rows_b]) - shared
+        jaccard = np.divide(shared, union, out=np.zeros_like(shared), where=union > 0)
+        matches = jaccard >= match_threshold
+        common_a = {ids[rows_a[i]] for i in np.flatnonzero(matches.any(axis=1))}
+        common_b = {ids[rows_b[j]] for j in np.flatnonzero(matches.any(axis=0))}
+    else:
+        common_a = common_b = set()
+    if not common_a:
+        # every match marks a tweet on each side, so common_b is empty too
         return DriverConfirmation(
             is_driver=False,
-            recomputed_h=original_h,
+            recomputed_h=burst_score(series, index, min_history),
             recomputed_s=series.values[index],
             common_a=frozenset(),
             common_b=frozenset(),
         )
-    # both sides' reduced documents share one encoder, so their codes compare
-    kept = [
-        (community, [(tid, doc) for tid, doc in tweets[community] if tid not in removed])
-        for tweets, removed in ((tweets_a, common_a), (tweets_b, common_b))
-        for community in sorted(tweets, key=str)
-    ]
-    reduced = docs_from_tweets(
-        [(community, day, [tid for tid, _ in pairs]) for community, pairs in kept],
-        (doc for _, pairs in kept for _, doc in pairs),
+    # group x tweet selection of the remaining tweets
+    kept = np.flatnonzero(
+        [ids[row] not in (common_a if row < first_b else common_b) for row in range(len(ids))]
     )
-    new_s = intercluster_similarity(reduced[: len(tweets_a)], reduced[len(tweets_a) :])
+    group_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    selection = sp.csr_matrix(
+        (np.ones(kept.size), (group_of[kept], kept)), shape=(len(groups), len(ids))
+    )
+    reduced = DayDocs.from_rows(((g, day) for g in range(len(groups))), selection @ matrix, codes)
+    side_a = range(len(tweets_a))
+    (new_s,) = similarity_series(
+        reduced, side_a, range(len(side_a), len(groups)), [day], series.pair
+    ).values
     values = series.values[:index] + (new_s,) + series.values[index + 1 :]
     new_h = burst_score(replace(series, values=values), index, min_history)
     is_driver = new_h is None or new_h < flag_threshold

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -250,7 +249,7 @@ def _build_lsa(params, series_list, topics, cluster) -> dict:
     ]
     # only the tweets of flagged days are read, so only they are tokenized
     flagged_days = {day for days in flagged for day in days}
-    token_cache: dict[str, dict[date, list[tuple[str, object]]]] = {}
+    token_cache: dict[str, dict[date, list[tuple[str, tuple[str, ...]]]]] = {}
     for community, per_topic in topics.items():
         per_day: dict[date, list] = {}
         for record in per_topic["covid"]:
@@ -643,37 +642,3 @@ def _cluster_members(cluster_of: Mapping[str, int]) -> dict[str, list[str]]:
 
 def _window_days(start: date, end: date) -> list[date]:
     return [start + timedelta(days=i) for i in range((end - start).days + 1)]
-
-
-def stratified_coding_sample(
-    records_by_cluster_topic: Mapping[tuple[str, str], Sequence[tuple[str, TweetRecord]]],
-    per_stratum: int = 100,
-    seed: int = 0,
-) -> list[tuple[str, str, str, TweetRecord]]:
-    """Seeded coding sample: up to ``per_stratum`` tweets per cluster-topic.
-
-    Entries are (community, record) pairs; communities inside a stratum are
-    balanced round-robin so one prolific community cannot dominate the
-    sample. Returns (cluster, topic, community, record) tuples.
-    """
-    rng = random.Random(seed)
-    sampled = []
-    for (cluster, topic) in sorted(records_by_cluster_topic):
-        entries = records_by_cluster_topic[(cluster, topic)]
-        by_community: dict[str, list[TweetRecord]] = {}
-        for community, record in entries:
-            by_community.setdefault(community, []).append(record)
-        queues = {}
-        for community in sorted(by_community):
-            pool = sorted(by_community[community], key=lambda r: r.tweet_id)
-            rng.shuffle(pool)
-            queues[community] = pool
-        picked: list[tuple[str, TweetRecord]] = []
-        while len(picked) < per_stratum and any(queues.values()):
-            for community in sorted(queues):
-                if queues[community] and len(picked) < per_stratum:
-                    picked.append((community, queues[community].pop()))
-        sampled.extend(
-            (cluster, topic, community, record) for community, record in picked
-        )
-    return sampled

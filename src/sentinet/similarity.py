@@ -11,7 +11,11 @@ community pairs; :func:`similarity_series` gets each day's cosines from a
 single sparse product of that matrix's rows.
 Counts stay integer-valued, so dots and norms are exact and every cosine,
 and the left-to-right mean over them, equals what the per-pair reference
-:func:`intercluster_similarity` returns bit for bit. The burst score
+:func:`intercluster_similarity` returns bit for bit; that reference, with
+:func:`cosine_similarity` and :class:`CommunityDayDoc`, serves the tests
+and is not on the pipeline's path. Driver confirmation
+(:func:`sentinet.lsa.confirm_drivers`) recomputes its one day with
+:func:`similarity_series` on rows of its own. The burst score
 standardizes a day's similarity against the running mean and standard
 deviation of all earlier valid days; days at or above the flag threshold
 are marked as potential content-spread events.
@@ -36,7 +40,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import read_csv, read_lines, write_csv
-from .ingest import TokenDoc, TrigramEncoder, TweetRecord, data_path, tokenize
+from .ingest import TrigramEncoder, TweetRecord, data_path, tokenize
 # imported by name so that perfbench's tracer, which wraps it at every
 # import site, finds it here too
 from .ingest import normalize_text  # noqa: F401
@@ -47,41 +51,16 @@ SD_CONVENTION = "population"  # divide-by-N standard deviation
 
 @dataclass(frozen=True)
 class CommunityDayDoc:
-    """Summed trigram counts of one community's tweets on one day, keyed by code."""
+    """Summed trigram counts of one community's tweets on one day, keyed by trigram."""
 
     community: Label
     day: date
-    trigram_counts: Mapping[int, int]
+    trigram_counts: Mapping
     tweet_ids: tuple[str, ...]
 
     @property
     def is_empty(self) -> bool:
         return not self.trigram_counts
-
-
-def docs_from_tweets(
-    groups: Sequence[tuple[Label, date, Sequence[str]]], docs: Iterable[TokenDoc]
-) -> list[CommunityDayDoc]:
-    """One document per (community, day, tweet ids) group.
-
-    ``docs`` yields the token streams of every group's tweets, group after
-    group. One encoder counts them all, so every document's codes compare
-    with every other's, and no trigram spans two tweets.
-    """
-    counted = TrigramEncoder().count(
-        (doc.tokens for doc in docs), [len(tweet_ids) for _, _, tweet_ids in groups]
-    )
-    codes = counted.vocabulary[counted.columns].tolist()
-    counts, bounds = counted.counts.tolist(), counted.indptr.tolist()
-    return [
-        CommunityDayDoc(
-            community=community,
-            day=day,
-            trigram_counts=dict(zip(codes[start:end], counts[start:end])),
-            tweet_ids=tuple(tweet_ids),
-        )
-        for (community, day, tweet_ids), start, end in zip(groups, bounds, bounds[1:])
-    ]
 
 
 class DayDocs(NamedTuple):
@@ -97,6 +76,18 @@ class DayDocs(NamedTuple):
     matrix: sp.csr_matrix
     norms_sq: np.ndarray
     codes: np.ndarray
+
+    @classmethod
+    def from_rows(
+        cls, keys: Iterable[tuple[Label, date]], matrix: sp.csr_matrix, codes: np.ndarray
+    ) -> DayDocs:
+        """The documents of ``keys``, the i-th key's in row i of ``matrix``.
+
+        ``matrix`` and ``codes`` are as :meth:`TrigramEncoder.count` returns
+        them; the rows' squared norms are computed here.
+        """
+        norms_sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+        return cls({key: row for row, key in enumerate(keys)}, matrix, norms_sq, codes)
 
 
 def build_community_day_docs(
@@ -119,17 +110,11 @@ def build_community_day_docs(
         for record in records_by_community[community]:
             ascii_texts, other_texts = texts_of.setdefault((community, record.day), ([], []))
             (ascii_texts if record.text.isascii() else other_texts).append(record.text)
-    counted = (encoder or TrigramEncoder()).count(
+    matrix, codes = (encoder or TrigramEncoder()).count(
         (tokenize(texts, stopwords) for batches in texts_of.values() for texts in batches),
         [2] * len(texts_of),
     )
-    matrix = sp.csr_matrix(
-        (counted.counts.astype(float), counted.columns, counted.indptr),
-        shape=(len(texts_of), counted.vocabulary.size),
-    )
-    norms_sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    row_of = {key: row for row, key in enumerate(texts_of)}
-    return DayDocs(row_of, matrix, norms_sq, counted.vocabulary)
+    return DayDocs.from_rows(texts_of, matrix, codes)
 
 
 def cosine_similarity(u: Mapping, v: Mapping) -> float:
@@ -155,8 +140,8 @@ def intercluster_similarity(
     """Mean cosine similarity over cross-cluster community pairs.
 
     Pairs involving an empty document are skipped; None when no valid pair
-    remains. This per-pair loop is the reference :func:`similarity_series`
-    matches exactly; attribution uses it for its one-day recompute.
+    remains. This per-pair loop is the reference that
+    :func:`similarity_series` matches exactly.
     """
     values = []
     for doc_a in docs_a:

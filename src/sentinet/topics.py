@@ -3,11 +3,13 @@
 Topic membership is plain case-insensitive substring containment against the
 raw tweet text, since several lexicon phrases carry punctuation that
 tokenization would destroy. Subtopics filter their parent topic's matches,
-so a subtopic count can never exceed its parent's.
+so a subtopic count can never exceed its parent's. Matched tweets feed a
+seeded, community-balanced coding sample per cluster and topic.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import astuple, dataclass, fields
 from datetime import date
 from itertools import compress
@@ -231,3 +233,37 @@ def write_daily_csv(table: RateTable, path: str | Path) -> None:
             for day, rate in series
         ),
     )
+
+
+def stratified_coding_sample(
+    records_by_cluster_topic: Mapping[tuple[str, str], Sequence[tuple[str, TweetRecord]]],
+    per_stratum: int = 100,
+    seed: int = 0,
+) -> list[tuple[str, str, str, TweetRecord]]:
+    """Seeded coding sample: up to ``per_stratum`` tweets per cluster-topic.
+
+    Entries are (community, record) pairs; communities inside a stratum are
+    balanced round-robin so one prolific community cannot dominate the
+    sample. Returns (cluster, topic, community, record) tuples.
+    """
+    rng = random.Random(seed)
+    sampled = []
+    for (cluster, topic) in sorted(records_by_cluster_topic):
+        entries = records_by_cluster_topic[(cluster, topic)]
+        by_community: dict[str, list[TweetRecord]] = {}
+        for community, record in entries:
+            by_community.setdefault(community, []).append(record)
+        queues = {}
+        for community in sorted(by_community):
+            pool = sorted(by_community[community], key=lambda r: r.tweet_id)
+            rng.shuffle(pool)
+            queues[community] = pool
+        picked: list[tuple[str, TweetRecord]] = []
+        while len(picked) < per_stratum and any(queues.values()):
+            for community in sorted(queues):
+                if queues[community] and len(picked) < per_stratum:
+                    picked.append((community, queues[community].pop()))
+        sampled.extend(
+            (cluster, topic, community, record) for community, record in picked
+        )
+    return sampled

@@ -33,11 +33,10 @@ def make_record(
 
 
 def decoded_counts(token_docs):
-    """The docs' summed trigram counts, keyed by (token, token, token)."""
+    """The token streams' summed trigram counts, keyed by (token, token, token)."""
     encoder = TrigramEncoder()
-    counted = encoder.count((doc.tokens for doc in token_docs), [len(token_docs)])
-    codes = counted.vocabulary[counted.columns]
-    return dict(zip(encoder.decode(codes), counted.counts.tolist()))
+    matrix, codes = encoder.count(token_docs, [len(token_docs)])
+    return dict(zip(encoder.decode(codes[matrix.indices]), matrix.data.tolist()))
 
 
 def decoded_rows(day_docs: DayDocs, encoder: TrigramEncoder):
@@ -70,8 +69,7 @@ def day_docs_of(docs) -> DayDocs:
         ),
         shape=(len(rows), codes.size),
     )
-    norms_sq = np.array([float(sum(count * count for _, count in row)) for row in rows])
-    return DayDocs(dict(zip(docs, range(len(rows)))), matrix, norms_sq, codes)
+    return DayDocs.from_rows(docs, matrix, codes)
 
 
 @pytest.fixture

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
 from sentinet.community import Partition
-from sentinet.ingest import TokenDoc
+from sentinet.similarity import CommunityDayDoc, burst_score, intercluster_similarity
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -233,13 +234,11 @@ def mean_and_population_sd(values: list[float]) -> tuple[float, float]:
     return float(array.mean()), float(array.std(ddof=0))
 
 
-def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> TokenDoc:
+def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:
     """The three-regex tokenizer: strip URLs, then mentions, then split the lowered rest."""
     cleaned = _URL_RE.sub(" ", text)
     cleaned = _MENTION_RE.sub(" ", cleaned)
-    return TokenDoc(
-        tuple(tok for tok in _TOKEN_RE.findall(cleaned.lower()) if tok not in stopwords)
-    )
+    return tuple(tok for tok in _TOKEN_RE.findall(cleaned.lower()) if tok not in stopwords)
 
 
 def indexed_trigram_counts(tokens) -> dict[tuple[str, str, str], int]:
@@ -247,3 +246,56 @@ def indexed_trigram_counts(tokens) -> dict[tuple[str, str, str], int]:
     return dict(
         Counter((tokens[i], tokens[i + 1], tokens[i + 2]) for i in range(len(tokens) - 2))
     )
+
+
+def trigram_jaccard(tokens_a, tokens_b) -> float:
+    """Jaccard similarity of two token streams' trigram sets, 0 when both have none."""
+    set_a, set_b = set(indexed_trigram_counts(tokens_a)), set(indexed_trigram_counts(tokens_b))
+    union = len(set_a | set_b)
+    return len(set_a & set_b) / union if union else 0.0
+
+
+def community_day_doc(community, day, tweets) -> CommunityDayDoc:
+    """Summed trigram counts of (tweet id, tokens) pairs, keyed by (token, token, token)."""
+    counts: dict = {}
+    for _, tokens in tweets:
+        for trigram, count in indexed_trigram_counts(tokens).items():
+            counts[trigram] = counts.get(trigram, 0) + count
+    return CommunityDayDoc(community, day, counts, tuple(tweet_id for tweet_id, _ in tweets))
+
+
+def confirm_drivers(
+    series, day, tweets_a, tweets_b, extraction_a, extraction_b,
+    match_threshold=0.5, flag_threshold=2.0, min_history=7,
+):
+    """Driver confirmation pair by pair: set Jaccard of every topical pair,
+    dict-keyed reduced documents and the per-pair cosine mean.
+
+    Returns (common_a, common_b, recomputed_s, recomputed_h, is_driver).
+    """
+    index = series.index_of(day)
+    docs_a = {tweet_id: tokens for tweets in tweets_a.values() for tweet_id, tokens in tweets}
+    docs_b = {tweet_id: tokens for tweets in tweets_b.values() for tweet_id, tokens in tweets}
+    common_a, common_b = set(), set()
+    for id_a in sorted(extraction_a.topical_ids & docs_a.keys()):
+        for id_b in sorted(extraction_b.topical_ids & docs_b.keys()):
+            if trigram_jaccard(docs_a[id_a], docs_b[id_b]) >= match_threshold:
+                common_a.add(id_a)
+                common_b.add(id_b)
+    if not common_a:
+        return frozenset(), frozenset(), series.values[index], burst_score(
+            series, index, min_history
+        ), False
+    new_s = intercluster_similarity(
+        *(
+            [
+                community_day_doc(c, day, [t for t in tweets[c] if t[0] not in removed])
+                for c in sorted(tweets, key=str)
+            ]
+            for tweets, removed in ((tweets_a, common_a), (tweets_b, common_b))
+        )
+    )
+    values = series.values[:index] + (new_s,) + series.values[index + 1 :]
+    new_h = burst_score(replace(series, values=values), index, min_history)
+    is_driver = new_h is None or new_h < flag_threshold
+    return frozenset(common_a), frozenset(common_b), new_s, new_h, is_driver

@@ -14,7 +14,6 @@ from sentinet.errors import EmptyCorpusError, UrlParseError, VocabularyOverflowE
 from sentinet.ingest import (
     BOUNDARY,
     PACKAGED,
-    TokenDoc,
     TrigramEncoder,
     extract_domain,
     load_wordlist,
@@ -100,6 +99,16 @@ class TestParseTweetStream:
         moved = replace(again, created_at=datetime(2020, 8, 9, 1, 0, tzinfo=timezone.utc))
         assert moved.day == date(2020, 8, 9) and moved != again
 
+    def test_records_of_one_day_share_their_date(self):
+        lines = [
+            make_line(0, created_at="2020-07-01T00:00:01Z"),
+            make_line(1, created_at="2020-07-01T21:30:00-02:00"),
+            make_line(2, created_at="2020-07-02T00:00:00Z"),
+        ]
+        first, second, third = parse_tweet_stream(io.StringIO("\n".join(lines))).records
+        assert first.day is second.day
+        assert third.day == date(2020, 7, 2) and third.day is not first.day
+
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
             parse_tweet_stream(io.StringIO("not json\n"))
@@ -166,51 +175,51 @@ class TestExtractDomain:
 
 class TestNormalizeText:
     def test_basic(self):
-        doc = normalize_text("The CDC quietly updated", frozenset({"the"}))
-        assert doc.tokens == ("cdc", "quietly", "updated")
-        assert decoded_counts([doc]) == {("cdc", "quietly", "updated"): 1}
+        tokens = normalize_text("The CDC quietly updated", frozenset({"the"}))
+        assert tokens == ("cdc", "quietly", "updated")
+        assert decoded_counts([tokens]) == {("cdc", "quietly", "updated"): 1}
 
     def test_mention_and_url_removed(self):
-        doc = normalize_text("@user http://a.b c", frozenset())
-        assert doc.tokens == ("c",)
-        assert decoded_counts([doc]) == {}
+        tokens = normalize_text("@user http://a.b c", frozenset())
+        assert tokens == ("c",)
+        assert decoded_counts([tokens]) == {}
 
     def test_fifty_token_sentence(self):
         text = " ".join(f"word{i}" for i in range(50))
-        doc = normalize_text(text, frozenset())
-        assert sum(decoded_counts([doc]).values()) == 48
+        tokens = normalize_text(text, frozenset())
+        assert sum(decoded_counts([tokens]).values()) == 48
 
     def test_empty_text(self):
-        doc = normalize_text("", frozenset())
-        assert doc.tokens == ()
-        assert decoded_counts([doc]) == {}
+        tokens = normalize_text("", frozenset())
+        assert tokens == ()
+        assert decoded_counts([tokens]) == {}
 
     def test_hashtag_keeps_stem(self):
-        doc = normalize_text("#covid spreading", frozenset())
-        assert doc.tokens == ("covid", "spreading")
+        tokens = normalize_text("#covid spreading", frozenset())
+        assert tokens == ("covid", "spreading")
 
     def test_default_stopwords_drop_rt(self):
-        doc = normalize_text("RT @x: the lockdown ends", load_wordlist(PACKAGED["stopwords"]))
-        assert doc.tokens == ("lockdown", "ends")
+        tokens = normalize_text("RT @x: the lockdown ends", load_wordlist(PACKAGED["stopwords"]))
+        assert tokens == ("lockdown", "ends")
 
     @given(st.text(max_size=200))
     def test_no_url_or_mention_remnants(self, text):
-        doc = normalize_text(text, frozenset())
+        tokens = normalize_text(text, frozenset())
         url_pattern = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-        for token in doc.tokens:
+        for token in tokens:
             assert "@" not in token
             assert not url_pattern.search(token)
             assert re.fullmatch(r"[^\W_]+", token)
 
     def test_url_like_tokens_removed_whole(self):
-        doc = normalize_text("see www.example.org/x?y=1 and http only", frozenset())
-        assert "example" not in doc.tokens
-        assert doc.tokens == ("see", "and", "http", "only")
+        tokens = normalize_text("see www.example.org/x?y=1 and http only", frozenset())
+        assert "example" not in tokens
+        assert tokens == ("see", "and", "http", "only")
 
     @given(st.lists(st.sampled_from(["covid", "cases", "rise", "cdc", "mask"]), max_size=12))
     def test_trigram_total_identity(self, words):
-        doc = normalize_text(" ".join(words), frozenset())
-        assert sum(decoded_counts([doc]).values()) == max(0, len(doc.tokens) - 2)
+        tokens = normalize_text(" ".join(words), frozenset())
+        assert sum(decoded_counts([tokens]).values()) == max(0, len(tokens) - 2)
 
 
 # URL and mention markers in every case, scheme-less "://", underscores and
@@ -285,32 +294,34 @@ class TestTokenizerBatch:
     @example(texts=["a b", "c\x00d"], stopwords=frozenset({BOUNDARY, "the"}))
     def test_each_text_as_if_alone(self, texts, stopwords):
         assert batch_texts(tokenize(texts, stopwords)) == [
-            oracles.normalize_text(text, stopwords).tokens for text in texts
+            oracles.normalize_text(text, stopwords) for text in texts
         ]
 
 
 class TestTrigramEncoder:
     def test_codes_pack_first_seen_ids(self):
         encoder = TrigramEncoder()
-        counted = encoder.count([("b", "a", "c", "b", "a", "c"), ("a", "b")], [2])
-        codes = counted.vocabulary[counted.columns]
+        matrix, codes = encoder.count([("b", "a", "c", "b", "a", "c"), ("a", "b")], [2])
         # ids: the boundary 0, b 1, a 2, c 3
         assert codes.tolist() == [1 << 42 | 2 << 21 | 3, 2 << 42 | 3 << 21 | 1, 3 << 42 | 1 << 21 | 2]
-        assert counted.counts.tolist() == [2, 1, 1] and counted.indptr.tolist() == [0, 3]
+        assert matrix.indices.tolist() == [0, 1, 2]
+        assert matrix.data.tolist() == [2, 1, 1] and matrix.indptr.tolist() == [0, 3]
         assert encoder.decode(codes) == [("b", "a", "c"), ("a", "c", "b"), ("c", "b", "a")]
 
     def test_no_trigram_spans_two_docs(self):
-        docs = [TokenDoc(("alpha", "beta")), TokenDoc(("gamma", "delta", "epsilon"))]
-        counted = TrigramEncoder().count((doc.tokens for doc in docs), [1, 1])
-        assert counted.indptr.tolist() == [0, 0, 1]
+        docs = [("alpha", "beta"), ("gamma", "delta", "epsilon")]
+        matrix, _ = TrigramEncoder().count(docs, [1, 1])
+        assert matrix.indptr.tolist() == [0, 0, 1]
         assert decoded_counts(docs) == {("gamma", "delta", "epsilon"): 1}
 
     def test_boundary_inside_a_stream_splits_it(self):
         joined = TrigramEncoder().count([("a", "b", "c", BOUNDARY, "b", "c", "d")], [1])
         apart = TrigramEncoder().count([("a", "b", "c"), ("b", "c", "d")], [2])
-        for field in ("indptr", "columns", "counts", "vocabulary"):
-            assert getattr(joined, field).tolist() == getattr(apart, field).tolist()
-        assert joined.counts.tolist() == [1, 1]
+        (joined_matrix, joined_codes), (apart_matrix, apart_codes) = joined, apart
+        for field in ("indptr", "indices", "data"):
+            assert getattr(joined_matrix, field).tolist() == getattr(apart_matrix, field).tolist()
+        assert joined_codes.tolist() == apart_codes.tolist()
+        assert joined_matrix.data.tolist() == [1, 1]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -322,17 +333,18 @@ class TestTrigramEncoder:
     def test_groups_sum_their_docs_indexed_counts(self, groups):
         streams = [tuple(tokens) for group in groups for tokens in group]
         encoder = TrigramEncoder()
-        counted = encoder.count(iter(streams), [len(group) for group in groups])
-        decoded = encoder.decode(counted.vocabulary[counted.columns])
-        assert counted.vocabulary.tolist() == sorted(set(counted.vocabulary.tolist()))
+        matrix, codes = encoder.count(iter(streams), [len(group) for group in groups])
+        assert matrix.shape == (len(groups), codes.size) and matrix.dtype == float
+        assert codes.tolist() == sorted(set(codes.tolist()))
+        decoded = encoder.decode(codes[matrix.indices])
         for g, group in enumerate(groups):
             expected = {}
             for tokens in group:
                 for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                     expected[trigram] = expected.get(trigram, 0) + count
-            start, end = counted.indptr[g], counted.indptr[g + 1]
-            assert dict(zip(decoded[start:end], counted.counts[start:end].tolist())) == expected
-            columns = counted.columns[start:end].tolist()
+            start, end = matrix.indptr[g], matrix.indptr[g + 1]
+            assert dict(zip(decoded[start:end], matrix.data[start:end].tolist())) == expected
+            columns = matrix.indices[start:end].tolist()
             assert columns == sorted(set(columns))
 
     def test_vocabulary_guard(self, monkeypatch):
@@ -340,7 +352,7 @@ class TestTrigramEncoder:
         # the boundary and three tokens fill two-bit ids; their codes still decode
         full = [("a", "b", "c", "a")]
         encoder = TrigramEncoder()
-        counted = encoder.count(full, [1])
-        assert encoder.decode(counted.vocabulary) == [("a", "b", "c"), ("b", "c", "a")]
+        _, codes = encoder.count(full, [1])
+        assert encoder.decode(codes) == [("a", "b", "c"), ("b", "c", "a")]
         with pytest.raises(VocabularyOverflowError):
             TrigramEncoder().count(full + [("d",)], [2])

@@ -8,19 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from sentinet import lsa
-from sentinet.ingest import normalize_text
+from sentinet.ingest import TrigramEncoder, normalize_text
 from sentinet.lsa import (
+    TopicalExtraction,
     confirm_drivers,
     lsa_topical_tweets,
-    trigram_jaccard,
     truncated_svd,
 )
-from sentinet.similarity import (
-    SimilaritySeries,
-    burst_score,
-    docs_from_tweets,
-    intercluster_similarity,
-)
+from sentinet.similarity import DayDocs, SimilaritySeries, burst_score, similarity_series
 
 DAY = date(2020, 7, 25)
 STOP = frozenset()
@@ -179,7 +174,7 @@ class TestLsaTopicalTweets:
         monkeypatch.setattr(lsa, "truncated_svd", capture)
         lsa_topical_tweets(docs, k=2)
         # rows: tweets with a trigram, in order; columns: sorted (token, token, token)
-        rows = [oracles.indexed_trigram_counts(doc.tokens) for _, doc in docs if len(doc.tokens) > 2]
+        rows = [oracles.indexed_trigram_counts(tokens) for _, tokens in docs if len(tokens) > 2]
         vocabulary = sorted({trigram for row in rows for trigram in row})
         expected = np.array(
             [[row.get(trigram, 0) for trigram in vocabulary] for row in rows], dtype=float
@@ -188,6 +183,22 @@ class TestLsaTopicalTweets:
         assert matrix.has_sorted_indices
         assert np.array_equal(matrix.toarray(), expected)
 
+    def test_null_space_vectors_select_nothing(self):
+        # three distinct texts and k = 5: the last two vectors span part of
+        # the null space, their singular values rounding-level zeros
+        texts = UNRELATED[:3]
+        docs = [
+            (f"t{g}-{i}", toks(text)) for g, (text, n) in enumerate(zip(texts, (6, 3, 1)))
+            for i in range(n)
+        ]
+        extraction = lsa_topical_tweets(docs, k=5)
+        s = extraction.singular_values
+        assert len(s) == 5 and s[3] <= np.sqrt(10 * np.finfo(float).eps) * s[0]
+        assert extraction.per_vector[:3] == tuple(
+            frozenset(f"t{g}-{i}" for i in range(n)) for g, n in enumerate((6, 3, 1))
+        )
+        assert extraction.per_vector[3:] == (frozenset(), frozenset())
+
     def test_no_gap_selects_nothing(self):
         # ten identical tweets and nothing else: a flat plateau has no drop
         docs = [(f"x{i}", toks("flat plateau of identical documents")) for i in range(10)]
@@ -195,16 +206,37 @@ class TestLsaTopicalTweets:
         assert extraction.per_vector[0] == frozenset()
 
 
+def _matched(text_a, text_b, match_threshold):
+    """Whether confirm_drivers pairs two topical tweets, one per side."""
+    series = SimilaritySeries(pair=("A", "B"), days=(DAY,), values=(0.5,))
+    result = confirm_drivers(
+        series,
+        DAY,
+        {"a1": [("a", toks(text_a))]},
+        {"b1": [("b", toks(text_b))]},
+        TopicalExtraction((), (), frozenset({"a"})),
+        TopicalExtraction((), (), frozenset({"b"})),
+        match_threshold=match_threshold,
+    )
+    assert bool(result.common_a) == bool(result.common_b)
+    return bool(result.common_a)
+
+
 class TestTrigramJaccard:
     def test_identical_is_one(self):
-        doc = toks("the quick brown fox jumps over dogs")
-        assert trigram_jaccard(doc, doc) == 1.0
+        text = "the quick brown fox jumps over dogs"
+        assert _matched(text, text, 1.0)
 
     def test_disjoint_is_zero(self):
-        assert trigram_jaccard(toks("a b c d"), toks("e f g h")) == 0.0
+        assert not _matched("a b c d", "e f g h", 1e-9)
 
     def test_empty_pair_is_zero(self):
-        assert trigram_jaccard(toks(""), toks("")) == 0.0
+        assert not _matched("", "", 1e-9)
+
+    def test_threshold_is_inclusive(self):
+        # trigram sets {abc, bcd} and {abc, bce}: one shared of three
+        assert _matched("a b c d", "a b c e", 1 / 3)
+        assert not _matched("a b c d", "a b c e", 0.34)
 
 
 def _burst_fixture():
@@ -219,11 +251,12 @@ def _burst_fixture():
     for community in tweets_b:
         tweets_b[community].append((f"{community}-viral", toks(viral)))
     by_community = [(c, tweets[c]) for tweets in (tweets_a, tweets_b) for c in sorted(tweets)]
-    docs = docs_from_tweets(
-        [(c, DAY, [tid for tid, _ in pairs]) for c, pairs in by_community],
-        (doc for _, pairs in by_community for _, doc in pairs),
+    matrix, codes = TrigramEncoder().count(
+        (tokens for _, pairs in by_community for _, tokens in pairs),
+        [len(pairs) for _, pairs in by_community],
     )
-    spike = intercluster_similarity(docs[: len(tweets_a)], docs[len(tweets_a) :])
+    docs = DayDocs.from_rows(((c, DAY) for c, _ in by_community), matrix, codes)
+    (spike,) = similarity_series(docs, sorted(tweets_a), sorted(tweets_b), [DAY], ("A", "B")).values
     history = [0.010, 0.013, 0.009, 0.012, 0.011, 0.014, 0.010, 0.012]
     days = tuple(DAY - timedelta(days=len(history) - i) for i in range(len(history)))
     series = SimilaritySeries(
@@ -295,3 +328,69 @@ class TestConfirmDrivers:
         expected = burst_score(reduced, DAY)
         assert result.recomputed_h == expected
         assert (expected is not None) == day_stays_valid
+
+
+WORDS = ["covid", "cases", "rise", "mask", "cdc", "data"]
+# a tweet's tokens: a few words, so some have no trigram
+TOKENS = st.lists(st.sampled_from(WORDS), max_size=6).map(tuple)
+
+
+@st.composite
+def driver_events(draw):
+    """Two sides of communities whose tweets copy, edit or ignore a few bases,
+    arbitrary topical sets, and a series whose last day is the event day."""
+    bases = draw(
+        st.lists(st.lists(st.sampled_from(WORDS), min_size=3, max_size=6), min_size=1, max_size=3)
+    )
+
+    def tweet_tokens():
+        # mostly copies of a base, so that matches are common
+        tokens = list(draw(st.sampled_from(bases) if draw(st.integers(0, 3)) else TOKENS))
+        if tokens and draw(st.booleans()):
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(WORDS))
+        return tuple(tokens)
+
+    sides = []
+    for side in "ab":
+        sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        sides.append(
+            {
+                f"{side}{c}": [(f"{side}{c}-{i}", tweet_tokens()) for i in range(size)]
+                for c, size in enumerate(sizes)
+            }
+        )
+    extractions = [
+        TopicalExtraction(
+            (),
+            (),
+            frozenset(
+                tid for tweets in side.values() for tid, _ in tweets if draw(st.integers(0, 2))
+            ),
+        )
+        for side in sides
+    ]
+    history = draw(st.lists(st.floats(0, 1), min_size=7, max_size=9))
+    days = tuple(DAY - timedelta(days=len(history) - i) for i in range(len(history) + 1))
+    value = draw(st.none() | st.floats(0, 1))
+    series = SimilaritySeries(pair=("A", "B"), days=days, values=tuple(history) + (value,))
+    return series, *sides, *extractions
+
+
+class TestConfirmDriversEqualsPairwiseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        event=driver_events(),
+        match_threshold=st.sampled_from([1e-9, 0.2, 1 / 3, 0.5, 2 / 3, 1.0])
+        | st.floats(0.01, 1.0),
+    )
+    def test_same_common_sets_and_scores(self, event, match_threshold):
+        series, *tweets_and_extractions = event
+        result = confirm_drivers(
+            series, DAY, *tweets_and_extractions, match_threshold=match_threshold
+        )
+        common_a, common_b, new_s, new_h, is_driver = oracles.confirm_drivers(
+            series, DAY, *tweets_and_extractions, match_threshold=match_threshold
+        )
+        assert result.common_a == common_a and result.common_b == common_b
+        assert result.recomputed_s == new_s and result.recomputed_h == new_h
+        assert result.is_driver == is_driver

@@ -13,10 +13,10 @@ from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
 from sentinet.errors import ConfigError, StageError
 from sentinet.ingest import normalize_text, read_corpus, write_corpus
-from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline, stratified_coding_sample
+from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline
 from sentinet.sentinel import read_roster
 from sentinet.synthetic import SyntheticSpec, generate_corpus
-from sentinet.topics import load_lexicons, matches_topic
+from sentinet.topics import load_lexicons, matches_topic, stratified_coding_sample
 
 
 @pytest.fixture(scope="module")

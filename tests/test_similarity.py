@@ -12,7 +12,7 @@ from sentinet.errors import (
     ParameterError,
     UndefinedStatisticError,
 )
-from sentinet.ingest import PACKAGED, TokenDoc, TrigramEncoder, load_wordlist, normalize_text
+from sentinet.ingest import PACKAGED, TrigramEncoder, load_wordlist, normalize_text
 from sentinet.similarity import (
     CommunityDayDoc,
     SimilaritySeries,
@@ -22,7 +22,6 @@ from sentinet.similarity import (
     burst_score,
     burst_scores,
     cosine_similarity,
-    docs_from_tweets,
     flag_days,
     intercluster_similarity,
     read_series_csv,
@@ -205,8 +204,8 @@ class TestDayDocs:
         texts = ["one two three four", "five six seven", "eight nine ten eleven"]
         per_tweet = [normalize_text(t, frozenset()) for t in texts]
         expected = {}
-        for token_doc in per_tweet:
-            for trigram, count in oracles.indexed_trigram_counts(token_doc.tokens).items():
+        for tokens in per_tweet:
+            for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                 expected[trigram] = expected.get(trigram, 0) + count
         records = {
             "c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]
@@ -223,7 +222,7 @@ def per_tweet_reference(records_by_community, stopwords):
     for community in sorted(records_by_community, key=str):
         for record in records_by_community[community]:
             counts = grouped.setdefault((community, record.day), {})
-            tokens = oracles.normalize_text(record.text, stopwords).tokens
+            tokens = oracles.normalize_text(record.text, stopwords)
             for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                 counts[trigram] = counts.get(trigram, 0) + count
     return grouped
@@ -296,17 +295,20 @@ NORMALIZE_EXAMPLES = [
 
 
 class TestTokenDoc:
+    """A tweet's token doc is the tuple normalize_text returns."""
+
     @pytest.mark.parametrize("text,stopwords", NORMALIZE_EXAMPLES)
     def test_equality_and_trigram_counts_unchanged(self, text, stopwords):
         token_doc = normalize_text(text, stopwords)
-        fresh = TokenDoc(token_doc.tokens)
+        fresh = oracles.normalize_text(text, stopwords)
+        assert type(token_doc) is tuple
         assert token_doc == fresh and hash(token_doc) == hash(fresh)
-        expected = oracles.indexed_trigram_counts(token_doc.tokens)
+        expected = oracles.indexed_trigram_counts(token_doc)
         counts = decoded_counts([token_doc])
         assert counts == expected
         # counting leaves the doc as it was
         assert token_doc == fresh
-        assert token_doc != TokenDoc(token_doc.tokens + ("extra",))
+        assert token_doc != token_doc + ("extra",)
 
 
 class TestBurstScore:
@@ -377,19 +379,17 @@ class TestFlagDays:
         viral = "cdc quietly updated the death statistics overnight"
         noise_a = "local cases rise in the north region today"
         noise_b = "hospital capacity steady across southern towns"
-        stop = frozenset()
-        texts_a, texts_b = [noise_a, viral], [noise_b, viral]
-        full_a, full_b = docs_from_tweets(
-            [("ca", DAY, ["a1", "va"]), ("cb", DAY, ["b1", "vb"])],
-            (normalize_text(text, stop) for text in texts_a + texts_b),
-        )
-        reduced_a, reduced_b = docs_from_tweets(
-            [("ca", DAY, ["a1"]), ("cb", DAY, ["b1"])],
-            (normalize_text(text, stop) for text in (noise_a, noise_b)),
-        )
-        with_driver = intercluster_similarity([full_a], [full_b])
-        without = intercluster_similarity([reduced_a], [reduced_b])
-        assert with_driver > without
+
+        def similarity(texts_a, texts_b):
+            records = {
+                community: [record_factory(f"{community}{i}", "u", text=t) for i, t in enumerate(texts)]
+                for community, texts in (("ca", texts_a), ("cb", texts_b))
+            }
+            day_docs = build_community_day_docs(records, frozenset())
+            (value,) = similarity_series(day_docs, ["ca"], ["cb"], [DAY], ("A", "B")).values
+            return value
+
+        assert similarity([noise_a, viral], [noise_b, viral]) > similarity([noise_a], [noise_b])
 
 
 class TestSeriesCsv:
