@@ -13,6 +13,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 from urllib.parse import urlsplit
@@ -44,12 +45,15 @@ _ASCII_SEPARATORS = bytes(
 )
 # bits of one token id in a trigram code; three ids fill 63 bits of an int64
 TOKEN_ID_BITS = 21
+# token ids, in whole groups, that TrigramEncoder.count gathers before it
+# reduces them to trigram runs
+CHUNK_TOKENS = 1 << 16
 # one shared date per distinct day, which TweetRecord.day refers to: a
 # corpus spans few days, and a date per record would cost 32 bytes each
 _DAYS: dict[date, date] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     """One archived tweet. ``retweeted_author_id`` is set iff it is a retweet."""
 
@@ -59,8 +63,8 @@ class TweetRecord:
     text: str
     retweeted_author_id: str | None = None
     urls: tuple[str, ...] = ()
-    # the UTC day, read by many stages; a field set once costs less memory
-    # than a cached_property, which gives every record its own __dict__
+    # the UTC day, read by many stages, stored once in its own slot; equality,
+    # hashing and repr leave it out, as created_at already decides it
     day: date = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -77,19 +81,30 @@ class ParseResult:
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp into an aware UTC datetime (second resolution)."""
     raw = value.strip()
+    # Python 3.10's fromisoformat rejects a "Z" suffix
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     parsed = datetime.fromisoformat(raw)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    # a zero offset parses to the timezone.utc singleton, which needs no conversion
+    if parsed.tzinfo is not timezone.utc:
+        parsed = parsed.astimezone(timezone.utc)
+    if parsed.microsecond:
+        parsed = parsed.replace(microsecond=0)
+    return parsed
 
 
 def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def record_from_json(obj: dict) -> TweetRecord:
+def record_from_json(obj: dict, accounts: dict[str, str]) -> TweetRecord:
+    """The record of one decoded JSON object; raises ValueError, KeyError or TypeError.
+
+    ``accounts`` maps each account id seen so far to one shared string,
+    which the record's author and retweeted-author ids refer to.
+    """
     tweet_id = obj["tweet_id"]
     author_id = obj["author_id"]
     if not isinstance(tweet_id, str) or not tweet_id:
@@ -97,8 +112,10 @@ def record_from_json(obj: dict) -> TweetRecord:
     if not isinstance(author_id, str) or not author_id:
         raise ValueError("author_id must be a non-empty string")
     retweeted = obj.get("retweeted_author_id")
-    if retweeted is not None and (not isinstance(retweeted, str) or not retweeted):
-        raise ValueError("retweeted_author_id must be null or a non-empty string")
+    if retweeted is not None:
+        if not isinstance(retweeted, str) or not retweeted:
+            raise ValueError("retweeted_author_id must be null or a non-empty string")
+        retweeted = accounts.setdefault(retweeted, retweeted)
     created_at = obj["created_at"]
     if not isinstance(created_at, str):
         raise ValueError("created_at must be a string")
@@ -106,11 +123,11 @@ def record_from_json(obj: dict) -> TweetRecord:
     if not isinstance(text, str):
         raise ValueError("text must be a string")
     urls = obj.get("urls", [])
-    if not isinstance(urls, list) or any(not isinstance(u, str) for u in urls):
+    if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
         raise ValueError("urls must be an array of strings")
     return TweetRecord(
         tweet_id=tweet_id,
-        author_id=author_id,
+        author_id=accounts.setdefault(author_id, author_id),
         created_at=parse_timestamp(created_at),
         text=text,
         retweeted_author_id=retweeted,
@@ -138,17 +155,25 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
     """
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
+    # one string per account id, local to the call so that a long-lived
+    # process does not keep every id it has read
+    accounts: dict[str, str] = {}
+    decode = json.JSONDecoder().raw_decode
     skipped = 0
     for line in stream:
         if isinstance(line, bytes):
             line = line.decode("utf-8", errors="replace")
-        if not line.strip():
+        # only JSON whitespace: a line padded with anything else is no JSON value
+        text = line.strip(" \t\n\r")
+        if not text or text.isspace():
             continue
         try:
-            obj = json.loads(line)
+            obj, end = decode(text)
+            if end != len(text):
+                raise ValueError("trailing data after the JSON value")
             if not isinstance(obj, dict):
                 raise ValueError("record line must be a JSON object")
-            record = record_from_json(obj)
+            record = record_from_json(obj, accounts)
         except (ValueError, KeyError, TypeError):
             skipped += 1
             continue
@@ -283,47 +308,70 @@ class TrigramEncoder:
         spans two streams, or two texts of one :func:`tokenize` batch.
         ``streams`` is read once, so it may be a generator.
 
+        The streams are read one chunk at a time: a chunk is whole groups,
+        taken until it holds at least :data:`CHUNK_TOKENS` ids, and is
+        reduced at once to its (group, code, count) runs. The arrays as long
+        as the token stream (ids, codes, trigram starts and keys) are thus
+        bounded by the chunk, or by the longest group, rather than by the
+        whole input; what grows with the input is the runs, one per nonzero
+        of the result. The runs of all chunks are assembled once at the end.
+
         Returns a group x trigram CSR matrix of integer-valued float64 counts,
         its column indices ascending within each row, and the ascending codes:
         column j is the trigram whose code is ``codes[j]``.
         """
+        streams = iter(streams)
+        runs = []  # per chunk: entries per group, their codes, their counts
         ids = array("q")  # int64, read by numpy without a copy
-        ends = array("q", [0])  # ends[i]: where the first i streams' ids end
-        for tokens in streams:
-            ids.extend(map(self._ids.__getitem__, tokens))
-            ids.append(0)
+        ends = array("q")  # ends[g]: where the chunk's group g ends in ids
+        for size in group_sizes:
+            for tokens in islice(streams, size):
+                ids.extend(map(self._ids.__getitem__, tokens))
+                ids.append(0)
             ends.append(len(ids))
+            if len(ids) >= CHUNK_TOKENS:
+                runs.append(self._chunk_runs(ids, ends))
+                ids, ends = array("q"), array("q")
+        runs.append(self._chunk_runs(ids, ends))
+        entries, codes, counts = zip(*runs)
+        del runs
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(entries))])
+        # each tuple of parts is freed as soon as it has been concatenated
+        codes = np.concatenate(codes)
+        vocabulary = np.unique(codes)
+        columns = np.searchsorted(vocabulary, codes)
+        del codes
+        data = np.concatenate(counts)
+        del counts
+        matrix = sp.csr_matrix(
+            (data, columns, indptr), shape=(indptr.size - 1, vocabulary.size)
+        )
+        return matrix, vocabulary
+
+    def _chunk_runs(self, ids: array, ends: array) -> tuple[np.ndarray, ...]:
+        """A chunk's entries per group, and each group's codes, ascending, and counts."""
         if len(self._ids) > 1 << TOKEN_ID_BITS:
             raise VocabularyOverflowError(
                 f"more than 2**{TOKEN_ID_BITS} distinct tokens; trigram codes would collide"
             )
-        # each temporary is as long as the whole input: free each one early
         token_ids = np.frombuffer(ids, dtype=np.int64)
         codes = token_ids[:-2] << 2 * TOKEN_ID_BITS
         codes |= token_ids[1:-1] << TOKEN_ID_BITS
         codes |= token_ids[2:]
         is_token = token_ids != 0
-        del token_ids, ids
         starts = np.flatnonzero(is_token[:-2] & is_token[1:-1] & is_token[2:])
-        del is_token
-        codes = codes[starts]
-        stream_ends = np.frombuffer(ends, dtype=np.int64)
-        group_ends = stream_ends[np.cumsum(group_sizes, dtype=np.int64)]
-        # (group, column) pairs as one int64 key each; columns index the vocabulary
-        keys = np.searchsorted(group_ends, starts, side="right")
-        del starts
-        vocabulary = np.unique(codes)
+        vocabulary, columns = np.unique(codes[starts], return_inverse=True)
+        # (group, column) pairs as one int64 key each; columns index the chunk's vocabulary
         width = max(vocabulary.size, 1)
+        keys = np.searchsorted(np.frombuffer(ends, dtype=np.int64), starts, side="right")
         keys *= width
-        keys += np.searchsorted(vocabulary, codes)
-        del codes
+        keys += columns
         keys, counts = np.unique(keys, return_counts=True)
-        indptr = np.searchsorted(keys // width, np.arange(len(group_sizes) + 1))
-        matrix = sp.csr_matrix(
-            (counts.astype(float), keys % width, indptr),
-            shape=(len(group_sizes), vocabulary.size),
+        return (
+            np.bincount(keys // width, minlength=len(ends)),
+            vocabulary[keys % width],
+            counts.astype(float),
         )
-        return matrix, vocabulary
 
     def decode(self, codes: Iterable[int]) -> list[Trigram]:
         """The trigrams of codes this encoder made."""

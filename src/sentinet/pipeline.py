@@ -250,28 +250,34 @@ def _build_lsa(params, series_list, topics, cluster) -> dict:
     # only the tweets of flagged days are read, so only they are tokenized
     flagged_days = {day for days in flagged for day in days}
     token_cache: dict[str, dict[date, list[tuple[str, tuple[str, ...]]]]] = {}
+    # one string per distinct token, which every cached token stream shares
+    token_of: dict[str, str] = {}
     for community, per_topic in topics.items():
         per_day: dict[date, list] = {}
         for record in per_topic["covid"]:
             if record.day in flagged_days:
+                tokens = normalize_text(record.text, stopwords)
                 per_day.setdefault(record.day, []).append(
-                    (record.tweet_id, normalize_text(record.text, stopwords))
+                    (record.tweet_id, tuple(map(token_of.setdefault, tokens, tokens)))
                 )
         token_cache[community] = per_day
     events = []
+    # (cluster, day) -> its extraction; a day flagged in two pairs of one
+    # cluster is extracted once
+    extracted: dict[tuple[community_mod.Label, date], lsa_mod.TopicalExtraction] = {}
     for series, days in zip(series_list, flagged):
         for day in days:
             tweets = [
                 {community: token_cache[community].get(day, []) for community in members[side]}
                 for side in series.pair
             ]
-            extractions = [
-                lsa_mod.lsa_topical_tweets(
-                    [t for c in sorted(by_community) for t in by_community[c]],
-                    k=params.lsa_k,
-                )
-                for by_community in tweets
-            ]
+            for side, by_community in zip(series.pair, tweets):
+                if (side, day) not in extracted:
+                    extracted[side, day] = lsa_mod.lsa_topical_tweets(
+                        [t for c in sorted(by_community) for t in by_community[c]],
+                        k=params.lsa_k,
+                    )
+            extractions = [extracted[side, day] for side in series.pair]
             confirmation = lsa_mod.confirm_drivers(
                 series,
                 day,

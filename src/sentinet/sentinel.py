@@ -9,6 +9,7 @@ if any tweet from it is observed on or after that day.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -140,10 +141,10 @@ class ActivityLedger:
         return sum(self.active_days.get(account, 0) for account in accounts)
 
     def daily_active(self, accounts: Collection[str]) -> tuple[int, ...]:
-        return tuple(
-            sum(1 for account in accounts if self.active_on(account, day))
-            for day in self.days
-        )
+        """Per window day, how many entries of ``accounts`` are active on it."""
+        # an account is active on each day up to its last-seen date
+        seen = sorted(self.last_seen[account] for account in accounts if account in self.last_seen)
+        return tuple(len(seen) - bisect_left(seen, day) for day in self.days)
 
 
 def activity(

@@ -101,8 +101,9 @@ def build_community_day_docs(
     tokenized as two batches, its ASCII texts and the rest, so that one
     non-ASCII tweet does not send the day's ASCII tweets down the regex
     path; each batch's tokens are turned into ids as soon as they are made,
-    so no more than one batch's token stream is held at a time. Every
-    community-day is then counted in one vectorized pass. The codes are
+    so no more than one batch's token stream is held at a time, and
+    :meth:`TrigramEncoder.count` reduces them to counts a chunk of whole
+    community-days at a time. The codes are
     made by ``encoder``, a fresh one unless given; pass one to decode them.
     """
     texts_of: dict[tuple[Label, date], tuple[list[str], list[str]]] = {}

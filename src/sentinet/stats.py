@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import DegenerateTableError, UndefinedScoreError
 from .fileio import read_csv
@@ -67,6 +66,9 @@ def chi_square(table: ContingencyTable) -> ChiSquareResult:
     expected = np.outer(row_sums, col_sums) / total
     statistic = float(((counts - expected) ** 2 / expected).sum())
     df = (counts.shape[0] - 1) * (counts.shape[1] - 1)
+    # imported here: no pipeline run without a contingency table pays for scipy.special
+    from scipy.special import gammaincc
+
     p_value = float(gammaincc(df / 2.0, statistic / 2.0))
     return ChiSquareResult(statistic=statistic, df=df, p_value=p_value)
 

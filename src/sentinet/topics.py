@@ -187,9 +187,13 @@ def rate_table(
     if daily_counts is not None:
         if cluster_accounts is None:
             raise ParameterError("daily_counts requires cluster_accounts")
+        # the active tallies depend on the cluster alone
+        active_of = {
+            cluster: ledger.daily_active(accounts) for cluster, accounts in cluster_accounts.items()
+        }
         for topic in sorted(daily_counts):
             for cluster in sorted(daily_counts[topic], key=str):
-                active = ledger.daily_active(tuple(cluster_accounts[cluster]))
+                active = active_of[cluster]
                 by_day = daily_counts[topic][cluster]
                 series = []
                 for i, day in enumerate(ledger.days):

@@ -7,15 +7,19 @@ independent of the code paths under test.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import replace
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
 from sentinet.community import Partition
+from sentinet.errors import EmptyCorpusError
+from sentinet.ingest import ParseResult, TweetRecord
 from sentinet.similarity import CommunityDayDoc, burst_score, intercluster_similarity
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -299,3 +303,71 @@ def confirm_drivers(
     new_h = burst_score(replace(series, values=values), index, min_history)
     is_driver = new_h is None or new_h < flag_threshold
     return frozenset(common_a), frozenset(common_b), new_s, new_h, is_driver
+
+
+def parse_timestamp(value: str) -> datetime:
+    """ISO-8601 to aware UTC at second resolution, converting and truncating always."""
+    raw = value.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    parsed = datetime.fromisoformat(raw)
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+
+
+def _record_from_json(obj: dict) -> TweetRecord:
+    tweet_id = obj["tweet_id"]
+    author_id = obj["author_id"]
+    if not isinstance(tweet_id, str) or not tweet_id:
+        raise ValueError("tweet_id must be a non-empty string")
+    if not isinstance(author_id, str) or not author_id:
+        raise ValueError("author_id must be a non-empty string")
+    retweeted = obj.get("retweeted_author_id")
+    if retweeted is not None and (not isinstance(retweeted, str) or not retweeted):
+        raise ValueError("retweeted_author_id must be null or a non-empty string")
+    created_at = obj["created_at"]
+    if not isinstance(created_at, str):
+        raise ValueError("created_at must be a string")
+    text = obj.get("text", "")
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+    urls = obj.get("urls", [])
+    if not isinstance(urls, list) or any(not isinstance(u, str) for u in urls):
+        raise ValueError("urls must be an array of strings")
+    return TweetRecord(
+        tweet_id=tweet_id,
+        author_id=author_id,
+        created_at=parse_timestamp(created_at),
+        text=text,
+        retweeted_author_id=retweeted,
+        urls=tuple(urls),
+    )
+
+
+def parse_tweet_stream(stream) -> ParseResult:
+    """JSON Lines records through ``json.loads``, one line at a time; blank lines ignored."""
+    records: list[TweetRecord] = []
+    seen_ids: set[str] = set()
+    skipped = 0
+    for line in stream:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8", errors="replace")
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("record line must be a JSON object")
+            record = _record_from_json(obj)
+        except (ValueError, KeyError, TypeError):
+            skipped += 1
+            continue
+        if record.tweet_id in seen_ids:
+            skipped += 1
+            continue
+        seen_ids.add(record.tweet_id)
+        records.append(record)
+    if not records:
+        raise EmptyCorpusError(f"no parseable records ({skipped} lines skipped)")
+    return ParseResult(records=records, skipped=skipped)

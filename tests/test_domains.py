@@ -270,10 +270,11 @@ class TestClusterScores:
         assert result.centroids == (1.0, 4.0)
 
     def test_cli_and_pipeline_do_not_load_scipy_cluster(self):
+        # nor scipy.special, which only stats.chi_square imports
         code = (
             "import sys, sentinet.cli, sentinet.pipeline; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.cluster', 'scipy.spatial'))))"
+            "if m.startswith(('scipy.cluster', 'scipy.spatial', 'scipy.special'))))"
         )
         src = str(Path(sentinet.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

@@ -2,7 +2,7 @@ import io
 import json
 import re
 from dataclasses import replace
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +18,7 @@ from sentinet.ingest import (
     extract_domain,
     load_wordlist,
     normalize_text,
+    parse_timestamp,
     parse_tweet_stream,
     write_corpus,
     read_corpus,
@@ -109,6 +110,17 @@ class TestParseTweetStream:
         assert first.day is second.day
         assert third.day == date(2020, 7, 2) and third.day is not first.day
 
+    def test_records_of_one_parse_share_account_ids(self):
+        lines = [
+            make_line(0, author_id="acct"),
+            make_line(1, author_id="acct", retweeted_author_id="other"),
+            make_line(2, author_id="other", retweeted_author_id="acct"),
+        ]
+        first, second, third = parse_tweet_stream(io.StringIO("\n".join(lines))).records
+        assert first.author_id is second.author_id is third.retweeted_author_id
+        assert second.retweeted_author_id is third.author_id
+        assert not hasattr(first, "__dict__")
+
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
             parse_tweet_stream(io.StringIO("not json\n"))
@@ -138,6 +150,91 @@ class TestParseTweetStream:
         path2 = tmp_path / "again.jsonl"
         write_corpus(reparsed.records, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+# ISO-8601 renderings, mostly ones parse_timestamp accepts, with padding
+ISO_TIMESTAMPS = st.builds(
+    lambda moment, offset, spec, suffix, pad: pad
+    + moment.replace(tzinfo=offset).isoformat(timespec=spec)
+    + suffix
+    + pad,
+    st.datetimes(datetime(1990, 1, 1), datetime(2100, 1, 1)),
+    st.none() | st.integers(-14 * 60, 14 * 60).map(lambda m: timezone(timedelta(minutes=m))),
+    st.sampled_from(["seconds", "milliseconds", "microseconds", "minutes", "auto"]),
+    st.sampled_from(["", "", "Z", "z", "+00:00", "-00:00", "+05:30", "x"]),
+    st.sampled_from(["", " ", "\t", "\x0b", "\u00a0"]),
+)
+TIMESTAMPS = ISO_TIMESTAMPS | st.sampled_from(
+    ["", "Z", "2020-07-01", "2020-07-01T12:00:00ZZ", "2020-13-01T00:00:00Z"]
+) | st.text(max_size=6)
+JSON_VALUES = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+
+
+@st.composite
+def record_lines(draw):
+    """A record line, at most one field ill-typed or missing, with padding or trailing data."""
+    obj = {
+        "tweet_id": draw(st.sampled_from(["1", "2", "3"])),
+        "author_id": draw(st.sampled_from(["a", "b"])),
+        "created_at": draw(ISO_TIMESTAMPS),
+        "text": draw(st.text(max_size=5)),
+        "retweeted_author_id": draw(st.sampled_from([None, "a", "b"])),
+        "urls": draw(st.lists(st.text(max_size=3), max_size=2)),
+    }
+    spoiled = draw(st.sampled_from([None, None, None, *sorted(obj)]))
+    if spoiled is not None:
+        if draw(st.booleans()):
+            del obj[spoiled]
+        else:
+            obj[spoiled] = draw(JSON_VALUES | st.lists(JSON_VALUES, max_size=2))
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    padding = st.sampled_from(["", "", " ", "\t", "\r", "\n", "\r\n", "\x0b", "\u00a0", "\ufeff"])
+    trailing = st.sampled_from(["", "", "", "x", "}", " 1", "{}", " \x0b"])
+    return draw(padding) + line + draw(trailing) + draw(padding)
+
+
+JUNK_LINES = st.sampled_from(
+    ["", " \t\r\n", "\x0b", "\u00a0\u2028", "\ufeff", "null", "3", '"a"', "[1, 2]", "{}", "{"]
+) | st.text(max_size=6)
+
+
+def parse_outcome(parse, lines):
+    """Skipped count and each record with its timestamp's rendering, or None if nothing parses."""
+    try:
+        result = parse(lines)
+    except EmptyCorpusError:
+        return None
+    utc = timezone.utc
+    return result.skipped, [
+        (record, record.day, record.created_at.isoformat(), record.created_at.tzinfo is utc)
+        for record in result.records
+    ]
+
+
+class TestParseEquivalence:
+    @settings(max_examples=1000)
+    @given(TIMESTAMPS)
+    @example("2020-07-01T12:00:00.999999z")
+    @example("2020-07-01T23:30:00.5-02:00")
+    def test_timestamp(self, value):
+        try:
+            expected = oracles.parse_timestamp(value)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_timestamp(value)
+            return
+        parsed = parse_timestamp(value)
+        assert parsed.isoformat() == expected.isoformat()
+        assert parsed.tzinfo is timezone.utc
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(record_lines() | JUNK_LINES, max_size=8), st.booleans())
+    def test_stream(self, lines, as_bytes):
+        if as_bytes:
+            lines = [line.encode("utf-8", errors="surrogatepass") for line in lines]
+        assert parse_outcome(parse_tweet_stream, lines) == parse_outcome(
+            oracles.parse_tweet_stream, lines
+        )
 
 
 class TestExtractDomain:
@@ -346,6 +443,39 @@ class TestTrigramEncoder:
             assert dict(zip(decoded[start:end], matrix.data[start:end].tolist())) == expected
             columns = matrix.indices[start:end].tolist()
             assert columns == sorted(set(columns))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.lists(st.sampled_from("abcd"), max_size=9), max_size=4),
+            max_size=6,
+        ),
+        st.integers(1, 7),
+    )
+    @example([], 1)
+    @example([[], [("a", "b", "c")], []], 1)
+    @example([[("a", "b", "c", "d", "a", "b", "c", "d")], [("a", "b", "c")]], 2)
+    def test_chunks_count_as_one(self, groups, chunk_tokens):
+        streams = [tuple(tokens) for group in groups for tokens in group]
+        sizes = [len(group) for group in groups]
+        whole_matrix, whole_codes = TrigramEncoder().count(streams, sizes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_TOKENS", chunk_tokens)
+            matrix, codes = TrigramEncoder().count(iter(streams), sizes)
+        assert matrix.shape == whole_matrix.shape
+        for field in ("indptr", "indices", "data"):
+            ours, theirs = getattr(matrix, field), getattr(whole_matrix, field)
+            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+        assert codes.dtype == whole_codes.dtype and codes.tolist() == whole_codes.tolist()
+
+    @pytest.mark.parametrize("chunk_tokens", [1, 4, 7])
+    @pytest.mark.parametrize("sizes", [[2], [1, 1]])
+    def test_vocabulary_guard_in_any_chunk(self, monkeypatch, chunk_tokens, sizes):
+        monkeypatch.setattr(ingest, "TOKEN_ID_BITS", 2)
+        monkeypatch.setattr(ingest, "CHUNK_TOKENS", chunk_tokens)
+        # the fifth id, "d", overflows whether or not it starts a chunk of its own
+        with pytest.raises(VocabularyOverflowError):
+            TrigramEncoder().count([("a", "b", "c", "a"), ("d",)], sizes)
 
     def test_vocabulary_guard(self, monkeypatch):
         monkeypatch.setattr(ingest, "TOKEN_ID_BITS", 2)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sentinet import lsa as lsa_mod
 from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
 from sentinet.errors import ConfigError, StageError
@@ -204,6 +205,32 @@ class TestRunPipeline:
             and matches_topic(record.text, covid)
         )
         assert 0 < len(calls) <= covid_on_flagged_days
+
+    def test_lsa_extracts_each_cluster_day_once_from_shared_tokens(
+        self, synthetic, tmp_path, monkeypatch
+    ):
+        config, _, _ = synthetic
+        workdir = tmp_path / "extract"
+        shutil.copytree(config.output_dir, workdir)
+        extract = lsa_mod.lsa_topical_tweets
+        calls = []
+
+        def counting(tweet_docs, k=5):
+            calls.append(tweet_docs)
+            return extract(tweet_docs, k)
+
+        monkeypatch.setattr(lsa_mod, "lsa_topical_tweets", counting)
+        run_pipeline(replace(config, output_dir=workdir, burst_threshold=1.0))
+        events = json.loads((workdir / "lsa_drivers.json").read_text())["events"]
+        cluster_days = {
+            (side, event["day"]) for event in events for side in event["pair"].split("-")
+        }
+        # at this threshold one cluster's day is flagged in two pairs
+        assert len(cluster_days) < 2 * len(events)
+        assert len(calls) == len(cluster_days)
+        # the cached token streams share one string per distinct token
+        tokens = [token for docs in calls for _, stream in docs for token in stream]
+        assert len({id(token) for token in tokens}) == len(set(tokens)) < len(tokens)
 
     def test_unchanged_rerun_rewrites_nothing(self, synthetic, tmp_path):
         config, _, _ = synthetic
