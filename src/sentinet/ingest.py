@@ -13,7 +13,6 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 from urllib.parse import urlsplit
@@ -45,7 +44,7 @@ _ASCII_SEPARATORS = bytes(
 )
 # bits of one token id in a trigram code; three ids fill 63 bits of an int64
 TOKEN_ID_BITS = 21
-# token ids, in whole groups, that TrigramEncoder.count gathers before it
+# token ids, in whole streams, that TrigramEncoder.count gathers before it
 # reduces them to trigram runs
 CHUNK_TOKENS = 1 << 16
 # one shared date per distinct day, which TweetRecord.day refers to: a
@@ -298,36 +297,32 @@ class TrigramEncoder:
         self._ids.default_factory = self._ids.__len__
         self._ids[BOUNDARY] = 0
 
-    def count(
-        self, streams: Iterable[Sequence[str]], group_sizes: Sequence[int]
-    ) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Summed trigram counts of consecutive groups of token streams.
+    def count(self, streams: Iterable[Iterable[str]]) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Trigram counts of token streams, one row per stream.
 
-        Group g is the next ``group_sizes[g]`` streams. A boundary follows
-        each stream, and no trigram holding a boundary is counted, so none
-        spans two streams, or two texts of one :func:`tokenize` batch.
-        ``streams`` is read once, so it may be a generator.
+        A boundary follows each stream, and no trigram holding a boundary is
+        counted, so none spans two streams, or two texts of one
+        :func:`tokenize` batch. ``streams`` is read once, so it may be a
+        generator.
 
-        The streams are read one chunk at a time: a chunk is whole groups,
+        The streams are read one chunk at a time: a chunk is whole streams,
         taken until it holds at least :data:`CHUNK_TOKENS` ids, and is
-        reduced at once to its (group, code, count) runs. The arrays as long
+        reduced at once to its (row, code, count) runs. The arrays as long
         as the token stream (ids, codes, trigram starts and keys) are thus
-        bounded by the chunk, or by the longest group, rather than by the
+        bounded by the chunk, or by the longest stream, rather than by the
         whole input; what grows with the input is the runs, one per nonzero
         of the result. The runs of all chunks are assembled once at the end.
 
-        Returns a group x trigram CSR matrix of integer-valued float64 counts,
-        its column indices ascending within each row, and the ascending codes:
-        column j is the trigram whose code is ``codes[j]``.
+        Returns a stream x trigram CSR matrix of integer-valued float64
+        counts, its column indices ascending within each row, and the
+        ascending codes: column j is the trigram whose code is ``codes[j]``.
         """
-        streams = iter(streams)
-        runs = []  # per chunk: entries per group, their codes, their counts
+        runs = []  # per chunk: entries per row, their codes, their counts
         ids = array("q")  # int64, read by numpy without a copy
-        ends = array("q")  # ends[g]: where the chunk's group g ends in ids
-        for size in group_sizes:
-            for tokens in islice(streams, size):
-                ids.extend(map(self._ids.__getitem__, tokens))
-                ids.append(0)
+        ends = array("q")  # ends[r]: where the chunk's row r ends in ids
+        for tokens in streams:
+            ids.extend(map(self._ids.__getitem__, tokens))
+            ids.append(0)
             ends.append(len(ids))
             if len(ids) >= CHUNK_TOKENS:
                 runs.append(self._chunk_runs(ids, ends))
@@ -349,7 +344,7 @@ class TrigramEncoder:
         return matrix, vocabulary
 
     def _chunk_runs(self, ids: array, ends: array) -> tuple[np.ndarray, ...]:
-        """A chunk's entries per group, and each group's codes, ascending, and counts."""
+        """A chunk's entries per row, and each row's codes, ascending, and counts."""
         if len(self._ids) > 1 << TOKEN_ID_BITS:
             raise VocabularyOverflowError(
                 f"more than 2**{TOKEN_ID_BITS} distinct tokens; trigram codes would collide"
@@ -361,7 +356,7 @@ class TrigramEncoder:
         is_token = token_ids != 0
         starts = np.flatnonzero(is_token[:-2] & is_token[1:-1] & is_token[2:])
         vocabulary, columns = np.unique(codes[starts], return_inverse=True)
-        # (group, column) pairs as one int64 key each; columns index the chunk's vocabulary
+        # (row, column) pairs as one int64 key each; columns index the chunk's vocabulary
         width = max(vocabulary.size, 1)
         keys = np.searchsorted(np.frombuffer(ends, dtype=np.int64), starts, side="right")
         keys *= width

@@ -1,18 +1,19 @@
 """Topical-tweet extraction for flagged days via latent semantic analysis.
 
-A flagged day's tweets form a tweet x trigram count matrix. The document
+The ``lsa`` stage counts every covid tweet of its flagged days once, as a
+row of one tweet x trigram count matrix; extraction and confirmation both
+take row indices of it. A cluster-day's rows, with the trigrams they hold
+in the column order the encoder gave, form the matrix whose document
 singular vectors with the largest singular values concentrate on tweet
 groups that share phrasing (retweet storms, near-duplicates). The tweets
 above the sharpest magnitude drop of a document vector are selected as
 topical; a vector whose singular value is a rounding-level zero selects
 none. Tweets common to both flagged clusters are then removed and the
-burst score recomputed to confirm they drove the day; that step counts
-the day's tweets once, as rows of one count matrix, and matches and
-recomputes on those rows.
+burst score recomputed, on the same rows, to confirm they drove the day.
 
 Only the top-k singular values and document (left) vectors are computed.
 A matrix with at most ``_DENSE_CUTOFF`` rows gets them from its row Gram
-matrix ``A Aᵀ``, whose entries are exact because the counts are integers;
+matrix ``A Aᵀ``, whose entries are exact integer sums in any column order;
 a taller one from a dense SVD when it has at most that many columns or k
 is at least its smaller side minus one, else from ARPACK. Every path
 leaves rounding-level components where a vector is exactly 0, so the gap
@@ -32,7 +33,6 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import svds
 
 from .community import Label
-from .ingest import TrigramEncoder
 from .similarity import DayDocs, SimilaritySeries, burst_score, similarity_series
 # imported by name so that perfbench's tracer, which wraps it at every
 # import site, finds it here too
@@ -77,7 +77,7 @@ def truncated_svd(matrix: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     # ARPACK draws a random start vector unless given one; a fixed one makes
     # the sparse path reproducible across calls and processes
     v0 = np.random.default_rng(0).standard_normal(min(rows, cols))
-    u, s, _ = svds(matrix.asfptype(), k=k, v0=v0)
+    u, s, _ = svds(matrix, k=k, v0=v0)
     order = np.argsort(-s, kind="stable")
     return u[:, order], s[order]
 
@@ -115,39 +115,33 @@ def _gap_select(magnitudes: np.ndarray) -> int:
 
 
 def lsa_topical_tweets(
-    tweet_docs: Sequence[tuple[str, Sequence[str]]], k: int = 5
+    counts: sp.csr_matrix, ids: Sequence[str], rows: Sequence[int], k: int = 5
 ) -> TopicalExtraction:
     """Select topical tweets from the top-k document singular vectors.
 
-    ``tweet_docs`` pairs each tweet id with its tokens. Tweets with no
-    trigrams are ignored. Per vector, component magnitudes are sorted
-    descending and the tweets above the largest consecutive-ratio gap are
-    selected; the topical set is the union over vectors. A vector whose
-    singular value is at most ``sqrt(rows * eps)`` times the largest spans
-    part of the null space, an arbitrary basis of it, and selects nothing.
+    ``counts`` is a tweet x trigram count matrix, row i the tweet ``ids[i]``;
+    the extraction reads its ``rows``, in that order, and the trigrams they
+    hold, in the matrix's column order. Tweets with no trigram are ignored.
+    Per vector, component magnitudes are sorted descending and the tweets
+    above the largest consecutive-ratio gap are selected; the topical set is
+    the union over vectors. A vector whose singular value is at most
+    ``sqrt(rows * eps)`` times the largest spans part of the null space, an
+    arbitrary basis of it, and selects nothing.
     """
-    # a tweet has trigrams iff it has three tokens
-    kept = [(tweet_id, tokens) for tweet_id, tokens in tweet_docs if len(tokens) > 2]
-    if not kept:
+    rows = [row for row in rows if counts.indptr[row] < counts.indptr[row + 1]]
+    if not rows:
         return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
-    ids = [tweet_id for tweet_id, _ in kept]
-    encoder = TrigramEncoder()
-    matrix, codes = encoder.count((tokens for _, tokens in kept), [1] * len(kept))
-    # columns in the lexicographic order of the decoded trigrams, whatever ids
-    # the tokens got
-    trigram_of = encoder.decode(codes)
-    matrix = matrix[:, sorted(range(len(trigram_of)), key=trigram_of.__getitem__)]
-    # column order within rows fixes the summation order of the sparse products
-    matrix.sort_indices()
+    matrix = counts[rows]
+    matrix = matrix[:, np.unique(matrix.indices)]
     u, s = truncated_svd(matrix, k)
     # the Gram path's rounding level for an exact zero singular value
-    null_level = s[0] * math.sqrt(len(kept) * np.finfo(float).eps)
+    null_level = s[0] * math.sqrt(len(rows) * np.finfo(float).eps)
     per_vector: list[frozenset[str]] = []
     for j in range(s.size):
         magnitudes = np.abs(u[:, j])
         order = np.argsort(-magnitudes, kind="stable")
         keep = _gap_select(magnitudes[order]) if s[j] > null_level else 0
-        per_vector.append(frozenset(ids[int(i)] for i in order[:keep]))
+        per_vector.append(frozenset(ids[rows[i]] for i in order[:keep]))
     topical = frozenset().union(*per_vector) if per_vector else frozenset()
     return TopicalExtraction(
         singular_values=tuple(float(x) for x in s),
@@ -159,8 +153,10 @@ def lsa_topical_tweets(
 def confirm_drivers(
     series: SimilaritySeries,
     day: date,
-    tweets_a: Mapping[Label, Sequence[tuple[str, Sequence[str]]]],
-    tweets_b: Mapping[Label, Sequence[tuple[str, Sequence[str]]]],
+    counts: sp.csr_matrix,
+    ids: Sequence[str],
+    rows_a: Mapping[Label, Sequence[int]],
+    rows_b: Mapping[Label, Sequence[int]],
     extraction_a: TopicalExtraction,
     extraction_b: TopicalExtraction,
     match_threshold: float = 0.5,
@@ -169,38 +165,41 @@ def confirm_drivers(
 ) -> DriverConfirmation:
     """Remove cross-cluster common topical tweets and recompute the burst.
 
-    Topical tweets from the two clusters count as common when their trigram
-    sets reach ``match_threshold`` Jaccard similarity (retweets match
-    exactly, near-duplicates partially). The removed day's similarity and
-    burst score are recomputed against the unchanged history; the tweets
-    are confirmed drivers when the recomputed score falls below the flag
-    threshold (or the day loses all valid similarity).
+    ``counts`` and ``ids`` are as for :func:`lsa_topical_tweets`;
+    ``rows_a`` and ``rows_b`` map each community of the two clusters to the
+    rows of its tweets of the day. Topical tweets from the two clusters
+    count as common when their trigram sets reach ``match_threshold``
+    Jaccard similarity (retweets match exactly, near-duplicates partially).
+    The removed day's similarity and burst score are recomputed against the
+    unchanged history; the tweets are confirmed drivers when the recomputed
+    score falls below the flag threshold (or the day loses all valid
+    similarity).
 
-    Every tweet of the day is counted once, both sides with one encoder, as
-    a row of one count matrix. The Jaccard similarities of all topical
-    pairs come from one product of the 0/1 rows, and each community's
-    reduced document is the sum of its remaining rows; both are integer
-    sums, so exact. :func:`similarity_series` recomputes the day from them.
+    The Jaccard similarities of all topical pairs come from one product of
+    the 0/1 rows, and each community's reduced document is the sum of its
+    remaining rows; both are integer sums, so exact.
+    :func:`similarity_series` recomputes the day from them.
     """
     index = series.index_of(day)
     # side a's communities, then side b's, each side in label order
-    groups = [tweets[c] for tweets in (tweets_a, tweets_b) for c in sorted(tweets, key=str)]
-    ids = [tweet_id for group in groups for tweet_id, _ in group]
-    first_b = sum(len(group) for group in groups[: len(tweets_a)])
-    rows_a = [row for row in range(first_b) if ids[row] in extraction_a.topical_ids]
-    rows_b = [row for row in range(first_b, len(ids)) if ids[row] in extraction_b.topical_ids]
-    if rows_a and rows_b:
-        matrix, codes = TrigramEncoder().count(
-            (tokens for group in groups for _, tokens in group), [1] * len(ids)
-        )
+    groups = [rows[c] for rows in (rows_a, rows_b) for c in sorted(rows, key=str)]
+    event = [row for group in groups for row in group]
+    event_ids = [ids[row] for row in event]
+    first_b = sum(len(group) for group in groups[: len(rows_a)])
+    topical_a = [i for i in range(first_b) if event_ids[i] in extraction_a.topical_ids]
+    topical_b = [
+        i for i in range(first_b, len(event)) if event_ids[i] in extraction_b.topical_ids
+    ]
+    if topical_a and topical_b:
+        matrix = counts[event]
         present = matrix.sign()
         sizes = np.diff(present.indptr)  # each tweet's distinct trigrams
-        shared = (present[rows_a] @ present[rows_b].T).toarray()
-        union = np.add.outer(sizes[rows_a], sizes[rows_b]) - shared
+        shared = (present[topical_a] @ present[topical_b].T).toarray()
+        union = np.add.outer(sizes[topical_a], sizes[topical_b]) - shared
         jaccard = np.divide(shared, union, out=np.zeros_like(shared), where=union > 0)
         matches = jaccard >= match_threshold
-        common_a = {ids[rows_a[i]] for i in np.flatnonzero(matches.any(axis=1))}
-        common_b = {ids[rows_b[j]] for j in np.flatnonzero(matches.any(axis=0))}
+        common_a = {event_ids[topical_a[i]] for i in np.flatnonzero(matches.any(axis=1))}
+        common_b = {event_ids[topical_b[j]] for j in np.flatnonzero(matches.any(axis=0))}
     else:
         common_a = common_b = set()
     if not common_a:
@@ -214,14 +213,17 @@ def confirm_drivers(
         )
     # group x tweet selection of the remaining tweets
     kept = np.flatnonzero(
-        [ids[row] not in (common_a if row < first_b else common_b) for row in range(len(ids))]
+        [
+            tweet_id not in (common_a if i < first_b else common_b)
+            for i, tweet_id in enumerate(event_ids)
+        ]
     )
     group_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     selection = sp.csr_matrix(
-        (np.ones(kept.size), (group_of[kept], kept)), shape=(len(groups), len(ids))
+        (np.ones(kept.size), (group_of[kept], kept)), shape=(len(groups), len(event))
     )
-    reduced = DayDocs.from_rows(((g, day) for g in range(len(groups))), selection @ matrix, codes)
-    side_a = range(len(tweets_a))
+    reduced = DayDocs.from_rows(((g, day) for g in range(len(groups))), selection @ matrix)
+    side_a = range(len(rows_a))
     (new_s,) = similarity_series(
         reduced, side_a, range(len(side_a), len(groups)), [day], series.pair
     ).values

@@ -51,6 +51,7 @@ from .fileio import atomic_open, write_json
 from .ingest import (
     PACKAGED,
     ParseResult,
+    TrigramEncoder,
     TweetRecord,
     load_wordlist,
     normalize_text,
@@ -247,41 +248,39 @@ def _build_lsa(params, series_list, topics, cluster) -> dict:
         )
         for series in series_list
     ]
-    # only the tweets of flagged days are read, so only they are tokenized
+    # only the covid tweets of flagged days are read: each is tokenized and
+    # counted once, as one row of the stage's count matrix
     flagged_days = {day for days in flagged for day in days}
-    token_cache: dict[str, dict[date, list[tuple[str, tuple[str, ...]]]]] = {}
-    # one string per distinct token, which every cached token stream shares
-    token_of: dict[str, str] = {}
+    tweets: list[TweetRecord] = []
+    rows_of: dict[tuple[community_mod.Label, date], list[int]] = {}
     for community, per_topic in topics.items():
-        per_day: dict[date, list] = {}
         for record in per_topic["covid"]:
             if record.day in flagged_days:
-                tokens = normalize_text(record.text, stopwords)
-                per_day.setdefault(record.day, []).append(
-                    (record.tweet_id, tuple(map(token_of.setdefault, tokens, tokens)))
-                )
-        token_cache[community] = per_day
+                rows_of.setdefault((community, record.day), []).append(len(tweets))
+                tweets.append(record)
+    counts, _ = TrigramEncoder().count(normalize_text(r.text, stopwords) for r in tweets)
+    ids = [record.tweet_id for record in tweets]
     events = []
     # (cluster, day) -> its extraction; a day flagged in two pairs of one
     # cluster is extracted once
     extracted: dict[tuple[community_mod.Label, date], lsa_mod.TopicalExtraction] = {}
     for series, days in zip(series_list, flagged):
         for day in days:
-            tweets = [
-                {community: token_cache[community].get(day, []) for community in members[side]}
-                for side in series.pair
-            ]
-            for side, by_community in zip(series.pair, tweets):
+            # per side, community -> its rows of the day, communities in label order
+            rows = [{c: rows_of.get((c, day), []) for c in members[side]} for side in series.pair]
+            for side, by_community in zip(series.pair, rows):
                 if (side, day) not in extracted:
+                    side_rows = [row for group in by_community.values() for row in group]
                     extracted[side, day] = lsa_mod.lsa_topical_tweets(
-                        [t for c in sorted(by_community) for t in by_community[c]],
-                        k=params.lsa_k,
+                        counts, ids, side_rows, k=params.lsa_k
                     )
             extractions = [extracted[side, day] for side in series.pair]
             confirmation = lsa_mod.confirm_drivers(
                 series,
                 day,
-                *tweets,
+                counts,
+                ids,
+                *rows,
                 *extractions,
                 match_threshold=params.match_threshold,
                 flag_threshold=params.burst_threshold,

@@ -127,15 +127,9 @@ def ascii_language_filter(
 class ActivityLedger:
     """Last-observed tweet dates and derived active-day counts over a window."""
 
-    start: date
-    end: date
     days: tuple[date, ...]
     last_seen: Mapping[str, date]
     active_days: Mapping[str, int]
-
-    def active_on(self, account: str, day: date) -> bool:
-        seen = self.last_seen.get(account)
-        return seen is not None and seen >= day
 
     def account_days(self, accounts: Iterable[str]) -> int:
         return sum(self.active_days.get(account, 0) for account in accounts)
@@ -168,9 +162,7 @@ def activity(
             active_days[account] = 0
         else:
             active_days[account] = (min(seen, end) - start).days + 1
-    return ActivityLedger(
-        start=start, end=end, days=days, last_seen=last_seen, active_days=active_days
-    )
+    return ActivityLedger(days=days, last_seen=last_seen, active_days=active_days)
 
 
 def write_roster(sentinels: SentinelSet, path: str | Path) -> None:

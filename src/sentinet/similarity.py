@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -40,7 +41,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import read_csv, read_lines, write_csv
-from .ingest import TrigramEncoder, TweetRecord, data_path, tokenize
+from .ingest import BOUNDARY, TrigramEncoder, TweetRecord, data_path, tokenize
 # imported by name so that perfbench's tracer, which wraps it at every
 # import site, finds it here too
 from .ingest import normalize_text  # noqa: F401
@@ -68,25 +69,33 @@ class DayDocs(NamedTuple):
 
     Row ``row_of[(community, day)]`` of ``matrix`` holds that community-day's
     trigram counts as integer-valued floats; column j is the trigram whose
-    code is ``codes[j]``. ``norms_sq`` holds the rows' squared norms, 0 for
-    a community-day whose tweets have no trigram.
+    code is ``codes[j]``, where the builder kept the codes. ``norms_sq``
+    holds the rows' squared norms, 0 for a community-day whose tweets have
+    no trigram.
     """
 
     row_of: Mapping[tuple[Label, date], int]
     matrix: sp.csr_matrix
     norms_sq: np.ndarray
-    codes: np.ndarray
+    codes: np.ndarray | None
 
     @classmethod
     def from_rows(
-        cls, keys: Iterable[tuple[Label, date]], matrix: sp.csr_matrix, codes: np.ndarray
+        cls,
+        keys: Iterable[tuple[Label, date]],
+        matrix: sp.csr_matrix,
+        codes: np.ndarray | None = None,
     ) -> DayDocs:
         """The documents of ``keys``, the i-th key's in row i of ``matrix``.
 
         ``matrix`` and ``codes`` are as :meth:`TrigramEncoder.count` returns
-        them; the rows' squared norms are computed here.
+        them; the rows' squared norms are computed here, from one array of
+        the squared entries, and are exact sums of integers.
         """
-        norms_sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+        nonempty = np.diff(matrix.indptr) > 0
+        norms_sq = np.zeros(matrix.shape[0])
+        # a nonempty row's entries run up to the next nonempty row's start
+        norms_sq[nonempty] = np.add.reduceat(np.square(matrix.data), matrix.indptr[:-1][nonempty])
         return cls({key: row for row, key in enumerate(keys)}, matrix, norms_sq, codes)
 
 
@@ -100,9 +109,9 @@ def build_community_day_docs(
     Trigrams never cross tweet boundaries. Each community-day's tweets are
     tokenized as two batches, its ASCII texts and the rest, so that one
     non-ASCII tweet does not send the day's ASCII tweets down the regex
-    path; each batch's tokens are turned into ids as soon as they are made,
-    so no more than one batch's token stream is held at a time, and
-    :meth:`TrigramEncoder.count` reduces them to counts a chunk of whole
+    path; the two batches form one token stream, a :data:`BOUNDARY`
+    between them, and :meth:`TrigramEncoder.count` turns each stream into
+    ids as soon as it is made and reduces them to counts a chunk of whole
     community-days at a time. The codes are
     made by ``encoder``, a fresh one unless given; pass one to decode them.
     """
@@ -112,8 +121,8 @@ def build_community_day_docs(
             ascii_texts, other_texts = texts_of.setdefault((community, record.day), ([], []))
             (ascii_texts if record.text.isascii() else other_texts).append(record.text)
     matrix, codes = (encoder or TrigramEncoder()).count(
-        (tokenize(texts, stopwords) for batches in texts_of.values() for texts in batches),
-        [2] * len(texts_of),
+        chain(tokenize(ascii_texts, stopwords), (BOUNDARY,), tokenize(other_texts, stopwords))
+        for ascii_texts, other_texts in texts_of.values()
     )
     return DayDocs.from_rows(texts_of, matrix, codes)
 

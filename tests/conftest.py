@@ -35,8 +35,8 @@ def make_record(
 def decoded_counts(token_docs):
     """The token streams' summed trigram counts, keyed by (token, token, token)."""
     encoder = TrigramEncoder()
-    matrix, codes = encoder.count(token_docs, [len(token_docs)])
-    return dict(zip(encoder.decode(codes[matrix.indices]), matrix.data.tolist()))
+    matrix, codes = encoder.count(token_docs)
+    return dict(zip(encoder.decode(codes), matrix.sum(axis=0).A1.tolist()))
 
 
 def decoded_rows(day_docs: DayDocs, encoder: TrigramEncoder):

@@ -8,6 +8,7 @@ independent of the code paths under test.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -19,7 +20,8 @@ from scipy.cluster.hierarchy import linkage
 
 from sentinet.community import Partition
 from sentinet.errors import EmptyCorpusError
-from sentinet.ingest import ParseResult, TweetRecord
+from sentinet.ingest import ParseResult, TrigramEncoder, TweetRecord
+from sentinet.lsa import TopicalExtraction, _gap_select, truncated_svd
 from sentinet.similarity import CommunityDayDoc, burst_score, intercluster_similarity
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -266,6 +268,38 @@ def community_day_doc(community, day, tweets) -> CommunityDayDoc:
         for trigram, count in indexed_trigram_counts(tokens).items():
             counts[trigram] = counts.get(trigram, 0) + count
     return CommunityDayDoc(community, day, counts, tuple(tweet_id for tweet_id, _ in tweets))
+
+
+def lsa_topical_tweets(tweet_docs, k=5) -> TopicalExtraction:
+    """One side's extraction from its own (tweet id, tokens) pairs.
+
+    The side's tweets are counted alone, by an encoder of their own, and
+    the matrix's columns are put in the lexicographic order of the decoded
+    trigrams. The SVD and the gap rule are the package's: what this checks
+    is the matrix they are given.
+    """
+    kept = [(tweet_id, tokens) for tweet_id, tokens in tweet_docs if len(tokens) > 2]
+    if not kept:
+        return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
+    ids = [tweet_id for tweet_id, _ in kept]
+    encoder = TrigramEncoder()
+    matrix, codes = encoder.count(tokens for _, tokens in kept)
+    trigram_of = encoder.decode(codes)
+    matrix = matrix[:, sorted(range(len(trigram_of)), key=trigram_of.__getitem__)]
+    matrix.sort_indices()
+    u, s = truncated_svd(matrix, k)
+    null_level = s[0] * math.sqrt(len(kept) * np.finfo(float).eps)
+    per_vector = []
+    for j in range(s.size):
+        magnitudes = np.abs(u[:, j])
+        order = np.argsort(-magnitudes, kind="stable")
+        keep = _gap_select(magnitudes[order]) if s[j] > null_level else 0
+        per_vector.append(frozenset(ids[int(i)] for i in order[:keep]))
+    return TopicalExtraction(
+        singular_values=tuple(float(x) for x in s),
+        per_vector=tuple(per_vector),
+        topical_ids=frozenset().union(*per_vector),
+    )
 
 
 def confirm_drivers(

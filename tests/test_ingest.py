@@ -3,6 +3,7 @@ import json
 import re
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -395,30 +396,33 @@ class TestTokenizerBatch:
         ]
 
 
+def _joined(docs):
+    """One token stream of ``docs``, a boundary before each."""
+    return tuple(token for doc in docs for token in (BOUNDARY, *doc))
+
+
 class TestTrigramEncoder:
     def test_codes_pack_first_seen_ids(self):
         encoder = TrigramEncoder()
-        matrix, codes = encoder.count([("b", "a", "c", "b", "a", "c"), ("a", "b")], [2])
+        matrix, codes = encoder.count([("b", "a", "c", "b", "a", "c"), ("a", "b")])
         # ids: the boundary 0, b 1, a 2, c 3
         assert codes.tolist() == [1 << 42 | 2 << 21 | 3, 2 << 42 | 3 << 21 | 1, 3 << 42 | 1 << 21 | 2]
         assert matrix.indices.tolist() == [0, 1, 2]
-        assert matrix.data.tolist() == [2, 1, 1] and matrix.indptr.tolist() == [0, 3]
+        assert matrix.data.tolist() == [2, 1, 1] and matrix.indptr.tolist() == [0, 3, 3]
         assert encoder.decode(codes) == [("b", "a", "c"), ("a", "c", "b"), ("c", "b", "a")]
 
     def test_no_trigram_spans_two_docs(self):
         docs = [("alpha", "beta"), ("gamma", "delta", "epsilon")]
-        matrix, _ = TrigramEncoder().count(docs, [1, 1])
+        matrix, _ = TrigramEncoder().count(docs)
         assert matrix.indptr.tolist() == [0, 0, 1]
         assert decoded_counts(docs) == {("gamma", "delta", "epsilon"): 1}
 
     def test_boundary_inside_a_stream_splits_it(self):
-        joined = TrigramEncoder().count([("a", "b", "c", BOUNDARY, "b", "c", "d")], [1])
-        apart = TrigramEncoder().count([("a", "b", "c"), ("b", "c", "d")], [2])
-        (joined_matrix, joined_codes), (apart_matrix, apart_codes) = joined, apart
-        for field in ("indptr", "indices", "data"):
-            assert getattr(joined_matrix, field).tolist() == getattr(apart_matrix, field).tolist()
+        joined_matrix, joined_codes = TrigramEncoder().count([("a", "b", "c", BOUNDARY, "b", "c", "d")])
+        apart_matrix, apart_codes = TrigramEncoder().count([("a", "b", "c"), ("b", "c", "d")])
         assert joined_codes.tolist() == apart_codes.tolist()
-        assert joined_matrix.data.tolist() == [1, 1]
+        assert joined_matrix.indptr.tolist() == [0, 2] and joined_matrix.data.tolist() == [1, 1]
+        assert joined_matrix.toarray().tolist() == [apart_matrix.sum(axis=0).A1.tolist()]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -428,9 +432,9 @@ class TestTrigramEncoder:
         )
     )
     def test_groups_sum_their_docs_indexed_counts(self, groups):
-        streams = [tuple(tokens) for group in groups for tokens in group]
+        # a group's docs joined into one stream, a boundary between two docs
         encoder = TrigramEncoder()
-        matrix, codes = encoder.count(iter(streams), [len(group) for group in groups])
+        matrix, codes = encoder.count(_joined(group) for group in groups)
         assert matrix.shape == (len(groups), codes.size) and matrix.dtype == float
         assert codes.tolist() == sorted(set(codes.tolist()))
         decoded = encoder.decode(codes[matrix.indices])
@@ -456,12 +460,11 @@ class TestTrigramEncoder:
     @example([[], [("a", "b", "c")], []], 1)
     @example([[("a", "b", "c", "d", "a", "b", "c", "d")], [("a", "b", "c")]], 2)
     def test_chunks_count_as_one(self, groups, chunk_tokens):
-        streams = [tuple(tokens) for group in groups for tokens in group]
-        sizes = [len(group) for group in groups]
-        whole_matrix, whole_codes = TrigramEncoder().count(streams, sizes)
+        streams = [_joined(group) for group in groups]
+        whole_matrix, whole_codes = TrigramEncoder().count(streams)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "CHUNK_TOKENS", chunk_tokens)
-            matrix, codes = TrigramEncoder().count(iter(streams), sizes)
+            matrix, codes = TrigramEncoder().count(iter(streams))
         assert matrix.shape == whole_matrix.shape
         for field in ("indptr", "indices", "data"):
             ours, theirs = getattr(matrix, field), getattr(whole_matrix, field)
@@ -469,20 +472,23 @@ class TestTrigramEncoder:
         assert codes.dtype == whole_codes.dtype and codes.tolist() == whole_codes.tolist()
 
     @pytest.mark.parametrize("chunk_tokens", [1, 4, 7])
-    @pytest.mark.parametrize("sizes", [[2], [1, 1]])
+    # the lengths of the streams that "a b c a d" is cut into
+    @pytest.mark.parametrize("sizes", [[4, 1], [5]])
     def test_vocabulary_guard_in_any_chunk(self, monkeypatch, chunk_tokens, sizes):
         monkeypatch.setattr(ingest, "TOKEN_ID_BITS", 2)
         monkeypatch.setattr(ingest, "CHUNK_TOKENS", chunk_tokens)
-        # the fifth id, "d", overflows whether or not it starts a chunk of its own
+        tokens = iter("abcad")
+        # the fifth id, "d", overflows whether or not it starts a stream or a
+        # chunk of its own
         with pytest.raises(VocabularyOverflowError):
-            TrigramEncoder().count([("a", "b", "c", "a"), ("d",)], sizes)
+            TrigramEncoder().count([tuple(islice(tokens, size)) for size in sizes])
 
     def test_vocabulary_guard(self, monkeypatch):
         monkeypatch.setattr(ingest, "TOKEN_ID_BITS", 2)
         # the boundary and three tokens fill two-bit ids; their codes still decode
         full = [("a", "b", "c", "a")]
         encoder = TrigramEncoder()
-        _, codes = encoder.count(full, [1])
+        _, codes = encoder.count(full)
         assert encoder.decode(codes) == [("a", "b", "c"), ("b", "c", "a")]
         with pytest.raises(VocabularyOverflowError):
-            TrigramEncoder().count(full + [("d",)], [2])
+            TrigramEncoder().count(full + [("d",)])

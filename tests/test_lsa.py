@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from sentinet import lsa
-from sentinet.ingest import TrigramEncoder, normalize_text
+from sentinet.ingest import BOUNDARY, TrigramEncoder, normalize_text
 from sentinet.lsa import (
     TopicalExtraction,
     confirm_drivers,
@@ -23,6 +23,36 @@ STOP = frozenset()
 
 def toks(text):
     return normalize_text(text, STOP)
+
+
+def stage(*sides, order=None):
+    """The count matrix of every tweet of ``sides``, as the lsa stage builds it.
+
+    Each side maps a community to its (tweet id, tokens) pairs. The tweets
+    take the matrix's rows in ``order`` (default: as listed). Returns the
+    matrix, its row ids and, per side, each community's rows.
+    """
+    tweets = [tweet for side in sides for c in side for tweet in side[c]]
+    order = list(range(len(tweets))) if order is None else list(order)
+    counts, _ = TrigramEncoder().count(tweets[i][1] for i in order)
+    ids = [tweets[i][0] for i in order]
+    row_of = {tweet_id: row for row, tweet_id in enumerate(ids)}
+    rows = [{c: [row_of[t] for t, _ in side[c]] for c in side} for side in sides]
+    return counts, ids, *rows
+
+
+def extract(docs, k=5):
+    """lsa_topical_tweets over (tweet id, tokens) pairs, every row in order."""
+    counts, ids, _ = stage({"c": docs})
+    return lsa_topical_tweets(counts, ids, range(len(ids)), k)
+
+
+def confirm(series, tweets_a, tweets_b, extraction_a, extraction_b, **kwargs):
+    """confirm_drivers on DAY, with both sides counted as one matrix."""
+    counts, ids, rows_a, rows_b = stage(tweets_a, tweets_b)
+    return confirm_drivers(
+        series, DAY, counts, ids, rows_a, rows_b, extraction_a, extraction_b, **kwargs
+    )
 
 
 UNRELATED = [
@@ -102,12 +132,12 @@ class TestLsaTopicalTweets:
         viral = "cdc quietly updated death statistics again today online"
         docs = [(f"x{i}", toks(viral)) for i in range(10)]
         docs += [(f"u{i}", toks(text)) for i, text in enumerate(UNRELATED)]
-        extraction = lsa_topical_tweets(docs, k=5)
+        extraction = extract(docs, k=5)
         assert extraction.per_vector[0] == frozenset(f"x{i}" for i in range(10))
         assert {f"x{i}" for i in range(10)} <= set(extraction.topical_ids)
 
     def test_single_tweet_selected(self):
-        extraction = lsa_topical_tweets([("only", toks("alpha beta gamma delta"))])
+        extraction = extract([("only", toks("alpha beta gamma delta"))])
         assert extraction.topical_ids == {"only"}
 
     def test_two_orthogonal_blocks(self):
@@ -115,7 +145,7 @@ class TestLsaTopicalTweets:
         block_b = "monday tuesday wednesday thursday friday saturday sunday"
         docs = [(f"a{i}", toks(block_a)) for i in range(6)]
         docs += [(f"b{i}", toks(block_b)) for i in range(4)]
-        extraction = lsa_topical_tweets(docs, k=2)
+        extraction = extract(docs, k=2)
         first_two = [set(v) for v in extraction.per_vector[:2]]
         assert {frozenset(f"a{i}" for i in range(6)), frozenset(f"b{i}" for i in range(4))} == {
             frozenset(group) for group in first_two
@@ -138,14 +168,14 @@ class TestLsaTopicalTweets:
             [(f"b{b}-{i}", toks(texts[b])) for i in range(size)] for b, size in enumerate(sizes)
         ]
         docs = data.draw(st.permutations([doc for block in blocks for doc in block]))
-        extraction = lsa_topical_tweets(docs, k=len(sizes))
+        extraction = extract(docs, k=len(sizes))
         expected = sorted(
             (frozenset(tweet_id for tweet_id, _ in block) for block in blocks), key=len, reverse=True
         )
         assert extraction.per_vector == tuple(expected)
 
     def test_all_empty_documents(self):
-        extraction = lsa_topical_tweets([("e1", toks("a b")), ("e2", toks(""))])
+        extraction = extract([("e1", toks("a b")), ("e2", toks(""))])
         assert extraction.topical_ids == frozenset()
         assert extraction.singular_values == ()
 
@@ -158,30 +188,19 @@ class TestLsaTopicalTweets:
             (f"u{i}", toks(" ".join(text.split()[: 4 + i])))
             for i, text in enumerate(UNRELATED[:5])
         ]
-        forward = lsa_topical_tweets(docs, k=3)
-        backward = lsa_topical_tweets(list(reversed(docs)), k=3)
+        forward = extract(docs, k=3)
+        backward = extract(list(reversed(docs)), k=3)
         assert forward.topical_ids == backward.topical_ids
 
-    def test_matrix_columns_in_lexicographic_trigram_order(self, monkeypatch):
-        texts = ["zeta alpha beta gamma", "", "beta gamma zeta alpha beta gamma", "mu nu xi"]
-        docs = [(f"t{i}", toks(text)) for i, text in enumerate(texts)]
-        captured = []
-
-        def capture(matrix, k):
-            captured.append(matrix.copy())
-            return truncated_svd(matrix, k)
-
-        monkeypatch.setattr(lsa, "truncated_svd", capture)
-        lsa_topical_tweets(docs, k=2)
-        # rows: tweets with a trigram, in order; columns: sorted (token, token, token)
-        rows = [oracles.indexed_trigram_counts(tokens) for _, tokens in docs if len(tokens) > 2]
-        vocabulary = sorted({trigram for row in rows for trigram in row})
-        expected = np.array(
-            [[row.get(trigram, 0) for trigram in vocabulary] for row in rows], dtype=float
-        )
-        (matrix,) = captured
-        assert matrix.has_sorted_indices
-        assert np.array_equal(matrix.toarray(), expected)
+    def test_column_order_leaves_gram_extraction_bit_identical(self):
+        # the Gram matrix's entries are exact integer sums in any column order
+        docs = [(f"x{i}", toks("cdc quietly updated death statistics again")) for i in range(6)]
+        docs += [(f"u{i}", toks(text)) for i, text in enumerate(UNRELATED)]
+        counts, ids, _ = stage({"c": docs})
+        permuted = counts[:, np.random.default_rng(5).permutation(counts.shape[1])]
+        forward = lsa_topical_tweets(counts, ids, range(len(ids)), k=5)
+        assert lsa_topical_tweets(permuted, ids, range(len(ids)), k=5) == forward
+        assert forward.per_vector[0] == frozenset(f"x{i}" for i in range(6))
 
     def test_null_space_vectors_select_nothing(self):
         # three distinct texts and k = 5: the last two vectors span part of
@@ -191,7 +210,7 @@ class TestLsaTopicalTweets:
             (f"t{g}-{i}", toks(text)) for g, (text, n) in enumerate(zip(texts, (6, 3, 1)))
             for i in range(n)
         ]
-        extraction = lsa_topical_tweets(docs, k=5)
+        extraction = extract(docs, k=5)
         s = extraction.singular_values
         assert len(s) == 5 and s[3] <= np.sqrt(10 * np.finfo(float).eps) * s[0]
         assert extraction.per_vector[:3] == tuple(
@@ -202,16 +221,15 @@ class TestLsaTopicalTweets:
     def test_no_gap_selects_nothing(self):
         # ten identical tweets and nothing else: a flat plateau has no drop
         docs = [(f"x{i}", toks("flat plateau of identical documents")) for i in range(10)]
-        extraction = lsa_topical_tweets(docs, k=1)
+        extraction = extract(docs, k=1)
         assert extraction.per_vector[0] == frozenset()
 
 
 def _matched(text_a, text_b, match_threshold):
     """Whether confirm_drivers pairs two topical tweets, one per side."""
     series = SimilaritySeries(pair=("A", "B"), days=(DAY,), values=(0.5,))
-    result = confirm_drivers(
+    result = confirm(
         series,
-        DAY,
         {"a1": [("a", toks(text_a))]},
         {"b1": [("b", toks(text_b))]},
         TopicalExtraction((), (), frozenset({"a"})),
@@ -252,8 +270,8 @@ def _burst_fixture():
         tweets_b[community].append((f"{community}-viral", toks(viral)))
     by_community = [(c, tweets[c]) for tweets in (tweets_a, tweets_b) for c in sorted(tweets)]
     matrix, codes = TrigramEncoder().count(
-        (tokens for _, pairs in by_community for _, tokens in pairs),
-        [len(pairs) for _, pairs in by_community],
+        [token for _, tokens in pairs for token in (BOUNDARY, *tokens)]
+        for _, pairs in by_community
     )
     docs = DayDocs.from_rows(((c, DAY) for c, _ in by_community), matrix, codes)
     (spike,) = similarity_series(docs, sorted(tweets_a), sorted(tweets_b), [DAY], ("A", "B")).values
@@ -262,8 +280,8 @@ def _burst_fixture():
     series = SimilaritySeries(
         pair=("A", "B"), days=days + (DAY,), values=tuple(history) + (spike,)
     )
-    extraction_a = lsa_topical_tweets([t for c in sorted(tweets_a) for t in tweets_a[c]], k=5)
-    extraction_b = lsa_topical_tweets([t for c in sorted(tweets_b) for t in tweets_b[c]], k=5)
+    extraction_a = extract([t for c in sorted(tweets_a) for t in tweets_a[c]], k=5)
+    extraction_b = extract([t for c in sorted(tweets_b) for t in tweets_b[c]], k=5)
     return series, tweets_a, tweets_b, extraction_a, extraction_b
 
 
@@ -278,15 +296,15 @@ def _invalidated_fixture():
         days=days + (DAY,),
         values=(0.01, 0.02, 0.01, 0.03, 0.02, 0.01, 0.02, 0.01, 1.0),
     )
-    ex_a = lsa_topical_tweets(tweets_a["a1"], k=5)
-    ex_b = lsa_topical_tweets(tweets_b["b1"], k=5)
+    ex_a = extract(tweets_a["a1"], k=5)
+    ex_b = extract(tweets_b["b1"], k=5)
     return series, tweets_a, tweets_b, ex_a, ex_b
 
 
 class TestConfirmDrivers:
     def test_shared_viral_tweet_confirmed(self):
         series, tweets_a, tweets_b, ex_a, ex_b = _burst_fixture()
-        result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, ex_b)
+        result = confirm(series, tweets_a, tweets_b, ex_a, ex_b)
         assert result.common_a and result.common_b
         assert result.is_driver
         assert result.recomputed_h is None or result.recomputed_h < 2.0
@@ -294,22 +312,22 @@ class TestConfirmDrivers:
 
     def test_disjoint_topical_sets_unchanged(self):
         series, tweets_a, tweets_b, ex_a, _ = _burst_fixture()
-        empty = lsa_topical_tweets([], k=5)
-        result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, empty)
+        empty = extract([], k=5)
+        result = confirm(series, tweets_a, tweets_b, ex_a, empty)
         assert not result.is_driver
         assert result.recomputed_s == series.values[-1]
         assert result.common_a == frozenset()
 
     def test_removing_all_shared_trigrams_invalidates_day(self):
         series, tweets_a, tweets_b, ex_a, ex_b = _invalidated_fixture()
-        result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, ex_b)
+        result = confirm(series, tweets_a, tweets_b, ex_a, ex_b)
         # the only tweet is removed from both sides: the day has no valid pairs
         assert result.recomputed_s is None
         assert result.is_driver
 
     def test_recompute_never_increases_similarity(self):
         series, tweets_a, tweets_b, ex_a, ex_b = _burst_fixture()
-        result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, ex_b)
+        result = confirm(series, tweets_a, tweets_b, ex_a, ex_b)
         if result.recomputed_s is not None:
             assert result.recomputed_s <= series.values[-1] + 1e-12
 
@@ -322,7 +340,7 @@ class TestConfirmDrivers:
         self, fixture, day_stays_valid
     ):
         series, tweets_a, tweets_b, ex_a, ex_b = fixture()
-        result = confirm_drivers(series, DAY, tweets_a, tweets_b, ex_a, ex_b)
+        result = confirm(series, tweets_a, tweets_b, ex_a, ex_b)
         assert result.common_a and result.common_b
         reduced = replace(series, values=series.values[:-1] + (result.recomputed_s,))
         expected = burst_score(reduced, DAY)
@@ -336,9 +354,8 @@ TOKENS = st.lists(st.sampled_from(WORDS), max_size=6).map(tuple)
 
 
 @st.composite
-def driver_events(draw):
-    """Two sides of communities whose tweets copy, edit or ignore a few bases,
-    arbitrary topical sets, and a series whose last day is the event day."""
+def tweet_sides(draw):
+    """Two sides of communities whose tweets copy, edit or ignore a few bases."""
     bases = draw(
         st.lists(st.lists(st.sampled_from(WORDS), min_size=3, max_size=6), min_size=1, max_size=3)
     )
@@ -359,6 +376,14 @@ def driver_events(draw):
                 for c, size in enumerate(sizes)
             }
         )
+    return sides
+
+
+@st.composite
+def driver_events(draw):
+    """Two sides of tweets, arbitrary topical sets, and a series whose last
+    day is the event day."""
+    sides = draw(tweet_sides())
     extractions = [
         TopicalExtraction(
             (),
@@ -385,12 +410,60 @@ class TestConfirmDriversEqualsPairwiseReference:
     )
     def test_same_common_sets_and_scores(self, event, match_threshold):
         series, *tweets_and_extractions = event
-        result = confirm_drivers(
-            series, DAY, *tweets_and_extractions, match_threshold=match_threshold
-        )
+        result = confirm(series, *tweets_and_extractions, match_threshold=match_threshold)
         common_a, common_b, new_s, new_h, is_driver = oracles.confirm_drivers(
             series, DAY, *tweets_and_extractions, match_threshold=match_threshold
         )
         assert result.common_a == common_a and result.common_b == common_b
         assert result.recomputed_s == new_s and result.recomputed_h == new_h
         assert result.is_driver == is_driver
+
+
+def _random_side(n_tweets, n_words, seed):
+    """One community of tweets of 3 to 10 words drawn from ``n_words`` words,
+    the first 40 copies of two texts."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    texts = [tuple(rng.choice(words, size=rng.integers(3, 11))) for _ in range(n_tweets - 38)]
+    texts[:2] = [texts[0]] * 28 + [texts[1]] * 12
+    return {"c0": [(f"s{seed}-{i}", tokens) for i, tokens in enumerate(texts)]}
+
+
+class TestLsaEqualsPerSideReference:
+    """The stage matrix's rows give each side what its own matrix gave."""
+
+    @staticmethod
+    def check(sides, order, k=5):
+        counts, ids, *rows = stage(*sides, order=order)
+        for side, side_rows in zip(sides, rows):
+            ours = lsa_topical_tweets(
+                counts, ids, [row for c in sorted(side) for row in side_rows[c]], k
+            )
+            reference = oracles.lsa_topical_tweets(
+                [tweet for c in sorted(side) for tweet in side[c]], k
+            )
+            assert ours.topical_ids == reference.topical_ids
+            assert ours.per_vector == reference.per_vector
+            np.testing.assert_allclose(
+                ours.singular_values, reference.singular_values, rtol=1e-12, atol=0
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(sides=tweet_sides(), data=st.data())
+    def test_same_selection_in_any_row_order(self, sides, data):
+        n_tweets = sum(len(tweets) for side in sides for tweets in side.values())
+        self.check(sides, data.draw(st.permutations(range(n_tweets))))
+
+    @pytest.mark.parametrize(
+        "n_words, dense",
+        [(7, True), (12, False)],
+        ids=["dense-svd", "arpack"],
+    )
+    def test_tall_shapes(self, n_words, dense):
+        # 450 tweets a side; 7 words have at most 343 trigrams
+        sides = [_random_side(450, n_words, seed) for seed in (1, 2)]
+        order = np.random.default_rng(3).permutation(900)
+        counts, _, rows_a, _ = stage(*sides, order=order)
+        columns = np.unique(counts[rows_a["c0"]].indices).size
+        assert (columns <= lsa._DENSE_CUTOFF) == dense and len(rows_a["c0"]) > lsa._DENSE_CUTOFF
+        self.check(sides, order)

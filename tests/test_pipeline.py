@@ -13,7 +13,7 @@ from sentinet import lsa as lsa_mod
 from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
 from sentinet.errors import ConfigError, StageError
-from sentinet.ingest import normalize_text, read_corpus, write_corpus
+from sentinet.ingest import TrigramEncoder, normalize_text, read_corpus, write_corpus
 from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline
 from sentinet.sentinel import read_roster
 from sentinet.synthetic import SyntheticSpec, generate_corpus
@@ -215,9 +215,9 @@ class TestRunPipeline:
         extract = lsa_mod.lsa_topical_tweets
         calls = []
 
-        def counting(tweet_docs, k=5):
-            calls.append(tweet_docs)
-            return extract(tweet_docs, k)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
 
         monkeypatch.setattr(lsa_mod, "lsa_topical_tweets", counting)
         run_pipeline(replace(config, output_dir=workdir, burst_threshold=1.0))
@@ -228,9 +228,23 @@ class TestRunPipeline:
         # at this threshold one cluster's day is flagged in two pairs
         assert len(cluster_days) < 2 * len(events)
         assert len(calls) == len(cluster_days)
-        # the cached token streams share one string per distinct token
-        tokens = [token for docs in calls for _, stream in docs for token in stream]
-        assert len({id(token) for token in tokens}) == len(set(tokens)) < len(tokens)
+
+    def test_lsa_counts_its_tweets_once(self, synthetic, tmp_path, monkeypatch):
+        config, _, _ = synthetic
+        workdir = tmp_path / "count"
+        shutil.copytree(config.output_dir, workdir)
+        count = TrigramEncoder.count
+        calls = []
+
+        def counting(self, streams):
+            calls.append(streams)
+            return count(self, streams)
+
+        monkeypatch.setattr(TrigramEncoder, "count", counting)
+        # lsa_k is read by the lsa stage alone, so only lsa and meta rebuild
+        run_pipeline(replace(config, output_dir=workdir, lsa_k=4))
+        assert json.loads((workdir / "lsa_drivers.json").read_text())["events"]
+        assert len(calls) == 1
 
     def test_unchanged_rerun_rewrites_nothing(self, synthetic, tmp_path):
         config, _, _ = synthetic

@@ -141,8 +141,10 @@ class TestActivity:
             {"a": [record_factory("1", "a", day_offset=9)]}, WINDOW
         )
         assert ledger.active_days["a"] == 10
-        assert ledger.active_on("a", date(2020, 7, 10))
-        assert not ledger.active_on("a", date(2020, 7, 11))
+        # window indices 9 and 10: 2020-07-10 and 2020-07-11
+        active = ledger.daily_active({"a"})
+        assert active[9] == 1
+        assert active[10] == 0
 
     def test_tweet_on_last_day_spans_window(self, record_factory):
         ledger = activity(

@@ -3,6 +3,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -15,6 +16,7 @@ from sentinet.errors import (
 from sentinet.ingest import PACKAGED, TrigramEncoder, load_wordlist, normalize_text
 from sentinet.similarity import (
     CommunityDayDoc,
+    DayDocs,
     SimilaritySeries,
     adf_critical_value,
     adf_test,
@@ -213,6 +215,29 @@ class TestDayDocs:
         encoder = TrigramEncoder()
         built = build_community_day_docs(records, frozenset(), encoder)
         assert decoded_rows(built, encoder) == {("c", DAY): expected}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=8).flatmap(
+            lambda lengths: st.tuples(
+                st.just(lengths),
+                st.lists(st.integers(1, 10**6), min_size=sum(lengths), max_size=sum(lengths)),
+            )
+        )
+    )
+    # empty leading, inner and trailing rows
+    @example(([0, 2, 0, 0, 1, 0], [3, 4, 5]))
+    @example(([0, 0], []))
+    def test_norms_equal_the_squared_matrix_row_sums(self, drawn):
+        lengths, counts = drawn
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        columns = [j for length in lengths for j in range(length)]
+        matrix = sp.csr_matrix(
+            (np.array(counts, dtype=float), columns, indptr), shape=(len(lengths), 3)
+        )
+        norms_sq = DayDocs.from_rows(range(len(lengths)), matrix).norms_sq
+        expected = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+        assert norms_sq.dtype == expected.dtype and norms_sq.tolist() == expected.tolist()
 
 
 def per_tweet_reference(records_by_community, stopwords):
