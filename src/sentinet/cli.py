@@ -188,7 +188,7 @@ def _sentinel_topics(args, ingest):
 
 def cmd_ingest(args) -> int:
     result = read_corpus(args.input)
-    write_corpus(result.records, args.output)
+    write_corpus(result.records.iter_records(), args.output)
     print(f"parsed {len(result.records)} records, skipped {result.skipped} lines")
     return 0
 
@@ -294,8 +294,9 @@ def cmd_rates(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    _, cluster, matched = _sentinel_topics(args, STAGES["ingest"].build(args))
-    series_list = STAGES["similarity"].build(args, matched, cluster)
+    ingest = STAGES["ingest"].build(args)
+    _, cluster, matched = _sentinel_topics(args, ingest)
+    series_list = STAGES["similarity"].build(args, matched, cluster, ingest)
     similarity_mod.write_series_csv(
         series_list, args.output, threshold=args.burst_threshold, min_history=args.min_history
     )
@@ -318,9 +319,10 @@ def cmd_flag(args) -> int:
 
 
 def cmd_lsa(args) -> int:
-    _, cluster, matched = _sentinel_topics(args, read_corpus(args.corpus))
+    ingest = read_corpus(args.corpus)
+    _, cluster, matched = _sentinel_topics(args, ingest)
     series_list = similarity_mod.read_series_csv(args.series)
-    report = STAGES["lsa"].build(args, series_list, matched, cluster)
+    report = STAGES["lsa"].build(args, series_list, matched, cluster, ingest)
     write_json(report, args.output)
     print(f"examined {len(report['events'])} flagged events")
     return 0
@@ -356,21 +358,30 @@ def cmd_sample(args) -> int:
         if topic not in topics_mod.DEFAULT_TOPIC_TREE:
             print(f"error: unknown topic {topic!r}", file=sys.stderr)
             return 1
-    _, (_, cluster_of), matched = _sentinel_topics(args, read_corpus(args.corpus))
+    ingest = read_corpus(args.corpus)
+    _, (_, cluster_of), matched = _sentinel_topics(args, ingest)
+    corpus = ingest.records
     strata: dict[tuple[str, str], list] = {}
     for community, per_topic in matched.items():
         cluster = str(cluster_of[community])
         for topic in args.topics:
             strata.setdefault((cluster, topic), []).extend(
-                (community, record) for record in per_topic[topic]
+                (community, row) for row in per_topic[topic].tolist()
             )
-    rows = topics_mod.stratified_coding_sample(strata, args.per_stratum, args.seed)
+    rows = topics_mod.stratified_coding_sample(corpus, strata, args.per_stratum, args.seed)
     write_csv(
         args.output,
         ["cluster", "topic", "community", "tweet_id", "created_at", "text"],
         (
-            [cluster, topic, community, r.tweet_id, r.created_at.isoformat(), r.text]
-            for cluster, topic, community, r in rows
+            [
+                cluster,
+                topic,
+                community,
+                corpus.tweet_ids[row],
+                corpus.created_at(row).isoformat(),
+                corpus.texts[row],
+            ]
+            for cluster, topic, community, row in rows
         ),
     )
     print(f"sampled {len(rows)} tweets across {len(strata)} strata")

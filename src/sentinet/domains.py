@@ -23,7 +23,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .fileio import read_csv, write_csv
-from .ingest import TweetRecord, extract_domain
+from .ingest import Corpus, extract_domain
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,12 @@ class ClusterAssignment(Mapping):
 
 
 def domain_frequency_matrix(
-    records_by_community: Mapping[Label, Sequence[TweetRecord]],
+    corpus: Corpus,
+    rows_by_community: Mapping[Label, Sequence[int]],
     shorteners: frozenset[str] = frozenset(),
     min_count: int = 10,
 ) -> DomainMatrix:
-    """Count linked domains per community into a link-fraction matrix.
+    """Count the domains each community's rows of ``corpus`` link into a link-fraction matrix.
 
     Twitter links, shortener links and unparseable URLs are dropped before
     counting. A domain becomes a column when some single community linked
@@ -91,20 +92,19 @@ def domain_frequency_matrix(
     """
     if min_count < 1:
         raise ParameterError("min_count must be a positive integer")
-    communities = sorted(records_by_community, key=str)
+    communities = sorted(rows_by_community, key=str)
     counts: dict[Label, Counter] = {}
     unparseable = 0
     for label in communities:
         counter: Counter = Counter()
-        for record in records_by_community[label]:
-            for url in record.urls:
-                try:
-                    domain = extract_domain(url, shorteners)
-                except UrlParseError:
-                    unparseable += 1
-                    continue
-                if domain is not None:
-                    counter[domain] += 1
+        for url in corpus.urls_of(rows_by_community[label]):
+            try:
+                domain = extract_domain(url, shorteners)
+            except UrlParseError:
+                unparseable += 1
+                continue
+            if domain is not None:
+                counter[domain] += 1
         counts[label] = counter
     qualifying = sorted(
         {

@@ -5,11 +5,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .errors import EmptyGraphError
 from .fileio import atomic_open
-from .ingest import TweetRecord
+from .ingest import Corpus
 
 Arc = tuple[str, str]
 
@@ -53,20 +55,26 @@ class RetweetGraph:
         return cls(nodes=nodes, arcs=clean, w_in=w_in, w_out=w_out, w=total)
 
 
-def build_retweet_graph(records: Iterable[TweetRecord]) -> RetweetGraph:
+def build_retweet_graph(corpus: Corpus) -> RetweetGraph:
     """Count retweet events into arc weights, dropping self-retweets.
 
     Accounts that neither retweet nor get retweeted do not appear in the
-    graph.
+    graph. Each retweet row is packed into one (source, retweeter) code of
+    two account indices, and the codes are counted at once.
     """
-    arcs: dict[Arc, int] = {}
-    for record in records:
-        source = record.retweeted_author_id
-        if source is None or source == record.author_id:
-            continue
-        key = (source, record.author_id)
-        arcs[key] = arcs.get(key, 0) + 1
-    return RetweetGraph.from_arcs(arcs)
+    source, retweeter = corpus.retweeted, corpus.author
+    kept = (source >= 0) & (source != retweeter)
+    width = len(corpus.accounts)
+    codes, weights = np.unique(
+        source[kept].astype(np.int64) * width + retweeter[kept], return_counts=True
+    )
+    accounts = corpus.accounts
+    return RetweetGraph.from_arcs(
+        {
+            (accounts[code // width], accounts[code % width]): weight
+            for code, weight in zip(codes.tolist(), weights.tolist())
+        }
+    )
 
 
 def weak_components(graph: RetweetGraph) -> list[frozenset[str]]:

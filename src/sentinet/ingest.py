@@ -3,6 +3,14 @@
 Input corpora are JSON Lines files, one tweet per line, with fields
 tweet_id, author_id, created_at (ISO-8601 UTC), text, retweeted_author_id
 (null for original tweets) and urls (array of strings).
+
+:func:`parse_tweet_stream` reads them into a :class:`Corpus`, the parsed
+tweets as columns: ids and texts as lists, authors and retweeted authors
+as int32 indices into one account table, UTC times as int64 seconds since
+1970-01-01, and every tweet's URLs as a slice of one list. Every stage
+after ingest reads the columns through row indices. :class:`TweetRecord`
+is one row as an object, for generated corpora, :func:`write_corpus` and
+tests.
 """
 
 from __future__ import annotations
@@ -11,10 +19,11 @@ import json
 import re
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -47,9 +56,19 @@ TOKEN_ID_BITS = 21
 # token ids, in whole streams, that TrigramEncoder.count gathers before it
 # reduces them to trigram runs
 CHUNK_TOKENS = 1 << 16
-# one shared date per distinct day, which TweetRecord.day refers to: a
-# corpus spans few days, and a date per record would cost 32 bytes each
-_DAYS: dict[date, date] = {}
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+_DAY_SECONDS = 86_400
+
+
+def day_date(number: int) -> date:
+    """The date of a day number, counted in days since 1970-01-01."""
+    return date.fromordinal(EPOCH.toordinal() + number)
+
+
+def day_number(day: date) -> int:
+    """Days from 1970-01-01 to ``day``."""
+    return day.toordinal() - EPOCH.toordinal()
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,23 +81,131 @@ class TweetRecord:
     text: str
     retweeted_author_id: str | None = None
     urls: tuple[str, ...] = ()
-    # the UTC day, read by many stages, stored once in its own slot; equality,
-    # hashing and repr leave it out, as created_at already decides it
-    day: date = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        day = self.created_at.date()
-        object.__setattr__(self, "day", _DAYS.setdefault(day, day))
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Parsed tweets as columns, one row per tweet, in the order read.
+
+    ``author[r]`` and ``retweeted[r]`` index the account table
+    ``accounts`` (``retweeted[r]`` is -1 when row r is no retweet);
+    ``seconds[r]`` is the row's UTC time in seconds since 1970-01-01; its
+    URLs are ``urls[url_offsets[r]:url_offsets[r + 1]]``. The account table
+    may hold ids that no row refers to.
+    """
+
+    tweet_ids: list[str]
+    texts: list[str]
+    accounts: list[str]
+    author: np.ndarray  # int32
+    retweeted: np.ndarray  # int32
+    seconds: np.ndarray  # int64
+    url_offsets: np.ndarray  # int64, one more entry than rows
+    urls: list[str]
+
+    def __len__(self) -> int:
+        return len(self.tweet_ids)
+
+    @cached_property
+    def days(self) -> np.ndarray:
+        """Each row's UTC day, as its :func:`day_number`."""
+        return self.seconds // _DAY_SECONDS
+
+    @cached_property
+    def account_index(self) -> dict[str, int]:
+        """Account id -> its index in the account table."""
+        return {account: i for i, account in enumerate(self.accounts)}
+
+    def created_at(self, row: int) -> datetime:
+        return EPOCH + timedelta(seconds=int(self.seconds[row]))
+
+    def urls_of(self, rows: Sequence[int]) -> list[str]:
+        """The URLs of ``rows``, row after row."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.url_offsets[rows]
+        return [self.urls[i] for i in _ranges(starts, self.url_offsets[rows + 1] - starts)]
+
+    def take(self, rows: np.ndarray) -> Corpus:
+        """The corpus of ``rows``, in that order, over the same account table."""
+        lengths = np.diff(self.url_offsets)[rows]
+        return Corpus(
+            tweet_ids=[self.tweet_ids[r] for r in rows.tolist()],
+            texts=[self.texts[r] for r in rows.tolist()],
+            accounts=self.accounts,
+            author=self.author[rows],
+            retweeted=self.retweeted[rows],
+            seconds=self.seconds[rows],
+            url_offsets=np.concatenate([[0], np.cumsum(lengths)]),
+            urls=self.urls_of(rows),
+        )
+
+    def record(self, row: int) -> TweetRecord:
+        source = int(self.retweeted[row])
+        start, end = self.url_offsets[row], self.url_offsets[row + 1]
+        return TweetRecord(
+            tweet_id=self.tweet_ids[row],
+            author_id=self.accounts[self.author[row]],
+            created_at=self.created_at(row),
+            text=self.texts[row],
+            retweeted_author_id=None if source < 0 else self.accounts[source],
+            urls=tuple(self.urls[start:end]),
+        )
+
+    def iter_records(self) -> Iterator[TweetRecord]:
+        return map(self.record, range(len(self)))
+
+    @classmethod
+    def from_records(cls, records: Iterable[TweetRecord]) -> Corpus:
+        """The columns of ``records``, as :func:`parse_tweet_stream` fills them."""
+        records = list(records)
+        account_of: defaultdict[str, int] = defaultdict()
+        account_of.default_factory = account_of.__len__
+        author, retweeted = [], []
+        for record in records:
+            author.append(account_of[record.author_id])
+            source = record.retweeted_author_id
+            retweeted.append(-1 if source is None else account_of[source])
+        return cls(
+            tweet_ids=[record.tweet_id for record in records],
+            texts=[record.text for record in records],
+            accounts=list(account_of),
+            author=np.array(author, dtype=np.int32),
+            retweeted=np.array(retweeted, dtype=np.int32),
+            seconds=np.array(
+                [(record.created_at - EPOCH) // _SECOND for record in records], dtype=np.int64
+            ),
+            url_offsets=np.cumsum([0] + [len(record.urls) for record in records], dtype=np.int64),
+            urls=[url for record in records for url in record.urls],
+        )
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> list[int]:
+    """The concatenation of ``range(s, s + n)`` over the starts s and lengths n."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return (np.arange(total) + np.repeat(starts - ends + lengths, lengths)).tolist()
 
 
 @dataclass
 class ParseResult:
-    records: list[TweetRecord]
+    records: Corpus
     skipped: int
 
 
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp into an aware UTC datetime (second resolution)."""
+    # the fixed shape YYYY-MM-DDTHH:MM:SSZ, which write_corpus writes. With
+    # these separators in place fromisoformat accepts the value only if it
+    # starts with a digit, so that stripping it is a no-op: the general path
+    # below would make the same call, and get the same datetime or error.
+    if (
+        len(value) == 20
+        and value[19] == "Z"
+        and value[10] == "T"
+        and value[4] == value[7] == "-"
+        and value[13] == value[16] == ":"
+    ):
+        return datetime.fromisoformat(value[:19] + "+00:00")
     raw = value.strip()
     # Python 3.10's fromisoformat rejects a "Z" suffix
     if raw.endswith(("Z", "z")):
@@ -98,40 +225,19 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def record_from_json(obj: dict, accounts: dict[str, str]) -> TweetRecord:
-    """The record of one decoded JSON object; raises ValueError, KeyError or TypeError.
+def _is_field(value) -> bool:
+    """Whether ``value`` can be one field of an artifact line.
 
-    ``accounts`` maps each account id seen so far to one shared string,
-    which the record's author and retweeted-author ids refer to.
+    It must be a non-empty string with no whitespace, as ``str.split``
+    sees it, and no lone surrogate, which UTF-8 cannot encode.
     """
-    tweet_id = obj["tweet_id"]
-    author_id = obj["author_id"]
-    if not isinstance(tweet_id, str) or not tweet_id:
-        raise ValueError("tweet_id must be a non-empty string")
-    if not isinstance(author_id, str) or not author_id:
-        raise ValueError("author_id must be a non-empty string")
-    retweeted = obj.get("retweeted_author_id")
-    if retweeted is not None:
-        if not isinstance(retweeted, str) or not retweeted:
-            raise ValueError("retweeted_author_id must be null or a non-empty string")
-        retweeted = accounts.setdefault(retweeted, retweeted)
-    created_at = obj["created_at"]
-    if not isinstance(created_at, str):
-        raise ValueError("created_at must be a string")
-    text = obj.get("text", "")
-    if not isinstance(text, str):
-        raise ValueError("text must be a string")
-    urls = obj.get("urls", [])
-    if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
-        raise ValueError("urls must be an array of strings")
-    return TweetRecord(
-        tweet_id=tweet_id,
-        author_id=accounts.setdefault(author_id, author_id),
-        created_at=parse_timestamp(created_at),
-        text=text,
-        retweeted_author_id=retweeted,
-        urls=tuple(urls),
-    )
+    if not isinstance(value, str) or value.split() != [value]:
+        return False
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def record_to_json(record: TweetRecord) -> dict:
@@ -146,44 +252,94 @@ def record_to_json(record: TweetRecord) -> dict:
 
 
 def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
-    """Parse a JSON Lines stream of tweet records.
+    """Parse a JSON Lines stream of tweet records into a :class:`Corpus`.
 
     Malformed lines (bad JSON, missing or ill-typed fields, unparseable
-    timestamps, duplicate tweet ids) are counted and skipped. Blank lines are
-    ignored. Raises :class:`EmptyCorpusError` when nothing parses.
+    timestamps, ids that would break an artifact line, duplicate tweet ids)
+    are counted and skipped. Blank lines are ignored. Raises
+    :class:`EmptyCorpusError` when nothing parses.
+
+    The columns are filled in one loop. An account id is checked once, when
+    it first enters the account table; a tweet id made of letters and
+    digits alone needs no further check.
     """
-    records: list[TweetRecord] = []
+    tweet_ids: list[str] = []
+    texts: list[str] = []
+    # account id -> its index; local to the call, so that a long-lived
+    # process does not keep every id it has read. A missing id gets the next
+    # index: defaultdict calls len() before inserting.
+    account_of: defaultdict[str, int] = defaultdict()
+    account_of.default_factory = account_of.__len__
+    authors = array("i")
+    retweeted = array("i")
+    # float seconds, exact at second resolution, from datetime.timestamp
+    seconds = array("d")
+    url_offsets = array("q", [0])
+    urls: list[str] = []
     seen_ids: set[str] = set()
-    # one string per account id, local to the call so that a long-lived
-    # process does not keep every id it has read
-    accounts: dict[str, str] = {}
     decode = json.JSONDecoder().raw_decode
     skipped = 0
     for line in stream:
         if isinstance(line, bytes):
             line = line.decode("utf-8", errors="replace")
         # only JSON whitespace: a line padded with anything else is no JSON value
-        text = line.strip(" \t\n\r")
-        if not text or text.isspace():
+        line = line.strip(" \t\n\r")
+        if not line or line.isspace():
             continue
         try:
-            obj, end = decode(text)
-            if end != len(text):
+            obj, end = decode(line)
+            if end != len(line):
                 raise ValueError("trailing data after the JSON value")
             if not isinstance(obj, dict):
                 raise ValueError("record line must be a JSON object")
-            record = record_from_json(obj, accounts)
+            tweet_id = obj["tweet_id"]
+            if not (isinstance(tweet_id, str) and (tweet_id.isalnum() or _is_field(tweet_id))):
+                raise ValueError("tweet_id must be a non-empty string with no whitespace")
+            author_id = obj["author_id"]
+            if author_id not in account_of and not _is_field(author_id):
+                raise ValueError("author_id must be a non-empty string with no whitespace")
+            source_id = obj.get("retweeted_author_id")
+            if source_id is not None and source_id not in account_of and not _is_field(source_id):
+                raise ValueError("retweeted_author_id must be null or an id like author_id")
+            created_at = obj["created_at"]
+            if not isinstance(created_at, str):
+                raise ValueError("created_at must be a string")
+            text = obj.get("text", "")
+            if not isinstance(text, str):
+                raise ValueError("text must be a string")
+            tweet_urls = obj.get("urls", [])
+            if not isinstance(tweet_urls, list) or (
+                tweet_urls and not all(isinstance(u, str) for u in tweet_urls)
+            ):
+                raise ValueError("urls must be an array of strings")
+            moment = parse_timestamp(created_at)
         except (ValueError, KeyError, TypeError):
             skipped += 1
             continue
-        if record.tweet_id in seen_ids:
+        if tweet_id in seen_ids:
             skipped += 1
             continue
-        seen_ids.add(record.tweet_id)
-        records.append(record)
-    if not records:
+        seen_ids.add(tweet_id)
+        tweet_ids.append(tweet_id)
+        texts.append(text)
+        authors.append(account_of[author_id])
+        retweeted.append(-1 if source_id is None else account_of[source_id])
+        seconds.append(moment.timestamp())
+        urls += tweet_urls
+        url_offsets.append(len(urls))
+    if not tweet_ids:
         raise EmptyCorpusError(f"no parseable records ({skipped} lines skipped)")
-    return ParseResult(records=records, skipped=skipped)
+    corpus = Corpus(
+        tweet_ids=tweet_ids,
+        texts=texts,
+        accounts=list(account_of),
+        author=np.frombuffer(authors, dtype=np.intc).astype(np.int32),
+        retweeted=np.frombuffer(retweeted, dtype=np.intc).astype(np.int32),
+        seconds=np.frombuffer(seconds).astype(np.int64),
+        url_offsets=np.frombuffer(url_offsets, dtype=np.int64),
+        urls=urls,
+    )
+    return ParseResult(records=corpus, skipped=skipped)
 
 
 def read_corpus(path: str | Path) -> ParseResult:
@@ -192,9 +348,21 @@ def read_corpus(path: str | Path) -> ParseResult:
 
 
 def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
+    """Write records as JSON Lines, non-ASCII text as UTF-8.
+
+    A line holding a lone surrogate, which UTF-8 cannot encode, is written
+    with every non-ASCII character escaped instead; it reads back alike.
+    """
     with atomic_open(path) as handle:
         for record in records:
-            handle.write(json.dumps(record_to_json(record), ensure_ascii=False, sort_keys=True))
+            obj = record_to_json(record)
+            line = json.dumps(obj, ensure_ascii=False, sort_keys=True)
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError:
+                    line = json.dumps(obj, sort_keys=True)
+            handle.write(line)
             handle.write("\n")
 
 

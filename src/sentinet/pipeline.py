@@ -38,6 +38,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
 
+import numpy as np
+
 from . import community as community_mod
 from . import domains as domains_mod
 from . import graph as graph_mod
@@ -49,10 +51,12 @@ from .config import INPUT_FIELDS, PipelineConfig, validate_config
 from .errors import EmptyCorpusError, SentinetError, StageError
 from .fileio import atomic_open, write_json
 from .ingest import (
+    EPOCH,
     PACKAGED,
+    Corpus,
     ParseResult,
     TrigramEncoder,
-    TweetRecord,
+    day_number,
     load_wordlist,
     normalize_text,
     read_corpus,
@@ -102,12 +106,14 @@ class PipelineResult:
 
 def _build_ingest(params) -> ParseResult:
     parsed = read_corpus(params.corpus)
-    records = [
-        r for r in parsed.records if params.window_start <= r.day <= params.window_end
-    ]
-    if not records:
+    corpus = parsed.records
+    days = corpus.days
+    inside = (days >= day_number(params.window_start)) & (days <= day_number(params.window_end))
+    if not inside.any():
         raise EmptyCorpusError("no records inside the observation window")
-    return ParseResult(records=records, skipped=parsed.skipped)
+    if not inside.all():
+        corpus = corpus.take(np.flatnonzero(inside))
+    return ParseResult(records=corpus, skipped=parsed.skipped)
 
 
 def _build_communities(params, component) -> community_mod.Partition:
@@ -121,11 +127,8 @@ def _build_communities(params, component) -> community_mod.Partition:
 def _build_sentinels(params, component, partition, ingest) -> SentinelSet:
     predicate = None
     if params.language_filter == "ascii":
-        by_author: dict[str, list[TweetRecord]] = {}
-        for record in ingest.records:
-            by_author.setdefault(record.author_id, []).append(record)
         predicate = ascii_language_filter(
-            by_author, english_threshold=params.english_threshold, seed=params.seed
+            ingest.records, english_threshold=params.english_threshold, seed=params.seed
         )
     return select_sentinels(
         component,
@@ -137,12 +140,17 @@ def _build_sentinels(params, component, partition, ingest) -> SentinelSet:
 
 
 def _build_domains(params, sentinels, ingest) -> domains_mod.DomainMatrix:
+    corpus = ingest.records
+    rows_by_community = _rows_by_community(sentinels, corpus)
     # the CLI may leave the split unset and use every record
-    baseline = (
-        r for r in ingest.records if params.split is None or r.created_at < params.split
-    )
+    if params.split is not None:
+        before = corpus.seconds < (params.split - EPOCH).total_seconds()
+        rows_by_community = {
+            label: rows[before[rows]] for label, rows in rows_by_community.items()
+        }
     return domains_mod.domain_frequency_matrix(
-        _records_by_community(sentinels, baseline),
+        corpus,
+        rows_by_community,
         load_wordlist(params.shorteners),
         min_count=params.domain_min_count,
     )
@@ -157,26 +165,26 @@ def _build_cluster(params, matrix):
 
 
 def _build_topics(params, sentinels, ingest) -> dict:
-    """Community -> topic -> matching records of the community's sentinels."""
+    """Community -> topic -> rows of the community's sentinels' matching tweets."""
     lexicons = topics_mod.load_lexicons(params.lexicon_dir)
+    corpus = ingest.records
     return {
-        community: topics_mod.filter_topic_tree(records, lexicons)
-        for community, records in _records_by_community(sentinels, ingest.records).items()
+        community: topics_mod.filter_topic_tree(corpus, rows, lexicons)
+        for community, rows in _rows_by_community(sentinels, corpus).items()
     }
 
 
 def _build_rates(params, sentinels, cluster, topics, ingest) -> topics_mod.RateTable:
     _, cluster_of = cluster
-    records_by_account: dict[str, list[TweetRecord]] = {
-        account: [] for account in _account_community(sentinels)
-    }
-    for record in ingest.records:
-        if record.author_id in records_by_account:
-            records_by_account[record.author_id].append(record)
-    ledger = activity(records_by_account, (params.window_start, params.window_end))
+    corpus = ingest.records
     community_accounts = {
         label: [account for account, _ in entries] for label, entries in sentinels.items()
     }
+    ledger = activity(
+        corpus,
+        (account for accounts in community_accounts.values() for account in accounts),
+        (params.window_start, params.window_end),
+    )
     cluster_accounts: dict[str, list[str]] = {}
     for label, accounts in community_accounts.items():
         cluster_accounts.setdefault(str(cluster_of[label]), []).extend(accounts)
@@ -186,14 +194,20 @@ def _build_rates(params, sentinels, cluster, topics, ingest) -> topics_mod.RateT
         topic: {community: len(topics[community][topic]) for community in communities}
         for topic in topic_names
     }
+    # every ingested row lies in the window: its day offset indexes the window's days
+    days = _window_days(params.window_start, params.window_end)
+    first = day_number(params.window_start)
     daily_counts: dict[str, dict[str, dict[date, int]]] = {}
     for topic in topic_names:
-        per_cluster: dict[str, dict[date, int]] = {}
+        per_cluster: dict[str, np.ndarray] = {}
         for community in communities:
-            bucket = per_cluster.setdefault(str(cluster_of[community]), {})
-            for record in topics[community][topic]:
-                bucket[record.day] = bucket.get(record.day, 0) + 1
-        daily_counts[topic] = per_cluster
+            offsets = corpus.days[topics[community][topic]] - first
+            key = str(cluster_of[community])
+            per_cluster[key] = per_cluster.get(key, 0) + np.bincount(offsets, minlength=len(days))
+        daily_counts[topic] = {
+            key: {day: count for day, count in zip(days, tally.tolist()) if count}
+            for key, tally in per_cluster.items()
+        }
     return topics_mod.rate_table(
         counts,
         ledger,
@@ -203,11 +217,11 @@ def _build_rates(params, sentinels, cluster, topics, ingest) -> topics_mod.RateT
     )
 
 
-def _build_similarity(params, topics, cluster) -> list[similarity_mod.SimilaritySeries]:
+def _build_similarity(params, topics, cluster, ingest) -> list[similarity_mod.SimilaritySeries]:
     _, cluster_of = cluster
     covid = {community: per_topic["covid"] for community, per_topic in topics.items()}
     day_docs = similarity_mod.build_community_day_docs(
-        covid, load_wordlist(params.stopwords)
+        ingest.records, covid, load_wordlist(params.stopwords)
     )
     days = _window_days(params.window_start, params.window_end)
     members = _cluster_members(cluster_of)
@@ -236,8 +250,9 @@ def _build_adf(params, series_list) -> list[str]:
     return lines
 
 
-def _build_lsa(params, series_list, topics, cluster) -> dict:
+def _build_lsa(params, series_list, topics, cluster, ingest) -> dict:
     _, cluster_of = cluster
+    corpus = ingest.records
     stopwords = load_wordlist(params.stopwords)
     members = _cluster_members(cluster_of)
     flagged = [
@@ -250,16 +265,21 @@ def _build_lsa(params, series_list, topics, cluster) -> dict:
     ]
     # only the covid tweets of flagged days are read: each is tokenized and
     # counted once, as one row of the stage's count matrix
-    flagged_days = {day for days in flagged for day in days}
-    tweets: list[TweetRecord] = []
+    flagged_on = {day_number(day): day for days in flagged for day in days}
+    wanted = np.array(sorted(flagged_on), dtype=np.int64)
+    tweets: list[int] = []  # the matrix's rows, as rows of the corpus
     rows_of: dict[tuple[community_mod.Label, date], list[int]] = {}
     for community, per_topic in topics.items():
-        for record in per_topic["covid"]:
-            if record.day in flagged_days:
-                rows_of.setdefault((community, record.day), []).append(len(tweets))
-                tweets.append(record)
-    counts, _ = TrigramEncoder().count(normalize_text(r.text, stopwords) for r in tweets)
-    ids = [record.tweet_id for record in tweets]
+        covid = per_topic["covid"]
+        days = corpus.days[covid]
+        on_flagged = np.isin(days, wanted)
+        for row, day in zip(covid[on_flagged].tolist(), days[on_flagged].tolist()):
+            rows_of.setdefault((community, flagged_on[day]), []).append(len(tweets))
+            tweets.append(row)
+    counts, _ = TrigramEncoder().count(
+        normalize_text(corpus.texts[row], stopwords) for row in tweets
+    )
+    ids = [corpus.tweet_ids[row] for row in tweets]
     events = []
     # (cluster, day) -> its extraction; a day flagged in two pairs of one
     # cluster is extracted once
@@ -451,7 +471,7 @@ _STAGE_ROWS = (
     Stage(
         "similarity", ("similarity.csv",),
         ("window_start", "window_end", "stopwords", "burst_threshold", "min_history"),
-        ("topics", "cluster"),
+        ("topics", "cluster", "ingest"),
         _build_similarity,
         lambda series_list, paths, params: similarity_mod.write_series_csv(
             series_list,
@@ -467,7 +487,7 @@ _STAGE_ROWS = (
     Stage(
         "lsa", ("lsa_drivers.json",),
         ("lsa_k", "burst_threshold", "min_history", "match_threshold", "stopwords"),
-        ("similarity", "topics", "cluster"),
+        ("similarity", "topics", "cluster", "ingest"),
         _build_lsa, _write_json, _load_json,
     ),
     Stage(
@@ -618,23 +638,25 @@ def _content_hash(path: Path) -> str:
 # ---- helpers ------------------------------------------------------------
 
 
-def _account_community(roster: Mapping[str, Sequence[tuple[str, int]]]) -> dict[str, str]:
-    return {
-        account: label for label, entries in roster.items() for account, _ in entries
-    }
+def _rows_by_community(
+    roster: Mapping[str, Sequence[tuple[str, int]]], corpus: Corpus
+) -> dict[str, np.ndarray]:
+    """Rows of each community's sentinels, in corpus order.
 
-
-def _records_by_community(
-    roster: Mapping[str, Sequence[tuple[str, int]]], records: Iterable[TweetRecord]
-) -> dict[str, list[TweetRecord]]:
-    """Records of each community's sentinels, in record order."""
-    community_of = _account_community(roster)
-    grouped: dict[str, list[TweetRecord]] = {label: [] for label in roster}
-    for record in records:
-        community = community_of.get(record.author_id)
-        if community is not None:
-            grouped[community].append(record)
-    return grouped
+    One lookup array maps each account of the corpus to its community's
+    position in the roster, and one stable sort of the rows by it groups them.
+    """
+    labels = list(roster)
+    community_of = np.full(len(corpus.accounts), -1)
+    index = corpus.account_index
+    for position, label in enumerate(labels):
+        for account, _ in roster[label]:
+            if account in index:
+                community_of[index[account]] = position
+    row_community = community_of[corpus.author]
+    order = np.argsort(row_community, kind="stable")
+    bounds = np.searchsorted(row_community[order], np.arange(len(labels) + 1)).tolist()
+    return {label: order[bounds[i] : bounds[i + 1]] for i, label in enumerate(labels)}
 
 
 def _cluster_members(cluster_of: Mapping[str, int]) -> dict[str, list[str]]:

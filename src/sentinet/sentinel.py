@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
+
+import numpy as np
 
 from .community import Label, Partition
 from .errors import ParameterError
 from .fileio import atomic_open
 from .graph import RetweetGraph
-from .ingest import TweetRecord
+from .ingest import Corpus, day_date
 
 LanguageFilter = Callable[[Label, frozenset[str]], bool]
 # tweets per community that the ascii language filter inspects
@@ -86,17 +88,25 @@ def select_sentinels(
 
 
 def ascii_language_filter(
-    records_by_author: Mapping[str, Sequence[TweetRecord]],
+    corpus: Corpus,
     english_threshold: float = 0.8,
     seed: int = 0,
 ) -> LanguageFilter:
     """Crude stand-in for a language-detection service.
 
-    Samples up to :data:`LANGUAGE_SAMPLE_SIZE` tweets from the community and
-    passes it when at least ``english_threshold`` of them are mostly ASCII
-    text. Meant to be replaced by a real classifier through the same
-    predicate interface.
+    Samples up to :data:`LANGUAGE_SAMPLE_SIZE` of the community's tweets in
+    ``corpus`` and passes it when at least ``english_threshold`` of them
+    are mostly ASCII text. The sample is drawn from the tweets of the
+    community's accounts in id order, each account's in corpus order. Meant
+    to be replaced by a real classifier through the same predicate
+    interface.
     """
+    # the rows of each account, in corpus order: by_author[starts[a]:starts[a + 1]]
+    by_author = np.argsort(corpus.author, kind="stable")
+    starts = np.concatenate(
+        [[0], np.cumsum(np.bincount(corpus.author, minlength=len(corpus.accounts)))]
+    ).tolist()
+    index = corpus.account_index
 
     def tweet_is_asciiish(text: str) -> bool:
         compact = "".join(text.split())
@@ -106,19 +116,20 @@ def ascii_language_filter(
         return len(compact.encode("ascii", "ignore")) / len(compact) >= 0.9
 
     def predicate(label: Label, community: frozenset[str]) -> bool:
-        texts = [
-            record.text
-            for author in sorted(community)
-            for record in records_by_author.get(author, ())
-        ]
-        if not texts:
+        authors = [index[account] for account in sorted(community) if account in index]
+        rows = np.concatenate(
+            [by_author[starts[author] : starts[author + 1]] for author in authors]
+            or [by_author[:0]]
+        )
+        if not rows.size:
             return False
-        # str seeding hashes with sha512, so sampling is stable across processes
+        # str seeding hashes with sha512, so sampling is stable across processes;
+        # sampling positions picks what sampling the texts would
         rng = random.Random(f"{seed}:{label}")
-        if len(texts) > LANGUAGE_SAMPLE_SIZE:
-            texts = rng.sample(texts, LANGUAGE_SAMPLE_SIZE)
-        passing = sum(1 for text in texts if tweet_is_asciiish(text))
-        return passing / len(texts) >= english_threshold
+        if rows.size > LANGUAGE_SAMPLE_SIZE:
+            rows = rows[rng.sample(range(rows.size), LANGUAGE_SAMPLE_SIZE)]
+        passing = sum(1 for row in rows.tolist() if tweet_is_asciiish(corpus.texts[row]))
+        return passing / rows.size >= english_threshold
 
     return predicate
 
@@ -142,20 +153,30 @@ class ActivityLedger:
 
 
 def activity(
-    records_by_account: Mapping[str, Sequence[TweetRecord]],
+    corpus: Corpus,
+    accounts: Iterable[str],
     window: tuple[date, date],
 ) -> ActivityLedger:
-    """Build the activity ledger for a [start_day, end_day] window (inclusive)."""
+    """The activity ledger of ``accounts`` over a [start_day, end_day] window (inclusive).
+
+    An account's last-seen day is the day of its latest tweet in ``corpus``;
+    an account with no tweet there has none.
+    """
     start, end = window
     if start > end:
         raise ParameterError(f"empty window: {start} > {end}")
     days = tuple(
         start + timedelta(days=offset) for offset in range((end - start).days + 1)
     )
+    never = np.iinfo(np.int64).min
+    latest = np.full(len(corpus.accounts), never)
+    np.maximum.at(latest, corpus.author, corpus.days)
+    index = corpus.account_index
     last_seen: dict[str, date] = {}
-    for account, records in records_by_account.items():
-        if records:
-            last_seen[account] = max(record.day for record in records)
+    for account in accounts:
+        author = index.get(account)
+        if author is not None and latest[author] != never:
+            last_seen[account] = day_date(int(latest[author]))
     active_days = {}
     for account, seen in last_seen.items():
         if seen < start:

@@ -41,7 +41,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import read_csv, read_lines, write_csv
-from .ingest import BOUNDARY, TrigramEncoder, TweetRecord, data_path, tokenize
+from .ingest import BOUNDARY, Corpus, TrigramEncoder, data_path, day_date, tokenize
 # imported by name so that perfbench's tracer, which wraps it at every
 # import site, finds it here too
 from .ingest import normalize_text  # noqa: F401
@@ -100,11 +100,12 @@ class DayDocs(NamedTuple):
 
 
 def build_community_day_docs(
-    records_by_community: Mapping[Label, Sequence[TweetRecord]],
+    corpus: Corpus,
+    rows_by_community: Mapping[Label, Sequence[int]],
     stopwords: frozenset[str],
     encoder: TrigramEncoder | None = None,
 ) -> DayDocs:
-    """Group records by (community, day) and sum their trigram counts.
+    """Group each community's rows of ``corpus`` by day and sum their trigram counts.
 
     Trigrams never cross tweet boundaries. Each community-day's tweets are
     tokenized as two batches, its ASCII texts and the rest, so that one
@@ -115,16 +116,22 @@ def build_community_day_docs(
     community-days at a time. The codes are
     made by ``encoder``, a fresh one unless given; pass one to decode them.
     """
-    texts_of: dict[tuple[Label, date], tuple[list[str], list[str]]] = {}
-    for community in sorted(records_by_community, key=str):
-        for record in records_by_community[community]:
-            ascii_texts, other_texts = texts_of.setdefault((community, record.day), ([], []))
-            (ascii_texts if record.text.isascii() else other_texts).append(record.text)
+    texts, days = corpus.texts, corpus.days
+    texts_of: dict[tuple[Label, int], tuple[list[str], list[str]]] = {}
+    for community in sorted(rows_by_community, key=str):
+        rows = np.asarray(rows_by_community[community], dtype=np.intp)
+        for row, day in zip(rows.tolist(), days[rows].tolist()):
+            ascii_texts, other_texts = texts_of.setdefault((community, day), ([], []))
+            text = texts[row]
+            (ascii_texts if text.isascii() else other_texts).append(text)
     matrix, codes = (encoder or TrigramEncoder()).count(
         chain(tokenize(ascii_texts, stopwords), (BOUNDARY,), tokenize(other_texts, stopwords))
         for ascii_texts, other_texts in texts_of.values()
     )
-    return DayDocs.from_rows(texts_of, matrix, codes)
+    dates = {day: day_date(day) for day in {day for _, day in texts_of}}
+    return DayDocs.from_rows(
+        ((community, dates[day]) for community, day in texts_of), matrix, codes
+    )
 
 
 def cosine_similarity(u: Mapping, v: Mapping) -> float:

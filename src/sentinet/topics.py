@@ -14,12 +14,14 @@ from dataclasses import astuple, dataclass, fields
 from datetime import date
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .community import Label
 from .errors import ParameterError
 from .fileio import read_lines, write_csv
-from .ingest import PACKAGED, TweetRecord
+from .ingest import PACKAGED, Corpus
 from .sentinel import ActivityLedger
 
 
@@ -62,32 +64,22 @@ def load_lexicons(directory: str | Path | None = None) -> dict[str, TopicLexicon
     }
 
 
-def matches_topic(text: str, lexicon: TopicLexicon) -> bool:
-    lowered = text.lower()
-    return any(needle in lowered for needle in lexicon.substrings)
-
-
-def filter_topic(
-    records: Iterable[TweetRecord], lexicon: TopicLexicon
-) -> list[TweetRecord]:
-    """Records whose raw text contains any lexicon substring (case-insensitive)."""
-    return [record for record in records if matches_topic(record.text, lexicon)]
-
-
 def filter_topic_tree(
-    records: Sequence[TweetRecord], lexicons: Mapping[str, TopicLexicon]
-) -> dict[str, list[TweetRecord]]:
-    """Apply every lexicon in parent-before-child order.
+    corpus: Corpus, rows: Sequence[int], lexicons: Mapping[str, TopicLexicon]
+) -> dict[str, np.ndarray]:
+    """The ``rows`` of ``corpus`` whose text each lexicon matches, in their order.
 
-    Each subtopic filters its parent's matches, which keeps the subset
-    relationship between topic and subtopic counts by construction. Each
-    text is lowercased once, not once per lexicon, and each needle is
-    tested across the whole pool in one pass; the result equals the chain
-    of :func:`filter_topic` calls.
+    A row matches a lexicon when its raw text contains one of the lexicon's
+    substrings, case-insensitively. Lexicons apply in parent-before-child
+    order, and each subtopic filters its parent's matches, which keeps the
+    subset relationship between topic and subtopic counts by construction.
+    Each text is lowercased once, not once per lexicon, and each needle is
+    tested across the whole pool in one pass.
     """
-    # topic -> (matching records, their lowercased texts), in record order
-    matched: dict[str, tuple[list[TweetRecord], list[str]]] = {}
-    everything = (list(records), [record.text.lower() for record in records])
+    # topic -> (matching rows, their lowercased texts), in row order
+    rows = np.asarray(rows, dtype=np.intp)
+    matched: dict[str, tuple[np.ndarray, list[str]]] = {}
+    everything = (rows, [corpus.texts[row].lower() for row in rows.tolist()])
     remaining = dict(lexicons)
     while remaining:
         progressed = False
@@ -99,18 +91,18 @@ def filter_topic_tree(
                 pool = matched[lexicon.parent]
             else:
                 continue
-            pool_records, texts = pool
+            pool_rows, texts = pool
             hits = [False] * len(texts)
             for needle in lexicon.substrings:
                 hits = [hit or needle in text for hit, text in zip(hits, texts)]
-            matched[name] = (list(compress(pool_records, hits)), list(compress(texts, hits)))
+            matched[name] = (pool_rows[np.array(hits, dtype=bool)], list(compress(texts, hits)))
             del remaining[name]
             progressed = True
         if not progressed:
             raise ParameterError(
                 f"unresolvable lexicon parents: {sorted(remaining)}"
             )
-    return {name: topic_records for name, (topic_records, _) in matched.items()}
+    return {name: topic_rows for name, (topic_rows, _) in matched.items()}
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def rate_table(
 
 
 def write_counts_csv(
-    matched: Mapping[Label, Mapping[str, Sequence[TweetRecord]]], path: str | Path
+    matched: Mapping[Label, Mapping[str, Sequence[int]]], path: str | Path
 ) -> None:
     """Write topic,community,count rows, topic-major, from per-community matches."""
     topics = sorted({topic for per_topic in matched.values() for topic in per_topic})
@@ -240,34 +232,35 @@ def write_daily_csv(table: RateTable, path: str | Path) -> None:
 
 
 def stratified_coding_sample(
-    records_by_cluster_topic: Mapping[tuple[str, str], Sequence[tuple[str, TweetRecord]]],
+    corpus: Corpus,
+    rows_by_cluster_topic: Mapping[tuple[str, str], Sequence[tuple[str, int]]],
     per_stratum: int = 100,
     seed: int = 0,
-) -> list[tuple[str, str, str, TweetRecord]]:
+) -> list[tuple[str, str, str, int]]:
     """Seeded coding sample: up to ``per_stratum`` tweets per cluster-topic.
 
-    Entries are (community, record) pairs; communities inside a stratum are
-    balanced round-robin so one prolific community cannot dominate the
-    sample. Returns (cluster, topic, community, record) tuples.
+    Entries are (community, row of ``corpus``) pairs; communities inside a
+    stratum are balanced round-robin so one prolific community cannot
+    dominate the sample. Returns (cluster, topic, community, row) tuples.
     """
     rng = random.Random(seed)
     sampled = []
-    for (cluster, topic) in sorted(records_by_cluster_topic):
-        entries = records_by_cluster_topic[(cluster, topic)]
-        by_community: dict[str, list[TweetRecord]] = {}
-        for community, record in entries:
-            by_community.setdefault(community, []).append(record)
+    for (cluster, topic) in sorted(rows_by_cluster_topic):
+        entries = rows_by_cluster_topic[(cluster, topic)]
+        by_community: dict[str, list[int]] = {}
+        for community, row in entries:
+            by_community.setdefault(community, []).append(row)
         queues = {}
         for community in sorted(by_community):
-            pool = sorted(by_community[community], key=lambda r: r.tweet_id)
+            pool = sorted(by_community[community], key=corpus.tweet_ids.__getitem__)
             rng.shuffle(pool)
             queues[community] = pool
-        picked: list[tuple[str, TweetRecord]] = []
+        picked: list[tuple[str, int]] = []
         while len(picked) < per_stratum and any(queues.values()):
             for community in sorted(queues):
                 if queues[community] and len(picked) < per_stratum:
                     picked.append((community, queues[community].pop()))
         sampled.extend(
-            (cluster, topic, community, record) for community, record in picked
+            (cluster, topic, community, row) for community, row in picked
         )
     return sampled

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from sentinet.graph import RetweetGraph
-from sentinet.ingest import TrigramEncoder, TweetRecord
+from sentinet.ingest import Corpus, TrigramEncoder, TweetRecord
+from sentinet.sentinel import activity
 from sentinet.similarity import DayDocs
 
 BASE_TIME = datetime(2020, 7, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -29,6 +30,42 @@ def make_record(
         text=text,
         retweeted_author_id=retweeted,
         urls=urls,
+    )
+
+
+def grouped_corpus(records_by_group):
+    """The corpus of every group's records, group after group, and each group's rows of it."""
+    corpus = Corpus.from_records(
+        record for records in records_by_group.values() for record in records
+    )
+    ends = np.cumsum([len(records) for records in records_by_group.values()], dtype=int)
+    return corpus, {
+        group: np.arange(end - len(records), end)
+        for (group, records), end in zip(records_by_group.items(), ends.tolist())
+    }
+
+
+def activity_of(records_by_account, window):
+    """The activity ledger of the accounts, over a corpus of all their records."""
+    corpus, _ = grouped_corpus(records_by_account)
+    return activity(corpus, records_by_account, window)
+
+
+def columns(corpus: Corpus):
+    """Every column of a corpus as plain lists, for comparison."""
+    return (
+        corpus.tweet_ids,
+        corpus.texts,
+        corpus.accounts,
+        corpus.author.tolist(),
+        corpus.retweeted.tolist(),
+        corpus.seconds.tolist(),
+        corpus.url_offsets.tolist(),
+        corpus.urls,
+        [
+            array.dtype.name
+            for array in (corpus.author, corpus.retweeted, corpus.seconds, corpus.url_offsets)
+        ],
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -350,16 +351,25 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc).replace(microsecond=0)
 
 
+def _is_field(value) -> bool:
+    """A non-empty string with no whitespace and no lone surrogate, checked per character."""
+    return (
+        isinstance(value, str)
+        and value != ""
+        and not any(ch.isspace() or "\ud800" <= ch <= "\udfff" for ch in value)
+    )
+
+
 def _record_from_json(obj: dict) -> TweetRecord:
     tweet_id = obj["tweet_id"]
     author_id = obj["author_id"]
-    if not isinstance(tweet_id, str) or not tweet_id:
-        raise ValueError("tweet_id must be a non-empty string")
-    if not isinstance(author_id, str) or not author_id:
-        raise ValueError("author_id must be a non-empty string")
+    if not _is_field(tweet_id):
+        raise ValueError("tweet_id must be a non-empty string with no whitespace")
+    if not _is_field(author_id):
+        raise ValueError("author_id must be a non-empty string with no whitespace")
     retweeted = obj.get("retweeted_author_id")
-    if retweeted is not None and (not isinstance(retweeted, str) or not retweeted):
-        raise ValueError("retweeted_author_id must be null or a non-empty string")
+    if retweeted is not None and not _is_field(retweeted):
+        raise ValueError("retweeted_author_id must be null or an id like author_id")
     created_at = obj["created_at"]
     if not isinstance(created_at, str):
         raise ValueError("created_at must be a string")
@@ -380,7 +390,10 @@ def _record_from_json(obj: dict) -> TweetRecord:
 
 
 def parse_tweet_stream(stream) -> ParseResult:
-    """JSON Lines records through ``json.loads``, one line at a time; blank lines ignored."""
+    """JSON Lines records through ``json.loads``, one line at a time; blank lines ignored.
+
+    ``records`` of the result is a list of :class:`TweetRecord`.
+    """
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
@@ -405,3 +418,50 @@ def parse_tweet_stream(stream) -> ParseResult:
     if not records:
         raise EmptyCorpusError(f"no parseable records ({skipped} lines skipped)")
     return ParseResult(records=records, skipped=skipped)
+
+
+def matches_topic(text: str, lexicon) -> bool:
+    """Whether ``text`` contains one of the lexicon's substrings, case-insensitively."""
+    lowered = text.lower()
+    return any(needle in lowered for needle in lexicon.substrings)
+
+
+def filter_topic(records, lexicon) -> list:
+    """Records whose raw text contains any lexicon substring (case-insensitive)."""
+    return [record for record in records if matches_topic(record.text, lexicon)]
+
+
+def retweet_arcs(records) -> dict:
+    """(source, retweeter) -> retweet count, one record at a time, self-retweets dropped."""
+    arcs: dict = {}
+    for record in records:
+        source = record.retweeted_author_id
+        if source is not None and source != record.author_id:
+            key = (source, record.author_id)
+            arcs[key] = arcs.get(key, 0) + 1
+    return arcs
+
+
+def ascii_language_filter(records, english_threshold=0.8, seed=0, sample_size=100):
+    """The language filter over records grouped by author in a dict, record by record."""
+    by_author: dict = {}
+    for record in records:
+        by_author.setdefault(record.author_id, []).append(record)
+
+    def predicate(label, community) -> bool:
+        texts = [r.text for author in sorted(community) for r in by_author.get(author, ())]
+        if not texts:
+            return False
+        rng = random.Random(f"{seed}:{label}")
+        if len(texts) > sample_size:
+            texts = rng.sample(texts, sample_size)
+        compact = ["".join(text.split()) for text in texts]
+        passing = sum(
+            1
+            for text in compact
+            if text and sum(1 for ch in text if ord(ch) < 128) / len(text) >= 0.9
+        )
+        return passing / len(texts) >= english_threshold
+
+    return predicate
+

@@ -22,9 +22,8 @@ from sentinet.community import (
 from sentinet.config import PipelineConfig
 from sentinet.domains import DomainMatrix, first_principal_component
 from sentinet.graph import RetweetGraph
-from sentinet.ingest import write_corpus
+from sentinet.ingest import Corpus, write_corpus
 from sentinet.pipeline import run_pipeline
-from sentinet.sentinel import activity
 from sentinet.similarity import adf_test
 from sentinet.stats import (
     CodingMatrix,
@@ -34,7 +33,7 @@ from sentinet.stats import (
 )
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import TopicLexicon, filter_topic_tree, rate_table
-from conftest import make_record
+from conftest import activity_of, make_record
 
 
 @contextmanager
@@ -344,7 +343,7 @@ def test_criterion_9_rate_table_identities():
                 for pool in accounts.values()
                 for acct in pool
             }
-            ledger = activity(records, window)
+            ledger = activity_of(records, window)
             counts = {
                 "topic": {
                     f"c{i}": int(rng.integers(0, 50)) for i in range(n_comm)
@@ -377,6 +376,8 @@ def test_criterion_9_rate_table_identities():
                 )
                 for i in range(int(rng.integers(1, 40)))
             ]
-            matched = filter_topic_tree(records_list, lexicons)
+            matched = filter_topic_tree(
+                Corpus.from_records(records_list), range(len(records_list)), lexicons
+            )
             assert len(matched["masks"]) <= len(matched["covid"])
             assert len(matched["n95"]) <= len(matched["masks"])

@@ -8,7 +8,7 @@ import pytest
 
 from sentinet.cli import build_parser, main
 from sentinet.config import serialize_config, PipelineConfig
-from sentinet.ingest import PACKAGED, write_corpus
+from sentinet.ingest import PACKAGED, read_corpus, write_corpus
 from sentinet.pipeline import STAGES, run_pipeline
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 
@@ -216,6 +216,42 @@ class TestStageCommands:
         assert "error" in capsys.readouterr().err
 
 
+    def test_graph_skips_ids_that_break_edge_lines(self, tmp_path):
+        lines = [
+            {"tweet_id": "1", "author_id": "b", "retweeted_author_id": "a"},
+            {"tweet_id": "2", "author_id": "c", "retweeted_author_id": "a"},
+            {"tweet_id": "3", "author_id": "c", "retweeted_author_id": "b"},
+            {"tweet_id": "4", "author_id": "a b", "retweeted_author_id": "a"},
+            {"tweet_id": "5", "author_id": "\ud800", "retweeted_author_id": "a"},
+        ]
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            "".join(
+                json.dumps({**line, "created_at": "2020-07-01T12:00:00Z", "text": ""}) + "\n"
+                for line in lines
+            )
+        )
+        edges, partition = tmp_path / "graph.edges", tmp_path / "partition.txt"
+        assert main(["graph", "--records", str(records), "--output", str(edges)]) == 0
+        assert edges.read_text() == "a b 1\na c 1\nb c 1\n"
+        assert main(["communities", "--edges", str(edges), "--output", str(partition)]) == 0
+        assert partition.read_text().split()[::2] == ["a", "b", "c"]
+
+    def test_ingest_writes_lone_surrogate_text(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(
+            json.dumps(
+                {"tweet_id": "1", "author_id": "a", "created_at": "2020-07-01T12:00:00Z",
+                 "text": "half \ud800 pair"}
+            )
+            + "\n"
+        )
+        out = tmp_path / "records.jsonl"
+        assert main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
+        (record,) = read_corpus(out).records.iter_records()
+        assert record.text == "half \ud800 pair"
+
+
 class TestStageDefaults:
     def test_config_options_default_as_in_the_config(self):
         defaults = {
@@ -364,7 +400,7 @@ class TestCliMatchesPipeline:
                 corpus=corpus, window_start=config.window_start, window_end=config.window_end
             )
         )
-        write_corpus(ingest.records, tmp_path / "ingest.jsonl")
+        write_corpus(ingest.records.iter_records(), tmp_path / "ingest.jsonl")
         assert (out / "records.jsonl").read_bytes() == (tmp_path / "ingest.jsonl").read_bytes()
 
 

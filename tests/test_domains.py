@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 import sentinet
+from conftest import grouped_corpus
 from sentinet.domains import (
     DomainMatrix,
     cluster_scores,
@@ -47,7 +48,7 @@ class TestDomainFrequencyMatrix:
                 for i in range(20)
             ]
         }
-        matrix = domain_frequency_matrix(records, min_count=10)
+        matrix = domain_frequency_matrix(*grouped_corpus(records), min_count=10)
         assert matrix.domains == ("a.com",)
         assert matrix.values[0, 0] == 1.0
 
@@ -62,7 +63,7 @@ class TestDomainFrequencyMatrix:
             "A": bundle(["https://x.com/a"] * 12 + ["https://y.com/b"] * 8),
             "B": bundle(["https://y.com/c"] * 11 + ["https://z.com/d"] * 5),
         }
-        matrix = domain_frequency_matrix(records, min_count=10)
+        matrix = domain_frequency_matrix(*grouped_corpus(records), min_count=10)
         assert matrix.domains == ("x.com", "y.com")
         assert matrix.retained_totals == (20, 16)
         np.testing.assert_allclose(matrix.values[0], [0.6, 0.4])
@@ -84,7 +85,7 @@ class TestDomainFrequencyMatrix:
             ]
         }
         matrix = domain_frequency_matrix(
-            records, shorteners=frozenset({"bit.ly"}), min_count=10
+            *grouped_corpus(records), shorteners=frozenset({"bit.ly"}), min_count=10
         )
         assert matrix.domains == ("keep.com",)
         assert matrix.retained_totals == (11,)
@@ -95,7 +96,7 @@ class TestDomainFrequencyMatrix:
             "A": [record_factory("1", "u", urls=tuple(f"https://a.com/{i}" for i in range(11)))],
             "B": [record_factory("2", "v", urls=())],
         }
-        matrix = domain_frequency_matrix(records, min_count=10)
+        matrix = domain_frequency_matrix(*grouped_corpus(records), min_count=10)
         assert matrix.zero_link_communities == ("B",)
         assert np.all(matrix.values[list(matrix.communities).index("B")] == 0)
 
@@ -103,7 +104,7 @@ class TestDomainFrequencyMatrix:
         records = {
             "A": [record_factory("1", "u", urls=tuple(f"https://a.com/{i}" for i in range(12)))],
         }
-        matrix = domain_frequency_matrix(records, min_count=10)
+        matrix = domain_frequency_matrix(*grouped_corpus(records), min_count=10)
         path = tmp_path / "matrix.csv"
         write_matrix_csv(matrix, path)
         loaded = read_matrix_csv(path)

@@ -5,22 +5,27 @@ from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import decoded_counts
+from conftest import columns, decoded_counts, make_record
 from sentinet import ingest
 from sentinet.errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
 from sentinet.ingest import (
     BOUNDARY,
     PACKAGED,
+    Corpus,
     TrigramEncoder,
+    TweetRecord,
+    day_date,
     extract_domain,
     load_wordlist,
     normalize_text,
     parse_timestamp,
     parse_tweet_stream,
+    record_to_json,
     write_corpus,
     read_corpus,
     tokenize,
@@ -51,7 +56,7 @@ class TestParseTweetStream:
         result = parse_tweet_stream(stream)
         assert len(result.records) == 3
         assert result.skipped == 0
-        assert [r.tweet_id for r in result.records] == ["0", "1", "2"]
+        assert result.records.tweet_ids == ["0", "1", "2"]
 
     def test_truncated_middle_line_skipped(self):
         lines = [make_line(0), make_line(1)[:25], make_line(2)]
@@ -80,7 +85,7 @@ class TestParseTweetStream:
     def test_non_string_timestamp_skipped(self, created_at):
         lines = [make_line(0), make_line(1, created_at=created_at), make_line(2)]
         result = parse_tweet_stream(io.StringIO("\n".join(lines)))
-        assert [r.tweet_id for r in result.records] == ["0", "2"]
+        assert result.records.tweet_ids == ["0", "2"]
         assert result.skipped == 1
 
     def test_duplicate_ids_skipped(self):
@@ -90,16 +95,23 @@ class TestParseTweetStream:
 
     def test_day_is_the_utc_date_outside_equality_and_hash(self):
         lines = [make_line(0), make_line(1, created_at="2020-07-01T23:30:00-02:00")]
-        records = parse_tweet_stream(io.StringIO("\n".join(lines))).records
-        assert [r.day for r in records] == [r.created_at.date() for r in records]
-        assert [r.day for r in records] == [date(2020, 7, 1), date(2020, 7, 2)]
-        (again,) = parse_tweet_stream(io.StringIO(make_line(0))).records
+        corpus = parse_tweet_stream(io.StringIO("\n".join(lines))).records
+        days = [day_date(day) for day in corpus.days.tolist()]
+        assert days == [date(2020, 7, 1), date(2020, 7, 2)]
+        assert [corpus.created_at(row).isoformat() for row in range(2)] == [
+            "2020-07-01T12:00:00+00:00",
+            "2020-07-02T01:30:00+00:00",
+        ]
+        records = list(corpus.iter_records())
+        assert [r.created_at.date() for r in records] == [date(2020, 7, 1), date(2020, 7, 2)]
+        # a row's record reads the same columns again
+        (again,) = parse_tweet_stream(io.StringIO(make_line(0))).records.iter_records()
         assert again == records[0] and hash(again) == hash(records[0])
         identity = ("tweet_id", "author_id", "created_at", "text", "retweeted_author_id", "urls")
         assert hash(again) == hash(tuple(getattr(again, name) for name in identity))
         assert "day=" not in repr(again)
         moved = replace(again, created_at=datetime(2020, 8, 9, 1, 0, tzinfo=timezone.utc))
-        assert moved.day == date(2020, 8, 9) and moved != again
+        assert moved.created_at.date() == date(2020, 8, 9) and moved != again
 
     def test_records_of_one_day_share_their_date(self):
         lines = [
@@ -107,9 +119,15 @@ class TestParseTweetStream:
             make_line(1, created_at="2020-07-01T21:30:00-02:00"),
             make_line(2, created_at="2020-07-02T00:00:00Z"),
         ]
-        first, second, third = parse_tweet_stream(io.StringIO("\n".join(lines))).records
-        assert first.day is second.day
-        assert third.day == date(2020, 7, 2) and third.day is not first.day
+        corpus = parse_tweet_stream(io.StringIO("\n".join(lines))).records
+        first, second, third = corpus.days.tolist()
+        assert first == second and day_date(first) == date(2020, 7, 1)
+        assert third == first + 1 and day_date(third) == date(2020, 7, 2)
+        assert corpus.seconds.tolist()[:2] == [
+            (datetime(2020, 7, 1, hour, minute, second, tzinfo=timezone.utc) - ingest.EPOCH)
+            // timedelta(seconds=1)
+            for hour, minute, second in ((0, 0, 1), (23, 30, 0))
+        ]
 
     def test_records_of_one_parse_share_account_ids(self):
         lines = [
@@ -117,10 +135,28 @@ class TestParseTweetStream:
             make_line(1, author_id="acct", retweeted_author_id="other"),
             make_line(2, author_id="other", retweeted_author_id="acct"),
         ]
-        first, second, third = parse_tweet_stream(io.StringIO("\n".join(lines))).records
-        assert first.author_id is second.author_id is third.retweeted_author_id
-        assert second.retweeted_author_id is third.author_id
-        assert not hasattr(first, "__dict__")
+        corpus = parse_tweet_stream(io.StringIO("\n".join(lines))).records
+        assert corpus.accounts == ["acct", "other"]
+        assert corpus.author.tolist() == [0, 0, 1] and corpus.author.dtype == np.int32
+        assert corpus.retweeted.tolist() == [-1, 1, 0] and corpus.retweeted.dtype == np.int32
+
+    @pytest.mark.parametrize("field", ["tweet_id", "author_id", "retweeted_author_id"])
+    @pytest.mark.parametrize(
+        "value", ["a b", "a\tb", " a", "a\u00a0", "a\u2028b", "\ud800", "a\udfff"]
+    )
+    def test_ids_that_break_artifacts_skipped(self, field, value):
+        lines = [make_line(0), make_line(1, **{field: value}), make_line(2)]
+        result = parse_tweet_stream(io.StringIO("\n".join(lines)))
+        assert result.records.tweet_ids == ["0", "2"]
+        assert result.skipped == 1
+        # the rejected id enters no account table
+        assert result.records.accounts == ["a"]
+
+    @pytest.mark.parametrize("value", ["é", "t-1", "a.b@c", "ü_1"])
+    def test_ids_without_whitespace_or_surrogates_kept(self, value):
+        lines = [make_line(0, tweet_id=value, author_id=value, retweeted_author_id="b" + value)]
+        corpus = parse_tweet_stream(io.StringIO("\n".join(lines))).records
+        assert corpus.tweet_ids == [value] and corpus.accounts == [value, "b" + value]
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
@@ -146,11 +182,32 @@ class TestParseTweetStream:
         write_corpus(records, path)
         reparsed = read_corpus(path)
         assert reparsed.skipped == 0
-        assert reparsed.records == records
+        assert list(reparsed.records.iter_records()) == records
+        assert columns(reparsed.records) == columns(Corpus.from_records(records))
         # serialize -> parse -> serialize is a fixed point
         path2 = tmp_path / "again.jsonl"
-        write_corpus(reparsed.records, path2)
+        write_corpus(reparsed.records.iter_records(), path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_lone_surrogate_text_round_trips(self, tmp_path):
+        records = [
+            make_record("1", "a", text="plain café"),
+            make_record("2", "a", text="half \ud800 pair é"),
+            make_record("3", "b", text="more ü"),
+        ]
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(records, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        # only the line that UTF-8 cannot hold is escaped
+        assert [line.decode() for line in lines[:2]] == [
+            json.dumps(record_to_json(records[0]), ensure_ascii=False, sort_keys=True) + "\n",
+            json.dumps(record_to_json(records[1]), sort_keys=True) + "\n",
+        ]
+        assert b"\\ud800" in lines[1] and b"\\u00e9" in lines[1]
+        assert "ü".encode() in lines[2]
+        reparsed = read_corpus(path)
+        assert reparsed.skipped == 0
+        assert list(reparsed.records.iter_records()) == records
 
 
 # ISO-8601 renderings, mostly ones parse_timestamp accepts, with padding
@@ -175,11 +232,13 @@ JSON_VALUES = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=
 def record_lines(draw):
     """A record line, at most one field ill-typed or missing, with padding or trailing data."""
     obj = {
-        "tweet_id": draw(st.sampled_from(["1", "2", "3"])),
-        "author_id": draw(st.sampled_from(["a", "b"])),
+        "tweet_id": draw(st.sampled_from(["1", "2", "3", "1", "2", "3", "t-4", "5 6", "\ud800"])),
+        "author_id": draw(st.sampled_from(["a", "b", "a", "b", "é.c", "a\u00a0", "\udc00b"])),
         "created_at": draw(ISO_TIMESTAMPS),
         "text": draw(st.text(max_size=5)),
-        "retweeted_author_id": draw(st.sampled_from([None, "a", "b"])),
+        "retweeted_author_id": draw(
+            st.sampled_from([None, "a", "b", None, "a", "b", "é.c", "\tb"])
+        ),
         "urls": draw(st.lists(st.text(max_size=3), max_size=2)),
     }
     spoiled = draw(st.sampled_from([None, None, None, *sorted(obj)]))
@@ -200,16 +259,45 @@ JUNK_LINES = st.sampled_from(
 
 
 def parse_outcome(parse, lines):
-    """Skipped count and each record with its timestamp's rendering, or None if nothing parses."""
+    """Skipped count and the parsed rows, or None if nothing parses.
+
+    A row is every field, the UTC day and the timestamp's rendering, read
+    from the package's corpus columns or from the reference's records.
+    """
     try:
         result = parse(lines)
     except EmptyCorpusError:
         return None
-    utc = timezone.utc
-    return result.skipped, [
-        (record, record.day, record.created_at.isoformat(), record.created_at.tzinfo is utc)
-        for record in result.records
-    ]
+    parsed = result.records
+    if isinstance(parsed, Corpus):
+        created = [parsed.created_at(row) for row in range(len(parsed))]
+        assert all(moment.tzinfo is timezone.utc for moment in created)
+        rows = [
+            (
+                parsed.tweet_ids[row],
+                parsed.accounts[parsed.author[row]],
+                parsed.accounts[parsed.retweeted[row]] if parsed.retweeted[row] >= 0 else None,
+                parsed.texts[row],
+                tuple(parsed.urls[parsed.url_offsets[row] : parsed.url_offsets[row + 1]]),
+                day_date(int(parsed.days[row])),
+                created[row].isoformat(),
+            )
+            for row in range(len(parsed))
+        ]
+    else:
+        rows = [
+            (
+                r.tweet_id,
+                r.author_id,
+                r.retweeted_author_id,
+                r.text,
+                r.urls,
+                r.created_at.date(),
+                r.created_at.isoformat(),
+            )
+            for r in parsed
+        ]
+    return result.skipped, rows
 
 
 class TestParseEquivalence:
@@ -217,6 +305,19 @@ class TestParseEquivalence:
     @given(TIMESTAMPS)
     @example("2020-07-01T12:00:00.999999z")
     @example("2020-07-01T23:30:00.5-02:00")
+    # the fixed shape, and values next to it
+    @example("2020-07-01T12:00:00Z")
+    @example(" 2020-07-01T12:00:00Z")
+    @example(" 020-07-01T12:00:00Z")
+    @example("2020-07-01T12:00:00z")
+    @example("2020-02-30T00:00:00Z")
+    @example("2020-07-01T24:00:00Z")
+    @example("2020-07-01T12:00:0Z")
+    @example("2020-07-01T12:00:000Z")
+    @example("2020-07-01T12:00:00ZZ")
+    @example("2020-07-01 12:00:00Z")
+    @example("2020-07-01T120000.1Z")
+    @example("２０２０-07-01T12:00:00Z")
     def test_timestamp(self, value):
         try:
             expected = oracles.parse_timestamp(value)
@@ -236,6 +337,56 @@ class TestParseEquivalence:
         assert parse_outcome(parse_tweet_stream, lines) == parse_outcome(
             oracles.parse_tweet_stream, lines
         )
+
+
+# the rows TweetRecord can hold: ids free of whitespace and lone surrogates,
+# any text, and second-resolution UTC times
+CORPUS_RECORDS = st.lists(
+    st.builds(
+        TweetRecord,
+        tweet_id=st.text(
+            st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+            min_size=1,
+            max_size=4,
+        ),
+        author_id=st.sampled_from(["a", "b", "é", "c.d"]),
+        created_at=st.datetimes(datetime(1990, 1, 1), datetime(2100, 1, 1)).map(
+            lambda moment: moment.replace(microsecond=0, tzinfo=timezone.utc)
+        ),
+        text=st.text(max_size=6),
+        retweeted_author_id=st.sampled_from([None, "a", "b", "é", "x"]),
+        urls=st.lists(st.text(max_size=3), max_size=2).map(tuple),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda record: record.tweet_id,
+)
+
+
+class TestCorpusColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(CORPUS_RECORDS)
+    @example([make_record("1", "a", text="\ud800 é", retweeted="b", urls=("x", "y"))])
+    def test_from_records_equals_read_of_written(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        write_corpus(records, path)
+        reparsed = read_corpus(path)
+        assert reparsed.skipped == 0
+        assert columns(Corpus.from_records(records)) == columns(reparsed.records)
+        assert list(reparsed.records.iter_records()) == records
+
+    def test_take_keeps_rows_and_their_urls(self):
+        records = [
+            make_record(str(i), f"a{i % 2}", retweeted="r" if i == 2 else None,
+                        day_offset=i, urls=tuple(f"u{i}.{j}" for j in range(i % 3)))
+            for i in range(6)
+        ]
+        corpus = Corpus.from_records(records)
+        rows = np.array([5, 2, 4])
+        taken = corpus.take(rows)
+        assert taken.accounts is corpus.accounts
+        assert list(taken.iter_records()) == [records[row] for row in rows]
+        assert corpus.urls_of(rows) == taken.urls == ["u5.0", "u5.1", "u2.0", "u2.1", "u4.0"]
 
 
 class TestExtractDomain:

@@ -9,15 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from oracles import matches_topic
 from sentinet import lsa as lsa_mod
 from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
 from sentinet.errors import ConfigError, StageError
-from sentinet.ingest import TrigramEncoder, normalize_text, read_corpus, write_corpus
+from sentinet.ingest import Corpus, TrigramEncoder, normalize_text, read_corpus, write_corpus
 from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline
 from sentinet.sentinel import read_roster
 from sentinet.synthetic import SyntheticSpec, generate_corpus
-from sentinet.topics import load_lexicons, matches_topic, stratified_coding_sample
+from sentinet.topics import load_lexicons, stratified_coding_sample
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,38 @@ class TestRunPipeline:
         run_pipeline(resumed)
         assert artifact_bytes(workdir) == before
 
+    def test_ids_that_break_artifacts_are_skipped_fresh_and_on_resume(self, synthetic, tmp_path):
+        config, truth, _ = synthetic
+        hub = next(iter(truth.hubs.values()))[0]
+        moment = f"{truth.window[0].isoformat()}T12:00:00Z"
+        bad = [
+            {"tweet_id": "x1", "author_id": "a b", "retweeted_author_id": hub},
+            {"tweet_id": "x2", "author_id": "\ud800", "retweeted_author_id": hub},
+            {"tweet_id": "x3", "author_id": hub, "retweeted_author_id": "x\ty"},
+            {"tweet_id": "x 4", "author_id": hub, "retweeted_author_id": None},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            handle.write(Path(config.corpus).read_text(encoding="utf-8"))
+            for line in bad:
+                line.update(created_at=moment, text="covid", urls=[])
+                handle.write(json.dumps(line) + "\n")
+        workdir = tmp_path / "out"
+        dirty = replace(config, corpus=corpus, output_dir=workdir)
+        run_pipeline(dirty)
+        fresh = artifact_bytes(workdir)
+        assert json.loads(fresh["ingest_meta.json"])["skipped_lines"] == len(bad)
+        # every added line is skipped: only the skip count and fingerprints differ
+        differ = ("ingest_meta.json", "run_meta.json", MANIFEST)
+        expected = artifact_bytes(config.output_dir)
+        assert {name: data for name, data in fresh.items() if name not in differ} == {
+            name: data for name, data in expected.items() if name not in differ
+        }
+        # a resume parses the corpus again to rebuild the edge list
+        (workdir / "graph.edges").unlink()
+        run_pipeline(dirty)
+        assert artifact_bytes(workdir) == fresh
+
     def test_config_change_rebuilds_stale_stages(self, synthetic, tmp_path):
         config, _, _ = synthetic
         workdir = tmp_path / "threshold"
@@ -199,9 +232,9 @@ class TestRunPipeline:
         covid = load_lexicons()["covid"]
         covid_on_flagged_days = sum(
             1
-            for record in read_corpus(config.corpus).records
+            for record in read_corpus(config.corpus).records.iter_records()
             if record.author_id in sentinels
-            and record.day.isoformat() in flagged_days
+            and record.created_at.date().isoformat() in flagged_days
             and matches_topic(record.text, covid)
         )
         assert 0 < len(calls) <= covid_on_flagged_days
@@ -388,17 +421,15 @@ class TestRunPipeline:
 
 class TestStratifiedSample:
     def test_balanced_and_capped(self, record_factory):
+        records = [record_factory(f"a{i}", "x", text="covid death rate") for i in range(80)] + [
+            record_factory(f"b{i}", "y", text="covid death rate") for i in range(10)
+        ]
         strata = {
-            ("0", "mortality"): [
-                ("c0", record_factory(f"a{i}", "x", text="covid death rate"))
-                for i in range(80)
-            ]
-            + [
-                ("c1", record_factory(f"b{i}", "y", text="covid death rate"))
-                for i in range(10)
-            ],
+            ("0", "mortality"): [("c0", row) for row in range(80)]
+            + [("c1", row) for row in range(80, 90)],
         }
-        rows = stratified_coding_sample(strata, per_stratum=40, seed=1)
+        corpus = Corpus.from_records(records)
+        rows = stratified_coding_sample(corpus, strata, per_stratum=40, seed=1)
         assert len(rows) == 40
         by_community = {}
         for _, _, community, _ in rows:
@@ -408,16 +439,14 @@ class TestStratifiedSample:
         assert by_community["c0"] == 30
 
     def test_takes_all_when_short(self, record_factory):
-        strata = {
-            ("0", "t"): [("c0", record_factory(f"a{i}", "x")) for i in range(7)]
-        }
-        rows = stratified_coding_sample(strata, per_stratum=100, seed=3)
+        corpus = Corpus.from_records(record_factory(f"a{i}", "x") for i in range(7))
+        strata = {("0", "t"): [("c0", row) for row in range(7)]}
+        rows = stratified_coding_sample(corpus, strata, per_stratum=100, seed=3)
         assert len(rows) == 7
 
     def test_deterministic(self, record_factory):
-        strata = {
-            ("0", "t"): [("c0", record_factory(f"a{i}", "x")) for i in range(50)]
-        }
-        first = stratified_coding_sample(strata, per_stratum=10, seed=5)
-        second = stratified_coding_sample(strata, per_stratum=10, seed=5)
-        assert [r[3].tweet_id for r in first] == [r[3].tweet_id for r in second]
+        corpus = Corpus.from_records(record_factory(f"a{i}", "x") for i in range(50))
+        strata = {("0", "t"): [("c0", row) for row in range(50)]}
+        first = stratified_coding_sample(corpus, strata, per_stratum=10, seed=5)
+        second = stratified_coding_sample(corpus, strata, per_stratum=10, seed=5)
+        assert [r[3] for r in first] == [r[3] for r in second]

@@ -3,12 +3,13 @@ from datetime import date
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_record
+import oracles
+from conftest import activity_of, make_record
 from sentinet.community import Partition
 from sentinet.errors import ParameterError
 from sentinet.graph import RetweetGraph
+from sentinet.ingest import Corpus
 from sentinet.sentinel import (
-    activity,
     ascii_language_filter,
     read_roster,
     select_sentinels,
@@ -108,15 +109,13 @@ class TestSelectSentinels:
 
 class TestAsciiLanguageFilter:
     def test_mostly_ascii_passes(self, record_factory):
-        records = {"a": [record_factory(str(i), "a", text="plain english text") for i in range(10)]}
-        predicate = ascii_language_filter(records)
+        records = [record_factory(str(i), "a", text="plain english text") for i in range(10)]
+        predicate = ascii_language_filter(Corpus.from_records(records))
         assert predicate(0, frozenset({"a"}))
 
     def test_non_ascii_fails(self, record_factory):
-        records = {
-            "a": [record_factory(str(i), "a", text="привет мир") for i in range(10)]
-        }
-        predicate = ascii_language_filter(records)
+        records = [record_factory(str(i), "a", text="привет мир") for i in range(10)]
+        predicate = ascii_language_filter(Corpus.from_records(records))
         assert not predicate(0, frozenset({"a"}))
 
     @settings(max_examples=300)
@@ -127,19 +126,38 @@ class TestAsciiLanguageFilter:
         compact = "".join(text.split())
         ascii_count = sum(1 for ch in compact if ord(ch) < 128)
         expected = bool(compact) and ascii_count / len(compact) >= 0.9
-        predicate = ascii_language_filter({"a": [make_record("t", "a", text=text)]}, 1.0)
+        corpus = Corpus.from_records([make_record("t", "a", text=text)])
+        predicate = ascii_language_filter(corpus, 1.0)
         assert predicate(0, frozenset({"a"})) == expected
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from(["plain", "ünïcödé"])),
+            max_size=260,
+        ),
+        st.sets(st.sampled_from(["a", "b", "c", "d", "ghost"])),
+        st.sampled_from([0.4, 0.5, 0.6]),
+    )
+    def test_samples_as_the_record_by_author_reference(self, tweets, community, threshold):
+        # authors interleave, and more than LANGUAGE_SAMPLE_SIZE tweets make the seeded sample
+        records = [
+            make_record(str(i), author, text=text) for i, (author, text) in enumerate(tweets)
+        ]
+        corpus = Corpus.from_records(records)
+        predicate = ascii_language_filter(corpus, threshold, seed=7)
+        reference = oracles.ascii_language_filter(records, threshold, seed=7)
+        for label in ("0", "1"):
+            assert predicate(label, frozenset(community)) == reference(label, frozenset(community))
+
     def test_no_tweets_fails(self):
-        predicate = ascii_language_filter({})
+        predicate = ascii_language_filter(Corpus.from_records([make_record("t", "other")]))
         assert not predicate(0, frozenset({"ghost"}))
 
 
 class TestActivity:
     def test_tweet_on_day_ten(self, record_factory):
-        ledger = activity(
-            {"a": [record_factory("1", "a", day_offset=9)]}, WINDOW
-        )
+        ledger = activity_of({"a": [record_factory("1", "a", day_offset=9)]}, WINDOW)
         assert ledger.active_days["a"] == 10
         # window indices 9 and 10: 2020-07-10 and 2020-07-11
         active = ledger.daily_active({"a"})
@@ -147,9 +165,7 @@ class TestActivity:
         assert active[10] == 0
 
     def test_tweet_on_last_day_spans_window(self, record_factory):
-        ledger = activity(
-            {"a": [record_factory("1", "a", day_offset=29)]}, WINDOW
-        )
+        ledger = activity_of({"a": [record_factory("1", "a", day_offset=29)]}, WINDOW)
         assert ledger.active_days["a"] == 30
 
     def test_fifteen_accounts_thirty_days(self, record_factory):
@@ -159,19 +175,19 @@ class TestActivity:
             ]
             for i in range(15)
         }
-        ledger = activity(records, WINDOW)
+        ledger = activity_of(records, WINDOW)
         assert ledger.account_days(records) == 450
 
     def test_empty_window_raises(self, record_factory):
         with pytest.raises(ParameterError):
-            activity({}, (date(2020, 7, 10), date(2020, 7, 1)))
+            activity_of({}, (date(2020, 7, 10), date(2020, 7, 1)))
 
     def test_daily_active_counts(self, record_factory):
         records = {
             "a": [record_factory("1", "a", day_offset=4)],
             "b": [record_factory("2", "b", day_offset=29)],
         }
-        ledger = activity(records, WINDOW)
+        ledger = activity_of(records, WINDOW)
         daily = ledger.daily_active(("a", "b"))
         assert daily[0] == 2 and daily[4] == 2 and daily[5] == 1 and daily[29] == 1
 
@@ -182,8 +198,8 @@ class TestActivity:
 
         base = [make_record("1", "a", day_offset=first)]
         extended = base + [make_record("2", "a", day_offset=second)]
-        short_ledger = activity({"a": base}, WINDOW)
-        long_ledger = activity({"a": extended}, WINDOW)
+        short_ledger = activity_of({"a": base}, WINDOW)
+        long_ledger = activity_of({"a": extended}, WINDOW)
         assert long_ledger.active_days["a"] >= short_ledger.active_days["a"]
 
 

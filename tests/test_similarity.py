@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import day_docs_of, decoded_counts, decoded_rows, make_record
+from conftest import day_docs_of, decoded_counts, decoded_rows, grouped_corpus, make_record
 from sentinet.errors import (
     InvalidDocumentError,
     ParameterError,
@@ -197,7 +197,7 @@ class TestDayDocs:
         texts = ["alpha beta gamma", "delta epsilon zeta"]
         records = {"c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]}
         encoder = TrigramEncoder()
-        built = build_community_day_docs(records, frozenset(), encoder)
+        built = build_community_day_docs(*grouped_corpus(records), frozenset(), encoder)
         built = decoded_rows(built, encoder)[("c", DAY)]
         assert sum(built.values()) == 2
         assert ("gamma", "delta", "epsilon") not in built
@@ -213,7 +213,7 @@ class TestDayDocs:
             "c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]
         }
         encoder = TrigramEncoder()
-        built = build_community_day_docs(records, frozenset(), encoder)
+        built = build_community_day_docs(*grouped_corpus(records), frozenset(), encoder)
         assert decoded_rows(built, encoder) == {("c", DAY): expected}
 
     @settings(max_examples=100, deadline=None)
@@ -246,7 +246,7 @@ def per_tweet_reference(records_by_community, stopwords):
     grouped = {}
     for community in sorted(records_by_community, key=str):
         for record in records_by_community[community]:
-            counts = grouped.setdefault((community, record.day), {})
+            counts = grouped.setdefault((community, record.created_at.date()), {})
             tokens = oracles.normalize_text(record.text, stopwords)
             for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                 counts[trigram] = counts.get(trigram, 0) + count
@@ -293,7 +293,7 @@ class TestDayDocsEqualPerTweetReference:
             for i, tweets in enumerate(communities)
         }
         encoder = TrigramEncoder()
-        built = build_community_day_docs(records, stopwords, encoder)
+        built = build_community_day_docs(*grouped_corpus(records), stopwords, encoder)
         expected = per_tweet_reference(records, stopwords)
         # one row per community-day, and one encoder decodes every row
         assert built.row_of.keys() == expected.keys()
@@ -410,7 +410,7 @@ class TestFlagDays:
                 community: [record_factory(f"{community}{i}", "u", text=t) for i, t in enumerate(texts)]
                 for community, texts in (("ca", texts_a), ("cb", texts_b))
             }
-            day_docs = build_community_day_docs(records, frozenset())
+            day_docs = build_community_day_docs(*grouped_corpus(records), frozenset())
             (value,) = similarity_series(day_docs, ["ca"], ["cb"], [DAY], ("A", "B")).values
             return value
 

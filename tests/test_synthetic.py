@@ -25,7 +25,7 @@ class TestGenerateCorpus:
         records, truth = generate_corpus(SyntheticSpec())
         viral = [r for r in records if r.tweet_id in set(truth.viral_tweet_ids)]
         assert {r.text for r in viral} == {VIRAL_TEXT}
-        assert {r.day for r in viral} == {truth.viral_day}
+        assert {r.created_at.date() for r in viral} == {truth.viral_day}
 
     def test_every_tweet_is_covid_related(self):
         records, _ = generate_corpus(SyntheticSpec())
@@ -34,4 +34,4 @@ class TestGenerateCorpus:
     def test_window_covers_all_records(self):
         records, truth = generate_corpus(SyntheticSpec())
         start, end = truth.window
-        assert all(start <= record.day <= end for record in records)
+        assert all(start <= record.created_at.date() <= end for record in records)

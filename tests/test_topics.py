@@ -3,18 +3,16 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_record
+from conftest import activity_of, make_record
+from oracles import filter_topic, matches_topic
 from sentinet.errors import ParameterError
-from sentinet.ingest import PACKAGED
-from sentinet.sentinel import activity
+from sentinet.ingest import PACKAGED, Corpus
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import (
     DEFAULT_TOPIC_TREE,
     TopicLexicon,
-    filter_topic,
     filter_topic_tree,
     load_lexicons,
-    matches_topic,
     rate_table,
     write_rates_csv,
 )
@@ -39,6 +37,12 @@ def filter_topic_chain(records, lexicons):
     for name in lexicons:
         matches(name)
     return chained
+
+
+def filter_records(records, lexicons):
+    """filter_topic_tree over a corpus of ``records``, its matched rows as records."""
+    matched = filter_topic_tree(Corpus.from_records(records), range(len(records)), lexicons)
+    return {name: [records[row] for row in rows.tolist()] for name, rows in matched.items()}
 
 
 # short needles over a small alphabet overlap and contain one another
@@ -110,7 +114,7 @@ class TestFilterTopicTree:
             record_factory("4", "a", text="nothing relevant"),
             record_factory("5", "a", text="death rate mild but no c-word"),
         ]
-        matched = filter_topic_tree(records, lexicons)
+        matched = filter_records(records, lexicons)
         assert {r.tweet_id for r in matched["covid"]} == {"1", "2", "3"}
         for name, lexicon in lexicons.items():
             if lexicon.parent is not None:
@@ -127,7 +131,7 @@ class TestFilterTopicTree:
             record_factory("2", "a", text="mask but not the c word"),
             record_factory("3", "a", text="covid only"),
         ]
-        via_tree = filter_topic_tree(records, {"covid": parent, "masks": child})
+        via_tree = filter_records(records, {"covid": parent, "masks": child})
         direct = [
             r
             for r in records
@@ -140,19 +144,30 @@ class TestFilterTopicTree:
         lexicons = load_lexicons()
         chained = filter_topic_chain(records, lexicons)
         assert chained["covid"]
-        assert filter_topic_tree(records, lexicons) == chained
+        assert filter_records(records, lexicons) == chained
 
     @settings(max_examples=200, deadline=None)
     @given(tree=lexicon_trees(), texts=st.lists(MIXED_CASE_TEXT, max_size=12))
     def test_equals_filter_topic_chain_on_random_trees(self, tree, texts):
         records = [make_record(str(i), "a", text=text) for i, text in enumerate(texts)]
-        assert filter_topic_tree(records, tree) == filter_topic_chain(records, tree)
+        assert filter_records(records, tree) == filter_topic_chain(records, tree)
+
+    def test_matches_are_the_given_rows_in_their_order(self, record_factory):
+        texts = ["covid mask", "mask", "covid", "COVID masks", "nothing"]
+        corpus = Corpus.from_records(
+            record_factory(str(i), "a", text=text) for i, text in enumerate(texts)
+        )
+        parent = TopicLexicon("covid", ("covid",))
+        child = TopicLexicon("masks", ("mask",), parent="covid")
+        matched = filter_topic_tree(corpus, [3, 1, 0, 4], {"covid": parent, "masks": child})
+        assert matched["covid"].tolist() == [3, 0]
+        assert matched["masks"].tolist() == [3, 0]
 
     def test_cycle_detected(self, record_factory):
         loop_a = TopicLexicon("a", ("x",), parent="b")
         loop_b = TopicLexicon("b", ("y",), parent="a")
         with pytest.raises(ParameterError):
-            filter_topic_tree([], {"a": loop_a, "b": loop_b})
+            filter_records([], {"a": loop_a, "b": loop_b})
 
 
 class TestRateTable:
@@ -163,7 +178,7 @@ class TestRateTable:
             ]
             for acct in accounts
         }
-        return activity(records, WINDOW)
+        return activity_of(records, WINDOW)
 
     def test_two_community_arithmetic(self, record_factory):
         ledger = self.build_ledger(record_factory, accounts=("a", "b"))
@@ -221,7 +236,7 @@ class TestRateTable:
             acct: [make_record(f"{acct}{d}", acct, day_offset=d) for d in range(30)]
             for acct in ("a", "b")
         }
-        ledger = activity(records, WINDOW)
+        ledger = activity_of(records, WINDOW)
         base = rate_table(
             {"t": {"c1": 4, "c2": 9}}, ledger, {"c1": ["a"], "c2": ["b"]}
         )
