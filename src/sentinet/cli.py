@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(seed, "--seed", "seed")
     _config_option(stopwords, "--stopwords", "stopwords")
     _config_option(inputs, "--records", "corpus", required=True)
-    inputs.add_argument("--roster", required=True, type=Path)
-    inputs.add_argument("--scores", required=True, type=Path)
+    inputs.add_argument("--roster", required=True, type=_input_path)
+    inputs.add_argument("--scores", required=True, type=_input_path)
     _config_option(inputs, "--lexicon-dir", "lexicon_dir")
     _config_option(window, "--window-start", "window_start", required=True)
     _config_option(window, "--window-end", "window_end", required=True)
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(burst, "--min-history", "min_history")
 
     p = command("ingest", cmd_ingest, "parse a JSONL corpus into canonical form", [output])
-    p.add_argument("--input", required=True, type=Path)
+    p.add_argument("--input", required=True, type=_input_path)
 
     p = command("graph", cmd_graph, "build the retweet graph edge list", [output])
     _config_option(p, "--records", "corpus", required=True)
@@ -72,18 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
         "communities", cmd_communities, "Louvain communities of the largest component",
         [output, seed],
     )
-    p.add_argument("--edges", required=True, type=Path)
+    p.add_argument("--edges", required=True, type=_input_path)
 
     p = command("compare-partitions", cmd_compare, "Rand index and z-Rand of two partitions")
-    p.add_argument("--left", required=True, type=Path)
-    p.add_argument("--right", required=True, type=Path)
+    p.add_argument("--left", required=True, type=_input_path)
+    p.add_argument("--right", required=True, type=_input_path)
 
     p = command(
         "sentinels", cmd_sentinels, "select most-retweeted accounts per community",
         [output, seed],
     )
-    p.add_argument("--edges", required=True, type=Path)
-    p.add_argument("--partition", required=True, type=Path)
+    p.add_argument("--edges", required=True, type=_input_path)
+    p.add_argument("--partition", required=True, type=_input_path)
     _config_option(p, "--k", "sentinel_k")
     _config_option(p, "--top-m", "top_m")
     _config_option(p, "--records", "corpus", help="corpus for the language filter")
@@ -93,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("domains", cmd_domains, "community x domain link-fraction matrix", [output])
     _config_option(p, "--records", "corpus", required=True)
-    p.add_argument("--roster", required=True, type=Path)
+    p.add_argument("--roster", required=True, type=_input_path)
     _config_option(p, "--split", "split", help="keep tweets before this time")
     _config_option(p, "--min-count", "domain_min_count")
     _config_option(p, "--shorteners", "shorteners")
 
     p = command("cluster", cmd_cluster, "PCA scores and score clusters")
-    p.add_argument("--matrix", required=True, type=Path)
+    p.add_argument("--matrix", required=True, type=_input_path)
     p.add_argument("--scores-output", required=True, type=Path)
     p.add_argument("--loadings-output", type=Path)
     _config_option(p, "--clusters", "score_clusters")
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("topics", cmd_topics, "per-community topical tweet counts", [output])
     _config_option(p, "--records", "corpus", required=True)
-    p.add_argument("--roster", required=True, type=Path)
+    p.add_argument("--roster", required=True, type=_input_path)
     _config_option(p, "--lexicon-dir", "lexicon_dir")
 
     p = command(
@@ -122,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("flag", cmd_flag, "flag burst days from a similarity series", [burst])
-    p.add_argument("--series", required=True, type=Path)
+    p.add_argument("--series", required=True, type=_input_path)
 
     p = command(
         "lsa", cmd_lsa, "topical tweets and driver confirmation for flagged days",
         [inputs, output, burst, stopwords],
     )
-    p.add_argument("--series", required=True, type=Path)
+    p.add_argument("--series", required=True, type=_input_path)
     _config_option(p, "--k", "lsa_k")
     _config_option(p, "--match-threshold", "match_threshold")
 
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(p, "--coding", "coding")
 
     p = command("run", cmd_run, "run the full pipeline from a config file")
-    p.add_argument("--config", required=True, type=Path)
+    p.add_argument("--config", required=True, type=_input_path)
 
     p = command(
         "sample", cmd_sample, "seeded stratified sample for human coding",
@@ -174,6 +174,21 @@ def _config_option(parser: argparse.ArgumentParser, flag: str, name: str, **kwar
     parser.add_argument(flag, dest=name, type=parse_checked, default=default, **kwargs)
 
 
+def _input_path(text: str) -> Path:
+    """An input file option's path; a missing file is a usage error, as for ``--records``."""
+    if not Path(text).exists():
+        raise argparse.ArgumentTypeError(f"path not found: {text}")
+    return Path(text)
+
+
+def _read(reader, path: Path):
+    """``reader(path)``; a file that does not parse is one error naming it."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, LookupError, SentinetError) as exc:
+        raise SentinetError(f"cannot read {path}: {exc}") from exc
+
+
 # ---- handlers ----------------------------------------------------------
 # Stage subcommands call the pipeline's stage builds; their parsers name
 # each option after the PipelineConfig field it sets, so ``args`` is the
@@ -182,26 +197,27 @@ def _config_option(parser: argparse.ArgumentParser, flag: str, name: str, **kwar
 
 def _sentinel_topics(args, ingest):
     """Roster, cluster assignment and topic matches of the sentinels' records."""
-    roster = read_roster(args.roster)
-    return roster, read_scores_csv(args.scores), STAGES["topics"].build(args, roster, ingest)
+    roster = _read(read_roster, args.roster)
+    scores = _read(read_scores_csv, args.scores)
+    return roster, scores, STAGES["topics"].build(args, roster, ingest)
 
 
 def cmd_ingest(args) -> int:
-    result = read_corpus(args.input)
-    write_corpus(result.records.iter_records(), args.output)
+    result = _read(read_corpus, args.input)
+    write_corpus(result.records, args.output)
     print(f"parsed {len(result.records)} records, skipped {result.skipped} lines")
     return 0
 
 
 def cmd_graph(args) -> int:
-    built = graph_mod.build_retweet_graph(read_corpus(args.corpus).records)
+    built = graph_mod.build_retweet_graph(_read(read_corpus, args.corpus).records)
     graph_mod.write_edges(built, args.output)
     print(f"graph: {built.n} nodes, {len(built.arcs)} arcs, total weight {built.w}")
     return 0
 
 
 def cmd_communities(args) -> int:
-    target = graph_mod.largest_component(graph_mod.read_edges(args.edges))
+    target = graph_mod.largest_component(_read(graph_mod.read_edges, args.edges))
     partition = STAGES["communities"].build(args, target)
     community_mod.write_partition(partition, args.output)
     quality = community_mod.modularity(target, partition)
@@ -213,8 +229,8 @@ def cmd_communities(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    left = community_mod.read_partition(args.left)
-    right = community_mod.read_partition(args.right)
+    left = _read(community_mod.read_partition, args.left)
+    right = _read(community_mod.read_partition, args.right)
     common_left, common_right = community_mod.restrict_to_common(left, right)
     if not common_left.nodes:
         print("no common nodes")
@@ -236,11 +252,11 @@ def cmd_sentinels(args) -> int:
         if args.corpus is None:
             print("error: --language-filter ascii needs --records", file=sys.stderr)
             return 1
-        ingest = read_corpus(args.corpus)
+        ingest = _read(read_corpus, args.corpus)
     sentinels = STAGES["sentinels"].build(
         args,
-        graph_mod.read_edges(args.edges),
-        community_mod.read_partition(args.partition),
+        _read(graph_mod.read_edges, args.edges),
+        _read(community_mod.read_partition, args.partition),
         ingest,
     )
     write_roster(sentinels, args.output)
@@ -253,9 +269,8 @@ def cmd_sentinels(args) -> int:
 
 
 def cmd_domains(args) -> int:
-    matrix = STAGES["domains"].build(
-        args, read_roster(args.roster), read_corpus(args.corpus)
-    )
+    roster = _read(read_roster, args.roster)
+    matrix = STAGES["domains"].build(args, roster, _read(read_corpus, args.corpus))
     domains_mod.write_matrix_csv(matrix, args.output)
     print(
         f"{len(matrix.communities)} communities x {len(matrix.domains)} domains; "
@@ -265,7 +280,8 @@ def cmd_domains(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    scores, clusters = STAGES["cluster"].build(args, domains_mod.read_matrix_csv(args.matrix))
+    matrix = _read(domains_mod.read_matrix_csv, args.matrix)
+    scores, clusters = STAGES["cluster"].build(args, matrix)
     domains_mod.write_scores_csv(scores, clusters, args.scores_output)
     if args.loadings_output is not None:
         domains_mod.write_loadings_csv(scores, args.loadings_output)
@@ -276,7 +292,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_topics(args) -> int:
-    matched = STAGES["topics"].build(args, read_roster(args.roster), read_corpus(args.corpus))
+    roster = _read(read_roster, args.roster)
+    matched = STAGES["topics"].build(args, roster, _read(read_corpus, args.corpus))
     topics_mod.write_counts_csv(matched, args.output)
     print(f"wrote topical counts for {len(matched)} communities")
     return 0
@@ -311,7 +328,7 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    for series in similarity_mod.read_series_csv(args.series):
+    for series in _read(similarity_mod.read_series_csv, args.series):
         flagged = similarity_mod.flag_days(series, args.burst_threshold, args.min_history)
         days = " ".join(day.isoformat() for day in sorted(flagged))
         print(f"pair {series.pair[0]}-{series.pair[1]}: {days or '(none)'}")
@@ -319,9 +336,9 @@ def cmd_flag(args) -> int:
 
 
 def cmd_lsa(args) -> int:
-    ingest = read_corpus(args.corpus)
+    ingest = _read(read_corpus, args.corpus)
     _, cluster, matched = _sentinel_topics(args, ingest)
-    series_list = similarity_mod.read_series_csv(args.series)
+    series_list = _read(similarity_mod.read_series_csv, args.series)
     report = STAGES["lsa"].build(args, series_list, matched, cluster, ingest)
     write_json(report, args.output)
     print(f"examined {len(report['events'])} flagged events")
@@ -345,7 +362,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
+    config = _read(load_config, args.config)
     result = run_pipeline(config)
     for key in sorted(result.summary):
         print(f"{key}: {result.summary[key]}")
@@ -358,7 +375,7 @@ def cmd_sample(args) -> int:
         if topic not in topics_mod.DEFAULT_TOPIC_TREE:
             print(f"error: unknown topic {topic!r}", file=sys.stderr)
             return 1
-    ingest = read_corpus(args.corpus)
+    ingest = _read(read_corpus, args.corpus)
     _, (_, cluster_of), matched = _sentinel_topics(args, ingest)
     corpus = ingest.records
     strata: dict[tuple[str, str], list] = {}

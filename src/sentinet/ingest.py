@@ -7,10 +7,10 @@ tweet_id, author_id, created_at (ISO-8601 UTC), text, retweeted_author_id
 :func:`parse_tweet_stream` reads them into a :class:`Corpus`, the parsed
 tweets as columns: ids and texts as lists, authors and retweeted authors
 as int32 indices into one account table, UTC times as int64 seconds since
-1970-01-01, and every tweet's URLs as a slice of one list. Every stage
-after ingest reads the columns through row indices. :class:`TweetRecord`
-is one row as an object, for generated corpora, :func:`write_corpus` and
-tests.
+1970-01-01, and every tweet's URLs as a slice of one list. A corpus is
+the only in-memory form of tweets: every stage after ingest reads its
+columns through row indices, and :func:`write_corpus` writes them back as
+JSON Lines.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -57,7 +57,6 @@ TOKEN_ID_BITS = 21
 # reduces them to trigram runs
 CHUNK_TOKENS = 1 << 16
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
 _DAY_SECONDS = 86_400
 
 
@@ -69,18 +68,6 @@ def day_date(number: int) -> date:
 def day_number(day: date) -> int:
     """Days from 1970-01-01 to ``day``."""
     return day.toordinal() - EPOCH.toordinal()
-
-
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
-    """One archived tweet. ``retweeted_author_id`` is set iff it is a retweet."""
-
-    tweet_id: str
-    author_id: str
-    created_at: datetime
-    text: str
-    retweeted_author_id: str | None = None
-    urls: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,45 +126,6 @@ class Corpus:
             urls=self.urls_of(rows),
         )
 
-    def record(self, row: int) -> TweetRecord:
-        source = int(self.retweeted[row])
-        start, end = self.url_offsets[row], self.url_offsets[row + 1]
-        return TweetRecord(
-            tweet_id=self.tweet_ids[row],
-            author_id=self.accounts[self.author[row]],
-            created_at=self.created_at(row),
-            text=self.texts[row],
-            retweeted_author_id=None if source < 0 else self.accounts[source],
-            urls=tuple(self.urls[start:end]),
-        )
-
-    def iter_records(self) -> Iterator[TweetRecord]:
-        return map(self.record, range(len(self)))
-
-    @classmethod
-    def from_records(cls, records: Iterable[TweetRecord]) -> Corpus:
-        """The columns of ``records``, as :func:`parse_tweet_stream` fills them."""
-        records = list(records)
-        account_of: defaultdict[str, int] = defaultdict()
-        account_of.default_factory = account_of.__len__
-        author, retweeted = [], []
-        for record in records:
-            author.append(account_of[record.author_id])
-            source = record.retweeted_author_id
-            retweeted.append(-1 if source is None else account_of[source])
-        return cls(
-            tweet_ids=[record.tweet_id for record in records],
-            texts=[record.text for record in records],
-            accounts=list(account_of),
-            author=np.array(author, dtype=np.int32),
-            retweeted=np.array(retweeted, dtype=np.int32),
-            seconds=np.array(
-                [(record.created_at - EPOCH) // _SECOND for record in records], dtype=np.int64
-            ),
-            url_offsets=np.cumsum([0] + [len(record.urls) for record in records], dtype=np.int64),
-            urls=[url for record in records for url in record.urls],
-        )
-
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> list[int]:
     """The concatenation of ``range(s, s + n)`` over the starts s and lengths n."""
@@ -215,14 +163,19 @@ def parse_timestamp(value: str) -> datetime:
         parsed = parsed.replace(tzinfo=timezone.utc)
     # a zero offset parses to the timezone.utc singleton, which needs no conversion
     if parsed.tzinfo is not timezone.utc:
-        parsed = parsed.astimezone(timezone.utc)
+        try:
+            parsed = parsed.astimezone(timezone.utc)
+        except OverflowError as exc:
+            raise ValueError(f"UTC time out of range: {value!r}") from exc
     if parsed.microsecond:
         parsed = parsed.replace(microsecond=0)
     return parsed
 
 
 def format_timestamp(value: datetime) -> str:
-    return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year as four digits."""
+    utc = value.astimezone(timezone.utc).replace(tzinfo=None)
+    return utc.isoformat(timespec="seconds") + "Z"
 
 
 def _is_field(value) -> bool:
@@ -238,17 +191,6 @@ def _is_field(value) -> bool:
     except UnicodeEncodeError:
         return False
     return True
-
-
-def record_to_json(record: TweetRecord) -> dict:
-    return {
-        "tweet_id": record.tweet_id,
-        "author_id": record.author_id,
-        "created_at": format_timestamp(record.created_at),
-        "text": record.text,
-        "retweeted_author_id": record.retweeted_author_id,
-        "urls": list(record.urls),
-    }
 
 
 def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
@@ -347,15 +289,26 @@ def read_corpus(path: str | Path) -> ParseResult:
         return parse_tweet_stream(handle)
 
 
-def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
-    """Write records as JSON Lines, non-ASCII text as UTF-8.
+def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write the corpus as JSON Lines, one row per line, non-ASCII text as UTF-8.
 
     A line holding a lone surrogate, which UTF-8 cannot encode, is written
     with every non-ASCII character escaped instead; it reads back alike.
     """
+    author = corpus.author.tolist()
+    retweeted = corpus.retweeted.tolist()
+    offsets = corpus.url_offsets.tolist()
     with atomic_open(path) as handle:
-        for record in records:
-            obj = record_to_json(record)
+        for row, tweet_id in enumerate(corpus.tweet_ids):
+            source = retweeted[row]
+            obj = {
+                "tweet_id": tweet_id,
+                "author_id": corpus.accounts[author[row]],
+                "created_at": format_timestamp(corpus.created_at(row)),
+                "text": corpus.texts[row],
+                "retweeted_author_id": None if source < 0 else corpus.accounts[source],
+                "urls": corpus.urls[offsets[row] : offsets[row + 1]],
+            }
             line = json.dumps(obj, ensure_ascii=False, sort_keys=True)
             if not line.isascii():
                 try:

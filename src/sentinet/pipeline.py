@@ -177,44 +177,33 @@ def _build_topics(params, sentinels, ingest) -> dict:
 def _build_rates(params, sentinels, cluster, topics, ingest) -> topics_mod.RateTable:
     _, cluster_of = cluster
     corpus = ingest.records
-    community_accounts = {
-        label: [account for account, _ in entries] for label, entries in sentinels.items()
-    }
-    ledger = activity(
+    days = _window_days(params.window_start, params.window_end)
+    last_active = activity(
         corpus,
-        (account for accounts in community_accounts.values() for account in accounts),
+        [account for entries in sentinels.values() for account, _ in entries],
         (params.window_start, params.window_end),
     )
-    cluster_accounts: dict[str, list[str]] = {}
-    for label, accounts in community_accounts.items():
-        cluster_accounts.setdefault(str(cluster_of[label]), []).extend(accounts)
-    communities = sorted(topics, key=str)
-    topic_names = sorted({topic for per_topic in topics.values() for topic in per_topic})
-    counts = {
-        topic: {community: len(topics[community][topic]) for community in communities}
-        for topic in topic_names
-    }
-    # every ingested row lies in the window: its day offset indexes the window's days
-    days = _window_days(params.window_start, params.window_end)
+    ends = np.cumsum([len(entries) for entries in sentinels.values()], dtype=int)
     first = day_number(params.window_start)
-    daily_counts: dict[str, dict[str, dict[date, int]]] = {}
-    for topic in topic_names:
-        per_cluster: dict[str, np.ndarray] = {}
-        for community in communities:
-            offsets = corpus.days[topics[community][topic]] - first
-            key = str(cluster_of[community])
-            per_cluster[key] = per_cluster.get(key, 0) + np.bincount(offsets, minlength=len(days))
-        daily_counts[topic] = {
-            key: {day: count for day, count in zip(days, tally.tolist()) if count}
-            for key, tally in per_cluster.items()
-        }
-    return topics_mod.rate_table(
-        counts,
-        ledger,
-        community_accounts,
-        daily_counts=daily_counts,
-        cluster_accounts=cluster_accounts,
-    )
+    counts: dict[str, dict[str, int]] = {}
+    account_days: dict[str, int] = {}
+    # per cluster: how many accounts were last active on each window day
+    # (entry 0: before the window, or never), and each topic's tweets per day
+    last_days: dict[str, np.ndarray] = {}
+    daily_counts: dict[str, dict[str, np.ndarray]] = {}
+    for label, mine in zip(sentinels, np.split(last_active, ends[:-1])):
+        key = str(cluster_of[label])
+        account_days[label] = int(mine.sum()) + mine.size
+        last_days[key] = last_days.get(key, 0) + np.bincount(mine + 1, minlength=len(days) + 1)
+        for topic, rows in topics[label].items():
+            counts.setdefault(topic, {})[label] = len(rows)
+            # every ingested row lies in the window: its day offset indexes the days
+            tweets = np.bincount(corpus.days[rows] - first, minlength=len(days))
+            per_cluster = daily_counts.setdefault(topic, {})
+            per_cluster[key] = per_cluster.get(key, 0) + tweets
+    # an account is active on every window day up to its last one
+    daily_active = {key: tally[:0:-1].cumsum()[::-1] for key, tally in last_days.items()}
+    return topics_mod.rate_table(counts, account_days, days, daily_counts, daily_active)
 
 
 def _build_similarity(params, topics, cluster, ingest) -> list[similarity_mod.SimilaritySeries]:

@@ -2,17 +2,17 @@
 
 Sentinels are the most-retweeted accounts of each large community; they are
 followed longitudinally as a proxy for their community's content. Activity
-bookkeeping handles account attrition: an account counts as active on a day
-if any tweet from it is observed on or after that day.
+handles account attrition: an account counts as active on a day if any
+tweet from it is observed on or after that day, so one number per account,
+the last day it was seen, says on which window days it is active.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .community import Label, Partition
 from .errors import ParameterError
 from .fileio import atomic_open
 from .graph import RetweetGraph
-from .ingest import Corpus, day_date
+from .ingest import Corpus, day_number
 
 LanguageFilter = Callable[[Label, frozenset[str]], bool]
 # tweets per community that the ascii language filter inspects
@@ -134,56 +134,28 @@ def ascii_language_filter(
     return predicate
 
 
-@dataclass(frozen=True)
-class ActivityLedger:
-    """Last-observed tweet dates and derived active-day counts over a window."""
-
-    days: tuple[date, ...]
-    last_seen: Mapping[str, date]
-    active_days: Mapping[str, int]
-
-    def account_days(self, accounts: Iterable[str]) -> int:
-        return sum(self.active_days.get(account, 0) for account in accounts)
-
-    def daily_active(self, accounts: Collection[str]) -> tuple[int, ...]:
-        """Per window day, how many entries of ``accounts`` are active on it."""
-        # an account is active on each day up to its last-seen date
-        seen = sorted(self.last_seen[account] for account in accounts if account in self.last_seen)
-        return tuple(len(seen) - bisect_left(seen, day) for day in self.days)
-
-
 def activity(
     corpus: Corpus,
-    accounts: Iterable[str],
+    accounts: Sequence[str],
     window: tuple[date, date],
-) -> ActivityLedger:
-    """The activity ledger of ``accounts`` over a [start_day, end_day] window (inclusive).
+) -> np.ndarray:
+    """Each account's last active day in a [start_day, end_day] window (inclusive).
 
-    An account's last-seen day is the day of its latest tweet in ``corpus``;
-    an account with no tweet there has none.
+    One int64 entry per entry of ``accounts``: the day of the account's
+    latest tweet in ``corpus``, as its offset from ``start_day`` and capped
+    at the window's last day, or -1 when the account has no tweet on or
+    after ``start_day``. The account is active on every window day up to
+    that one, so it has ``entry + 1`` active days.
     """
     start, end = window
     if start > end:
         raise ParameterError(f"empty window: {start} > {end}")
-    days = tuple(
-        start + timedelta(days=offset) for offset in range((end - start).days + 1)
-    )
-    never = np.iinfo(np.int64).min
-    latest = np.full(len(corpus.accounts), never)
-    np.maximum.at(latest, corpus.author, corpus.days)
+    # one slot past the account table stays -1, for accounts outside it
+    latest = np.full(len(corpus.accounts) + 1, -1, dtype=np.int64)
+    np.maximum.at(latest, corpus.author, corpus.days - day_number(start))
     index = corpus.account_index
-    last_seen: dict[str, date] = {}
-    for account in accounts:
-        author = index.get(account)
-        if author is not None and latest[author] != never:
-            last_seen[account] = day_date(int(latest[author]))
-    active_days = {}
-    for account, seen in last_seen.items():
-        if seen < start:
-            active_days[account] = 0
-        else:
-            active_days[account] = (min(seen, end) - start).days + 1
-    return ActivityLedger(days=days, last_seen=last_seen, active_days=active_days)
+    authors = np.array([index.get(account, -1) for account in accounts], dtype=np.intp)
+    return np.minimum(latest[authors], (end - start).days)
 
 
 def write_roster(sentinels: SentinelSet, path: str | Path) -> None:

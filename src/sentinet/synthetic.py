@@ -5,15 +5,20 @@ member retweets daily, cluster-specific linked domains and phrasing, a
 light mist of globally shared phrases that keeps inter-cluster similarity
 positive but small, and one viral message copied verbatim across two
 clusters on a chosen day. Useful for demos and end-to-end verification.
+
+Each tweet is built as its JSON object, and the corpus is parsed from their
+JSON lines by :func:`~sentinet.ingest.parse_tweet_stream`, so generated
+tweets pass the same checks as real input.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 
-from .ingest import TweetRecord
+from .ingest import Corpus, format_timestamp, parse_tweet_stream
 
 GLOBAL_PHRASES = (
     "confirmed cases rising in several states today",
@@ -111,7 +116,7 @@ class GroundTruth:
     split: datetime
 
 
-def generate_corpus(spec: SyntheticSpec = SyntheticSpec()) -> tuple[list[TweetRecord], GroundTruth]:
+def generate_corpus(spec: SyntheticSpec = SyntheticSpec()) -> tuple[Corpus, GroundTruth]:
     rng = random.Random(spec.seed)
     n_clusters = len(CLUSTER_PHRASES)
     communities = tuple(
@@ -134,15 +139,27 @@ def generate_corpus(spec: SyntheticSpec = SyntheticSpec()) -> tuple[list[TweetRe
         name: tuple(f"{name}topic{t}" for t in range(12)) for name in communities
     }
 
-    records: list[TweetRecord] = []
+    tweets: list[dict] = []
     viral_ids: list[str] = []
     serial = 0
 
-    def stamp(day_index: int, minute: int) -> datetime:
+    def stamp(day_index: int, minute: int) -> str:
         moment = datetime.combine(
             spec.start + timedelta(days=day_index), time(8, 0), tzinfo=timezone.utc
         )
-        return moment + timedelta(minutes=minute % 600)
+        return format_timestamp(moment + timedelta(minutes=minute % 600))
+
+    def tweet(tweet_id, author, created_at, text, source=None, urls=()) -> None:
+        tweets.append(
+            {
+                "tweet_id": tweet_id,
+                "author_id": author,
+                "created_at": created_at,
+                "text": text,
+                "retweeted_author_id": source,
+                "urls": urls,
+            }
+        )
 
     def next_id() -> str:
         nonlocal serial
@@ -175,41 +192,32 @@ def generate_corpus(spec: SyntheticSpec = SyntheticSpec()) -> tuple[list[TweetRe
             for member in accounts[community]:
                 minute = rng.randrange(0, 540)
                 target = rng.choice([h for h in hubs[community] if h != member])
-                records.append(
-                    TweetRecord(
-                        tweet_id=next_id(),
-                        author_id=member,
-                        created_at=stamp(day_index, minute),
-                        text=f"rt @{target} {compose_text(community)}",
-                        retweeted_author_id=target,
-                        urls=(),
-                    )
+                tweet(
+                    next_id(),
+                    member,
+                    stamp(day_index, minute),
+                    f"rt @{target} {compose_text(community)}",
+                    source=target,
                 )
                 for _ in range(spec.originals_per_account):
-                    records.append(
-                        TweetRecord(
-                            tweet_id=next_id(),
-                            author_id=member,
-                            created_at=stamp(day_index, minute + rng.randrange(1, 60)),
-                            text=compose_text(community),
-                            retweeted_author_id=None,
-                            urls=maybe_url(community),
-                        )
+                    tweet(
+                        next_id(),
+                        member,
+                        stamp(day_index, minute + rng.randrange(1, 60)),
+                        compose_text(community),
+                        urls=maybe_url(community),
                     )
         # sparse chain of cross-community retweets keeps the graph connected
         if day_index % 7 == 3:
             for i in range(len(communities) - 1):
                 source_hub = hubs[communities[i + 1]][0]
                 bridge_author = accounts[communities[i]][-1]
-                records.append(
-                    TweetRecord(
-                        tweet_id=next_id(),
-                        author_id=bridge_author,
-                        created_at=stamp(day_index, 590),
-                        text=f"rt @{source_hub} {compose_text(communities[i])}",
-                        retweeted_author_id=source_hub,
-                        urls=(),
-                    )
+                tweet(
+                    next_id(),
+                    bridge_author,
+                    stamp(day_index, 590),
+                    f"rt @{source_hub} {compose_text(communities[i])}",
+                    source=source_hub,
                 )
 
     for cluster in spec.viral_clusters:
@@ -219,18 +227,10 @@ def generate_corpus(spec: SyntheticSpec = SyntheticSpec()) -> tuple[list[TweetRe
             for hub in hubs[community]:
                 tweet_id = next_id()
                 viral_ids.append(tweet_id)
-                records.append(
-                    TweetRecord(
-                        tweet_id=tweet_id,
-                        author_id=hub,
-                        created_at=stamp(spec.viral_day_index, 300),
-                        text=VIRAL_TEXT,
-                        retweeted_author_id=None,
-                        urls=(),
-                    )
-                )
+                tweet(tweet_id, hub, stamp(spec.viral_day_index, 300), VIRAL_TEXT)
 
-    records.sort(key=lambda r: (r.created_at, r.tweet_id))
+    # the fixed-width UTC times sort as the times do
+    tweets.sort(key=lambda t: (t["created_at"], t["tweet_id"]))
     truth = GroundTruth(
         communities=communities,
         cluster_of_community=cluster_of,
@@ -245,4 +245,4 @@ def generate_corpus(spec: SyntheticSpec = SyntheticSpec()) -> tuple[list[TweetRe
             tzinfo=timezone.utc,
         ),
     )
-    return records, truth
+    return parse_tweet_stream(map(json.dumps, tweets)).records, truth

@@ -4,7 +4,9 @@ Topic membership is plain case-insensitive substring containment against the
 raw tweet text, since several lexicon phrases carry punctuation that
 tokenization would destroy. Subtopics filter their parent topic's matches,
 so a subtopic count can never exceed its parent's. Matched tweets feed a
-seeded, community-balanced coding sample per cluster and topic.
+seeded, community-balanced coding sample per cluster and topic. Rate tables
+take plain tallies: active account days per community, and per-day tweet
+counts and active-account counts per cluster as arrays over the window.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .community import Label
 from .errors import ParameterError
 from .fileio import read_lines, write_csv
 from .ingest import PACKAGED, Corpus
-from .sentinel import ActivityLedger
 
 
 @dataclass(frozen=True)
@@ -133,67 +134,53 @@ class RateTable:
 
 def rate_table(
     counts: Mapping[str, Mapping[Label, int]],
-    ledger: ActivityLedger,
-    community_accounts: Mapping[Label, Sequence[str]],
-    daily_counts: Mapping[str, Mapping[Label, Mapping[date, int]]] | None = None,
-    cluster_accounts: Mapping[Label, Sequence[str]] | None = None,
+    account_days: Mapping[Label, int],
+    days: Sequence[date],
+    daily_counts: Mapping[str, Mapping[Label, np.ndarray]],
+    daily_active: Mapping[Label, np.ndarray],
 ) -> RateTable:
     """Normalize topical tweet counts by active account days.
 
-    Per-capita rate divides a community's count by its active account days;
-    sum-scaling divides by the sum of per-capita rates across communities,
-    max-scaling by their maximum. Communities with zero active account days
-    are excluded and reported. Daily cluster rates are count * 15 divided by
-    that day's active account tally.
+    Per-capita rate divides a community's count by its active account days
+    (``account_days``); sum-scaling divides by the sum of per-capita rates
+    across communities, max-scaling by their maximum. Communities with zero
+    active account days are excluded and reported. ``daily_counts`` holds,
+    per topic and cluster, the tweets of each of ``days``, and
+    ``daily_active`` each cluster's active accounts on them; a daily
+    cluster rate is count * 15 divided by that day's active tally.
     """
     rows: list[RateRow] = []
     excluded: list[tuple[str, Label]] = []
     for topic in sorted(counts):
-        offenders = []
         per_capita: dict[Label, float] = {}
-        days_of: dict[Label, int] = {}
         for community in sorted(counts[topic], key=str):
-            account_days = ledger.account_days(community_accounts.get(community, ()))
-            if account_days <= 0:
-                offenders.append(community)
-                continue
-            days_of[community] = account_days
-            per_capita[community] = counts[topic][community] / account_days
-        excluded.extend((topic, community) for community in offenders)
+            if account_days[community] <= 0:
+                excluded.append((topic, community))
+            else:
+                per_capita[community] = counts[topic][community] / account_days[community]
         rate_sum = sum(per_capita.values())
         rate_max = max(per_capita.values(), default=0.0)
-        for community in sorted(per_capita, key=str):
-            rate = per_capita[community]
+        for community, rate in per_capita.items():
             rows.append(
                 RateRow(
                     topic=topic,
                     community=community,
                     count=counts[topic][community],
-                    active_account_days=days_of[community],
+                    active_account_days=account_days[community],
                     per_capita=rate,
                     sum_scaled=rate / rate_sum if rate_sum > 0 else None,
                     max_scaled=rate / rate_max if rate_max > 0 else None,
                 )
             )
     daily: dict[tuple[str, Label], tuple[tuple[date, float | None], ...]] = {}
-    if daily_counts is not None:
-        if cluster_accounts is None:
-            raise ParameterError("daily_counts requires cluster_accounts")
-        # the active tallies depend on the cluster alone
-        active_of = {
-            cluster: ledger.daily_active(accounts) for cluster, accounts in cluster_accounts.items()
-        }
-        for topic in sorted(daily_counts):
-            for cluster in sorted(daily_counts[topic], key=str):
-                active = active_of[cluster]
-                by_day = daily_counts[topic][cluster]
-                series = []
-                for i, day in enumerate(ledger.days):
-                    if active[i] > 0:
-                        series.append((day, by_day.get(day, 0) * 15 / active[i]))
-                    else:
-                        series.append((day, None))
-                daily[(topic, cluster)] = tuple(series)
+    for topic in sorted(daily_counts):
+        for cluster in sorted(daily_counts[topic], key=str):
+            daily[(topic, cluster)] = tuple(
+                (day, count * 15 / active if active > 0 else None)
+                for day, count, active in zip(
+                    days, daily_counts[topic][cluster].tolist(), daily_active[cluster].tolist()
+                )
+            )
     return RateTable(rows=tuple(rows), daily=daily, excluded=tuple(excluded))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from sentinet.graph import RetweetGraph
-from sentinet.ingest import Corpus, TrigramEncoder, TweetRecord
+from sentinet.ingest import Corpus, TrigramEncoder, format_timestamp, parse_tweet_stream
 from sentinet.sentinel import activity
 from sentinet.similarity import DayDocs
 
@@ -22,22 +23,49 @@ def make_record(
     retweeted: str | None = None,
     day_offset: int = 0,
     urls: tuple[str, ...] = (),
-) -> TweetRecord:
-    return TweetRecord(
-        tweet_id=tweet_id,
-        author_id=author,
-        created_at=BASE_TIME + timedelta(days=day_offset),
-        text=text,
-        retweeted_author_id=retweeted,
-        urls=urls,
-    )
+) -> dict:
+    """One tweet's JSON object, ``day_offset`` days after BASE_TIME."""
+    return {
+        "tweet_id": tweet_id,
+        "author_id": author,
+        "created_at": format_timestamp(BASE_TIME + timedelta(days=day_offset)),
+        "text": text,
+        "retweeted_author_id": retweeted,
+        "urls": list(urls),
+    }
+
+
+def corpus_of(records) -> Corpus:
+    """The corpus parsed from the JSON lines of tweet objects, in their order.
+
+    No records give the empty corpus, as no rows taken of a parsed one.
+    """
+    lines = [json.dumps(record) for record in records]
+    if not lines:
+        return corpus_of([make_record("0", "nobody")]).take(np.arange(0))
+    return parse_tweet_stream(lines).records
+
+
+def rows_of(corpus: Corpus) -> list[dict]:
+    """Each row of a corpus as its tweet's JSON object, as write_corpus writes it."""
+    return [
+        {
+            "tweet_id": corpus.tweet_ids[row],
+            "author_id": corpus.accounts[corpus.author[row]],
+            "created_at": format_timestamp(corpus.created_at(row)),
+            "text": corpus.texts[row],
+            "retweeted_author_id": (
+                corpus.accounts[corpus.retweeted[row]] if corpus.retweeted[row] >= 0 else None
+            ),
+            "urls": corpus.urls[corpus.url_offsets[row] : corpus.url_offsets[row + 1]],
+        }
+        for row in range(len(corpus))
+    ]
 
 
 def grouped_corpus(records_by_group):
     """The corpus of every group's records, group after group, and each group's rows of it."""
-    corpus = Corpus.from_records(
-        record for records in records_by_group.values() for record in records
-    )
+    corpus = corpus_of(record for records in records_by_group.values() for record in records)
     ends = np.cumsum([len(records) for records in records_by_group.values()], dtype=int)
     return corpus, {
         group: np.arange(end - len(records), end)
@@ -46,9 +74,10 @@ def grouped_corpus(records_by_group):
 
 
 def activity_of(records_by_account, window):
-    """The activity ledger of the accounts, over a corpus of all their records."""
+    """Account -> its :func:`activity` entry, over a corpus of all their records."""
     corpus, _ = grouped_corpus(records_by_account)
-    return activity(corpus, records_by_account, window)
+    accounts = list(records_by_account)
+    return dict(zip(accounts, activity(corpus, accounts, window).tolist()))
 
 
 def columns(corpus: Corpus):

@@ -15,13 +15,14 @@ from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
 from sentinet.community import Partition
 from sentinet.errors import EmptyCorpusError
-from sentinet.ingest import ParseResult, TrigramEncoder, TweetRecord
+from sentinet.ingest import ParseResult, TrigramEncoder
 from sentinet.lsa import TopicalExtraction, _gap_select, truncated_svd
 from sentinet.similarity import CommunityDayDoc, burst_score, intercluster_similarity
 
@@ -348,7 +349,10 @@ def parse_timestamp(value: str) -> datetime:
     parsed = datetime.fromisoformat(raw)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError as exc:
+        raise ValueError("UTC time out of range") from exc
 
 
 def _is_field(value) -> bool:
@@ -360,7 +364,18 @@ def _is_field(value) -> bool:
     )
 
 
-def _record_from_json(obj: dict) -> TweetRecord:
+class TweetRow(NamedTuple):
+    """One parsed tweet of the reference parser."""
+
+    tweet_id: str
+    author_id: str
+    created_at: datetime
+    text: str
+    retweeted_author_id: str | None
+    urls: tuple[str, ...]
+
+
+def _record_from_json(obj: dict) -> TweetRow:
     tweet_id = obj["tweet_id"]
     author_id = obj["author_id"]
     if not _is_field(tweet_id):
@@ -379,7 +394,7 @@ def _record_from_json(obj: dict) -> TweetRecord:
     urls = obj.get("urls", [])
     if not isinstance(urls, list) or any(not isinstance(u, str) for u in urls):
         raise ValueError("urls must be an array of strings")
-    return TweetRecord(
+    return TweetRow(
         tweet_id=tweet_id,
         author_id=author_id,
         created_at=parse_timestamp(created_at),
@@ -392,9 +407,9 @@ def _record_from_json(obj: dict) -> TweetRecord:
 def parse_tweet_stream(stream) -> ParseResult:
     """JSON Lines records through ``json.loads``, one line at a time; blank lines ignored.
 
-    ``records`` of the result is a list of :class:`TweetRecord`.
+    ``records`` of the result is a list of :class:`TweetRow`.
     """
-    records: list[TweetRecord] = []
+    records: list[TweetRow] = []
     seen_ids: set[str] = set()
     skipped = 0
     for line in stream:
@@ -427,29 +442,29 @@ def matches_topic(text: str, lexicon) -> bool:
 
 
 def filter_topic(records, lexicon) -> list:
-    """Records whose raw text contains any lexicon substring (case-insensitive)."""
-    return [record for record in records if matches_topic(record.text, lexicon)]
+    """Tweet objects whose raw text contains any lexicon substring (case-insensitive)."""
+    return [record for record in records if matches_topic(record["text"], lexicon)]
 
 
 def retweet_arcs(records) -> dict:
     """(source, retweeter) -> retweet count, one record at a time, self-retweets dropped."""
     arcs: dict = {}
     for record in records:
-        source = record.retweeted_author_id
-        if source is not None and source != record.author_id:
-            key = (source, record.author_id)
+        source = record["retweeted_author_id"]
+        if source is not None and source != record["author_id"]:
+            key = (source, record["author_id"])
             arcs[key] = arcs.get(key, 0) + 1
     return arcs
 
 
 def ascii_language_filter(records, english_threshold=0.8, seed=0, sample_size=100):
-    """The language filter over records grouped by author in a dict, record by record."""
+    """The language filter over tweet objects grouped by author in a dict, one by one."""
     by_author: dict = {}
     for record in records:
-        by_author.setdefault(record.author_id, []).append(record)
+        by_author.setdefault(record["author_id"], []).append(record)
 
     def predicate(label, community) -> bool:
-        texts = [r.text for author in sorted(community) for r in by_author.get(author, ())]
+        texts = [r["text"] for author in sorted(community) for r in by_author.get(author, ())]
         if not texts:
             return False
         rng = random.Random(f"{seed}:{label}")

@@ -22,7 +22,7 @@ from sentinet.community import (
 from sentinet.config import PipelineConfig
 from sentinet.domains import DomainMatrix, first_principal_component
 from sentinet.graph import RetweetGraph
-from sentinet.ingest import Corpus, write_corpus
+from sentinet.ingest import write_corpus
 from sentinet.pipeline import run_pipeline
 from sentinet.similarity import adf_test
 from sentinet.stats import (
@@ -33,7 +33,7 @@ from sentinet.stats import (
 )
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import TopicLexicon, filter_topic_tree, rate_table
-from conftest import activity_of, make_record
+from conftest import activity_of, corpus_of, make_record
 
 
 @contextmanager
@@ -343,13 +343,17 @@ def test_criterion_9_rate_table_identities():
                 for pool in accounts.values()
                 for acct in pool
             }
-            ledger = activity_of(records, window)
+            last_active = activity_of(records, window)
+            account_days = {
+                label: sum(last_active[account] + 1 for account in pool)
+                for label, pool in accounts.items()
+            }
             counts = {
                 "topic": {
                     f"c{i}": int(rng.integers(0, 50)) for i in range(n_comm)
                 }
             }
-            table = rate_table(counts, ledger, accounts)
+            table = rate_table(counts, account_days, [], {}, {})
             scaled = [row.sum_scaled for row in table.rows]
             maxed = [row.max_scaled for row in table.rows]
             if any(counts["topic"][f"c{i}"] > 0 for i in range(n_comm)):
@@ -377,7 +381,7 @@ def test_criterion_9_rate_table_identities():
                 for i in range(int(rng.integers(1, 40)))
             ]
             matched = filter_topic_tree(
-                Corpus.from_records(records_list), range(len(records_list)), lexicons
+                corpus_of(records_list), range(len(records_list)), lexicons
             )
             assert len(matched["masks"]) <= len(matched["covid"])
             assert len(matched["n95"]) <= len(matched["masks"])

@@ -248,8 +248,53 @@ class TestStageCommands:
         )
         out = tmp_path / "records.jsonl"
         assert main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
-        (record,) = read_corpus(out).records.iter_records()
-        assert record.text == "half \ud800 pair"
+        assert read_corpus(out).records.texts == ["half \ud800 pair"]
+
+
+# option -> a command that reads its file, with every other input valid
+INPUT_FILE_COMMANDS = {
+    "--input": ["ingest", "--input", "{file}", "--output", "{out}"],
+    "--edges": ["communities", "--edges", "{file}", "--output", "{out}"],
+    "--partition": ["sentinels", "--edges", "{edges}", "--partition", "{file}", "--output", "{out}"],
+    "--roster": ["topics", "--records", "{records}", "--roster", "{file}", "--output", "{out}"],
+    "--scores": [
+        "rates", "--records", "{records}", "--roster", "{roster}", "--scores", "{file}",
+        "--window-start", "2020-07-01", "--window-end", "2020-07-30", "--output", "{out}",
+    ],
+    "--matrix": ["cluster", "--matrix", "{file}", "--scores-output", "{out}"],
+    "--series": ["flag", "--series", "{file}"],
+    "--left": ["compare-partitions", "--left", "{file}", "--right", "{partition}"],
+    "--right": ["compare-partitions", "--left", "{partition}", "--right", "{file}"],
+    "--config": ["run", "--config", "{file}"],
+}
+
+
+class TestInputFiles:
+    def command(self, staged, option, file, tmp_path):
+        base, records, edges, partition, roster, *_ = staged
+        paths = {"file": file, "out": tmp_path / "out", "records": records, "edges": edges,
+                 "partition": partition, "roster": roster}
+        return [arg.format(**paths) for arg in INPUT_FILE_COMMANDS[option]]
+
+    @pytest.mark.parametrize("option", sorted(INPUT_FILE_COMMANDS))
+    def test_missing_file_is_a_usage_error(self, staged, option, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as exited:
+            main(self.command(staged, option, missing, tmp_path))
+        assert exited.value.code == 2
+        assert f"path not found: {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", sorted(INPUT_FILE_COMMANDS))
+    def test_malformed_file_is_one_error_line(self, staged, option, tmp_path, capsys):
+        # no JSON, no key=value line, no line of two or three fields, and no
+        # CSV row of two or more cells
+        malformed = tmp_path / "malformed"
+        malformed.write_text("a b c d\nx\n", encoding="utf-8")
+        assert main(self.command(staged, option, malformed, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {malformed}: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestStageDefaults:
@@ -291,13 +336,16 @@ class TestStageDefaults:
     def test_out_of_range_option_is_a_usage_error(
         self, tmp_path, capsys, command, flag, value, field
     ):
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.touch()
+        for name in ("corpus.jsonl", "s.csv", "r", "s", "e", "p"):
+            (tmp_path / name).touch()
+        corpus, series, roster, scores, edges, partition = (
+            str(tmp_path / name) for name in ("corpus.jsonl", "s.csv", "r", "s", "e", "p")
+        )
         required = {
-            "flag": ["--series", "s.csv"],
-            "lsa": ["--records", str(corpus), "--roster", "r", "--scores", "s",
-                    "--series", "s.csv", "--output", "o"],
-            "sentinels": ["--edges", "e", "--partition", "p", "--output", "o"],
+            "flag": ["--series", series],
+            "lsa": ["--records", corpus, "--roster", roster, "--scores", scores,
+                    "--series", series, "--output", "o"],
+            "sentinels": ["--edges", edges, "--partition", partition, "--output", "o"],
         }[command]
         parser = build_parser()
         args = parser.parse_args([command, *required])
@@ -400,7 +448,7 @@ class TestCliMatchesPipeline:
                 corpus=corpus, window_start=config.window_start, window_end=config.window_end
             )
         )
-        write_corpus(ingest.records.iter_records(), tmp_path / "ingest.jsonl")
+        write_corpus(ingest.records, tmp_path / "ingest.jsonl")
         assert (out / "records.jsonl").read_bytes() == (tmp_path / "ingest.jsonl").read_bytes()
 
 

@@ -118,6 +118,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text, env={})
 
+    @pytest.mark.parametrize(
+        "split", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_split_outside_datetime_range(self, tmp_path, corpus_file, split):
+        text = minimal_text(corpus_file, tmp_path / "out").replace(
+            "split=2020-07-21T00:00:00Z", f"split={split}"
+        )
+        with pytest.raises(ConfigError, match="split"):
+            parse_config(text, env={})
+
     def test_bad_adf_alpha(self, tmp_path, corpus_file):
         text = minimal_text(corpus_file, tmp_path / "out") + "adf_alpha=0.2\n"
         with pytest.raises(ConfigError):
@@ -133,6 +143,26 @@ class TestParseConfig:
         write_config(original, path)
         reloaded = load_config(path, env={})
         assert reloaded == original
+
+    @pytest.mark.parametrize(
+        "window, split",
+        [
+            ("0001-01-01", "0001-01-01T00:00:00Z"),
+            ("0999-05-01", "0999-05-01T12:30:00Z"),
+            ("9999-12-31", "9999-12-31T23:59:59Z"),
+        ],
+    )
+    def test_four_digit_years_round_trip(self, tmp_path, corpus_file, window, split):
+        text = (
+            minimal_text(corpus_file, tmp_path / "out")
+            .replace("2020-07-01", window)
+            .replace("2020-07-30", window)
+            .replace("split=2020-07-21T00:00:00Z", f"split={split}")
+        )
+        original = parse_config(text, env={})
+        serialized = serialize_config(original)
+        assert f"split={split}\n" in serialized
+        assert parse_config(serialized, env={}) == original
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text("{}\n")

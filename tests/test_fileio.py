@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import corpus_of
 from sentinet.fileio import read_csv, write_csv
 from sentinet.ingest import write_corpus
 
@@ -8,15 +9,13 @@ from sentinet.ingest import write_corpus
 class TestAtomicWrites:
     def test_writer_failing_halfway_keeps_previous_artifact(self, tmp_path, record_factory):
         path = tmp_path / "records.jsonl"
-        write_corpus([record_factory("1", "a")], path)
+        write_corpus(corpus_of([record_factory("1", "a")]), path)
         before = path.read_bytes()
-
-        def records():
-            yield record_factory("2", "b")
-            raise RuntimeError("source failed mid-stream")
-
-        with pytest.raises(RuntimeError):
-            write_corpus(records(), path)
+        corpus = corpus_of([record_factory("2", "b"), record_factory("3", "b")])
+        # JSON cannot hold the second row's text: the write fails after one line
+        corpus.texts[1] = object()
+        with pytest.raises(TypeError):
+            write_corpus(corpus, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_record, retweet_graphs
+from conftest import corpus_of, make_record, retweet_graphs
 from sentinet.errors import EmptyGraphError
-from sentinet.ingest import Corpus
 from sentinet.graph import (
     RetweetGraph,
     build_retweet_graph,
@@ -21,13 +20,13 @@ class TestBuildRetweetGraph:
             record_factory("1", "j", retweeted="i"),
             record_factory("2", "j", retweeted="i"),
         ]
-        graph = build_retweet_graph(Corpus.from_records(records))
+        graph = build_retweet_graph(corpus_of(records))
         assert graph.arcs == {("i", "j"): 2}
         assert graph.w == 2
         assert graph.w_in["i"] == 2 and graph.w_out["j"] == 2
 
     def test_self_retweet_excluded(self, record_factory):
-        graph = build_retweet_graph(Corpus.from_records([record_factory("1", "i", retweeted="i")]))
+        graph = build_retweet_graph(corpus_of([record_factory("1", "i", retweeted="i")]))
         assert graph.arcs == {}
         assert graph.nodes == frozenset()
 
@@ -36,7 +35,7 @@ class TestBuildRetweetGraph:
             record_factory("1", "alone"),
             record_factory("2", "j", retweeted="i"),
         ]
-        graph = build_retweet_graph(Corpus.from_records(records))
+        graph = build_retweet_graph(corpus_of(records))
         assert graph.nodes == {"i", "j"}
 
     def test_synthetic_event_count_preserved(self, record_factory):
@@ -45,7 +44,7 @@ class TestBuildRetweetGraph:
             record_factory(str(i), f"a{i % 50}", retweeted=f"a{(i % 50) + 1}")
             for i in range(87_030)
         ]
-        graph = build_retweet_graph(Corpus.from_records(records))
+        graph = build_retweet_graph(corpus_of(records))
         assert graph.w == 87_030
 
     def test_permutation_invariance(self, record_factory):
@@ -53,8 +52,8 @@ class TestBuildRetweetGraph:
             record_factory(str(i), f"u{i % 5}", retweeted=f"u{(i + 1) % 5}")
             for i in range(20)
         ]
-        forward = build_retweet_graph(Corpus.from_records(records))
-        backward = build_retweet_graph(Corpus.from_records(reversed(records)))
+        forward = build_retweet_graph(corpus_of(records))
+        backward = build_retweet_graph(corpus_of(records[::-1]))
         assert forward.arcs == backward.arcs
         assert forward.w_in == backward.w_in
 
@@ -70,7 +69,7 @@ class TestBuildRetweetGraph:
             make_record(str(i), author, retweeted=source)
             for i, (author, source) in enumerate(pairs)
         ]
-        graph = build_retweet_graph(Corpus.from_records(records))
+        graph = build_retweet_graph(corpus_of(records))
         assert graph.arcs == oracles.retweet_arcs(records)
 
     def test_from_arcs_rejects_self_loop(self):

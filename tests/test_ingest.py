@@ -1,7 +1,6 @@
 import io
 import json
 import re
-from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from itertools import islice
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import columns, decoded_counts, make_record
+from conftest import columns, corpus_of, decoded_counts, make_record, rows_of
 from sentinet import ingest
 from sentinet.errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
 from sentinet.ingest import (
@@ -18,14 +17,12 @@ from sentinet.ingest import (
     PACKAGED,
     Corpus,
     TrigramEncoder,
-    TweetRecord,
     day_date,
     extract_domain,
     load_wordlist,
     normalize_text,
     parse_timestamp,
     parse_tweet_stream,
-    record_to_json,
     write_corpus,
     read_corpus,
     tokenize,
@@ -93,7 +90,7 @@ class TestParseTweetStream:
         assert len(result.records) == 1
         assert result.skipped == 1
 
-    def test_day_is_the_utc_date_outside_equality_and_hash(self):
+    def test_day_is_the_utc_date(self):
         lines = [make_line(0), make_line(1, created_at="2020-07-01T23:30:00-02:00")]
         corpus = parse_tweet_stream(io.StringIO("\n".join(lines))).records
         days = [day_date(day) for day in corpus.days.tolist()]
@@ -102,16 +99,6 @@ class TestParseTweetStream:
             "2020-07-01T12:00:00+00:00",
             "2020-07-02T01:30:00+00:00",
         ]
-        records = list(corpus.iter_records())
-        assert [r.created_at.date() for r in records] == [date(2020, 7, 1), date(2020, 7, 2)]
-        # a row's record reads the same columns again
-        (again,) = parse_tweet_stream(io.StringIO(make_line(0))).records.iter_records()
-        assert again == records[0] and hash(again) == hash(records[0])
-        identity = ("tweet_id", "author_id", "created_at", "text", "retweeted_author_id", "urls")
-        assert hash(again) == hash(tuple(getattr(again, name) for name in identity))
-        assert "day=" not in repr(again)
-        moved = replace(again, created_at=datetime(2020, 8, 9, 1, 0, tzinfo=timezone.utc))
-        assert moved.created_at.date() == date(2020, 8, 9) and moved != again
 
     def test_records_of_one_day_share_their_date(self):
         lines = [
@@ -158,6 +145,15 @@ class TestParseTweetStream:
         corpus = parse_tweet_stream(io.StringIO("\n".join(lines))).records
         assert corpus.tweet_ids == [value] and corpus.accounts == [value, "b" + value]
 
+    @pytest.mark.parametrize(
+        "created_at", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_utc_time_outside_datetime_range_skipped(self, created_at):
+        lines = [make_line(0), make_line(1, created_at=created_at), make_line(2)]
+        result = parse_tweet_stream(io.StringIO("\n".join(lines)))
+        assert result.records.tweet_ids == ["0", "2"]
+        assert result.skipped == 1
+
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
             parse_tweet_stream(io.StringIO("not json\n"))
@@ -179,14 +175,14 @@ class TestParseTweetStream:
             for i in range(1000)
         ]
         path = tmp_path / "corpus.jsonl"
-        write_corpus(records, path)
+        write_corpus(corpus_of(records), path)
         reparsed = read_corpus(path)
         assert reparsed.skipped == 0
-        assert list(reparsed.records.iter_records()) == records
-        assert columns(reparsed.records) == columns(Corpus.from_records(records))
+        assert rows_of(reparsed.records) == records
+        assert columns(reparsed.records) == columns(corpus_of(records))
         # serialize -> parse -> serialize is a fixed point
         path2 = tmp_path / "again.jsonl"
-        write_corpus(reparsed.records.iter_records(), path2)
+        write_corpus(reparsed.records, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_lone_surrogate_text_round_trips(self, tmp_path):
@@ -196,18 +192,29 @@ class TestParseTweetStream:
             make_record("3", "b", text="more ü"),
         ]
         path = tmp_path / "corpus.jsonl"
-        write_corpus(records, path)
+        write_corpus(corpus_of(records), path)
         lines = path.read_bytes().splitlines(keepends=True)
         # only the line that UTF-8 cannot hold is escaped
         assert [line.decode() for line in lines[:2]] == [
-            json.dumps(record_to_json(records[0]), ensure_ascii=False, sort_keys=True) + "\n",
-            json.dumps(record_to_json(records[1]), sort_keys=True) + "\n",
+            json.dumps(records[0], ensure_ascii=False, sort_keys=True) + "\n",
+            json.dumps(records[1], sort_keys=True) + "\n",
         ]
         assert b"\\ud800" in lines[1] and b"\\u00e9" in lines[1]
         assert "ü".encode() in lines[2]
         reparsed = read_corpus(path)
         assert reparsed.skipped == 0
-        assert list(reparsed.records.iter_records()) == records
+        assert rows_of(reparsed.records) == records
+
+    @pytest.mark.parametrize(
+        "created_at", ["0001-01-01T00:00:00Z", "0999-05-01T00:00:00Z", "9999-12-31T23:59:59Z"]
+    )
+    def test_four_digit_years_round_trip(self, tmp_path, created_at):
+        record = {**make_record("1", "a"), "created_at": created_at}
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus_of([record]), path)
+        assert json.loads(path.read_text(encoding="utf-8"))["created_at"] == created_at
+        reparsed = read_corpus(path)
+        assert reparsed.skipped == 0 and rows_of(reparsed.records) == [record]
 
 
 # ISO-8601 renderings, mostly ones parse_timestamp accepts, with padding
@@ -216,7 +223,7 @@ ISO_TIMESTAMPS = st.builds(
     + moment.replace(tzinfo=offset).isoformat(timespec=spec)
     + suffix
     + pad,
-    st.datetimes(datetime(1990, 1, 1), datetime(2100, 1, 1)),
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)),
     st.none() | st.integers(-14 * 60, 14 * 60).map(lambda m: timezone(timedelta(minutes=m))),
     st.sampled_from(["seconds", "milliseconds", "microseconds", "minutes", "auto"]),
     st.sampled_from(["", "", "Z", "z", "+00:00", "-00:00", "+05:30", "x"]),
@@ -318,6 +325,9 @@ class TestParseEquivalence:
     @example("2020-07-01 12:00:00Z")
     @example("2020-07-01T120000.1Z")
     @example("２０２０-07-01T12:00:00Z")
+    # offsets that take the UTC time outside datetime's range
+    @example("0001-01-01T00:30:00+01:00")
+    @example("9999-12-31T23:30:00-01:00")
     def test_timestamp(self, value):
         try:
             expected = oracles.parse_timestamp(value)
@@ -339,27 +349,30 @@ class TestParseEquivalence:
         )
 
 
-# the rows TweetRecord can hold: ids free of whitespace and lone surrogates,
-# any text, and second-resolution UTC times
+# every second of years 1 to 9999, in the fixed shape that write_corpus writes
+FIXED_SHAPE_TIMES = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda moment: moment.replace(microsecond=0).isoformat() + "Z"
+)
+# tweets the parser keeps: ids free of whitespace and lone surrogates, any text
 CORPUS_RECORDS = st.lists(
-    st.builds(
-        TweetRecord,
-        tweet_id=st.text(
-            st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
-            min_size=1,
-            max_size=4,
+    st.tuples(
+        st.builds(
+            make_record,
+            tweet_id=st.text(
+                st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+                min_size=1,
+                max_size=4,
+            ),
+            author=st.sampled_from(["a", "b", "é", "c.d"]),
+            text=st.text(max_size=6),
+            retweeted=st.sampled_from([None, "a", "b", "é", "x"]),
+            urls=st.lists(st.text(max_size=3), max_size=2),
         ),
-        author_id=st.sampled_from(["a", "b", "é", "c.d"]),
-        created_at=st.datetimes(datetime(1990, 1, 1), datetime(2100, 1, 1)).map(
-            lambda moment: moment.replace(microsecond=0, tzinfo=timezone.utc)
-        ),
-        text=st.text(max_size=6),
-        retweeted_author_id=st.sampled_from([None, "a", "b", "é", "x"]),
-        urls=st.lists(st.text(max_size=3), max_size=2).map(tuple),
-    ),
+        FIXED_SHAPE_TIMES,
+    ).map(lambda pair: {**pair[0], "created_at": pair[1]}),
     min_size=1,
     max_size=8,
-    unique_by=lambda record: record.tweet_id,
+    unique_by=lambda record: record["tweet_id"],
 )
 
 
@@ -367,13 +380,14 @@ class TestCorpusColumns:
     @settings(max_examples=200, deadline=None)
     @given(CORPUS_RECORDS)
     @example([make_record("1", "a", text="\ud800 é", retweeted="b", urls=("x", "y"))])
-    def test_from_records_equals_read_of_written(self, tmp_path_factory, records):
+    def test_read_of_written_equals_parsed(self, tmp_path_factory, records):
+        corpus = corpus_of(records)
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
-        write_corpus(records, path)
+        write_corpus(corpus, path)
         reparsed = read_corpus(path)
         assert reparsed.skipped == 0
-        assert columns(Corpus.from_records(records)) == columns(reparsed.records)
-        assert list(reparsed.records.iter_records()) == records
+        assert columns(reparsed.records) == columns(corpus)
+        assert rows_of(reparsed.records) == records
 
     def test_take_keeps_rows_and_their_urls(self):
         records = [
@@ -381,11 +395,11 @@ class TestCorpusColumns:
                         day_offset=i, urls=tuple(f"u{i}.{j}" for j in range(i % 3)))
             for i in range(6)
         ]
-        corpus = Corpus.from_records(records)
+        corpus = corpus_of(records)
         rows = np.array([5, 2, 4])
         taken = corpus.take(rows)
         assert taken.accounts is corpus.accounts
-        assert list(taken.iter_records()) == [records[row] for row in rows]
+        assert rows_of(taken) == [records[row] for row in rows]
         assert corpus.urls_of(rows) == taken.urls == ["u5.0", "u5.1", "u2.0", "u2.1", "u4.0"]
 
 

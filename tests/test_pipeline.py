@@ -4,17 +4,21 @@ import json
 import os
 import shutil
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import corpus_of, make_record, rows_of
 from oracles import matches_topic
 from sentinet import lsa as lsa_mod
 from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig
 from sentinet.errors import ConfigError, StageError
-from sentinet.ingest import Corpus, TrigramEncoder, normalize_text, read_corpus, write_corpus
+from sentinet.ingest import ParseResult, TrigramEncoder, normalize_text, read_corpus, write_corpus
 from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline
 from sentinet.sentinel import read_roster
 from sentinet.synthetic import SyntheticSpec, generate_corpus
@@ -53,6 +57,7 @@ PINNED_DIGESTS = {
     "similarity.csv": "b5ada86e12a3d0612419f2b406244de93727394bd584e26e9183f99e6ab4bb12",
     "topic_counts.csv": "ce2f11c548b2a1a5dbebc72dfc61dfba0bdeed03d94f02200418074a251e846a",
     "rates.csv": "804edbaea90e237a8fc40511faf16fe0970254a9d7e3b2b2f009966961f7b098",
+    "rates_daily.csv": "31016ce6d2ef723ce6d25bfc3d8000ed772c547ec8bd6fa0fbed8866cf333ab7",
     "partition.txt": "5d430fc76aa2d15ae71fc252dd71df2afb5f113f9e9b1acc826ba74d221da4c6",
     "sentinels.txt": "33ce936f2f9a71316dec79b8e9a4abef16eddc035ba825a4d38997a1152c44dd",
 }
@@ -232,10 +237,10 @@ class TestRunPipeline:
         covid = load_lexicons()["covid"]
         covid_on_flagged_days = sum(
             1
-            for record in read_corpus(config.corpus).records.iter_records()
-            if record.author_id in sentinels
-            and record.created_at.date().isoformat() in flagged_days
-            and matches_topic(record.text, covid)
+            for record in rows_of(read_corpus(config.corpus).records)
+            if record["author_id"] in sentinels
+            and record["created_at"][:10] in flagged_days
+            and matches_topic(record["text"], covid)
         )
         assert 0 < len(calls) <= covid_on_flagged_days
 
@@ -428,7 +433,7 @@ class TestStratifiedSample:
             ("0", "mortality"): [("c0", row) for row in range(80)]
             + [("c1", row) for row in range(80, 90)],
         }
-        corpus = Corpus.from_records(records)
+        corpus = corpus_of(records)
         rows = stratified_coding_sample(corpus, strata, per_stratum=40, seed=1)
         assert len(rows) == 40
         by_community = {}
@@ -439,14 +444,92 @@ class TestStratifiedSample:
         assert by_community["c0"] == 30
 
     def test_takes_all_when_short(self, record_factory):
-        corpus = Corpus.from_records(record_factory(f"a{i}", "x") for i in range(7))
+        corpus = corpus_of(record_factory(f"a{i}", "x") for i in range(7))
         strata = {("0", "t"): [("c0", row) for row in range(7)]}
         rows = stratified_coding_sample(corpus, strata, per_stratum=100, seed=3)
         assert len(rows) == 7
 
     def test_deterministic(self, record_factory):
-        corpus = Corpus.from_records(record_factory(f"a{i}", "x") for i in range(50))
+        corpus = corpus_of(record_factory(f"a{i}", "x") for i in range(50))
         strata = {("0", "t"): [("c0", row) for row in range(50)]}
         first = stratified_coding_sample(corpus, strata, per_stratum=10, seed=5)
         second = stratified_coding_sample(corpus, strata, per_stratum=10, seed=5)
         assert [r[3] for r in first] == [r[3] for r in second]
+
+
+class TestRates:
+    # a10 authors tweets but is no sentinel; ghost is a sentinel with no tweet
+    ROSTER = {
+        "c0": (("a0", 9), ("a1", 4)),
+        "c1": (("a2", 7),),
+        "c2": (("a3", 5), ("ghost", 1)),
+    }
+    CLUSTER_OF = {"c0": 0, "c1": 1, "c2": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["a0", "a1", "a2", "a3", "a10"]), st.integers(0, 9)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 9),
+    )
+    def test_equal_the_account_by_day_reference(self, tweets, start_offset):
+        """Account days and daily tallies counted one account and one day at a time."""
+        base = date(2020, 7, 1)
+        # the window may start after some tweets: those accounts drop out early
+        window = (base + timedelta(days=start_offset), base + timedelta(days=9))
+        inside = [(author, day) for author, day in tweets if day >= start_offset]
+        if not inside:
+            return
+        corpus = corpus_of(
+            make_record(str(i), author, day_offset=day) for i, (author, day) in enumerate(inside)
+        )
+        rows_of_label = {
+            label: np.array(
+                [i for i, (author, _) in enumerate(inside) if author in dict(entries)], dtype=int
+            )
+            for label, entries in self.ROSTER.items()
+        }
+        topics = {label: {"all": rows, "even": rows[::2]} for label, rows in rows_of_label.items()}
+        table = pipeline_mod.STAGES["rates"].build(
+            SimpleNamespace(window_start=window[0], window_end=window[1]),
+            self.ROSTER,
+            (None, self.CLUSTER_OF),
+            topics,
+            ParseResult(records=corpus, skipped=0),
+        )
+        days = [window[0] + timedelta(days=i) for i in range((window[1] - window[0]).days + 1)]
+
+        def active(account, day):
+            return any(a == account and base + timedelta(days=d) >= day for a, d in inside)
+
+        account_days = {
+            label: sum(active(account, day) for account, _ in entries for day in days)
+            for label, entries in self.ROSTER.items()
+        }
+        rows = {(row.topic, row.community): row for row in table.rows}
+        for topic in ("all", "even"):
+            for label in self.ROSTER:
+                if account_days[label] == 0:
+                    assert (topic, label) in table.excluded
+                    continue
+                row = rows[(topic, label)]
+                assert row.active_account_days == account_days[label]
+                assert row.per_capita == len(topics[label][topic]) / account_days[label]
+            for cluster in ("0", "1"):
+                labels = [label for label, c in self.CLUSTER_OF.items() if str(c) == cluster]
+                expected = []
+                for day in days:
+                    count = sum(
+                        1
+                        for label in labels
+                        for i in topics[label][topic].tolist()
+                        if base + timedelta(days=inside[i][1]) == day
+                    )
+                    tally = sum(
+                        active(account, day) for label in labels for account, _ in self.ROSTER[label]
+                    )
+                    expected.append((day, count * 15 / tally if tally else None))
+                assert table.daily[(topic, cluster)] == tuple(expected)

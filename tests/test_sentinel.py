@@ -4,12 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import activity_of, make_record
+from conftest import activity_of, corpus_of, make_record
 from sentinet.community import Partition
 from sentinet.errors import ParameterError
 from sentinet.graph import RetweetGraph
-from sentinet.ingest import Corpus
 from sentinet.sentinel import (
+    activity,
     ascii_language_filter,
     read_roster,
     select_sentinels,
@@ -110,12 +110,12 @@ class TestSelectSentinels:
 class TestAsciiLanguageFilter:
     def test_mostly_ascii_passes(self, record_factory):
         records = [record_factory(str(i), "a", text="plain english text") for i in range(10)]
-        predicate = ascii_language_filter(Corpus.from_records(records))
+        predicate = ascii_language_filter(corpus_of(records))
         assert predicate(0, frozenset({"a"}))
 
     def test_non_ascii_fails(self, record_factory):
         records = [record_factory(str(i), "a", text="привет мир") for i in range(10)]
-        predicate = ascii_language_filter(Corpus.from_records(records))
+        predicate = ascii_language_filter(corpus_of(records))
         assert not predicate(0, frozenset({"a"}))
 
     @settings(max_examples=300)
@@ -126,7 +126,7 @@ class TestAsciiLanguageFilter:
         compact = "".join(text.split())
         ascii_count = sum(1 for ch in compact if ord(ch) < 128)
         expected = bool(compact) and ascii_count / len(compact) >= 0.9
-        corpus = Corpus.from_records([make_record("t", "a", text=text)])
+        corpus = corpus_of([make_record("t", "a", text=text)])
         predicate = ascii_language_filter(corpus, 1.0)
         assert predicate(0, frozenset({"a"})) == expected
 
@@ -144,29 +144,27 @@ class TestAsciiLanguageFilter:
         records = [
             make_record(str(i), author, text=text) for i, (author, text) in enumerate(tweets)
         ]
-        corpus = Corpus.from_records(records)
+        corpus = corpus_of(records)
         predicate = ascii_language_filter(corpus, threshold, seed=7)
         reference = oracles.ascii_language_filter(records, threshold, seed=7)
         for label in ("0", "1"):
             assert predicate(label, frozenset(community)) == reference(label, frozenset(community))
 
     def test_no_tweets_fails(self):
-        predicate = ascii_language_filter(Corpus.from_records([make_record("t", "other")]))
+        predicate = ascii_language_filter(corpus_of([make_record("t", "other")]))
         assert not predicate(0, frozenset({"ghost"}))
 
 
 class TestActivity:
     def test_tweet_on_day_ten(self, record_factory):
-        ledger = activity_of({"a": [record_factory("1", "a", day_offset=9)]}, WINDOW)
-        assert ledger.active_days["a"] == 10
-        # window indices 9 and 10: 2020-07-10 and 2020-07-11
-        active = ledger.daily_active({"a"})
-        assert active[9] == 1
-        assert active[10] == 0
+        # window index 9: 2020-07-10, so the account is active on ten days
+        assert activity_of({"a": [record_factory("1", "a", day_offset=9)]}, WINDOW) == {"a": 9}
 
     def test_tweet_on_last_day_spans_window(self, record_factory):
-        ledger = activity_of({"a": [record_factory("1", "a", day_offset=29)]}, WINDOW)
-        assert ledger.active_days["a"] == 30
+        assert activity_of({"a": [record_factory("1", "a", day_offset=29)]}, WINDOW) == {"a": 29}
+
+    def test_tweets_after_the_window_cap_at_its_last_day(self, record_factory):
+        assert activity_of({"a": [record_factory("1", "a", day_offset=40)]}, WINDOW) == {"a": 29}
 
     def test_fifteen_accounts_thirty_days(self, record_factory):
         records = {
@@ -175,32 +173,26 @@ class TestActivity:
             ]
             for i in range(15)
         }
-        ledger = activity_of(records, WINDOW)
-        assert ledger.account_days(records) == 450
+        last = activity_of(records, WINDOW)
+        assert sum(day + 1 for day in last.values()) == 450
 
     def test_empty_window_raises(self, record_factory):
+        corpus = corpus_of([record_factory("1", "a")])
         with pytest.raises(ParameterError):
-            activity_of({}, (date(2020, 7, 10), date(2020, 7, 1)))
+            activity(corpus, ["a"], (date(2020, 7, 10), date(2020, 7, 1)))
 
-    def test_daily_active_counts(self, record_factory):
-        records = {
-            "a": [record_factory("1", "a", day_offset=4)],
-            "b": [record_factory("2", "b", day_offset=29)],
-        }
-        ledger = activity_of(records, WINDOW)
-        daily = ledger.daily_active(("a", "b"))
-        assert daily[0] == 2 and daily[4] == 2 and daily[5] == 1 and daily[29] == 1
+    def test_unseen_and_earlier_accounts_are_never_active(self, record_factory):
+        corpus = corpus_of([record_factory("1", "a", day_offset=4), record_factory("2", "b")])
+        window = (date(2020, 7, 2), date(2020, 7, 30))
+        # one entry per entry of accounts, repeats included
+        assert activity(corpus, ["a", "b", "ghost", "a"], window).tolist() == [3, -1, -1, 3]
 
     @given(st.integers(min_value=0, max_value=29), st.integers(min_value=0, max_value=29))
     @settings(max_examples=30)
     def test_extension_monotonicity(self, first, second):
-        from conftest import make_record
-
         base = [make_record("1", "a", day_offset=first)]
         extended = base + [make_record("2", "a", day_offset=second)]
-        short_ledger = activity_of({"a": base}, WINDOW)
-        long_ledger = activity_of({"a": extended}, WINDOW)
-        assert long_ledger.active_days["a"] >= short_ledger.active_days["a"]
+        assert activity_of({"a": extended}, WINDOW)["a"] >= activity_of({"a": base}, WINDOW)["a"]
 
 
 class TestRosterIO:

@@ -246,8 +246,9 @@ def per_tweet_reference(records_by_community, stopwords):
     grouped = {}
     for community in sorted(records_by_community, key=str):
         for record in records_by_community[community]:
-            counts = grouped.setdefault((community, record.created_at.date()), {})
-            tokens = oracles.normalize_text(record.text, stopwords)
+            day = date.fromisoformat(record["created_at"][:10])
+            counts = grouped.setdefault((community, day), {})
+            tokens = oracles.normalize_text(record["text"], stopwords)
             for trigram, count in oracles.indexed_trigram_counts(tokens).items():
                 counts[trigram] = counts.get(trigram, 0) + count
     return grouped

@@ -1,37 +1,58 @@
+import hashlib
+
+from conftest import columns
+from sentinet.ingest import day_date, write_corpus
 from sentinet.synthetic import SyntheticSpec, VIRAL_TEXT, generate_corpus
+
+# sha256 of the default spec's corpus as write_corpus writes it: 14,702 tweets
+DEFAULT_CORPUS_SHA256 = "f8524fbc02d5f02643ea8469b40896ebbf12b15e6d593bf3b047a5beee8faef0"
 
 
 class TestGenerateCorpus:
+    def test_default_corpus_file_pinned(self, tmp_path):
+        corpus, _ = generate_corpus(SyntheticSpec())
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        assert len(corpus) == 14_702
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CORPUS_SHA256
+
     def test_deterministic(self):
         first, _ = generate_corpus(SyntheticSpec())
         second, _ = generate_corpus(SyntheticSpec())
-        assert first == second
+        assert columns(first) == columns(second)
 
     def test_seed_changes_corpus(self):
         base, _ = generate_corpus(SyntheticSpec())
         other, _ = generate_corpus(SyntheticSpec(seed=99))
-        assert base != other
+        assert columns(base) != columns(other)
 
     def test_ground_truth_shapes(self):
-        records, truth = generate_corpus(SyntheticSpec())
+        corpus, truth = generate_corpus(SyntheticSpec())
         assert len(truth.communities) == 9
         assert all(len(hubs) == 15 for hubs in truth.hubs.values())
         assert len(truth.viral_tweet_ids) == 2 * 3 * 15
-        ids = {record.tweet_id for record in records}
-        assert len(ids) == len(records)
+        ids = set(corpus.tweet_ids)
+        assert len(ids) == len(corpus)
         assert set(truth.viral_tweet_ids) <= ids
 
     def test_viral_copies_identical_and_on_viral_day(self):
-        records, truth = generate_corpus(SyntheticSpec())
-        viral = [r for r in records if r.tweet_id in set(truth.viral_tweet_ids)]
-        assert {r.text for r in viral} == {VIRAL_TEXT}
-        assert {r.created_at.date() for r in viral} == {truth.viral_day}
+        corpus, truth = generate_corpus(SyntheticSpec())
+        viral = set(truth.viral_tweet_ids)
+        rows = [row for row, tweet_id in enumerate(corpus.tweet_ids) if tweet_id in viral]
+        assert {corpus.texts[row] for row in rows} == {VIRAL_TEXT}
+        assert {day_date(day) for day in corpus.days[rows].tolist()} == {truth.viral_day}
 
     def test_every_tweet_is_covid_related(self):
-        records, _ = generate_corpus(SyntheticSpec())
-        assert all("covid" in record.text.lower() for record in records)
+        corpus, _ = generate_corpus(SyntheticSpec())
+        assert all("covid" in text.lower() for text in corpus.texts)
 
     def test_window_covers_all_records(self):
-        records, truth = generate_corpus(SyntheticSpec())
+        corpus, truth = generate_corpus(SyntheticSpec())
         start, end = truth.window
-        assert all(start <= record.created_at.date() <= end for record in records)
+        assert start <= day_date(int(corpus.days.min()))
+        assert day_date(int(corpus.days.max())) <= end
+
+    def test_sorted_by_time_then_id(self):
+        corpus, _ = generate_corpus(SyntheticSpec())
+        keys = list(zip(corpus.seconds.tolist(), corpus.tweet_ids))
+        assert keys == sorted(keys)

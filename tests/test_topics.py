@@ -1,12 +1,13 @@
-from datetime import date
+from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import activity_of, make_record
+from conftest import corpus_of, make_record, rows_of
 from oracles import filter_topic, matches_topic
 from sentinet.errors import ParameterError
-from sentinet.ingest import PACKAGED, Corpus
+from sentinet.ingest import PACKAGED
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import (
     DEFAULT_TOPIC_TREE,
@@ -17,7 +18,7 @@ from sentinet.topics import (
     write_rates_csv,
 )
 
-WINDOW = (date(2020, 7, 1), date(2020, 7, 30))
+DAYS = [date(2020, 7, 1) + timedelta(days=i) for i in range(30)]
 
 HCQ = TopicLexicon("hydroxychloroquine", ("hcq", "hydrox", "chloroq"), parent="covid")
 MASKS = TopicLexicon("facemasks", ("mask",), parent="covid")
@@ -41,7 +42,7 @@ def filter_topic_chain(records, lexicons):
 
 def filter_records(records, lexicons):
     """filter_topic_tree over a corpus of ``records``, its matched rows as records."""
-    matched = filter_topic_tree(Corpus.from_records(records), range(len(records)), lexicons)
+    matched = filter_topic_tree(corpus_of(records), range(len(records)), lexicons)
     return {name: [records[row] for row in rows.tolist()] for name, rows in matched.items()}
 
 
@@ -115,13 +116,13 @@ class TestFilterTopicTree:
             record_factory("5", "a", text="death rate mild but no c-word"),
         ]
         matched = filter_records(records, lexicons)
-        assert {r.tweet_id for r in matched["covid"]} == {"1", "2", "3"}
+        assert {r["tweet_id"] for r in matched["covid"]} == {"1", "2", "3"}
         for name, lexicon in lexicons.items():
             if lexicon.parent is not None:
-                parent_ids = {r.tweet_id for r in matched[lexicon.parent]}
-                child_ids = {r.tweet_id for r in matched[name]}
+                parent_ids = {r["tweet_id"] for r in matched[lexicon.parent]}
+                child_ids = {r["tweet_id"] for r in matched[name]}
                 assert child_ids <= parent_ids
-        assert {r.tweet_id for r in matched["downplay"]} == {"1"}
+        assert {r["tweet_id"] for r in matched["downplay"]} == {"1"}
 
     def test_nested_filter_composition(self, record_factory):
         parent = TopicLexicon("covid", ("covid",))
@@ -135,12 +136,12 @@ class TestFilterTopicTree:
         direct = [
             r
             for r in records
-            if matches_topic(r.text, parent) and matches_topic(r.text, child)
+            if matches_topic(r["text"], parent) and matches_topic(r["text"], child)
         ]
         assert via_tree["masks"] == direct
 
     def test_equals_filter_topic_chain_on_synthetic_corpus(self):
-        records, _ = generate_corpus(SyntheticSpec())
+        records = rows_of(generate_corpus(SyntheticSpec())[0])
         lexicons = load_lexicons()
         chained = filter_topic_chain(records, lexicons)
         assert chained["covid"]
@@ -154,9 +155,7 @@ class TestFilterTopicTree:
 
     def test_matches_are_the_given_rows_in_their_order(self, record_factory):
         texts = ["covid mask", "mask", "covid", "COVID masks", "nothing"]
-        corpus = Corpus.from_records(
-            record_factory(str(i), "a", text=text) for i, text in enumerate(texts)
-        )
+        corpus = corpus_of(record_factory(str(i), "a", text=text) for i, text in enumerate(texts))
         parent = TopicLexicon("covid", ("covid",))
         child = TopicLexicon("masks", ("mask",), parent="covid")
         matched = filter_topic_tree(corpus, [3, 1, 0, 4], {"covid": parent, "masks": child})
@@ -170,59 +169,49 @@ class TestFilterTopicTree:
             filter_records([], {"a": loop_a, "b": loop_b})
 
 
-class TestRateTable:
-    def build_ledger(self, record_factory, accounts=("a", "b"), days=30):
-        records = {
-            acct: [
-                record_factory(f"{acct}{d}", acct, day_offset=d) for d in range(days)
-            ]
-            for acct in accounts
-        }
-        return activity_of(records, WINDOW)
+def rates(counts, account_days):
+    """rate_table over the communities' active account days, with no daily series."""
+    return rate_table(counts, account_days, DAYS, {}, {})
 
-    def test_two_community_arithmetic(self, record_factory):
-        ledger = self.build_ledger(record_factory, accounts=("a", "b"))
-        counts = {"topic": {"c1": 10, "c2": 30}}
-        table = rate_table(counts, ledger, {"c1": ["a"], "c2": ["b"]})
+
+class TestRateTable:
+    def test_two_community_arithmetic(self):
+        table = rates({"topic": {"c1": 10, "c2": 30}}, {"c1": 30, "c2": 30})
         rows = {row.community: row for row in table.rows}
         # both communities have 30 active account days, so rates are counts/30
         assert rows["c1"].sum_scaled == pytest.approx(0.25)
         assert rows["c2"].sum_scaled == pytest.approx(0.75)
         assert rows["c1"].max_scaled == pytest.approx(1 / 3)
         assert rows["c2"].max_scaled == 1.0
+        assert rows["c1"].active_account_days == 30 and table.daily == {}
 
-    def test_single_community_sums_to_one(self, record_factory):
-        ledger = self.build_ledger(record_factory, accounts=("a",))
-        table = rate_table({"t": {"c": 5}}, ledger, {"c": ["a"]})
+    def test_single_community_sums_to_one(self):
+        table = rates({"t": {"c": 5}}, {"c": 30})
         assert table.rows[0].sum_scaled == 1.0
         assert table.rows[0].max_scaled == 1.0
 
-    def test_daily_cluster_rate_identity(self, record_factory):
-        accounts = tuple(f"s{i}" for i in range(15))
-        ledger = self.build_ledger(record_factory, accounts=accounts)
-        daily_counts = {"t": {"L": {date(2020, 7, 5): 45}}}
+    def test_daily_cluster_rate_identity(self):
+        counts = np.zeros(30, dtype=np.int64)
+        counts[4] = 45
+        active = np.full(30, 15)
+        active[7] = 0
         table = rate_table(
-            {"t": {"c": 45}},
-            ledger,
-            {"c": accounts},
-            daily_counts=daily_counts,
-            cluster_accounts={"L": accounts},
+            {"t": {"c": 45}}, {"c": 450}, DAYS, {"t": {"L": counts}}, {"L": active}
         )
         series = dict(table.daily[("t", "L")])
+        assert list(series) == DAYS
         assert series[date(2020, 7, 5)] == pytest.approx(45.0)
         assert series[date(2020, 7, 6)] == 0.0
+        # a day with no active account has no rate
+        assert series[date(2020, 7, 8)] is None
 
-    def test_zero_activity_excluded(self, record_factory):
-        ledger = self.build_ledger(record_factory, accounts=("a",))
-        table = rate_table(
-            {"t": {"c1": 10, "ghost": 5}}, ledger, {"c1": ["a"], "ghost": ["nobody"]}
-        )
+    def test_zero_activity_excluded(self):
+        table = rates({"t": {"c1": 10, "ghost": 5}}, {"c1": 30, "ghost": 0})
         assert table.excluded == (("t", "ghost"),)
         assert {row.community for row in table.rows} == {"c1"}
 
-    def test_all_zero_counts_leave_scales_missing(self, record_factory):
-        ledger = self.build_ledger(record_factory, accounts=("a", "b"))
-        table = rate_table({"t": {"c1": 0, "c2": 0}}, ledger, {"c1": ["a"], "c2": ["b"]})
+    def test_all_zero_counts_leave_scales_missing(self):
+        table = rates({"t": {"c1": 0, "c2": 0}}, {"c1": 30, "c2": 30})
         for row in table.rows:
             assert row.sum_scaled is None
             assert row.max_scaled is None
@@ -230,38 +219,20 @@ class TestRateTable:
     @given(st.integers(min_value=1, max_value=6))
     @settings(max_examples=20)
     def test_count_scaling_invariance(self, multiplier):
-        from conftest import make_record
-
-        records = {
-            acct: [make_record(f"{acct}{d}", acct, day_offset=d) for d in range(30)]
-            for acct in ("a", "b")
-        }
-        ledger = activity_of(records, WINDOW)
-        base = rate_table(
-            {"t": {"c1": 4, "c2": 9}}, ledger, {"c1": ["a"], "c2": ["b"]}
-        )
-        scaled = rate_table(
-            {"t": {"c1": 4 * multiplier, "c2": 9 * multiplier}},
-            ledger,
-            {"c1": ["a"], "c2": ["b"]},
-        )
+        account_days = {"c1": 30, "c2": 30}
+        base = rates({"t": {"c1": 4, "c2": 9}}, account_days)
+        scaled = rates({"t": {"c1": 4 * multiplier, "c2": 9 * multiplier}}, account_days)
         for before, after in zip(base.rows, scaled.rows):
             assert after.sum_scaled == pytest.approx(before.sum_scaled)
             assert after.max_scaled == pytest.approx(before.max_scaled)
 
-    def test_sum_scaled_sums_to_one(self, record_factory):
-        ledger = self.build_ledger(record_factory, accounts=("a", "b", "c"))
-        table = rate_table(
-            {"t": {"c1": 3, "c2": 11, "c3": 6}},
-            ledger,
-            {"c1": ["a"], "c2": ["b"], "c3": ["c"]},
-        )
+    def test_sum_scaled_sums_to_one(self):
+        table = rates({"t": {"c1": 3, "c2": 11, "c3": 6}}, {"c1": 30, "c2": 30, "c3": 30})
         assert sum(row.sum_scaled for row in table.rows) == pytest.approx(1.0)
         assert max(row.max_scaled for row in table.rows) == 1.0
 
-    def test_csv_export(self, tmp_path, record_factory):
-        ledger = self.build_ledger(record_factory)
-        table = rate_table({"t": {"c1": 10}}, ledger, {"c1": ["a"]})
+    def test_csv_export(self, tmp_path):
+        table = rates({"t": {"c1": 10}}, {"c1": 30})
         path = tmp_path / "rates.csv"
         write_rates_csv(table, path)
         lines = path.read_text().splitlines()
