@@ -300,7 +300,8 @@ def cmd_topics(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    ingest = STAGES["ingest"].build(args)
+    # the ingest build reads args.corpus and keeps the window's tweets
+    ingest = _read(lambda _: STAGES["ingest"].build(args), args.corpus)
     roster, cluster, matched = _sentinel_topics(args, ingest)
     table = STAGES["rates"].build(args, roster, cluster, matched, ingest)
     topics_mod.write_rates_csv(table, args.output)
@@ -311,7 +312,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_similarity(args) -> int:
-    ingest = STAGES["ingest"].build(args)
+    ingest = _read(lambda _: STAGES["ingest"].build(args), args.corpus)
     _, cluster, matched = _sentinel_topics(args, ingest)
     series_list = STAGES["similarity"].build(args, matched, cluster, ingest)
     similarity_mod.write_series_csv(

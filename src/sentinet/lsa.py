@@ -11,13 +11,14 @@ topical; a vector whose singular value is a rounding-level zero selects
 none. Tweets common to both flagged clusters are then removed and the
 burst score recomputed, on the same rows, to confirm they drove the day.
 
-Only the top-k singular values and document (left) vectors are computed.
-A matrix with at most ``_DENSE_CUTOFF`` rows gets them from its row Gram
-matrix ``A Aᵀ``, whose entries are exact integer sums in any column order;
-a taller one from a dense SVD when it has at most that many columns or k
-is at least its smaller side minus one, else from ARPACK. Every path
-leaves rounding-level components where a vector is exactly 0, so the gap
-rule counts such components as 0.
+Only the top-k singular values and document (left) vectors are computed,
+with numpy alone. A matrix with at most ``_DENSE_CUTOFF`` rows gets them
+from the eigenvalues and eigenvectors of its row Gram matrix ``A Aᵀ``,
+whose entries are exact integer sums in any column order; a taller one
+from a Golub-Kahan-Lanczos bidiagonalization (:func:`_lanczos_svd`) of
+the matrix with its identical columns merged. Both paths leave
+rounding-level components where a vector is exactly 0, so the gap rule
+counts such components as 0.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from datetime import date
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.sparse.linalg import svds
+# numpy loads numpy.random on first use (11 ms); importing it with this
+# module keeps that out of the first Lanczos call of a run
+import numpy.random  # noqa: F401
 
 from .community import Label
+from .ingest import CountMatrix
 from .similarity import DayDocs, SimilaritySeries, burst_score, similarity_series
 # imported by name so that perfbench's tracer, which wraps it at every
 # import site, finds it here too
@@ -40,7 +42,14 @@ from .similarity import intercluster_similarity  # noqa: F401
 
 GAP_WINDOW = 50
 MIN_GAP_RATIO = 2.0
-_DENSE_CUTOFF = 400
+# rows up to which the Gram path is taken: numpy's eigh of the full Gram
+# matrix beats the Lanczos path below about 230 rows (6.0-7.1 against
+# 7.0-7.4 ms at 220 rows, 8.6-9.1 against 6.2-8.0 ms at 240, k = 5, on row
+# samples of the flagged days' matrices, one BLAS thread, a 2-vCPU VM)
+_DENSE_CUTOFF = 230
+# Lanczos steps between two convergence checks: a check, an SVD of the
+# bidiagonal matrix, costs about as much as two steps
+_CHECK_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -61,25 +70,192 @@ class DriverConfirmation:
     common_b: frozenset[str]
 
 
-def truncated_svd(matrix: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k singular values, non-increasing, and their left singular vectors."""
+def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k singular values, non-increasing, and their left singular vectors.
+
+    Returns min(k, rows, columns) of them, the vectors orthonormal. A
+    matrix of at most ``_DENSE_CUTOFF`` rows gets them from the eigenvalues
+    and eigenvectors of its row Gram matrix; a taller one from
+    :func:`_lanczos_svd` of :func:`_merged_columns`.
+    """
     rows, cols = matrix.shape
     k = min(k, rows, cols)
     if rows <= _DENSE_CUTOFF:
-        # the squared singular values are the Gram matrix's eigenvalues; a
-        # rounding-level negative one is clamped before the root
-        gram = (matrix @ matrix.T).toarray()
-        values, vectors = eigh(gram, subset_by_index=[rows - k, rows - 1])
-        return vectors[:, ::-1], np.sqrt(np.maximum(values[::-1], 0.0))
-    if cols <= _DENSE_CUTOFF or k >= min(rows, cols) - 1:
-        u, s, _ = np.linalg.svd(matrix.toarray(), full_matrices=False)
-        return u[:, :k], s[:k]
-    # ARPACK draws a random start vector unless given one; a fixed one makes
-    # the sparse path reproducible across calls and processes
-    v0 = np.random.default_rng(0).standard_normal(min(rows, cols))
-    u, s, _ = svds(matrix, k=k, v0=v0)
-    order = np.argsort(-s, kind="stable")
-    return u[:, order], s[order]
+        # the squared singular values are the Gram matrix's eigenvalues,
+        # ascending; a rounding-level negative one is clamped before the root
+        values, vectors = np.linalg.eigh(matrix.gram())
+        return vectors[:, ::-1][:, :k], np.sqrt(np.maximum(values[::-1][:k], 0.0))
+    rng = np.random.default_rng(0)
+    merged = _merged_columns(matrix)
+    u, s = _lanczos_svd(merged, min(k, merged.shape[1]), rng)
+    if s.size < k:
+        # fewer distinct columns than k: the other singular values are 0,
+        # and their vectors complete the left ones orthonormally
+        basis = np.vstack([u.T, np.empty((k - s.size, rows))])
+        for j in range(s.size, k):
+            basis[j] = _fresh(rng, basis[:j])
+        u, s = basis.T, np.concatenate([s, np.zeros(k - s.size)])
+    return u, s
+
+
+def _merged_columns(matrix: CountMatrix) -> CountMatrix:
+    """``matrix`` with each set of c identical columns merged into one, times sqrt(c).
+
+    c identical columns a add c a aᵀ to the row Gram matrix, as the one
+    column sqrt(c) a does, so the singular values and left singular vectors
+    stay the same. Tweets that repeat a text, and the trigrams that one
+    tweet alone holds, make such columns common; merging them cuts the
+    entries that every Lanczos step reads.
+
+    Columns are grouped by two weighted sums of their entries, each summed
+    in row order, so that identical columns get identical keys. The groups
+    are then checked entry by entry: if two columns of a group differ, the
+    matrix is returned unmerged.
+    """
+    rows, cols = matrix.shape
+    data, indices = matrix.data, matrix.indices
+    if not data.size:
+        return matrix
+    entry_row = np.repeat(np.arange(rows), np.diff(matrix.indptr))
+    weights = np.random.default_rng(1).random((2, rows))
+    real, imag = (np.bincount(indices, data * w[entry_row], minlength=cols) for w in weights)
+    _, first, group = np.unique(real + 1j * imag, return_index=True, return_inverse=True)
+    representative = first[group]
+    # every entry's (row, column) as one key, ascending in CSR order; each
+    # column must hold its representative's entries and no others
+    flat = entry_row * cols + indices
+    query = entry_row * cols + representative[indices]
+    found = np.minimum(np.searchsorted(flat, query), flat.size - 1)
+    sizes = np.bincount(indices, minlength=cols)
+    if not (
+        np.array_equal(sizes, sizes[representative])
+        and np.array_equal(flat[found], query)
+        and np.array_equal(data[found], data)
+    ):
+        return matrix
+    # merged columns numbered in the order of their representatives, so
+    # that columns stay ascending within each row
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(first.size)
+    keep = representative[indices] == indices
+    kept = group[indices[keep]]
+    return CountMatrix(
+        data[keep] * np.sqrt(np.bincount(group)[kept]),
+        number[kept],
+        np.concatenate([[0], np.cumsum(np.bincount(entry_row[keep], minlength=rows))]),
+        (rows, first.size),
+    )
+
+
+def _orthogonalize(vector: np.ndarray, basis: np.ndarray) -> bool:
+    """Remove from ``vector``, in place, its part in the span of ``basis``'s rows.
+
+    Classical Gram-Schmidt, with a second pass when the first cut the norm
+    by more than a factor sqrt(2) (the DGKS test, as ARPACK applies it).
+    False when the second pass cuts it so again: what is left is rounding,
+    and the vector lies in the span.
+    """
+    norm = math.sqrt(vector @ vector)
+    for _ in range(2):
+        vector -= (basis @ vector) @ basis
+        previous, norm = norm, math.sqrt(vector @ vector)
+        if norm > previous / math.sqrt(2):
+            return True
+    return False
+
+
+def _fresh(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
+    """A random unit vector orthogonal to ``basis``'s rows, which must not span the space."""
+    vector = rng.standard_normal(basis.shape[1])
+    _orthogonalize(vector, basis)
+    return vector / math.sqrt(vector @ vector)
+
+
+def _lanczos_svd(
+    matrix: CountMatrix, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k singular triplets' values and left vectors, by Lanczos bidiagonalization.
+
+    Golub-Kahan-Lanczos with full reorthogonalization: step j extends
+    orthonormal bases V of the smaller side and U of the larger one with
+    ``A V_j = U_j B_j``, B_j upper bidiagonal, each new vector
+    orthogonalized against every earlier one of its side
+    (:func:`_orthogonalize`), and the singular triplets of B_j give the
+    Ritz approximations. The run starts from a fixed random vector, so it
+    repeats across calls and processes. A new vector that lies in the span
+    of its basis is a breakdown: its coupling in B is 0 and a fresh random
+    vector orthogonal to the basis takes its place, so the basis keeps
+    growing and exact zero singular values come out 0.
+
+    The run stops when the basis spans the smaller side, where the Ritz
+    triplets are exact, or once it holds at least max(2k + 1, 20) vectors
+    (ARPACK's default basis size) and each of the top-k Ritz triplets has
+    residual ``beta_j * |P[j, i]|`` at most ``eps * s[0]``: the next
+    coupling times the last component of the triplet's singular vector of
+    B_j. The residuals are checked every ``_CHECK_EVERY`` steps. The
+    minimum basis size leaves room for the second copy of a repeated
+    singular value, which only rounding brings into the Krylov space, to
+    appear.
+    """
+    rows, cols = matrix.shape
+    data, indices = matrix.data, matrix.indices
+    entry_row = np.repeat(np.arange(rows), np.diff(matrix.indptr))
+
+    def times(x: np.ndarray) -> np.ndarray:
+        return np.bincount(entry_row, weights=data * x[indices], minlength=rows)
+
+    def times_transposed(y: np.ndarray) -> np.ndarray:
+        return np.bincount(indices, weights=data * y[entry_row], minlength=cols)
+
+    # v-side: the smaller one, so the basis fills it in at most that many steps
+    left_is_u = cols <= rows
+    forward, backward = (times, times_transposed) if left_is_u else (times_transposed, times)
+    n, m = min(rows, cols), max(rows, cols)
+    least = min(n, max(2 * k + 1, 20))
+    v_basis, u_basis = np.empty((least + 1, n)), np.empty((least, m))
+    alphas: list[float] = []
+    betas: list[float] = []
+    start = rng.standard_normal(n)
+    v_basis[0] = start / math.sqrt(start @ start)
+    for j in range(n):
+        if j == len(u_basis):
+            u_basis = _grown(u_basis, min(n, 2 * j))
+            v_basis = _grown(v_basis, min(n, 2 * j) + 1)
+        u = forward(v_basis[j])
+        if j:
+            u -= betas[-1] * u_basis[j - 1]
+        if _orthogonalize(u, u_basis[:j]):
+            alphas.append(math.sqrt(u @ u))
+            np.divide(u, alphas[-1], out=u_basis[j])
+        else:
+            alphas.append(0.0)
+            u_basis[j] = _fresh(rng, u_basis[:j])
+        size = j + 1
+        if size == n:
+            break
+        v = backward(u_basis[j])
+        v -= alphas[-1] * v_basis[j]
+        if _orthogonalize(v, v_basis[:size]):
+            betas.append(math.sqrt(v @ v))
+            np.divide(v, betas[-1], out=v_basis[size])
+        else:
+            betas.append(0.0)
+            v_basis[size] = _fresh(rng, v_basis[:size])
+        if size >= least and (size - least) % _CHECK_EVERY == 0:
+            p, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
+            if np.all(betas[-1] * np.abs(p[-1, :k]) <= np.finfo(float).eps * s[0]):
+                break
+    p, s, qt = np.linalg.svd(np.diag(alphas) + np.diag(betas[: size - 1], 1))
+    if left_is_u:
+        return u_basis[:size].T @ p[:, :k], s[:k]
+    return v_basis[:size].T @ qt[:k].T, s[:k]
+
+
+def _grown(basis: np.ndarray, size: int) -> np.ndarray:
+    """``basis`` with room for ``size`` rows, its rows copied first."""
+    bigger = np.empty((size, basis.shape[1]))
+    bigger[: len(basis)] = basis
+    return bigger
 
 
 def _gap_select(magnitudes: np.ndarray) -> int:
@@ -115,7 +291,7 @@ def _gap_select(magnitudes: np.ndarray) -> int:
 
 
 def lsa_topical_tweets(
-    counts: sp.csr_matrix, ids: Sequence[str], rows: Sequence[int], k: int = 5
+    counts: CountMatrix, ids: Sequence[str], rows: Sequence[int], k: int = 5
 ) -> TopicalExtraction:
     """Select topical tweets from the top-k document singular vectors.
 
@@ -131,9 +307,7 @@ def lsa_topical_tweets(
     rows = [row for row in rows if counts.indptr[row] < counts.indptr[row + 1]]
     if not rows:
         return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
-    matrix = counts[rows]
-    matrix = matrix[:, np.unique(matrix.indices)]
-    u, s = truncated_svd(matrix, k)
+    u, s = truncated_svd(counts.take(rows).compact(), k)
     # the Gram path's rounding level for an exact zero singular value
     null_level = s[0] * math.sqrt(len(rows) * np.finfo(float).eps)
     per_vector: list[frozenset[str]] = []
@@ -153,7 +327,7 @@ def lsa_topical_tweets(
 def confirm_drivers(
     series: SimilaritySeries,
     day: date,
-    counts: sp.csr_matrix,
+    counts: CountMatrix,
     ids: Sequence[str],
     rows_a: Mapping[Label, Sequence[int]],
     rows_b: Mapping[Label, Sequence[int]],
@@ -191,10 +365,11 @@ def confirm_drivers(
         i for i in range(first_b, len(event)) if event_ids[i] in extraction_b.topical_ids
     ]
     if topical_a and topical_b:
-        matrix = counts[event]
-        present = matrix.sign()
+        matrix = counts.take(event)
+        present = matrix._replace(data=np.ones_like(matrix.data))
         sizes = np.diff(present.indptr)  # each tweet's distinct trigrams
-        shared = (present[topical_a] @ present[topical_b].T).toarray()
+        # the cross-side block of the topical tweets' shared-trigram counts
+        shared = present.take(topical_a + topical_b).gram()[: len(topical_a), len(topical_a) :]
         union = np.add.outer(sizes[topical_a], sizes[topical_b]) - shared
         jaccard = np.divide(shared, union, out=np.zeros_like(shared), where=union > 0)
         matches = jaccard >= match_threshold
@@ -211,7 +386,7 @@ def confirm_drivers(
             common_a=frozenset(),
             common_b=frozenset(),
         )
-    # group x tweet selection of the remaining tweets
+    # each group's document: the sum of its remaining tweets' rows
     kept = np.flatnonzero(
         [
             tweet_id not in (common_a if i < first_b else common_b)
@@ -219,10 +394,10 @@ def confirm_drivers(
         ]
     )
     group_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    selection = sp.csr_matrix(
-        (np.ones(kept.size), (group_of[kept], kept)), shape=(len(groups), len(event))
+    reduced = DayDocs.from_rows(
+        ((g, day) for g in range(len(groups))),
+        matrix.take(kept).group_sums(group_of[kept], len(groups)),
     )
-    reduced = DayDocs.from_rows(((g, day) for g in range(len(groups))), selection @ matrix)
     side_a = range(len(rows_a))
     (new_s,) = similarity_series(
         reduced, side_a, range(len(side_a), len(groups)), [day], series.pair

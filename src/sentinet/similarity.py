@@ -4,11 +4,13 @@ Each community-day document sums the word-trigram counts of that
 community's topical tweets for the day. :func:`build_community_day_docs`
 tokenizes each community-day's tweets in two batches, its ASCII texts
 and the rest, and counts every community-day of the build with one
-:class:`~sentinet.ingest.TrigramEncoder` into the rows of one sparse count
-matrix, with each row's squared norm computed once. Similarity between two
-clusters on a day is the mean cosine similarity over cross-cluster
-community pairs; :func:`similarity_series` gets each day's cosines from a
-single sparse product of that matrix's rows.
+:class:`~sentinet.ingest.TrigramEncoder` into the rows of one
+:class:`~sentinet.ingest.CountMatrix`, with each row's squared norm
+computed once. Similarity between two clusters on a day is the mean
+cosine similarity over cross-cluster community pairs;
+:func:`similarity_series` reads each day's cosines from the dot products
+of every pair of that day's rows, computed once per day and shared by all
+cluster pairs (:attr:`DayDocs.day_dots`).
 Counts stay integer-valued, so dots and norms are exact and every cosine,
 and the left-to-right mean over them, equals what the per-pair reference
 :func:`intercluster_similarity` returns bit for bit; that reference, with
@@ -26,13 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .community import Label
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import read_csv, read_lines, write_csv
-from .ingest import BOUNDARY, Corpus, TrigramEncoder, data_path, day_date, tokenize
+from .ingest import BOUNDARY, CountMatrix, Corpus, TrigramEncoder, data_path, day_date, tokenize
 # imported by name so that perfbench's tracer, which wraps it at every
 # import site, finds it here too
 from .ingest import normalize_text  # noqa: F401
@@ -64,8 +65,9 @@ class CommunityDayDoc:
         return not self.trigram_counts
 
 
-class DayDocs(NamedTuple):
-    """Every community-day document of a build, as the rows of one CSR matrix.
+@dataclass(frozen=True)
+class DayDocs:
+    """Every community-day document of a build, as the rows of one count matrix.
 
     Row ``row_of[(community, day)]`` of ``matrix`` holds that community-day's
     trigram counts as integer-valued floats; column j is the trigram whose
@@ -75,7 +77,7 @@ class DayDocs(NamedTuple):
     """
 
     row_of: Mapping[tuple[Label, date], int]
-    matrix: sp.csr_matrix
+    matrix: CountMatrix
     norms_sq: np.ndarray
     codes: np.ndarray | None
 
@@ -83,20 +85,32 @@ class DayDocs(NamedTuple):
     def from_rows(
         cls,
         keys: Iterable[tuple[Label, date]],
-        matrix: sp.csr_matrix,
+        matrix: CountMatrix,
         codes: np.ndarray | None = None,
     ) -> DayDocs:
         """The documents of ``keys``, the i-th key's in row i of ``matrix``.
 
         ``matrix`` and ``codes`` are as :meth:`TrigramEncoder.count` returns
-        them; the rows' squared norms are computed here, from one array of
-        the squared entries, and are exact sums of integers.
+        them; the rows' squared norms are computed here, once, and are exact
+        sums of integers.
         """
-        nonempty = np.diff(matrix.indptr) > 0
-        norms_sq = np.zeros(matrix.shape[0])
-        # a nonempty row's entries run up to the next nonempty row's start
-        norms_sq[nonempty] = np.add.reduceat(np.square(matrix.data), matrix.indptr[:-1][nonempty])
-        return cls({key: row for row, key in enumerate(keys)}, matrix, norms_sq, codes)
+        row_of = {key: row for row, key in enumerate(keys)}
+        return cls(row_of, matrix, matrix.squared_norms(), codes)
+
+    @cached_property
+    def day_dots(self) -> dict[date, tuple[dict[int, int], np.ndarray]]:
+        """Per day, each of the day's rows' position, and their pairwise dot products.
+
+        Made on first use, one :meth:`CountMatrix.gram` per day, and shared
+        by every cluster pair that reads the documents.
+        """
+        rows_of: dict[date, list[int]] = {}
+        for (_, day), row in self.row_of.items():
+            rows_of.setdefault(day, []).append(row)
+        return {
+            day: ({row: i for i, row in enumerate(rows)}, self.matrix.take(rows).gram())
+            for day, rows in rows_of.items()
+        }
 
 
 def build_community_day_docs(
@@ -204,7 +218,7 @@ def similarity_series(
     squared norms carry no rounding, and the mean sums the cosines in the
     same order (cluster-a community outer, cluster-b community inner).
     """
-    matrix, norms_sq = day_docs.matrix, day_docs.norms_sq
+    norms_sq = day_docs.norms_sq
     has_trigrams = (norms_sq > 0).tolist()
 
     def rows(communities: Sequence[Label], day: date) -> list[int]:
@@ -217,7 +231,8 @@ def similarity_series(
         if not rows_a or not rows_b:
             values.append(None)
             continue
-        dots = (matrix[rows_a] @ matrix[rows_b].T).toarray()
+        position, gram = day_docs.day_dots[day]
+        dots = gram[np.ix_([position[row] for row in rows_a], [position[row] for row in rows_b])]
         cosines = np.minimum(
             1.0, dots / np.sqrt(np.outer(norms_sq[rows_a], norms_sq[rows_b]))
         )

@@ -9,9 +9,16 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from sentinet.graph import RetweetGraph
-from sentinet.ingest import Corpus, TrigramEncoder, format_timestamp, parse_tweet_stream
+from sentinet.ingest import (
+    CountMatrix,
+    Corpus,
+    TrigramEncoder,
+    format_timestamp,
+    parse_tweet_stream,
+)
 from sentinet.sentinel import activity
 from sentinet.similarity import DayDocs
+from sentinet.synthetic import SyntheticSpec, generate_corpus
 
 BASE_TIME = datetime(2020, 7, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -98,11 +105,25 @@ def columns(corpus: Corpus):
     )
 
 
+def count_matrix(matrix) -> CountMatrix:
+    """The :class:`CountMatrix` of a dense array or a scipy sparse matrix."""
+    csr = sp.csr_matrix(matrix)
+    csr.sort_indices()
+    return CountMatrix(
+        csr.data.astype(float), csr.indices.astype(np.intp), csr.indptr.astype(np.intp), csr.shape
+    )
+
+
+def scipy_of(matrix: CountMatrix) -> sp.csr_matrix:
+    """A :class:`CountMatrix` as the scipy CSR matrix of the same arrays, a reference."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def decoded_counts(token_docs):
     """The token streams' summed trigram counts, keyed by (token, token, token)."""
     encoder = TrigramEncoder()
     matrix, codes = encoder.count(token_docs)
-    return dict(zip(encoder.decode(codes), matrix.sum(axis=0).A1.tolist()))
+    return dict(zip(encoder.decode(codes), scipy_of(matrix).sum(axis=0).A1.tolist()))
 
 
 def decoded_rows(day_docs: DayDocs, encoder: TrigramEncoder):
@@ -127,13 +148,11 @@ def day_docs_of(docs) -> DayDocs:
         np.array([code for doc in docs.values() for code in doc.trigram_counts], dtype=np.int64)
     )
     rows = [sorted(doc.trigram_counts.items()) for doc in docs.values()]
-    matrix = sp.csr_matrix(
-        (
-            np.array([count for row in rows for _, count in row], dtype=float),
-            np.searchsorted(codes, [code for row in rows for code, _ in row]),
-            np.cumsum([0] + [len(row) for row in rows]),
-        ),
-        shape=(len(rows), codes.size),
+    matrix = CountMatrix(
+        np.array([count for row in rows for _, count in row], dtype=float),
+        np.searchsorted(codes, [code for row in rows for code, _ in row]),
+        np.cumsum([0] + [len(row) for row in rows]),
+        (len(rows), codes.size),
     )
     return DayDocs.from_rows(docs, matrix, codes)
 
@@ -141,6 +160,15 @@ def day_docs_of(docs) -> DayDocs:
 @pytest.fixture
 def record_factory():
     return make_record
+
+
+@pytest.fixture(scope="session")
+def default_corpus():
+    """The default :class:`SyntheticSpec` corpus and its ground truth, generated once.
+
+    Shared by every test that reads it, so no test may change it.
+    """
+    return generate_corpus(SyntheticSpec())
 
 
 node_ids = st.sampled_from([f"n{i}" for i in range(8)])

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
+from conftest import count_matrix, scipy_of
 from sentinet.community import Partition
 from sentinet.errors import EmptyCorpusError
 from sentinet.ingest import ParseResult, TrigramEncoder
@@ -287,9 +288,8 @@ def lsa_topical_tweets(tweet_docs, k=5) -> TopicalExtraction:
     encoder = TrigramEncoder()
     matrix, codes = encoder.count(tokens for _, tokens in kept)
     trigram_of = encoder.decode(codes)
-    matrix = matrix[:, sorted(range(len(trigram_of)), key=trigram_of.__getitem__)]
-    matrix.sort_indices()
-    u, s = truncated_svd(matrix, k)
+    order = sorted(range(len(trigram_of)), key=trigram_of.__getitem__)
+    u, s = truncated_svd(count_matrix(scipy_of(matrix)[:, order]), k)
     null_level = s[0] * math.sqrt(len(kept) * np.finfo(float).eps)
     per_vector = []
     for j in range(s.size):

@@ -31,7 +31,6 @@ from sentinet.stats import (
     chi_square,
     krippendorff_alpha,
 )
-from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import TopicLexicon, filter_topic_tree, rate_table
 from conftest import activity_of, corpus_of, make_record
 
@@ -214,10 +213,10 @@ def test_criterion_5_pca_oracle():
             checked += 1
 
 
-def test_criterion_6_burst_pipeline_end_to_end(tmp_path):
+def test_criterion_6_burst_pipeline_end_to_end(default_corpus, tmp_path):
     with criterion(6, "synthetic burst flagged, attributed, and neutralized"):
         start = time.perf_counter()
-        records, truth = generate_corpus(SyntheticSpec())
+        records, truth = default_corpus
         corpus = tmp_path / "corpus.jsonl"
         write_corpus(records, corpus)
         config = PipelineConfig(

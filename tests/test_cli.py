@@ -10,7 +10,6 @@ from sentinet.cli import build_parser, main
 from sentinet.config import serialize_config, PipelineConfig
 from sentinet.ingest import PACKAGED, read_corpus, write_corpus
 from sentinet.pipeline import STAGES, run_pipeline
-from sentinet.synthetic import SyntheticSpec, generate_corpus
 
 
 # every pipeline artifact that a stage subcommand also writes
@@ -30,9 +29,9 @@ CLI_ARTIFACTS = (
 
 
 @pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
+def workspace(default_corpus, tmp_path_factory):
     base = tmp_path_factory.mktemp("cli")
-    records, truth = generate_corpus(SyntheticSpec())
+    records, truth = default_corpus
     corpus = base / "corpus.jsonl"
     write_corpus(records, corpus)
     return base, corpus, truth
@@ -261,6 +260,15 @@ INPUT_FILE_COMMANDS = {
         "rates", "--records", "{records}", "--roster", "{roster}", "--scores", "{file}",
         "--window-start", "2020-07-01", "--window-end", "2020-07-30", "--output", "{out}",
     ],
+    # the two commands that read --records through the ingest build
+    "--records:rates": [
+        "rates", "--records", "{file}", "--roster", "{roster}", "--scores", "{scores}",
+        "--window-start", "2020-07-01", "--window-end", "2020-07-30", "--output", "{out}",
+    ],
+    "--records:similarity": [
+        "similarity", "--records", "{file}", "--roster", "{roster}", "--scores", "{scores}",
+        "--window-start", "2020-07-01", "--window-end", "2020-07-30", "--output", "{out}",
+    ],
     "--matrix": ["cluster", "--matrix", "{file}", "--scores-output", "{out}"],
     "--series": ["flag", "--series", "{file}"],
     "--left": ["compare-partitions", "--left", "{file}", "--right", "{partition}"],
@@ -271,9 +279,9 @@ INPUT_FILE_COMMANDS = {
 
 class TestInputFiles:
     def command(self, staged, option, file, tmp_path):
-        base, records, edges, partition, roster, *_ = staged
+        base, records, edges, partition, roster, _, scores, _ = staged
         paths = {"file": file, "out": tmp_path / "out", "records": records, "edges": edges,
-                 "partition": partition, "roster": roster}
+                 "partition": partition, "roster": roster, "scores": scores}
         return [arg.format(**paths) for arg in INPUT_FILE_COMMANDS[option]]
 
     @pytest.mark.parametrize("option", sorted(INPUT_FILE_COMMANDS))

@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-import sentinet
 from conftest import grouped_corpus
 from sentinet.domains import (
     DomainMatrix,
@@ -269,21 +264,6 @@ class TestClusterScores:
         result = cluster_scores({"a": 0.0, "b": 2.0, "c": 4.0}, k=2)
         assert result.assignment == {"a": 0, "b": 0, "c": 1}
         assert result.centroids == (1.0, 4.0)
-
-    def test_cli_and_pipeline_do_not_load_scipy_cluster(self):
-        # nor scipy.special, which only stats.chi_square imports
-        code = (
-            "import sys, sentinet.cli, sentinet.pipeline; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.cluster', 'scipy.spatial', 'scipy.special'))))"
-        )
-        src = str(Path(sentinet.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert done.stdout.strip() == "[]"
 
     def test_scaling_preserves_assignment(self):
         scores = {"a": -4.0, "b": -3.5, "c": 0.5, "d": 1.0, "e": 6.0, "f": 7.0}

@@ -3,10 +3,10 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import count_matrix, scipy_of
 from sentinet import lsa
 from sentinet.ingest import BOUNDARY, TrigramEncoder, normalize_text
 from sentinet.lsa import (
@@ -69,62 +69,154 @@ UNRELATED = [
 ]
 
 
+def assert_matches_dense_svd(rows, cols, rank, k):
+    """truncated_svd of integer counts against numpy's dense SVD.
+
+    The rank-deficient matrix repeats ``rank`` distinct rows.
+    """
+    rng = np.random.default_rng(rows * cols)
+    counts = rng.poisson(0.4, size=(rank or rows, cols))
+    if rank is not None:
+        counts = counts[np.concatenate([np.arange(rank), rng.integers(0, rank, rows - rank)])]
+    dense = counts.astype(float)
+    u, s = truncated_svd(count_matrix(dense), k)
+    u_svd, s_svd, _ = np.linalg.svd(dense, full_matrices=False)
+    nonzero = min(k, rank or k)
+    np.testing.assert_allclose(s[:nonzero], s_svd[:nonzero], rtol=1e-12)
+    # exact zeros come back as rounding-level values
+    assert np.all(s[nonzero:] <= np.sqrt(rows * np.finfo(float).eps) * s[0])
+    np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-12)
+    squared = s_svd**2
+    for j in range(nonzero):
+        others = np.delete(squared, j)
+        if np.min(np.abs(others - squared[j])) >= 1e-6 * squared[0]:
+            np.testing.assert_allclose(np.abs(u[:, j]), np.abs(u_svd[:, j]), atol=1e-8)
+
+
+SVD_SHAPES = pytest.mark.parametrize(
+    "rows, cols, rank, k",
+    [(40, 120, None, 5), (150, 40, None, 5), (12, 40, None, 12), (60, 90, 4, 7)],
+    ids=["wide", "rows-above-cols", "k-equals-rows", "rank-deficient"],
+)
+
+
 class TestTruncatedSvd:
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(2)
         dense = rng.random((8, 12))
-        matrix = sp.csr_matrix(dense)
-        _, s = truncated_svd(matrix, k=8)
+        _, s = truncated_svd(count_matrix(dense), k=8)
         assert np.sum(s**2) == pytest.approx(np.sum(dense**2), rel=1e-8)
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(3)
-        matrix = sp.csr_matrix(rng.random((10, 6)))
-        u, s = truncated_svd(matrix, k=4)
+        u, s = truncated_svd(count_matrix(rng.random((10, 6))), k=4)
         np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-8)
         assert np.all(np.diff(s) <= 1e-12)
 
-    @pytest.mark.parametrize(
-        "rows, cols, rank, k",
-        [(40, 120, None, 5), (150, 40, None, 5), (12, 40, None, 12), (60, 90, 4, 7)],
-        ids=["wide", "rows-above-cols", "k-equals-rows", "rank-deficient"],
-    )
+    @SVD_SHAPES
     def test_gram_path_matches_dense_svd(self, rows, cols, rank, k):
-        # integer counts, as lsa_topical_tweets builds them; the rank-deficient
-        # matrix repeats `rank` distinct rows
-        rng = np.random.default_rng(rows * cols)
-        counts = rng.poisson(0.4, size=(rank or rows, cols))
-        if rank is not None:
-            counts = counts[np.concatenate([np.arange(rank), rng.integers(0, rank, rows - rank)])]
-        dense = counts.astype(float)
-        u, s = truncated_svd(sp.csr_matrix(dense), k)
-        u_svd, s_svd, _ = np.linalg.svd(dense, full_matrices=False)
-        nonzero = min(k, rank or k)
-        np.testing.assert_allclose(s[:nonzero], s_svd[:nonzero], rtol=1e-12)
-        # the squares of exact zeros come back as rounding-level eigenvalues
-        assert np.all(s[nonzero:] <= np.sqrt(rows * np.finfo(float).eps) * s[0])
-        squared = s_svd**2
-        for j in range(nonzero):
-            others = np.delete(squared, j)
-            if np.min(np.abs(others - squared[j])) >= 1e-6 * squared[0]:
-                np.testing.assert_allclose(np.abs(u[:, j]), np.abs(u_svd[:, j]), atol=1e-8)
+        assert rows <= lsa._DENSE_CUTOFF
+        assert_matches_dense_svd(rows, cols, rank, k)
 
     def test_sparse_path_matches_dense(self):
         rng = np.random.default_rng(4)
         dense = rng.random((500, 430))
-        matrix = sp.csr_matrix(dense)
+        assert dense.shape[0] > lsa._DENSE_CUTOFF
         u_dense, s_dense, _ = np.linalg.svd(dense, full_matrices=False)
-        _, s_sparse = truncated_svd(matrix, k=3)
+        _, s_sparse = truncated_svd(count_matrix(dense), k=3)
         np.testing.assert_allclose(s_sparse, s_dense[:3], rtol=1e-8)
 
     def test_sparse_path_is_reproducible(self):
         rng = np.random.default_rng(6)
-        matrix = sp.csr_matrix(rng.poisson(0.02, size=(600, 900)).astype(float))
+        matrix = count_matrix(rng.poisson(0.02, size=(600, 900)).astype(float))
         u_first, s_first = truncated_svd(matrix, k=5)
         for _ in range(3):
             u_again, s_again = truncated_svd(matrix, k=5)
             assert np.array_equal(s_again, s_first)
             assert np.array_equal(np.abs(u_again), np.abs(u_first))
+
+
+class TestLanczosPath:
+    """The Gram path's cases, and more, with every matrix taking the Lanczos path."""
+
+    @pytest.fixture(autouse=True)
+    def lanczos_only(self, monkeypatch):
+        monkeypatch.setattr(lsa, "_DENSE_CUTOFF", 0)
+
+    @SVD_SHAPES
+    def test_matches_dense_svd(self, rows, cols, rank, k):
+        assert_matches_dense_svd(rows, cols, rank, k)
+
+    def test_reconstruction_identity(self):
+        # k is the smaller side: the basis spans it, and the values are exact
+        dense = np.random.default_rng(2).random((8, 12))
+        _, s = truncated_svd(count_matrix(dense), k=8)
+        assert np.sum(s**2) == pytest.approx(np.sum(dense**2), rel=1e-12)
+
+    def test_exact_tie(self):
+        # two disjoint all-ones 40 x 12 blocks, apart from sparse noise: the
+        # value sqrt(480) twice, the second copy brought in only by rounding
+        rng = np.random.default_rng(7)
+        dense = rng.poisson(0.02, size=(600, 900)).astype(float)
+        dense[:80], dense[:, :24] = 0.0, 0.0
+        dense[:40, :12] = dense[40:80, 12:24] = 1.0
+        u, s = truncated_svd(count_matrix(dense), k=5)
+        u_svd, s_svd, _ = np.linalg.svd(dense, full_matrices=False)
+        np.testing.assert_allclose(s, s_svd[:5], rtol=1e-12)
+        assert s[0] == pytest.approx(np.sqrt(480), rel=1e-14) and s[1] == pytest.approx(s[0])
+        # the tied pair spans the dense SVD's pair; the rest match one by one
+        overlap = np.linalg.svd(u_svd[:, :2].T @ u[:, :2], compute_uv=False)
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(u[:, 2:]), np.abs(u_svd[:, 2:5]), atol=1e-8)
+
+    def test_fewer_distinct_columns_than_k(self):
+        # three distinct columns, each repeated: two values, the rest 0 and
+        # their vectors orthonormal completions
+        dense = np.zeros((30, 9))
+        dense[:10, :3] = 1.0
+        dense[10:25, 3:6] = 2.0
+        dense[25:, 6:] = 1.0
+        u, s = truncated_svd(count_matrix(dense), k=5)
+        s_svd = np.linalg.svd(dense, compute_uv=False)
+        np.testing.assert_allclose(s, s_svd[:5], rtol=1e-12, atol=1e-12)
+        assert s[3:].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(u.T @ u, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(
+            u[:, :3].T @ dense @ dense.T @ u[:, :3], np.diag(s[:3] ** 2), atol=1e-10
+        )
+
+
+class TestMergedColumns:
+    @staticmethod
+    def repeated_columns():
+        # 12 distinct integer columns, each repeated 1 to 4 times, shuffled
+        rng = np.random.default_rng(8)
+        distinct = rng.poisson(0.5, size=(300, 12)).astype(float)
+        dense = np.repeat(distinct, rng.integers(1, 5, size=12), axis=1)
+        return dense[:, rng.permutation(dense.shape[1])]
+
+    def test_one_column_per_distinct_column_and_the_same_gram_matrix(self):
+        dense = self.repeated_columns()
+        merged = lsa._merged_columns(count_matrix(dense))
+        assert merged.shape == (300, np.unique(dense, axis=1).shape[1])
+        assert scipy_of(merged).has_sorted_indices
+        np.testing.assert_allclose(
+            scipy_of(merged).toarray() @ scipy_of(merged).toarray().T, dense @ dense.T, rtol=1e-14
+        )
+
+    def test_unmerged_when_the_keys_collide(self, monkeypatch):
+        # all-zero weights give every column the same key; the entry check
+        # finds the columns differ and keeps them apart
+        class ZeroWeights:
+            def __init__(self, seed):
+                pass
+
+            def random(self, shape):
+                return np.zeros(shape)
+
+        matrix = count_matrix(self.repeated_columns())
+        monkeypatch.setattr(lsa.np.random, "default_rng", ZeroWeights)
+        assert lsa._merged_columns(matrix) is matrix
 
 
 class TestLsaTopicalTweets:
@@ -197,7 +289,8 @@ class TestLsaTopicalTweets:
         docs = [(f"x{i}", toks("cdc quietly updated death statistics again")) for i in range(6)]
         docs += [(f"u{i}", toks(text)) for i, text in enumerate(UNRELATED)]
         counts, ids, _ = stage({"c": docs})
-        permuted = counts[:, np.random.default_rng(5).permutation(counts.shape[1])]
+        order = np.random.default_rng(5).permutation(counts.shape[1])
+        permuted = count_matrix(scipy_of(counts)[:, order])
         forward = lsa_topical_tweets(counts, ids, range(len(ids)), k=5)
         assert lsa_topical_tweets(permuted, ids, range(len(ids)), k=5) == forward
         assert forward.per_vector[0] == frozenset(f"x{i}" for i in range(6))
@@ -455,15 +548,17 @@ class TestLsaEqualsPerSideReference:
         self.check(sides, data.draw(st.permutations(range(n_tweets))))
 
     @pytest.mark.parametrize(
-        "n_words, dense",
+        "n_words, columns_below_rows",
         [(7, True), (12, False)],
-        ids=["dense-svd", "arpack"],
+        ids=["columns-below-rows", "columns-above-rows"],
     )
-    def test_tall_shapes(self, n_words, dense):
-        # 450 tweets a side; 7 words have at most 343 trigrams
+    def test_tall_shapes(self, n_words, columns_below_rows):
+        # 450 tweets a side, on the Lanczos path; 7 words have at most 343
+        # trigrams, 12 words more than 450
         sides = [_random_side(450, n_words, seed) for seed in (1, 2)]
         order = np.random.default_rng(3).permutation(900)
         counts, _, rows_a, _ = stage(*sides, order=order)
-        columns = np.unique(counts[rows_a["c0"]].indices).size
-        assert (columns <= lsa._DENSE_CUTOFF) == dense and len(rows_a["c0"]) > lsa._DENSE_CUTOFF
+        side = counts.take(rows_a["c0"]).compact()
+        assert (side.shape[1] < side.shape[0]) == columns_below_rows
+        assert side.shape[0] > lsa._DENSE_CUTOFF
         self.check(sides, order)

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -21,14 +23,14 @@ from sentinet.errors import ConfigError, StageError
 from sentinet.ingest import ParseResult, TrigramEncoder, normalize_text, read_corpus, write_corpus
 from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline
 from sentinet.sentinel import read_roster
-from sentinet.synthetic import SyntheticSpec, generate_corpus
+from sentinet.synthetic import SyntheticSpec
 from sentinet.topics import load_lexicons, stratified_coding_sample
 
 
 @pytest.fixture(scope="module")
-def synthetic(tmp_path_factory):
+def synthetic(default_corpus, tmp_path_factory):
     base = tmp_path_factory.mktemp("synthetic")
-    records, truth = generate_corpus(SyntheticSpec())
+    records, truth = default_corpus
     corpus = base / "corpus.jsonl"
     write_corpus(records, corpus)
     config = PipelineConfig(
@@ -422,6 +424,57 @@ class TestRunPipeline:
         meta = json.loads((config.output_dir / "run_meta.json").read_text())
         assert meta["sd_convention"] == "population"
         assert meta["seed"] == 13
+
+
+# imports the CLI and the pipeline, takes each path of lsa.truncated_svd
+# once, runs the pipeline on the default synthetic corpus in the directory
+# argv[1], and prints the scipy modules then loaded
+RUN_PATH = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import sentinet.cli
+from sentinet import lsa
+from sentinet.config import PipelineConfig
+from sentinet.ingest import TrigramEncoder, write_corpus
+from sentinet.pipeline import run_pipeline
+from sentinet.synthetic import SyntheticSpec, generate_corpus
+
+rng = np.random.default_rng(0)
+for rows in (lsa._DENSE_CUTOFF, lsa._DENSE_CUTOFF + 1):
+    counts, _ = TrigramEncoder().count(rng.choice(list("abcdefgh"), size=(rows, 12)).tolist())
+    lsa.truncated_svd(counts.compact(), 5)
+base = Path(sys.argv[1])
+corpus, truth = generate_corpus(SyntheticSpec())
+write_corpus(corpus, base / "corpus.jsonl")
+run_pipeline(
+    PipelineConfig(
+        corpus=base / "corpus.jsonl",
+        output_dir=base / "out",
+        window_start=truth.window[0],
+        window_end=truth.window[1],
+        split=truth.split,
+    )
+)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestRunPath:
+    def test_cli_and_pipeline_load_no_scipy(self, tmp_path):
+        # only stats.chi_square imports scipy (scipy.special), on demand
+        src = str(Path(pipeline_mod.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_PATH, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+        assert json.loads((tmp_path / "out" / "lsa_drivers.json").read_text())["events"]
 
 
 class TestStratifiedSample:

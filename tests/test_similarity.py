@@ -3,17 +3,23 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import day_docs_of, decoded_counts, decoded_rows, grouped_corpus, make_record
+from conftest import (
+    day_docs_of,
+    decoded_counts,
+    decoded_rows,
+    grouped_corpus,
+    make_record,
+    scipy_of,
+)
 from sentinet.errors import (
     InvalidDocumentError,
     ParameterError,
     UndefinedStatisticError,
 )
-from sentinet.ingest import PACKAGED, TrigramEncoder, load_wordlist, normalize_text
+from sentinet.ingest import PACKAGED, CountMatrix, TrigramEncoder, load_wordlist, normalize_text
 from sentinet.similarity import (
     CommunityDayDoc,
     DayDocs,
@@ -232,11 +238,10 @@ class TestDayDocs:
         lengths, counts = drawn
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         columns = [j for length in lengths for j in range(length)]
-        matrix = sp.csr_matrix(
-            (np.array(counts, dtype=float), columns, indptr), shape=(len(lengths), 3)
-        )
+        matrix = CountMatrix(np.array(counts, dtype=float), np.array(columns), indptr, (len(lengths), 3))
         norms_sq = DayDocs.from_rows(range(len(lengths)), matrix).norms_sq
-        expected = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+        reference = scipy_of(matrix)
+        expected = np.asarray(reference.multiply(reference).sum(axis=1)).ravel()
         assert norms_sq.dtype == expected.dtype and norms_sq.tolist() == expected.tolist()
 
 
@@ -305,7 +310,7 @@ class TestDayDocsEqualPerTweetReference:
             assert built.norms_sq[row] == sum(c * c for c in expected[key].values())
         # codes ascend with the column, and columns ascend within each row
         assert np.all(np.diff(built.codes) > 0)
-        assert built.matrix.has_sorted_indices and built.matrix.dtype == float
+        assert scipy_of(built.matrix).has_sorted_indices and built.matrix.data.dtype == float
 
 
 NORMALIZE_EXAMPLES = [

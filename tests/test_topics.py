@@ -8,7 +8,6 @@ from conftest import corpus_of, make_record, rows_of
 from oracles import filter_topic, matches_topic
 from sentinet.errors import ParameterError
 from sentinet.ingest import PACKAGED
-from sentinet.synthetic import SyntheticSpec, generate_corpus
 from sentinet.topics import (
     DEFAULT_TOPIC_TREE,
     TopicLexicon,
@@ -140,8 +139,8 @@ class TestFilterTopicTree:
         ]
         assert via_tree["masks"] == direct
 
-    def test_equals_filter_topic_chain_on_synthetic_corpus(self):
-        records = rows_of(generate_corpus(SyntheticSpec())[0])
+    def test_equals_filter_topic_chain_on_synthetic_corpus(self, default_corpus):
+        records = rows_of(default_corpus[0])
         lexicons = load_lexicons()
         chained = filter_topic_chain(records, lexicons)
         assert chained["covid"]
