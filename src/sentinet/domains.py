@@ -3,6 +3,8 @@
 Each community gets a row of link fractions over qualifying domains, a
 scalar score from the first principal component of that matrix, and a
 cluster assignment from merging adjacent groups of the sorted scores.
+:func:`domain_frequency_matrix` reads each URL's host once and decides
+each distinct host's domain once per call, however many URLs link it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .fileio import read_csv, write_csv
-from .ingest import Corpus, extract_domain
+from .ingest import Corpus, host_domain, url_host
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,38 @@ def domain_frequency_matrix(
     Twitter links, shortener links and unparseable URLs are dropped before
     counting. A domain becomes a column when some single community linked
     it strictly more than ``min_count`` times.
+
+    Each URL is reduced to its host (:func:`~sentinet.ingest.url_host`),
+    and each distinct host is reduced to its domain
+    (:func:`~sentinet.ingest.host_domain`) once per call: a corpus links a
+    few hosts many times.
     """
     if min_count < 1:
         raise ParameterError("min_count must be a positive integer")
     communities = sorted(rows_by_community, key=str)
     counts: dict[Label, Counter] = {}
+    # host -> its domain: None when excluded, "" when it names no registrable host
+    domain_of: dict[str, str | None] = {}
     unparseable = 0
     for label in communities:
-        counter: Counter = Counter()
+        hosts = []
         for url in corpus.urls_of(rows_by_community[label]):
             try:
-                domain = extract_domain(url, shorteners)
+                hosts.append(url_host(url))
             except UrlParseError:
                 unparseable += 1
-                continue
-            if domain is not None:
-                counter[domain] += 1
+        counter: Counter = Counter()
+        for host, links in Counter(hosts).items():
+            if host not in domain_of:
+                try:
+                    domain_of[host] = host_domain(host, shorteners)
+                except UrlParseError:
+                    domain_of[host] = ""
+            domain = domain_of[host]
+            if domain == "":
+                unparseable += links
+            elif domain is not None:
+                counter[domain] += links
         counts[label] = counter
     qualifying = sorted(
         {

@@ -11,6 +11,17 @@ as int32 indices into one account table, UTC times as int64 seconds since
 the only in-memory form of tweets: every stage after ingest reads its
 columns through row indices, and :func:`write_corpus` writes them back as
 JSON Lines.
+
+:func:`extract_domain` reduces a URL to its linked domain in two steps:
+:func:`url_host` reads the host, with one regex for a plain
+``http(s)://host[:port]`` URL and :func:`urllib.parse.urlsplit` for any
+other, and :func:`host_domain` turns a host into its domain, so that a
+caller with many URLs decides each distinct host once.
+
+:func:`tokenize` cleans texts into token streams, stopwords included, and
+a :class:`TrigramEncoder` counts their word trigrams. The encoder owns the
+stop list: a stopword maps to a reserved id and is dropped from a chunk's
+ids at once, before trigrams are formed.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
+from itertools import count
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
@@ -43,6 +55,11 @@ _URL_RE = re.compile(_URL, re.IGNORECASE)
 # case-sensitive one skips ahead to each "h" or "w" instead of trying a
 # match at every character
 _LOWER_URL_RE = re.compile(_URL)
+# a plain http(s) URL up to the end of its host and port; ASCII-only, so
+# that no non-ASCII letter matches [a-z] by case folding
+_PLAIN_URL_RE = re.compile(
+    r"https?://([a-z0-9.-]+)(?::[0-9]*)?(?:[/?#]|\Z)", re.ASCII | re.IGNORECASE
+)
 _MENTION_RE = re.compile(r"@\w+")
 _TOKEN_RE = re.compile(r"[^\W_]+|" + BOUNDARY)
 # on ASCII text, _TOKEN_RE's runs are the runs of letters and digits: this
@@ -50,6 +67,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+|" + BOUNDARY)
 _ASCII_SEPARATORS = bytes(
     c if chr(c).isalnum() or chr(c) == BOUNDARY else 0x20 for c in range(256)
 )
+# the token id of a stopword, which TrigramEncoder drops
+_STOPWORD = -1
 # bits of one token id in a trigram code; three ids fill 63 bits of an int64
 TOKEN_ID_BITS = 21
 # token ids, in whole streams, that TrigramEncoder.count gathers before it
@@ -324,15 +343,19 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     return frozenset(line.lower() for line in read_lines(path))
 
 
-def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | None:
-    """Reduce a URL to its lowercased host with any leading ``www.`` stripped.
+def url_host(url: str) -> str:
+    """The host of a URL, as :func:`urllib.parse.urlsplit` reads it.
 
-    Returns None (the excluded marker) for twitter.com and for hosts that
-    are, or sit under, a known URL shortener. Shortened links are excluded
-    outright; they are never resolved. Raises :class:`UrlParseError` when no
-    host can be recovered. The scheme is optional.
+    A plain ``http(s)://host[:port]`` URL, its host ASCII letters, digits,
+    dots and hyphens and followed by ``/``, ``?``, ``#`` or nothing, is read
+    by one regex instead; its host keeps its case, where ``urlsplit`` would
+    lowercase it. The scheme is optional. Raises :class:`UrlParseError` when
+    no host can be recovered.
     """
     candidate = url.strip()
+    plain = _PLAIN_URL_RE.match(candidate)
+    if plain:
+        return plain[1]
     if not candidate:
         raise UrlParseError("empty URL")
     if "://" not in candidate:
@@ -343,11 +366,22 @@ def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | 
         raise UrlParseError(f"unparseable URL: {url!r}") from exc
     if host is None:
         raise UrlParseError(f"no host in URL: {url!r}")
+    return host
+
+
+def host_domain(host: str, shorteners: frozenset[str] = frozenset()) -> str | None:
+    """The domain of a :func:`url_host` host: lowercased, without dots at its ends or ``www.``.
+
+    Returns None (the excluded marker) for twitter.com and for hosts that
+    are, or sit under, a known URL shortener. Shortened links are excluded
+    outright; they are never resolved. Raises :class:`UrlParseError` when
+    what is left holds no dot, so names no registrable host.
+    """
     host = host.strip(".").lower()
-    if "." not in host:
-        raise UrlParseError(f"no registrable host in URL: {url!r}")
     if host.startswith("www."):
         host = host[4:]
+    if "." not in host:
+        raise UrlParseError(f"no registrable host: {host!r}")
     if host == "twitter.com" or host.endswith(".twitter.com"):
         return None
     parts = host.split(".")
@@ -357,16 +391,22 @@ def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | 
     return host
 
 
-def tokenize(texts: Sequence[str], stopwords: frozenset[str] = frozenset()) -> list[str]:
+def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | None:
+    """Reduce a URL to its domain: :func:`host_domain` of its :func:`url_host`."""
+    return host_domain(url_host(url), shorteners)
+
+
+def tokenize(texts: Sequence[str]) -> list[str]:
     """Clean a batch of tweet texts into one token stream, BOUNDARY between texts.
 
     URLs and @-mentions are removed first; the remainder is lowercased and
-    split on runs of non-alphanumeric characters, and stopwords are dropped.
-    The batch is cleaned as one string: its texts are joined with
-    ``"\\n\\x00\\n"``, and neither regex nor the final-sigma rule of
-    ``str.lower`` reaches across a newline, so each text gets the tokens it
-    would get alone. A NUL inside a text becomes ``"\\x01"``, which separates
-    tokens alike. Each regex runs only when its literal marker is present.
+    split on runs of non-alphanumeric characters. Stopwords are kept: the
+    :class:`TrigramEncoder` that counts the stream drops them. The batch is
+    cleaned as one string: its texts are joined with ``"\\n\\x00\\n"``, and
+    neither regex nor the final-sigma rule of ``str.lower`` reaches across
+    a newline, so each text gets the tokens it would get alone. A NUL
+    inside a text becomes ``"\\x01"``, which separates tokens alike. Each
+    regex runs only when its literal marker is present.
 
     The choice of path is made once for the whole batch: an all-ASCII batch
     is lowercased first and split with a byte translate table, any other
@@ -384,21 +424,17 @@ def tokenize(texts: Sequence[str], stopwords: frozenset[str] = frozenset()) -> l
             lowered = _LOWER_URL_RE.sub(" ", lowered)
         if "@" in lowered:
             lowered = _MENTION_RE.sub(" ", lowered)
-        tokens = lowered.encode().translate(_ASCII_SEPARATORS).decode().split()
-    else:
-        if "://" in joined or "www." in joined.lower():
-            joined = _URL_RE.sub(" ", joined)
-        if "@" in joined:
-            joined = _MENTION_RE.sub(" ", joined)
-        tokens = _TOKEN_RE.findall(joined.lower())
-    if BOUNDARY in stopwords:
-        stopwords = stopwords - {BOUNDARY}
-    return [tok for tok in tokens if tok not in stopwords]
+        return lowered.encode().translate(_ASCII_SEPARATORS).decode().split()
+    if "://" in joined or "www." in joined.lower():
+        joined = _URL_RE.sub(" ", joined)
+    if "@" in joined:
+        joined = _MENTION_RE.sub(" ", joined)
+    return _TOKEN_RE.findall(joined.lower())
 
 
-def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:
+def normalize_text(text: str) -> tuple[str, ...]:
     """Clean one tweet's text into its token stream: :func:`tokenize` on it alone."""
-    return tuple(tokenize([text], stopwords))
+    return tuple(tokenize([text]))
 
 
 class CountMatrix(NamedTuple):
@@ -474,20 +510,27 @@ class CountMatrix(NamedTuple):
 
 
 class TrigramEncoder:
-    """Packs each word trigram into one int64 code.
+    """Packs each word trigram into one int64 code, stopwords dropped.
 
     Token ids are assigned in first-seen order, so two codes compare only
-    when one encoder made both. Id 0 is reserved for :data:`BOUNDARY`. The
+    when one encoder made both. Id 0 is reserved for :data:`BOUNDARY`, and
+    every one of ``stopwords`` maps to the reserved id -1, which takes no
+    number from the counter: a stopword is dropped from its stream before
+    trigrams are formed, and the other tokens get the ids they would get
+    in the stream without it. The boundary is never a stopword. The
     trigram (a, b, c) has the code ``id(a) << 42 | id(b) << 21 | id(c)``
     (TOKEN_ID_BITS = 21). An encoder holds at most ``2**TOKEN_ID_BITS``
-    tokens, the boundary included, and raises
+    tokens, the boundary included and the stopwords not, and raises
     :class:`VocabularyOverflowError` beyond that, so codes never collide.
     """
 
-    def __init__(self) -> None:
-        # a missing token gets the next id: defaultdict calls len() before inserting
-        self._ids: defaultdict[str, int] = defaultdict()
-        self._ids.default_factory = self._ids.__len__
+    def __init__(self, stopwords: frozenset[str] = frozenset()) -> None:
+        # the stopwords come first, so that list(self._ids) from the boundary
+        # on is the tokens by id; a missing token gets the next id
+        self._ids: defaultdict[str, int] = defaultdict(
+            count(1).__next__, dict.fromkeys(stopwords - {BOUNDARY}, _STOPWORD)
+        )
+        self._n_stopwords = len(self._ids)
         self._ids[BOUNDARY] = 0
 
     def count(self, streams: Iterable[Iterable[str]]) -> tuple[CountMatrix, np.ndarray]:
@@ -541,11 +584,19 @@ class TrigramEncoder:
 
     def _chunk_runs(self, ids: array, ends: array) -> tuple[np.ndarray, ...]:
         """A chunk's entries per row, and each row's codes, ascending, and counts."""
-        if len(self._ids) > 1 << TOKEN_ID_BITS:
+        if len(self._ids) - self._n_stopwords > 1 << TOKEN_ID_BITS:
             raise VocabularyOverflowError(
                 f"more than 2**{TOKEN_ID_BITS} distinct tokens; trigram codes would collide"
             )
         token_ids = np.frombuffer(ids, dtype=np.int64)
+        ends = np.frombuffer(ends, dtype=np.int64)
+        dropped = np.flatnonzero(token_ids == _STOPWORD)
+        if dropped.size:
+            # each row ends as many ids earlier as there are stopwords before
+            # its end; a full-length running count would raise the peak
+            # resident memory by 8 bytes per id
+            ends = ends - np.searchsorted(dropped, ends)
+            token_ids = np.delete(token_ids, dropped)
         codes = token_ids[:-2] << 2 * TOKEN_ID_BITS
         codes |= token_ids[1:-1] << TOKEN_ID_BITS
         codes |= token_ids[2:]
@@ -554,19 +605,19 @@ class TrigramEncoder:
         vocabulary, columns = np.unique(codes[starts], return_inverse=True)
         # (row, column) pairs as one int64 key each; columns index the chunk's vocabulary
         width = max(vocabulary.size, 1)
-        keys = np.searchsorted(np.frombuffer(ends, dtype=np.int64), starts, side="right")
+        keys = np.searchsorted(ends, starts, side="right")
         keys *= width
         keys += columns
         keys, counts = np.unique(keys, return_counts=True)
         return (
-            np.bincount(keys // width, minlength=len(ends)),
+            np.bincount(keys // width, minlength=ends.size),
             vocabulary[keys % width],
             counts.astype(float),
         )
 
     def decode(self, codes: Iterable[int]) -> list[Trigram]:
         """The trigrams of codes this encoder made."""
-        tokens = list(self._ids)
+        tokens = list(self._ids)[self._n_stopwords :]
         mask = (1 << TOKEN_ID_BITS) - 1
         return [
             (

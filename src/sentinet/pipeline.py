@@ -210,7 +210,7 @@ def _build_similarity(params, topics, cluster, ingest) -> list[similarity_mod.Si
     _, cluster_of = cluster
     covid = {community: per_topic["covid"] for community, per_topic in topics.items()}
     day_docs = similarity_mod.build_community_day_docs(
-        ingest.records, covid, load_wordlist(params.stopwords)
+        ingest.records, covid, TrigramEncoder(load_wordlist(params.stopwords))
     )
     days = _window_days(params.window_start, params.window_end)
     members = _cluster_members(cluster_of)
@@ -242,7 +242,6 @@ def _build_adf(params, series_list) -> list[str]:
 def _build_lsa(params, series_list, topics, cluster, ingest) -> dict:
     _, cluster_of = cluster
     corpus = ingest.records
-    stopwords = load_wordlist(params.stopwords)
     members = _cluster_members(cluster_of)
     flagged = [
         sorted(
@@ -265,8 +264,8 @@ def _build_lsa(params, series_list, topics, cluster, ingest) -> dict:
         for row, day in zip(covid[on_flagged].tolist(), days[on_flagged].tolist()):
             rows_of.setdefault((community, flagged_on[day]), []).append(len(tweets))
             tweets.append(row)
-    counts, _ = TrigramEncoder().count(
-        normalize_text(corpus.texts[row], stopwords) for row in tweets
+    counts, _ = TrigramEncoder(load_wordlist(params.stopwords)).count(
+        normalize_text(corpus.texts[row]) for row in tweets
     )
     ids = [corpus.tweet_ids[row] for row in tweets]
     events = []

@@ -116,8 +116,7 @@ class DayDocs:
 def build_community_day_docs(
     corpus: Corpus,
     rows_by_community: Mapping[Label, Sequence[int]],
-    stopwords: frozenset[str],
-    encoder: TrigramEncoder | None = None,
+    encoder: TrigramEncoder,
 ) -> DayDocs:
     """Group each community's rows of ``corpus`` by day and sum their trigram counts.
 
@@ -127,8 +126,8 @@ def build_community_day_docs(
     path; the two batches form one token stream, a :data:`BOUNDARY`
     between them, and :meth:`TrigramEncoder.count` turns each stream into
     ids as soon as it is made and reduces them to counts a chunk of whole
-    community-days at a time. The codes are
-    made by ``encoder``, a fresh one unless given; pass one to decode them.
+    community-days at a time. ``encoder`` drops its stopwords and makes the
+    codes; it decodes them too.
     """
     texts, days = corpus.texts, corpus.days
     texts_of: dict[tuple[Label, int], tuple[list[str], list[str]]] = {}
@@ -138,8 +137,8 @@ def build_community_day_docs(
             ascii_texts, other_texts = texts_of.setdefault((community, day), ([], []))
             text = texts[row]
             (ascii_texts if text.isascii() else other_texts).append(text)
-    matrix, codes = (encoder or TrigramEncoder()).count(
-        chain(tokenize(ascii_texts, stopwords), (BOUNDARY,), tokenize(other_texts, stopwords))
+    matrix, codes = encoder.count(
+        chain(tokenize(ascii_texts), (BOUNDARY,), tokenize(other_texts))
         for ascii_texts, other_texts in texts_of.values()
     )
     dates = {day: day_date(day) for day in {day for _, day in texts_of}}

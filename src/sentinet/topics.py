@@ -12,9 +12,10 @@ counts and active-account counts per cluster as arrays over the window.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import date
 from itertools import compress
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -201,7 +202,8 @@ def write_counts_csv(
 
 
 def write_rates_csv(table: RateTable, path: str | Path) -> None:
-    write_csv(path, [f.name for f in fields(RateRow)], map(astuple, table.rows))
+    header = [f.name for f in fields(RateRow)]
+    write_csv(path, header, map(attrgetter(*header), table.rows))
 
 
 def write_daily_csv(table: RateTable, path: str | Path) -> None:

@@ -119,9 +119,9 @@ def scipy_of(matrix: CountMatrix) -> sp.csr_matrix:
     return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
-def decoded_counts(token_docs):
-    """The token streams' summed trigram counts, keyed by (token, token, token)."""
-    encoder = TrigramEncoder()
+def decoded_counts(token_docs, stopwords=frozenset()):
+    """The token streams' summed trigram counts, keyed by trigram, stopwords dropped."""
+    encoder = TrigramEncoder(stopwords)
     matrix, codes = encoder.count(token_docs)
     return dict(zip(encoder.decode(codes), scipy_of(matrix).sum(axis=0).A1.tolist()))
 

@@ -16,14 +16,15 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import NamedTuple
+from urllib.parse import urlsplit
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
 from conftest import count_matrix, scipy_of
 from sentinet.community import Partition
-from sentinet.errors import EmptyCorpusError
-from sentinet.ingest import ParseResult, TrigramEncoder
+from sentinet.errors import EmptyCorpusError, UrlParseError
+from sentinet.ingest import BOUNDARY, ParseResult, TrigramEncoder
 from sentinet.lsa import TopicalExtraction, _gap_select, truncated_svd
 from sentinet.similarity import CommunityDayDoc, burst_score, intercluster_similarity
 
@@ -244,10 +245,52 @@ def mean_and_population_sd(values: list[float]) -> tuple[float, float]:
 
 
 def normalize_text(text: str, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:
-    """The three-regex tokenizer: strip URLs, then mentions, then split the lowered rest."""
+    """The three-regex tokenizer: strip URLs, then mentions, then split the lowered rest.
+
+    Stopwords are dropped by :func:`drop_stopwords`.
+    """
     cleaned = _URL_RE.sub(" ", text)
     cleaned = _MENTION_RE.sub(" ", cleaned)
-    return tuple(tok for tok in _TOKEN_RE.findall(cleaned.lower()) if tok not in stopwords)
+    return tuple(drop_stopwords(_TOKEN_RE.findall(cleaned.lower()), stopwords))
+
+
+def drop_stopwords(tokens, stopwords: frozenset[str]) -> list[str]:
+    """The tokens that are no stopword, by one set lookup each; the boundary is never one."""
+    if BOUNDARY in stopwords:
+        stopwords = stopwords - {BOUNDARY}
+    return [tok for tok in tokens if tok not in stopwords]
+
+
+def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | None:
+    """A URL's lowercased host, ``www.`` stripped, through ``urlsplit`` alone.
+
+    None for twitter.com and for hosts that are, or sit under, a shortener;
+    :class:`UrlParseError` when no host, or no host with a dot once
+    ``www.`` is stripped, can be recovered.
+    """
+    candidate = url.strip()
+    if not candidate:
+        raise UrlParseError("empty URL")
+    if "://" not in candidate:
+        candidate = "//" + candidate
+    try:
+        host = urlsplit(candidate).hostname
+    except ValueError as exc:
+        raise UrlParseError(f"unparseable URL: {url!r}") from exc
+    if host is None:
+        raise UrlParseError(f"no host in URL: {url!r}")
+    host = host.strip(".").lower()
+    if host.startswith("www."):
+        host = host[4:]
+    if "." not in host:
+        raise UrlParseError(f"no registrable host in URL: {url!r}")
+    if host == "twitter.com" or host.endswith(".twitter.com"):
+        return None
+    parts = host.split(".")
+    for i in range(len(parts) - 1):
+        if ".".join(parts[i:]) in shorteners:
+            return None
+    return host
 
 
 def indexed_trigram_counts(tokens) -> dict[tuple[str, str, str], int]:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from conftest import grouped_corpus
+from conftest import grouped_corpus, make_record
+from sentinet import domains as domains_mod
 from sentinet.domains import (
     DomainMatrix,
     cluster_scores,
@@ -17,8 +19,10 @@ from sentinet.domains import (
 from sentinet.errors import (
     DegenerateClusteringError,
     ParameterError,
+    UrlParseError,
     ZeroVarianceError,
 )
+from sentinet.ingest import host_domain
 
 
 def matrix_from(values, communities=None, domains=None):
@@ -94,6 +98,74 @@ class TestDomainFrequencyMatrix:
         matrix = domain_frequency_matrix(*grouped_corpus(records), min_count=10)
         assert matrix.zero_link_communities == ("B",)
         assert np.all(matrix.values[list(matrix.communities).index("B")] == 0)
+
+    def test_each_host_decided_once(self, record_factory, monkeypatch):
+        decided = []
+
+        def recording(host, shorteners=frozenset()):
+            decided.append(host)
+            return host_domain(host, shorteners)
+
+        monkeypatch.setattr(domains_mod, "host_domain", recording)
+        hosts = ("a.com", "WWW.a.com", "localhost", "bit.ly")
+        urls = tuple(f"https://{host}/{i}" for i in range(15) for host in hosts)
+        records = {
+            "A": [record_factory("1", "u", urls=urls)],
+            "B": [record_factory("2", "v", urls=urls[:20])],
+        }
+        matrix = domain_frequency_matrix(
+            *grouped_corpus(records), shorteners=frozenset({"bit.ly"}), min_count=10
+        )
+        assert sorted(decided) == sorted(hosts)
+        assert matrix.domains == ("a.com",) and matrix.retained_totals == (30, 10)
+        # localhost names no registrable host
+        assert matrix.unparseable_urls == 15 + 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["https://a.com/x", "http://WWW.A.com", "a.com.", "b.org/p", "https://b.org:8080?q",
+                     "https://t.co/z", "https://twitter.com/s", "http://localhost/", "www.localhost",
+                     ":::bad", "http://[::1]/", "https://c.net#f", "https://user@c.net/"]
+                ),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 3),
+    )
+    def test_equals_per_url_oracle_counts(self, url_lists, min_count):
+        shorteners = frozenset({"t.co"})
+        records = {
+            f"c{i}": [make_record(f"{i}-{j}", "u", urls=(url,)) for j, url in enumerate(urls)]
+            for i, urls in enumerate(url_lists)
+        }
+        matrix = domain_frequency_matrix(
+            *grouped_corpus(records), shorteners=shorteners, min_count=min_count
+        )
+        counts, unparseable = [], 0
+        for urls in url_lists:
+            counter = Counter()
+            for url in urls:
+                try:
+                    domain = oracles.extract_domain(url, shorteners)
+                except UrlParseError:
+                    unparseable += 1
+                    continue
+                if domain is not None:
+                    counter[domain] += 1
+            counts.append(counter)
+        qualifying = sorted({d for counter in counts for d, n in counter.items() if n > min_count})
+        assert matrix.domains == tuple(qualifying)
+        assert matrix.unparseable_urls == unparseable
+        assert matrix.retained_totals == tuple(sum(counter.values()) for counter in counts)
+        for i, counter in enumerate(counts):
+            total = sum(counter.values())
+            expected = [counter[d] / total if total else 0.0 for d in qualifying]
+            assert matrix.values[i].tolist() == expected
 
     def test_csv_roundtrip(self, tmp_path, record_factory):
         records = {

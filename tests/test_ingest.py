@@ -435,39 +435,113 @@ class TestExtractDomain:
         domain = extract_domain(f"https://www.{host}/path?q=1")
         assert extract_domain(domain) == domain
 
+    def test_registrable_host_checked_after_www(self):
+        for bad in ["http://localhost/x", "http://www.localhost/x", "https://www.com",
+                    "www.com", "HTTP://WWW.LOCALHOST:80", "http://[::1]/x", "//www.x_y/"]:
+            with pytest.raises(UrlParseError):
+                extract_domain(bad)
+        assert extract_domain("https://www.x.com") == "x.com"
+
+    def test_plain_urls_skip_urlsplit(self, monkeypatch):
+        def refuse(url):
+            raise AssertionError(f"urlsplit called on {url!r}")
+
+        monkeypatch.setattr(ingest, "urlsplit", refuse)
+        for url in ["https://www.Foxnews.com/article", " http://a.b.co:8080?q=1 ",
+                    "HTTPS://news.example.org#top", "http://x-y.com:", "https://e.com"]:
+            assert extract_domain(url) == oracles.extract_domain(url)
+        with pytest.raises(AssertionError):
+            extract_domain("https://user@example.com/")
+
+
+def domain_outcome(extract, url, shorteners):
+    """What ``extract`` makes of ``url``: a domain, None, or UrlParseError."""
+    try:
+        return extract(url, shorteners)
+    except UrlParseError:
+        return UrlParseError
+
+
+# schemes in mixed case, missing or malformed
+URL_SCHEMES = st.sampled_from(
+    ["", "http://", "https://", "HTTP://", "hTtPs://", "ftp://", "//", "http:/", "https:", "http:///"]
+)
+# hosts: www., shorteners, twitter, no dot, trailing and fullwidth dots, user
+# info, brackets, tab/CR/LF, and letters that case-fold to ASCII (ſ, the
+# Kelvin sign) or are non-ASCII
+URL_HOST_PIECES = st.sampled_from(
+    ["www.", "WWW.", "example", "Example", ".com", ".co.uk", "t.co", "bit.ly", "twitter.com",
+     "mobile.", "localhost", ".", "-", "1", "127.0.0.1", "xn--bcher-kva", "bücher", "例え", "．",
+     "。", "ſ", "\u212a", "İ", "_", "user@", "@", "[", "]", "::1", "%25", "\t", "\r", "\n", " "]
+)
+URL_PORTS = st.sampled_from(["", ":", ":80", ":8080", ":" + "9" * 30, ":0x1", ":-1", ":８０", "::"])
+# what follows the host: ? or # at once, a path, a backslash, spaces
+URL_TAILS = st.sampled_from(
+    ["", "/", "/path", "?", "?q=1", "#", "#frag", "/a?b#c", "/@evil.com", "\\x", " x", "\t/",
+     "/x y", ".", "/http://other.org/"]
+)
+URL_PADDING = st.sampled_from(["", " ", "\t", "\n ", "\r\n", "\x00"])
+URLS = st.builds(
+    lambda lead, scheme, host, port, tail, trail: lead + scheme + "".join(host) + port + tail + trail,
+    URL_PADDING,
+    URL_SCHEMES,
+    st.lists(URL_HOST_PIECES, max_size=6),
+    URL_PORTS,
+    URL_TAILS,
+    URL_PADDING,
+)
+
+
+class TestExtractDomainEqualsOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        url=URLS | st.text(max_size=30),
+        shorteners=st.sampled_from([frozenset(), load_wordlist(PACKAGED["shorteners"])]),
+    )
+    @example(url="http://www.localhost/x", shorteners=frozenset())
+    @example(url="https://www.com", shorteners=frozenset())
+    @example(url="http://ſ.com/", shorteners=frozenset())
+    @example(url="http://a.com\n", shorteners=frozenset())
+    def test_same_domain_or_error(self, url, shorteners):
+        assert domain_outcome(extract_domain, url, shorteners) == domain_outcome(
+            oracles.extract_domain, url, shorteners
+        )
+
 
 class TestNormalizeText:
     def test_basic(self):
-        tokens = normalize_text("The CDC quietly updated", frozenset({"the"}))
-        assert tokens == ("cdc", "quietly", "updated")
-        assert decoded_counts([tokens]) == {("cdc", "quietly", "updated"): 1}
+        tokens = normalize_text("The CDC quietly updated")
+        assert tokens == ("the", "cdc", "quietly", "updated")
+        assert decoded_counts([tokens], frozenset({"the"})) == {("cdc", "quietly", "updated"): 1}
 
     def test_mention_and_url_removed(self):
-        tokens = normalize_text("@user http://a.b c", frozenset())
+        tokens = normalize_text("@user http://a.b c")
         assert tokens == ("c",)
         assert decoded_counts([tokens]) == {}
 
     def test_fifty_token_sentence(self):
         text = " ".join(f"word{i}" for i in range(50))
-        tokens = normalize_text(text, frozenset())
+        tokens = normalize_text(text)
         assert sum(decoded_counts([tokens]).values()) == 48
 
     def test_empty_text(self):
-        tokens = normalize_text("", frozenset())
+        tokens = normalize_text("")
         assert tokens == ()
         assert decoded_counts([tokens]) == {}
 
     def test_hashtag_keeps_stem(self):
-        tokens = normalize_text("#covid spreading", frozenset())
+        tokens = normalize_text("#covid spreading")
         assert tokens == ("covid", "spreading")
 
     def test_default_stopwords_drop_rt(self):
-        tokens = normalize_text("RT @x: the lockdown ends", load_wordlist(PACKAGED["stopwords"]))
-        assert tokens == ("lockdown", "ends")
+        tokens = normalize_text("RT @x: the lockdown ends today")
+        assert tokens == ("rt", "the", "lockdown", "ends", "today")
+        stopwords = load_wordlist(PACKAGED["stopwords"])
+        assert decoded_counts([tokens], stopwords) == {("lockdown", "ends", "today"): 1}
 
     @given(st.text(max_size=200))
     def test_no_url_or_mention_remnants(self, text):
-        tokens = normalize_text(text, frozenset())
+        tokens = normalize_text(text)
         url_pattern = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
         for token in tokens:
             assert "@" not in token
@@ -475,13 +549,13 @@ class TestNormalizeText:
             assert re.fullmatch(r"[^\W_]+", token)
 
     def test_url_like_tokens_removed_whole(self):
-        tokens = normalize_text("see www.example.org/x?y=1 and http only", frozenset())
+        tokens = normalize_text("see www.example.org/x?y=1 and http only")
         assert "example" not in tokens
         assert tokens == ("see", "and", "http", "only")
 
     @given(st.lists(st.sampled_from(["covid", "cases", "rise", "cdc", "mask"]), max_size=12))
     def test_trigram_total_identity(self, words):
-        tokens = normalize_text(" ".join(words), frozenset())
+        tokens = normalize_text(" ".join(words))
         assert sum(decoded_counts([tokens]).values()) == max(0, len(tokens) - 2)
 
 
@@ -494,27 +568,29 @@ TOKENIZER_PIECES = st.sampled_from(
      "ＷＷＷ．", "ｗｗｗ.", "café", "naïve", "Straße", "covid", "The", " ", "  ", ".",
      "/", ":", "#", "-", "\t", "\n"]
 )
-SMALL_STOPWORDS = frozenset({"the", "www", "i̇", "k", "ß", "42"})
-TOKENIZER_STOPWORDS = st.sampled_from(
-    [frozenset(), SMALL_STOPWORDS, load_wordlist(PACKAGED["stopwords"])]
+# stop lists: empty, small, the packaged one, and one that names the boundary
+ENCODER_STOPWORDS = st.sampled_from(
+    [
+        frozenset(),
+        frozenset({"the", "b"}),
+        load_wordlist(PACKAGED["stopwords"]),
+        frozenset({BOUNDARY, "the", "a"}),
+    ]
 )
 
 
 class TestTokenizerEquivalence:
     @settings(max_examples=500)
-    @given(text=st.text(), stopwords=TOKENIZER_STOPWORDS)
-    @example(text="@www.foo.com bar", stopwords=frozenset())
-    def test_any_text(self, text, stopwords):
-        assert normalize_text(text, stopwords) == oracles.normalize_text(text, stopwords)
+    @given(text=st.text())
+    @example(text="@www.foo.com bar")
+    def test_any_text(self, text):
+        assert normalize_text(text) == oracles.normalize_text(text)
 
     @settings(max_examples=500)
-    @given(
-        pieces=st.lists(TOKENIZER_PIECES | st.text(max_size=4), max_size=12),
-        stopwords=TOKENIZER_STOPWORDS,
-    )
-    def test_mixed_pieces(self, pieces, stopwords):
+    @given(pieces=st.lists(TOKENIZER_PIECES | st.text(max_size=4), max_size=12))
+    def test_mixed_pieces(self, pieces):
         text = "".join(pieces)
-        assert normalize_text(text, stopwords) == oracles.normalize_text(text, stopwords)
+        assert normalize_text(text) == oracles.normalize_text(text)
 
 
 def batch_texts(tokens):
@@ -536,29 +612,19 @@ class TestTokenizerBatch:
             min_size=1,
             max_size=6,
         ),
-        stopwords=TOKENIZER_STOPWORDS,
     )
     # a NUL or newline inside a text
-    @example(texts=["a\x00b c", "d\ne f", "g"], stopwords=frozenset())
+    @example(texts=["a\x00b c", "d\ne f", "g"])
     # a final sigma, then a text that starts with a letter
-    @example(texts=["ΑΣ", "Ab ΣΑΣ", "ΟΔΟΣ"], stopwords=frozenset())
+    @example(texts=["ΑΣ", "Ab ΣΑΣ", "ΟΔΟΣ"])
     # a URL or mention as the last or first word of a text
-    @example(texts=["see http://a.b/c", "@bob says", "news www.x.org", "@ann"], stopwords=frozenset())
+    @example(texts=["see http://a.b/c", "@bob says", "news www.x.org", "@ann"])
     # an ASCII batch, lowercased before its URLs and mentions are removed
-    @example(
-        texts=["See HTTPS://X.ORG/A now", "WwW.Example.COM/p @Bob_2 hi", "@ANN"],
-        stopwords=frozenset(),
-    )
+    @example(texts=["See HTTPS://X.ORG/A now", "WwW.Example.COM/p @Bob_2 hi", "@ANN"])
     # one non-ASCII text in an ASCII batch, and empty texts
-    @example(texts=["", "plain words here", "café crème brûlée", "more plain words", ""], stopwords=frozenset())
-    # every token of a text is a stopword
-    @example(texts=["covid now", "The 42 www", "cases rise"], stopwords=SMALL_STOPWORDS)
-    # a stopword list that names the boundary token itself
-    @example(texts=["a b", "c\x00d"], stopwords=frozenset({BOUNDARY, "the"}))
-    def test_each_text_as_if_alone(self, texts, stopwords):
-        assert batch_texts(tokenize(texts, stopwords)) == [
-            oracles.normalize_text(text, stopwords) for text in texts
-        ]
+    @example(texts=["", "plain words here", "café crème brûlée", "more plain words", ""])
+    def test_each_text_as_if_alone(self, texts):
+        assert batch_texts(tokenize(texts)) == [oracles.normalize_text(text) for text in texts]
 
 
 def _joined(docs):
@@ -659,3 +725,37 @@ class TestTrigramEncoder:
         assert encoder.decode(codes) == [("a", "b", "c"), ("b", "c", "a")]
         with pytest.raises(VocabularyOverflowError):
             TrigramEncoder().count(full + [("d",)])
+        # stopwords take no id: any number of them, listed or met, still fits
+        for size in (1, 4, 50):
+            stopwords = frozenset(f"s{i}" for i in range(size))
+            encoder = TrigramEncoder(stopwords)
+            _, codes = encoder.count([("s0", "a", "b", *sorted(stopwords), "c", "a", "s0")])
+            assert encoder.decode(codes) == [("a", "b", "c"), ("b", "c", "a")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        streams=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "the", "of", "rt", BOUNDARY]), max_size=12),
+            max_size=6,
+        ),
+        stopwords=ENCODER_STOPWORDS,
+        chunk_tokens=st.integers(1, 9),
+    )
+    # a stream of stopwords alone, and a stopword on each side of a boundary
+    @example(streams=[["the", "the"], ["a", "the", BOUNDARY, "the", "b", "c"]],
+             stopwords=frozenset({"the"}), chunk_tokens=1)
+    def test_stopwords_count_as_filtered_streams(self, streams, stopwords, chunk_tokens):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_TOKENS", chunk_tokens)
+            encoder = TrigramEncoder(stopwords)
+            matrix, codes = encoder.count(iter(streams))
+        reference = TrigramEncoder()
+        expected, expected_codes = reference.count(
+            oracles.drop_stopwords(stream, stopwords) for stream in streams
+        )
+        assert matrix.shape == expected.shape
+        for field in ("indptr", "indices", "data"):
+            ours, theirs = getattr(matrix, field), getattr(expected, field)
+            assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist()
+        assert codes.tolist() == expected_codes.tolist()
+        assert encoder.decode(codes) == reference.decode(expected_codes)

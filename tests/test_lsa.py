@@ -18,11 +18,10 @@ from sentinet.lsa import (
 from sentinet.similarity import DayDocs, SimilaritySeries, burst_score, similarity_series
 
 DAY = date(2020, 7, 25)
-STOP = frozenset()
 
 
 def toks(text):
-    return normalize_text(text, STOP)
+    return normalize_text(text)
 
 
 def stage(*sides, order=None):

@@ -54,7 +54,8 @@ def artifact_bytes(out_dir: Path) -> dict[str, bytes]:
 
 
 # sha256 of SyntheticSpec() artifacts whose bytes use no LAPACK routine, so
-# they hold across numpy builds (lsa_drivers.json and domain_*.csv do not)
+# they hold across numpy builds (lsa_drivers.json, domain_scores.csv and
+# domain_loadings.csv do not; domain_matrix.csv holds plain divisions)
 PINNED_DIGESTS = {
     "similarity.csv": "b5ada86e12a3d0612419f2b406244de93727394bd584e26e9183f99e6ab4bb12",
     "topic_counts.csv": "ce2f11c548b2a1a5dbebc72dfc61dfba0bdeed03d94f02200418074a251e846a",
@@ -62,6 +63,7 @@ PINNED_DIGESTS = {
     "rates_daily.csv": "31016ce6d2ef723ce6d25bfc3d8000ed772c547ec8bd6fa0fbed8866cf333ab7",
     "partition.txt": "5d430fc76aa2d15ae71fc252dd71df2afb5f113f9e9b1acc826ba74d221da4c6",
     "sentinels.txt": "33ce936f2f9a71316dec79b8e9a4abef16eddc035ba825a4d38997a1152c44dd",
+    "domain_matrix.csv": "4b8dd3d1de53c0ea939c27f7c25aaf02ff190fdc38bd91471396c7e35a238fc6",
 }
 
 
@@ -218,9 +220,9 @@ class TestRunPipeline:
         shutil.copytree(config.output_dir, workdir)
         calls = []
 
-        def counting(text, stopwords=frozenset()):
+        def counting(text):
             calls.append(text)
-            return normalize_text(text, stopwords)
+            return normalize_text(text)
 
         # the lsa build is the only caller of pipeline.normalize_text
         monkeypatch.setattr(pipeline_mod, "normalize_text", counting)

@@ -203,14 +203,14 @@ class TestDayDocs:
         texts = ["alpha beta gamma", "delta epsilon zeta"]
         records = {"c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]}
         encoder = TrigramEncoder()
-        built = build_community_day_docs(*grouped_corpus(records), frozenset(), encoder)
+        built = build_community_day_docs(*grouped_corpus(records), encoder)
         built = decoded_rows(built, encoder)[("c", DAY)]
         assert sum(built.values()) == 2
         assert ("gamma", "delta", "epsilon") not in built
 
     def test_concatenation_matches_per_tweet_sum(self, record_factory):
         texts = ["one two three four", "five six seven", "eight nine ten eleven"]
-        per_tweet = [normalize_text(t, frozenset()) for t in texts]
+        per_tweet = [normalize_text(t) for t in texts]
         expected = {}
         for tokens in per_tweet:
             for trigram, count in oracles.indexed_trigram_counts(tokens).items():
@@ -219,7 +219,7 @@ class TestDayDocs:
             "c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]
         }
         encoder = TrigramEncoder()
-        built = build_community_day_docs(*grouped_corpus(records), frozenset(), encoder)
+        built = build_community_day_docs(*grouped_corpus(records), encoder)
         assert decoded_rows(built, encoder) == {("c", DAY): expected}
 
     @settings(max_examples=100, deadline=None)
@@ -298,8 +298,8 @@ class TestDayDocsEqualPerTweetReference:
             ]
             for i, tweets in enumerate(communities)
         }
-        encoder = TrigramEncoder()
-        built = build_community_day_docs(*grouped_corpus(records), stopwords, encoder)
+        encoder = TrigramEncoder(stopwords)
+        built = build_community_day_docs(*grouped_corpus(records), encoder)
         expected = per_tweet_reference(records, stopwords)
         # one row per community-day, and one encoder decodes every row
         assert built.row_of.keys() == expected.keys()
@@ -330,12 +330,12 @@ class TestTokenDoc:
 
     @pytest.mark.parametrize("text,stopwords", NORMALIZE_EXAMPLES)
     def test_equality_and_trigram_counts_unchanged(self, text, stopwords):
-        token_doc = normalize_text(text, stopwords)
-        fresh = oracles.normalize_text(text, stopwords)
+        token_doc = normalize_text(text)
+        fresh = oracles.normalize_text(text)
         assert type(token_doc) is tuple
         assert token_doc == fresh and hash(token_doc) == hash(fresh)
-        expected = oracles.indexed_trigram_counts(token_doc)
-        counts = decoded_counts([token_doc])
+        expected = oracles.indexed_trigram_counts(oracles.drop_stopwords(token_doc, stopwords))
+        counts = decoded_counts([token_doc], stopwords)
         assert counts == expected
         # counting leaves the doc as it was
         assert token_doc == fresh
@@ -416,7 +416,7 @@ class TestFlagDays:
                 community: [record_factory(f"{community}{i}", "u", text=t) for i, t in enumerate(texts)]
                 for community, texts in (("ca", texts_a), ("cb", texts_b))
             }
-            day_docs = build_community_day_docs(*grouped_corpus(records), frozenset())
+            day_docs = build_community_day_docs(*grouped_corpus(records), TrigramEncoder())
             (value,) = similarity_series(day_docs, ["ca"], ["cb"], [DAY], ("A", "B")).values
             return value
 
