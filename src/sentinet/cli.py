@@ -260,7 +260,7 @@ def cmd_sentinels(args) -> int:
         ingest,
     )
     write_roster(sentinels, args.output)
-    for label in sentinels.considered:
+    for label in sentinels:
         print(
             f"community {label}: {len(sentinels.members[label])} sentinels, "
             f"coverage {sentinels.coverage[label]:.3f}"
@@ -285,9 +285,9 @@ def cmd_cluster(args) -> int:
     domains_mod.write_scores_csv(scores, clusters, args.scores_output)
     if args.loadings_output is not None:
         domains_mod.write_loadings_csv(scores, args.loadings_output)
-    for cluster in range(clusters.k):
+    for cluster, centroid in enumerate(clusters.centroids):
         members = sorted(clusters.members(cluster), key=str)
-        print(f"cluster {cluster}: centroid {clusters.centroids[cluster]:.4f} {members}")
+        print(f"cluster {cluster}: centroid {centroid:.4f} {members}")
     return 0
 
 

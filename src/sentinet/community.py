@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     UndefinedScoreError,
 )
-from .fileio import atomic_open
+from .fileio import read_records, write_lines
 from .graph import RetweetGraph
 
 Label = Hashable
@@ -264,17 +264,14 @@ def z_rand(p1: Partition, p2: Partition) -> float:
 
 def write_partition(partition: Partition, path: str | Path) -> None:
     """Write 'node_id community_label' lines, sorted by node id."""
-    with atomic_open(path) as handle:
-        for node in sorted(partition.nodes):
-            handle.write(f"{node} {partition.assignment[node]}\n")
+    write_lines(path, (f"{node} {partition.assignment[node]}" for node in sorted(partition.nodes)))
 
 
 def read_partition(path: str | Path) -> Partition:
+    """A partition from :func:`write_partition`'s lines; a node listed twice is a ValueError."""
     assignment: dict[str, Label] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        node, label = line.split()
+    for node, label in read_records(path):
+        if node in assignment:
+            raise ValueError(f"node {node!r} listed twice")
         assignment[node] = label
     return Partition.from_assignment(assignment)

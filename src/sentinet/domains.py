@@ -41,8 +41,11 @@ class DomainMatrix:
     domains: tuple[str, ...]
     values: np.ndarray
     retained_totals: tuple[int, ...]
-    zero_link_communities: tuple[Label, ...]
     unparseable_urls: int
+
+    @property
+    def zero_link_communities(self) -> tuple[Label, ...]:
+        return tuple(c for c, total in zip(self.communities, self.retained_totals) if not total)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class ClusterAssignment(Mapping):
 
     assignment: Mapping[Label, int]
     centroids: tuple[float, ...]
-    k: int
 
     def __getitem__(self, label: Label) -> int:
         return self.assignment[label]
@@ -139,15 +141,11 @@ def domain_frequency_matrix(
             continue
         for j, domain in enumerate(qualifying):
             values[i, j] = counts[label][domain] / totals[i]
-    zero_link = tuple(
-        label for label, total in zip(communities, totals) if total == 0
-    )
     return DomainMatrix(
         communities=tuple(communities),
         domains=tuple(qualifying),
         values=values,
         retained_totals=tuple(totals),
-        zero_link_communities=zero_link,
         unparseable_urls=unparseable,
     )
 
@@ -222,7 +220,6 @@ def cluster_scores(
     return ClusterAssignment(
         assignment={label: c for c, group in enumerate(groups) for label in group},
         centroids=tuple(means),
-        k=k,
     )
 
 
@@ -250,9 +247,6 @@ def read_matrix_csv(source: str | Path) -> DomainMatrix:
         domains=domains,
         values=np.array(values) if values else np.zeros((0, len(domains))),
         retained_totals=totals,
-        zero_link_communities=tuple(
-            label for label, total in zip(communities, totals) if total == 0
-        ),
         unparseable_urls=0,
     )
 

@@ -1,4 +1,4 @@
-"""Artifact I/O: atomic writes, CSV tables and ``#``-comment lists.
+"""Artifact I/O: atomic writes, record lines, CSV tables and ``#``-comment lists.
 
 Every artifact is streamed into a temporary file in its target's directory
 and renamed over the target only when the whole body has been written, so a
@@ -8,6 +8,11 @@ place, never a truncated one.
 Tables are comma-separated with ``\n`` line ends. An empty field is a
 missing value (None), and a float is written in its shortest round-trip
 form, so reading it back with ``float`` gives the same bits.
+
+Record files (``graph.edges``, ``component.edges``, ``partition.txt``,
+``sentinels.txt``) hold one record per line, its fields separated by spaces.
+Every character ``str.splitlines`` breaks on is whitespace to ``str.split``,
+so fields that :func:`is_field` admits read back as written.
 """
 
 from __future__ import annotations
@@ -36,6 +41,33 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def is_field(value) -> bool:
+    """Whether ``value`` can be one field of a record line.
+
+    It must be a non-empty string with no whitespace, as ``str.split``
+    sees it, and no lone surrogate, which UTF-8 cannot encode.
+    """
+    if not isinstance(value, str) or value.split() != [value]:
+        return False
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def read_records(path: str | Path) -> list[list[str]]:
+    """The whitespace-separated fields of each non-blank line of a UTF-8 record file."""
+    text = Path(path).read_text(encoding="utf-8")
+    return [fields for fields in map(str.split, text.splitlines()) if fields]
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Atomically write each of ``lines`` followed by ``\\n``."""
+    with atomic_open(path) as handle:
+        handle.writelines(f"{line}\n" for line in lines)
 
 
 def write_json(payload, path: str | Path) -> None:

@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EmptyGraphError
-from .fileio import atomic_open
+from .fileio import read_records, write_lines
 from .ingest import Corpus
 
 Arc = tuple[str, str]
@@ -114,17 +114,12 @@ def largest_component(graph: RetweetGraph) -> RetweetGraph:
 
 def write_edges(graph: RetweetGraph, path: str | Path) -> None:
     """Write the arc list as 'source retweeter weight' lines, sorted."""
-    with atomic_open(path) as handle:
-        for (source, retweeter), weight in sorted(graph.arcs.items()):
-            handle.write(f"{source} {retweeter} {weight}\n")
+    arcs = sorted(graph.arcs.items())
+    write_lines(path, (f"{source} {retweeter} {weight}" for (source, retweeter), weight in arcs))
 
 
 def read_edges(path: str | Path) -> RetweetGraph:
     arcs: dict[Arc, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        src, retweeter, weight = line.split()
+    for src, retweeter, weight in read_records(path):
         arcs[(src, retweeter)] = arcs.get((src, retweeter), 0) + int(weight)
     return RetweetGraph.from_arcs(arcs)

@@ -41,7 +41,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
-from .fileio import atomic_open, read_lines
+from .fileio import atomic_open, is_field, read_lines
 
 Trigram = tuple[str, str, str]
 
@@ -197,21 +197,6 @@ def format_timestamp(value: datetime) -> str:
     return utc.isoformat(timespec="seconds") + "Z"
 
 
-def _is_field(value) -> bool:
-    """Whether ``value`` can be one field of an artifact line.
-
-    It must be a non-empty string with no whitespace, as ``str.split``
-    sees it, and no lone surrogate, which UTF-8 cannot encode.
-    """
-    if not isinstance(value, str) or value.split() != [value]:
-        return False
-    try:
-        value.encode()
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
     """Parse a JSON Lines stream of tweet records into a :class:`Corpus`.
 
@@ -254,13 +239,13 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
             if not isinstance(obj, dict):
                 raise ValueError("record line must be a JSON object")
             tweet_id = obj["tweet_id"]
-            if not (isinstance(tweet_id, str) and (tweet_id.isalnum() or _is_field(tweet_id))):
+            if not (isinstance(tweet_id, str) and (tweet_id.isalnum() or is_field(tweet_id))):
                 raise ValueError("tweet_id must be a non-empty string with no whitespace")
             author_id = obj["author_id"]
-            if author_id not in account_of and not _is_field(author_id):
+            if author_id not in account_of and not is_field(author_id):
                 raise ValueError("author_id must be a non-empty string with no whitespace")
             source_id = obj.get("retweeted_author_id")
-            if source_id is not None and source_id not in account_of and not _is_field(source_id):
+            if source_id is not None and source_id not in account_of and not is_field(source_id):
                 raise ValueError("retweeted_author_id must be null or an id like author_id")
             created_at = obj["created_at"]
             if not isinstance(created_at, str):

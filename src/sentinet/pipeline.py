@@ -49,7 +49,7 @@ from . import stats as stats_mod
 from . import topics as topics_mod
 from .config import INPUT_FIELDS, PipelineConfig, validate_config
 from .errors import EmptyCorpusError, SentinetError, StageError
-from .fileio import atomic_open, write_json
+from .fileio import write_json, write_lines
 from .ingest import (
     EPOCH,
     PACKAGED,
@@ -97,7 +97,6 @@ class Stage:
 @dataclass
 class PipelineResult:
     output_dir: Path
-    artifacts: dict[str, Path]
     summary: dict
 
 
@@ -380,11 +379,6 @@ def _write_rates(table, paths, params) -> None:
     topics_mod.write_daily_csv(table, paths[1])
 
 
-def _write_lines(lines, paths, params) -> None:
-    with atomic_open(paths[0]) as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
 def _write_json(payload, paths, params) -> None:
     write_json(payload, paths[0])
 
@@ -470,7 +464,8 @@ _STAGE_ROWS = (
         lambda paths: similarity_mod.read_series_csv(paths[0]),
     ),
     Stage(
-        "adf", ("adf.txt",), ("adf_alpha",), ("similarity",), _build_adf, _write_lines,
+        "adf", ("adf.txt",), ("adf_alpha",), ("similarity",), _build_adf,
+        lambda lines, paths, params: write_lines(paths[0], lines),
     ),
     Stage(
         "lsa", ("lsa_drivers.json",),
@@ -555,13 +550,7 @@ class _Runner:
                 stage.write(result, paths, params)
             manifest[stage.name] = fingerprint
             write_json(manifest, manifest_path)
-
-        artifacts = {name: self.out / files[0] for name, files in ARTIFACTS.items()}
-        if self.config.contingency is None and self.config.coding is None:
-            artifacts.pop("stats")
-        return PipelineResult(
-            output_dir=self.out, artifacts=artifacts, summary=self.value("meta")["summary"]
-        )
+        return PipelineResult(output_dir=self.out, summary=self.value("meta")["summary"])
 
 
 @contextmanager

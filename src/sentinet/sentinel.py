@@ -19,7 +19,7 @@ import numpy as np
 
 from .community import Label, Partition
 from .errors import ParameterError
-from .fileio import atomic_open
+from .fileio import read_records, write_lines
 from .graph import RetweetGraph
 from .ingest import Corpus, day_number
 
@@ -33,21 +33,21 @@ class SentinelSet(Mapping):
     """Per-community sentinel rosters ordered by weighted in-degree.
 
     As a mapping it reads like :func:`read_roster`'s result: considered
-    community label -> (account, in-degree) entries.
+    community label -> (account, in-degree) entries, the labels in the order
+    the communities were considered.
     """
 
     members: Mapping[Label, tuple[tuple[str, int], ...]]
     coverage: Mapping[Label, float]
-    considered: tuple[Label, ...]
 
     def __getitem__(self, label: Label) -> tuple[tuple[str, int], ...]:
         return self.members[label]
 
     def __iter__(self):
-        return iter(self.considered)
+        return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.considered)
+        return len(self.members)
 
 
 def select_sentinels(
@@ -68,13 +68,11 @@ def select_sentinels(
     by_size = sorted(
         partition.communities.items(), key=lambda item: (-len(item[1]), str(item[0]))
     )
-    considered = []
     members: dict[Label, tuple[tuple[str, int], ...]] = {}
     coverage: dict[Label, float] = {}
     for label, community in by_size[:top_m]:
         if language_filter is not None and not language_filter(label, community):
             continue
-        considered.append(label)
         ranked = sorted(
             community, key=lambda node: (-graph.w_in.get(node, 0), node)
         )
@@ -84,7 +82,7 @@ def select_sentinels(
         members[label] = tuple(selected)
         # A community whose members were never retweeted has nothing to cover.
         coverage[label] = selected_total / community_total if community_total else 1.0
-    return SentinelSet(members=members, coverage=coverage, considered=tuple(considered))
+    return SentinelSet(members=members, coverage=coverage)
 
 
 def ascii_language_filter(
@@ -160,18 +158,17 @@ def activity(
 
 def write_roster(sentinels: SentinelSet, path: str | Path) -> None:
     """Write 'community_label account_id in_degree' lines."""
-    with atomic_open(path) as handle:
-        for label in sentinels.considered:
-            for account, in_degree in sentinels.members[label]:
-                handle.write(f"{label} {account} {in_degree}\n")
+    entries = ((label, *entry) for label, roster in sentinels.items() for entry in roster)
+    write_lines(path, (f"{label} {account} {in_degree}" for label, account, in_degree in entries))
 
 
 def read_roster(path: str | Path) -> dict[Label, tuple[tuple[str, int], ...]]:
+    """Rosters from :func:`write_roster`'s lines; an account listed twice is a ValueError."""
     rosters: dict[Label, list[tuple[str, int]]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        label, account, in_degree = line.split()
+    seen: set[str] = set()
+    for label, account, in_degree in read_records(path):
+        if account in seen:
+            raise ValueError(f"account {account!r} listed twice")
+        seen.add(account)
         rosters.setdefault(label, []).append((account, int(in_degree)))
     return {label: tuple(entries) for label, entries in rosters.items()}

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from sentinet.fileio import is_field
 from sentinet.graph import RetweetGraph
 from sentinet.ingest import (
     CountMatrix,
@@ -172,6 +173,11 @@ def default_corpus():
 
 
 node_ids = st.sampled_from([f"n{i}" for i in range(8)])
+# fields a record line admits, non-ASCII letters and punctuation such as
+# '#' and ',' included
+record_fields = st.text(
+    st.characters(codec="utf-8") | st.sampled_from("#,;:'\"\\éß中"), min_size=1, max_size=6
+).filter(is_field)
 
 
 @st.composite

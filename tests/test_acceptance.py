@@ -199,7 +199,6 @@ def test_criterion_5_pca_oracle():
                 domains=tuple(f"d{j}" for j in range(cols)),
                 values=values,
                 retained_totals=tuple([1] * rows),
-                zero_link_communities=(),
                 unparseable_urls=0,
             )
             mine = np.array(

@@ -256,6 +256,10 @@ INPUT_FILE_COMMANDS = {
     "--edges": ["communities", "--edges", "{file}", "--output", "{out}"],
     "--partition": ["sentinels", "--edges", "{edges}", "--partition", "{file}", "--output", "{out}"],
     "--roster": ["topics", "--records", "{records}", "--roster", "{file}", "--output", "{out}"],
+    "--roster:rates": [
+        "rates", "--records", "{records}", "--roster", "{file}", "--scores", "{scores}",
+        "--window-start", "2020-07-01", "--window-end", "2020-07-30", "--output", "{out}",
+    ],
     "--scores": [
         "rates", "--records", "{records}", "--roster", "{roster}", "--scores", "{file}",
         "--window-start", "2020-07-01", "--window-end", "2020-07-30", "--output", "{out}",
@@ -301,6 +305,21 @@ class TestInputFiles:
         assert main(self.command(staged, option, malformed, tmp_path)) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot read {malformed}: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--roster:rates", "--partition"])
+    def test_repeated_key_is_one_error_line(self, staged, option, tmp_path, capsys):
+        # read silently, a repeated account would count twice in the rates
+        _, _, _, partition, roster, *_ = staged
+        source = {"--roster:rates": roster, "--partition": partition}[option]
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        repeated = tmp_path / "repeated"
+        repeated.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        assert main(self.command(staged, option, repeated, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {repeated}: ")
+        assert "listed twice" in captured.err
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

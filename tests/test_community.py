@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
-from conftest import retweet_graphs
+from conftest import record_fields, retweet_graphs
 from sentinet.community import (
     Partition,
     louvain,
@@ -225,12 +225,19 @@ class TestZRand:
 
 
 class TestPartitionIO:
-    def test_roundtrip(self, tmp_path):
-        partition = Partition.from_assignment({"a": 0, "b": 0, "c": 1})
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(record_fields, record_fields, min_size=1, max_size=8))
+    @example({"a": 0, "b": 0, "c": 1})
+    def test_roundtrip(self, tmp_path, assignment):
+        partition = Partition.from_assignment(assignment)
         path = tmp_path / "partition.txt"
         write_partition(partition, path)
         loaded = read_partition(path)
-        assert loaded.communities == {
-            "0": frozenset({"a", "b"}),
-            "1": frozenset({"c"}),
-        }
+        # labels read back as text
+        assert loaded.assignment == {node: str(label) for node, label in assignment.items()}
+
+    def test_node_listed_twice_is_an_error(self, tmp_path):
+        path = tmp_path / "partition.txt"
+        path.write_text("a 0\nb 0\na 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="'a' listed twice"):
+            read_partition(path)

@@ -34,7 +34,6 @@ def matrix_from(values, communities=None, domains=None):
         domains=tuple(domains),
         values=array,
         retained_totals=tuple([100] * array.shape[0]),
-        zero_link_communities=(),
         unparseable_urls=0,
     )
 

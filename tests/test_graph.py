@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
-from conftest import corpus_of, make_record, retweet_graphs
+from conftest import corpus_of, make_record, record_fields, retweet_graphs
 from sentinet.errors import EmptyGraphError
 from sentinet.graph import (
     RetweetGraph,
@@ -136,8 +136,18 @@ class TestDegreeIdentities:
 
 
 class TestEdgeListIO:
-    def test_roundtrip(self, tmp_path):
-        graph = RetweetGraph.from_arcs({("a", "b"): 2, ("b", "c"): 1, ("c", "a"): 3})
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.dictionaries(
+            st.tuples(record_fields, record_fields).filter(lambda arc: arc[0] != arc[1]),
+            st.integers(min_value=1, max_value=10**9),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example({("a", "b"): 2, ("b", "c"): 1, ("c", "a"): 3})
+    def test_roundtrip(self, tmp_path, arcs):
+        graph = RetweetGraph.from_arcs(arcs)
         path = tmp_path / "graph.edges"
         write_edges(graph, path)
         parsed = read_edges(path)

@@ -61,6 +61,8 @@ PINNED_DIGESTS = {
     "topic_counts.csv": "ce2f11c548b2a1a5dbebc72dfc61dfba0bdeed03d94f02200418074a251e846a",
     "rates.csv": "804edbaea90e237a8fc40511faf16fe0970254a9d7e3b2b2f009966961f7b098",
     "rates_daily.csv": "31016ce6d2ef723ce6d25bfc3d8000ed772c547ec8bd6fa0fbed8866cf333ab7",
+    "graph.edges": "d126e5b5cc602dcca89d8a311dbf44acda6af4c7edc07245b28b150be0c9f60b",
+    "component.edges": "d126e5b5cc602dcca89d8a311dbf44acda6af4c7edc07245b28b150be0c9f60b",
     "partition.txt": "5d430fc76aa2d15ae71fc252dd71df2afb5f113f9e9b1acc826ba74d221da4c6",
     "sentinels.txt": "33ce936f2f9a71316dec79b8e9a4abef16eddc035ba825a4d38997a1152c44dd",
     "domain_matrix.csv": "4b8dd3d1de53c0ea939c27f7c25aaf02ff190fdc38bd91471396c7e35a238fc6",

@@ -1,14 +1,15 @@
 from datetime import date
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
-from conftest import activity_of, corpus_of, make_record
+from conftest import activity_of, corpus_of, make_record, record_fields
 from sentinet.community import Partition
 from sentinet.errors import ParameterError
 from sentinet.graph import RetweetGraph
 from sentinet.sentinel import (
+    SentinelSet,
     activity,
     ascii_language_filter,
     read_roster,
@@ -58,7 +59,7 @@ class TestSelectSentinels:
         assignment = {n: n[:2] for n in graph.nodes}
         partition = Partition.from_assignment(assignment)
         result = select_sentinels(graph, partition, k=2, top_m=2)
-        assert set(result.considered) == {"c3", "c2"}
+        assert set(result) == {"c3", "c2"}
 
     def test_tie_break_by_account_id(self):
         graph = RetweetGraph.from_arcs({("b", "x"): 3, ("a", "y"): 3, ("c", "z"): 1})
@@ -196,11 +197,31 @@ class TestActivity:
 
 
 class TestRosterIO:
-    def test_roundtrip(self, tmp_path):
-        graph = RetweetGraph.from_arcs({("a", "b"): 5, ("c", "b"): 3})
-        partition = Partition.from_assignment({n: 7 for n in graph.nodes})
-        sentinels = select_sentinels(graph, partition, k=2)
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.tuples(record_fields, record_fields, st.integers(min_value=0, max_value=10**9)),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda row: row[1],
+        )
+    )
+    @example([("7", "a", 5), ("7", "c", 3)])
+    def test_roundtrip(self, tmp_path, rows):
+        members: dict[str, list] = {}
+        for label, account, in_degree in rows:
+            members.setdefault(label, []).append((account, in_degree))
+        sentinels = SentinelSet(
+            members={label: tuple(entries) for label, entries in members.items()}, coverage={}
+        )
         path = tmp_path / "roster.txt"
         write_roster(sentinels, path)
         loaded = read_roster(path)
-        assert loaded == {"7": (("a", 5), ("c", 3))}
+        assert loaded == sentinels.members
+        assert list(loaded) == list(sentinels)
+
+    def test_account_listed_twice_is_an_error(self, tmp_path):
+        path = tmp_path / "roster.txt"
+        path.write_text("7 a 5\n7 c 3\n8 a 5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="'a' listed twice"):
+            read_roster(path)
