@@ -64,6 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ingest", cmd_ingest, "parse a JSONL corpus into canonical form", [output])
     p.add_argument("--input", required=True, type=_input_path)
+    # optional here, but given together: the window the pipeline's ingest keeps
+    _config_option(p, "--window-start", "window_start")
+    _config_option(p, "--window-end", "window_end")
 
     p = command("graph", cmd_graph, "build the retweet graph edge list", [output])
     _config_option(p, "--records", "corpus", required=True)
@@ -203,9 +206,16 @@ def _sentinel_topics(args, ingest):
 
 
 def cmd_ingest(args) -> int:
+    if (args.window_start is None) != (args.window_end is None):
+        raise ConfigError("--window-start and --window-end must be given together")
     result = _read(read_corpus, args.input)
-    write_corpus(result.records, args.output)
-    print(f"parsed {len(result.records)} records, skipped {result.skipped} lines")
+    records = result.records
+    message = f"parsed {len(records)} records, skipped {result.skipped} lines"
+    if args.window_start is not None:
+        records = records.within(args.window_start, args.window_end)
+        message += f", kept {len(records)} inside the window"
+    write_corpus(records, args.output)
+    print(message)
     return 0
 
 

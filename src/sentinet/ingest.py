@@ -73,7 +73,7 @@ _STOPWORD = -1
 TOKEN_ID_BITS = 21
 # token ids, in whole streams, that TrigramEncoder.count gathers before it
 # reduces them to trigram runs
-CHUNK_TOKENS = 1 << 16
+CHUNK_TOKENS = 1 << 14
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_SECONDS = 86_400
 
@@ -130,6 +130,17 @@ class Corpus:
         starts = self.url_offsets[rows]
         entries = _ranges(starts, self.url_offsets[rows + 1] - starts)
         return [self.urls[i] for i in entries.tolist()]
+
+    def within(self, start: date, end: date) -> Corpus:
+        """The rows posted from UTC day ``start`` to ``end``, both included, in order.
+
+        Raises :class:`EmptyCorpusError` when no row is.
+        """
+        days = self.days
+        inside = (days >= day_number(start)) & (days <= day_number(end))
+        if not inside.any():
+            raise EmptyCorpusError("no records inside the observation window")
+        return self if inside.all() else self.take(np.flatnonzero(inside))
 
     def take(self, rows: np.ndarray) -> Corpus:
         """The corpus of ``rows``, in that order, over the same account table."""
@@ -454,14 +465,6 @@ class CountMatrix(NamedTuple):
         held, columns = np.unique(self.indices, return_inverse=True)
         return self._replace(indices=columns, shape=(self.shape[0], held.size))
 
-    def squared_norms(self) -> np.ndarray:
-        """Each row's squared norm, 0 for an empty row."""
-        nonempty = np.diff(self.indptr) > 0
-        norms_sq = np.zeros(self.shape[0])
-        # a nonempty row's entries run up to the next nonempty row's start
-        norms_sq[nonempty] = np.add.reduceat(np.square(self.data), self.indptr[:-1][nonempty])
-        return norms_sq
-
     def gram(self) -> np.ndarray:
         """The dot products of every pair of rows, as a dense rows x rows array.
 
@@ -477,7 +480,7 @@ class CountMatrix(NamedTuple):
         block = np.zeros((self.shape[0], int(np.count_nonzero(shared))))
         block[rows[kept], position[self.indices[kept]]] = self.data[kept]
         gram = block @ block.T
-        np.fill_diagonal(gram, self.squared_norms())
+        np.fill_diagonal(gram, np.bincount(rows, np.square(self.data), minlength=self.shape[0]))
         return gram
 
     def group_sums(self, groups: np.ndarray, n_groups: int) -> CountMatrix:

@@ -395,12 +395,11 @@ def confirm_drivers(
     )
     group_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     reduced = DayDocs.from_rows(
-        ((g, day) for g in range(len(groups))),
-        matrix.take(kept).group_sums(group_of[kept], len(groups)),
+        range(len(groups)), matrix.take(kept).group_sums(group_of[kept], len(groups))
     )
     side_a = range(len(rows_a))
     (new_s,) = similarity_series(
-        reduced, side_a, range(len(side_a), len(groups)), [day], series.pair
+        {day: reduced}, side_a, range(len(side_a), len(groups)), [day], series.pair
     ).values
     values = series.values[:index] + (new_s,) + series.values[index + 1 :]
     new_h = burst_score(replace(series, values=values), index, min_history)

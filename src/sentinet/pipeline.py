@@ -48,7 +48,7 @@ from . import similarity as similarity_mod
 from . import stats as stats_mod
 from . import topics as topics_mod
 from .config import INPUT_FIELDS, PipelineConfig, validate_config
-from .errors import EmptyCorpusError, SentinetError, StageError
+from .errors import SentinetError, StageError
 from .fileio import write_json, write_lines
 from .ingest import (
     EPOCH,
@@ -105,14 +105,10 @@ class PipelineResult:
 
 def _build_ingest(params) -> ParseResult:
     parsed = read_corpus(params.corpus)
-    corpus = parsed.records
-    days = corpus.days
-    inside = (days >= day_number(params.window_start)) & (days <= day_number(params.window_end))
-    if not inside.any():
-        raise EmptyCorpusError("no records inside the observation window")
-    if not inside.all():
-        corpus = corpus.take(np.flatnonzero(inside))
-    return ParseResult(records=corpus, skipped=parsed.skipped)
+    return ParseResult(
+        records=parsed.records.within(params.window_start, params.window_end),
+        skipped=parsed.skipped,
+    )
 
 
 def _build_communities(params, component) -> community_mod.Partition:

@@ -1,26 +1,29 @@
 """Daily inter-cluster trigram similarity, burst scoring, and stationarity.
 
 Each community-day document sums the word-trigram counts of that
-community's topical tweets for the day. :func:`build_community_day_docs`
-tokenizes each community-day's tweets in two batches, its ASCII texts
-and the rest, and counts every community-day of the build with one
-:class:`~sentinet.ingest.TrigramEncoder` into the rows of one
-:class:`~sentinet.ingest.CountMatrix`, with each row's squared norm
-computed once. Similarity between two clusters on a day is the mean
-cosine similarity over cross-cluster community pairs;
-:func:`similarity_series` reads each day's cosines from the dot products
-of every pair of that day's rows, computed once per day and shared by all
-cluster pairs (:attr:`DayDocs.day_dots`).
+community's topical tweets for the day. The documents are built one day
+at a time: :func:`community_day_counts` tokenizes each community-day's
+tweets in two batches, its ASCII texts and the rest, and counts the day's
+community-days with one :class:`~sentinet.ingest.TrigramEncoder`, shared
+by every day, into the rows of one :class:`~sentinet.ingest.CountMatrix`;
+:func:`build_community_day_docs` reduces that matrix at once to what
+:func:`similarity_series` reads, the dot products of every pair of the
+day's rows (:class:`DayDocs`), and drops it before the next day is
+counted. What a build holds at once thus follows the busiest day, not the
+length of the window; what it keeps is one small Gram matrix per day.
+Similarity between two clusters on a day is the mean cosine similarity
+over cross-cluster community pairs, read from the day's Gram matrix.
 Counts stay integer-valued, so dots and norms are exact and every cosine,
 and the left-to-right mean over them, equals what the per-pair reference
 :func:`intercluster_similarity` returns bit for bit; that reference, with
 :func:`cosine_similarity` and :class:`CommunityDayDoc`, serves the tests
 and is not on the pipeline's path. Driver confirmation
 (:func:`sentinet.lsa.confirm_drivers`) recomputes its one day with
-:func:`similarity_series` on rows of its own. The burst score
-standardizes a day's similarity against the running mean and standard
-deviation of all earlier valid days; days at or above the flag threshold
-are marked as potential content-spread events.
+:func:`similarity_series` on documents of its own, made by the same
+:meth:`DayDocs.from_rows`. The burst score standardizes a day's
+similarity against the running mean and standard deviation of all earlier
+valid days; days at or above the flag threshold are marked as potential
+content-spread events.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,84 +70,79 @@ class CommunityDayDoc:
 
 @dataclass(frozen=True)
 class DayDocs:
-    """Every community-day document of a build, as the rows of one count matrix.
+    """One day's community-day documents, reduced to what :func:`similarity_series` reads.
 
-    Row ``row_of[(community, day)]`` of ``matrix`` holds that community-day's
-    trigram counts as integer-valued floats; column j is the trigram whose
-    code is ``codes[j]``, where the builder kept the codes. ``norms_sq``
-    holds the rows' squared norms, 0 for a community-day whose tweets have
-    no trigram.
+    ``position[community]`` is the community's row, and ``gram`` holds the
+    dot products of every pair of rows; its diagonal is the rows' squared
+    norms, 0 for a community whose tweets have no trigram. Every entry is
+    an exact sum of integers.
     """
 
-    row_of: Mapping[tuple[Label, date], int]
-    matrix: CountMatrix
-    norms_sq: np.ndarray
-    codes: np.ndarray | None
+    position: Mapping[Label, int]
+    gram: np.ndarray
 
     @classmethod
-    def from_rows(
-        cls,
-        keys: Iterable[tuple[Label, date]],
-        matrix: CountMatrix,
-        codes: np.ndarray | None = None,
-    ) -> DayDocs:
-        """The documents of ``keys``, the i-th key's in row i of ``matrix``.
+    def from_rows(cls, communities: Iterable[Label], matrix: CountMatrix) -> DayDocs:
+        """The documents of ``communities``, the i-th one's counts in row i of ``matrix``."""
+        return cls({community: row for row, community in enumerate(communities)}, matrix.gram())
 
-        ``matrix`` and ``codes`` are as :meth:`TrigramEncoder.count` returns
-        them; the rows' squared norms are computed here, once, and are exact
-        sums of integers.
-        """
-        row_of = {key: row for row, key in enumerate(keys)}
-        return cls(row_of, matrix, matrix.squared_norms(), codes)
+    def rows(self, communities: Iterable[Label]) -> list[int]:
+        """The rows of those of ``communities`` whose document holds a trigram, in order."""
+        found = (self.position.get(community) for community in communities)
+        return [row for row in found if row is not None and self.gram[row, row] > 0]
 
-    @cached_property
-    def day_dots(self) -> dict[date, tuple[dict[int, int], np.ndarray]]:
-        """Per day, each of the day's rows' position, and their pairwise dot products.
 
-        Made on first use, one :meth:`CountMatrix.gram` per day, and shared
-        by every cluster pair that reads the documents.
-        """
-        rows_of: dict[date, list[int]] = {}
-        for (_, day), row in self.row_of.items():
-            rows_of.setdefault(day, []).append(row)
-        return {
-            day: ({row: i for i, row in enumerate(rows)}, self.matrix.take(rows).gram())
-            for day, rows in rows_of.items()
-        }
+def community_day_counts(
+    corpus: Corpus,
+    rows_by_community: Mapping[Label, Sequence[int]],
+    encoder: TrigramEncoder,
+) -> Iterator[tuple[date, list[Label], CountMatrix, np.ndarray]]:
+    """Each day's community-day trigram counts, one day at a time, in date order.
+
+    Yields, for each day on which any community has a row of ``corpus``,
+    the day, the communities with rows on it, in label order, and what
+    :meth:`TrigramEncoder.count` returns for their streams, one row per
+    community. Trigrams never cross tweet boundaries. Each community-day's
+    tweets are tokenized as two batches, its ASCII texts and the rest, so
+    that one non-ASCII tweet does not send the day's ASCII tweets down the
+    regex path; the two batches form one token stream, a :data:`BOUNDARY`
+    between them. ``encoder`` drops its stopwords and makes the codes of
+    every day, so it decodes them all.
+    """
+    texts, days = corpus.texts, corpus.days
+    texts_of: dict[int, dict[Label, tuple[list[str], list[str]]]] = {}
+    for community in sorted(rows_by_community, key=str):
+        rows = np.asarray(rows_by_community[community], dtype=np.intp)
+        for row, day in zip(rows.tolist(), days[rows].tolist()):
+            by_community = texts_of.setdefault(day, {})
+            ascii_texts, other_texts = by_community.setdefault(community, ([], []))
+            text = texts[row]
+            (ascii_texts if text.isascii() else other_texts).append(text)
+    for day in sorted(texts_of):
+        # each day's texts are let go once the day is counted
+        by_community = texts_of.pop(day)
+        yield day_date(day), list(by_community), *encoder.count(
+            chain(tokenize(ascii_texts), (BOUNDARY,), tokenize(other_texts))
+            for ascii_texts, other_texts in by_community.values()
+        )
 
 
 def build_community_day_docs(
     corpus: Corpus,
     rows_by_community: Mapping[Label, Sequence[int]],
     encoder: TrigramEncoder,
-) -> DayDocs:
-    """Group each community's rows of ``corpus`` by day and sum their trigram counts.
+) -> dict[date, DayDocs]:
+    """Each day's :class:`DayDocs` of the :func:`community_day_counts` of ``corpus``.
 
-    Trigrams never cross tweet boundaries. Each community-day's tweets are
-    tokenized as two batches, its ASCII texts and the rest, so that one
-    non-ASCII tweet does not send the day's ASCII tweets down the regex
-    path; the two batches form one token stream, a :data:`BOUNDARY`
-    between them, and :meth:`TrigramEncoder.count` turns each stream into
-    ids as soon as it is made and reduces them to counts a chunk of whole
-    community-days at a time. ``encoder`` drops its stopwords and makes the
-    codes; it decodes them too.
+    A day's count matrix is reduced to its Gram matrix as soon as it is
+    counted, and only the Gram matrix is kept.
     """
-    texts, days = corpus.texts, corpus.days
-    texts_of: dict[tuple[Label, int], tuple[list[str], list[str]]] = {}
-    for community in sorted(rows_by_community, key=str):
-        rows = np.asarray(rows_by_community[community], dtype=np.intp)
-        for row, day in zip(rows.tolist(), days[rows].tolist()):
-            ascii_texts, other_texts = texts_of.setdefault((community, day), ([], []))
-            text = texts[row]
-            (ascii_texts if text.isascii() else other_texts).append(text)
-    matrix, codes = encoder.count(
-        chain(tokenize(ascii_texts), (BOUNDARY,), tokenize(other_texts))
-        for ascii_texts, other_texts in texts_of.values()
-    )
-    dates = {day: day_date(day) for day in {day for _, day in texts_of}}
-    return DayDocs.from_rows(
-        ((community, dates[day]) for community, day in texts_of), matrix, codes
-    )
+    return {
+        day: DayDocs.from_rows(communities, matrix)
+        for day, communities, matrix, _ in community_day_counts(
+            corpus, rows_by_community, encoder
+        )
+    }
 
 
 def cosine_similarity(u: Mapping, v: Mapping) -> float:
@@ -202,7 +200,7 @@ class SimilaritySeries:
 
 
 def similarity_series(
-    day_docs: DayDocs,
+    day_docs: Mapping[date, DayDocs],
     communities_a: Sequence[Label],
     communities_b: Sequence[Label],
     days: Sequence[date],
@@ -217,21 +215,16 @@ def similarity_series(
     squared norms carry no rounding, and the mean sums the cosines in the
     same order (cluster-a community outer, cluster-b community inner).
     """
-    norms_sq = day_docs.norms_sq
-    has_trigrams = (norms_sq > 0).tolist()
-
-    def rows(communities: Sequence[Label], day: date) -> list[int]:
-        found = (day_docs.row_of.get((community, day)) for community in communities)
-        return [row for row in found if row is not None and has_trigrams[row]]
-
     values: list[float | None] = []
     for day in days:
-        rows_a, rows_b = rows(communities_a, day), rows(communities_b, day)
+        docs = day_docs.get(day)
+        rows_a = docs.rows(communities_a) if docs is not None else []
+        rows_b = docs.rows(communities_b) if docs is not None else []
         if not rows_a or not rows_b:
             values.append(None)
             continue
-        position, gram = day_docs.day_dots[day]
-        dots = gram[np.ix_([position[row] for row in rows_a], [position[row] for row in rows_b])]
+        norms_sq = docs.gram.diagonal()
+        dots = docs.gram[np.ix_(rows_a, rows_b)]
         cosines = np.minimum(
             1.0, dots / np.sqrt(np.outer(norms_sq[rows_a], norms_sq[rows_b]))
         )

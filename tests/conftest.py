@@ -127,35 +127,42 @@ def decoded_counts(token_docs, stopwords=frozenset()):
     return dict(zip(encoder.decode(codes), scipy_of(matrix).sum(axis=0).A1.tolist()))
 
 
-def decoded_rows(day_docs: DayDocs, encoder: TrigramEncoder):
-    """Each community-day's row of the matrix, keyed by (token, token, token).
+def decoded_rows(day_counts, encoder: TrigramEncoder):
+    """Each community-day's row of its day's matrix, keyed by (token, token, token).
 
-    ``encoder`` is the one the day documents were built with. Counts stay
-    the matrix's floats, so a non-integer count fails an equality with
-    integer counts.
+    ``day_counts`` is what :func:`community_day_counts` yields, and
+    ``encoder`` the one it counted with. Counts stay the matrix's floats,
+    so a non-integer count fails an equality with integer counts.
     """
-    matrix = day_docs.matrix
     rows = {}
-    for key, row in day_docs.row_of.items():
-        start, end = matrix.indptr[row], matrix.indptr[row + 1]
-        trigrams = encoder.decode(day_docs.codes[matrix.indices[start:end]])
-        rows[key] = dict(zip(trigrams, matrix.data[start:end].tolist()))
+    for day, communities, matrix, codes in day_counts:
+        for row, community in enumerate(communities):
+            start, end = matrix.indptr[row], matrix.indptr[row + 1]
+            trigrams = encoder.decode(codes[matrix.indices[start:end]])
+            rows[(community, day)] = dict(zip(trigrams, matrix.data[start:end].tolist()))
     return rows
 
 
-def day_docs_of(docs) -> DayDocs:
-    """One matrix row per code-keyed :class:`CommunityDayDoc`, in mapping order."""
-    codes = np.unique(
-        np.array([code for doc in docs.values() for code in doc.trigram_counts], dtype=np.int64)
-    )
-    rows = [sorted(doc.trigram_counts.items()) for doc in docs.values()]
-    matrix = CountMatrix(
-        np.array([count for row in rows for _, count in row], dtype=float),
-        np.searchsorted(codes, [code for row in rows for code, _ in row]),
-        np.cumsum([0] + [len(row) for row in rows]),
-        (len(rows), codes.size),
-    )
-    return DayDocs.from_rows(docs, matrix, codes)
+def day_docs_of(docs) -> dict:
+    """Day -> :class:`DayDocs` of the code-keyed :class:`CommunityDayDoc` values of
+    ``docs``, keyed by (community, day); one matrix row per doc, in mapping order."""
+    by_day: dict = {}
+    for (community, day), doc in docs.items():
+        by_day.setdefault(day, {})[community] = doc.trigram_counts
+    built = {}
+    for day, counts in by_day.items():
+        codes = np.unique(
+            np.array([code for row in counts.values() for code in row], dtype=np.int64)
+        )
+        rows = [sorted(row.items()) for row in counts.values()]
+        matrix = CountMatrix(
+            np.array([count for row in rows for _, count in row], dtype=float),
+            np.searchsorted(codes, [code for row in rows for code, _ in row]),
+            np.cumsum([0] + [len(row) for row in rows]),
+            (len(rows), codes.size),
+        )
+        built[day] = DayDocs.from_rows(counts, matrix)
+    return built
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -24,7 +25,7 @@ from scipy.cluster.hierarchy import linkage
 from conftest import count_matrix, scipy_of
 from sentinet.community import Partition
 from sentinet.errors import EmptyCorpusError, UrlParseError
-from sentinet.ingest import BOUNDARY, ParseResult, TrigramEncoder
+from sentinet.ingest import BOUNDARY, ParseResult, TrigramEncoder, day_date, tokenize
 from sentinet.lsa import TopicalExtraction, _gap_select, truncated_svd
 from sentinet.similarity import CommunityDayDoc, burst_score, intercluster_similarity
 
@@ -314,6 +315,39 @@ def community_day_doc(community, day, tweets) -> CommunityDayDoc:
         for trigram, count in indexed_trigram_counts(tokens).items():
             counts[trigram] = counts.get(trigram, 0) + count
     return CommunityDayDoc(community, day, counts, tuple(tweet_id for tweet_id, _ in tweets))
+
+
+def window_day_grams(corpus, rows_by_community, encoder) -> dict:
+    """Day -> {(community, community): dot product}, from one whole-window count matrix.
+
+    The similarity build before it went day by day: every community-day of
+    the window is a row of one count matrix, counted in community-major
+    order, and each day's Gram matrix is taken from the day's rows of it.
+    """
+    texts, days = corpus.texts, corpus.days
+    texts_of: dict = {}
+    for community in sorted(rows_by_community, key=str):
+        rows = np.asarray(rows_by_community[community], dtype=np.intp)
+        for row, day in zip(rows.tolist(), days[rows].tolist()):
+            ascii_texts, other_texts = texts_of.setdefault((community, day), ([], []))
+            text = texts[row]
+            (ascii_texts if text.isascii() else other_texts).append(text)
+    matrix, _ = encoder.count(
+        chain(tokenize(ascii_texts), (BOUNDARY,), tokenize(other_texts))
+        for ascii_texts, other_texts in texts_of.values()
+    )
+    rows_of: dict = {}
+    for row, (community, day) in enumerate(texts_of):
+        rows_of.setdefault(day_date(day), []).append((community, row))
+    grams = {}
+    for day, keyed in rows_of.items():
+        gram = matrix.take([row for _, row in keyed]).gram()
+        grams[day] = {
+            (first, second): gram[i, j]
+            for i, (first, _) in enumerate(keyed)
+            for j, (second, _) in enumerate(keyed)
+        }
+    return grams
 
 
 def lsa_topical_tweets(tweet_docs, k=5) -> TopicalExtraction:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 from dataclasses import MISSING, fields
+from datetime import timedelta
 from types import SimpleNamespace
 
 import pytest
@@ -235,6 +236,36 @@ class TestStageCommands:
         assert edges.read_text() == "a b 1\na c 1\nb c 1\n"
         assert main(["communities", "--edges", str(edges), "--output", str(partition)]) == 0
         assert partition.read_text().split()[::2] == ["a", "b", "c"]
+
+    def test_ingest_window_keeps_what_the_pipeline_ingest_keeps(self, workspace, tmp_path):
+        _, corpus, truth = workspace
+        start = truth.window[0] + timedelta(days=5)
+        end = truth.window[1] - timedelta(days=10)
+        out = tmp_path / "records.jsonl"
+        argv = ["ingest", "--input", str(corpus), "--output", str(out)]
+        assert main(argv + ["--window-start", str(start), "--window-end", str(end)]) == 0
+        ingest = STAGES["ingest"].build(
+            SimpleNamespace(corpus=corpus, window_start=start, window_end=end)
+        )
+        write_corpus(ingest.records, tmp_path / "ingest.jsonl")
+        assert out.read_bytes() == (tmp_path / "ingest.jsonl").read_bytes()
+        assert 0 < len(ingest.records) < len(read_corpus(corpus).records)
+
+    @pytest.mark.parametrize("bound", ["--window-start", "--window-end"])
+    def test_ingest_window_bounds_come_together(self, workspace, tmp_path, capsys, bound):
+        _, corpus, truth = workspace
+        out = tmp_path / "records.jsonl"
+        argv = ["ingest", "--input", str(corpus), "--output", str(out)]
+        assert main(argv + [bound, str(truth.window[0])]) == 1
+        assert "given together" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ingest_empty_window_errors(self, workspace, tmp_path, capsys):
+        _, corpus, truth = workspace
+        after = truth.window[1] + timedelta(days=1)
+        argv = ["ingest", "--input", str(corpus), "--output", str(tmp_path / "o")]
+        assert main(argv + ["--window-start", str(after), "--window-end", str(after)]) == 1
+        assert "no records inside the observation window" in capsys.readouterr().err
 
     def test_ingest_writes_lone_surrogate_text(self, tmp_path):
         raw = tmp_path / "raw.jsonl"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -29,6 +30,7 @@ from sentinet.similarity import (
     build_community_day_docs,
     burst_score,
     burst_scores,
+    community_day_counts,
     cosine_similarity,
     flag_days,
     intercluster_similarity,
@@ -203,7 +205,7 @@ class TestDayDocs:
         texts = ["alpha beta gamma", "delta epsilon zeta"]
         records = {"c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]}
         encoder = TrigramEncoder()
-        built = build_community_day_docs(*grouped_corpus(records), encoder)
+        built = community_day_counts(*grouped_corpus(records), encoder)
         built = decoded_rows(built, encoder)[("c", DAY)]
         assert sum(built.values()) == 2
         assert ("gamma", "delta", "epsilon") not in built
@@ -219,7 +221,7 @@ class TestDayDocs:
             "c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]
         }
         encoder = TrigramEncoder()
-        built = build_community_day_docs(*grouped_corpus(records), encoder)
+        built = community_day_counts(*grouped_corpus(records), encoder)
         assert decoded_rows(built, encoder) == {("c", DAY): expected}
 
     @settings(max_examples=100, deadline=None)
@@ -238,11 +240,16 @@ class TestDayDocs:
         lengths, counts = drawn
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         columns = [j for length in lengths for j in range(length)]
-        matrix = CountMatrix(np.array(counts, dtype=float), np.array(columns), indptr, (len(lengths), 3))
-        norms_sq = DayDocs.from_rows(range(len(lengths)), matrix).norms_sq
+        matrix = CountMatrix(
+            np.array(counts, dtype=float), np.array(columns, dtype=np.intp), indptr, (len(lengths), 3)
+        )
+        docs = DayDocs.from_rows(range(len(lengths)), matrix)
         reference = scipy_of(matrix)
         expected = np.asarray(reference.multiply(reference).sum(axis=1)).ravel()
+        norms_sq = docs.gram.diagonal()
         assert norms_sq.dtype == expected.dtype and norms_sq.tolist() == expected.tolist()
+        assert docs.gram.tolist() == (reference @ reference.T).toarray().tolist()
+        assert docs.position == {row: row for row in range(len(lengths))}
 
 
 def per_tweet_reference(records_by_community, stopwords):
@@ -271,14 +278,27 @@ TWEET_TEXTS = st.tuples(st.lists(TEXT_PIECES, max_size=4), st.integers(1, 3)).ma
 )
 
 
+# per community, its tweets' texts and day offsets
+COMMUNITY_TWEETS = st.lists(
+    st.lists(st.tuples(TWEET_TEXTS, st.integers(0, 3)), max_size=6), min_size=1, max_size=3
+)
+
+
+def records_of(communities):
+    """Community label -> its tweets' records, from (text, day offset) pairs per community."""
+    return {
+        f"c{i}": [
+            make_record(f"{i}-{j}", "u", text=text, day_offset=offset)
+            for j, (text, offset) in enumerate(tweets)
+        ]
+        for i, tweets in enumerate(communities)
+    }
+
+
 class TestDayDocsEqualPerTweetReference:
     @settings(max_examples=150, deadline=None)
     @given(
-        communities=st.lists(
-            st.lists(st.tuples(TWEET_TEXTS, st.integers(0, 2)), max_size=6),
-            min_size=1,
-            max_size=3,
-        ),
+        communities=COMMUNITY_TWEETS,
         stopwords=st.sampled_from([frozenset(), frozenset({"the", "of", "rt"})]),
     )
     # the day's tweets end and start with words that would form trigrams if joined
@@ -291,26 +311,84 @@ class TestDayDocsEqualPerTweetReference:
         stopwords=frozenset(),
     )
     def test_equals_summed_indexed_counters(self, communities, stopwords):
-        records = {
-            f"c{i}": [
-                make_record(f"{i}-{j}", "u", text=text, day_offset=offset)
-                for j, (text, offset) in enumerate(tweets)
-            ]
-            for i, tweets in enumerate(communities)
-        }
+        records = records_of(communities)
+        corpus, rows = grouped_corpus(records)
         encoder = TrigramEncoder(stopwords)
-        built = build_community_day_docs(*grouped_corpus(records), encoder)
+        day_counts = list(community_day_counts(corpus, rows, encoder))
         expected = per_tweet_reference(records, stopwords)
-        # one row per community-day, and one encoder decodes every row
-        assert built.row_of.keys() == expected.keys()
-        assert sorted(built.row_of.values()) == list(range(built.matrix.shape[0]))
-        rows = decoded_rows(built, encoder)
-        for key, row in built.row_of.items():
-            assert rows[key] == expected[key]
-            assert built.norms_sq[row] == sum(c * c for c in expected[key].values())
-        # codes ascend with the column, and columns ascend within each row
-        assert np.all(np.diff(built.codes) > 0)
-        assert scipy_of(built.matrix).has_sorted_indices and built.matrix.data.dtype == float
+        # days once each and ascending; one row per community-day, in label order
+        days = [day for day, *_ in day_counts]
+        assert days == sorted(set(days))
+        for _, labels, matrix, codes in day_counts:
+            assert labels == sorted(set(labels)) and matrix.shape == (len(labels), codes.size)
+            # codes ascend with the column, and columns ascend within each row
+            assert np.all(np.diff(codes) > 0)
+            assert scipy_of(matrix).has_sorted_indices and matrix.data.dtype == float
+        # one encoder decodes every day's rows
+        assert decoded_rows(day_counts, encoder) == expected
+        docs = build_community_day_docs(corpus, rows, TrigramEncoder(stopwords))
+        assert docs.keys() == set(days)
+        for (community, day), counts in expected.items():
+            row = docs[day].position[community]
+            assert docs[day].gram[row, row] == sum(c * c for c in counts.values())
+
+
+class TestDayDocsEqualWindowBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        communities=COMMUNITY_TWEETS,
+        stopwords=st.sampled_from([frozenset(), frozenset({"the", "of", "rt"})]),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_every_norm_and_dot_equals_the_window_build(self, communities, stopwords, order):
+        corpus, rows = grouped_corpus(records_of(communities))
+        # the build orders communities by label itself
+        labels = list(rows)
+        order.shuffle(labels)
+        rows = {label: rows[label] for label in labels}
+        built = build_community_day_docs(corpus, rows, TrigramEncoder(stopwords))
+        expected = oracles.window_day_grams(corpus, rows, TrigramEncoder(stopwords))
+        assert built.keys() == expected.keys()
+        for day, dots in expected.items():
+            docs = built[day]
+            assert {pair[0] for pair in dots} == docs.position.keys()
+            assert docs.gram.shape == (len(docs.position),) * 2
+            for (first, second), dot in dots.items():
+                assert docs.gram[docs.position[first], docs.position[second]] == dot
+
+
+class TestBuildMemory:
+    COMMUNITIES, TWEETS, WORDS = 6, 40, 40
+
+    def traced_peak(self, n_days):
+        """tracemalloc's peak over one build of the same daily tweets on ``n_days`` days."""
+        texts = [
+            " ".join(f"w{(7 * c + 31 * i + 17 * j) % 997}" for j in range(self.WORDS))
+            for c in range(self.COMMUNITIES)
+            for i in range(self.TWEETS)
+        ]
+        records = {
+            f"c{c}": [
+                make_record(f"{c}-{day}-{i}", "u", text=texts[c * self.TWEETS + i], day_offset=day)
+                for day in range(n_days)
+                for i in range(self.TWEETS)
+            ]
+            for c in range(self.COMMUNITIES)
+        }
+        corpus, rows = grouped_corpus(records)
+        corpus.days  # the corpus's own cached column, made once per run
+        tracemalloc.start()
+        try:
+            docs = build_community_day_docs(corpus, rows, TrigramEncoder())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(docs) == n_days
+        return peak
+
+    def test_peak_does_not_grow_with_the_window(self):
+        days = 5
+        assert self.traced_peak(4 * days) <= 1.25 * self.traced_peak(days)
 
 
 NORMALIZE_EXAMPLES = [
