@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import MISSING, dataclass, fields
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_args, get_type_hints
 
@@ -174,7 +174,8 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("split must carry a timezone")
     if config.window_start > config.window_end:
         raise ConfigError("window_start is after window_end")
-    split_day = config.split.date()
+    # the UTC day, as the config file writes the split
+    split_day = config.split.astimezone(timezone.utc).date()
     if not (config.window_start <= split_day <= config.window_end):
         raise ConfigError("split timestamp falls outside the observation window")
     for name in FIELDS:

@@ -16,9 +16,8 @@ with numpy alone. A matrix with at most ``_DENSE_CUTOFF`` rows gets them
 from the eigenvalues and eigenvectors of its row Gram matrix ``A Aᵀ``,
 whose entries are exact integer sums in any column order; a taller one
 from a Golub-Kahan-Lanczos bidiagonalization (:func:`_lanczos_svd`) of
-the matrix with its identical columns merged. Both paths leave
-rounding-level components where a vector is exactly 0, so the gap rule
-counts such components as 0.
+the matrix itself. Both paths leave rounding-level components where a
+vector is exactly 0, so the gap rule counts such components as 0.
 """
 
 from __future__ import annotations
@@ -42,10 +41,11 @@ from .similarity import intercluster_similarity  # noqa: F401
 
 GAP_WINDOW = 50
 MIN_GAP_RATIO = 2.0
-# rows up to which the Gram path is taken: numpy's eigh of the full Gram
-# matrix beats the Lanczos path below about 230 rows (6.0-7.1 against
-# 7.0-7.4 ms at 220 rows, 8.6-9.1 against 6.2-8.0 ms at 240, k = 5, on row
-# samples of the flagged days' matrices, one BLAS thread, a 2-vCPU VM)
+# rows up to which the Gram path is taken. The Lanczos path is faster above
+# about 180 rows (2.8-3.3 against 1.9-2.5 ms at 220 rows, 3.4-4.5 against
+# 2.0-3.1 ms at 240, k = 5, on row samples of the flagged days' matrices,
+# one BLAS thread, a 2-vCPU VM), but up to 230 rows the Gram path, which
+# selects verbatim blocks exactly, costs under a millisecond more
 _DENSE_CUTOFF = 230
 # Lanczos steps between two convergence checks: a check, an SVD of the
 # bidiagonal matrix, costs about as much as two steps
@@ -76,7 +76,7 @@ def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns min(k, rows, columns) of them, the vectors orthonormal. A
     matrix of at most ``_DENSE_CUTOFF`` rows gets them from the eigenvalues
     and eigenvectors of its row Gram matrix; a taller one from
-    :func:`_lanczos_svd` of :func:`_merged_columns`.
+    :func:`_lanczos_svd` of the matrix as given.
     """
     rows, cols = matrix.shape
     k = min(k, rows, cols)
@@ -85,66 +85,7 @@ def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
         # ascending; a rounding-level negative one is clamped before the root
         values, vectors = np.linalg.eigh(matrix.gram())
         return vectors[:, ::-1][:, :k], np.sqrt(np.maximum(values[::-1][:k], 0.0))
-    rng = np.random.default_rng(0)
-    merged = _merged_columns(matrix)
-    u, s = _lanczos_svd(merged, min(k, merged.shape[1]), rng)
-    if s.size < k:
-        # fewer distinct columns than k: the other singular values are 0,
-        # and their vectors complete the left ones orthonormally
-        basis = np.vstack([u.T, np.empty((k - s.size, rows))])
-        for j in range(s.size, k):
-            basis[j] = _fresh(rng, basis[:j])
-        u, s = basis.T, np.concatenate([s, np.zeros(k - s.size)])
-    return u, s
-
-
-def _merged_columns(matrix: CountMatrix) -> CountMatrix:
-    """``matrix`` with each set of c identical columns merged into one, times sqrt(c).
-
-    c identical columns a add c a aᵀ to the row Gram matrix, as the one
-    column sqrt(c) a does, so the singular values and left singular vectors
-    stay the same. Tweets that repeat a text, and the trigrams that one
-    tweet alone holds, make such columns common; merging them cuts the
-    entries that every Lanczos step reads.
-
-    Columns are grouped by two weighted sums of their entries, each summed
-    in row order, so that identical columns get identical keys. The groups
-    are then checked entry by entry: if two columns of a group differ, the
-    matrix is returned unmerged.
-    """
-    rows, cols = matrix.shape
-    data, indices = matrix.data, matrix.indices
-    if not data.size:
-        return matrix
-    entry_row = np.repeat(np.arange(rows), np.diff(matrix.indptr))
-    weights = np.random.default_rng(1).random((2, rows))
-    real, imag = (np.bincount(indices, data * w[entry_row], minlength=cols) for w in weights)
-    _, first, group = np.unique(real + 1j * imag, return_index=True, return_inverse=True)
-    representative = first[group]
-    # every entry's (row, column) as one key, ascending in CSR order; each
-    # column must hold its representative's entries and no others
-    flat = entry_row * cols + indices
-    query = entry_row * cols + representative[indices]
-    found = np.minimum(np.searchsorted(flat, query), flat.size - 1)
-    sizes = np.bincount(indices, minlength=cols)
-    if not (
-        np.array_equal(sizes, sizes[representative])
-        and np.array_equal(flat[found], query)
-        and np.array_equal(data[found], data)
-    ):
-        return matrix
-    # merged columns numbered in the order of their representatives, so
-    # that columns stay ascending within each row
-    number = np.empty_like(first)
-    number[np.argsort(first)] = np.arange(first.size)
-    keep = representative[indices] == indices
-    kept = group[indices[keep]]
-    return CountMatrix(
-        data[keep] * np.sqrt(np.bincount(group)[kept]),
-        number[kept],
-        np.concatenate([[0], np.cumsum(np.bincount(entry_row[keep], minlength=rows))]),
-        (rows, first.size),
-    )
+    return _lanczos_svd(matrix, k)
 
 
 def _orthogonalize(vector: np.ndarray, basis: np.ndarray) -> bool:
@@ -171,9 +112,7 @@ def _fresh(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
     return vector / math.sqrt(vector @ vector)
 
 
-def _lanczos_svd(
-    matrix: CountMatrix, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k singular triplets' values and left vectors, by Lanczos bidiagonalization.
 
     Golub-Kahan-Lanczos with full reorthogonalization: step j extends
@@ -200,6 +139,7 @@ def _lanczos_svd(
     rows, cols = matrix.shape
     data, indices = matrix.data, matrix.indices
     entry_row = np.repeat(np.arange(rows), np.diff(matrix.indptr))
+    rng = np.random.default_rng(0)
 
     def times(x: np.ndarray) -> np.ndarray:
         return np.bincount(entry_row, weights=data * x[indices], minlength=rows)

@@ -1,4 +1,4 @@
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -10,6 +10,7 @@ from sentinet.config import (
     load_config,
     parse_config,
     serialize_config,
+    validate_config,
     write_config,
 )
 from sentinet.errors import ConfigError
@@ -143,6 +144,21 @@ class TestParseConfig:
         write_config(original, path)
         reloaded = load_config(path, env={})
         assert reloaded == original
+
+    def test_split_checked_on_the_utc_day_the_file_writes(self, tmp_path, corpus_file):
+        # 22:00 on the window's last day at UTC-5 is 03:00 the next day in
+        # UTC, as the file writes it: rejected, not accepted and then
+        # unloadable from its own file
+        base = parse_config(minimal_text(corpus_file, tmp_path / "out"), env={})
+        late = replace(base, split=datetime(2020, 7, 30, 22, tzinfo=timezone(timedelta(hours=-5))))
+        with pytest.raises(ConfigError, match="outside the observation window"):
+            validate_config(late)
+        # at UTC+5 the same wall time is 17:00 UTC that day, and loads back
+        early = replace(base, split=late.split.replace(tzinfo=timezone(timedelta(hours=5))))
+        validate_config(early)
+        path = tmp_path / "config.cfg"
+        write_config(early, path)
+        assert load_config(path, env={}) == early
 
     @pytest.mark.parametrize(
         "window, split",
