@@ -205,16 +205,16 @@ def _gap_select(magnitudes: np.ndarray) -> int:
     own plateau and is always selected. The drop is the largest ratio
     between consecutive magnitudes within the leading window; it must reach
     MIN_GAP_RATIO for anything to be selected. An entry at or below
-    ``first * len(magnitudes) * eps`` is a rounding-level remnant of an
-    exact zero and counts as 0: a drop to that level is a drop to zero, and
-    a drop from it is no drop.
+    ``first * sqrt(len(magnitudes) * eps)``, the relative null level of
+    :func:`lsa_topical_tweets`, is a rounding-level remnant of an exact zero
+    and counts as 0: a drop to it is a drop to zero, and a drop from it is none.
     """
     window = magnitudes[: min(GAP_WINDOW, magnitudes.size)]
     if window.size == 0 or window[0] <= 0:
         return 0
     if window.size == 1:
         return 1
-    rounding = float(window[0]) * magnitudes.size * np.finfo(float).eps
+    rounding = float(window[0]) * math.sqrt(magnitudes.size * np.finfo(float).eps)
     best_ratio = 0.0
     best_index = -1
     for i in range(window.size - 1):
@@ -240,9 +240,9 @@ def lsa_topical_tweets(
     hold, in the matrix's column order. Tweets with no trigram are ignored.
     Per vector, component magnitudes are sorted descending and the tweets
     above the largest consecutive-ratio gap are selected; the topical set is
-    the union over vectors. A vector whose singular value is at most
-    ``sqrt(rows * eps)`` times the largest spans part of the null space, an
-    arbitrary basis of it, and selects nothing.
+    the union over vectors. At most ``sqrt(rows * eps)`` times the largest is
+    a rounding-level zero: a vector with such a singular value spans part of
+    the null space and selects nothing; such a component counts as 0 in the gap rule.
     """
     rows = [row for row in rows if counts.indptr[row] < counts.indptr[row + 1]]
     if not rows:

@@ -96,6 +96,29 @@ def assert_svd_of(dense, k, nonzero):
             np.testing.assert_allclose(np.abs(u[:, j]), np.abs(u_svd[:, j]), atol=1e-8)
 
 
+BLOCK_SIZES = st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True)
+
+
+def assert_each_vector_is_one_block(sizes, data):
+    """Blocks of ``sizes`` copies in a drawn row order: vector j selects the j-th largest block.
+
+    Every text has three trigrams and shares none with another block, so
+    block sizes set the singular values and each vector is one block.
+    """
+    texts = [
+        "alpha bravo charlie delta echo",
+        "foxtrot golf hotel india juliet",
+        "kilo lima mike november oscar",
+    ]
+    blocks = [[(f"b{b}-{i}", toks(texts[b])) for i in range(size)] for b, size in enumerate(sizes)]
+    docs = data.draw(st.permutations([doc for block in blocks for doc in block]))
+    extraction = extract(docs, k=len(sizes))
+    expected = sorted(
+        (frozenset(tweet_id for tweet_id, _ in block) for block in blocks), key=len, reverse=True
+    )
+    assert extraction.per_vector == tuple(expected)
+
+
 SVD_SHAPES = pytest.mark.parametrize(
     "rows, cols, rank, k",
     [(40, 120, None, 5), (150, 40, None, 5), (12, 40, None, 12), (60, 90, 4, 7)],
@@ -222,38 +245,22 @@ class TestLsaTopicalTweets:
         }
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True),
-        data=st.data(),
-    )
+    @given(sizes=BLOCK_SIZES, data=st.data())
     def test_orthogonal_blocks_in_any_row_order(self, sizes, data):
-        # every text has three trigrams and shares none with another block, so
-        # block sizes set the singular values and each vector is one block
-        texts = [
-            "alpha bravo charlie delta echo",
-            "foxtrot golf hotel india juliet",
-            "kilo lima mike november oscar",
-        ]
-        blocks = [
-            [(f"b{b}-{i}", toks(texts[b])) for i in range(size)] for b, size in enumerate(sizes)
-        ]
-        docs = data.draw(st.permutations([doc for block in blocks for doc in block]))
-        extraction = extract(docs, k=len(sizes))
-        expected = sorted(
-            (frozenset(tweet_id for tweet_id, _ in block) for block in blocks), key=len, reverse=True
-        )
-        assert extraction.per_vector == tuple(expected)
+        assert_each_vector_is_one_block(sizes, data)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the Lanczos path leaves rounding-level entries above _gap_select's floor "
-        "where an exact singular vector is 0 (ROADMAP item 1)",
-    )
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=BLOCK_SIZES, data=st.data())
+    def test_orthogonal_blocks_in_any_row_order_on_the_lanczos_path(self, sizes, data):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lsa, "_DENSE_CUTOFF", 0)
+            assert_each_vector_is_one_block(sizes, data)
+
     def test_lanczos_path_selects_verbatim_blocks_as_the_gram_path(self, monkeypatch):
         # blocks of 2, 1 and 3 copies of three-trigram texts (s = 3, 2.45,
-        # 1.73), in row order: the first Lanczos vector's rounding on the 2
-        # rows (1.0e-15) stays above the floor (7.7e-16), so 5 tweets are
-        # selected where the Gram path's exact zeros select the 3
+        # 1.73), in row order: the first Lanczos vector reads 1.0e-15 on the
+        # 2 rows where it is exactly 0, above a floor of first * n * eps
+        # (7.7e-16), which would select 5 tweets where the Gram path selects 3
         texts = [
             "alpha bravo charlie delta echo",
             "foxtrot golf hotel india juliet",

@@ -432,7 +432,8 @@ class TestRunPipeline:
 
 # imports the CLI and the pipeline, takes each path of lsa.truncated_svd
 # once, runs the pipeline on the default synthetic corpus in the directory
-# argv[1], and prints the scipy modules then loaded
+# argv[1] and `sentinet stats` on the table and coding matrix there, and
+# prints the scipy modules then loaded
 RUN_PATH = """
 import sys
 from pathlib import Path
@@ -462,13 +463,21 @@ run_pipeline(
         split=truth.split,
     )
 )
+assert sentinet.cli.main(
+    ["stats", "--contingency", str(base / "table.csv"), "--coding", str(base / "coding.csv")]
+) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 class TestRunPath:
     def test_cli_and_pipeline_load_no_scipy(self, tmp_path):
-        # only stats.chi_square imports scipy (scipy.special), on demand
+        # numpy is the package's one run-time dependency: no module of it,
+        # the chi-square p-value included, imports scipy
+        (tmp_path / "table.csv").write_text(
+            "cluster,misinfo,no_misinfo\nleft,52,309\nright,325,57\nfar_right,360,48\n"
+        )
+        (tmp_path / "coding.csv").write_text("1,0,1,1\n1,0,1,\n1,0,,1\n")
         src = str(Path(pipeline_mod.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", RUN_PATH, str(tmp_path)],
@@ -477,7 +486,9 @@ class TestRunPath:
             text=True,
             check=True,
         )
-        assert done.stdout.strip() == "[]"
+        chi, alpha, loaded = done.stdout.strip().splitlines()
+        assert chi.startswith("chi-square: statistic=563.") and alpha.startswith("krippendorff")
+        assert loaded == "[]"
         assert json.loads((tmp_path / "out" / "lsa_drivers.json").read_text())["events"]
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaincc
 
 import oracles
 from sentinet.errors import DegenerateTableError, UndefinedScoreError
 from sentinet.stats import (
     CodingMatrix,
     ContingencyTable,
+    _upper_gamma_half,
     chi_square,
     krippendorff_alpha,
 )
@@ -81,6 +83,31 @@ class TestChiSquare:
         table = ContingencyTable.read_csv(path)
         assert table.row_labels == ("left", "right")
         assert table.counts[1, 0] == 325
+
+
+class TestUpperGammaHalf:
+    """The closed-form chi-square tail against scipy's regularized upper gamma."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 10, 11, 50, 51, 399, 400])
+    def test_matches_gammaincc_from_zero_to_far_past_the_mean(self, df):
+        xs = np.linspace(0.0, 3.0 * df + 50.0, 151)
+        reference = gammaincc(df / 2.0, xs / 2.0)
+        got = np.array([_upper_gamma_half(df, float(x)) for x in xs])
+        assert reference[0] == got[0] == 1.0
+        held = reference > 1e-300
+        np.testing.assert_allclose(got[held], reference[held], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "df, x", [(400, 2000.0), (1, 1300.0), (2, 1300.0), (3, 1300.0), (50, 1500.0), (1, 1e-300)]
+    )
+    def test_far_tail_and_near_zero(self, df, x):
+        reference = float(gammaincc(df / 2.0, x / 2.0))
+        assert reference > 1e-300
+        assert _upper_gamma_half(df, x) == pytest.approx(reference, rel=1e-12)
+
+    def test_underflows_where_the_tail_does(self):
+        assert _upper_gamma_half(4, 3000.0) == 0.0
+        assert _upper_gamma_half(5, 3000.0) == 0.0
 
 
 def random_coding(rng, coders=4, items=200, missing_rate=0.2):
