@@ -12,12 +12,16 @@ none. Tweets common to both flagged clusters are then removed and the
 burst score recomputed, on the same rows, to confirm they drove the day.
 
 Only the top-k singular values and document (left) vectors are computed,
-with numpy alone. A matrix with at most ``_DENSE_CUTOFF`` rows gets them
-from the eigenvalues and eigenvectors of its row Gram matrix ``A Aᵀ``,
-whose entries are exact integer sums in any column order; a taller one
-from a Golub-Kahan-Lanczos bidiagonalization (:func:`_lanczos_svd`) of
-the matrix itself. Both paths leave rounding-level components where a
-vector is exactly 0, so the gap rule counts such components as 0.
+with numpy alone, by a Golub-Kahan-Lanczos bidiagonalization
+(:func:`truncated_svd`) of the matrix as given. It leaves rounding-level
+components where a vector is exactly 0, so the gap rule counts such
+components as 0.
+
+Where singular values tie exactly, or a gap ratio equals ``MIN_GAP_RATIO``
+exactly, selection follows the basis the Lanczos run returns. That basis
+is fixed for a given matrix, but it can change with the order of the
+matrix's rows or columns; exactly tied disjoint blocks, in particular, may
+share a vector instead of taking one each.
 """
 
 from __future__ import annotations
@@ -41,12 +45,6 @@ from .similarity import intercluster_similarity  # noqa: F401
 
 GAP_WINDOW = 50
 MIN_GAP_RATIO = 2.0
-# rows up to which the Gram path is taken. The Lanczos path is faster above
-# about 180 rows (2.8-3.3 against 1.9-2.5 ms at 220 rows, 3.4-4.5 against
-# 2.0-3.1 ms at 240, k = 5, on row samples of the flagged days' matrices,
-# one BLAS thread, a 2-vCPU VM), but up to 230 rows the Gram path, which
-# selects verbatim blocks exactly, costs under a millisecond more
-_DENSE_CUTOFF = 230
 # Lanczos steps between two convergence checks: a check, an SVD of the
 # bidiagonal matrix, costs about as much as two steps
 _CHECK_EVERY = 4
@@ -68,24 +66,6 @@ class DriverConfirmation:
     recomputed_s: float | None
     common_a: frozenset[str]
     common_b: frozenset[str]
-
-
-def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k singular values, non-increasing, and their left singular vectors.
-
-    Returns min(k, rows, columns) of them, the vectors orthonormal. A
-    matrix of at most ``_DENSE_CUTOFF`` rows gets them from the eigenvalues
-    and eigenvectors of its row Gram matrix; a taller one from
-    :func:`_lanczos_svd` of the matrix as given.
-    """
-    rows, cols = matrix.shape
-    k = min(k, rows, cols)
-    if rows <= _DENSE_CUTOFF:
-        # the squared singular values are the Gram matrix's eigenvalues,
-        # ascending; a rounding-level negative one is clamped before the root
-        values, vectors = np.linalg.eigh(matrix.gram())
-        return vectors[:, ::-1][:, :k], np.sqrt(np.maximum(values[::-1][:k], 0.0))
-    return _lanczos_svd(matrix, k)
 
 
 def _orthogonalize(vector: np.ndarray, basis: np.ndarray) -> bool:
@@ -112,15 +92,16 @@ def _fresh(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
     return vector / math.sqrt(vector @ vector)
 
 
-def _lanczos_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k singular triplets' values and left vectors, by Lanczos bidiagonalization.
+def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k singular values, non-increasing, and their left singular vectors.
 
-    Golub-Kahan-Lanczos with full reorthogonalization: step j extends
-    orthonormal bases V of the smaller side and U of the larger one with
-    ``A V_j = U_j B_j``, B_j upper bidiagonal, each new vector
-    orthogonalized against every earlier one of its side
-    (:func:`_orthogonalize`), and the singular triplets of B_j give the
-    Ritz approximations. The run starts from a fixed random vector, so it
+    Returns min(k, rows, columns) of them, the vectors orthonormal, from a
+    Golub-Kahan-Lanczos bidiagonalization of the matrix as given, with full
+    reorthogonalization: step j extends orthonormal bases V of the smaller
+    side and U of the larger one with ``A V_j = U_j B_j``, B_j upper
+    bidiagonal, each new vector orthogonalized against every earlier one of
+    its side (:func:`_orthogonalize`), and the singular triplets of B_j give
+    the Ritz approximations. The run starts from a fixed random vector, so it
     repeats across calls and processes. A new vector that lies in the span
     of its basis is a breakdown: its coupling in B is 0 and a fresh random
     vector orthogonal to the basis takes its place, so the basis keeps
@@ -137,6 +118,7 @@ def _lanczos_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     appear.
     """
     rows, cols = matrix.shape
+    k = min(k, rows, cols)
     data, indices = matrix.data, matrix.indices
     entry_row = np.repeat(np.arange(rows), np.diff(matrix.indptr))
     rng = np.random.default_rng(0)
@@ -248,7 +230,8 @@ def lsa_topical_tweets(
     if not rows:
         return TopicalExtraction(singular_values=(), per_vector=(), topical_ids=frozenset())
     u, s = truncated_svd(counts.take(rows).compact(), k)
-    # the Gram path's rounding level for an exact zero singular value
+    # an exact zero singular value comes out at rounding level, far below
+    # this; it is the same relative level as _gap_select's floor
     null_level = s[0] * math.sqrt(len(rows) * np.finfo(float).eps)
     per_vector: list[frozenset[str]] = []
     for j in range(s.size):

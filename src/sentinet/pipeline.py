@@ -17,11 +17,12 @@ the recorded one or an artifact is missing, and leaves it untouched
 otherwise; an up-to-date stage is loaded only when a rebuilt stage needs
 its value. Artifacts are written atomically, and a stage's manifest entry
 is dropped before its artifacts are replaced, so a crash never leaves
-partial output that counts as done. Given a fixed seed and a fixed BLAS
-thread count, the whole artifact tree is byte-stable. Floats computed by
-BLAS and LAPACK, such as the LSA singular values in ``lsa_drivers.json``,
-may change in their last bits with the thread count, because the summation
-order can follow it.
+partial output that counts as done. Given a fixed seed, the artifact tree
+is byte-stable across hash seeds and, as checked, at 1 and 2 BLAS threads.
+Where LSA singular values tie exactly, or a gap ratio equals
+``lsa.MIN_GAP_RATIO`` exactly, selection follows the Lanczos run's basis:
+fixed per matrix, but it can change with the row or column order (so with
+the corpus's line order), and tied disjoint blocks may then share a vector.
 """
 
 from __future__ import annotations

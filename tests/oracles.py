@@ -350,13 +350,13 @@ def window_day_grams(corpus, rows_by_community, encoder) -> dict:
     return grams
 
 
-def lsa_topical_tweets(tweet_docs, k=5) -> TopicalExtraction:
+def lsa_topical_tweets(tweet_docs, column_of, k=5) -> TopicalExtraction:
     """One side's extraction from its own (tweet id, tokens) pairs.
 
     The side's tweets are counted alone, by an encoder of their own, and
-    the matrix's columns are put in the lexicographic order of the decoded
-    trigrams. The SVD and the gap rule are the package's: what this checks
-    is the matrix they are given.
+    the matrix's columns are put in the order ``column_of`` (trigram ->
+    position) gives the decoded trigrams. The SVD and the gap rule are the
+    package's: what this checks is the matrix they are given.
     """
     kept = [(tweet_id, tokens) for tweet_id, tokens in tweet_docs if len(tokens) > 2]
     if not kept:
@@ -365,7 +365,7 @@ def lsa_topical_tweets(tweet_docs, k=5) -> TopicalExtraction:
     encoder = TrigramEncoder()
     matrix, codes = encoder.count(tokens for _, tokens in kept)
     trigram_of = encoder.decode(codes)
-    order = sorted(range(len(trigram_of)), key=trigram_of.__getitem__)
+    order = sorted(range(len(trigram_of)), key=lambda j: column_of[trigram_of[j]])
     u, s = truncated_svd(count_matrix(scipy_of(matrix)[:, order]), k)
     null_level = s[0] * math.sqrt(len(kept) * np.finfo(float).eps)
     per_vector = []

@@ -51,15 +51,12 @@ class TestDomainFrequencyMatrix:
         assert matrix.values[0, 0] == 1.0
 
     def test_hand_counted_two_communities(self, record_factory):
-        def bundle(urls):
-            return [
-                record_factory(f"{i}-{hash(tuple(urls)) % 99}", "u", urls=(u,))
-                for i, u in enumerate(urls)
-            ]
+        def bundle(community, urls):
+            return [record_factory(f"{community}-{i}", "u", urls=(u,)) for i, u in enumerate(urls)]
 
         records = {
-            "A": bundle(["https://x.com/a"] * 12 + ["https://y.com/b"] * 8),
-            "B": bundle(["https://y.com/c"] * 11 + ["https://z.com/d"] * 5),
+            "A": bundle("A", ["https://x.com/a"] * 12 + ["https://y.com/b"] * 8),
+            "B": bundle("B", ["https://y.com/c"] * 11 + ["https://z.com/d"] * 5),
         }
         matrix = domain_frequency_matrix(*grouped_corpus(records), min_count=10)
         assert matrix.domains == ("x.com", "y.com")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import count_matrix, scipy_of
-from sentinet import lsa
 from sentinet.ingest import BOUNDARY, TrigramEncoder, normalize_text
 from sentinet.lsa import (
     TopicalExtraction,
@@ -29,26 +28,29 @@ def stage(*sides, order=None):
 
     Each side maps a community to its (tweet id, tokens) pairs. The tweets
     take the matrix's rows in ``order`` (default: as listed). Returns the
-    matrix, its row ids and, per side, each community's rows.
+    matrix, its row ids, each trigram's column and, per side, each
+    community's rows.
     """
     tweets = [tweet for side in sides for c in side for tweet in side[c]]
     order = list(range(len(tweets))) if order is None else list(order)
-    counts, _ = TrigramEncoder().count(tweets[i][1] for i in order)
+    encoder = TrigramEncoder()
+    counts, codes = encoder.count(tweets[i][1] for i in order)
     ids = [tweets[i][0] for i in order]
+    column_of = {trigram: j for j, trigram in enumerate(encoder.decode(codes))}
     row_of = {tweet_id: row for row, tweet_id in enumerate(ids)}
     rows = [{c: [row_of[t] for t, _ in side[c]] for c in side} for side in sides]
-    return counts, ids, *rows
+    return counts, ids, column_of, *rows
 
 
 def extract(docs, k=5):
     """lsa_topical_tweets over (tweet id, tokens) pairs, every row in order."""
-    counts, ids, _ = stage({"c": docs})
+    counts, ids, _, _ = stage({"c": docs})
     return lsa_topical_tweets(counts, ids, range(len(ids)), k)
 
 
 def confirm(series, tweets_a, tweets_b, extraction_a, extraction_b, **kwargs):
     """confirm_drivers on DAY, with both sides counted as one matrix."""
-    counts, ids, rows_a, rows_b = stage(tweets_a, tweets_b)
+    counts, ids, _, rows_a, rows_b = stage(tweets_a, tweets_b)
     return confirm_drivers(
         series, DAY, counts, ids, rows_a, rows_b, extraction_a, extraction_b, **kwargs
     )
@@ -127,11 +129,15 @@ SVD_SHAPES = pytest.mark.parametrize(
 
 
 class TestTruncatedSvd:
+    @SVD_SHAPES
+    def test_matches_dense_svd(self, rows, cols, rank, k):
+        assert_matches_dense_svd(rows, cols, rank, k)
+
     def test_reconstruction_identity(self):
-        rng = np.random.default_rng(2)
-        dense = rng.random((8, 12))
+        # k is the smaller side: the basis spans it, and the values are exact
+        dense = np.random.default_rng(2).random((8, 12))
         _, s = truncated_svd(count_matrix(dense), k=8)
-        assert np.sum(s**2) == pytest.approx(np.sum(dense**2), rel=1e-8)
+        assert np.sum(s**2) == pytest.approx(np.sum(dense**2), rel=1e-12)
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(3)
@@ -139,15 +145,9 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-8)
         assert np.all(np.diff(s) <= 1e-12)
 
-    @SVD_SHAPES
-    def test_gram_path_matches_dense_svd(self, rows, cols, rank, k):
-        assert rows <= lsa._DENSE_CUTOFF
-        assert_matches_dense_svd(rows, cols, rank, k)
-
     def test_sparse_path_matches_dense(self):
         rng = np.random.default_rng(4)
         dense = rng.random((500, 430))
-        assert dense.shape[0] > lsa._DENSE_CUTOFF
         u_dense, s_dense, _ = np.linalg.svd(dense, full_matrices=False)
         _, s_sparse = truncated_svd(count_matrix(dense), k=3)
         np.testing.assert_allclose(s_sparse, s_dense[:3], rtol=1e-8)
@@ -160,24 +160,6 @@ class TestTruncatedSvd:
             u_again, s_again = truncated_svd(matrix, k=5)
             assert np.array_equal(s_again, s_first)
             assert np.array_equal(np.abs(u_again), np.abs(u_first))
-
-
-class TestLanczosPath:
-    """The Gram path's cases, and more, with every matrix taking the Lanczos path."""
-
-    @pytest.fixture(autouse=True)
-    def lanczos_only(self, monkeypatch):
-        monkeypatch.setattr(lsa, "_DENSE_CUTOFF", 0)
-
-    @SVD_SHAPES
-    def test_matches_dense_svd(self, rows, cols, rank, k):
-        assert_matches_dense_svd(rows, cols, rank, k)
-
-    def test_reconstruction_identity(self):
-        # k is the smaller side: the basis spans it, and the values are exact
-        dense = np.random.default_rng(2).random((8, 12))
-        _, s = truncated_svd(count_matrix(dense), k=8)
-        assert np.sum(s**2) == pytest.approx(np.sum(dense**2), rel=1e-12)
 
     def test_exact_tie(self):
         # two disjoint all-ones 40 x 12 blocks, apart from sparse noise: the
@@ -249,18 +231,12 @@ class TestLsaTopicalTweets:
     def test_orthogonal_blocks_in_any_row_order(self, sizes, data):
         assert_each_vector_is_one_block(sizes, data)
 
-    @settings(max_examples=60, deadline=None)
-    @given(sizes=BLOCK_SIZES, data=st.data())
-    def test_orthogonal_blocks_in_any_row_order_on_the_lanczos_path(self, sizes, data):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lsa, "_DENSE_CUTOFF", 0)
-            assert_each_vector_is_one_block(sizes, data)
-
-    def test_lanczos_path_selects_verbatim_blocks_as_the_gram_path(self, monkeypatch):
+    def test_lanczos_path_selects_verbatim_blocks_as_the_gram_path(self):
         # blocks of 2, 1 and 3 copies of three-trigram texts (s = 3, 2.45,
-        # 1.73), in row order: the first Lanczos vector reads 1.0e-15 on the
-        # 2 rows where it is exactly 0, above a floor of first * n * eps
-        # (7.7e-16), which would select 5 tweets where the Gram path selects 3
+        # 1.73), in row order, each selected whole by its own vector, as by
+        # the exact eigenvectors of the Gram matrix: the first Lanczos vector
+        # reads 1.0e-15 on the 2 rows where it is exactly 0, above a floor
+        # of first * n * eps (7.7e-16), which would select 5 tweets, not 3
         texts = [
             "alpha bravo charlie delta echo",
             "foxtrot golf hotel india juliet",
@@ -268,7 +244,6 @@ class TestLsaTopicalTweets:
         ]
         blocks = [[f"b{b}-{i}" for i in range(size)] for b, size in enumerate((2, 1, 3))]
         tweets = [(tweet_id, toks(texts[b])) for b, block in enumerate(blocks) for tweet_id in block]
-        monkeypatch.setattr(lsa, "_DENSE_CUTOFF", 0)
         extraction = extract(tweets, k=3)
         assert extraction.per_vector == tuple(
             frozenset(block) for block in sorted(blocks, key=len, reverse=True)
@@ -292,15 +267,20 @@ class TestLsaTopicalTweets:
         backward = extract(list(reversed(docs)), k=3)
         assert forward.topical_ids == backward.topical_ids
 
-    def test_column_order_leaves_gram_extraction_bit_identical(self):
-        # the Gram matrix's entries are exact integer sums in any column order
+    def test_column_order_leaves_selection_unchanged(self):
+        # the Lanczos run's summation order follows the column order, so the
+        # singular values may move in the last bits (4.898979485566356
+        # against ...358 here), but no selection does
         docs = [(f"x{i}", toks("cdc quietly updated death statistics again")) for i in range(6)]
         docs += [(f"u{i}", toks(text)) for i, text in enumerate(UNRELATED)]
-        counts, ids, _ = stage({"c": docs})
+        counts, ids, _, _ = stage({"c": docs})
         order = np.random.default_rng(5).permutation(counts.shape[1])
         permuted = count_matrix(scipy_of(counts)[:, order])
         forward = lsa_topical_tweets(counts, ids, range(len(ids)), k=5)
-        assert lsa_topical_tweets(permuted, ids, range(len(ids)), k=5) == forward
+        moved = lsa_topical_tweets(permuted, ids, range(len(ids)), k=5)
+        assert moved.per_vector == forward.per_vector
+        assert moved.topical_ids == forward.topical_ids
+        np.testing.assert_allclose(moved.singular_values, forward.singular_values, rtol=1e-14)
         assert forward.per_vector[0] == frozenset(f"x{i}" for i in range(6))
 
     def test_null_space_vectors_select_nothing(self):
@@ -535,19 +515,17 @@ class TestLsaEqualsPerSideReference:
 
     @staticmethod
     def check(sides, order, k=5):
-        counts, ids, *rows = stage(*sides, order=order)
+        counts, ids, column_of, *rows = stage(*sides, order=order)
         for side, side_rows in zip(sides, rows):
             ours = lsa_topical_tweets(
                 counts, ids, [row for c in sorted(side) for row in side_rows[c]], k
             )
             reference = oracles.lsa_topical_tweets(
-                [tweet for c in sorted(side) for tweet in side[c]], k
+                [tweet for c in sorted(side) for tweet in side[c]], column_of, k
             )
             assert ours.topical_ids == reference.topical_ids
             assert ours.per_vector == reference.per_vector
-            np.testing.assert_allclose(
-                ours.singular_values, reference.singular_values, rtol=1e-12, atol=0
-            )
+            assert ours.singular_values == reference.singular_values
 
     @settings(max_examples=200, deadline=None)
     @given(sides=tweet_sides(), data=st.data())
@@ -561,12 +539,11 @@ class TestLsaEqualsPerSideReference:
         ids=["columns-below-rows", "columns-above-rows"],
     )
     def test_tall_shapes(self, n_words, columns_below_rows):
-        # 450 tweets a side, on the Lanczos path; 7 words have at most 343
-        # trigrams, 12 words more than 450
+        # 450 tweets a side; 7 words have at most 343 trigrams, 12 words
+        # more than 450
         sides = [_random_side(450, n_words, seed) for seed in (1, 2)]
         order = np.random.default_rng(3).permutation(900)
-        counts, _, rows_a, _ = stage(*sides, order=order)
+        counts, _, _, rows_a, _ = stage(*sides, order=order)
         side = counts.take(rows_a["c0"]).compact()
         assert (side.shape[1] < side.shape[0]) == columns_below_rows
-        assert side.shape[0] > lsa._DENSE_CUTOFF
         self.check(sides, order)

@@ -18,7 +18,7 @@ from conftest import corpus_of, make_record, rows_of
 from oracles import matches_topic
 from sentinet import lsa as lsa_mod
 from sentinet import pipeline as pipeline_mod
-from sentinet.config import PipelineConfig
+from sentinet.config import PipelineConfig, write_config
 from sentinet.errors import ConfigError, StageError
 from sentinet.ingest import ParseResult, TrigramEncoder, normalize_text, read_corpus, write_corpus
 from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline
@@ -423,6 +423,29 @@ class TestRunPipeline:
         assert len(lines) == 3
         assert all(line.startswith("pair ") for line in lines)
 
+    def test_artifacts_byte_identical_at_one_and_two_blas_threads(self, synthetic, tmp_path):
+        # the lsa stage's SVD runs through BLAS, whose summation order may
+        # follow its thread count
+        config, _, _ = synthetic
+        src = str(Path(pipeline_mod.__file__).resolve().parents[1])
+        trees = []
+        for threads in ("1", "2"):
+            run_config = tmp_path / f"threads-{threads}.cfg"
+            write_config(replace(config, output_dir=tmp_path / f"threads-{threads}"), run_config)
+            subprocess.run(
+                [sys.executable, "-m", "sentinet.cli", "run", "--config", str(run_config)],
+                env={
+                    **os.environ,
+                    "PYTHONPATH": src,
+                    "OPENBLAS_NUM_THREADS": threads,
+                    "OMP_NUM_THREADS": threads,
+                },
+                capture_output=True,
+                check=True,
+            )
+            trees.append(artifact_bytes(tmp_path / f"threads-{threads}"))
+        assert trees[0] == trees[1]
+
     def test_run_meta_records_sd_convention(self, synthetic):
         config, _, _ = synthetic
         meta = json.loads((config.output_dir / "run_meta.json").read_text())
@@ -430,27 +453,19 @@ class TestRunPipeline:
         assert meta["seed"] == 13
 
 
-# imports the CLI and the pipeline, takes each path of lsa.truncated_svd
-# once, runs the pipeline on the default synthetic corpus in the directory
-# argv[1] and `sentinet stats` on the table and coding matrix there, and
-# prints the scipy modules then loaded
+# imports the CLI and the pipeline, runs the pipeline on the default
+# synthetic corpus in the directory argv[1] and `sentinet stats` on the
+# table and coding matrix there, and prints the scipy modules then loaded
 RUN_PATH = """
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import sentinet.cli
-from sentinet import lsa
-from sentinet.config import PipelineConfig
-from sentinet.ingest import TrigramEncoder, write_corpus
+from sentinet.config import PipelineConfig, write_config
+from sentinet.ingest import write_corpus
 from sentinet.pipeline import run_pipeline
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 
-rng = np.random.default_rng(0)
-for rows in (lsa._DENSE_CUTOFF, lsa._DENSE_CUTOFF + 1):
-    counts, _ = TrigramEncoder().count(rng.choice(list("abcdefgh"), size=(rows, 12)).tolist())
-    lsa.truncated_svd(counts.compact(), 5)
 base = Path(sys.argv[1])
 corpus, truth = generate_corpus(SyntheticSpec())
 write_corpus(corpus, base / "corpus.jsonl")
