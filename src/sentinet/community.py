@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 from .errors import (
     CoverageError,
@@ -30,8 +29,7 @@ from .graph import RetweetGraph
 Label = Hashable
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Node -> community assignment with cached member sets."""
 
     assignment: Mapping[str, Label]

@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .fileio import read_csv, write_csv
 from .ingest import Corpus, host_domain, url_host
 
 
-@dataclass(frozen=True)
-class DomainMatrix:
+class DomainMatrix(NamedTuple):
     """Community x domain matrix of link fractions.
 
     Columns are the domains linked more than ``min_count`` times by at least
@@ -48,8 +48,7 @@ class DomainMatrix:
         return tuple(c for c, total in zip(self.communities, self.retained_totals) if not total)
 
 
-@dataclass(frozen=True)
-class LinkedDomainScore:
+class LinkedDomainScore(NamedTuple):
     """First-principal-axis loadings over domains and per-community scores."""
 
     domains: tuple[str, ...]
@@ -57,11 +56,12 @@ class LinkedDomainScore:
     scores: Mapping[Label, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterAssignment(Mapping):
     """Community -> cluster labels 0..k-1, ordered by ascending centroid.
 
-    As a mapping it reads like the cluster half of :func:`read_scores_csv`.
+    As a mapping it reads like, and compares equal to, the cluster half of
+    :func:`read_scores_csv`; ``centroids`` is no item.
     """
 
     assignment: Mapping[Label, int]

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -16,8 +15,7 @@ from .ingest import Corpus
 Arc = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class RetweetGraph:
+class RetweetGraph(NamedTuple):
     """Directed multigraph summary: arc (source, retweeter) -> retweet count.
 
     ``w_in[k]`` counts how often account k was retweeted, ``w_out[k]`` how

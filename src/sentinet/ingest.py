@@ -164,8 +164,7 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     records: Corpus
     skipped: int
 

@@ -27,13 +27,13 @@ share a vector instead of taking one each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-# numpy loads numpy.random on first use (11 ms); importing it with this
-# module keeps that out of the first Lanczos call of a run
+# numpy loads numpy.random on first use (10-14 ms on a 2-vCPU VM);
+# importing it with this module keeps that out of the first Lanczos call
+# of a run
 import numpy.random  # noqa: F401
 
 from .community import Label
@@ -50,8 +50,7 @@ MIN_GAP_RATIO = 2.0
 _CHECK_EVERY = 4
 
 
-@dataclass(frozen=True)
-class TopicalExtraction:
+class TopicalExtraction(NamedTuple):
     """Tweets selected per document singular vector, and their union."""
 
     singular_values: tuple[float, ...]
@@ -59,8 +58,7 @@ class TopicalExtraction:
     topical_ids: frozenset[str]
 
 
-@dataclass(frozen=True)
-class DriverConfirmation:
+class DriverConfirmation(NamedTuple):
     is_driver: bool
     recomputed_h: float | None
     recomputed_s: float | None
@@ -325,7 +323,7 @@ def confirm_drivers(
         {day: reduced}, side_a, range(len(side_a), len(groups)), [day], series.pair
     ).values
     values = series.values[:index] + (new_s,) + series.values[index + 1 :]
-    new_h = burst_score(replace(series, values=values), index, min_history)
+    new_h = burst_score(series._replace(values=values), index, min_history)
     is_driver = new_h is None or new_h < flag_threshold
     return DriverConfirmation(
         is_driver=is_driver,

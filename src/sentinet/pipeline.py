@@ -31,13 +31,12 @@ import hashlib
 import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cache, partial
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -74,8 +73,7 @@ from .sentinel import (
 MANIFEST = "manifest.json"
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One row of the stage table.
 
     ``build(params, *upstream_values)`` computes the stage's value from
@@ -95,8 +93,7 @@ class Stage:
     load: Callable[[list[Path]], Any] | None = None
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     output_dir: Path
     summary: dict
 

@@ -28,13 +28,14 @@ LanguageFilter = Callable[[Label, frozenset[str]], bool]
 LANGUAGE_SAMPLE_SIZE = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SentinelSet(Mapping):
     """Per-community sentinel rosters ordered by weighted in-degree.
 
-    As a mapping it reads like :func:`read_roster`'s result: considered
-    community label -> (account, in-degree) entries, the labels in the order
-    the communities were considered.
+    As a mapping it reads like, and compares equal to, :func:`read_roster`'s
+    result: considered community label -> (account, in-degree) entries, the
+    labels in the order the communities were considered; ``coverage`` is no
+    item.
     """
 
     members: Mapping[Label, tuple[tuple[str, int], ...]]

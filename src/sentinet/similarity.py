@@ -29,12 +29,11 @@ content-spread events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date
 from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ SD_FLOOR = 1e-12
 SD_CONVENTION = "population"  # divide-by-N standard deviation
 
 
-@dataclass(frozen=True)
-class CommunityDayDoc:
+class CommunityDayDoc(NamedTuple):
     """Summed trigram counts of one community's tweets on one day, keyed by trigram."""
 
     community: Label
@@ -68,8 +66,7 @@ class CommunityDayDoc:
         return not self.trigram_counts
 
 
-@dataclass(frozen=True)
-class DayDocs:
+class DayDocs(NamedTuple):
     """One day's community-day documents, reduced to what :func:`similarity_series` reads.
 
     ``position[community]`` is the community's row, and ``gram`` holds the
@@ -184,8 +181,7 @@ def intercluster_similarity(
     return sum(values) / len(values)
 
 
-@dataclass(frozen=True)
-class SimilaritySeries:
+class SimilaritySeries(NamedTuple):
     """Per-day inter-cluster similarity; None marks invalid days."""
 
     pair: tuple[Label, Label]
@@ -274,8 +270,7 @@ def flag_days(
     }
 
 
-@dataclass(frozen=True)
-class AdfResult:
+class AdfResult(NamedTuple):
     statistic: float
     critical_value: float
     alpha: float

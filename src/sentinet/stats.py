@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -15,8 +15,7 @@ from .errors import DegenerateTableError, UndefinedScoreError
 from .fileio import read_csv
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(NamedTuple):
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     counts: np.ndarray
@@ -43,8 +42,7 @@ class ContingencyTable:
         )
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     df: int
     p_value: float

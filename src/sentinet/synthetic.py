@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
+from typing import NamedTuple
 
 from .ingest import Corpus, format_timestamp, parse_tweet_stream
 
@@ -88,8 +88,7 @@ VIRAL_TEXT = (
 )
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(NamedTuple):
     n_days: int = 30
     start: date = date(2020, 7, 1)
     communities_per_cluster: int = 3
@@ -104,8 +103,7 @@ class SyntheticSpec:
     global_phrase_probability: float = 0.30
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     communities: tuple[str, ...]
     cluster_of_community: dict[str, int]
     accounts: dict[str, tuple[str, ...]]

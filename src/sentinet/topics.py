@@ -12,12 +12,10 @@ counts and active-account counts per cluster as arrays over the window.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
 from datetime import date
 from itertools import compress
-from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +25,7 @@ from .fileio import read_lines, write_csv
 from .ingest import PACKAGED, Corpus
 
 
-@dataclass(frozen=True)
-class TopicLexicon:
+class TopicLexicon(NamedTuple):
     """Named set of lowercase substrings, optionally refining a parent topic."""
 
     name: str
@@ -107,9 +104,11 @@ def filter_topic_tree(
     return {name: topic_rows for name, (topic_rows, _) in matched.items()}
 
 
-@dataclass(frozen=True)
-class RateRow:
-    """One line of ``rates.csv``; the field names are its header."""
+class RateRow(NamedTuple):
+    """One line of ``rates.csv``; the field names are its header.
+
+    The ``count`` field hides ``tuple.count``.
+    """
 
     topic: str
     community: Label
@@ -120,8 +119,7 @@ class RateRow:
     max_scaled: float | None
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(NamedTuple):
     """Per-community topical rates plus per-cluster daily series.
 
     ``daily`` maps (topic, cluster) to per-day tweets per 15 active
@@ -202,8 +200,7 @@ def write_counts_csv(
 
 
 def write_rates_csv(table: RateTable, path: str | Path) -> None:
-    header = [f.name for f in fields(RateRow)]
-    write_csv(path, header, map(attrgetter(*header), table.rows))
+    write_csv(path, RateRow._fields, table.rows)
 
 
 def write_daily_csv(table: RateTable, path: str | Path) -> None:

@@ -12,7 +12,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain
@@ -413,7 +412,7 @@ def confirm_drivers(
         )
     )
     values = series.values[:index] + (new_s,) + series.values[index + 1 :]
-    new_h = burst_score(replace(series, values=values), index, min_history)
+    new_h = burst_score(series._replace(values=values), index, min_history)
     is_driver = new_h is None or new_h < flag_threshold
     return frozenset(common_a), frozenset(common_b), new_s, new_h, is_driver
 

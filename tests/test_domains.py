@@ -9,12 +9,16 @@ import oracles
 from conftest import grouped_corpus, make_record
 from sentinet import domains as domains_mod
 from sentinet.domains import (
+    ClusterAssignment,
     DomainMatrix,
+    LinkedDomainScore,
     cluster_scores,
     domain_frequency_matrix,
     first_principal_component,
     read_matrix_csv,
+    read_scores_csv,
     write_matrix_csv,
+    write_scores_csv,
 )
 from sentinet.errors import (
     DegenerateClusteringError,
@@ -252,6 +256,19 @@ class TestClusterScores:
         result = cluster_scores({"a": 1.0, "b": 2.0, "c": 3.0}, k=3)
         assert sorted(result.assignment.values()) == [0, 1, 2]
         assert result.assignment["a"] == 0 and result.assignment["c"] == 2
+
+    def test_equals_the_clusters_read_back(self, tmp_path):
+        # it compares as the mapping it reads like, by items; centroids are no item
+        scores = {"a": -10.0, "b": -9.0, "c": 0.0, "d": 1.0, "e": 9.0, "f": 10.0}
+        clusters = cluster_scores(scores, k=3)
+        path = tmp_path / "scores.csv"
+        linked = LinkedDomainScore(domains=(), loadings=np.zeros(0), scores=scores)
+        write_scores_csv(linked, clusters, path)
+        _, read_back = read_scores_csv(path)
+        assert clusters == read_back and read_back == clusters
+        assert clusters == ClusterAssignment(assignment=read_back, centroids=())
+        with pytest.raises(TypeError):
+            hash(clusters)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateClusteringError):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -423,7 +422,7 @@ class TestConfirmDrivers:
         series, tweets_a, tweets_b, ex_a, ex_b = fixture()
         result = confirm(series, tweets_a, tweets_b, ex_a, ex_b)
         assert result.common_a and result.common_b
-        reduced = replace(series, values=series.values[:-1] + (result.recomputed_s,))
+        reduced = series._replace(values=series.values[:-1] + (result.recomputed_s,))
         expected = burst_score(reduced, DAY)
         assert result.recomputed_h == expected
         assert (expected is not None) == day_stays_valid

@@ -482,29 +482,56 @@ assert sentinet.cli.main(
     ["stats", "--contingency", str(base / "table.csv"), "--coding", str(base / "coding.csv")]
 ) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(
+    f"{name}.{attr}"
+    for name, module in list(sys.modules.items())
+    if name.startswith("sentinet.")
+    for attr, value in vars(module).items()
+    if isinstance(value, type)
+    and value.__module__ == name
+    and hasattr(value, "__dataclass_fields__")
+))
 """
 
 
+@pytest.fixture(scope="module")
+def run_path(tmp_path_factory):
+    """The demo pipeline and the stats subcommand in one fresh interpreter: its output lines."""
+    base = tmp_path_factory.mktemp("run-path")
+    (base / "table.csv").write_text(
+        "cluster,misinfo,no_misinfo\nleft,52,309\nright,325,57\nfar_right,360,48\n"
+    )
+    (base / "coding.csv").write_text("1,0,1,1\n1,0,1,\n1,0,,1\n")
+    src = str(Path(pipeline_mod.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_PATH, str(base)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads((base / "out" / "lsa_drivers.json").read_text())["events"]
+    return done.stdout.strip().splitlines()
+
+
 class TestRunPath:
-    def test_cli_and_pipeline_load_no_scipy(self, tmp_path):
+    def test_cli_and_pipeline_load_no_scipy(self, run_path):
         # numpy is the package's one run-time dependency: no module of it,
         # the chi-square p-value included, imports scipy
-        (tmp_path / "table.csv").write_text(
-            "cluster,misinfo,no_misinfo\nleft,52,309\nright,325,57\nfar_right,360,48\n"
-        )
-        (tmp_path / "coding.csv").write_text("1,0,1,1\n1,0,1,\n1,0,,1\n")
-        src = str(Path(pipeline_mod.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", RUN_PATH, str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        chi, alpha, loaded = done.stdout.strip().splitlines()
+        chi, alpha, loaded, _ = run_path
         assert chi.startswith("chi-square: statistic=563.") and alpha.startswith("krippendorff")
         assert loaded == "[]"
-        assert json.loads((tmp_path / "out" / "lsa_drivers.json").read_text())["events"]
+
+    def test_five_classes_are_dataclasses(self, run_path):
+        # each @dataclass generates and compiles its methods at import, which
+        # every fresh process pays; the value records are NamedTuples
+        assert run_path[-1] == str([
+            "sentinet.config.PipelineConfig",
+            "sentinet.domains.ClusterAssignment",
+            "sentinet.ingest.Corpus",
+            "sentinet.sentinel.SentinelSet",
+            "sentinet.stats.CodingMatrix",
+        ])
 
 
 class TestStratifiedSample:

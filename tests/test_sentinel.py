@@ -225,3 +225,17 @@ class TestRosterIO:
         path.write_text("7 a 5\n7 c 3\n8 a 5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="'a' listed twice"):
             read_roster(path)
+
+    def test_equals_the_mapping_read_back(self, tmp_path):
+        # it compares as the mapping it reads like, by items; coverage is no item
+        sentinels = SentinelSet(
+            members={"7": (("a", 5), ("c", 3)), "8": (("b", 2),)}, coverage={"7": 0.5}
+        )
+        path = tmp_path / "roster.txt"
+        write_roster(sentinels, path)
+        loaded = read_roster(path)
+        assert sentinels == loaded and loaded == sentinels
+        assert sentinels == SentinelSet(members=loaded, coverage={})
+        assert sentinels != {"7": (("a", 5), ("c", 3))}
+        with pytest.raises(TypeError):
+            hash(sentinels)
