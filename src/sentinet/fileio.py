@@ -65,9 +65,9 @@ def read_records(path: str | Path) -> list[list[str]]:
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Atomically write each of ``lines`` followed by ``\\n``."""
+    """Atomically write each of ``lines`` followed by ``\\n``, as one string."""
     with atomic_open(path) as handle:
-        handle.writelines(f"{line}\n" for line in lines)
+        handle.write("".join([f"{line}\n" for line in lines]))
 
 
 def write_json(payload, path: str | Path) -> None:

@@ -102,18 +102,26 @@ def weak_components(graph: RetweetGraph) -> list[frozenset[str]]:
 
 
 def largest_component(graph: RetweetGraph) -> RetweetGraph:
-    """Induced subgraph on the largest weakly connected node set."""
+    """Induced subgraph on the largest weakly connected node set.
+
+    A graph that is weakly connected is its own largest component, and is
+    returned as it is.
+    """
     if not graph.nodes:
         raise EmptyGraphError("graph has no nodes")
     keep = weak_components(graph)[0]
+    if len(keep) == graph.n:
+        return graph
     arcs = {arc: weight for arc, weight in graph.arcs.items() if arc[0] in keep}
     return RetweetGraph.from_arcs(arcs)
 
 
 def write_edges(graph: RetweetGraph, path: str | Path) -> None:
-    """Write the arc list as 'source retweeter weight' lines, sorted."""
-    arcs = sorted(graph.arcs.items())
-    write_lines(path, (f"{source} {retweeter} {weight}" for (source, retweeter), weight in arcs))
+    """Write the arc list as 'source retweeter weight' lines, in (source, retweeter) order."""
+    arcs = graph.arcs
+    write_lines(
+        path, (f"{source} {retweeter} {arcs[source, retweeter]}" for source, retweeter in sorted(arcs))
+    )
 
 
 def read_edges(path: str | Path) -> RetweetGraph:

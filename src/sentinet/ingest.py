@@ -233,7 +233,9 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
     url_offsets = array("q", [0])
     urls: list[str] = []
     seen_ids: set[str] = set()
-    decode = json.JSONDecoder().raw_decode
+    # JSONDecoder.raw_decode without its Python frame: the scanner raises
+    # StopIteration where raw_decode raises a ValueError
+    scan = json.JSONDecoder().scan_once
     skipped = 0
     for line in stream:
         if isinstance(line, bytes):
@@ -243,7 +245,10 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
         if not line or line.isspace():
             continue
         try:
-            obj, end = decode(line)
+            try:
+                obj, end = scan(line, 0)
+            except StopIteration:
+                raise ValueError("expecting a JSON value") from None
             if end != len(line):
                 raise ValueError("trailing data after the JSON value")
             if not isinstance(obj, dict):
@@ -540,15 +545,15 @@ class TrigramEncoder:
         codes: column j is the trigram whose code is ``codes[j]``.
         """
         runs = []  # per chunk: entries per row, their codes, their counts
-        ids = array("q")  # int64, read by numpy without a copy
-        ends = array("q")  # ends[r]: where the chunk's row r ends in ids
+        ids: list[int] = []
+        ends: list[int] = []  # ends[r]: where the chunk's row r ends in ids
         for tokens in streams:
-            ids.extend(map(self._ids.__getitem__, tokens))
+            ids += map(self._ids.__getitem__, tokens)
             ids.append(0)
             ends.append(len(ids))
             if len(ids) >= CHUNK_TOKENS:
                 runs.append(self._chunk_runs(ids, ends))
-                ids, ends = array("q"), array("q")
+                ids, ends = [], []
         runs.append(self._chunk_runs(ids, ends))
         entries, codes, counts = zip(*runs)
         del runs
@@ -569,14 +574,14 @@ class TrigramEncoder:
         del counts
         return CountMatrix(data, columns, indptr, (indptr.size - 1, vocabulary.size)), vocabulary
 
-    def _chunk_runs(self, ids: array, ends: array) -> tuple[np.ndarray, ...]:
+    def _chunk_runs(self, ids: list[int], ends: list[int]) -> tuple[np.ndarray, ...]:
         """A chunk's entries per row, and each row's codes, ascending, and counts."""
         if len(self._ids) - self._n_stopwords > 1 << TOKEN_ID_BITS:
             raise VocabularyOverflowError(
                 f"more than 2**{TOKEN_ID_BITS} distinct tokens; trigram codes would collide"
             )
-        token_ids = np.frombuffer(ids, dtype=np.int64)
-        ends = np.frombuffer(ends, dtype=np.int64)
+        token_ids = np.array(ids, dtype=np.int64)
+        ends = np.array(ends, dtype=np.int64)
         dropped = np.flatnonzero(token_ids == _STOPWORD)
         if dropped.size:
             # each row ends as many ids earlier as there are stopwords before

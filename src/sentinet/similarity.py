@@ -110,11 +110,17 @@ def community_day_counts(
     texts_of: dict[int, dict[Label, tuple[list[str], list[str]]]] = {}
     for community in sorted(rows_by_community, key=str):
         rows = np.asarray(rows_by_community[community], dtype=np.intp)
-        for row, day in zip(rows.tolist(), days[rows].tolist()):
-            by_community = texts_of.setdefault(day, {})
-            ascii_texts, other_texts = by_community.setdefault(community, ([], []))
-            text = texts[row]
-            (ascii_texts if text.isascii() else other_texts).append(text)
+        # the community's rows grouped by day, each day's in their given order
+        rows = rows[np.argsort(days[rows], kind="stable")]
+        community_days, starts = np.unique(days[rows], return_index=True)
+        community_texts = [texts[row] for row in rows.tolist()]
+        ends = [*starts[1:].tolist(), len(rows)]
+        for day, start, end in zip(community_days.tolist(), starts.tolist(), ends):
+            day_texts = community_texts[start:end]
+            texts_of.setdefault(day, {})[community] = (
+                [text for text in day_texts if text.isascii()],
+                [text for text in day_texts if not text.isascii()],
+            )
     for day in sorted(texts_of):
         # each day's texts are let go once the day is counted
         by_community = texts_of.pop(day)

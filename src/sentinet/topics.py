@@ -74,11 +74,22 @@ def filter_topic_tree(
     subset relationship between topic and subtopic counts by construction.
     Each text is lowercased once, not once per lexicon, and each needle is
     tested across the whole pool in one pass.
+
+    Each pool's texts are also joined once with ``"\\n"``, and a needle
+    absent from the joined string is skipped: every text is a substring of
+    it, so the needle is absent from every text too. A needle found in it
+    may still occur only across the join of two texts, so a found needle
+    is tested against each text as before, and the skip never adds a
+    match. The gain is in the needles a pool lacks: where every needle
+    occurs in every pool, the skip saves nothing and costs one more scan
+    per needle, which stops at the needle's first occurrence.
     """
     # topic -> (matching rows, their lowercased texts), in row order
     rows = np.asarray(rows, dtype=np.intp)
     matched: dict[str, tuple[np.ndarray, list[str]]] = {}
     everything = (rows, [corpus.texts[row].lower() for row in rows.tolist()])
+    # parent topic (None for every row) -> its pool's texts joined
+    joined: dict[str | None, str] = {}
     remaining = dict(lexicons)
     while remaining:
         progressed = False
@@ -91,9 +102,12 @@ def filter_topic_tree(
             else:
                 continue
             pool_rows, texts = pool
+            if lexicon.parent not in joined:
+                joined[lexicon.parent] = "\n".join(texts)
             hits = [False] * len(texts)
             for needle in lexicon.substrings:
-                hits = [hit or needle in text for hit, text in zip(hits, texts)]
+                if needle in joined[lexicon.parent]:
+                    hits = [hit or needle in text for hit, text in zip(hits, texts)]
             matched[name] = (pool_rows[np.array(hits, dtype=bool)], list(compress(texts, hits)))
             del remaining[name]
             progressed = True

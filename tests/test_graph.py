@@ -92,7 +92,23 @@ class TestLargestComponent:
 
     def test_connected_graph_identity(self):
         graph = RetweetGraph.from_arcs({("a", "b"): 2, ("b", "c"): 1})
-        assert largest_component(graph).arcs == graph.arcs
+        assert largest_component(graph) is graph
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            {("a", "b"): 2, ("c", "b"): 1, ("c", "d"): 3},
+            {("a", "b"): 2, ("c", "b"): 1, ("x", "y"): 3},
+        ],
+        ids=["spans-every-node", "drops-a-component"],
+    )
+    def test_equals_the_rebuilt_induced_subgraph(self, arcs):
+        graph = RetweetGraph.from_arcs(arcs)
+        keep = weak_components(graph)[0]
+        rebuilt = RetweetGraph.from_arcs(
+            {arc: weight for arc, weight in arcs.items() if arc[0] in keep}
+        )
+        assert largest_component(graph) == rebuilt
 
     def test_star_plus_dyad(self):
         arcs = {("hub", f"leaf{i}"): 1 for i in range(4)}
@@ -158,3 +174,12 @@ class TestEdgeListIO:
         path = tmp_path / "graph.edges"
         write_edges(RetweetGraph.from_arcs({("src", "rt"): 5}), path)
         assert path.read_text() == "src rt 5\n"
+
+    def test_lines_in_arc_order_not_line_order(self, tmp_path):
+        # "\x01" is no whitespace to str.split, so "a\x01" is one field; it
+        # sorts after "a" as a field but before "a " as a line
+        graph = RetweetGraph.from_arcs({("a\x01", "b"): 1, ("a", "b"): 2})
+        path = tmp_path / "graph.edges"
+        write_edges(graph, path)
+        assert path.read_text(encoding="utf-8").splitlines() == ["a b 2", "a\x01 b 1"]
+        assert read_edges(path) == graph

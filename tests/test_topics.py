@@ -2,7 +2,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import corpus_of, make_record, rows_of
 from oracles import filter_topic, matches_topic
@@ -46,8 +46,9 @@ def filter_records(records, lexicons):
 
 
 # short needles over a small alphabet overlap and contain one another
-NEEDLES = st.text(alphabet="abc-", min_size=1, max_size=3)
-MIXED_CASE_TEXT = st.text(alphabet="abcABC- xİ", max_size=14)
+# "\n" joins a pool's texts in filter_topic_tree, so needles and texts hold it too
+NEEDLES = st.text(alphabet="abc-\n", min_size=1, max_size=3)
+MIXED_CASE_TEXT = st.text(alphabet="abcABC- xİ\n", max_size=14)
 
 
 @st.composite
@@ -148,6 +149,18 @@ class TestFilterTopicTree:
 
     @settings(max_examples=200, deadline=None)
     @given(tree=lexicon_trees(), texts=st.lists(MIXED_CASE_TEXT, max_size=12))
+    # needles that occur only in the last text of their pool: "c" in r's
+    # pool of every text and in q's pool of p's matches
+    @example(
+        tree={
+            "p": TopicLexicon("p", ("b",)),
+            "q": TopicLexicon("q", ("c",), parent="p"),
+            "r": TopicLexicon("r", ("c",)),
+        },
+        texts=["a", "ab", "ba", "abc"],
+    )
+    # a needle that occurs only across the join of two texts
+    @example(tree={"p": TopicLexicon("p", ("a\nb",))}, texts=["xa", "bx", "a", "b"])
     def test_equals_filter_topic_chain_on_random_trees(self, tree, texts):
         records = [make_record(str(i), "a", text=text) for i, text in enumerate(texts)]
         assert filter_records(records, tree) == filter_topic_chain(records, tree)
