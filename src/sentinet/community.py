@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from fractions import Fraction
 from pathlib import Path
 from typing import Hashable, Mapping, NamedTuple
 
@@ -236,6 +235,8 @@ def z_rand(p1: Partition, p2: Partition) -> float:
     with the same community sizes. Exact rational arithmetic avoids the
     cancellation the variance expression invites.
     """
+    from fractions import Fraction  # imported here: no pipeline stage calls this
+
     n, pairs_total, same1, same2, same_both = _pair_counts(p1, p2)
     if n < 4:
         raise UndefinedScoreError("z-rand variance needs at least 4 nodes")

@@ -13,7 +13,9 @@ burst score recomputed, on the same rows, to confirm they drove the day.
 
 Only the top-k singular values and document (left) vectors are computed,
 with numpy alone, by a Golub-Kahan-Lanczos bidiagonalization
-(:func:`truncated_svd`) of the matrix as given. It leaves rounding-level
+(:func:`truncated_svd`) of the matrix as given, started from a fixed
+vector of uniform [-1, 1) values that a splitmix64 counter stream gives
+(numpy's random generators are not loaded). It leaves rounding-level
 components where a vector is exactly 0, so the gap rule counts such
 components as 0.
 
@@ -31,10 +33,6 @@ from datetime import date
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-# numpy loads numpy.random on first use (10-14 ms on a 2-vCPU VM);
-# importing it with this module keeps that out of the first Lanczos call
-# of a run
-import numpy.random  # noqa: F401
 
 from .community import Label
 from .ingest import CountMatrix
@@ -83,9 +81,32 @@ def _orthogonalize(vector: np.ndarray, basis: np.ndarray) -> bool:
     return False
 
 
-def _fresh(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """A random unit vector orthogonal to ``basis``'s rows, which must not span the space."""
-    vector = rng.standard_normal(basis.shape[1])
+class _Uniform:
+    """A fixed stream of uniform [-1, 1) draws: splitmix64 of a running counter.
+
+    Draw i (from 1) is the splitmix64 output of ``i * 0x9E3779B97F4A7C15``
+    modulo 2**64 (Steele, Lea & Flood 2014), its top 53 bits scaled to
+    [0, 2) and shifted by -1. numpy's uint64 arithmetic wraps, so every numpy
+    version gives the same bits. Each call continues where the last one
+    stopped.
+    """
+
+    def __init__(self) -> None:
+        self._drawn = 0
+
+    def __call__(self, n: int) -> np.ndarray:
+        z = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        self._drawn += n
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(float) * 2.0**-52 - 1.0
+
+
+def _fresh(uniform: _Uniform, basis: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to ``basis``'s rows, which must not span the space."""
+    vector = uniform(basis.shape[1])
     _orthogonalize(vector, basis)
     return vector / math.sqrt(vector @ vector)
 
@@ -99,11 +120,13 @@ def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     side and U of the larger one with ``A V_j = U_j B_j``, B_j upper
     bidiagonal, each new vector orthogonalized against every earlier one of
     its side (:func:`_orthogonalize`), and the singular triplets of B_j give
-    the Ritz approximations. The run starts from a fixed random vector, so it
-    repeats across calls and processes. A new vector that lies in the span
-    of its basis is a breakdown: its coupling in B is 0 and a fresh random
-    vector orthogonal to the basis takes its place, so the basis keeps
-    growing and exact zero singular values come out 0.
+    the Ritz approximations. The run starts, as ARPACK's does, from a vector
+    of uniform [-1, 1) values: the first draws of a fixed stream
+    (:class:`_Uniform`), so it repeats across calls and processes. A new
+    vector that lies in the span of its basis is a breakdown: its coupling in
+    B is 0 and the stream's next draws, orthogonalized against the basis,
+    take its place, so the basis keeps growing and exact zero singular
+    values come out 0.
 
     The run stops when the basis spans the smaller side, where the Ritz
     triplets are exact, or once it holds at least max(2k + 1, 20) vectors
@@ -119,7 +142,7 @@ def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     k = min(k, rows, cols)
     data, indices = matrix.data, matrix.indices
     entry_row = np.repeat(np.arange(rows), np.diff(matrix.indptr))
-    rng = np.random.default_rng(0)
+    uniform = _Uniform()
 
     def times(x: np.ndarray) -> np.ndarray:
         return np.bincount(entry_row, weights=data * x[indices], minlength=rows)
@@ -135,7 +158,7 @@ def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     v_basis, u_basis = np.empty((least + 1, n)), np.empty((least, m))
     alphas: list[float] = []
     betas: list[float] = []
-    start = rng.standard_normal(n)
+    start = uniform(n)
     v_basis[0] = start / math.sqrt(start @ start)
     for j in range(n):
         if j == len(u_basis):
@@ -149,7 +172,7 @@ def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
             np.divide(u, alphas[-1], out=u_basis[j])
         else:
             alphas.append(0.0)
-            u_basis[j] = _fresh(rng, u_basis[:j])
+            u_basis[j] = _fresh(uniform, u_basis[:j])
         size = j + 1
         if size == n:
             break
@@ -160,7 +183,7 @@ def truncated_svd(matrix: CountMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
             np.divide(v, betas[-1], out=v_basis[size])
         else:
             betas.append(0.0)
-            v_basis[size] = _fresh(rng, v_basis[:size])
+            v_basis[size] = _fresh(uniform, v_basis[:size])
         if size >= least and (size - least) % _CHECK_EVERY == 0:
             p, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
             if np.all(betas[-1] * np.abs(p[-1, :k]) <= np.finfo(float).eps * s[0]):

@@ -45,7 +45,6 @@ from . import domains as domains_mod
 from . import graph as graph_mod
 from . import lsa as lsa_mod
 from . import similarity as similarity_mod
-from . import stats as stats_mod
 from . import topics as topics_mod
 from .config import INPUT_FIELDS, PipelineConfig, validate_config
 from .errors import SentinetError, StageError
@@ -323,6 +322,9 @@ def _build_lsa(params, series_list, topics, cluster, ingest) -> dict:
 def _build_stats(params) -> dict | None:
     if params.contingency is None and params.coding is None:
         return None
+    # imported here: a run without stats inputs never loads it or fractions
+    from . import stats as stats_mod
+
     payload: dict = {}
     if params.contingency is not None:
         result = stats_mod.chi_square(stats_mod.ContingencyTable.read_csv(params.contingency))

@@ -84,8 +84,10 @@ def filter_topic_tree(
     occurs in every pool, the skip saves nothing and costs one more scan
     per needle, which stops at the needle's first occurrence.
     """
-    # topic -> (matching rows, their lowercased texts), in row order
+    # topic -> (matching rows, their lowercased texts), in row order; only a
+    # parent's pool is read, so other topics keep no texts
     rows = np.asarray(rows, dtype=np.intp)
+    parents = {lexicon.parent for lexicon in lexicons.values()}
     matched: dict[str, tuple[np.ndarray, list[str]]] = {}
     everything = (rows, [corpus.texts[row].lower() for row in rows.tolist()])
     # parent topic (None for every row) -> its pool's texts joined
@@ -108,7 +110,10 @@ def filter_topic_tree(
             for needle in lexicon.substrings:
                 if needle in joined[lexicon.parent]:
                     hits = [hit or needle in text for hit, text in zip(hits, texts)]
-            matched[name] = (pool_rows[np.array(hits, dtype=bool)], list(compress(texts, hits)))
+            matched[name] = (
+                pool_rows[np.frombuffer(bytes(hits), dtype=bool)],
+                list(compress(texts, hits)) if name in parents else [],
+            )
             del remaining[name]
             progressed = True
         if not progressed:

@@ -9,6 +9,7 @@ from conftest import count_matrix, scipy_of
 from sentinet.ingest import BOUNDARY, TrigramEncoder, normalize_text
 from sentinet.lsa import (
     TopicalExtraction,
+    _Uniform,
     confirm_drivers,
     lsa_topical_tweets,
     truncated_svd,
@@ -199,6 +200,49 @@ class TestTruncatedSvd:
         distinct = rng.poisson(0.5, size=(300, 12)).astype(float)
         dense = np.repeat(distinct, rng.integers(1, 5, size=12), axis=1)
         assert_svd_of(dense[:, rng.permutation(dense.shape[1])], k=5, nonzero=5)
+
+
+class TestUniformStream:
+    def test_first_draws(self):
+        # splitmix64's first output from state 0 is 0xe220a8397b1dcdaf, whose
+        # top 53 bits give the first draw
+        first = _Uniform()(8)
+        assert first[0] == (0xE220A8397B1DCDAF >> 11) * 2.0**-52 - 1.0
+        assert [float(x).hex() for x in first] == [
+            "0x1.8882a0e5ec772p-1",
+            "-0x1.18761955e46a0p-3",
+            "-0x1.e4ee8b9dffdb0p-1",
+            "0x1.e22ee2a1c9320p-1",
+            "-0x1.9319da56b95e4p-1",
+            "-0x1.61a3079c5c0b0p-2",
+            "-0x1.4df5950782eb4p-1",
+            "0x1.16104ceb245aap-1",
+        ]
+
+    def test_draws_lie_in_half_open_interval(self):
+        draws = _Uniform()(100_000)
+        assert draws.min() >= -1.0 and draws.max() < 1.0
+        assert abs(draws.mean()) < 0.01 and len(np.unique(draws)) == draws.size
+
+    def test_second_call_continues_the_stream(self):
+        uniform = _Uniform()
+        first, second = uniform(5), uniform(3)
+        assert np.array_equal(np.concatenate([first, second]), _Uniform()(8))
+        assert not np.array_equal(second, first[:3])
+
+    def test_svd_needs_no_numpy_random(self, monkeypatch):
+        # the start vector and the breakdown vectors both come from the
+        # stream: three distinct columns and k = 5 take the breakdown path
+        def forbidden(*args, **kwargs):
+            raise AssertionError("truncated_svd called numpy.random")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        dense = np.zeros((30, 9))
+        dense[:10, :3] = dense[25:, 6:] = 1.0
+        dense[10:25, 3:6] = 2.0
+        u, s = truncated_svd(count_matrix(dense), k=5)
+        assert u.shape == (30, 5)
+        np.testing.assert_allclose(s[:3], np.linalg.svd(dense, compute_uv=False)[:3], rtol=1e-12)
 
 
 class TestLsaTopicalTweets:

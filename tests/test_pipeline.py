@@ -454,8 +454,9 @@ class TestRunPipeline:
 
 
 # imports the CLI and the pipeline, runs the pipeline on the default
-# synthetic corpus in the directory argv[1] and `sentinet stats` on the
-# table and coding matrix there, and prints the scipy modules then loaded
+# synthetic corpus in the directory argv[1], prints the random-number and
+# stats modules then loaded, runs `sentinet stats` on the table and coding
+# matrix there, and prints the scipy modules then loaded
 RUN_PATH = """
 import sys
 from pathlib import Path
@@ -478,6 +479,10 @@ run_pipeline(
         split=truth.split,
     )
 )
+print(sorted(
+    m for m in sys.modules
+    if m.startswith("numpy.random") or m in ("fractions", "decimal", "sentinet.stats")
+))
 assert sentinet.cli.main(
     ["stats", "--contingency", str(base / "table.csv"), "--coding", str(base / "coding.csv")]
 ) == 0
@@ -518,9 +523,16 @@ class TestRunPath:
     def test_cli_and_pipeline_load_no_scipy(self, run_path):
         # numpy is the package's one run-time dependency: no module of it,
         # the chi-square p-value included, imports scipy
-        chi, alpha, loaded, _ = run_path
+        _, chi, alpha, loaded, _ = run_path
         assert chi.startswith("chi-square: statistic=563.") and alpha.startswith("krippendorff")
         assert loaded == "[]"
+
+    def test_run_without_stats_inputs_loads_no_random_or_stats(self, run_path):
+        # numpy.random (with secrets, hmac and base64) and the stats code with
+        # fractions and decimal cost every fresh process about 3 MB of peak
+        # memory; the Lanczos start vector needs neither, and only a run
+        # with a contingency or coding table calls stats
+        assert run_path[0] == "[]"
 
     def test_five_classes_are_dataclasses(self, run_path):
         # each @dataclass generates and compiles its methods at import, which
