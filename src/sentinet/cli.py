@@ -397,6 +397,8 @@ def cmd_sample(args) -> int:
                 (community, row) for row in per_topic[topic].tolist()
             )
     rows = topics_mod.stratified_coding_sample(corpus, strata, args.per_stratum, args.seed)
+    # a lone surrogate, which UTF-8 cannot encode, is written as its escape
+    # (\ud800), as write_corpus writes it in JSON
     write_csv(
         args.output,
         ["cluster", "topic", "community", "tweet_id", "created_at", "text"],
@@ -407,7 +409,7 @@ def cmd_sample(args) -> int:
                 community,
                 corpus.tweet_ids[row],
                 corpus.created_at(row).isoformat(),
-                corpus.texts[row],
+                corpus.texts[row].encode(errors="backslashreplace").decode(),
             ]
             for cluster, topic, community, row in rows
         ),

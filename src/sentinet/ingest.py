@@ -375,8 +375,14 @@ def host_domain(host: str, shorteners: frozenset[str] = frozenset()) -> str | No
     Returns None (the excluded marker) for twitter.com and for hosts that
     are, or sit under, a known URL shortener. Shortened links are excluded
     outright; they are never resolved. Raises :class:`UrlParseError` when
-    what is left holds no dot, so names no registrable host.
+    what is left holds no dot, so names no registrable host, or when the host
+    holds a lone surrogate, which UTF-8 cannot encode (no artifact could
+    name it).
     """
+    try:
+        host.encode()
+    except UnicodeEncodeError as exc:
+        raise UrlParseError(f"host is not UTF-8: {host!r}") from exc
     host = host.strip(".").lower()
     if host.startswith("www."):
         host = host[4:]

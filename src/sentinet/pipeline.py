@@ -7,15 +7,17 @@ reads, the upstream stages whose values it takes, a pure ``build``, the
 ``write`` that persists its artifacts and, where the artifacts can be read
 back, a ``load``. The stage subcommands of the CLI call the same builds.
 
-A stage's fingerprint is a sha256 of its name, a digest of the package's
-own modules and data files (so a code change rebuilds every stage), the
-values of the config fields it reads (external input files by content,
-never by path) and its upstream fingerprints. ``manifest.json`` in the
-output directory records the fingerprint of every stage whose artifacts
-were written. A rerun rebuilds a stage when its fingerprint differs from
-the recorded one or an artifact is missing, and leaves it untouched
-otherwise; an up-to-date stage is loaded only when a rebuilt stage needs
-its value. Artifacts are written atomically, and a stage's manifest entry
+A stage's fingerprint is a 32-byte BLAKE2b of its name, a digest of the
+package's own modules and data files (so a code change rebuilds every
+stage), the values of the config fields it reads (external input files by
+content, never by path) and its upstream fingerprints. BLAKE2b comes from
+CPython's builtin ``_blake2``, since ``import hashlib`` loads OpenSSL's
+libcrypto, about 3.6 MB of every run's peak memory. ``manifest.json`` in
+the output directory records the fingerprint of every stage whose
+artifacts were written. A rerun rebuilds a stage when its fingerprint
+differs from the recorded one or an artifact is missing, and leaves it
+untouched otherwise; an up-to-date stage is loaded only when a rebuilt
+stage needs its value. Artifacts are written atomically, and a stage's manifest entry
 is dropped before its artifacts are replaced, so a crash never leaves
 partial output that counts as done. Given a fixed seed, the artifact tree
 is byte-stable across hash seeds and, as checked, at 1 and 2 BLAS threads.
@@ -27,7 +29,6 @@ the corpus's line order), and tied disjoint blocks may then share a vector.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
@@ -70,6 +71,15 @@ from .sentinel import (
 )
 
 MANIFEST = "manifest.json"
+
+try:
+    # hashlib.blake2b is this class; importing it from hashlib would load
+    # OpenSSL's libcrypto, the largest import of a run after numpy
+    from _blake2 import blake2b
+
+    _hasher = partial(blake2b, digest_size=32)
+except ImportError:  # a CPython built without _blake2
+    from hashlib import sha256 as _hasher
 
 
 class Stage(NamedTuple):
@@ -568,7 +578,7 @@ def _params(config: PipelineConfig, names: Iterable[str]) -> SimpleNamespace:
 
 
 def _fingerprint(stage: Stage, params: SimpleNamespace, upstream: Sequence[str]) -> str:
-    digest = hashlib.sha256(stage.name.encode())
+    digest = _hasher(stage.name.encode())
     digest.update(f"\ncode={_code_digest()}".encode())
     for name in stage.reads:
         v = getattr(params, name)
@@ -581,7 +591,7 @@ def _fingerprint(stage: Stage, params: SimpleNamespace, upstream: Sequence[str])
 
 @cache
 def _code_digest() -> str:
-    """sha256 of the package's modules and packaged data, by name and content."""
+    """Digest of the package's modules and packaged data, by name and content."""
     package = Path(__file__).parent
     files = [*package.glob("*.py"), *(package / "data").rglob("*")]
     listing = "".join(
@@ -589,19 +599,19 @@ def _code_digest() -> str:
         for name in sorted(path.relative_to(package) for path in files if path.is_file())
         if "__pycache__" not in name.parts
     )
-    return hashlib.sha256(listing.encode()).hexdigest()
+    return _hasher(listing.encode()).hexdigest()
 
 
 def _content_hash(path: Path) -> str:
-    """sha256 of a file's bytes; for a directory, of its files' names and hashes."""
+    """Digest of a file's bytes; for a directory, of its files' names and digests."""
     if path.is_dir():
         listing = "".join(
             f"{child.name}:{_content_hash(child)}\n"
             for child in sorted(path.iterdir())
             if child.is_file()
         )
-        return hashlib.sha256(listing.encode()).hexdigest()
-    digest = hashlib.sha256()
+        return _hasher(listing.encode()).hexdigest()
+    digest = _hasher()
     with open(path, "rb") as handle:
         for chunk in iter(partial(handle.read, 1 << 20), b""):
             digest.update(chunk)

@@ -266,7 +266,8 @@ def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | 
 
     None for twitter.com and for hosts that are, or sit under, a shortener;
     :class:`UrlParseError` when no host, or no host with a dot once
-    ``www.`` is stripped, can be recovered.
+    ``www.`` is stripped, can be recovered, or the host holds a lone
+    surrogate.
     """
     candidate = url.strip()
     if not candidate:
@@ -279,6 +280,8 @@ def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | 
         raise UrlParseError(f"unparseable URL: {url!r}") from exc
     if host is None:
         raise UrlParseError(f"no host in URL: {url!r}")
+    if any("\ud800" <= char <= "\udfff" for char in host):
+        raise UrlParseError(f"lone surrogate in host: {host!r}")
     host = host.strip(".").lower()
     if host.startswith("www."):
         host = host[4:]

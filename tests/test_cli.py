@@ -191,6 +191,30 @@ class TestStageCommands:
         for row in rows:
             assert row["cluster"] in {"0", "1", "2"}
 
+    def test_sample_escapes_lone_surrogate_text(self, staged, tmp_path):
+        _, records, _, _, roster, _, scores, truth = staged
+        hub = next(iter(truth.hubs.values()))[0]
+        tweet = {"tweet_id": "s1", "author_id": hub, "text": "covid death rate \ud800 mask",
+                 "created_at": f"{truth.window[0].isoformat()}T13:00:00Z"}
+        dirty = tmp_path / "records.jsonl"
+        dirty.write_text(records.read_text(encoding="utf-8") + json.dumps(tweet) + "\n", encoding="utf-8")
+        out = tmp_path / "coding_sample.csv"
+        assert main(
+            [
+                "sample",
+                "--records", str(dirty),
+                "--roster", str(roster),
+                "--scores", str(scores),
+                "--output", str(out),
+                "--per-stratum", "100000",
+                "--topics", "facemasks",
+            ]
+        ) == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            texts = {row["tweet_id"]: row["text"] for row in csv.DictReader(handle)}
+        # the escape that write_corpus puts in JSON
+        assert texts["s1"] == "covid death rate \\ud800 mask"
+
     def test_stats_command(self, tmp_path, capsys):
         contingency = tmp_path / "table.csv"
         contingency.write_text(

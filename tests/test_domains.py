@@ -167,6 +167,18 @@ class TestDomainFrequencyMatrix:
             expected = [counter[d] / total if total else 0.0 for d in qualifying]
             assert matrix.values[i].tolist() == expected
 
+    def test_host_utf8_cannot_encode_is_unparseable(self, tmp_path, record_factory):
+        # a lone surrogate in a qualifying host would make it a column that
+        # no CSV header can hold
+        urls = ("http://exa\ud800mple.com/x",) * 12 + tuple(f"https://a.com/{i}" for i in range(11))
+        records = {"A": [record_factory("1", "u", urls=urls)]}
+        matrix = domain_frequency_matrix(*grouped_corpus(records), min_count=10)
+        assert matrix.domains == ("a.com",)
+        assert matrix.retained_totals == (11,)
+        assert matrix.unparseable_urls == 12
+        write_matrix_csv(matrix, tmp_path / "matrix.csv")
+        assert read_matrix_csv(tmp_path / "matrix.csv").domains == ("a.com",)
+
     def test_csv_roundtrip(self, tmp_path, record_factory):
         records = {
             "A": [record_factory("1", "u", urls=tuple(f"https://a.com/{i}" for i in range(12)))],

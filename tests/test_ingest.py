@@ -426,7 +426,9 @@ class TestExtractDomain:
         assert extract_domain("HTTPS://WWW.Example.COM:8080/Path") == "example.com"
 
     def test_unparseable(self):
-        for bad in ["", "http://", "mailto:", "no spaces allowed.com/x y"[:3]]:
+        # a host holding a lone surrogate, which UTF-8 cannot encode, names nothing
+        for bad in ["", "http://", "mailto:", "no spaces allowed.com/x y"[:3],
+                    "http://exa\ud800mple.com/x", "exa\udfffmple.com", "https://\ud83d\ude00.com/"]:
             with pytest.raises(UrlParseError):
                 extract_domain(bad)
 
@@ -502,6 +504,7 @@ class TestExtractDomainEqualsOracle:
     @example(url="https://www.com", shorteners=frozenset())
     @example(url="http://ſ.com/", shorteners=frozenset())
     @example(url="http://a.com\n", shorteners=frozenset())
+    @example(url="http://bit.\ud800ly/x", shorteners=frozenset({"bit.\ud800ly"}))
     def test_same_domain_or_error(self, url, shorteners):
         assert domain_outcome(extract_domain, url, shorteners) == domain_outcome(
             oracles.extract_domain, url, shorteners

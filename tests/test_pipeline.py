@@ -20,7 +20,14 @@ from sentinet import lsa as lsa_mod
 from sentinet import pipeline as pipeline_mod
 from sentinet.config import PipelineConfig, write_config
 from sentinet.errors import ConfigError, StageError
-from sentinet.ingest import ParseResult, TrigramEncoder, normalize_text, read_corpus, write_corpus
+from sentinet.ingest import (
+    PACKAGED,
+    ParseResult,
+    TrigramEncoder,
+    normalize_text,
+    read_corpus,
+    write_corpus,
+)
 from sentinet.pipeline import ARTIFACTS, MANIFEST, run_pipeline
 from sentinet.sentinel import read_roster
 from sentinet.synthetic import SyntheticSpec
@@ -51,6 +58,36 @@ def artifact_bytes(out_dir: Path) -> dict[str, bytes]:
         for path in sorted(out_dir.iterdir())
         if path.is_file()
     }
+
+
+def rewrite_byte(path: Path, marker: bytes, byte: bytes) -> None:
+    """Overwrite the first byte of ``marker`` in ``path`` in place; size and mtime stay."""
+    stat = path.stat()
+    at = path.read_bytes().index(marker)
+    with open(path, "r+b") as handle:
+        handle.seek(at)
+        handle.write(byte)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+
+def rerun_rebuilds(config: PipelineConfig) -> tuple[set[str], set[str]]:
+    """Rerun over ``config.output_dir``: the stages whose fingerprint changed, the files rewritten."""
+    workdir = Path(config.output_dir)
+    past = 1_000_000_000_000_000_000
+    for path in workdir.iterdir():
+        os.utime(path, ns=(past, past))
+    before = artifact_bytes(workdir)
+    old_manifest = json.loads(before[MANIFEST])
+    run_pipeline(config)
+    new_manifest = json.loads((workdir / MANIFEST).read_text())
+    assert new_manifest.keys() == old_manifest.keys()
+    rewritten = {path.name for path in workdir.iterdir() if path.stat().st_mtime_ns != past}
+    for name in before.keys() - rewritten:
+        assert (workdir / name).read_bytes() == before[name], name
+    changed = {stage for stage, fingerprint in old_manifest.items() if new_manifest[stage] != fingerprint}
+    return changed, rewritten
 
 
 # sha256 of SyntheticSpec() artifacts whose bytes use no LAPACK routine, so
@@ -315,22 +352,43 @@ class TestRunPipeline:
         config, _, _ = synthetic
         workdir = tmp_path / "code"
         shutil.copytree(config.output_dir, workdir)
-        past = 1_000_000_000_000_000_000
-        for path in workdir.iterdir():
-            os.utime(path, ns=(past, past))
         before = artifact_bytes(workdir)
-        old_manifest = json.loads((workdir / MANIFEST).read_text())
         monkeypatch.setattr(pipeline_mod, "_code_digest", lambda: "0" * 64)
-        run_pipeline(replace(config, output_dir=workdir))
-        new_manifest = json.loads((workdir / MANIFEST).read_text())
-        assert new_manifest.keys() == old_manifest.keys()
-        for stage, fingerprint in old_manifest.items():
-            assert new_manifest[stage] != fingerprint, stage
-        for path in workdir.iterdir():
-            assert path.stat().st_mtime_ns != past, path.name
+        changed, rewritten = rerun_rebuilds(replace(config, output_dir=workdir))
+        assert changed == set(json.loads(before[MANIFEST]))
+        assert rewritten == before.keys()
         after = artifact_bytes(workdir)
         del before[MANIFEST], after[MANIFEST]
         assert after == before
+
+    def test_corpus_edit_of_one_byte_rebuilds_every_stage(self, synthetic, tmp_path):
+        # input files are fingerprinted by content, not by size or mtime: the
+        # copy keeps the corpus's mtime, and the edit leaves every parsed
+        # value as it was
+        config, _, _ = synthetic
+        workdir = tmp_path / "out"
+        shutil.copytree(config.output_dir, workdir)
+        corpus = tmp_path / "corpus.jsonl"
+        shutil.copy2(config.corpus, corpus)
+        rewrite_byte(corpus, b"covid", b"C")
+        changed, rewritten = rerun_rebuilds(replace(config, output_dir=workdir, corpus=corpus))
+        assert changed == set(json.loads((workdir / MANIFEST).read_text()))
+        assert rewritten == {path.name for path in workdir.iterdir()}
+
+    def test_lexicon_edit_of_one_byte_rebuilds_topics_and_downstream(self, synthetic, tmp_path):
+        config, _, _ = synthetic
+        workdir = tmp_path / "out"
+        shutil.copytree(config.output_dir, workdir)
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(PACKAGED["lexicon_dir"], lexicons)
+        rewrite_byte(lexicons / "facemasks.txt", b"Face", b"f")
+        changed, rewritten = rerun_rebuilds(
+            replace(config, output_dir=workdir, lexicon_dir=lexicons)
+        )
+        assert changed == {"topics", "rates", "similarity", "adf", "lsa", "meta"}
+        upstream = ("ingest", "graph", "component", "communities", "sentinels", "domains", "cluster")
+        untouched = {name for stage in upstream for name in ARTIFACTS[stage]}
+        assert rewritten == {path.name for path in workdir.iterdir()} - untouched
 
     def test_resume_rederives_ingest_from_the_corpus(self, synthetic, tmp_path, monkeypatch):
         config, _, _ = synthetic
@@ -455,8 +513,8 @@ class TestRunPipeline:
 
 # imports the CLI and the pipeline, runs the pipeline on the default
 # synthetic corpus in the directory argv[1], prints the random-number and
-# stats modules then loaded, runs `sentinet stats` on the table and coding
-# matrix there, and prints the scipy modules then loaded
+# stats modules then loaded and the hash modules, runs `sentinet stats` on
+# the table and coding matrix there, and prints the scipy modules then loaded
 RUN_PATH = """
 import sys
 from pathlib import Path
@@ -483,6 +541,7 @@ print(sorted(
     m for m in sys.modules
     if m.startswith("numpy.random") or m in ("fractions", "decimal", "sentinet.stats")
 ))
+print(sorted(m for m in sys.modules if m in ("hashlib", "_hashlib", "_blake2")))
 assert sentinet.cli.main(
     ["stats", "--contingency", str(base / "table.csv"), "--coding", str(base / "coding.csv")]
 ) == 0
@@ -523,7 +582,7 @@ class TestRunPath:
     def test_cli_and_pipeline_load_no_scipy(self, run_path):
         # numpy is the package's one run-time dependency: no module of it,
         # the chi-square p-value included, imports scipy
-        _, chi, alpha, loaded, _ = run_path
+        _, _, chi, alpha, loaded, _ = run_path
         assert chi.startswith("chi-square: statistic=563.") and alpha.startswith("krippendorff")
         assert loaded == "[]"
 
@@ -533,6 +592,19 @@ class TestRunPath:
         # memory; the Lanczos start vector needs neither, and only a run
         # with a contingency or coding table calls stats
         assert run_path[0] == "[]"
+
+    def test_run_loads_no_openssl(self, run_path):
+        # hashlib loads OpenSSL's libcrypto, about 3.6 MB of every fresh
+        # process's peak memory; the fingerprints take BLAKE2b from _blake2
+        assert run_path[1] == "['_blake2']"
+
+    def test_blake2b_is_hashlib_blake2b(self):
+        import _blake2
+
+        data = bytes(range(256)) * 5
+        assert _blake2.blake2b(data, digest_size=32).digest() == hashlib.blake2b(
+            data, digest_size=32
+        ).digest()
 
     def test_five_classes_are_dataclasses(self, run_path):
         # each @dataclass generates and compiles its methods at import, which
