@@ -1,24 +1,93 @@
-"""Command-line interface: stage subcommands plus the full pipeline runner."""
+"""Command-line interface: the full pipeline runner, plus stage subcommands
+generated from their rows of ``pipeline.STAGES`` and run by one handler,
+:func:`cmd_stage`, which resolves upstream values through the pipeline's runner.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import community as community_mod
-from . import domains as domains_mod
-from . import graph as graph_mod
 from . import similarity as similarity_mod
 from . import topics as topics_mod
 from .config import FIELDS, check_value, load_config, value_parser
-from .domains import read_scores_csv
 from .errors import ConfigError, SentinetError, StageError
-from .fileio import write_csv, write_json
+from .fileio import write_csv
 from .ingest import PACKAGED, read_corpus, write_corpus
-from .pipeline import STAGES, run_pipeline
-from .sentinel import read_roster, write_roster
+from .pipeline import STAGES, _Runner, run_pipeline
+
+# upstream stage -> the input option its value is loaded from; a command
+# builds any other upstream from that stage's own inputs
+_INPUT_OPTIONS = {
+    "graph": "--edges", "communities": "--partition", "sentinels": "--roster",
+    "domains": "--matrix", "cluster": "--scores", "similarity": "--series",
+}
+# config field -> its option, where that is not the field's name with dashes
+_FLAGS = {
+    "corpus": "--records", "sentinel_k": "--k", "lsa_k": "--k",
+    "domain_min_count": "--min-count", "score_clusters": "--clusters",
+    "burst_threshold": "--threshold",
+}
+# (command, config field) -> how its option differs from the field's
+_OVERRIDES = {
+    ("sentinels", "corpus"): dict(required=False, help="corpus for the language filter"),
+    # not the config's ascii: that filter needs --records, which is optional here
+    ("sentinels", "language_filter"): dict(type=None, choices=["ascii", "none"], default="none"),
+    ("domains", "split"): dict(required=False, help="keep tweets before this time"),
+}
+_WINDOW = ("window_start", "window_end")
+
+# stage subcommand -> help, and an output option per file (the first required)
+_STAGE_COMMANDS = {
+    "graph": ("build the retweet graph edge list", ("--output",)),
+    "communities": ("Louvain communities of the largest component", ("--output",)),
+    "sentinels": ("select most-retweeted accounts per community", ("--output",)),
+    "domains": ("community x domain link-fraction matrix", ("--output",)),
+    "cluster": ("PCA scores and score clusters", ("--scores-output", "--loadings-output")),
+    "topics": ("per-community topical tweet counts", ("--output",)),
+    "rates": ("per-capita and scaled topical tweet rates", ("--output", "--daily-output")),
+    "similarity": ("daily inter-cluster similarity series", ("--output",)),
+    "lsa": ("topical tweets and driver confirmation for flagged days", ("--output",)),
+}
+# stage subcommand -> the lines it prints, from its value and its runner
+_REPORTS = {
+    "graph": lambda graph, runner: [
+        f"graph: {graph.n} nodes, {len(graph.arcs)} arcs, total weight {graph.w}"
+    ],
+    "communities": lambda partition, runner: [
+        f"{len(partition.communities)} communities on {runner.value('component').n} nodes "
+        f"(modularity {community_mod.modularity(runner.value('component'), partition):.4f})"
+    ],
+    "sentinels": lambda sentinels, runner: [
+        f"community {label}: {len(sentinels.members[label])} sentinels, "
+        f"coverage {sentinels.coverage[label]:.3f}"
+        for label in sentinels
+    ],
+    "domains": lambda matrix, runner: [
+        f"{len(matrix.communities)} communities x {len(matrix.domains)} domains; "
+        f"{matrix.unparseable_urls} unparseable urls"
+    ],
+    "cluster": lambda cluster, runner: [
+        f"cluster {index}: centroid {centroid:.4f} {sorted(cluster[1].members(index), key=str)}"
+        for index, centroid in enumerate(cluster[1].centroids)
+    ],
+    "topics": lambda matched, runner: [f"wrote topical counts for {len(matched)} communities"],
+    "rates": lambda table, runner: [
+        f"wrote {len(table.rows)} rate rows ({len(table.excluded)} communities excluded)"
+    ],
+    "similarity": lambda series_list, runner: [
+        f"pair {series.pair[0]}-{series.pair[1]}: "
+        f"{sum(v is not None for v in series.values)} valid days, "
+        f"{len(_flagged(series, runner.args))} flagged"
+        for series in series_list
+    ],
+    "lsa": lambda report, runner: [f"examined {len(report['events'])} flagged events"],
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,99 +110,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, parents=()):
-        p = sub.add_parser(name, help=help, parents=parents)
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         return p
 
-    # option groups shared by several subcommands
-    output, seed, stopwords, inputs, window, burst = (
-        argparse.ArgumentParser(add_help=False) for _ in range(6)
-    )
-    output.add_argument("--output", required=True, type=Path)
-    _config_option(seed, "--seed", "seed")
-    _config_option(stopwords, "--stopwords", "stopwords")
-    _config_option(inputs, "--records", "corpus", required=True)
-    inputs.add_argument("--roster", required=True, type=_input_path)
-    inputs.add_argument("--scores", required=True, type=_input_path)
-    _config_option(inputs, "--lexicon-dir", "lexicon_dir")
-    _config_option(window, "--window-start", "window_start", required=True)
-    _config_option(window, "--window-end", "window_end", required=True)
-    _config_option(burst, "--threshold", "burst_threshold")
-    _config_option(burst, "--min-history", "min_history")
-
-    p = command("ingest", cmd_ingest, "parse a JSONL corpus into canonical form", [output])
+    p = command("ingest", cmd_ingest, "parse a JSONL corpus into canonical form")
+    p.add_argument("--output", required=True, type=_output_path)
     p.add_argument("--input", required=True, type=_input_path)
     # optional here, but given together: the window the pipeline's ingest keeps
     _config_option(p, "--window-start", "window_start")
     _config_option(p, "--window-end", "window_end")
 
-    p = command("graph", cmd_graph, "build the retweet graph edge list", [output])
-    _config_option(p, "--records", "corpus", required=True)
-
-    p = command(
-        "communities", cmd_communities, "Louvain communities of the largest component",
-        [output, seed],
-    )
-    p.add_argument("--edges", required=True, type=_input_path)
+    for name, (help, outputs) in _STAGE_COMMANDS.items():
+        p = command(name, cmd_stage, help)
+        _stage_options(p, name, STAGES[name].reads, STAGES[name].upstream)
+        for index, flag in enumerate(outputs):
+            p.add_argument(flag, required=index == 0, type=_output_path)
 
     p = command("compare-partitions", cmd_compare, "Rand index and z-Rand of two partitions")
     p.add_argument("--left", required=True, type=_input_path)
     p.add_argument("--right", required=True, type=_input_path)
 
-    p = command(
-        "sentinels", cmd_sentinels, "select most-retweeted accounts per community",
-        [output, seed],
-    )
-    p.add_argument("--edges", required=True, type=_input_path)
-    p.add_argument("--partition", required=True, type=_input_path)
-    _config_option(p, "--k", "sentinel_k")
-    _config_option(p, "--top-m", "top_m")
-    _config_option(p, "--records", "corpus", help="corpus for the language filter")
-    # not the config's ascii: that filter needs --records, which is optional here
-    p.add_argument("--language-filter", choices=["ascii", "none"], default="none")
-    _config_option(p, "--english-threshold", "english_threshold")
-
-    p = command("domains", cmd_domains, "community x domain link-fraction matrix", [output])
-    _config_option(p, "--records", "corpus", required=True)
-    p.add_argument("--roster", required=True, type=_input_path)
-    _config_option(p, "--split", "split", help="keep tweets before this time")
-    _config_option(p, "--min-count", "domain_min_count")
-    _config_option(p, "--shorteners", "shorteners")
-
-    p = command("cluster", cmd_cluster, "PCA scores and score clusters")
-    p.add_argument("--matrix", required=True, type=_input_path)
-    p.add_argument("--scores-output", required=True, type=Path)
-    p.add_argument("--loadings-output", type=Path)
-    _config_option(p, "--clusters", "score_clusters")
-    _config_option(p, "--anchor-domain", "anchor_domain")
-
-    p = command("topics", cmd_topics, "per-community topical tweet counts", [output])
-    _config_option(p, "--records", "corpus", required=True)
-    p.add_argument("--roster", required=True, type=_input_path)
-    _config_option(p, "--lexicon-dir", "lexicon_dir")
-
-    p = command(
-        "rates", cmd_rates, "per-capita and scaled topical tweet rates",
-        [inputs, window, output],
-    )
-    p.add_argument("--daily-output", type=Path)
-
-    command(
-        "similarity", cmd_similarity, "daily inter-cluster similarity series",
-        [inputs, window, output, burst, stopwords],
-    )
-
-    p = command("flag", cmd_flag, "flag burst days from a similarity series", [burst])
-    p.add_argument("--series", required=True, type=_input_path)
-
-    p = command(
-        "lsa", cmd_lsa, "topical tweets and driver confirmation for flagged days",
-        [inputs, output, burst, stopwords],
-    )
-    p.add_argument("--series", required=True, type=_input_path)
-    _config_option(p, "--k", "lsa_k")
-    _config_option(p, "--match-threshold", "match_threshold")
+    p = command("flag", cmd_flag, "flag burst days from a similarity series")
+    _stage_options(p, "flag", ("burst_threshold", "min_history"), ("similarity",))
 
     p = command("stats", cmd_stats, "chi-square and Krippendorff alpha reports")
     _config_option(p, "--contingency", "contingency")
@@ -142,10 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("run", cmd_run, "run the full pipeline from a config file")
     p.add_argument("--config", required=True, type=_input_path)
 
-    p = command(
-        "sample", cmd_sample, "seeded stratified sample for human coding",
-        [inputs, output, seed],
-    )
+    p = command("sample", cmd_sample, "seeded stratified sample for human coding")
+    _stage_options(p, "sample", ("seed",), ("topics", "cluster"))
+    p.add_argument("--output", required=True, type=_output_path)
     p.add_argument("--per-stratum", type=int, default=100)
     p.add_argument(
         "--topics",
@@ -154,6 +153,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _stage_options(parser, command: str, reads, upstream) -> None:
+    """Add the options of a command that builds from ``reads`` and ``upstream``.
+
+    Each upstream in ``_INPUT_OPTIONS`` gets its input option; any other is
+    built, so the config fields it reads and its own upstreams join the
+    command's. The window is an option only where ``reads`` holds it.
+    """
+    names, inputs, pending = dict.fromkeys(reads), {}, list(upstream)
+    while pending:
+        name = pending.pop(0)
+        if name in _INPUT_OPTIONS:
+            inputs[name] = _INPUT_OPTIONS[name]
+        else:
+            names.update(dict.fromkeys(n for n in STAGES[name].reads if n not in _WINDOW))
+            pending += STAGES[name].upstream
+    for name in names:
+        options = {"required": FIELDS[name].default is MISSING}
+        options.update(_OVERRIDES.get((command, name), {}))
+        _config_option(parser, _FLAGS.get(name, "--" + name.replace("_", "-")), name, **options)
+    for name, flag in inputs.items():
+        parser.add_argument(
+            flag, dest=name, metavar=flag[2:].upper(), required=True, type=_input_path
+        )
 
 
 def _config_option(parser: argparse.ArgumentParser, flag: str, name: str, **kwargs) -> None:
@@ -174,7 +198,7 @@ def _config_option(parser: argparse.ArgumentParser, flag: str, name: str, **kwar
 
     default = FIELDS[name].default
     default = PACKAGED.get(name, None if default is MISSING else default)
-    parser.add_argument(flag, dest=name, type=parse_checked, default=default, **kwargs)
+    parser.add_argument(flag, dest=name, **{"type": parse_checked, "default": default, **kwargs})
 
 
 def _input_path(text: str) -> Path:
@@ -184,25 +208,64 @@ def _input_path(text: str) -> Path:
     return Path(text)
 
 
-def _read(reader, path: Path):
-    """``reader(path)``; a file that does not parse is one error naming it."""
+def _output_path(text: str) -> Path:
+    """An output file option's path; a directory there, or none to hold it, is a usage error."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {text}: it is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {text}: {path.parent} is not a directory")
+    return path
+
+
+@contextmanager
+def _reading(path: Path):
+    """Re-raise a failure to read ``path`` as one error naming it."""
     try:
-        return reader(path)
+        yield
     except (OSError, ValueError, LookupError, SentinetError) as exc:
         raise SentinetError(f"cannot read {path}: {exc}") from exc
 
 
+def _read(reader, path: Path):
+    """``reader(path)``; a file that does not parse is one error naming it."""
+    with _reading(path):
+        return reader(path)
+
+
+def _flagged(series, args) -> list:
+    return similarity_mod.flag_days(series, args.burst_threshold, args.min_history)
+
+
+class _CommandRunner(_Runner):
+    """The pipeline's runner over a subcommand's options: its input options
+    are loaded, the other upstreams built, and a config field with no option
+    (the window outside ``rates`` and ``similarity``) is unset.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.values = {}
+
+    def paths(self, stage):
+        if stage.name == self.args.command:
+            outputs = _STAGE_COMMANDS[stage.name][1]
+            return [getattr(self.args, flag[2:].replace("-", "_")) for flag in outputs]
+        return [getattr(self.args, stage.name)]
+
+    def params(self, stage):
+        return SimpleNamespace(**{name: getattr(self.args, name, None) for name in stage.reads})
+
+    def loads(self, stage):
+        return stage.name in _INPUT_OPTIONS
+
+    def errors(self, stage):
+        if self.loads(stage):
+            return _reading(self.paths(stage)[0])
+        return _reading(self.args.corpus) if stage.name == "ingest" else nullcontext()
+
+
 # ---- handlers ----------------------------------------------------------
-# Stage subcommands call the pipeline's stage builds; their parsers name
-# each option after the PipelineConfig field it sets, so ``args`` is the
-# build's params.
-
-
-def _sentinel_topics(args, ingest):
-    """Roster, cluster assignment and topic matches of the sentinels' records."""
-    roster = _read(read_roster, args.roster)
-    scores = _read(read_scores_csv, args.scores)
-    return roster, scores, STAGES["topics"].build(args, roster, ingest)
 
 
 def cmd_ingest(args) -> int:
@@ -219,22 +282,20 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    built = graph_mod.build_retweet_graph(_read(read_corpus, args.corpus).records)
-    graph_mod.write_edges(built, args.output)
-    print(f"graph: {built.n} nodes, {len(built.arcs)} arcs, total weight {built.w}")
-    return 0
-
-
-def cmd_communities(args) -> int:
-    target = graph_mod.largest_component(_read(graph_mod.read_edges, args.edges))
-    partition = STAGES["communities"].build(args, target)
-    community_mod.write_partition(partition, args.output)
-    quality = community_mod.modularity(target, partition)
-    print(
-        f"{len(partition.communities)} communities on {target.n} nodes "
-        f"(modularity {quality:.4f})"
-    )
+def cmd_stage(args) -> int:
+    """Build the subcommand's stage, write its files and print its summary."""
+    stage = STAGES[args.command]
+    runner = _CommandRunner(args)
+    if args.command == "sentinels" and args.language_filter != "ascii":
+        runner.values["ingest"] = None  # only the language filter reads the corpus
+    elif args.command == "sentinels" and args.corpus is None:
+        print("error: --language-filter ascii needs --records", file=sys.stderr)
+        return 1
+    params = runner.params(stage)
+    value = runner.build(stage, params)
+    stage.write(value, runner.paths(stage), params)
+    for line in _REPORTS[stage.name](value, runner):
+        print(line)
     return 0
 
 
@@ -256,103 +317,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sentinels(args) -> int:
-    ingest = None
-    if args.language_filter == "ascii":
-        if args.corpus is None:
-            print("error: --language-filter ascii needs --records", file=sys.stderr)
-            return 1
-        ingest = _read(read_corpus, args.corpus)
-    sentinels = STAGES["sentinels"].build(
-        args,
-        _read(graph_mod.read_edges, args.edges),
-        _read(community_mod.read_partition, args.partition),
-        ingest,
-    )
-    write_roster(sentinels, args.output)
-    for label in sentinels:
-        print(
-            f"community {label}: {len(sentinels.members[label])} sentinels, "
-            f"coverage {sentinels.coverage[label]:.3f}"
-        )
-    return 0
-
-
-def cmd_domains(args) -> int:
-    roster = _read(read_roster, args.roster)
-    matrix = STAGES["domains"].build(args, roster, _read(read_corpus, args.corpus))
-    domains_mod.write_matrix_csv(matrix, args.output)
-    print(
-        f"{len(matrix.communities)} communities x {len(matrix.domains)} domains; "
-        f"{matrix.unparseable_urls} unparseable urls"
-    )
-    return 0
-
-
-def cmd_cluster(args) -> int:
-    matrix = _read(domains_mod.read_matrix_csv, args.matrix)
-    scores, clusters = STAGES["cluster"].build(args, matrix)
-    domains_mod.write_scores_csv(scores, clusters, args.scores_output)
-    if args.loadings_output is not None:
-        domains_mod.write_loadings_csv(scores, args.loadings_output)
-    for cluster, centroid in enumerate(clusters.centroids):
-        members = sorted(clusters.members(cluster), key=str)
-        print(f"cluster {cluster}: centroid {centroid:.4f} {members}")
-    return 0
-
-
-def cmd_topics(args) -> int:
-    roster = _read(read_roster, args.roster)
-    matched = STAGES["topics"].build(args, roster, _read(read_corpus, args.corpus))
-    topics_mod.write_counts_csv(matched, args.output)
-    print(f"wrote topical counts for {len(matched)} communities")
-    return 0
-
-
-def cmd_rates(args) -> int:
-    # the ingest build reads args.corpus and keeps the window's tweets
-    ingest = _read(lambda _: STAGES["ingest"].build(args), args.corpus)
-    roster, cluster, matched = _sentinel_topics(args, ingest)
-    table = STAGES["rates"].build(args, roster, cluster, matched, ingest)
-    topics_mod.write_rates_csv(table, args.output)
-    if args.daily_output is not None:
-        topics_mod.write_daily_csv(table, args.daily_output)
-    print(f"wrote {len(table.rows)} rate rows ({len(table.excluded)} communities excluded)")
-    return 0
-
-
-def cmd_similarity(args) -> int:
-    ingest = _read(lambda _: STAGES["ingest"].build(args), args.corpus)
-    _, cluster, matched = _sentinel_topics(args, ingest)
-    series_list = STAGES["similarity"].build(args, matched, cluster, ingest)
-    similarity_mod.write_series_csv(
-        series_list, args.output, threshold=args.burst_threshold, min_history=args.min_history
-    )
-    for series in series_list:
-        flagged = similarity_mod.flag_days(series, args.burst_threshold, args.min_history)
-        print(
-            f"pair {series.pair[0]}-{series.pair[1]}: "
-            f"{sum(v is not None for v in series.values)} valid days, "
-            f"{len(flagged)} flagged"
-        )
-    return 0
-
-
 def cmd_flag(args) -> int:
-    for series in _read(similarity_mod.read_series_csv, args.series):
-        flagged = similarity_mod.flag_days(series, args.burst_threshold, args.min_history)
-        days = " ".join(day.isoformat() for day in sorted(flagged))
+    for series in _CommandRunner(args).value("similarity"):
+        days = " ".join(day.isoformat() for day in sorted(_flagged(series, args)))
         print(f"pair {series.pair[0]}-{series.pair[1]}: {days or '(none)'}")
-    return 0
-
-
-def cmd_lsa(args) -> int:
-    ingest = _read(read_corpus, args.corpus)
-    _, cluster, matched = _sentinel_topics(args, ingest)
-    series_list = _read(similarity_mod.read_series_csv, args.series)
-    report = STAGES["lsa"].build(args, series_list, matched, cluster, ingest)
-    write_json(report, args.output)
-    print(f"examined {len(report['events'])} flagged events")
     return 0
 
 
@@ -386,9 +354,9 @@ def cmd_sample(args) -> int:
         if topic not in topics_mod.DEFAULT_TOPIC_TREE:
             print(f"error: unknown topic {topic!r}", file=sys.stderr)
             return 1
-    ingest = _read(read_corpus, args.corpus)
-    _, (_, cluster_of), matched = _sentinel_topics(args, ingest)
-    corpus = ingest.records
+    runner = _CommandRunner(args)
+    matched, (_, cluster_of) = runner.value("topics"), runner.value("cluster")
+    corpus = runner.value("ingest").records
     strata: dict[tuple[str, str], list] = {}
     for community, per_topic in matched.items():
         cluster = str(cluster_of[community])

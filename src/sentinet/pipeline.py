@@ -5,7 +5,9 @@ component, communities, sentinels, domains, cluster, topics, rates,
 similarity, adf, lsa, stats, meta. Each stage declares the config fields it
 reads, the upstream stages whose values it takes, a pure ``build``, the
 ``write`` that persists its artifacts and, where the artifacts can be read
-back, a ``load``. The stage subcommands of the CLI call the same builds.
+back, a ``load``. The CLI's stage subcommands are generated from the same
+rows and resolve their inputs through the same runner, ``_Runner``: an
+upstream value is loaded from a file option or built from its own inputs.
 
 A stage's fingerprint is a 32-byte BLAKE2b of its name, a digest of the
 package's own modules and data files (so a code change rebuilds every
@@ -112,6 +114,8 @@ class PipelineResult(NamedTuple):
 
 def _build_ingest(params) -> ParseResult:
     parsed = read_corpus(params.corpus)
+    if params.window_start is None:  # a stage subcommand keeps every record
+        return parsed
     return ParseResult(
         records=parsed.records.within(params.window_start, params.window_end),
         skipped=parsed.skipped,
@@ -377,12 +381,14 @@ def _build_meta(params, ingest, component, partition, sentinels, cluster, driver
 def _write_cluster(cluster, paths, params) -> None:
     scores, clusters = cluster
     domains_mod.write_scores_csv(scores, clusters, paths[0])
-    domains_mod.write_loadings_csv(scores, paths[1])
+    if paths[1] is not None:  # a stage subcommand's optional --loadings-output
+        domains_mod.write_loadings_csv(scores, paths[1])
 
 
 def _write_rates(table, paths, params) -> None:
     topics_mod.write_rates_csv(table, paths[0])
-    topics_mod.write_daily_csv(table, paths[1])
+    if paths[1] is not None:  # a stage subcommand's optional --daily-output
+        topics_mod.write_daily_csv(table, paths[1])
 
 
 def _write_json(payload, paths, params) -> None:
@@ -506,6 +512,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 
 class _Runner:
+    """Resolves and writes stage values. The CLI overrides the hooks: where a
+    stage's files are, its params, whether an upstream value is loaded rather
+    than built, and how a failure is reported.
+    """
+
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out = Path(config.output_dir)
@@ -514,18 +525,27 @@ class _Runner:
     def paths(self, stage: Stage) -> list[Path]:
         return [self.out / name for name in stage.files]
 
+    def params(self, stage: Stage) -> SimpleNamespace:
+        return _params(self.config, stage.reads)
+
+    def loads(self, stage: Stage) -> bool:
+        return stage.load is not None
+
+    def errors(self, stage: Stage):
+        return _stage_errors(stage, self.out)
+
     def build(self, stage: Stage, params: SimpleNamespace):
         return stage.build(params, *map(self.value, stage.upstream))
 
     def value(self, name: str):
-        """An up-to-date stage's value: loaded, or built again without writing."""
+        """An upstream stage's value: loaded, or built without writing."""
         if name not in self.values:
             stage = STAGES[name]
-            with _stage_errors(stage, self.out):
-                if stage.load is not None:
+            with self.errors(stage):
+                if self.loads(stage):
                     self.values[name] = stage.load(self.paths(stage))
                 else:
-                    self.values[name] = self.build(stage, _params(self.config, stage.reads))
+                    self.values[name] = self.build(stage, self.params(stage))
         return self.values[name]
 
     def run(self) -> PipelineResult:
@@ -538,7 +558,7 @@ class _Runner:
         )
         fingerprints: dict[str, str] = {}
         for stage in STAGES.values():
-            params = _params(self.config, stage.reads)
+            params = self.params(stage)
             fingerprint = fingerprints[stage.name] = _fingerprint(
                 stage, params, [fingerprints[name] for name in stage.upstream]
             )
@@ -547,7 +567,7 @@ class _Runner:
                 continue
             if manifest.pop(stage.name, None) is not None:
                 write_json(manifest, manifest_path)  # the old artifacts stop counting as done
-            with _stage_errors(stage, self.out):
+            with self.errors(stage):
                 result = self.values[stage.name] = self.build(stage, params)
                 if result is None:
                     for path in paths:

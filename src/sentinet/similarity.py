@@ -288,7 +288,7 @@ class AdfResult(NamedTuple):
         return "reject unit root (stationary)" if self.reject else "cannot reject unit root"
 
 
-_ADF_LEVELS = {0.01: 1, 0.05: 2, 0.10: 3, "1%": 1, "5%": 2, "10%": 3}
+_ADF_LEVELS = {0.01: 1, 0.05: 2, 0.10: 3}
 
 
 @cache
@@ -298,10 +298,10 @@ def _adf_table() -> list[tuple[float, ...]]:
     return sorted(tuple(map(float, line.split(","))) for line in rows)
 
 
-def adf_critical_value(nobs: int, alpha: float | str = 0.05) -> float:
+def adf_critical_value(nobs: int, alpha: float = 0.05) -> float:
     """Constant-only Dickey-Fuller critical value, interpolated in sample size."""
     if alpha not in _ADF_LEVELS:
-        raise ParameterError(f"alpha must be one of 1%/5%/10%, got {alpha!r}")
+        raise ParameterError(f"alpha must be one of 0.01, 0.05 or 0.10, got {alpha!r}")
     column = _ADF_LEVELS[alpha]
     rows = _adf_table()
     finite = [row for row in rows if math.isfinite(row[0])]
@@ -315,7 +315,7 @@ def adf_critical_value(nobs: int, alpha: float | str = 0.05) -> float:
     return (asymptotic or finite[-1])[column]
 
 
-def adf_test(series: Sequence[float], alpha: float | str = 0.05) -> AdfResult:
+def adf_test(series: Sequence[float], alpha: float = 0.05) -> AdfResult:
     """Dickey-Fuller unit-root test, constant-only model with zero lags.
 
     Regresses the first difference on a constant and the lagged level; the
@@ -348,11 +348,10 @@ def adf_test(series: Sequence[float], alpha: float | str = 0.05) -> AdfResult:
         statistic = slope / se
     nobs = int(dy.size)
     critical = adf_critical_value(nobs, alpha)
-    alpha_value = {1: 0.01, 2: 0.05, 3: 0.10}[_ADF_LEVELS[alpha]]
     return AdfResult(
         statistic=statistic,
         critical_value=critical,
-        alpha=alpha_value,
+        alpha=alpha,
         reject=statistic < critical,
         nobs=nobs,
     )

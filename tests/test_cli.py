@@ -28,6 +28,167 @@ CLI_ARTIFACTS = (
     "lsa_drivers.json",
 )
 
+# Every subcommand's help and options, as the hand-written parser declared
+# them before the stage subcommands were generated from the stage table:
+# option -> (default, required, choices, help)
+CLI_SURFACE = {
+    "ingest": (
+        "parse a JSONL corpus into canonical form",
+        {
+            "--output": (None, True, None, None),
+            "--input": (None, True, None, None),
+            "--window-start": (None, False, None, None),
+            "--window-end": (None, False, None, None),
+        },
+    ),
+    "graph": (
+        "build the retweet graph edge list",
+        {
+            "--output": (None, True, None, None),
+            "--records": (None, True, None, None),
+        },
+    ),
+    "communities": (
+        "Louvain communities of the largest component",
+        {
+            "--output": (None, True, None, None),
+            "--seed": (13, False, None, None),
+            "--edges": (None, True, None, None),
+        },
+    ),
+    "compare-partitions": (
+        "Rand index and z-Rand of two partitions",
+        {
+            "--left": (None, True, None, None),
+            "--right": (None, True, None, None),
+        },
+    ),
+    "sentinels": (
+        "select most-retweeted accounts per community",
+        {
+            "--output": (None, True, None, None),
+            "--seed": (13, False, None, None),
+            "--edges": (None, True, None, None),
+            "--partition": (None, True, None, None),
+            "--k": (15, False, None, None),
+            "--top-m": (50, False, None, None),
+            "--records": (None, False, None, "corpus for the language filter"),
+            "--language-filter": ("none", False, ["ascii", "none"], None),
+            "--english-threshold": (0.8, False, None, None),
+        },
+    ),
+    "domains": (
+        "community x domain link-fraction matrix",
+        {
+            "--output": (None, True, None, None),
+            "--records": (None, True, None, None),
+            "--roster": (None, True, None, None),
+            "--split": (None, False, None, "keep tweets before this time"),
+            "--min-count": (10, False, None, None),
+            "--shorteners": (PACKAGED["shorteners"], False, None, None),
+        },
+    ),
+    "cluster": (
+        "PCA scores and score clusters",
+        {
+            "--matrix": (None, True, None, None),
+            "--scores-output": (None, True, None, None),
+            "--loadings-output": (None, False, None, None),
+            "--clusters": (3, False, None, None),
+            "--anchor-domain": (None, False, None, None),
+        },
+    ),
+    "topics": (
+        "per-community topical tweet counts",
+        {
+            "--output": (None, True, None, None),
+            "--records": (None, True, None, None),
+            "--roster": (None, True, None, None),
+            "--lexicon-dir": (PACKAGED["lexicon_dir"], False, None, None),
+        },
+    ),
+    "rates": (
+        "per-capita and scaled topical tweet rates",
+        {
+            "--records": (None, True, None, None),
+            "--roster": (None, True, None, None),
+            "--scores": (None, True, None, None),
+            "--lexicon-dir": (PACKAGED["lexicon_dir"], False, None, None),
+            "--window-start": (None, True, None, None),
+            "--window-end": (None, True, None, None),
+            "--output": (None, True, None, None),
+            "--daily-output": (None, False, None, None),
+        },
+    ),
+    "similarity": (
+        "daily inter-cluster similarity series",
+        {
+            "--records": (None, True, None, None),
+            "--roster": (None, True, None, None),
+            "--scores": (None, True, None, None),
+            "--lexicon-dir": (PACKAGED["lexicon_dir"], False, None, None),
+            "--window-start": (None, True, None, None),
+            "--window-end": (None, True, None, None),
+            "--output": (None, True, None, None),
+            "--threshold": (2.0, False, None, None),
+            "--min-history": (7, False, None, None),
+            "--stopwords": (PACKAGED["stopwords"], False, None, None),
+        },
+    ),
+    "flag": (
+        "flag burst days from a similarity series",
+        {
+            "--threshold": (2.0, False, None, None),
+            "--min-history": (7, False, None, None),
+            "--series": (None, True, None, None),
+        },
+    ),
+    "lsa": (
+        "topical tweets and driver confirmation for flagged days",
+        {
+            "--records": (None, True, None, None),
+            "--roster": (None, True, None, None),
+            "--scores": (None, True, None, None),
+            "--lexicon-dir": (PACKAGED["lexicon_dir"], False, None, None),
+            "--output": (None, True, None, None),
+            "--threshold": (2.0, False, None, None),
+            "--min-history": (7, False, None, None),
+            "--stopwords": (PACKAGED["stopwords"], False, None, None),
+            "--series": (None, True, None, None),
+            "--k": (5, False, None, None),
+            "--match-threshold": (0.5, False, None, None),
+        },
+    ),
+    "stats": (
+        "chi-square and Krippendorff alpha reports",
+        {
+            "--contingency": (None, False, None, None),
+            "--coding": (None, False, None, None),
+        },
+    ),
+    "run": (
+        "run the full pipeline from a config file",
+        {
+            "--config": (None, True, None, None),
+        },
+    ),
+    "sample": (
+        "seeded stratified sample for human coding",
+        {
+            "--records": (None, True, None, None),
+            "--roster": (None, True, None, None),
+            "--scores": (None, True, None, None),
+            "--lexicon-dir": (PACKAGED["lexicon_dir"], False, None, None),
+            "--output": (None, True, None, None),
+            "--seed": (13, False, None, None),
+            "--per-stratum": (100, False, None, None),
+            "--topics": (
+                ["mortality", "facemasks", "hydroxychloroquine", "plandemic"], False, None, None
+            ),
+        },
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def workspace(default_corpus, tmp_path_factory):
@@ -36,6 +197,35 @@ def workspace(default_corpus, tmp_path_factory):
     corpus = base / "corpus.jsonl"
     write_corpus(records, corpus)
     return base, corpus, truth
+
+
+@pytest.fixture(scope="module")
+def spilled_corpus(workspace):
+    """The default corpus plus tweets dated before and after its window, and a
+    retweet pair outside the main component.
+
+    The out-of-window tweets are hub retweets of other hubs, with topic words
+    and a link, so any stage that kept them would write other bytes.
+    """
+    base, corpus, truth = workspace
+    hubs = [hub for community in truth.hubs.values() for hub in community]
+    extra = [
+        {"tweet_id": f"out{day}-{i}", "author_id": hub, "retweeted_author_id": hubs[i - 1],
+         "created_at": f"{day}T12:00:00Z", "text": "covid mask death rate vaccine",
+         "urls": ["https://outside.example.com/a"]}
+        for day in (truth.window[0] - timedelta(days=3), truth.window[1] + timedelta(days=3))
+        for i, hub in enumerate(hubs)
+    ]
+    extra.append(
+        {"tweet_id": "pair", "author_id": "pair_a", "retweeted_author_id": "pair_b",
+         "created_at": f"{truth.window[0] + timedelta(days=2)}T12:00:00Z", "text": "covid mask"}
+    )
+    spilled = base / "spilled.jsonl"
+    spilled.write_text(
+        corpus.read_text(encoding="utf-8") + "".join(json.dumps(line) + "\n" for line in extra),
+        encoding="utf-8",
+    )
+    return spilled
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +526,97 @@ INPUT_FILE_COMMANDS = {
 }
 
 
+@pytest.fixture(scope="module")
+def series(staged):
+    """A similarity series written by the stage chain."""
+    base, records, _, _, roster, _, scores, truth = staged
+    path = base / "series.csv"
+    assert main(
+        [
+            "similarity",
+            "--records", str(records),
+            "--roster", str(roster),
+            "--scores", str(scores),
+            "--window-start", truth.window[0].isoformat(),
+            "--window-end", truth.window[1].isoformat(),
+            "--output", str(path),
+        ]
+    ) == 0
+    return path
+
+
+class TestCliSurface:
+    def test_options_keep_their_strings_defaults_required_flags_and_choices(self):
+        (action,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        helps = {choice.dest: choice.help for choice in action._choices_actions}
+        assert action.choices.keys() == CLI_SURFACE.keys()
+        for command, parser in action.choices.items():
+            options = {
+                "/".join(option.option_strings): (
+                    option.default, option.required, option.choices, option.help
+                )
+                for option in parser._actions
+                if not isinstance(option, argparse._HelpAction)
+            }
+            assert (helps[command], options) == CLI_SURFACE[command], command
+
+
+SCORED = ["--records", "{records}", "--roster", "{roster}", "--scores", "{scores}"]
+WINDOW = ["--window-start", "2020-07-01", "--window-end", "2020-07-30"]
+# command -> its arguments but the output options, and its output options
+OUTPUT_COMMANDS = {
+    "ingest": (["--input", "{corpus}"], ["--output"]),
+    "graph": (["--records", "{records}"], ["--output"]),
+    "communities": (["--edges", "{edges}"], ["--output"]),
+    "sentinels": (["--edges", "{edges}", "--partition", "{partition}"], ["--output"]),
+    "domains": (["--records", "{records}", "--roster", "{roster}"], ["--output"]),
+    "cluster": (["--matrix", "{matrix}"], ["--scores-output", "--loadings-output"]),
+    "topics": (["--records", "{records}", "--roster", "{roster}"], ["--output"]),
+    "rates": (SCORED + WINDOW, ["--output", "--daily-output"]),
+    "similarity": (SCORED + WINDOW, ["--output"]),
+    "lsa": (SCORED + ["--series", "{series}"], ["--output"]),
+    "sample": (SCORED, ["--output"]),
+}
+OUTPUT_OPTIONS = [(c, option) for c, (_, outputs) in OUTPUT_COMMANDS.items() for option in outputs]
+
+
+class TestOutputFiles:
+    def test_every_output_option_is_listed(self):
+        assert set(OUTPUT_OPTIONS) == {
+            (command, option)
+            for command, (_, surface) in CLI_SURFACE.items()
+            for option in surface
+            if option.endswith("output")
+        }
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command,option", OUTPUT_OPTIONS)
+    def test_unwritable_output_is_a_usage_error(
+        self, workspace, staged, series, tmp_path, capsys, command, option, where
+    ):
+        _, corpus, _ = workspace
+        _, records, edges, partition, roster, matrix, scores, _ = staged
+        paths = {"corpus": corpus, "records": records, "edges": edges, "partition": partition,
+                 "roster": roster, "matrix": matrix, "scores": scores, "series": series}
+        arguments, outputs = OUTPUT_COMMANDS[command]
+        bad = tmp_path / "missing" / "out"
+        if where == "directory":
+            bad = tmp_path / "directory"
+            bad.mkdir()
+        argv = [command, *(arg.format(**paths) for arg in arguments)]
+        for output in outputs:
+            argv += [output, str(bad if output == option else tmp_path / output.strip("-"))]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"cannot write {bad}" in capsys.readouterr().err
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
 class TestInputFiles:
     def command(self, staged, option, file, tmp_path):
         base, records, edges, partition, roster, _, scores, _ = staged
@@ -441,6 +722,21 @@ class TestStageDefaults:
 class TestCliMatchesPipeline:
     def test_stage_chain_reproduces_pipeline_artifacts(self, workspace, tmp_path):
         _, corpus, truth = workspace
+        self.assert_chain_matches_pipeline(corpus, truth, tmp_path)
+
+    def test_chain_from_windowed_ingest_reproduces_pipeline_artifacts(
+        self, workspace, spilled_corpus, tmp_path
+    ):
+        # the corpus reaches outside the window and holds a second component
+        _, _, truth = workspace
+        window = [
+            "--window-start", truth.window[0].isoformat(),
+            "--window-end", truth.window[1].isoformat(),
+        ]
+        self.assert_chain_matches_pipeline(spilled_corpus, truth, tmp_path, window)
+
+    def assert_chain_matches_pipeline(self, corpus, truth, tmp_path, ingest_window=()):
+        """The stage chain, from ingest with ``ingest_window``, writes run_pipeline's bytes."""
         config = PipelineConfig(
             corpus=corpus,
             output_dir=tmp_path / "pipeline",
@@ -466,7 +762,8 @@ class TestCliMatchesPipeline:
             "--min-history", str(config.min_history),
         ]
         chain = [
-            ["ingest", "--input", str(corpus), "--output", path["records.jsonl"]],
+            ["ingest", "--input", str(corpus), "--output", path["records.jsonl"]]
+            + list(ingest_window),
             ["graph", "--records", path["records.jsonl"], "--output", path["graph.edges"]],
             [
                 "communities",

@@ -551,7 +551,7 @@ class TestAdf:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(100)
         strict = adf_test(y, 0.01)
-        loose = adf_test(y, "10%")
+        loose = adf_test(y, 0.10)
         assert strict.critical_value < loose.critical_value
         with pytest.raises(ParameterError):
             adf_test(y, 0.2)
