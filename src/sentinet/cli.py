@@ -233,6 +233,21 @@ def _read(reader, path: Path):
         return reader(path)
 
 
+def _check_clusters(runner) -> None:
+    """Raise one error naming ``--scores`` when it gives no cluster to a
+    roster community, or no community to a cluster that ``--series`` pairs."""
+    _, cluster_of = runner.value("cluster")
+    missing = [label for label in runner.value("sentinels") if label not in cluster_of]
+    problem = f"no cluster for roster communities {' '.join(missing)}"
+    if not missing and runner.args.command == "lsa":
+        clusters = {str(cluster) for cluster in cluster_of.values()}
+        paired = {side for series in runner.value("similarity") for side in series.pair}
+        missing = sorted(paired - clusters)
+        problem = f"no community in --series clusters {' '.join(missing)}"
+    if missing:
+        raise SentinetError(f"cannot read {runner.args.cluster}: {problem}")
+
+
 def _flagged(series, args) -> list:
     return similarity_mod.flag_days(series, args.burst_threshold, args.min_history)
 
@@ -291,6 +306,8 @@ def cmd_stage(args) -> int:
     elif args.command == "sentinels" and args.corpus is None:
         print("error: --language-filter ascii needs --records", file=sys.stderr)
         return 1
+    if "cluster" in stage.upstream:
+        _check_clusters(runner)
     params = runner.params(stage)
     value = runner.build(stage, params)
     stage.write(value, runner.paths(stage), params)
@@ -355,6 +372,7 @@ def cmd_sample(args) -> int:
             print(f"error: unknown topic {topic!r}", file=sys.stderr)
             return 1
     runner = _CommandRunner(args)
+    _check_clusters(runner)
     matched, (_, cluster_of) = runner.value("topics"), runner.value("cluster")
     corpus = runner.value("ingest").records
     strata: dict[tuple[str, str], list] = {}

@@ -5,12 +5,15 @@ tweet_id, author_id, created_at (ISO-8601 UTC), text, retweeted_author_id
 (null for original tweets) and urls (array of strings).
 
 :func:`parse_tweet_stream` reads them into a :class:`Corpus`, the parsed
-tweets as columns: ids and texts as lists, authors and retweeted authors
-as int32 indices into one account table, UTC times as int64 seconds since
-1970-01-01, and every tweet's URLs as a slice of one list. A corpus is
-the only in-memory form of tweets: every stage after ingest reads its
-columns through row indices, and :func:`write_corpus` writes them back as
-JSON Lines.
+tweets as columns: ids, texts and URLs as :class:`StringColumn` values,
+one UTF-8 buffer and the int64 end of each row in it, authors and
+retweeted authors as int32 indices into one account table, UTC times as
+int64 seconds since 1970-01-01, and every tweet's URLs as a slice of the
+URL column. A corpus is the only in-memory form of tweets: every stage
+after ingest reads its columns through row indices, and
+:func:`write_corpus` writes them back as JSON Lines. No row's id, text or
+URL is kept as a ``str`` of its own: a row is decoded when it is read, so
+a corpus's memory follows its UTF-8 size.
 
 :func:`extract_domain` reduces a URL to its linked domain in two steps:
 :func:`url_host` reads the host, with one regex for a plain
@@ -26,6 +29,7 @@ ids at once, before trigrams are formed.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from array import array
@@ -33,9 +37,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
-from itertools import count
+from itertools import chain, count, islice
+from operator import eq
+from operator import index as as_index
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -76,6 +82,11 @@ TOKEN_ID_BITS = 21
 CHUNK_TOKENS = 1 << 14
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_SECONDS = 86_400
+# rows that parse_tweet_stream gathers before it encodes them into its
+# string columns, and that a column decodes at once when iterated
+CHUNK_ROWS = 4096
+# bytes of a string column that StringColumn.isascii scans at once
+_SCAN_BYTES = 1 << 16
 
 
 def day_date(number: int) -> date:
@@ -88,25 +99,175 @@ def day_number(day: date) -> int:
     return day.toordinal() - EPOCH.toordinal()
 
 
+def _encode(text: str) -> bytes:
+    # surrogatepass: a lone surrogate, which JSON can hold, round-trips
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _decode(data) -> str:
+    return str(data, "utf-8", "surrogatepass")
+
+
+class _ColumnWriter:
+    """Appends chunks of strings to one UTF-8 buffer and its row ends.
+
+    A chunk is joined and encoded as one string. Both buffers are
+    :class:`io.BytesIO` values, which grow in place and hand their bytes
+    over, cut to size, without a copy.
+    """
+
+    def __init__(self) -> None:
+        self.data = io.BytesIO()
+        self.ends = io.BytesIO()
+        self.size = 0
+
+    def extend(self, strings: Sequence[str]) -> None:
+        joined = "".join(strings)
+        encoded = _encode(joined)
+        if len(encoded) == len(joined):
+            lengths = map(len, strings)
+        else:
+            # an ASCII string's bytes are its characters; only the others are
+            # encoded apart, to learn their length
+            lengths = (len(s) if s.isascii() else len(_encode(s)) for s in strings)
+        ends = np.cumsum(np.fromiter(lengths, np.int64, len(strings))) + self.size
+        self.ends.write(ends.tobytes())
+        self.data.write(encoded)
+        self.size += len(encoded)
+
+    def column(self) -> StringColumn:
+        """The column written; the writer's buffers are handed over."""
+        return StringColumn(
+            self.data.getvalue(), np.frombuffer(self.ends.getvalue(), dtype=np.int64)
+        )
+
+
+class StringColumn(Sequence):
+    """Strings as one UTF-8 buffer ``data`` and the int64 end of each row in it.
+
+    Row r is ``data[ends[r - 1]:ends[r]]`` (from byte 0 for row 0), encoded
+    with ``surrogatepass``, so that a lone surrogate round-trips. A row is
+    read as a ``str`` by index, rows as a column of their own with
+    :meth:`take`, and rows as one ``str`` with :meth:`joined`. Iterating
+    decodes :data:`CHUNK_ROWS` rows at a time. A column compares equal to a
+    list or tuple of its strings.
+    """
+
+    __slots__ = ("data", "ends")
+
+    def __init__(self, data: bytes, ends: np.ndarray) -> None:
+        self.data = data
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, key):
+        """Row ``key`` as a ``str``; a slice of rows as a column."""
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        row = as_index(key)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("column row out of range")
+        start = self.ends.item(row - 1) if row else 0
+        return _decode(self.data[start : self.ends.item(row)])
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(map(self._decoded, range(0, len(self), CHUNK_ROWS)))
+
+    def _decoded(self, first: int) -> list[str]:
+        """Rows ``first`` to ``first + CHUNK_ROWS``, decoded as one string."""
+        base = self.ends.item(first - 1) if first else 0
+        ends = self.ends[first : first + CHUNK_ROWS] - base
+        starts = np.concatenate([[0], ends[:-1]]).tolist()
+        ends = ends.tolist()
+        chunk = self.data[base : base + ends[-1]]
+        text = _decode(chunk)
+        if len(text) == len(chunk):  # ASCII: each row's characters are its bytes
+            return [text[s:e] for s, e in zip(starts, ends)]
+        return [_decode(chunk[s:e]) for s, e in zip(starts, ends)]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StringColumn):
+            return self.data == other.data and np.array_equal(self.ends, other.ends)
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"StringColumn({list(self)!r})"
+
+    def _bounds(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end byte of each of ``rows``."""
+        ends = self.ends[rows]
+        starts = self.ends[rows - 1]
+        starts[rows == 0] = 0
+        return starts, ends
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> StringColumn:
+        """The column of ``rows``, in that order; adjacent rows are copied as one run."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if not rows.size:
+            return StringColumn(b"", np.zeros(0, np.int64))
+        starts, ends = self._bounds(rows)
+        # a row that starts where the one before it ends continues its run
+        first = np.flatnonzero(np.concatenate([[True], starts[1:] != ends[:-1]]))
+        last = np.append(first[1:], rows.size) - 1
+        data = self.data
+        runs = [data[s:e] for s, e in zip(starts[first].tolist(), ends[last].tolist())]
+        return StringColumn(b"".join(runs), np.cumsum(ends - starts))
+
+    def joined(self, rows: Sequence[int] | np.ndarray, sep: str = "") -> str:
+        """``sep.join`` of ``rows``, decoded as one string."""
+        starts, ends = self._bounds(np.asarray(rows, dtype=np.intp))
+        data = self.data
+        pieces = [data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        return _decode(_encode(sep).join(pieces))
+
+    def lowered(self) -> list[str]:
+        """Each row lowercased, as ``str.lower`` does it; an ASCII column is
+        lowercased as one buffer before it is decoded."""
+        if self.data.isascii():
+            return list(StringColumn(self.data.lower(), self.ends))
+        return [text.lower() for text in self]
+
+    def isascii(self) -> np.ndarray:
+        """Whether each row is ASCII, as a bool array."""
+        flags = np.ones(len(self), dtype=bool)
+        if self.data.isascii():
+            return flags
+        data = np.frombuffer(self.data, dtype=np.uint8)
+        for start in range(0, data.size, _SCAN_BYTES):
+            high = np.flatnonzero(data[start : start + _SCAN_BYTES] >= 0x80)
+            flags[np.searchsorted(self.ends, high + start, side="right")] = False
+        return flags
+
+
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Parsed tweets as columns, one row per tweet, in the order read.
 
-    ``author[r]`` and ``retweeted[r]`` index the account table
-    ``accounts`` (``retweeted[r]`` is -1 when row r is no retweet);
-    ``seconds[r]`` is the row's UTC time in seconds since 1970-01-01; its
-    URLs are ``urls[url_offsets[r]:url_offsets[r + 1]]``. The account table
-    may hold ids that no row refers to.
+    ``tweet_ids[r]`` and ``texts[r]`` are row r's id and text, read from
+    their :class:`StringColumn`; ``author[r]`` and ``retweeted[r]`` index
+    the account table ``accounts`` (``retweeted[r]`` is -1 when row r is no
+    retweet); ``seconds[r]`` is the row's UTC time in seconds since
+    1970-01-01; its URLs are the rows ``url_offsets[r]`` to
+    ``url_offsets[r + 1]`` of the column ``urls``. The account table may
+    hold ids that no row refers to.
     """
 
-    tweet_ids: list[str]
-    texts: list[str]
+    tweet_ids: StringColumn
+    texts: StringColumn
     accounts: list[str]
     author: np.ndarray  # int32
     retweeted: np.ndarray  # int32
     seconds: np.ndarray  # int64
     url_offsets: np.ndarray  # int64, one more entry than rows
-    urls: list[str]
+    urls: StringColumn
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
@@ -124,12 +285,11 @@ class Corpus:
     def created_at(self, row: int) -> datetime:
         return EPOCH + timedelta(seconds=int(self.seconds[row]))
 
-    def urls_of(self, rows: Sequence[int]) -> list[str]:
+    def urls_of(self, rows: Sequence[int]) -> StringColumn:
         """The URLs of ``rows``, row after row."""
         rows = np.asarray(rows, dtype=np.intp)
         starts = self.url_offsets[rows]
-        entries = _ranges(starts, self.url_offsets[rows + 1] - starts)
-        return [self.urls[i] for i in entries.tolist()]
+        return self.urls.take(_ranges(starts, self.url_offsets[rows + 1] - starts))
 
     def within(self, start: date, end: date) -> Corpus:
         """The rows posted from UTC day ``start`` to ``end``, both included, in order.
@@ -146,8 +306,8 @@ class Corpus:
         """The corpus of ``rows``, in that order, over the same account table."""
         lengths = np.diff(self.url_offsets)[rows]
         return Corpus(
-            tweet_ids=[self.tweet_ids[r] for r in rows.tolist()],
-            texts=[self.texts[r] for r in rows.tolist()],
+            tweet_ids=self.tweet_ids.take(rows),
+            texts=self.texts.take(rows),
             accounts=self.accounts,
             author=self.author[rows],
             retweeted=self.retweeted[rows],
@@ -217,10 +377,16 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
 
     The columns are filled in one loop. An account id is checked once, when
     it first enters the account table; a tweet id made of letters and
-    digits alone needs no further check.
+    digits alone needs no further check. Ids, texts and URLs are gathered
+    :data:`CHUNK_ROWS` rows at a time, and each chunk is encoded at once
+    into its :class:`StringColumn` values. Past its chunk, a row's id is
+    kept as a ``str`` only in the set of ids seen, until the parse ends.
     """
+    # the string columns, and the rows of the chunk not yet written to them
+    writers = (_ColumnWriter(), _ColumnWriter(), _ColumnWriter())
     tweet_ids: list[str] = []
     texts: list[str] = []
+    urls: list[str] = []
     # account id -> its index; local to the call, so that a long-lived
     # process does not keep every id it has read. A missing id gets the next
     # index: defaultdict calls len() before inserting.
@@ -230,8 +396,7 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
     retweeted = array("i")
     # float seconds, exact at second resolution, from datetime.timestamp
     seconds = array("d")
-    url_offsets = array("q", [0])
-    urls: list[str] = []
+    url_counts = array("q")
     seen_ids: set[str] = set()
     # JSONDecoder.raw_decode without its Python frame: the scanner raises
     # StopIteration where raw_decode raises a ValueError
@@ -287,20 +452,33 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
         retweeted.append(-1 if source_id is None else account_of[source_id])
         seconds.append(moment.timestamp())
         urls += tweet_urls
-        url_offsets.append(len(urls))
-    if not tweet_ids:
+        url_counts.append(len(tweet_urls))
+        if len(tweet_ids) == CHUNK_ROWS:
+            _write_chunk(writers, (tweet_ids, texts, urls))
+    _write_chunk(writers, (tweet_ids, texts, urls))
+    if not seen_ids:
         raise EmptyCorpusError(f"no parseable records ({skipped} lines skipped)")
+    del seen_ids
+    columns = [writer.column() for writer in writers]
+    del writers
     corpus = Corpus(
-        tweet_ids=tweet_ids,
-        texts=texts,
+        tweet_ids=columns[0],
+        texts=columns[1],
         accounts=list(account_of),
         author=np.frombuffer(authors, dtype=np.intc).astype(np.int32),
         retweeted=np.frombuffer(retweeted, dtype=np.intc).astype(np.int32),
         seconds=np.frombuffer(seconds).astype(np.int64),
-        url_offsets=np.frombuffer(url_offsets, dtype=np.int64),
-        urls=urls,
+        url_offsets=np.concatenate([[0], np.cumsum(np.frombuffer(url_counts, dtype=np.int64))]),
+        urls=columns[2],
     )
     return ParseResult(records=corpus, skipped=skipped)
+
+
+def _write_chunk(writers: Sequence[_ColumnWriter], rows: Sequence[list[str]]) -> None:
+    """Write each column's open rows to its writer, and empty them."""
+    for writer, strings in zip(writers, rows):
+        writer.extend(strings)
+        strings.clear()
 
 
 def read_corpus(path: str | Path) -> ParseResult:
@@ -316,17 +494,18 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """
     author = corpus.author.tolist()
     retweeted = corpus.retweeted.tolist()
-    offsets = corpus.url_offsets.tolist()
+    url_counts = np.diff(corpus.url_offsets).tolist()
+    urls = iter(corpus.urls)
     with atomic_open(path) as handle:
-        for row, tweet_id in enumerate(corpus.tweet_ids):
+        for row, (tweet_id, text) in enumerate(zip(corpus.tweet_ids, corpus.texts)):
             source = retweeted[row]
             obj = {
                 "tweet_id": tweet_id,
                 "author_id": corpus.accounts[author[row]],
                 "created_at": format_timestamp(corpus.created_at(row)),
-                "text": corpus.texts[row],
+                "text": text,
                 "retweeted_author_id": None if source < 0 else corpus.accounts[source],
-                "urls": corpus.urls[offsets[row] : offsets[row + 1]],
+                "urls": list(islice(urls, url_counts[row])),
             }
             line = json.dumps(obj, ensure_ascii=False, sort_keys=True)
             if not line.isascii():
@@ -408,21 +587,40 @@ def tokenize(texts: Sequence[str]) -> list[str]:
     URLs and @-mentions are removed first; the remainder is lowercased and
     split on runs of non-alphanumeric characters. Stopwords are kept: the
     :class:`TrigramEncoder` that counts the stream drops them. The batch is
-    cleaned as one string: its texts are joined with ``"\\n\\x00\\n"``, and
-    neither regex nor the final-sigma rule of ``str.lower`` reaches across
-    a newline, so each text gets the tokens it would get alone. A NUL
-    inside a text becomes ``"\\x01"``, which separates tokens alike. Each
-    regex runs only when its literal marker is present.
-
-    The choice of path is made once for the whole batch: an all-ASCII batch
-    is lowercased first and split with a byte translate table, any other
-    batch goes through the regexes. One non-ASCII text therefore sends its
-    batch's ASCII texts down the slower path too; a caller with many texts
-    tokenizes its ASCII texts as a batch of their own.
+    cleaned as one string: its texts are joined with ``"\\n\\x00\\n"``,
+    and neither regex nor the final-sigma rule of ``str.lower`` reaches
+    across a newline, so each text gets the tokens it would get alone. A
+    NUL inside a text becomes ``"\\x01"``, which separates tokens alike.
     """
     joined = _BATCH_JOIN.join(texts)
     if joined.count(BOUNDARY) != len(texts) - 1:
         joined = _BATCH_JOIN.join([text.replace(BOUNDARY, "\x01") for text in texts])
+    return _clean(joined)
+
+
+def tokenize_rows(texts: StringColumn, rows: Sequence[int] | np.ndarray) -> list[str]:
+    """:func:`tokenize` of the ``rows`` of a column, joined from its buffer at once.
+
+    Only a batch in which some text holds a NUL is read text by text.
+    """
+    if not len(rows):
+        return []
+    joined = texts.joined(rows, _BATCH_JOIN)
+    if joined.count(BOUNDARY) != len(rows) - 1:
+        return tokenize(texts.take(rows))
+    return _clean(joined)
+
+
+def _clean(joined: str) -> list[str]:
+    """The tokens of texts joined with :data:`_BATCH_JOIN`, BOUNDARY between texts.
+
+    Each regex runs only when its literal marker is present. The choice of
+    path is made once for the whole string: an all-ASCII string is
+    lowercased first and split with a byte translate table, any other goes
+    through the regexes. One non-ASCII text therefore sends its batch's
+    ASCII texts down the slower path too; a caller with many texts
+    tokenizes its ASCII texts as a batch of their own.
+    """
     if joined.isascii():
         # lowercasing ASCII text first changes no match of either regex
         lowered = joined.lower()

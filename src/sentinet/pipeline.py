@@ -271,9 +271,10 @@ def _build_lsa(params, series_list, topics, cluster, ingest) -> dict:
             rows_of.setdefault((community, flagged_on[day]), []).append(len(tweets))
             tweets.append(row)
     counts, _ = TrigramEncoder(load_wordlist(params.stopwords)).count(
-        normalize_text(corpus.texts[row]) for row in tweets
+        map(normalize_text, corpus.texts.take(tweets))
     )
-    ids = [corpus.tweet_ids[row] for row in tweets]
+    # the ids are read many times over: decoded once, for the stage alone
+    ids = list(corpus.tweet_ids.take(tweets))
     events = []
     # (cluster, day) -> its extraction; a day flagged in two pairs of one
     # cluster is extracted once

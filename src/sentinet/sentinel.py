@@ -127,7 +127,7 @@ def ascii_language_filter(
         rng = random.Random(f"{seed}:{label}")
         if rows.size > LANGUAGE_SAMPLE_SIZE:
             rows = rows[rng.sample(range(rows.size), LANGUAGE_SAMPLE_SIZE)]
-        passing = sum(1 for row in rows.tolist() if tweet_is_asciiish(corpus.texts[row]))
+        passing = sum(map(tweet_is_asciiish, corpus.texts.take(rows)))
         return passing / rows.size >= english_threshold
 
     return predicate

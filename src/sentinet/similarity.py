@@ -44,7 +44,15 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .fileio import read_csv, read_lines, write_csv
-from .ingest import BOUNDARY, CountMatrix, Corpus, TrigramEncoder, data_path, day_date, tokenize
+from .ingest import (
+    BOUNDARY,
+    CountMatrix,
+    Corpus,
+    TrigramEncoder,
+    data_path,
+    day_date,
+    tokenize_rows,
+)
 # imported by name so that perfbench's tracer, which wraps it at every
 # import site, finds it here too
 from .ingest import normalize_text  # noqa: F401
@@ -103,30 +111,37 @@ def community_day_counts(
     tweets are tokenized as two batches, its ASCII texts and the rest, so
     that one non-ASCII tweet does not send the day's ASCII tweets down the
     regex path; the two batches form one token stream, a :data:`BOUNDARY`
-    between them. ``encoder`` drops its stopwords and makes the codes of
-    every day, so it decodes them all.
+    between them. The days hold row indices until they are counted, and
+    each batch is joined from the text column as one string. ``encoder``
+    drops its stopwords and makes the codes of every day, so it decodes
+    them all.
     """
     texts, days = corpus.texts, corpus.days
-    texts_of: dict[int, dict[Label, tuple[list[str], list[str]]]] = {}
+    is_other = ~texts.isascii()
+    # day -> community -> its ASCII rows and its other rows on the day
+    rows_of: dict[int, dict[Label, list[np.ndarray]]] = {}
+    none = np.zeros(0, dtype=np.intp)
     for community in sorted(rows_by_community, key=str):
         rows = np.asarray(rows_by_community[community], dtype=np.intp)
-        # the community's rows grouped by day, each day's in their given order
-        rows = rows[np.argsort(days[rows], kind="stable")]
-        community_days, starts = np.unique(days[rows], return_index=True)
-        community_texts = [texts[row] for row in rows.tolist()]
-        ends = [*starts[1:].tolist(), len(rows)]
-        for day, start, end in zip(community_days.tolist(), starts.tolist(), ends):
-            day_texts = community_texts[start:end]
-            texts_of.setdefault(day, {})[community] = (
-                [text for text in day_texts if text.isascii()],
-                [text for text in day_texts if not text.isascii()],
-            )
-    for day in sorted(texts_of):
-        # each day's texts are let go once the day is counted
-        by_community = texts_of.pop(day)
+        # the community's rows grouped by day and, within a day, ASCII rows
+        # first, each group's rows in their given order
+        keys = days[rows] * 2 + is_other[rows]
+        order = np.argsort(keys, kind="stable")
+        rows, keys = rows[order], keys[order]
+        group_keys, starts = np.unique(keys, return_index=True)
+        ends = [*starts[1:].tolist(), rows.size]
+        for key, start, end in zip(group_keys.tolist(), starts.tolist(), ends):
+            batches = rows_of.setdefault(key // 2, {}).setdefault(community, [none, none])
+            batches[key % 2] = rows[start:end]
+    for day in sorted(rows_of):
+        by_community = rows_of.pop(day)
         yield day_date(day), list(by_community), *encoder.count(
-            chain(tokenize(ascii_texts), (BOUNDARY,), tokenize(other_texts))
-            for ascii_texts, other_texts in by_community.values()
+            chain(
+                tokenize_rows(texts, ascii_rows),
+                (BOUNDARY,),
+                tokenize_rows(texts, other_rows),
+            )
+            for ascii_rows, other_rows in by_community.values()
         )
 
 

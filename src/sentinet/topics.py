@@ -72,8 +72,8 @@ def filter_topic_tree(
     substrings, case-insensitively. Lexicons apply in parent-before-child
     order, and each subtopic filters its parent's matches, which keeps the
     subset relationship between topic and subtopic counts by construction.
-    Each text is lowercased once, not once per lexicon, and each needle is
-    tested across the whole pool in one pass.
+    Each text is decoded and lowercased once, not once per lexicon, and
+    each needle is tested across the whole pool in one pass.
 
     Each pool's texts are also joined once with ``"\\n"``, and a needle
     absent from the joined string is skipped: every text is a substring of
@@ -89,7 +89,7 @@ def filter_topic_tree(
     rows = np.asarray(rows, dtype=np.intp)
     parents = {lexicon.parent for lexicon in lexicons.values()}
     matched: dict[str, tuple[np.ndarray, list[str]]] = {}
-    everything = (rows, [corpus.texts[row].lower() for row in rows.tolist()])
+    everything = (rows, corpus.texts.take(rows).lowered())
     # parent topic (None for every row) -> its pool's texts joined
     joined: dict[str | None, str] = {}
     remaining = dict(lexicons)

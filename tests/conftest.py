@@ -65,7 +65,7 @@ def rows_of(corpus: Corpus) -> list[dict]:
             "retweeted_author_id": (
                 corpus.accounts[corpus.retweeted[row]] if corpus.retweeted[row] >= 0 else None
             ),
-            "urls": corpus.urls[corpus.url_offsets[row] : corpus.url_offsets[row + 1]],
+            "urls": list(corpus.urls[corpus.url_offsets[row] : corpus.url_offsets[row + 1]]),
         }
         for row in range(len(corpus))
     ]

@@ -559,3 +559,32 @@ def ascii_language_filter(records, english_threshold=0.8, seed=0, sample_size=10
 
     return predicate
 
+
+
+# ---- corpus rows as lists --------------------------------------------------
+# references for Corpus.take, within and urls_of and StringColumn.joined,
+# over rows as conftest.rows_of gives them: one tweet object per row
+
+
+def take_rows(records, rows) -> list:
+    """The tweet objects of ``rows``, in that order, repeats kept."""
+    return [records[row] for row in rows]
+
+
+def rows_within(records, start, end) -> list:
+    """The tweet objects posted from UTC day ``start`` to ``end``, both included."""
+    return [
+        record
+        for record in records
+        if start <= datetime.fromisoformat(record["created_at"][:-1]).date() <= end
+    ]
+
+
+def urls_of(records, rows) -> list:
+    """The URLs of ``rows``, row after row."""
+    return [url for row in rows for url in records[row]["urls"]]
+
+
+def joined(strings, rows, sep) -> str:
+    """``sep`` between the strings of ``rows``."""
+    return sep.join(strings[row] for row in rows)

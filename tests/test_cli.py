@@ -660,6 +660,53 @@ class TestInputFiles:
         assert not (tmp_path / "out").exists()
 
 
+class TestScoresCoverage:
+    @pytest.mark.parametrize("command", ["rates", "similarity", "lsa", "sample"])
+    def test_scores_without_a_roster_community_is_one_error_line(
+        self, staged, series, tmp_path, capsys, command
+    ):
+        # read silently, a community without a cluster is a KeyError, or
+        # drops out of the similarity series
+        _, records, _, _, roster, _, scores, _ = staged
+        header, *rows = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [row for row in rows if not row.rstrip().endswith(",0")]
+        dropped = sorted(row.split(",")[0] for row in rows if row not in kept)
+        assert dropped and kept
+        partial = tmp_path / "partial.csv"
+        partial.write_text(header + "".join(kept), encoding="utf-8")
+        paths = {"records": records, "roster": roster, "scores": partial, "series": series}
+        arguments, outputs = OUTPUT_COMMANDS[command]
+        argv = [command, *(arg.format(**paths) for arg in arguments)]
+        argv += [outputs[0], str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read {partial}: no cluster for roster communities "
+            f"{' '.join(dropped)}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_scores_without_a_series_cluster_is_one_error_line(
+        self, staged, series, tmp_path, capsys
+    ):
+        _, records, _, _, roster, _, scores, _ = staged
+        header, *rows = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+        # every community kept, cluster 2 merged into cluster 1
+        merged = tmp_path / "merged.csv"
+        merged.write_text(
+            header + "".join(row.replace(",2\n", ",1\n") for row in rows), encoding="utf-8"
+        )
+        argv = ["lsa", "--records", str(records), "--roster", str(roster),
+                "--scores", str(merged), "--series", str(series),
+                "--output", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read {merged}: no community in --series clusters 2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
 class TestStageDefaults:
     def test_config_options_default_as_in_the_config(self):
         defaults = {

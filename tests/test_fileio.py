@@ -11,9 +11,9 @@ class TestAtomicWrites:
         path = tmp_path / "records.jsonl"
         write_corpus(corpus_of([record_factory("1", "a")]), path)
         before = path.read_bytes()
-        corpus = corpus_of([record_factory("2", "b"), record_factory("3", "b")])
-        # JSON cannot hold the second row's text: the write fails after one line
-        corpus.texts[1] = object()
+        corpus = corpus_of([record_factory("2", "b"), record_factory("3", "c")])
+        # JSON cannot hold the second row's author: the write fails after one line
+        corpus.accounts[1] = object()
         with pytest.raises(TypeError):
             write_corpus(corpus, path)
         assert path.read_bytes() == before

@@ -1,15 +1,25 @@
 import io
 import json
 import re
+import sys
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
-from itertools import islice
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import columns, corpus_of, decoded_counts, make_record, rows_of, scipy_of
+from conftest import (
+    columns,
+    corpus_of,
+    decoded_counts,
+    make_record,
+    record_fields,
+    rows_of,
+    scipy_of,
+)
 from sentinet import ingest
 from sentinet.errors import EmptyCorpusError, UrlParseError, VocabularyOverflowError
 from sentinet.ingest import (
@@ -401,6 +411,127 @@ class TestCorpusColumns:
         assert taken.accounts is corpus.accounts
         assert rows_of(taken) == [records[row] for row in rows]
         assert corpus.urls_of(rows) == taken.urls == ["u5.0", "u5.1", "u2.0", "u2.1", "u4.0"]
+
+
+# strings JSON can hold, with what a UTF-8 column must keep apart: lone
+# surrogates (two of them may pair up in JSON), astral characters, NUL,
+# line breaks and the empty string
+COLUMN_STRINGS = st.text(
+    st.characters()
+    | st.sampled_from(
+        ["\ud800", "\udbff", "\udc00", "\U0001f600", "\x00", "\n", "\r", "\u2028"]
+    ),
+    max_size=6,
+)
+COLUMN_RECORDS = st.lists(
+    st.builds(
+        make_record,
+        tweet_id=record_fields,
+        author=st.sampled_from(["a", "b", "é"]),
+        text=COLUMN_STRINGS,
+        day_offset=st.integers(0, 4),
+        urls=st.lists(COLUMN_STRINGS, max_size=2).map(tuple),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda record: record["tweet_id"],
+)
+CHUNK = ingest.CHUNK_ROWS
+
+
+def read_as_json(value: str) -> str:
+    """``value`` as JSON reads it back: an escaped surrogate pair becomes one character."""
+    return json.loads(json.dumps(value))
+
+
+class TestStringColumns:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(record_fields, COLUMN_STRINGS, st.lists(COLUMN_STRINGS, max_size=2)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1]),
+    )
+    def test_parse_write_parse_round_trip_across_chunks(self, tmp_path_factory, drawn, n_rows):
+        records = [
+            make_record(f"{row}.{tweet_id}", "a", text=text, urls=tuple(urls))
+            for row, (tweet_id, text, urls) in zip(range(n_rows), cycle(drawn))
+        ]
+        corpus = corpus_of(records)
+        assert corpus.tweet_ids == [record["tweet_id"] for record in records]
+        assert corpus.texts == [read_as_json(record["text"]) for record in records]
+        assert corpus.urls == [read_as_json(url) for record in records for url in record["urls"]]
+        assert [corpus.texts[row] for row in range(n_rows)] == list(corpus.texts)
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        write_corpus(corpus, path)
+        reparsed = read_corpus(path)
+        assert reparsed.skipped == 0
+        assert columns(reparsed.records) == columns(corpus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(COLUMN_RECORDS, st.data())
+    def test_take_within_urls_of_and_joined_equal_list_references(self, records, data):
+        corpus = corpus_of(records)
+        listed = rows_of(corpus)
+        rows = data.draw(st.lists(st.integers(0, len(corpus) - 1), max_size=12))
+        taken = corpus.take(np.array(rows, dtype=np.intp))
+        assert rows_of(taken) == oracles.take_rows(listed, rows)
+        assert corpus.urls_of(rows) == oracles.urls_of(listed, rows)
+        sep = data.draw(st.sampled_from(["", "\n", "\n\x00\n", "\ud800", "é"]))
+        for column, field in ((corpus.tweet_ids, "tweet_id"), (corpus.texts, "text")):
+            strings = [record[field] for record in listed]
+            assert column.joined(rows, sep) == oracles.joined(strings, rows, sep)
+            assert column.take(rows) == oracles.take_rows(strings, rows)
+        days = sorted({day_date(day) for day in corpus.days.tolist()})
+        start, end = sorted(data.draw(st.lists(st.sampled_from(days), min_size=2, max_size=2)))
+        assert rows_of(corpus.within(start, end)) == oracles.rows_within(listed, start, end)
+
+    def test_column_reads_rows_as_strings(self):
+        texts = ["", "a", "\ud800", "\U0001f600 x", "é\x00", "b"]
+        column = corpus_of([make_record(str(i), "a", text=t) for i, t in enumerate(texts)]).texts
+        assert column == texts and column == tuple(texts) and list(column) == texts
+        assert column != texts[:-1] and column != [*texts[:-1], "c"] and column != "ab"
+        assert column[-1] == "b" and column[1:3] == texts[1:3] and column[::-2] == texts[::-2]
+        with pytest.raises(IndexError):
+            column[len(texts)]
+        assert column.isascii().tolist() == [text.isascii() for text in texts]
+        assert column.lowered() == [text.lower() for text in texts]
+        # an ASCII column is lowercased as one buffer; final sigma and a
+        # dotted capital I lowercase by context and to two characters
+        for strings in (["ABC", "", "xY z"], ["ΟΔΟΣ Σ", "İi", "ABC"]):
+            records = [make_record(str(i), "a", text=t) for i, t in enumerate(strings)]
+            assert corpus_of(records).texts.lowered() == [t.lower() for t in strings]
+
+    def test_parsed_columns_keep_their_utf8_bytes_and_24_bytes_a_row(self):
+        # ASCII and astral texts, 8-character ids and short URLs: a str per
+        # row would cost at least 49 bytes of header and a list slot each
+        records = [
+            make_record(
+                f"t{i:07d}", f"a{i % 50}", text="covid mask \U0001f637 " * (i % 4) + str(i),
+                urls=tuple(f"https://x{j}.example/{i}" for j in range(i % 3)),
+            )
+            for i in range(20_000)
+        ]
+        lines = [json.dumps(record) for record in records]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = parse_tweet_stream(lines).records
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        strings = (corpus.tweet_ids, corpus.texts, corpus.urls)
+        allowed = sum(
+            len("".join(column).encode("utf-8", "surrogatepass")) + 24 * len(column)
+            for column in strings
+        )
+        arrays = (corpus.author, corpus.retweeted, corpus.seconds, corpus.url_offsets)
+        others = sum(array.nbytes for array in arrays) + sys.getsizeof(corpus.accounts)
+        others += sum(map(sys.getsizeof, corpus.accounts))
+        # what else the parse leaves: the corpus and column objects, and caches
+        assert held <= allowed + others + (1 << 16)
 
 
 class TestExtractDomain:
