@@ -383,6 +383,7 @@ def cmd_sample(args) -> int:
                 (community, row) for row in per_topic[topic].tolist()
             )
     rows = topics_mod.stratified_coding_sample(corpus, strata, args.per_stratum, args.seed)
+    picked = [row for *_, row in rows]
     # a lone surrogate, which UTF-8 cannot encode, is written as its escape
     # (\ud800), as write_corpus writes it in JSON
     write_csv(
@@ -393,11 +394,13 @@ def cmd_sample(args) -> int:
                 cluster,
                 topic,
                 community,
-                corpus.tweet_ids[row],
+                tweet_id,
                 corpus.created_at(row).isoformat(),
-                corpus.texts[row].encode(errors="backslashreplace").decode(),
+                text.encode(errors="backslashreplace").decode(),
             ]
-            for cluster, topic, community, row in rows
+            for (cluster, topic, community, row), tweet_id, text in zip(
+                rows, corpus.tweet_ids.take(picked), corpus.texts.take(picked)
+            )
         ),
     )
     print(f"sampled {len(rows)} tweets across {len(strata)} strata")

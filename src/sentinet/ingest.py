@@ -12,8 +12,9 @@ int64 seconds since 1970-01-01, and every tweet's URLs as a slice of the
 URL column. A corpus is the only in-memory form of tweets: every stage
 after ingest reads its columns through row indices, and
 :func:`write_corpus` writes them back as JSON Lines. No row's id, text or
-URL is kept as a ``str`` of its own: a row is decoded when it is read, so
-a corpus's memory follows its UTF-8 size.
+URL is kept as a ``str`` of its own: the parse encodes each row's strings
+into their columns as soon as the row is kept, and a row is decoded when
+it is read, so a corpus's memory follows its UTF-8 size.
 
 :func:`extract_domain` reduces a URL to its linked domain in two steps:
 :func:`url_host` reads the host, with one regex for a plain
@@ -82,8 +83,7 @@ TOKEN_ID_BITS = 21
 CHUNK_TOKENS = 1 << 14
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_SECONDS = 86_400
-# rows that parse_tweet_stream gathers before it encodes them into its
-# string columns, and that a column decodes at once when iterated
+# rows that a string column decodes at once when iterated
 CHUNK_ROWS = 4096
 # bytes of a string column that StringColumn.isascii scans at once
 _SCAN_BYTES = 1 << 16
@@ -106,40 +106,6 @@ def _encode(text: str) -> bytes:
 
 def _decode(data) -> str:
     return str(data, "utf-8", "surrogatepass")
-
-
-class _ColumnWriter:
-    """Appends chunks of strings to one UTF-8 buffer and its row ends.
-
-    A chunk is joined and encoded as one string. Both buffers are
-    :class:`io.BytesIO` values, which grow in place and hand their bytes
-    over, cut to size, without a copy.
-    """
-
-    def __init__(self) -> None:
-        self.data = io.BytesIO()
-        self.ends = io.BytesIO()
-        self.size = 0
-
-    def extend(self, strings: Sequence[str]) -> None:
-        joined = "".join(strings)
-        encoded = _encode(joined)
-        if len(encoded) == len(joined):
-            lengths = map(len, strings)
-        else:
-            # an ASCII string's bytes are its characters; only the others are
-            # encoded apart, to learn their length
-            lengths = (len(s) if s.isascii() else len(_encode(s)) for s in strings)
-        ends = np.cumsum(np.fromiter(lengths, np.int64, len(strings))) + self.size
-        self.ends.write(ends.tobytes())
-        self.data.write(encoded)
-        self.size += len(encoded)
-
-    def column(self) -> StringColumn:
-        """The column written; the writer's buffers are handed over."""
-        return StringColumn(
-            self.data.getvalue(), np.frombuffer(self.ends.getvalue(), dtype=np.int64)
-        )
 
 
 class StringColumn(Sequence):
@@ -331,18 +297,6 @@ class ParseResult(NamedTuple):
 
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp into an aware UTC datetime (second resolution)."""
-    # the fixed shape YYYY-MM-DDTHH:MM:SSZ, which write_corpus writes. With
-    # these separators in place fromisoformat accepts the value only if it
-    # starts with a digit, so that stripping it is a no-op: the general path
-    # below would make the same call, and get the same datetime or error.
-    if (
-        len(value) == 20
-        and value[19] == "Z"
-        and value[10] == "T"
-        and value[4] == value[7] == "-"
-        and value[13] == value[16] == ":"
-    ):
-        return datetime.fromisoformat(value[:19] + "+00:00")
     raw = value.strip()
     # Python 3.10's fromisoformat rejects a "Z" suffix
     if raw.endswith(("Z", "z")):
@@ -377,16 +331,15 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
 
     The columns are filled in one loop. An account id is checked once, when
     it first enters the account table; a tweet id made of letters and
-    digits alone needs no further check. Ids, texts and URLs are gathered
-    :data:`CHUNK_ROWS` rows at a time, and each chunk is encoded at once
-    into its :class:`StringColumn` values. Past its chunk, a row's id is
-    kept as a ``str`` only in the set of ids seen, until the parse ends.
+    digits alone needs no further check. A kept row's id, text and URLs are
+    encoded at once into their :class:`StringColumn` buffers, each an
+    :class:`io.BytesIO` that grows in place and hands its bytes over, cut
+    to size, without a copy. Past its row, an id is kept as a ``str`` only
+    in the set of ids seen, until the parse ends.
     """
-    # the string columns, and the rows of the chunk not yet written to them
-    writers = (_ColumnWriter(), _ColumnWriter(), _ColumnWriter())
-    tweet_ids: list[str] = []
-    texts: list[str] = []
-    urls: list[str] = []
+    # each string column's UTF-8 bytes, and the byte length of each of its rows
+    id_data, text_data, url_data = io.BytesIO(), io.BytesIO(), io.BytesIO()
+    id_lengths, text_lengths, url_lengths = array("q"), array("q"), array("q")
     # account id -> its index; local to the call, so that a long-lived
     # process does not keep every id it has read. A missing id gets the next
     # index: defaultdict calls len() before inserting.
@@ -396,7 +349,8 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
     retweeted = array("i")
     # float seconds, exact at second resolution, from datetime.timestamp
     seconds = array("d")
-    url_counts = array("q")
+    # row r's URLs are the URL rows url_offsets[r] to url_offsets[r + 1]
+    url_offsets = array("q", [0])
     seen_ids: set[str] = set()
     # JSONDecoder.raw_decode without its Python frame: the scanner raises
     # StopIteration where raw_decode raises a ValueError
@@ -446,39 +400,29 @@ def parse_tweet_stream(stream: IO | Iterable[str | bytes]) -> ParseResult:
             skipped += 1
             continue
         seen_ids.add(tweet_id)
-        tweet_ids.append(tweet_id)
-        texts.append(text)
+        # BytesIO.write returns the number of bytes written
+        id_lengths.append(id_data.write(_encode(tweet_id)))
+        text_lengths.append(text_data.write(_encode(text)))
+        for url in tweet_urls:
+            url_lengths.append(url_data.write(_encode(url)))
+        url_offsets.append(len(url_lengths))
         authors.append(account_of[author_id])
         retweeted.append(-1 if source_id is None else account_of[source_id])
         seconds.append(moment.timestamp())
-        urls += tweet_urls
-        url_counts.append(len(tweet_urls))
-        if len(tweet_ids) == CHUNK_ROWS:
-            _write_chunk(writers, (tweet_ids, texts, urls))
-    _write_chunk(writers, (tweet_ids, texts, urls))
     if not seen_ids:
         raise EmptyCorpusError(f"no parseable records ({skipped} lines skipped)")
     del seen_ids
-    columns = [writer.column() for writer in writers]
-    del writers
     corpus = Corpus(
-        tweet_ids=columns[0],
-        texts=columns[1],
+        tweet_ids=StringColumn(id_data.getvalue(), np.cumsum(id_lengths)),
+        texts=StringColumn(text_data.getvalue(), np.cumsum(text_lengths)),
         accounts=list(account_of),
         author=np.frombuffer(authors, dtype=np.intc).astype(np.int32),
         retweeted=np.frombuffer(retweeted, dtype=np.intc).astype(np.int32),
         seconds=np.frombuffer(seconds).astype(np.int64),
-        url_offsets=np.concatenate([[0], np.cumsum(np.frombuffer(url_counts, dtype=np.int64))]),
-        urls=columns[2],
+        url_offsets=np.frombuffer(url_offsets, dtype=np.int64),
+        urls=StringColumn(url_data.getvalue(), np.cumsum(url_lengths)),
     )
     return ParseResult(records=corpus, skipped=skipped)
-
-
-def _write_chunk(writers: Sequence[_ColumnWriter], rows: Sequence[list[str]]) -> None:
-    """Write each column's open rows to its writer, and empty them."""
-    for writer, strings in zip(writers, rows):
-        writer.extend(strings)
-        strings.clear()
 
 
 def read_corpus(path: str | Path) -> ParseResult:

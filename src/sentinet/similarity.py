@@ -400,15 +400,18 @@ def write_series_csv(
 
 
 def read_series_csv(source: str | Path) -> list[SimilaritySeries]:
+    """The series of :func:`write_series_csv`'s rows; a pair's day given twice is a ValueError."""
     _, *rows = read_csv(source)
-    by_pair: dict[str, list[tuple[date, float | None]]] = {}
+    by_pair: dict[str, dict[date, float | None]] = {}
     for day, pair_name, value, *_ in rows:
-        by_pair.setdefault(pair_name, []).append(
-            (date.fromisoformat(day), float(value) if value else None)
-        )
+        values = by_pair.setdefault(pair_name, {})
+        moment = date.fromisoformat(day)
+        if moment in values:
+            raise ValueError(f"day {day} of pair {pair_name} listed twice")
+        values[moment] = float(value) if value else None
     series_list = []
     for pair_name in sorted(by_pair):
-        entries = sorted(by_pair[pair_name])
+        entries = sorted(by_pair[pair_name].items())
         left, _, right = pair_name.partition("-")
         series_list.append(
             SimilaritySeries(

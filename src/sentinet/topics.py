@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from datetime import date
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -257,7 +258,10 @@ def stratified_coding_sample(
             by_community.setdefault(community, []).append(row)
         queues = {}
         for community in sorted(by_community):
-            pool = sorted(by_community[community], key=corpus.tweet_ids.__getitem__)
+            rows = by_community[community]
+            # the pool in tweet-id order, each id decoded once
+            ids = corpus.tweet_ids.take(rows)
+            pool = [row for _, row in sorted(zip(ids, rows), key=itemgetter(0))]
             rng.shuffle(pool)
             queues[community] = pool
         picked: list[tuple[str, int]] = []

@@ -520,6 +520,10 @@ INPUT_FILE_COMMANDS = {
     ],
     "--matrix": ["cluster", "--matrix", "{file}", "--scores-output", "{out}"],
     "--series": ["flag", "--series", "{file}"],
+    "--series:lsa": [
+        "lsa", "--records", "{records}", "--roster", "{roster}", "--scores", "{scores}",
+        "--series", "{file}", "--output", "{out}",
+    ],
     "--left": ["compare-partitions", "--left", "{file}", "--right", "{partition}"],
     "--right": ["compare-partitions", "--left", "{partition}", "--right", "{file}"],
     "--config": ["run", "--config", "{file}"],
@@ -644,14 +648,17 @@ class TestInputFiles:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("option", ["--roster:rates", "--partition"])
-    def test_repeated_key_is_one_error_line(self, staged, option, tmp_path, capsys):
-        # read silently, a repeated account would count twice in the rates
+    @pytest.mark.parametrize(
+        "option", ["--roster:rates", "--partition", "--series", "--series:lsa"]
+    )
+    def test_repeated_key_is_one_error_line(self, staged, series, option, tmp_path, capsys):
+        # read silently, a repeated account would count twice in the rates,
+        # and a repeated series day would enter the burst history
         _, _, _, partition, roster, *_ = staged
-        source = {"--roster:rates": roster, "--partition": partition}[option]
+        source = {"--roster:rates": roster, "--partition": partition}.get(option, series)
         lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
         repeated = tmp_path / "repeated"
-        repeated.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        repeated.write_text("".join(lines + lines[-1:]), encoding="utf-8")
         assert main(self.command(staged, option, repeated, tmp_path)) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot read {repeated}: ")

@@ -533,6 +533,19 @@ class TestStringColumns:
         # what else the parse leaves: the corpus and column objects, and caches
         assert held <= allowed + others + (1 << 16)
 
+    def test_parse_peak_above_what_it_keeps_is_a_quarter_of_the_texts(self):
+        # about 1,900 bytes a text: a parse that gathers thousands of rows as
+        # str before it encodes them holds them more than once at its peak
+        text = "\U0001f637 " + "covid mask " * 173
+        lines = [json.dumps(make_record(f"t{i:05d}", "a", text=f"{i} {text}")) for i in range(5_000)]
+        tracemalloc.start()
+        try:
+            corpus = parse_tweet_stream(lines).records
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < len(corpus.texts.data) / 4
+
 
 class TestExtractDomain:
     def test_www_stripped(self):

@@ -511,6 +511,15 @@ class TestSeriesCsv:
         assert loaded[0].values == series.values
         assert loaded[0].days == series.days
 
+    def test_day_of_a_pair_listed_twice_is_an_error(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_series_csv([series_of([0.1, 0.2, 0.3])], path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[1:2]))
+        day, pair = lines[1].split(",")[:2]
+        with pytest.raises(ValueError, match=f"day {day} of pair {pair} listed twice"):
+            read_series_csv(path)
+
     def test_header_and_flag_column(self, tmp_path):
         history = [0.1, 0.3, 0.1, 0.3, 0.1, 0.3, 0.1]
         mean, sd = oracles.mean_and_population_sd(history)
