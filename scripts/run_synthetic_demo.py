@@ -35,11 +35,11 @@ def main() -> None:
         window_end=truth.window[1],
         split=truth.split,
     )
-    result = run_pipeline(config)
+    summary = run_pipeline(config)
 
     print("pipeline summary")
-    for key in sorted(result.summary):
-        print(f"  {key}: {result.summary[key]}")
+    for key in sorted(summary):
+        print(f"  {key}: {summary[key]}")
     report = json.loads((config.output_dir / "lsa_drivers.json").read_text())
     print(f"designed viral day: {truth.viral_day.isoformat()}")
     for event in report["events"]:

@@ -13,6 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import community as community_mod
+from . import domains as domains_mod
 from . import similarity as similarity_mod
 from . import topics as topics_mod
 from .config import FIELDS, check_value, load_config, value_parser
@@ -20,6 +21,7 @@ from .errors import ConfigError, SentinetError, StageError
 from .fileio import write_csv
 from .ingest import PACKAGED, read_corpus, write_corpus
 from .pipeline import STAGES, _Runner, run_pipeline
+from .sentinel import coverage
 
 # upstream stage -> the input option its value is loaded from; a command
 # builds any other upstream from that stage's own inputs
@@ -63,18 +65,20 @@ _REPORTS = {
         f"{len(partition.communities)} communities on {runner.value('component').n} nodes "
         f"(modularity {community_mod.modularity(runner.value('component'), partition):.4f})"
     ],
-    "sentinels": lambda sentinels, runner: [
-        f"community {label}: {len(sentinels.members[label])} sentinels, "
-        f"coverage {sentinels.coverage[label]:.3f}"
-        for label in sentinels
+    "sentinels": lambda roster, runner: [
+        f"community {label}: {len(roster[label])} sentinels, coverage {share:.3f}"
+        for label, share in coverage(
+            runner.value("component"), runner.value("communities"), roster
+        ).items()
     ],
     "domains": lambda matrix, runner: [
         f"{len(matrix.communities)} communities x {len(matrix.domains)} domains; "
         f"{matrix.unparseable_urls} unparseable urls"
     ],
     "cluster": lambda cluster, runner: [
-        f"cluster {index}: centroid {centroid:.4f} {sorted(cluster[1].members(index), key=str)}"
-        for index, centroid in enumerate(cluster[1].centroids)
+        f"cluster {index}: centroid {centroid:.4f} "
+        f"{domains_mod.cluster_members(cluster[1])[str(index)]}"
+        for index, centroid in enumerate(domains_mod.centroids(cluster[0].scores, cluster[1]))
     ],
     "topics": lambda matched, runner: [f"wrote topical counts for {len(matched)} communities"],
     "rates": lambda table, runner: [
@@ -145,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sample", cmd_sample, "seeded stratified sample for human coding")
     _stage_options(p, "sample", ("seed",), ("topics", "cluster"))
     p.add_argument("--output", required=True, type=_output_path)
-    p.add_argument("--per-stratum", type=int, default=100)
+    p.add_argument("--per-stratum", type=_positive_int, default=100)
     p.add_argument(
         "--topics",
-        nargs="*",
+        nargs="+",
         default=["mortality", "facemasks", "hydroxychloroquine", "plandemic"],
     )
 
@@ -201,6 +205,13 @@ def _config_option(parser: argparse.ArgumentParser, flag: str, name: str, **kwar
     parser.add_argument(flag, dest=name, **{"type": parse_checked, "default": default, **kwargs})
 
 
+def _positive_int(text: str) -> int:
+    """A count option's value; anything but a positive integer is a usage error."""
+    if not text.strip().isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: must be a positive integer")
+    return int(text)
+
+
 def _input_path(text: str) -> Path:
     """An input file option's path; a missing file is a usage error, as for ``--records``."""
     if not Path(text).exists():
@@ -240,9 +251,8 @@ def _check_clusters(runner) -> None:
     missing = [label for label in runner.value("sentinels") if label not in cluster_of]
     problem = f"no cluster for roster communities {' '.join(missing)}"
     if not missing and runner.args.command == "lsa":
-        clusters = {str(cluster) for cluster in cluster_of.values()}
         paired = {side for series in runner.value("similarity") for side in series.pair}
-        missing = sorted(paired - clusters)
+        missing = sorted(paired - set(domains_mod.cluster_members(cluster_of)))
         problem = f"no community in --series clusters {' '.join(missing)}"
     if missing:
         raise SentinetError(f"cannot read {runner.args.cluster}: {problem}")
@@ -342,27 +352,35 @@ def cmd_flag(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    payload = STAGES["stats"].build(args)
-    if payload is None:
+    if args.contingency is None and args.coding is None:
         print("error: provide --contingency and/or --coding", file=sys.stderr)
         return 1
-    if "chi_square" in payload:
-        result = payload["chi_square"]
+    # imported here, as in the pipeline: only a stats report loads fractions
+    from . import stats as stats_mod
+
+    # both tables are read before either statistic, each through one error naming it
+    table = (
+        None if args.contingency is None
+        else _read(stats_mod.ContingencyTable.read_csv, args.contingency)
+    )
+    coding = None if args.coding is None else _read(stats_mod.CodingMatrix.read_csv, args.coding)
+    if table is not None:
+        result = stats_mod.chi_square(table)
         print(
-            f"chi-square: statistic={result['statistic']:.4f} df={result['df']} "
-            f"p={result['p_value']:.3e}"
+            f"chi-square: statistic={result.statistic:.4f} df={result.df} "
+            f"p={result.p_value:.3e}"
         )
-    if "krippendorff_alpha" in payload:
-        print(f"krippendorff alpha: {payload['krippendorff_alpha']:.4f}")
+    if coding is not None:
+        print(f"krippendorff alpha: {stats_mod.krippendorff_alpha(coding):.4f}")
     return 0
 
 
 def cmd_run(args) -> int:
     config = _read(load_config, args.config)
-    result = run_pipeline(config)
-    for key in sorted(result.summary):
-        print(f"{key}: {result.summary[key]}")
-    print(f"artifacts in {result.output_dir}")
+    summary = run_pipeline(config)
+    for key in sorted(summary):
+        print(f"{key}: {summary[key]}")
+    print(f"artifacts in {config.output_dir}")
     return 0
 
 

@@ -153,8 +153,8 @@ def check_value(name: str, value: Any) -> None:
     """Raise :class:`ConfigError` unless ``value`` is valid for field ``name``.
 
     Ints but the seed must be positive, floats finite, the fields in
-    ``_RANGES`` inside their range, and input files must exist. An optional
-    field may be None.
+    ``_RANGES`` inside their range, and input files must exist. ``output_dir``
+    may not be a file or lie under one. An optional field may be None.
     """
     kind = _TYPES[name]
     if value is None and name in _OPTIONAL:
@@ -167,6 +167,12 @@ def check_value(name: str, value: Any) -> None:
         raise ConfigError(f"{name} must be {_RANGES[name][1]}")
     if name in INPUT_FIELDS and not Path(value).exists():
         raise ConfigError(f"{name} path not found: {value}")
+    if name == "output_dir":
+        # the nearest of it and its parents that exists (a dangling link too) must be a directory
+        paths = (Path(value), *Path(value).parents)
+        found = next((p for p in paths if p.exists() or p.is_symlink()), None)
+        if found is not None and not found.is_dir():
+            raise ConfigError(f"output_dir {value}: {found} is not a directory")
 
 
 def validate_config(config: PipelineConfig) -> None:

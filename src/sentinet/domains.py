@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,32 +53,6 @@ class LinkedDomainScore(NamedTuple):
     domains: tuple[str, ...]
     loadings: np.ndarray
     scores: Mapping[Label, float]
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterAssignment(Mapping):
-    """Community -> cluster labels 0..k-1, ordered by ascending centroid.
-
-    As a mapping it reads like, and compares equal to, the cluster half of
-    :func:`read_scores_csv`; ``centroids`` is no item.
-    """
-
-    assignment: Mapping[Label, int]
-    centroids: tuple[float, ...]
-
-    def __getitem__(self, label: Label) -> int:
-        return self.assignment[label]
-
-    def __iter__(self):
-        return iter(self.assignment)
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def members(self, cluster: int) -> frozenset[Label]:
-        return frozenset(
-            label for label, c in self.assignment.items() if c == cluster
-        )
 
 
 def domain_frequency_matrix(
@@ -190,37 +163,51 @@ def first_principal_component(
     )
 
 
-def cluster_scores(
-    scores: LinkedDomainScore | Mapping[Label, float], k: int = 3
-) -> ClusterAssignment:
+def cluster_scores(scores: Mapping[Label, float], k: int = 3) -> dict[Label, int]:
     """Cut the 1-D scores into k contiguous clusters by greedy merging.
 
     Starting from one group per score in ascending order, the two adjacent
     groups whose means are closest merge until k groups remain; on equal
     gaps the leftmost pair merges first. In one dimension clusters stay
     intervals and both centroid and average linkage reduce to this gap, so
-    this is their agglomeration. Cluster 0 holds the most negative scores.
+    this is their agglomeration. Returns community -> cluster 0..k-1, in
+    ascending order of centroid: cluster 0 holds the most negative scores.
     """
-    mapping = scores.scores if isinstance(scores, LinkedDomainScore) else scores
     if k < 1:
         raise ParameterError("cluster count must be positive")
-    if len(mapping) < k:
-        raise ParameterError(f"cannot form {k} clusters from {len(mapping)} communities")
-    if len(set(mapping.values())) < k:
+    if len(scores) < k:
+        raise ParameterError(f"cannot form {k} clusters from {len(scores)} communities")
+    if len(set(scores.values())) < k:
         raise DegenerateClusteringError(
             f"need at least {k} distinct scores to form {k} clusters"
         )
-    groups = [[label] for label in sorted(mapping, key=mapping.__getitem__)]
-    means = [float(mapping[group[0]]) for group in groups]
+    groups = [[label] for label in sorted(scores, key=scores.__getitem__)]
+    means = [_mean(scores, group) for group in groups]
     while len(groups) > k:
         gaps = [right - left for left, right in zip(means, means[1:])]
         i = gaps.index(min(gaps))
         groups[i : i + 2] = [groups[i] + groups[i + 1]]
-        means[i : i + 2] = [math.fsum(mapping[label] for label in groups[i]) / len(groups[i])]
-    return ClusterAssignment(
-        assignment={label: c for c, group in enumerate(groups) for label in group},
-        centroids=tuple(means),
-    )
+        means[i : i + 2] = [_mean(scores, groups[i])]
+    return {label: c for c, group in enumerate(groups) for label in group}
+
+
+def cluster_members(clusters: Mapping[Label, int]) -> dict[str, list[Label]]:
+    """Cluster name (its number as text) -> its communities, sorted."""
+    members: dict[str, list[Label]] = {}
+    for community, cluster in clusters.items():
+        members.setdefault(str(cluster), []).append(community)
+    return {cluster: sorted(communities, key=str) for cluster, communities in members.items()}
+
+
+def centroids(scores: Mapping[Label, float], clusters: Mapping[Label, int]) -> tuple[float, ...]:
+    """Each cluster's mean score, cluster 0 first."""
+    members = cluster_members(clusters)
+    return tuple(_mean(scores, members[str(c)]) for c in range(len(members)))
+
+
+def _mean(scores: Mapping[Label, float], labels: Sequence[Label]) -> float:
+    # fsum rounds once, so a mean does not depend on the order of its labels
+    return math.fsum(scores[label] for label in labels) / len(labels)
 
 
 def write_matrix_csv(matrix: DomainMatrix, path: str | Path) -> None:
@@ -252,13 +239,13 @@ def read_matrix_csv(source: str | Path) -> DomainMatrix:
 
 
 def write_scores_csv(
-    scores: LinkedDomainScore, clusters: ClusterAssignment, path: str | Path
+    scores: LinkedDomainScore, clusters: Mapping[Label, int], path: str | Path
 ) -> None:
     write_csv(
         path,
         ["community", "score", "cluster"],
         (
-            [label, scores.scores[label], clusters.assignment[label]]
+            [label, scores.scores[label], clusters[label]]
             for label in sorted(scores.scores, key=str)
         ),
     )

@@ -49,10 +49,6 @@ class VocabularyOverflowError(SentinetError):
     """More distinct tokens than a trigram code's token ids can number."""
 
 
-class UndefinedStatisticError(SentinetError):
-    """A regression statistic is undefined (degenerate regressors)."""
-
-
 class DegenerateTableError(SentinetError):
     """A contingency table has an empty row or column marginal."""
 

@@ -32,7 +32,7 @@ the corpus's line order), and tied disjoint blocks may then share a vector.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
 from datetime import date, timedelta
 from functools import cache, partial
@@ -64,7 +64,7 @@ from .ingest import (
     read_corpus,
 )
 from .sentinel import (
-    SentinelSet,
+    Roster,
     activity,
     ascii_language_filter,
     read_roster,
@@ -104,11 +104,6 @@ class Stage(NamedTuple):
     load: Callable[[list[Path]], Any] | None = None
 
 
-class PipelineResult(NamedTuple):
-    output_dir: Path
-    summary: dict
-
-
 # ---- builds -------------------------------------------------------------
 
 
@@ -130,7 +125,7 @@ def _build_communities(params, component) -> community_mod.Partition:
     )
 
 
-def _build_sentinels(params, component, partition, ingest) -> SentinelSet:
+def _build_sentinels(params, component, partition, ingest) -> Roster:
     predicate = None
     if params.language_filter == "ascii":
         predicate = ascii_language_filter(
@@ -166,7 +161,7 @@ def _build_cluster(params, matrix):
     scores = domains_mod.first_principal_component(
         matrix, anchor_domain=params.anchor_domain
     )
-    clusters = domains_mod.cluster_scores(scores, k=params.score_clusters)
+    clusters = domains_mod.cluster_scores(scores.scores, k=params.score_clusters)
     return scores, clusters
 
 
@@ -219,7 +214,7 @@ def _build_similarity(params, topics, cluster, ingest) -> list[similarity_mod.Si
         ingest.records, covid, TrigramEncoder(load_wordlist(params.stopwords))
     )
     days = _window_days(params.window_start, params.window_end)
-    members = _cluster_members(cluster_of)
+    members = domains_mod.cluster_members(cluster_of)
     return [
         similarity_mod.similarity_series(
             day_docs, members[left], members[right], days, pair=(left, right)
@@ -248,7 +243,7 @@ def _build_adf(params, series_list) -> list[str]:
 def _build_lsa(params, series_list, topics, cluster, ingest) -> dict:
     _, cluster_of = cluster
     corpus = ingest.records
-    members = _cluster_members(cluster_of)
+    members = domains_mod.cluster_members(cluster_of)
     flagged = [
         sorted(
             similarity_mod.flag_days(
@@ -503,8 +498,10 @@ ARTIFACTS = {name: stage.files for name, stage in STAGES.items()}
 # ---- runner -------------------------------------------------------------
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
+def run_pipeline(config: PipelineConfig) -> dict:
     """Bring every stage's artifacts in ``config.output_dir`` up to date.
+
+    Returns the run's summary, as ``run_meta.json`` records it.
 
     Raises :class:`ConfigError` for an invalid config before any stage runs.
     """
@@ -549,14 +546,10 @@ class _Runner:
                     self.values[name] = self.build(stage, self.params(stage))
         return self.values[name]
 
-    def run(self) -> PipelineResult:
+    def run(self) -> dict:
         self.out.mkdir(parents=True, exist_ok=True)
         manifest_path = self.out / MANIFEST
-        manifest = (
-            json.loads(manifest_path.read_text(encoding="utf-8"))
-            if manifest_path.exists()
-            else {}
-        )
+        manifest = _read_manifest(manifest_path)
         fingerprints: dict[str, str] = {}
         for stage in STAGES.values():
             params = self.params(stage)
@@ -577,7 +570,7 @@ class _Runner:
                 stage.write(result, paths, params)
             manifest[stage.name] = fingerprint
             write_json(manifest, manifest_path)
-        return PipelineResult(output_dir=self.out, summary=self.value("meta")["summary"])
+        return self.value("meta")["summary"]
 
 
 @contextmanager
@@ -589,6 +582,15 @@ def _stage_errors(stage: Stage, out: Path):
         raise
     except Exception as exc:
         raise StageError(stage.name, str(out / stage.files[0]), exc) from exc
+
+
+def _read_manifest(path: Path) -> dict:
+    """The recorded fingerprints; a missing manifest, or one that is no JSON object, is empty."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
 
 
 def _params(config: PipelineConfig, names: Iterable[str]) -> SimpleNamespace:
@@ -642,9 +644,7 @@ def _content_hash(path: Path) -> str:
 # ---- helpers ------------------------------------------------------------
 
 
-def _rows_by_community(
-    roster: Mapping[str, Sequence[tuple[str, int]]], corpus: Corpus
-) -> dict[str, np.ndarray]:
+def _rows_by_community(roster: Roster, corpus: Corpus) -> dict[str, np.ndarray]:
     """Rows of each community's sentinels, in corpus order.
 
     One lookup array maps each account of the corpus to its community's
@@ -661,14 +661,6 @@ def _rows_by_community(
     order = np.argsort(row_community, kind="stable")
     bounds = np.searchsorted(row_community[order], np.arange(len(labels) + 1)).tolist()
     return {label: order[bounds[i] : bounds[i + 1]] for i, label in enumerate(labels)}
-
-
-def _cluster_members(cluster_of: Mapping[str, int]) -> dict[str, list[str]]:
-    """Cluster name -> its communities, sorted."""
-    members: dict[str, list[str]] = {}
-    for community, cluster in cluster_of.items():
-        members.setdefault(str(cluster), []).append(community)
-    return {cluster: sorted(communities) for cluster, communities in members.items()}
 
 
 def _window_days(start: date, end: date) -> list[date]:

@@ -10,8 +10,7 @@ the last day it was seen, says on which window days it is active.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from datetime import date
 from pathlib import Path
 
@@ -24,31 +23,10 @@ from .graph import RetweetGraph
 from .ingest import Corpus, day_number
 
 LanguageFilter = Callable[[Label, frozenset[str]], bool]
+# considered community label -> its (account, in-degree) entries
+Roster = dict[Label, tuple[tuple[str, int], ...]]
 # tweets per community that the ascii language filter inspects
 LANGUAGE_SAMPLE_SIZE = 100
-
-
-@dataclass(frozen=True, eq=False)
-class SentinelSet(Mapping):
-    """Per-community sentinel rosters ordered by weighted in-degree.
-
-    As a mapping it reads like, and compares equal to, :func:`read_roster`'s
-    result: considered community label -> (account, in-degree) entries, the
-    labels in the order the communities were considered; ``coverage`` is no
-    item.
-    """
-
-    members: Mapping[Label, tuple[tuple[str, int], ...]]
-    coverage: Mapping[Label, float]
-
-    def __getitem__(self, label: Label) -> tuple[tuple[str, int], ...]:
-        return self.members[label]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def select_sentinels(
@@ -57,33 +35,39 @@ def select_sentinels(
     k: int = 15,
     top_m: int = 50,
     language_filter: LanguageFilter | None = None,
-) -> SentinelSet:
+) -> Roster:
     """Pick the k most-retweeted accounts from each qualifying community.
 
     Only the top_m largest communities are considered, optionally filtered
-    by ``language_filter``. In-degree ties break by ascending account id.
-    Coverage is the selected share of the community's total in-degree.
+    by ``language_filter``, and the roster lists them in that order.
+    In-degree ties break by ascending account id.
     """
     if k <= 0 or top_m <= 0:
         raise ParameterError("k and top_m must be positive")
     by_size = sorted(
         partition.communities.items(), key=lambda item: (-len(item[1]), str(item[0]))
     )
-    members: dict[Label, tuple[tuple[str, int], ...]] = {}
-    coverage: dict[Label, float] = {}
+    members: Roster = {}
     for label, community in by_size[:top_m]:
         if language_filter is not None and not language_filter(label, community):
             continue
         ranked = sorted(
             community, key=lambda node: (-graph.w_in.get(node, 0), node)
         )
-        selected = [(node, graph.w_in.get(node, 0)) for node in ranked[:k]]
-        community_total = sum(graph.w_in.get(node, 0) for node in community)
-        selected_total = sum(weight for _, weight in selected)
-        members[label] = tuple(selected)
-        # A community whose members were never retweeted has nothing to cover.
-        coverage[label] = selected_total / community_total if community_total else 1.0
-    return SentinelSet(members=members, coverage=coverage)
+        members[label] = tuple((node, graph.w_in.get(node, 0)) for node in ranked[:k])
+    return members
+
+
+def coverage(graph: RetweetGraph, partition: Partition, roster: Roster) -> dict[Label, float]:
+    """Each roster community's selected share of its total in-degree in ``graph``.
+
+    A community whose members were never retweeted has nothing to cover: 1.0.
+    """
+    shares = {}
+    for label, entries in roster.items():
+        total = sum(graph.w_in.get(node, 0) for node in partition.communities[label])
+        shares[label] = sum(weight for _, weight in entries) / total if total else 1.0
+    return shares
 
 
 def ascii_language_filter(
@@ -157,13 +141,13 @@ def activity(
     return np.minimum(latest[authors], (end - start).days)
 
 
-def write_roster(sentinels: SentinelSet, path: str | Path) -> None:
+def write_roster(sentinels: Roster, path: str | Path) -> None:
     """Write 'community_label account_id in_degree' lines."""
     entries = ((label, *entry) for label, roster in sentinels.items() for entry in roster)
     write_lines(path, (f"{label} {account} {in_degree}" for label, account, in_degree in entries))
 
 
-def read_roster(path: str | Path) -> dict[Label, tuple[tuple[str, int], ...]]:
+def read_roster(path: str | Path) -> Roster:
     """Rosters from :func:`write_roster`'s lines; an account listed twice is a ValueError."""
     rosters: dict[Label, list[tuple[str, int]]] = {}
     seen: set[str] = set()

@@ -38,11 +38,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .community import Label
-from .errors import (
-    InvalidDocumentError,
-    ParameterError,
-    UndefinedStatisticError,
-)
+from .errors import InvalidDocumentError, ParameterError, UndefinedScoreError
 from .fileio import read_csv, read_lines, write_csv
 from .ingest import (
     BOUNDARY,
@@ -348,7 +344,7 @@ def adf_test(series: Sequence[float], alpha: float = 0.05) -> AdfResult:
     design = np.column_stack([np.ones_like(lagged), lagged])
     gram = design.T @ design
     if abs(np.linalg.det(gram)) < 1e-12 * max(1.0, float(np.abs(gram).max()) ** 2):
-        raise UndefinedStatisticError("degenerate regression: constant series")
+        raise UndefinedScoreError("degenerate regression: constant series")
     coef = np.linalg.solve(gram, design.T @ dy)
     residuals = dy - design @ coef
     dof = dy.size - 2

@@ -226,7 +226,7 @@ def test_criterion_6_burst_pipeline_end_to_end(default_corpus, tmp_path):
             split=truth.split,
             seed=13,
         )
-        result = run_pipeline(config)
+        run_pipeline(config)
 
         # (a) every day of every pair is valid: all community-day docs nonempty
         import csv as csv_mod

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 from dataclasses import MISSING, fields
 from datetime import timedelta
 from types import SimpleNamespace
@@ -421,6 +422,68 @@ class TestStageCommands:
 
     def test_stats_requires_input(self, capsys):
         assert main(["stats"]) == 1
+
+    @pytest.mark.parametrize(
+        "option, text",
+        [
+            ("--contingency", "c,m,n\nleft,5,x\nright,3,4\n"),
+            ("--coding", "a,b\n"),
+        ],
+        ids=["contingency-count-not-an-int", "coding-one-coder"],
+    )
+    def test_stats_malformed_table_is_one_error_line(self, tmp_path, capsys, option, text):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        assert main(["stats", option, str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {table}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_stats_degenerate_table_keeps_its_error(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("c,m,n\nleft,0,0\nright,3,4\n")
+        assert main(["stats", "--contingency", str(table)]) == 1
+        assert capsys.readouterr().err == "error: zero marginal row or column\n"
+
+    @pytest.mark.parametrize(
+        "ending",
+        [["--per-stratum", "0"], ["--per-stratum", "-3"], ["--topics"]],
+        ids=["zero-per-stratum", "negative-per-stratum", "no-topics"],
+    )
+    def test_sample_that_could_pick_nothing_is_a_usage_error(self, staged, tmp_path, ending):
+        _, records, _, _, roster, _, scores, _ = staged
+        out = tmp_path / "coding_sample.csv"
+        argv = ["sample", "--records", str(records), "--roster", str(roster),
+                "--scores", str(scores), "--output", str(out), *ending]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
+    def test_sentinels_and_cluster_reports_pinned(self, staged, tmp_path, capsys):
+        _, records, edges, partition, _, matrix, *_ = staged
+        sentinels = ["sentinels", "--edges", str(edges), "--partition", str(partition),
+                     "--output", str(tmp_path / "roster.txt")]
+        full = "".join(f"community {c}: 15 sentinels, coverage 1.000\n" for c in range(9))
+        assert main(sentinels + ["--records", str(records), "--language-filter", "ascii"]) == 0
+        assert capsys.readouterr().out == full
+        assert main(sentinels) == 0
+        assert capsys.readouterr().out == full
+        assert main(sentinels + ["--k", "5"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"community {c}: 5 sentinels, coverage {share}\n"
+            for c, share in enumerate(
+                ["0.391", "0.393", "0.371", "0.375", "0.395", "0.408", "0.386", "0.395", "0.438"]
+            )
+        )
+        assert main(["cluster", "--matrix", str(matrix),
+                     "--scores-output", str(tmp_path / "scores.csv")]) == 0
+        assert capsys.readouterr().out == (
+            "cluster 0: centroid -0.2792 ['6', '7', '8']\n"
+            "cluster 1: centroid -0.0114 ['3', '4', '5']\n"
+            "cluster 2: centroid 0.2906 ['0', '1', '2']\n"
+        )
 
     def test_ingest_empty_corpus_errors(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -917,3 +980,41 @@ class TestRunCommand:
         monkeypatch.setenv("SENTINEL_OUTPUT_DIR", str(override))
         assert main(["run", "--config", str(config_path)]) == 0
         assert override.exists()
+
+    @pytest.mark.parametrize("manifest", ["{trunc", "[1, 2]"], ids=["not-json", "a-list"])
+    def test_rerun_over_a_manifest_that_is_no_object(self, workspace, tmp_path, manifest):
+        base, corpus, truth = workspace
+        out = tmp_path / "out"
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(PipelineConfig(
+            corpus=corpus, output_dir=out, window_start=truth.window[0],
+            window_end=truth.window[1], split=truth.split,
+        )))
+        assert main(["run", "--config", str(config_path)]) == 0
+        fresh = {path.name: path.read_bytes() for path in out.iterdir()}
+        (out / "manifest.json").write_text(manifest)
+        past = 1_000_000_000_000_000_000
+        for path in out.iterdir():
+            os.utime(path, ns=(past, past))
+        assert main(["run", "--config", str(config_path)]) == 0
+        # no stage counts as done: every file is written again, with the fresh run's bytes
+        assert all(path.stat().st_mtime_ns != past for path in out.iterdir())
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == fresh
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_output_dir_that_cannot_be_a_directory_is_one_error_line(
+        self, workspace, tmp_path, capsys, under
+    ):
+        base, corpus, truth = workspace
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(PipelineConfig(
+            corpus=corpus, output_dir=blocker / "out" if under else blocker,
+            window_start=truth.window[0], window_end=truth.window[1], split=truth.split,
+        )))
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{blocker} is not a directory\n")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "kept"

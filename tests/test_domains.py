@@ -9,9 +9,10 @@ import oracles
 from conftest import grouped_corpus, make_record
 from sentinet import domains as domains_mod
 from sentinet.domains import (
-    ClusterAssignment,
     DomainMatrix,
     LinkedDomainScore,
+    centroids,
+    cluster_members,
     cluster_scores,
     domain_frequency_matrix,
     first_principal_component,
@@ -256,31 +257,28 @@ class TestClusterScores:
     def test_three_obvious_groups(self):
         scores = {"a": -10.0, "b": -9.0, "c": 0.0, "d": 1.0, "e": 9.0, "f": 10.0}
         result = cluster_scores(scores, k=3)
-        assert result.assignment == {"a": 0, "b": 0, "c": 1, "d": 1, "e": 2, "f": 2}
+        assert result == {"a": 0, "b": 0, "c": 1, "d": 1, "e": 2, "f": 2}
         oracle = oracles.best_contiguous_three_split(list(scores.values()))
         assert oracle == [[-10.0, -9.0], [0.0, 1.0], [9.0, 10.0]]
 
     def test_single_cluster(self):
         result = cluster_scores({"a": 1.0, "b": 1.0, "c": 1.0}, k=1)
-        assert set(result.assignment.values()) == {0}
+        assert set(result.values()) == {0}
 
     def test_singletons(self):
         result = cluster_scores({"a": 1.0, "b": 2.0, "c": 3.0}, k=3)
-        assert sorted(result.assignment.values()) == [0, 1, 2]
-        assert result.assignment["a"] == 0 and result.assignment["c"] == 2
+        assert sorted(result.values()) == [0, 1, 2]
+        assert result["a"] == 0 and result["c"] == 2
 
-    def test_equals_the_clusters_read_back(self, tmp_path):
-        # it compares as the mapping it reads like, by items; centroids are no item
+    def test_scores_csv_roundtrip(self, tmp_path):
         scores = {"a": -10.0, "b": -9.0, "c": 0.0, "d": 1.0, "e": 9.0, "f": 10.0}
         clusters = cluster_scores(scores, k=3)
         path = tmp_path / "scores.csv"
         linked = LinkedDomainScore(domains=(), loadings=np.zeros(0), scores=scores)
         write_scores_csv(linked, clusters, path)
-        _, read_back = read_scores_csv(path)
-        assert clusters == read_back and read_back == clusters
-        assert clusters == ClusterAssignment(assignment=read_back, centroids=())
-        with pytest.raises(TypeError):
-            hash(clusters)
+        assert read_scores_csv(path) == (scores, clusters)
+        # so a resumed run recomputes the centroids of a fresh one
+        assert centroids(*read_scores_csv(path)) == centroids(scores, clusters)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateClusteringError):
@@ -305,7 +303,7 @@ class TestClusterScores:
         scores = {f"c{i}": v for i, v in enumerate(values)}
         result = cluster_scores(scores, k=3)
         by_cluster = {}
-        for label, cluster in result.assignment.items():
+        for label, cluster in result.items():
             by_cluster.setdefault(cluster, []).append(scores[label])
         spans = sorted(
             (min(group), max(group)) for group in by_cluster.values()
@@ -355,19 +353,20 @@ class TestClusterScores:
         assume(not oracles.adjacent_merge_has_tie(exact, k))
         scores = {f"c{i}": v for i, v in enumerate(values)}
         expected = oracles.linkage_cut(scores, k, method)
-        assert cluster_scores(scores, k=k).assignment == expected
+        assert cluster_scores(scores, k=k) == expected
 
     def test_equal_gaps_merge_leftmost_pair(self):
-        result = cluster_scores({"a": 0.0, "b": 2.0, "c": 4.0}, k=2)
-        assert result.assignment == {"a": 0, "b": 0, "c": 1}
-        assert result.centroids == (1.0, 4.0)
+        scores = {"a": 0.0, "b": 2.0, "c": 4.0}
+        result = cluster_scores(scores, k=2)
+        assert result == {"a": 0, "b": 0, "c": 1}
+        assert centroids(scores, result) == (1.0, 4.0)
 
     def test_scaling_preserves_assignment(self):
         scores = {"a": -4.0, "b": -3.5, "c": 0.5, "d": 1.0, "e": 6.0, "f": 7.0}
         base = cluster_scores(scores, k=3)
         scaled = cluster_scores({k: v * 3.0 for k, v in scores.items()}, k=3)
-        assert base.assignment == scaled.assignment
+        assert base == scaled
 
     def test_members_helper(self):
-        result = cluster_scores({"a": 0.0, "b": 0.1, "c": 5.0, "d": 9.0}, k=2)
-        assert result.members(0) == frozenset({"a", "b"})
+        result = cluster_scores({"d": 9.0, "b": 0.1, "c": 5.0, "a": 0.0}, k=2)
+        assert cluster_members(result) == {"0": ["a", "b"], "1": ["c", "d"]}

@@ -48,8 +48,8 @@ def synthetic(default_corpus, tmp_path_factory):
         split=truth.split,
         seed=13,
     )
-    result = run_pipeline(config)
-    return config, truth, result
+    summary = run_pipeline(config)
+    return config, truth, summary
 
 
 def artifact_bytes(out_dir: Path) -> dict[str, bytes]:
@@ -116,7 +116,7 @@ class TestRunPipeline:
         assert digests == PINNED_DIGESTS
 
     def test_all_stage_artifacts_written(self, synthetic):
-        config, _, result = synthetic
+        config, _, _ = synthetic
         for stage, files in ARTIFACTS.items():
             if stage == "stats":
                 continue  # optional inputs not supplied
@@ -124,10 +124,10 @@ class TestRunPipeline:
                 assert (config.output_dir / name).exists(), name
 
     def test_discovers_designed_structure(self, synthetic):
-        _, truth, result = synthetic
-        assert result.summary["communities"] == len(truth.communities)
-        assert result.summary["clusters"] == 3
-        assert result.summary["sentinel_accounts"] == 9 * 15
+        _, truth, summary = synthetic
+        assert summary["communities"] == len(truth.communities)
+        assert summary["clusters"] == 3
+        assert summary["sentinel_accounts"] == 9 * 15
 
     def test_louvain_matches_designed_communities(self, synthetic):
         config, truth, _ = synthetic
@@ -338,7 +338,7 @@ class TestRunPipeline:
         # input files are fingerprinted by content, so a moved copy changes nothing
         moved_corpus = tmp_path / "moved.jsonl"
         shutil.copyfile(config.corpus, moved_corpus)
-        result = run_pipeline(replace(config, output_dir=workdir, corpus=moved_corpus))
+        summary = run_pipeline(replace(config, output_dir=workdir, corpus=moved_corpus))
         after = {path.name: path.stat() for path in workdir.iterdir()}
         assert after.keys() == before.keys()
         for name, stat in after.items():
@@ -346,7 +346,7 @@ class TestRunPipeline:
                 before[name].st_ino,
                 before[name].st_mtime_ns,
             ), name
-        assert result.summary == json.loads((workdir / "run_meta.json").read_text())["summary"]
+        assert summary == json.loads((workdir / "run_meta.json").read_text())["summary"]
 
     def test_code_change_rebuilds_every_stage(self, synthetic, tmp_path, monkeypatch):
         config, _, _ = synthetic
@@ -439,17 +439,33 @@ class TestRunPipeline:
         manifest = json.loads((workdir / "manifest.json").read_text())
         assert {"lsa", "meta"} <= manifest.keys()
 
-    @pytest.mark.parametrize("invalid", ["naive-split", "zero-sentinel-k"])
+    @pytest.mark.parametrize(
+        "invalid",
+        [
+            "naive-split",
+            "zero-sentinel-k",
+            "output-dir-is-a-file",
+            "output-dir-under-a-file",
+            "output-dir-is-a-dangling-link",
+        ],
+    )
     def test_invalid_config_fails_before_any_stage(self, synthetic, tmp_path, invalid):
         config, _, _ = synthetic
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = tmp_path / "out"
         change = {
             "naive-split": {"split": config.split.replace(tzinfo=None)},
             "zero-sentinel-k": {"sentinel_k": 0},
+            "output-dir-is-a-file": {"output_dir": blocker},
+            "output-dir-under-a-file": {"output_dir": blocker / "out"},
+            "output-dir-is-a-dangling-link": {"output_dir": tmp_path / "link"},
         }[invalid]
-        out = tmp_path / "out"
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
         with pytest.raises(ConfigError):
-            run_pipeline(replace(config, output_dir=out, **change))
-        assert not (out / MANIFEST).exists()
+            run_pipeline(replace(config, **{"output_dir": out, **change}))
+        assert not out.exists()
+        assert blocker.read_text() == "kept"
 
     def test_empty_corpus_fails_at_ingest(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
@@ -606,14 +622,13 @@ class TestRunPath:
             data, digest_size=32
         ).digest()
 
-    def test_five_classes_are_dataclasses(self, run_path):
+    def test_three_classes_are_dataclasses(self, run_path):
         # each @dataclass generates and compiles its methods at import, which
-        # every fresh process pays; the value records are NamedTuples
+        # every fresh process pays; the value records are NamedTuples, and
+        # rosters and cluster maps are plain dicts
         assert run_path[-1] == str([
             "sentinet.config.PipelineConfig",
-            "sentinet.domains.ClusterAssignment",
             "sentinet.ingest.Corpus",
-            "sentinet.sentinel.SentinelSet",
             "sentinet.stats.CodingMatrix",
         ])
 

@@ -9,9 +9,9 @@ from sentinet.community import Partition
 from sentinet.errors import ParameterError
 from sentinet.graph import RetweetGraph
 from sentinet.sentinel import (
-    SentinelSet,
     activity,
     ascii_language_filter,
+    coverage,
     read_roster,
     select_sentinels,
     write_roster,
@@ -29,8 +29,8 @@ class TestSelectSentinels:
         graph = RetweetGraph.from_arcs({("a", "b"): 5, ("b", "c"): 2})
         partition = Partition.from_assignment({"a": 0, "b": 0, "c": 0})
         result = select_sentinels(graph, partition, k=15)
-        assert [acct for acct, _ in result.members[0]] == ["a", "b", "c"]
-        assert result.coverage[0] == 1.0
+        assert [acct for acct, _ in result[0]] == ["a", "b", "c"]
+        assert coverage(graph, partition, result)[0] == 1.0
 
     def test_zipf_community_coverage_matches_direct_ratio(self):
         # heavy-tailed in-degrees: node i retweeted ~ 1000/(i+1) times
@@ -47,8 +47,8 @@ class TestSelectSentinels:
         expected = sum(graph.w_in.get(n, 0) for n in top) / sum(
             graph.w_in.get(n, 0) for n in graph.nodes
         )
-        assert result.coverage[0] == pytest.approx(expected)
-        assert [acct for acct, _ in result.members[0]] == top
+        assert coverage(graph, partition, result)[0] == pytest.approx(expected)
+        assert [acct for acct, _ in result[0]] == top
 
     def test_top_m_limits_communities(self):
         arcs = {}
@@ -65,7 +65,7 @@ class TestSelectSentinels:
         graph = RetweetGraph.from_arcs({("b", "x"): 3, ("a", "y"): 3, ("c", "z"): 1})
         partition = Partition.from_assignment({n: 0 for n in graph.nodes})
         result = select_sentinels(graph, partition, k=2)
-        assert [acct for acct, _ in result.members[0]] == ["a", "b"]
+        assert [acct for acct, _ in result[0]] == ["a", "b"]
 
     def test_bad_parameters(self):
         graph = star_graph()
@@ -83,8 +83,8 @@ class TestSelectSentinels:
         result = select_sentinels(
             graph, partition, k=5, language_filter=lambda label, members: label != 0
         )
-        assert 0 not in result.members
-        assert 1 in result.members
+        assert 0 not in result
+        assert 1 in result
 
     def test_arc_insertion_order_irrelevant(self):
         arcs = {("a", "b"): 2, ("c", "d"): 7, ("e", "f"): 1}
@@ -92,19 +92,19 @@ class TestSelectSentinels:
         backward = RetweetGraph.from_arcs(dict(reversed(list(arcs.items()))))
         partition = Partition.from_assignment({n: 0 for n in forward.nodes})
         assert (
-            select_sentinels(forward, partition, k=2).members
-            == select_sentinels(backward, partition, k=2).members
+            select_sentinels(forward, partition, k=2)
+            == select_sentinels(backward, partition, k=2)
         )
 
     def test_removing_unselected_node_preserves_roster(self):
         arcs = {("a", "b"): 9, ("c", "b"): 5, ("d", "b"): 1}
         graph = RetweetGraph.from_arcs(arcs)
         partition = Partition.from_assignment({n: 0 for n in graph.nodes})
-        before = select_sentinels(graph, partition, k=2).members[0]
+        before = select_sentinels(graph, partition, k=2)[0]
         del arcs[("d", "b")]
         smaller = RetweetGraph.from_arcs(arcs)
         partition2 = Partition.from_assignment({n: 0 for n in smaller.nodes})
-        after = select_sentinels(smaller, partition2, k=2).members[0]
+        after = select_sentinels(smaller, partition2, k=2)[0]
         assert before == after
 
 
@@ -211,14 +211,12 @@ class TestRosterIO:
         members: dict[str, list] = {}
         for label, account, in_degree in rows:
             members.setdefault(label, []).append((account, in_degree))
-        sentinels = SentinelSet(
-            members={label: tuple(entries) for label, entries in members.items()}, coverage={}
-        )
+        roster = {label: tuple(entries) for label, entries in members.items()}
         path = tmp_path / "roster.txt"
-        write_roster(sentinels, path)
+        write_roster(roster, path)
         loaded = read_roster(path)
-        assert loaded == sentinels.members
-        assert list(loaded) == list(sentinels)
+        assert loaded == roster
+        assert list(loaded) == list(roster)
 
     def test_account_listed_twice_is_an_error(self, tmp_path):
         path = tmp_path / "roster.txt"
@@ -226,16 +224,10 @@ class TestRosterIO:
         with pytest.raises(ValueError, match="'a' listed twice"):
             read_roster(path)
 
-    def test_equals_the_mapping_read_back(self, tmp_path):
-        # it compares as the mapping it reads like, by items; coverage is no item
-        sentinels = SentinelSet(
-            members={"7": (("a", 5), ("c", 3)), "8": (("b", 2),)}, coverage={"7": 0.5}
-        )
+    def test_coverage_of_the_roster_read_back(self, tmp_path):
+        graph = RetweetGraph.from_arcs({("a", "b"): 5, ("c", "b"): 3, ("a", "d"): 1})
+        partition = Partition.from_assignment({"a": "0", "c": "0", "b": "1", "d": "1"})
         path = tmp_path / "roster.txt"
-        write_roster(sentinels, path)
-        loaded = read_roster(path)
-        assert sentinels == loaded and loaded == sentinels
-        assert sentinels == SentinelSet(members=loaded, coverage={})
-        assert sentinels != {"7": (("a", 5), ("c", 3))}
-        with pytest.raises(TypeError):
-            hash(sentinels)
+        write_roster(select_sentinels(graph, partition, k=1), path)
+        # community 1 was never retweeted, so it has nothing to cover
+        assert coverage(graph, partition, read_roster(path)) == {"0": 6 / 9, "1": 1.0}

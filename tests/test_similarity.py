@@ -18,7 +18,7 @@ from conftest import (
 from sentinet.errors import (
     InvalidDocumentError,
     ParameterError,
-    UndefinedStatisticError,
+    UndefinedScoreError,
 )
 from sentinet.ingest import PACKAGED, CountMatrix, TrigramEncoder, load_wordlist, normalize_text
 from sentinet.similarity import (
@@ -545,7 +545,7 @@ class TestAdf:
         assert result.verdict
 
     def test_constant_series_degenerate(self):
-        with pytest.raises(UndefinedStatisticError):
+        with pytest.raises(UndefinedScoreError):
             adf_test([3.0] * 50)
 
     def test_short_series_rejected(self):
