@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import MISSING
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +20,7 @@ from .config import FIELDS, check_value, load_config, value_parser
 from .errors import ConfigError, SentinetError, StageError
 from .fileio import write_csv
 from .ingest import PACKAGED, read_corpus, write_corpus
-from .pipeline import STAGES, _Runner, run_pipeline
+from .pipeline import STAGES, _Runner, read_input, reading, run_pipeline
 from .sentinel import coverage
 
 # upstream stage -> the input option its value is loaded from; a command
@@ -229,21 +229,6 @@ def _output_path(text: str) -> Path:
     return path
 
 
-@contextmanager
-def _reading(path: Path):
-    """Re-raise a failure to read ``path`` as one error naming it."""
-    try:
-        yield
-    except (OSError, ValueError, LookupError, SentinetError) as exc:
-        raise SentinetError(f"cannot read {path}: {exc}") from exc
-
-
-def _read(reader, path: Path):
-    """``reader(path)``; a file that does not parse is one error naming it."""
-    with _reading(path):
-        return reader(path)
-
-
 def _check_clusters(runner) -> None:
     """Raise one error naming ``--scores`` when it gives no cluster to a
     roster community, or no community to a cluster that ``--series`` pairs."""
@@ -286,8 +271,8 @@ class _CommandRunner(_Runner):
 
     def errors(self, stage):
         if self.loads(stage):
-            return _reading(self.paths(stage)[0])
-        return _reading(self.args.corpus) if stage.name == "ingest" else nullcontext()
+            return reading(self.paths(stage)[0])
+        return reading(self.args.corpus) if stage.name == "ingest" else nullcontext()
 
 
 # ---- handlers ----------------------------------------------------------
@@ -296,7 +281,7 @@ class _CommandRunner(_Runner):
 def cmd_ingest(args) -> int:
     if (args.window_start is None) != (args.window_end is None):
         raise ConfigError("--window-start and --window-end must be given together")
-    result = _read(read_corpus, args.input)
+    result = read_input(read_corpus, args.input)
     records = result.records
     message = f"parsed {len(records)} records, skipped {result.skipped} lines"
     if args.window_start is not None:
@@ -327,8 +312,8 @@ def cmd_stage(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    left = _read(community_mod.read_partition, args.left)
-    right = _read(community_mod.read_partition, args.right)
+    left = read_input(community_mod.read_partition, args.left)
+    right = read_input(community_mod.read_partition, args.right)
     common_left, common_right = community_mod.restrict_to_common(left, right)
     if not common_left.nodes:
         print("no common nodes")
@@ -355,28 +340,17 @@ def cmd_stats(args) -> int:
     if args.contingency is None and args.coding is None:
         print("error: provide --contingency and/or --coding", file=sys.stderr)
         return 1
-    # imported here, as in the pipeline: only a stats report loads fractions
-    from . import stats as stats_mod
-
-    # both tables are read before either statistic, each through one error naming it
-    table = (
-        None if args.contingency is None
-        else _read(stats_mod.ContingencyTable.read_csv, args.contingency)
-    )
-    coding = None if args.coding is None else _read(stats_mod.CodingMatrix.read_csv, args.coding)
-    if table is not None:
-        result = stats_mod.chi_square(table)
-        print(
-            f"chi-square: statistic={result.statistic:.4f} df={result.df} "
-            f"p={result.p_value:.3e}"
-        )
-    if coding is not None:
-        print(f"krippendorff alpha: {stats_mod.krippendorff_alpha(coding):.4f}")
+    payload = STAGES["stats"].build(args)
+    if "chi_square" in payload:
+        line = "chi-square: statistic={statistic:.4f} df={df} p={p_value:.3e}"
+        print(line.format(**payload["chi_square"]))
+    if "krippendorff_alpha" in payload:
+        print(f"krippendorff alpha: {payload['krippendorff_alpha']:.4f}")
     return 0
 
 
 def cmd_run(args) -> int:
-    config = _read(load_config, args.config)
+    config = read_input(load_config, args.config)
     summary = run_pipeline(config)
     for key in sorted(summary):
         print(f"{key}: {summary[key]}")

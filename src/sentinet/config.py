@@ -16,7 +16,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Mapping, get_args, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, ConfigRuleError
 from .fileio import atomic_open
 from .ingest import format_timestamp, parse_timestamp
 
@@ -73,6 +73,8 @@ _FORMATTERS: dict[type, Callable[[Any], str]] = {
     datetime: format_timestamp,
 }
 _ENV_PREFIX = "SENTINEL_"
+# in output_dir: the fingerprint of every stage whose artifacts were written
+MANIFEST = "manifest.json"
 
 
 def value_parser(name: str) -> Callable[[str], Any]:
@@ -152,38 +154,41 @@ _RANGES: dict[str, tuple[Callable[[Any], bool], str]] = {
 def check_value(name: str, value: Any) -> None:
     """Raise :class:`ConfigError` unless ``value`` is valid for field ``name``.
 
-    Ints but the seed must be positive, floats finite, the fields in
-    ``_RANGES`` inside their range, and input files must exist. ``output_dir``
-    may not be a file or lie under one. An optional field may be None.
+    Ints but the seed must be positive, floats finite, the fields in ``_RANGES`` inside
+    their range, and input files must exist. ``output_dir`` may not be a file, lie under
+    one or hold a :data:`MANIFEST` that is no regular file. An optional field may be None.
     """
     kind = _TYPES[name]
     if value is None and name in _OPTIONAL:
         return
     if kind is int and name != "seed" and value <= 0:
-        raise ConfigError(f"{name} must be positive")
+        raise ConfigRuleError(f"{name} must be positive")
     if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite")
+        raise ConfigRuleError(f"{name} must be finite")
     if name in _RANGES and not _RANGES[name][0](value):
-        raise ConfigError(f"{name} must be {_RANGES[name][1]}")
+        raise ConfigRuleError(f"{name} must be {_RANGES[name][1]}")
     if name in INPUT_FIELDS and not Path(value).exists():
-        raise ConfigError(f"{name} path not found: {value}")
+        raise ConfigRuleError(f"{name} path not found: {value}")
     if name == "output_dir":
         # the nearest of it and its parents that exists (a dangling link too) must be a directory
         paths = (Path(value), *Path(value).parents)
         found = next((p for p in paths if p.exists() or p.is_symlink()), None)
         if found is not None and not found.is_dir():
-            raise ConfigError(f"output_dir {value}: {found} is not a directory")
+            raise ConfigRuleError(f"output_dir {value}: {found} is not a directory")
+        manifest = Path(value) / MANIFEST
+        if manifest.exists() and not manifest.is_file():
+            raise ConfigRuleError(f"output_dir {value}: {manifest} is not a regular file")
 
 
 def validate_config(config: PipelineConfig) -> None:
     if config.split.utcoffset() is None:
-        raise ConfigError("split must carry a timezone")
+        raise ConfigRuleError("split must carry a timezone")
     if config.window_start > config.window_end:
-        raise ConfigError("window_start is after window_end")
+        raise ConfigRuleError("window_start is after window_end")
     # the UTC day, as the config file writes the split
     split_day = config.split.astimezone(timezone.utc).date()
     if not (config.window_start <= split_day <= config.window_end):
-        raise ConfigError("split timestamp falls outside the observation window")
+        raise ConfigRuleError("split timestamp falls outside the observation window")
     for name in FIELDS:
         check_value(name, getattr(config, name))
 

@@ -54,7 +54,11 @@ class DegenerateTableError(SentinetError):
 
 
 class ConfigError(SentinetError):
-    """Pipeline configuration is invalid or incomplete."""
+    """Pipeline configuration, or an input file it names, is invalid or incomplete."""
+
+
+class ConfigRuleError(ConfigError):
+    """A config value, of the type its field declares, breaks the field's rule."""
 
 
 class StageError(SentinetError):

@@ -13,6 +13,7 @@ Record files (``graph.edges``, ``component.edges``, ``partition.txt``,
 ``sentinels.txt``) hold one record per line, its fields separated by spaces.
 Every character ``str.splitlines`` breaks on is whitespace to ``str.split``,
 so fields that :func:`is_field` admits read back as written.
+:func:`across_cpus` spreads a build's items over the CPUs a run may use.
 """
 
 from __future__ import annotations
@@ -20,9 +21,86 @@ from __future__ import annotations
 import csv
 import json
 import os
+import pickle
+import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
+
+# 4-byte indices that fill Linux's smallest pipe (4 KiB): a queue is written whole at once
+_QUEUE_ITEMS = 1024
+
+
+def across_cpus(function: Callable, items: Sequence, weights: Sequence[float]) -> list:
+    """``[function(item) for item in items]``, spread over the CPUs this process may use.
+
+    The parent forks a child per further CPU in its affinity mask (none
+    without a mask, as on macOS), at most one process per item; if a fork
+    fails, the processes running take every item. Each process takes item
+    indices, heaviest first, from one pipe: a 4-byte read is atomic, so a
+    slower process takes fewer items. A child pickles its results, or its
+    exception, to its own pipe and leaves by ``os._exit``. The parent reaps
+    every child, even when it raised itself, then raises a child's
+    exception, or a ChildProcessError for one without a reply. ``function``
+    must be pure, and no thread that a fork would break may run.
+    """
+    if len(items) > _QUEUE_ITEMS:
+        first = across_cpus(function, items[:_QUEUE_ITEMS], weights[:_QUEUE_ITEMS])
+        return first + across_cpus(function, items[_QUEUE_ITEMS:], weights[_QUEUE_ITEMS:])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    order = sorted(range(len(items)), key=weights.__getitem__, reverse=True)
+    queue, queue_end = os.pipe()
+    os.write(queue_end, struct.pack(f"={len(order)}I", *order))
+    os.close(queue_end)
+
+    def take() -> dict:
+        results = {}
+        while packed := os.read(queue, 4):
+            (index,) = struct.unpack("=I", packed)
+            results[index] = function(items[index])
+        return results
+
+    children: dict[int, int] = {}  # pid -> the read end of its reply pipe
+    try:
+        for _ in range(min(cpus, len(items)) - 1):
+            reply, reply_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reply)
+                os.close(reply_end)
+                break
+            if pid == 0:
+                try:
+                    try:
+                        payload = take()
+                    except BaseException as exc:
+                        payload = exc
+                    with open(reply_end, "wb") as handle:
+                        pickle.dump(payload, handle)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(reply_end)
+            children[pid] = reply
+        results = take()
+    finally:
+        while os.read(queue, 4096):  # what is left after a failure
+            pass
+        os.close(queue)
+        replies = []
+        for pid, reply in children.items():
+            with open(reply, "rb") as handle:
+                replies.append((pid, handle.read(), os.waitpid(pid, 0)[1]))
+    for pid, payload, status in replies:
+        if not payload:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"worker {pid} ended without a reply, exit status {code}")
+        payload = pickle.loads(payload)
+        if isinstance(payload, BaseException):
+            raise payload
+        results.update(payload)
+    return [results[index] for index in range(len(items))]
 
 
 @contextmanager

@@ -23,6 +23,10 @@ stage needs its value. Artifacts are written atomically, and a stage's manifest 
 is dropped before its artifacts are replaced, so a crash never leaves
 partial output that counts as done. Given a fixed seed, the artifact tree
 is byte-stable across hash seeds and, as checked, at 1 and 2 BLAS threads.
+It is the same at any CPU count, over which :func:`~sentinet.fileio.across_cpus`
+spreads the topics build's communities and the similarity build's days: a
+community's filter reads only its rows, and a day's Gram matrix, an exact
+sum of integer products, does not depend on its encoder's token numbering.
 Where LSA singular values tie exactly, or a gap ratio equals
 ``lsa.MIN_GAP_RATIO`` exactly, selection follows the Lanczos run's basis:
 fixed per matrix, but it can change with the row or column order (so with
@@ -49,9 +53,9 @@ from . import graph as graph_mod
 from . import lsa as lsa_mod
 from . import similarity as similarity_mod
 from . import topics as topics_mod
-from .config import INPUT_FIELDS, PipelineConfig, validate_config
-from .errors import SentinetError, StageError
-from .fileio import write_json, write_lines
+from .config import INPUT_FIELDS, MANIFEST, PipelineConfig, validate_config
+from .errors import ConfigError, ConfigRuleError, SentinetError, StageError
+from .fileio import across_cpus, write_json, write_lines
 from .ingest import (
     EPOCH,
     PACKAGED,
@@ -71,8 +75,6 @@ from .sentinel import (
     select_sentinels,
     write_roster,
 )
-
-MANIFEST = "manifest.json"
 
 try:
     # hashlib.blake2b is this class; importing it from hashlib would load
@@ -169,10 +171,13 @@ def _build_topics(params, sentinels, ingest) -> dict:
     """Community -> topic -> rows of the community's sentinels' matching tweets."""
     lexicons = topics_mod.load_lexicons(params.lexicon_dir)
     corpus = ingest.records
-    return {
-        community: topics_mod.filter_topic_tree(corpus, rows, lexicons)
-        for community, rows in _rows_by_community(sentinels, corpus).items()
-    }
+    rows_by_community = _rows_by_community(sentinels, corpus)
+    matched = across_cpus(
+        lambda rows: topics_mod.filter_topic_tree(corpus, rows, lexicons),
+        list(rows_by_community.values()),
+        [rows.size for rows in rows_by_community.values()],
+    )
+    return dict(zip(rows_by_community, matched))
 
 
 def _build_rates(params, sentinels, cluster, topics, ingest) -> topics_mod.RateTable:
@@ -335,17 +340,14 @@ def _build_stats(params) -> dict | None:
     # imported here: a run without stats inputs never loads it or fractions
     from . import stats as stats_mod
 
+    # both tables are read before either statistic, each through one error naming it
+    table = read_input(stats_mod.ContingencyTable.read_csv, params.contingency)
+    coding = read_input(stats_mod.CodingMatrix.read_csv, params.coding)
     payload: dict = {}
-    if params.contingency is not None:
-        result = stats_mod.chi_square(stats_mod.ContingencyTable.read_csv(params.contingency))
-        payload["chi_square"] = {
-            "statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
-        }
-    if params.coding is not None:
-        matrix = stats_mod.CodingMatrix.read_csv(params.coding)
-        payload["krippendorff_alpha"] = stats_mod.krippendorff_alpha(matrix)
+    if table is not None:
+        payload["chi_square"] = stats_mod.chi_square(table)._asdict()
+    if coding is not None:
+        payload["krippendorff_alpha"] = stats_mod.krippendorff_alpha(coding)
     return payload
 
 
@@ -575,13 +577,33 @@ class _Runner:
 
 @contextmanager
 def _stage_errors(stage: Stage, out: Path):
-    """Re-raise a failure inside ``stage`` as a StageError naming its artifact."""
+    """Re-raise a failure in ``stage``, but a ConfigError, as a StageError naming its artifact."""
     try:
         yield
-    except StageError:
+    except (StageError, ConfigError):
         raise
     except Exception as exc:
         raise StageError(stage.name, str(out / stage.files[0]), exc) from exc
+
+
+@contextmanager
+def reading(path: Path):
+    """Re-raise a failure to read the input ``path`` as one ConfigError naming it;
+    a config file that reads but breaks a field's rule is named with the rule."""
+    try:
+        yield
+    except ConfigRuleError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except (OSError, ValueError, LookupError, SentinetError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def read_input(reader, path: Path | None):
+    """``reader(path)``, through :func:`reading`; None where no path is set."""
+    if path is None:
+        return None
+    with reading(path):
+        return reader(path)
 
 
 def _read_manifest(path: Path) -> dict:

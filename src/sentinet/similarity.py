@@ -1,16 +1,20 @@
 """Daily inter-cluster trigram similarity, burst scoring, and stationarity.
 
 Each community-day document sums the word-trigram counts of that
-community's topical tweets for the day. The documents are built one day
-at a time: :func:`community_day_counts` tokenizes each community-day's
-tweets in two batches, its ASCII texts and the rest, and counts the day's
-community-days with one :class:`~sentinet.ingest.TrigramEncoder`, shared
-by every day, into the rows of one :class:`~sentinet.ingest.CountMatrix`;
+community's topical tweets for the day. :func:`day_batches` groups the
+rows by day once. :func:`count_day` tokenizes each community-day's tweets
+in two batches, its ASCII texts and the rest, and counts the day's
+community-days with a :class:`~sentinet.ingest.TrigramEncoder` into the
+rows of one :class:`~sentinet.ingest.CountMatrix`;
 :func:`build_community_day_docs` reduces that matrix at once to what
 :func:`similarity_series` reads, the dot products of every pair of the
 day's rows (:class:`DayDocs`), and drops it before the next day is
-counted. What a build holds at once thus follows the busiest day, not the
-length of the window; what it keeps is one small Gram matrix per day.
+counted. What a process holds at once thus follows the busiest day, not
+the length of the window; what the build keeps is one small Gram matrix
+per day. A day's Gram matrix does not depend on the encoder's token
+numbering: each entry is an exact sum of products of integer counts. So
+the build counts the days across CPUs, each process with its own copy of
+one encoder, and gets what one process counting every day gets.
 Similarity between two clusters on a day is the mean cosine similarity
 over cross-cluster community pairs, read from the day's Gram matrix.
 Counts stay integer-valued, so dots and norms are exact and every cosine,
@@ -33,17 +37,18 @@ from datetime import date
 from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .community import Label
 from .errors import InvalidDocumentError, ParameterError, UndefinedScoreError
-from .fileio import read_csv, read_lines, write_csv
+from .fileio import across_cpus, read_csv, read_lines, write_csv
 from .ingest import (
     BOUNDARY,
     CountMatrix,
     Corpus,
+    StringColumn,
     TrigramEncoder,
     data_path,
     day_date,
@@ -93,29 +98,18 @@ class DayDocs(NamedTuple):
         return [row for row in found if row is not None and self.gram[row, row] > 0]
 
 
-def community_day_counts(
-    corpus: Corpus,
-    rows_by_community: Mapping[Label, Sequence[int]],
-    encoder: TrigramEncoder,
-) -> Iterator[tuple[date, list[Label], CountMatrix, np.ndarray]]:
-    """Each day's community-day trigram counts, one day at a time, in date order.
+def day_batches(
+    corpus: Corpus, rows_by_community: Mapping[Label, Sequence[int]]
+) -> dict[int, dict[Label, list[np.ndarray]]]:
+    """Day number -> community -> its ASCII rows and its other rows of ``corpus`` on the day.
 
-    Yields, for each day on which any community has a row of ``corpus``,
-    the day, the communities with rows on it, in label order, and what
-    :meth:`TrigramEncoder.count` returns for their streams, one row per
-    community. Trigrams never cross tweet boundaries. Each community-day's
-    tweets are tokenized as two batches, its ASCII texts and the rest, so
-    that one non-ASCII tweet does not send the day's ASCII tweets down the
-    regex path; the two batches form one token stream, a :data:`BOUNDARY`
-    between them. The days hold row indices until they are counted, and
-    each batch is joined from the text column as one string. ``encoder``
-    drops its stopwords and makes the codes of every day, so it decodes
-    them all.
+    Days ascend, each holds the communities with rows on it in label order,
+    and each batch keeps the rows' given order. Two batches keep one
+    non-ASCII tweet from sending the day's ASCII tweets down the regex path.
     """
     texts, days = corpus.texts, corpus.days
     is_other = ~texts.isascii()
-    # day -> community -> its ASCII rows and its other rows on the day
-    rows_of: dict[int, dict[Label, list[np.ndarray]]] = {}
+    batches: dict[int, dict[Label, list[np.ndarray]]] = {}
     none = np.zeros(0, dtype=np.intp)
     for community in sorted(rows_by_community, key=str):
         rows = np.asarray(rows_by_community[community], dtype=np.intp)
@@ -127,18 +121,23 @@ def community_day_counts(
         group_keys, starts = np.unique(keys, return_index=True)
         ends = [*starts[1:].tolist(), rows.size]
         for key, start, end in zip(group_keys.tolist(), starts.tolist(), ends):
-            batches = rows_of.setdefault(key // 2, {}).setdefault(community, [none, none])
-            batches[key % 2] = rows[start:end]
-    for day in sorted(rows_of):
-        by_community = rows_of.pop(day)
-        yield day_date(day), list(by_community), *encoder.count(
-            chain(
-                tokenize_rows(texts, ascii_rows),
-                (BOUNDARY,),
-                tokenize_rows(texts, other_rows),
-            )
-            for ascii_rows, other_rows in by_community.values()
-        )
+            pair = batches.setdefault(key // 2, {}).setdefault(community, [none, none])
+            pair[key % 2] = rows[start:end]
+    return dict(sorted(batches.items()))
+
+
+def count_day(
+    texts: StringColumn, batches: Mapping[Label, Sequence[np.ndarray]], encoder: TrigramEncoder
+) -> tuple[CountMatrix, np.ndarray]:
+    """:meth:`TrigramEncoder.count` of one day's :func:`day_batches`, one row per community.
+
+    A row's stream is its ASCII batch, a :data:`BOUNDARY`, then its other
+    batch, each joined from the text column as one string.
+    """
+    return encoder.count(
+        chain(tokenize_rows(texts, ascii_rows), (BOUNDARY,), tokenize_rows(texts, other_rows))
+        for ascii_rows, other_rows in batches.values()
+    )
 
 
 def build_community_day_docs(
@@ -146,17 +145,15 @@ def build_community_day_docs(
     rows_by_community: Mapping[Label, Sequence[int]],
     encoder: TrigramEncoder,
 ) -> dict[date, DayDocs]:
-    """Each day's :class:`DayDocs` of the :func:`community_day_counts` of ``corpus``.
-
-    A day's count matrix is reduced to its Gram matrix as soon as it is
-    counted, and only the Gram matrix is kept.
-    """
-    return {
-        day: DayDocs.from_rows(communities, matrix)
-        for day, communities, matrix, _ in community_day_counts(
-            corpus, rows_by_community, encoder
-        )
-    }
+    """Each day's :class:`DayDocs` of the :func:`day_batches` of ``corpus``, the days
+    counted across CPUs, each process with its own copy of ``encoder``."""
+    batches = day_batches(corpus, rows_by_community)
+    docs = across_cpus(
+        lambda day: DayDocs.from_rows(day, count_day(corpus.texts, day, encoder)[0]),
+        list(batches.values()),
+        [sum(rows.size for pair in day.values() for rows in pair) for day in batches.values()],
+    )
+    return {day_date(number): day for number, day in zip(batches, docs)}
 
 
 def cosine_similarity(u: Mapping, v: Mapping) -> float:

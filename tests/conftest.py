@@ -14,11 +14,12 @@ from sentinet.ingest import (
     CountMatrix,
     Corpus,
     TrigramEncoder,
+    day_date,
     format_timestamp,
     parse_tweet_stream,
 )
 from sentinet.sentinel import activity
-from sentinet.similarity import DayDocs
+from sentinet.similarity import DayDocs, count_day, day_batches
 from sentinet.synthetic import SyntheticSpec, generate_corpus
 
 BASE_TIME = datetime(2020, 7, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -127,11 +128,20 @@ def decoded_counts(token_docs, stopwords=frozenset()):
     return dict(zip(encoder.decode(codes), scipy_of(matrix).sum(axis=0).A1.tolist()))
 
 
+def day_counts(corpus: Corpus, rows_by_community, encoder: TrigramEncoder) -> list:
+    """(day, its communities, count matrix, codes) of each day of :func:`day_batches`,
+    every day counted by :func:`count_day` with ``encoder``."""
+    return [
+        (day_date(day), list(batches), *count_day(corpus.texts, batches, encoder))
+        for day, batches in day_batches(corpus, rows_by_community).items()
+    ]
+
+
 def decoded_rows(day_counts, encoder: TrigramEncoder):
     """Each community-day's row of its day's matrix, keyed by (token, token, token).
 
-    ``day_counts`` is what :func:`community_day_counts` yields, and
-    ``encoder`` the one it counted with. Counts stay the matrix's floats,
+    ``day_counts`` is what :func:`day_counts` returns, and ``encoder`` the
+    one it counted with. Counts stay the matrix's floats,
     so a non-integer count fails an equality with integer counts.
     """
     rows = {}

@@ -1018,3 +1018,77 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.endswith(f"{blocker} is not a directory\n")
         assert err.count("\n") == 1
         assert blocker.read_text() == "kept"
+
+    def test_manifest_that_is_no_regular_file_is_one_error_line(self, workspace, tmp_path, capsys):
+        base, corpus, truth = workspace
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(PipelineConfig(
+            corpus=corpus, output_dir=out, window_start=truth.window[0],
+            window_end=truth.window[1], split=truth.split,
+        )))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: output_dir {out}: {out / 'manifest.json'} "
+            "is not a regular file\n"
+        )
+        # the run failed before any stage
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("sentinel_k=0", "sentinel_k must be positive"),
+            ("window_end=2020-06-01", "window_start is after window_end"),
+        ],
+    )
+    def test_config_value_that_breaks_a_rule_is_named_with_the_rule(
+        self, workspace, tmp_path, capsys, line, message
+    ):
+        base, corpus, truth = workspace
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(PipelineConfig(
+            corpus=corpus, output_dir=tmp_path / "out", window_start=truth.window[0],
+            window_end=truth.window[1], split=truth.split,
+        )) + line + "\n")
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["seed=many", "no equals sign"])
+    def test_config_that_does_not_parse_cannot_be_read(self, workspace, tmp_path, capsys, line):
+        base, corpus, truth = workspace
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(PipelineConfig(
+            corpus=corpus, output_dir=tmp_path / "out", window_start=truth.window[0],
+            window_end=truth.window[1], split=truth.split,
+        )) + line + "\n")
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {config_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("contingency", "c,m,n\nleft,5,x\nright,3,4\n"),
+            ("coding", "a,b\n"),
+        ],
+        ids=["contingency-count-not-an-int", "coding-one-coder"],
+    )
+    def test_malformed_stats_table_of_a_run_is_one_error_line(
+        self, workspace, tmp_path, capsys, field, text
+    ):
+        base, corpus, truth = workspace
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(PipelineConfig(
+            corpus=corpus, output_dir=tmp_path / "out", window_start=truth.window[0],
+            window_end=truth.window[1], split=truth.split, **{field: table},
+        )))
+        assert main(["run", "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {table}: ")
+        assert captured.err.count("\n") == 1

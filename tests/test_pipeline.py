@@ -1,7 +1,9 @@
 import csv
+import errno
 import hashlib
 import json
 import os
+import select
 import shutil
 import subprocess
 import sys
@@ -18,8 +20,10 @@ from conftest import corpus_of, make_record, rows_of
 from oracles import matches_topic
 from sentinet import lsa as lsa_mod
 from sentinet import pipeline as pipeline_mod
+from sentinet import similarity as similarity_mod
 from sentinet.config import PipelineConfig, write_config
-from sentinet.errors import ConfigError, StageError
+from sentinet.errors import ConfigError, ParameterError, StageError
+from sentinet.fileio import across_cpus
 from sentinet.ingest import (
     PACKAGED,
     ParseResult,
@@ -525,6 +529,140 @@ class TestRunPipeline:
         meta = json.loads((config.output_dir / "run_meta.json").read_text())
         assert meta["sd_convention"] == "population"
         assert meta["seed"] == 13
+
+
+class TestAcrossCpus:
+    @staticmethod
+    def topic_and_day_builds(config, monkeypatch):
+        """The topics value, the similarity build's day documents and its series,
+        built from ``config``'s finished run."""
+        built = []
+        build_docs = similarity_mod.build_community_day_docs
+        monkeypatch.setattr(
+            similarity_mod,
+            "build_community_day_docs",
+            lambda *args: built.append(build_docs(*args)) or built[-1],
+        )
+        runner = pipeline_mod._Runner(config)
+        similarity = pipeline_mod.STAGES["similarity"]
+        series = runner.build(similarity, runner.params(similarity))
+        return runner.value("topics"), built[0], series
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_builds_equal_those_of_one_cpu(self, synthetic, monkeypatch, cpus):
+        # the default corpus is corpus-long-shaped: 30 days of 9 communities
+        config, _, _ = synthetic
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        topics, docs, series = self.topic_and_day_builds(config, monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        spread_topics, spread_docs, spread_series = self.topic_and_day_builds(config, monkeypatch)
+        # each of the two builds forked a child per further CPU
+        assert len(forks) == 2 * (cpus - 1)
+        assert list(spread_topics) == list(topics)
+        for community, per_topic in topics.items():
+            assert list(spread_topics[community]) == list(per_topic)
+            for topic, rows in per_topic.items():
+                assert np.array_equal(spread_topics[community][topic], rows)
+        assert list(spread_docs) == list(docs) and len(docs) == 30
+        for day, day_docs in docs.items():
+            assert spread_docs[day].position == day_docs.position
+            assert np.array_equal(spread_docs[day].gram, day_docs.gram)
+        assert spread_series == series
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["one-cpu", "no-affinity"])
+    def test_one_cpu_forks_nothing(self, synthetic, monkeypatch, affinity):
+        config, _, _ = synthetic
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:  # macOS and Windows have no affinity mask
+            monkeypatch.delattr(os, "sched_getaffinity")
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        topics, docs, series = self.topic_and_day_builds(config, monkeypatch)
+        assert len(topics) == 9 and len(docs) == 30 and len(series) == 3
+
+    @staticmethod
+    def run_failing(monkeypatch, fail):
+        """across_cpus over two items on two CPUs, where ``fail(in_child)`` runs
+        on each item; the parent's item waits until the child has taken one."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+        taken, taken_end = os.pipe()
+
+        def function(item):
+            in_child = os.getpid() != parent
+            if in_child:
+                os.write(taken_end, b"x")
+            else:
+                assert select.select([taken], [], [], 30)[0], "the child took no item"
+            fail(in_child)
+            return item
+
+        try:
+            return across_cpus(function, ["a", "b"], [1, 1])
+        finally:
+            os.close(taken)
+            os.close(taken_end)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_an_item_that_raises_raises_in_the_parent_and_leaves_no_child(
+        self, monkeypatch, where
+    ):
+        def fail(in_child):
+            if in_child == (where == "child"):
+                raise ParameterError(f"bad item in the {where}")
+
+        with pytest.raises(ParameterError, match=f"^bad item in the {where}$"):
+            self.run_failing(monkeypatch, fail)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_ends_without_a_reply_names_its_exit_status(self, monkeypatch):
+        def fail(in_child):
+            if in_child:
+                os._exit(3)
+
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            self.run_failing(monkeypatch, fail)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_fork_leaves_the_items_to_the_processes_running(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forks, fork = [], os.fork
+
+        def second_fork_fails():
+            forks.append(1)
+            if len(forks) > 1:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        assert across_cpus(lambda item: 2 * item, list(range(9)), [1] * 9) == [
+            2 * item for item in range(9)
+        ]
+        assert len(forks) == 2 and len(os.listdir("/proc/self/fd")) == descriptors
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_items_are_taken_heaviest_first(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        taken = []
+        assert across_cpus(taken.append, "abcd", [2, 5, 2, 9]) == [None] * 4
+        assert taken == ["d", "b", "a", "c"]
+
+    def test_results_keep_the_item_order_past_one_queue(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        items = list(range(2500))
+        assert across_cpus(lambda item: -item, items, [item % 7 for item in items]) == [
+            -item for item in items
+        ]
 
 
 # imports the CLI and the pipeline, runs the pipeline on the default

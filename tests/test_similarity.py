@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import (
+    day_counts,
     day_docs_of,
     decoded_counts,
     decoded_rows,
@@ -30,7 +31,6 @@ from sentinet.similarity import (
     build_community_day_docs,
     burst_score,
     burst_scores,
-    community_day_counts,
     cosine_similarity,
     flag_days,
     intercluster_similarity,
@@ -205,7 +205,7 @@ class TestDayDocs:
         texts = ["alpha beta gamma", "delta epsilon zeta"]
         records = {"c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]}
         encoder = TrigramEncoder()
-        built = community_day_counts(*grouped_corpus(records), encoder)
+        built = day_counts(*grouped_corpus(records), encoder)
         built = decoded_rows(built, encoder)[("c", DAY)]
         assert sum(built.values()) == 2
         assert ("gamma", "delta", "epsilon") not in built
@@ -221,7 +221,7 @@ class TestDayDocs:
             "c": [record_factory(str(i), "u", text=t) for i, t in enumerate(texts)]
         }
         encoder = TrigramEncoder()
-        built = community_day_counts(*grouped_corpus(records), encoder)
+        built = day_counts(*grouped_corpus(records), encoder)
         assert decoded_rows(built, encoder) == {("c", DAY): expected}
 
     @settings(max_examples=100, deadline=None)
@@ -314,18 +314,18 @@ class TestDayDocsEqualPerTweetReference:
         records = records_of(communities)
         corpus, rows = grouped_corpus(records)
         encoder = TrigramEncoder(stopwords)
-        day_counts = list(community_day_counts(corpus, rows, encoder))
+        counted = day_counts(corpus, rows, encoder)
         expected = per_tweet_reference(records, stopwords)
         # days once each and ascending; one row per community-day, in label order
-        days = [day for day, *_ in day_counts]
+        days = [day for day, *_ in counted]
         assert days == sorted(set(days))
-        for _, labels, matrix, codes in day_counts:
+        for _, labels, matrix, codes in counted:
             assert labels == sorted(set(labels)) and matrix.shape == (len(labels), codes.size)
             # codes ascend with the column, and columns ascend within each row
             assert np.all(np.diff(codes) > 0)
             assert scipy_of(matrix).has_sorted_indices and matrix.data.dtype == float
         # one encoder decodes every day's rows
-        assert decoded_rows(day_counts, encoder) == expected
+        assert decoded_rows(counted, encoder) == expected
         docs = build_community_day_docs(corpus, rows, TrigramEncoder(stopwords))
         assert docs.keys() == set(days)
         for (community, day), counts in expected.items():
