@@ -213,9 +213,10 @@ def _positive_int(text: str) -> int:
 
 
 def _input_path(text: str) -> Path:
-    """An input file option's path; a missing file is a usage error, as for ``--records``."""
-    if not Path(text).exists():
-        raise argparse.ArgumentTypeError(f"path not found: {text}")
+    """An input file option's path; a missing file, or no regular file, is a usage error."""
+    if not Path(text).is_file():
+        problem = "not a regular file" if Path(text).exists() else "path not found"
+        raise argparse.ArgumentTypeError(f"{problem}: {text}")
     return Path(text)
 
 

@@ -84,9 +84,11 @@ def value_parser(name: str) -> Callable[[str], Any]:
 
 def _convert(name: str, raw: str):
     value = raw.strip()
-    if value == "" and name in _OPTIONAL:
+    if value:
+        return value_parser(name)(value)
+    if name in _OPTIONAL:
         return None
-    return value_parser(name)(value)
+    raise ValueError("empty value")
 
 
 def parse_config(
@@ -155,8 +157,9 @@ def check_value(name: str, value: Any) -> None:
     """Raise :class:`ConfigError` unless ``value`` is valid for field ``name``.
 
     Ints but the seed must be positive, floats finite, the fields in ``_RANGES`` inside
-    their range, and input files must exist. ``output_dir`` may not be a file, lie under
-    one or hold a :data:`MANIFEST` that is no regular file. An optional field may be None.
+    their range, and an input path must be a regular file, ``lexicon_dir`` a directory.
+    ``output_dir`` may not be a file, lie under one or hold a :data:`MANIFEST` that is no
+    regular file. An optional field may be None.
     """
     kind = _TYPES[name]
     if value is None and name in _OPTIONAL:
@@ -167,8 +170,13 @@ def check_value(name: str, value: Any) -> None:
         raise ConfigRuleError(f"{name} must be finite")
     if name in _RANGES and not _RANGES[name][0](value):
         raise ConfigRuleError(f"{name} must be {_RANGES[name][1]}")
-    if name in INPUT_FIELDS and not Path(value).exists():
-        raise ConfigRuleError(f"{name} path not found: {value}")
+    if name in INPUT_FIELDS:
+        if not Path(value).exists():
+            raise ConfigRuleError(f"{name} path not found: {value}")
+        if name == "lexicon_dir" and not Path(value).is_dir():
+            raise ConfigRuleError(f"{name} {value} is not a directory")
+        if name != "lexicon_dir" and not Path(value).is_file():
+            raise ConfigRuleError(f"{name} {value} is not a regular file")
     if name == "output_dir":
         # the nearest of it and its parents that exists (a dangling link too) must be a directory
         paths = (Path(value), *Path(value).parents)

@@ -224,9 +224,14 @@ def write_matrix_csv(matrix: DomainMatrix, path: str | Path) -> None:
 
 
 def read_matrix_csv(source: str | Path) -> DomainMatrix:
+    """A :func:`write_matrix_csv` file; a domain or community listed twice is a ValueError."""
     header, *rows = read_csv(source)
     domains = tuple(header[2:])
     communities = tuple(row[0] for row in rows)
+    for kind, names in (("domain", domains), ("community", communities)):
+        repeated = [name for name, n in Counter(names).items() if n > 1]
+        if repeated:
+            raise ValueError(f"{kind} {repeated[0]!r} listed twice")
     totals = tuple(int(row[1]) for row in rows)
     values = [[float(v) for v in row[2:]] for row in rows]
     return DomainMatrix(
@@ -252,10 +257,17 @@ def write_scores_csv(
 
 
 def read_scores_csv(path: str | Path) -> tuple[dict[str, float], dict[str, int]]:
-    """Community -> score and community -> cluster, from :func:`write_scores_csv`."""
+    """Community -> score and community -> cluster, from :func:`write_scores_csv`; a
+    community listed twice, or a cluster that is no non-negative integer, is a ValueError."""
     _, *rows = read_csv(path)
-    scores = {community: float(score) for community, score, _ in rows}
-    clusters = {community: int(cluster) for community, _, cluster in rows}
+    scores: dict[str, float] = {}
+    clusters: dict[str, int] = {}
+    for community, score, cluster in rows:
+        if community in scores:
+            raise ValueError(f"community {community!r} listed twice")
+        if not cluster.isdecimal():
+            raise ValueError(f"cluster {cluster!r} of {community!r} is no non-negative integer")
+        scores[community], clusters[community] = float(score), int(cluster)
     return scores, clusters
 
 

@@ -22,10 +22,10 @@ it is read, so a corpus's memory follows its UTF-8 size.
 other, and :func:`host_domain` turns a host into its domain, so that a
 caller with many URLs decides each distinct host once.
 
-:func:`tokenize` cleans texts into token streams, stopwords included, and
-a :class:`TrigramEncoder` counts their word trigrams. The encoder owns the
-stop list: a stopword maps to a reserved id and is dropped from a chunk's
-ids at once, before trigrams are formed.
+:func:`tokenize_rows` cleans a text column's rows into a token stream,
+stopwords included, and a :class:`TrigramEncoder` counts its word
+trigrams. The encoder owns the stop list: a stopword maps to a reserved id
+and is dropped from a chunk's ids at once, before trigrams are formed.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain, count, islice
-from operator import eq
-from operator import index as as_index
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import urlsplit
@@ -85,8 +83,6 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_SECONDS = 86_400
 # rows that a string column decodes at once when iterated
 CHUNK_ROWS = 4096
-# bytes of a string column that StringColumn.isascii scans at once
-_SCAN_BYTES = 1 << 16
 
 
 def day_date(number: int) -> date:
@@ -108,15 +104,14 @@ def _decode(data) -> str:
     return str(data, "utf-8", "surrogatepass")
 
 
-class StringColumn(Sequence):
+class StringColumn:
     """Strings as one UTF-8 buffer ``data`` and the int64 end of each row in it.
 
     Row r is ``data[ends[r - 1]:ends[r]]`` (from byte 0 for row 0), encoded
-    with ``surrogatepass``, so that a lone surrogate round-trips. A row is
-    read as a ``str`` by index, rows as a column of their own with
-    :meth:`take`, and rows as one ``str`` with :meth:`joined`. Iterating
-    decodes :data:`CHUNK_ROWS` rows at a time. A column compares equal to a
-    list or tuple of its strings.
+    with ``surrogatepass``, so that a lone surrogate round-trips. Rows are
+    read as a column of their own with :meth:`take`, as one ``str`` with
+    :meth:`joined`, and as ``str`` values by iterating, which decodes
+    :data:`CHUNK_ROWS` rows at a time.
     """
 
     __slots__ = ("data", "ends")
@@ -127,18 +122,6 @@ class StringColumn(Sequence):
 
     def __len__(self) -> int:
         return len(self.ends)
-
-    def __getitem__(self, key):
-        """Row ``key`` as a ``str``; a slice of rows as a column."""
-        if isinstance(key, slice):
-            return self.take(np.arange(len(self))[key])
-        row = as_index(key)
-        if row < 0:
-            row += len(self)
-        if not 0 <= row < len(self):
-            raise IndexError("column row out of range")
-        start = self.ends.item(row - 1) if row else 0
-        return _decode(self.data[start : self.ends.item(row)])
 
     def __iter__(self) -> Iterator[str]:
         return chain.from_iterable(map(self._decoded, range(0, len(self), CHUNK_ROWS)))
@@ -154,18 +137,6 @@ class StringColumn(Sequence):
         if len(text) == len(chunk):  # ASCII: each row's characters are its bytes
             return [text[s:e] for s, e in zip(starts, ends)]
         return [_decode(chunk[s:e]) for s, e in zip(starts, ends)]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, StringColumn):
-            return self.data == other.data and np.array_equal(self.ends, other.ends)
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"StringColumn({list(self)!r})"
 
     def _bounds(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The start and end byte of each of ``rows``."""
@@ -201,24 +172,13 @@ class StringColumn(Sequence):
             return list(StringColumn(self.data.lower(), self.ends))
         return [text.lower() for text in self]
 
-    def isascii(self) -> np.ndarray:
-        """Whether each row is ASCII, as a bool array."""
-        flags = np.ones(len(self), dtype=bool)
-        if self.data.isascii():
-            return flags
-        data = np.frombuffer(self.data, dtype=np.uint8)
-        for start in range(0, data.size, _SCAN_BYTES):
-            high = np.flatnonzero(data[start : start + _SCAN_BYTES] >= 0x80)
-            flags[np.searchsorted(self.ends, high + start, side="right")] = False
-        return flags
-
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Parsed tweets as columns, one row per tweet, in the order read.
 
-    ``tweet_ids[r]`` and ``texts[r]`` are row r's id and text, read from
-    their :class:`StringColumn`; ``author[r]`` and ``retweeted[r]`` index
+    Row r's id and text are row r of ``tweet_ids`` and ``texts``, each a
+    :class:`StringColumn`; ``author[r]`` and ``retweeted[r]`` index
     the account table ``accounts`` (``retweeted[r]`` is -1 when row r is no
     retweet); ``seconds[r]`` is the row's UTC time in seconds since
     1970-01-01; its URLs are the rows ``url_offsets[r]`` to
@@ -525,34 +485,33 @@ def extract_domain(url: str, shorteners: frozenset[str] = frozenset()) -> str | 
     return host_domain(url_host(url), shorteners)
 
 
-def tokenize(texts: Sequence[str]) -> list[str]:
-    """Clean a batch of tweet texts into one token stream, BOUNDARY between texts.
+def tokenize_rows(texts: StringColumn, rows: Sequence[int] | np.ndarray) -> list[str]:
+    """Clean the ``rows`` of a text column into one token stream, BOUNDARY between texts.
 
     URLs and @-mentions are removed first; the remainder is lowercased and
     split on runs of non-alphanumeric characters. Stopwords are kept: the
-    :class:`TrigramEncoder` that counts the stream drops them. The batch is
-    cleaned as one string: its texts are joined with ``"\\n\\x00\\n"``,
-    and neither regex nor the final-sigma rule of ``str.lower`` reaches
-    across a newline, so each text gets the tokens it would get alone. A
-    NUL inside a text becomes ``"\\x01"``, which separates tokens alike.
+    :class:`TrigramEncoder` that counts the stream drops them. The rows are
+    joined with ``"\\n\\x00\\n"``; neither regex nor the final-sigma rule of
+    ``str.lower`` reaches across a newline, so each text gets the tokens it
+    would get alone. A NUL inside a text becomes ``"\\x01"``. A batch that
+    mixes ASCII and other texts, as each row's bytes tell, gives the tokens
+    of its ASCII texts, then one BOUNDARY, then those of the others, so that
+    :func:`_clean` takes its ASCII path for the former.
     """
-    joined = _BATCH_JOIN.join(texts)
-    if joined.count(BOUNDARY) != len(texts) - 1:
-        joined = _BATCH_JOIN.join([text.replace(BOUNDARY, "\x01") for text in texts])
-    return _clean(joined)
-
-
-def tokenize_rows(texts: StringColumn, rows: Sequence[int] | np.ndarray) -> list[str]:
-    """:func:`tokenize` of the ``rows`` of a column, joined from its buffer at once.
-
-    Only a batch in which some text holds a NUL is read text by text.
-    """
-    if not len(rows):
-        return []
+    rows = np.asarray(rows, dtype=np.intp)
     joined = texts.joined(rows, _BATCH_JOIN)
-    if joined.count(BOUNDARY) != len(rows) - 1:
-        return tokenize(texts.take(rows))
-    return _clean(joined)
+    if joined.count(BOUNDARY) > rows.size - 1:
+        joined = _BATCH_JOIN.join([text.replace(BOUNDARY, "\x01") for text in texts.take(rows)])
+    if joined.isascii():
+        return _clean(joined)
+    starts, ends = texts._bounds(rows)
+    is_ascii = [texts.data[s:e].isascii() for s, e in zip(starts.tolist(), ends.tolist())]
+    if not any(is_ascii):
+        return _clean(joined)
+    strings = joined.split(_BATCH_JOIN)
+    ascii_texts = [text for text, plain in zip(strings, is_ascii) if plain]
+    others = [text for text, plain in zip(strings, is_ascii) if not plain]
+    return [*_clean(_BATCH_JOIN.join(ascii_texts)), BOUNDARY, *_clean(_BATCH_JOIN.join(others))]
 
 
 def _clean(joined: str) -> list[str]:
@@ -561,9 +520,8 @@ def _clean(joined: str) -> list[str]:
     Each regex runs only when its literal marker is present. The choice of
     path is made once for the whole string: an all-ASCII string is
     lowercased first and split with a byte translate table, any other goes
-    through the regexes. One non-ASCII text therefore sends its batch's
-    ASCII texts down the slower path too; a caller with many texts
-    tokenizes its ASCII texts as a batch of their own.
+    through the regexes, which is why :func:`tokenize_rows` cleans the
+    ASCII texts of a mixed batch apart.
     """
     if joined.isascii():
         # lowercasing ASCII text first changes no match of either regex
@@ -581,8 +539,8 @@ def _clean(joined: str) -> list[str]:
 
 
 def normalize_text(text: str) -> tuple[str, ...]:
-    """Clean one tweet's text into its token stream: :func:`tokenize` on it alone."""
-    return tuple(tokenize([text]))
+    """Clean one tweet's text into its token stream, as :func:`tokenize_rows` cleans it."""
+    return tuple(_clean(text.replace(BOUNDARY, "\x01")))
 
 
 class CountMatrix(NamedTuple):
@@ -678,7 +636,7 @@ class TrigramEncoder:
 
         A boundary follows each stream, and no trigram holding a boundary is
         counted, so none spans two streams, or two texts of one
-        :func:`tokenize` batch. ``streams`` is read once, so it may be a
+        :func:`tokenize_rows` batch. ``streams`` is read once, so it may be a
         generator.
 
         The streams are read one chunk at a time: a chunk is whole streams,

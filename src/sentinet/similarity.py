@@ -3,9 +3,9 @@
 Each community-day document sums the word-trigram counts of that
 community's topical tweets for the day. :func:`day_batches` groups the
 rows by day once. :func:`count_day` tokenizes each community-day's tweets
-in two batches, its ASCII texts and the rest, and counts the day's
-community-days with a :class:`~sentinet.ingest.TrigramEncoder` into the
-rows of one :class:`~sentinet.ingest.CountMatrix`;
+as one batch of :func:`~sentinet.ingest.tokenize_rows` and counts the
+day's community-days with a :class:`~sentinet.ingest.TrigramEncoder` into
+the rows of one :class:`~sentinet.ingest.CountMatrix`;
 :func:`build_community_day_docs` reduces that matrix at once to what
 :func:`similarity_series` reads, the dot products of every pair of the
 day's rows (:class:`DayDocs`), and drops it before the next day is
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from datetime import date
 from functools import cache
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -45,7 +44,6 @@ from .community import Label
 from .errors import InvalidDocumentError, ParameterError, UndefinedScoreError
 from .fileio import across_cpus, read_csv, read_lines, write_csv
 from .ingest import (
-    BOUNDARY,
     CountMatrix,
     Corpus,
     StringColumn,
@@ -100,44 +98,29 @@ class DayDocs(NamedTuple):
 
 def day_batches(
     corpus: Corpus, rows_by_community: Mapping[Label, Sequence[int]]
-) -> dict[int, dict[Label, list[np.ndarray]]]:
-    """Day number -> community -> its ASCII rows and its other rows of ``corpus`` on the day.
+) -> dict[int, dict[Label, np.ndarray]]:
+    """Day number -> community -> its rows of ``corpus`` on the day.
 
     Days ascend, each holds the communities with rows on it in label order,
-    and each batch keeps the rows' given order. Two batches keep one
-    non-ASCII tweet from sending the day's ASCII tweets down the regex path.
+    and each batch keeps the rows' given order.
     """
-    texts, days = corpus.texts, corpus.days
-    is_other = ~texts.isascii()
-    batches: dict[int, dict[Label, list[np.ndarray]]] = {}
-    none = np.zeros(0, dtype=np.intp)
+    days = corpus.days
+    batches: dict[int, dict[Label, np.ndarray]] = {}
     for community in sorted(rows_by_community, key=str):
         rows = np.asarray(rows_by_community[community], dtype=np.intp)
-        # the community's rows grouped by day and, within a day, ASCII rows
-        # first, each group's rows in their given order
-        keys = days[rows] * 2 + is_other[rows]
-        order = np.argsort(keys, kind="stable")
-        rows, keys = rows[order], keys[order]
-        group_keys, starts = np.unique(keys, return_index=True)
-        ends = [*starts[1:].tolist(), rows.size]
-        for key, start, end in zip(group_keys.tolist(), starts.tolist(), ends):
-            pair = batches.setdefault(key // 2, {}).setdefault(community, [none, none])
-            pair[key % 2] = rows[start:end]
+        rows = rows[np.argsort(days[rows], kind="stable")]
+        group_days, starts = np.unique(days[rows], return_index=True)
+        for day, batch in zip(group_days.tolist(), np.split(rows, starts[1:])):
+            batches.setdefault(day, {})[community] = batch
     return dict(sorted(batches.items()))
 
 
 def count_day(
-    texts: StringColumn, batches: Mapping[Label, Sequence[np.ndarray]], encoder: TrigramEncoder
+    texts: StringColumn, batches: Mapping[Label, np.ndarray], encoder: TrigramEncoder
 ) -> tuple[CountMatrix, np.ndarray]:
-    """:meth:`TrigramEncoder.count` of one day's :func:`day_batches`, one row per community.
-
-    A row's stream is its ASCII batch, a :data:`BOUNDARY`, then its other
-    batch, each joined from the text column as one string.
-    """
-    return encoder.count(
-        chain(tokenize_rows(texts, ascii_rows), (BOUNDARY,), tokenize_rows(texts, other_rows))
-        for ascii_rows, other_rows in batches.values()
-    )
+    """:meth:`TrigramEncoder.count` of one day's :func:`day_batches`, one row per
+    community, each row's stream the :func:`tokenize_rows` of its batch."""
+    return encoder.count(tokenize_rows(texts, rows) for rows in batches.values())
 
 
 def build_community_day_docs(
@@ -151,7 +134,7 @@ def build_community_day_docs(
     docs = across_cpus(
         lambda day: DayDocs.from_rows(day, count_day(corpus.texts, day, encoder)[0]),
         list(batches.values()),
-        [sum(rows.size for pair in day.values() for rows in pair) for day in batches.values()],
+        [sum(rows.size for rows in day.values()) for day in batches.values()],
     )
     return {day_date(number): day for number, day in zip(batches, docs)}
 

@@ -57,16 +57,17 @@ def corpus_of(records) -> Corpus:
 
 def rows_of(corpus: Corpus) -> list[dict]:
     """Each row of a corpus as its tweet's JSON object, as write_corpus writes it."""
+    tweet_ids, texts, urls = list(corpus.tweet_ids), list(corpus.texts), list(corpus.urls)
     return [
         {
-            "tweet_id": corpus.tweet_ids[row],
+            "tweet_id": tweet_ids[row],
             "author_id": corpus.accounts[corpus.author[row]],
             "created_at": format_timestamp(corpus.created_at(row)),
-            "text": corpus.texts[row],
+            "text": texts[row],
             "retweeted_author_id": (
                 corpus.accounts[corpus.retweeted[row]] if corpus.retweeted[row] >= 0 else None
             ),
-            "urls": list(corpus.urls[corpus.url_offsets[row] : corpus.url_offsets[row + 1]]),
+            "urls": urls[corpus.url_offsets[row] : corpus.url_offsets[row + 1]],
         }
         for row in range(len(corpus))
     ]
@@ -92,14 +93,14 @@ def activity_of(records_by_account, window):
 def columns(corpus: Corpus):
     """Every column of a corpus as plain lists, for comparison."""
     return (
-        corpus.tweet_ids,
-        corpus.texts,
+        list(corpus.tweet_ids),
+        list(corpus.texts),
         corpus.accounts,
         corpus.author.tolist(),
         corpus.retweeted.tolist(),
         corpus.seconds.tolist(),
         corpus.url_offsets.tolist(),
-        corpus.urls,
+        list(corpus.urls),
         [
             array.dtype.name
             for array in (corpus.author, corpus.retweeted, corpus.seconds, corpus.url_offsets)

@@ -14,7 +14,6 @@ import re
 from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -24,7 +23,7 @@ from scipy.cluster.hierarchy import linkage
 from conftest import count_matrix, scipy_of
 from sentinet.community import Partition
 from sentinet.errors import EmptyCorpusError, UrlParseError
-from sentinet.ingest import BOUNDARY, ParseResult, TrigramEncoder, day_date, tokenize
+from sentinet.ingest import BOUNDARY, ParseResult, TrigramEncoder, day_date
 from sentinet.lsa import TopicalExtraction, _gap_select, truncated_svd
 from sentinet.similarity import CommunityDayDoc, burst_score, intercluster_similarity
 
@@ -326,20 +325,16 @@ def window_day_grams(corpus, rows_by_community, encoder) -> dict:
     the window is a row of one count matrix, counted in community-major
     order, and each day's Gram matrix is taken from the day's rows of it.
     """
-    texts, days = corpus.texts, corpus.days
-    texts_of: dict = {}
+    texts, days = list(corpus.texts), corpus.days
+    streams: dict = {}
     for community in sorted(rows_by_community, key=str):
         rows = np.asarray(rows_by_community[community], dtype=np.intp)
         for row, day in zip(rows.tolist(), days[rows].tolist()):
-            ascii_texts, other_texts = texts_of.setdefault((community, day), ([], []))
-            text = texts[row]
-            (ascii_texts if text.isascii() else other_texts).append(text)
-    matrix, _ = encoder.count(
-        chain(tokenize(ascii_texts), (BOUNDARY,), tokenize(other_texts))
-        for ascii_texts, other_texts in texts_of.values()
-    )
+            # each text's tokens, then a boundary, so that no trigram spans two texts
+            streams.setdefault((community, day), []).extend((*normalize_text(texts[row]), BOUNDARY))
+    matrix, _ = encoder.count(streams.values())
     rows_of: dict = {}
-    for row, (community, day) in enumerate(texts_of):
+    for row, (community, day) in enumerate(streams):
         rows_of.setdefault(day_date(day), []).append((community, row))
     grams = {}
     for day, keyed in rows_of.items():

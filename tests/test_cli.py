@@ -555,7 +555,7 @@ class TestStageCommands:
         )
         out = tmp_path / "records.jsonl"
         assert main(["ingest", "--input", str(raw), "--output", str(out)]) == 0
-        assert read_corpus(out).records.texts == ["half \ud800 pair"]
+        assert list(read_corpus(out).records.texts) == ["half \ud800 pair"]
 
 
 # option -> a command that reads its file, with every other input valid
@@ -700,6 +700,14 @@ class TestInputFiles:
         assert f"path not found: {missing}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", sorted(INPUT_FILE_COMMANDS))
+    def test_directory_is_a_usage_error(self, staged, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(self.command(staged, option, tmp_path, tmp_path))
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a regular file" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("option", sorted(INPUT_FILE_COMMANDS))
     def test_malformed_file_is_one_error_line(self, staged, option, tmp_path, capsys):
         # no JSON, no key=value line, no line of two or three fields, and no
         # CSV row of two or more cells
@@ -712,13 +720,21 @@ class TestInputFiles:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "option", ["--roster:rates", "--partition", "--series", "--series:lsa"]
+        "option",
+        ["--roster:rates", "--partition", "--series", "--series:lsa", "--scores", "--matrix"],
     )
     def test_repeated_key_is_one_error_line(self, staged, series, option, tmp_path, capsys):
         # read silently, a repeated account would count twice in the rates,
-        # and a repeated series day would enter the burst history
-        _, _, _, partition, roster, *_ = staged
-        source = {"--roster:rates": roster, "--partition": partition}.get(option, series)
+        # a repeated series day would enter the burst history, a repeated
+        # score would keep its last row, and a repeated matrix row would
+        # enter the PCA twice
+        _, _, _, partition, roster, matrix, scores, _ = staged
+        source = {
+            "--roster:rates": roster,
+            "--partition": partition,
+            "--scores": scores,
+            "--matrix": matrix,
+        }.get(option, series)
         lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
         repeated = tmp_path / "repeated"
         repeated.write_text("".join(lines + lines[-1:]), encoding="utf-8")

@@ -74,6 +74,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(text + "seed=\n", env={})
 
+    @pytest.mark.parametrize("name", ["corpus", "output_dir", "window_start", "language_filter"])
+    def test_required_key_may_not_be_empty(self, tmp_path, corpus_file, name):
+        # an empty path would be the config file's own directory
+        path = tmp_path / "run.cfg"
+        path.write_text(minimal_text(corpus_file, tmp_path / "out") + f"{name}=\n")
+        with pytest.raises(ConfigError, match=f"bad value for '{name}': empty value"):
+            load_config(path, env={})
+
+    @pytest.mark.parametrize(
+        "name, kind", [("corpus", "regular file"), ("stopwords", "regular file"),
+                       ("lexicon_dir", "directory")]
+    )
+    def test_input_path_of_the_wrong_kind_rejected(self, tmp_path, corpus_file, name, kind):
+        text = minimal_text(corpus_file, tmp_path / "out")
+        wrong = corpus_file if kind == "directory" else tmp_path
+        with pytest.raises(ConfigError, match=f"{name} {wrong} is not a {kind}"):
+            parse_config(text + f"{name}={wrong}\n", env={})
+        right = tmp_path if kind == "directory" else corpus_file
+        assert getattr(parse_config(text + f"{name}={right}\n", env={}), name) == right
+
     def test_split_outside_window(self, tmp_path, corpus_file):
         text = minimal_text(corpus_file, tmp_path / "out").replace(
             "split=2020-07-21T00:00:00Z", "split=2020-09-01T00:00:00Z"

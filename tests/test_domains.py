@@ -191,6 +191,19 @@ class TestDomainFrequencyMatrix:
         assert loaded.domains == matrix.domains
         np.testing.assert_allclose(loaded.values, matrix.values)
 
+    @pytest.mark.parametrize(
+        "text, repeated",
+        [
+            ("community,total,a.com,b.com\nx,3,1,2\nx,4,2,2\n", "community 'x'"),
+            ("community,total,a.com,a.com\nx,3,1,2\ny,4,2,2\n", "domain 'a.com'"),
+        ],
+    )
+    def test_matrix_csv_repeat_is_an_error(self, tmp_path, text, repeated):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{repeated} listed twice"):
+            read_matrix_csv(path)
+
 
 class TestFirstPrincipalComponent:
     def test_symmetric_2x2(self):
@@ -279,6 +292,14 @@ class TestClusterScores:
         assert read_scores_csv(path) == (scores, clusters)
         # so a resumed run recomputes the centroids of a fresh one
         assert centroids(*read_scores_csv(path)) == centroids(scores, clusters)
+
+    @pytest.mark.parametrize("cluster", ["-1", "+1", "1.0", "", " 1"])
+    def test_scores_csv_cluster_must_be_a_non_negative_integer(self, tmp_path, cluster):
+        # a cluster -1 would name the similarity pair -1-0, which reads back as ("", "1-0")
+        path = tmp_path / "scores.csv"
+        path.write_text(f"community,score,cluster\na,1.0,0\nb,2.0,{cluster}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-negative integer"):
+            read_scores_csv(path)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateClusteringError):

@@ -35,7 +35,7 @@ from sentinet.ingest import (
     parse_tweet_stream,
     write_corpus,
     read_corpus,
-    tokenize,
+    tokenize_rows,
 )
 
 GOOD_LINE = json.dumps(
@@ -63,7 +63,7 @@ class TestParseTweetStream:
         result = parse_tweet_stream(stream)
         assert len(result.records) == 3
         assert result.skipped == 0
-        assert result.records.tweet_ids == ["0", "1", "2"]
+        assert list(result.records.tweet_ids) == ["0", "1", "2"]
 
     def test_truncated_middle_line_skipped(self):
         lines = [make_line(0), make_line(1)[:25], make_line(2)]
@@ -92,7 +92,7 @@ class TestParseTweetStream:
     def test_non_string_timestamp_skipped(self, created_at):
         lines = [make_line(0), make_line(1, created_at=created_at), make_line(2)]
         result = parse_tweet_stream(io.StringIO("\n".join(lines)))
-        assert result.records.tweet_ids == ["0", "2"]
+        assert list(result.records.tweet_ids) == ["0", "2"]
         assert result.skipped == 1
 
     def test_duplicate_ids_skipped(self):
@@ -144,7 +144,7 @@ class TestParseTweetStream:
     def test_ids_that_break_artifacts_skipped(self, field, value):
         lines = [make_line(0), make_line(1, **{field: value}), make_line(2)]
         result = parse_tweet_stream(io.StringIO("\n".join(lines)))
-        assert result.records.tweet_ids == ["0", "2"]
+        assert list(result.records.tweet_ids) == ["0", "2"]
         assert result.skipped == 1
         # the rejected id enters no account table
         assert result.records.accounts == ["a"]
@@ -153,7 +153,7 @@ class TestParseTweetStream:
     def test_ids_without_whitespace_or_surrogates_kept(self, value):
         lines = [make_line(0, tweet_id=value, author_id=value, retweeted_author_id="b" + value)]
         corpus = parse_tweet_stream(io.StringIO("\n".join(lines))).records
-        assert corpus.tweet_ids == [value] and corpus.accounts == [value, "b" + value]
+        assert list(corpus.tweet_ids) == [value] and corpus.accounts == [value, "b" + value]
 
     @pytest.mark.parametrize(
         "created_at", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
@@ -161,7 +161,7 @@ class TestParseTweetStream:
     def test_utc_time_outside_datetime_range_skipped(self, created_at):
         lines = [make_line(0), make_line(1, created_at=created_at), make_line(2)]
         result = parse_tweet_stream(io.StringIO("\n".join(lines)))
-        assert result.records.tweet_ids == ["0", "2"]
+        assert list(result.records.tweet_ids) == ["0", "2"]
         assert result.skipped == 1
 
     def test_empty_corpus_raises(self):
@@ -289,13 +289,14 @@ def parse_outcome(parse, lines):
     if isinstance(parsed, Corpus):
         created = [parsed.created_at(row) for row in range(len(parsed))]
         assert all(moment.tzinfo is timezone.utc for moment in created)
+        tweet_ids, texts, urls = list(parsed.tweet_ids), list(parsed.texts), list(parsed.urls)
         rows = [
             (
-                parsed.tweet_ids[row],
+                tweet_ids[row],
                 parsed.accounts[parsed.author[row]],
                 parsed.accounts[parsed.retweeted[row]] if parsed.retweeted[row] >= 0 else None,
-                parsed.texts[row],
-                tuple(parsed.urls[parsed.url_offsets[row] : parsed.url_offsets[row + 1]]),
+                texts[row],
+                tuple(urls[parsed.url_offsets[row] : parsed.url_offsets[row + 1]]),
                 day_date(int(parsed.days[row])),
                 created[row].isoformat(),
             )
@@ -410,7 +411,8 @@ class TestCorpusColumns:
         taken = corpus.take(rows)
         assert taken.accounts is corpus.accounts
         assert rows_of(taken) == [records[row] for row in rows]
-        assert corpus.urls_of(rows) == taken.urls == ["u5.0", "u5.1", "u2.0", "u2.1", "u4.0"]
+        urls = ["u5.0", "u5.1", "u2.0", "u2.1", "u4.0"]
+        assert list(corpus.urls_of(rows)) == list(taken.urls) == urls
 
 
 # strings JSON can hold, with what a UTF-8 column must keep apart: lone
@@ -460,10 +462,10 @@ class TestStringColumns:
             for row, (tweet_id, text, urls) in zip(range(n_rows), cycle(drawn))
         ]
         corpus = corpus_of(records)
-        assert corpus.tweet_ids == [record["tweet_id"] for record in records]
-        assert corpus.texts == [read_as_json(record["text"]) for record in records]
-        assert corpus.urls == [read_as_json(url) for record in records for url in record["urls"]]
-        assert [corpus.texts[row] for row in range(n_rows)] == list(corpus.texts)
+        assert list(corpus.tweet_ids) == [record["tweet_id"] for record in records]
+        assert list(corpus.texts) == [read_as_json(record["text"]) for record in records]
+        urls = [read_as_json(url) for record in records for url in record["urls"]]
+        assert list(corpus.urls) == urls
         path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
         write_corpus(corpus, path)
         reparsed = read_corpus(path)
@@ -478,12 +480,12 @@ class TestStringColumns:
         rows = data.draw(st.lists(st.integers(0, len(corpus) - 1), max_size=12))
         taken = corpus.take(np.array(rows, dtype=np.intp))
         assert rows_of(taken) == oracles.take_rows(listed, rows)
-        assert corpus.urls_of(rows) == oracles.urls_of(listed, rows)
+        assert list(corpus.urls_of(rows)) == oracles.urls_of(listed, rows)
         sep = data.draw(st.sampled_from(["", "\n", "\n\x00\n", "\ud800", "é"]))
         for column, field in ((corpus.tweet_ids, "tweet_id"), (corpus.texts, "text")):
             strings = [record[field] for record in listed]
             assert column.joined(rows, sep) == oracles.joined(strings, rows, sep)
-            assert column.take(rows) == oracles.take_rows(strings, rows)
+            assert list(column.take(rows)) == oracles.take_rows(strings, rows)
         days = sorted({day_date(day) for day in corpus.days.tolist()})
         start, end = sorted(data.draw(st.lists(st.sampled_from(days), min_size=2, max_size=2)))
         assert rows_of(corpus.within(start, end)) == oracles.rows_within(listed, start, end)
@@ -491,12 +493,7 @@ class TestStringColumns:
     def test_column_reads_rows_as_strings(self):
         texts = ["", "a", "\ud800", "\U0001f600 x", "é\x00", "b"]
         column = corpus_of([make_record(str(i), "a", text=t) for i, t in enumerate(texts)]).texts
-        assert column == texts and column == tuple(texts) and list(column) == texts
-        assert column != texts[:-1] and column != [*texts[:-1], "c"] and column != "ab"
-        assert column[-1] == "b" and column[1:3] == texts[1:3] and column[::-2] == texts[::-2]
-        with pytest.raises(IndexError):
-            column[len(texts)]
-        assert column.isascii().tolist() == [text.isascii() for text in texts]
+        assert list(column) == texts and len(column) == len(texts)
         assert column.lowered() == [text.lower() for text in texts]
         # an ASCII column is lowercased as one buffer; final sigma and a
         # dotted capital I lowercase by context and to two characters
@@ -770,8 +767,30 @@ class TestTokenizerBatch:
     @example(texts=["See HTTPS://X.ORG/A now", "WwW.Example.COM/p @Bob_2 hi", "@ANN"])
     # one non-ASCII text in an ASCII batch, and empty texts
     @example(texts=["", "plain words here", "café crème brûlée", "more plain words", ""])
+    # a NUL in a mixed batch
+    @example(texts=["a\x00b", "ΑΣ\x00Β", "c d"])
     def test_each_text_as_if_alone(self, texts):
-        assert batch_texts(tokenize(texts)) == [oracles.normalize_text(text) for text in texts]
+        column = corpus_of([make_record(str(i), "a", text=t) for i, t in enumerate(texts)]).texts
+        # a mixed batch gives its ASCII texts first, each side in the given order
+        expected = [oracles.normalize_text(text) for text in texts if text.isascii()]
+        expected += [oracles.normalize_text(text) for text in texts if not text.isascii()]
+        assert batch_texts(tokenize_rows(column, range(len(texts)))) == expected
+
+    def test_mixed_batch_cleans_its_ascii_texts_as_ascii(self, monkeypatch):
+        texts = ["plain Words", "café crème", "more words", "ΟΔΟΣ"]
+        column = corpus_of([make_record(str(i), "a", text=t) for i, t in enumerate(texts)]).texts
+        cleaned = []
+        clean = ingest._clean
+
+        def recording(joined):
+            cleaned.append(joined)
+            return clean(joined)
+
+        monkeypatch.setattr(ingest, "_clean", recording)
+        tokens = tokenize_rows(column, [3, 0, 1, 2])
+        assert cleaned == ["plain Words\n\x00\nmore words", "ΟΔΟΣ\n\x00\ncafé crème"]
+        expected = [("plain", "words"), ("more", "words"), ("οδος",), ("café", "crème")]
+        assert batch_texts(tokens) == expected
 
 
 def _joined(docs):

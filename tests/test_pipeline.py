@@ -108,6 +108,13 @@ PINNED_DIGESTS = {
     "sentinels.txt": "33ce936f2f9a71316dec79b8e9a4abef16eddc035ba825a4d38997a1152c44dd",
     "domain_matrix.csv": "4b8dd3d1de53c0ea939c27f7c25aaf02ff190fdc38bd91471396c7e35a238fc6",
 }
+# the same for the non-ASCII corpus that CI derives from the demo's: nearly
+# every community-day mixes ASCII texts with others, and a fifth of the
+# texts hold a NUL
+NON_ASCII_DIGESTS = {
+    "similarity.csv": "2d32bfa2581657c2f69354718b5509f5385e190ae629f03e5761b03630997a0c",
+    "topic_counts.csv": "d8501ad1f2c1c6b426b0baa89d926a88706c55f69f6bb7f7c60e76305457aa9f",
+}
 
 
 class TestRunPipeline:
@@ -118,6 +125,22 @@ class TestRunPipeline:
             for name in PINNED_DIGESTS
         }
         assert digests == PINNED_DIGESTS
+
+    def test_non_ascii_corpus_digests_pinned(self, synthetic, tmp_path):
+        config, _, _ = synthetic
+        corpus = tmp_path / "corpus.jsonl"
+        with open(config.corpus, encoding="utf-8") as source, open(corpus, "w") as out:
+            for i, line in enumerate(source):
+                record = json.loads(line)
+                if i % 5 == 0:
+                    record["text"] += " \U0001f637 \u201cmask\u201d \u75ab\u82d7 \ud800 \x00 end"
+                out.write(json.dumps(record) + "\n")
+        run_pipeline(replace(config, corpus=corpus, output_dir=tmp_path / "out"))
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in NON_ASCII_DIGESTS
+        }
+        assert digests == NON_ASCII_DIGESTS
 
     def test_all_stage_artifacts_written(self, synthetic):
         config, _, _ = synthetic

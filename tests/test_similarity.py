@@ -32,6 +32,7 @@ from sentinet.similarity import (
     burst_score,
     burst_scores,
     cosine_similarity,
+    day_batches,
     flag_days,
     intercluster_similarity,
     read_series_csv,
@@ -303,7 +304,7 @@ class TestDayDocsEqualPerTweetReference:
     )
     # the day's tweets end and start with words that would form trigrams if joined
     @example(communities=[[("alpha beta", 0), ("gamma delta", 0)]], stopwords=frozenset())
-    # ASCII and non-ASCII tweets on one day: the day is tokenized as two batches
+    # ASCII and non-ASCII tweets on one day: tokenize_rows cleans the ASCII ones apart
     @example(
         communities=[
             [("alpha beta", 0), ("café gamma", 0), ("delta epsilon", 0), ("ÉCOLE x y", 0)]
@@ -316,6 +317,10 @@ class TestDayDocsEqualPerTweetReference:
         encoder = TrigramEncoder(stopwords)
         counted = day_counts(corpus, rows, encoder)
         expected = per_tweet_reference(records, stopwords)
+        # one row array per community-day, its rows in their given order
+        for day, batches in day_batches(corpus, rows).items():
+            for community, batch in batches.items():
+                assert batch.tolist() == [r for r in rows[community] if corpus.days[r] == day]
         # days once each and ascending; one row per community-day, in label order
         days = [day for day, *_ in counted]
         assert days == sorted(set(days))

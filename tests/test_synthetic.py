@@ -39,7 +39,7 @@ class TestGenerateCorpus:
         corpus, truth = default_corpus
         viral = set(truth.viral_tweet_ids)
         rows = [row for row, tweet_id in enumerate(corpus.tweet_ids) if tweet_id in viral]
-        assert {corpus.texts[row] for row in rows} == {VIRAL_TEXT}
+        assert set(corpus.texts.take(rows)) == {VIRAL_TEXT}
         assert {day_date(day) for day in corpus.days[rows].tolist()} == {truth.viral_day}
 
     def test_every_tweet_is_covid_related(self, default_corpus):
